@@ -65,10 +65,7 @@ def average_direct(f, path, s: float, t: float, probes) -> np.ndarray:
     runs through math.fsum, so window additivity holds to the last rounding
     of the final product.
     """
-    k0 = path.grid.node_index(s)
-    k1 = path.grid.node_index(t)
-    if not k0 < k1:
-        raise ParameterError(f"need s < t on the time grid, got s={s}, t={t}")
+    k0, k1 = path.grid.window(s, t)
     pts = np.atleast_2d(np.asarray(probes, dtype=float))
     if pts.shape[1] != path.dimension:
         raise ParameterError("probe dimension does not match the path")

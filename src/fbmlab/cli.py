@@ -33,23 +33,13 @@ from .averaging import (admissible_regularity, average_via_local_time,
                         hurst_admissible_main)
 from .errors import (BlowUpError, FbmLabError, HypothesisError,
                      ParameterError)
-from .experiments import (ALL_CRITERIA, HEADLINE, criterion_admissibility,
-                          criterion_averaging_agreement,
-                          criterion_fbm_covariance, criterion_ito_isometry,
-                          criterion_martingale_residuals,
-                          criterion_mollified_cauchy, criterion_moment_bound,
-                          criterion_occupation_formula,
-                          criterion_regularization_gain,
-                          criterion_sewing_engine, _constant_field_reports)
-from .fields import identity_field, singular_example
+from .experiments import (ALL_CRITERIA, HEADLINE_CONFIG, build_scenario,
+                          criterion_admissibility, verify_scenario,
+                          _constant_field_reports)
 from .occupation import SpatialGrid, local_time
 from .paths import TimeGrid, generate_fbm
 from .sewing import Germ, sew
-from .solver import (QuenchedScenario, mollified_family,
-                     mollified_integral_sequence, solve_ensemble)
-from .verify import (cross_term_check, ito_isometry_check, lebesgue_vs_sewing,
-                     martingale_residuals, moment_ratio, moment_ratio_trend)
-from .fields import hs_norm_sq
+from .solver import solve_ensemble
 
 _CONFIG_SCHEMA = {
     "experiment": str,
@@ -70,24 +60,7 @@ _CONFIG_SCHEMA = {
     "x0": "floats",
 }
 
-_DEFAULT_CONFIG = {
-    "experiment": "E5",
-    "sigma": "singular",
-    "hurst": HEADLINE["hurst"],
-    "gamma": HEADLINE["gamma"],
-    "radius": HEADLINE["radius"],
-    "p": HEADLINE["p"],
-    "m": HEADLINE["m"],
-    "gamma0": HEADLINE["gamma0"],
-    "horizon": 1.0,
-    "dimension": 1,
-    "steps": HEADLINE["steps"],
-    "paths": HEADLINE["paths"],
-    "fbm_seed": HEADLINE["fbm_seed"],
-    "base_seed": HEADLINE["base_seed"],
-    "eps": list(HEADLINE["eps_seq"]),
-    "x0": [HEADLINE["x0"]],
-}
+_DEFAULT_CONFIG = {"experiment": "E5", **HEADLINE_CONFIG}
 
 
 def parse_config_text(text: str) -> dict:
@@ -152,25 +125,6 @@ def validate_config(cfg: dict) -> None:
         raise ParameterError("eps must be strictly decreasing")
 
 
-def build_scenario(cfg: dict):
-    grid_t = TimeGrid(cfg["horizon"], cfg["steps"])
-    fbm = generate_fbm(cfg["hurst"], cfg["dimension"], grid_t, cfg["fbm_seed"])
-    if cfg["sigma"] == "singular":
-        sigma = singular_example(cfg["gamma"], cfg["radius"], cfg["dimension"])
-    else:
-        sigma = identity_field(cfg["dimension"])
-    scenario = QuenchedScenario(fbm, sigma, np.asarray(cfg["x0"], dtype=float),
-                                tuple(cfg["eps"]), cfg["paths"],
-                                cfg["base_seed"], p=cfg["p"])
-    if cfg["sigma"] == "singular":
-        lp_grid, fields = mollified_family(scenario)
-    else:
-        lp_grid = SpatialGrid.from_box(-2.0, 2.0, 64, cfg["dimension"])
-        fields = {eps: sigma for eps in cfg["eps"]}
-    quant_grid = SpatialGrid.cover(fbm.values.T, grid_t.dt)
-    return scenario, fields, lp_grid, quant_grid
-
-
 # --- artifact helpers -------------------------------------------------------
 
 
@@ -221,7 +175,7 @@ def _emit(text: str) -> None:
 # --- experiments -------------------------------------------------------------
 
 
-def _experiment_e0(cfg: dict, threads: int) -> tuple[list[dict], list[dict]]:
+def _experiment_e0() -> tuple[list[dict], list[dict]]:
     """Identity-field smoke test: exact identities plus threshold table."""
     reports = _constant_field_reports()
     rows = [r.to_dict() for r in reports]
@@ -249,8 +203,7 @@ _EXPERIMENTS = {
 }
 
 
-def run_experiment(name: str, cfg: dict, out_dir: Path, threads: int,
-                   fmt: str) -> int:
+def run_experiment(name: str, cfg: dict, out_dir: Path, fmt: str) -> int:
     if name not in _EXPERIMENTS:
         raise ParameterError(
             f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}")
@@ -259,15 +212,9 @@ def run_experiment(name: str, cfg: dict, out_dir: Path, threads: int,
     description, criteria = _EXPERIMENTS[name]
     rows: list[dict] = []
     if name == "E0":
-        results, rows = _experiment_e0(cfg, threads)
+        results, rows = _experiment_e0()
     else:
-        results = []
-        for cid in criteria:
-            fn = ALL_CRITERIA[cid]
-            try:
-                results.append(fn(threads=threads))
-            except TypeError:
-                results.append(fn())
+        results = [ALL_CRITERIA[cid]() for cid in criteria]
         for res in results:
             detail_rows = res["details"].get("rows")
             if detail_rows:
@@ -276,7 +223,7 @@ def run_experiment(name: str, cfg: dict, out_dir: Path, threads: int,
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(out_dir / "config.json", {"experiment": name, **cfg,
-                                         "threads": threads, "format": fmt})
+                                         "format": fmt})
     summary = {"experiment": name, "description": description,
                "results": _strip_timing(results),
                "passed": all(r["passed"] for r in results)}
@@ -418,8 +365,7 @@ def _cmd_solve(args) -> int:
         _dump_json(out_dir / "config.json", cfg)
     rows = []
     for eps in scenario.eps_seq:
-        ens = solve_ensemble(scenario, fields[eps], epsilon=eps,
-                             threads=args.threads)
+        ens = solve_ensemble(scenario, fields[eps], epsilon=eps)
         for row in ens.moment_table(cfg["m"]):
             rows.append({"epsilon": eps, **row})
         _emit(f"eps={eps:g}: {ens.blowup_count} of {scenario.ensemble_size} "
@@ -433,40 +379,18 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
-    eps_min = min(scenario.eps_seq)
-    reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min,
-                               threads=args.threads)
-    reports = []
-    ratio_reports = []
-    for eps in scenario.eps_seq:
-        ens = (reference if eps == eps_min else
-               solve_ensemble(scenario, fields[eps], epsilon=eps,
-                              threads=args.threads))
-        ratio_reports.append(moment_ratio(ens, cfg["m"], cfg["gamma0"]))
-        reports.append(ito_isometry_check(ens, fields[eps], quant_grid,
-                                          scenario.grid.horizon))
-        reports.append(cross_term_check(reference, scenario.sigma, fields[eps],
-                                        quant_grid, scenario.grid.horizon,
-                                        epsilon=eps))
     half = scenario.grid.horizon / 2.0
-    reports.extend(martingale_residuals(
-        reference, fields[eps_min],
-        [(half / 2.0, half), (half, scenario.grid.horizon)]))
-    qv = lebesgue_vs_sewing(reference.values[0], scenario.fbm,
-                            hs_norm_sq(fields[eps_min]), quant_grid,
-                            (scenario.grid.horizon * 0.25,
-                             scenario.grid.horizon * 0.75))
-    reports.append(qv)
-    trend = moment_ratio_trend(ratio_reports)
-    cauchy = mollified_integral_sequence(scenario, m=cfg["m"],
-                                         reference=reference, fields=fields,
-                                         lp_grid=lp_grid, threads=args.threads)
+    res = verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
+                          cfg["gamma0"],
+                          [(half / 2.0, half), (half, scenario.grid.horizon)])
+    reports = [r for pair in zip(res.iso_reports, res.cross_reports) for r in pair]
+    reports += res.martingale_reports + [res.qv_report]
     rows = [r.to_dict() for r in reports]
-    passed = all(r.passed for r in reports) and trend["uniform"]
-    out = {"identities": rows, "moment_trend": trend,
-           "cauchy": {"eps": list(cauchy.eps_seq),
-                      "diffs": list(cauchy.consecutive_diffs),
-                      "sigma_gaps": list(cauchy.sigma_gaps)},
+    passed = all(r.passed for r in reports) and res.trend["uniform"]
+    out = {"identities": rows, "moment_trend": res.trend,
+           "cauchy": {"eps": list(res.cauchy.eps_seq),
+                      "diffs": list(res.cauchy.consecutive_diffs),
+                      "sigma_gaps": list(res.cauchy.sigma_gaps)},
            "passed": passed}
     if args.out:
         out_dir = Path(args.out)
@@ -477,7 +401,7 @@ def _cmd_verify(args) -> int:
         _emit(f"wrote {out_dir / 'verify.json'}")
     for r in reports:
         _emit(f"[{'PASS' if r.passed else 'FAIL'}] {r.tag}: {r.label}")
-    _emit(f"moment trend uniform: {trend['uniform']}")
+    _emit(f"moment trend uniform: {res.trend['uniform']}")
     return 0 if passed else 1
 
 
@@ -485,7 +409,7 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     name = args.experiment or cfg.get("experiment", "E5")
     out_dir = Path(args.out) if args.out else Path(f"runs/{name.lower()}")
-    return run_experiment(name, cfg, out_dir, args.threads, args.format)
+    return run_experiment(name, cfg, out_dir, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override base_seed")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", default="csv", choices=("csv", "json"))
         if name == "run":
             p.add_argument("--experiment", default=None,

@@ -8,26 +8,31 @@ definition of every criterion.
 
 The heavyweight scenario (singular field, frozen rough path, five
 mollification radii, 10^4 drivers) is computed once per process and
-shared by the moment, isometry, martingale and Cauchy criteria.
+shared by the moment, isometry, martingale and Cauchy criteria.  Its radius
+sweep, `verify_scenario`, is also the one `fbmlab verify` runs on a
+configured scenario.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .averaging import (average_direct, average_via_local_time,
                         convolution_agreement_bound, holder_exponent,
                         hurst_admissible_fbm_driver, hurst_admissible_main)
+from .errors import ParameterError
 from .fields import MatrixField, hs_norm_sq, identity_field, singular_example
 from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
 from .paths import TimeGrid, fbm_covariance, generate_fbm, generate_fbm_batch
 from .sewing import Germ, sew
 from .solver import (Ensemble, MollifiedCauchyReport, QuenchedScenario,
-                     mollified_family, mollified_integral_sequence,
+                     family_grid, mollified_family, mollified_integral_sequence,
                      solve_ensemble)
 from .verify import (IdentityReport, MomentRatioReport, cross_term_check,
                      ito_isometry_check, lebesgue_vs_sewing,
@@ -38,6 +43,17 @@ HEADLINE = {
     "gamma0": 0.85, "steps": 1024, "paths": 10000, "x0": 0.5,
     "eps_seq": (0.25, 0.125, 0.0625, 0.03125, 0.015625),
     "fbm_seed": 2026, "base_seed": 77,
+}
+
+# The headline sweep in the configuration keys of `fbmlab verify`, which
+# runs it when given no config file.
+HEADLINE_CONFIG = {
+    "sigma": "singular", "hurst": HEADLINE["hurst"], "gamma": HEADLINE["gamma"],
+    "radius": HEADLINE["radius"], "p": HEADLINE["p"], "m": HEADLINE["m"],
+    "gamma0": HEADLINE["gamma0"], "horizon": 1.0, "dimension": 1,
+    "steps": HEADLINE["steps"], "paths": HEADLINE["paths"],
+    "fbm_seed": HEADLINE["fbm_seed"], "base_seed": HEADLINE["base_seed"],
+    "eps": list(HEADLINE["eps_seq"]), "x0": [HEADLINE["x0"]],
 }
 
 
@@ -262,77 +278,120 @@ def criterion_sewing_engine() -> dict:
 
 # --- criteria 6-9: the shared singular scenario ----------------------------
 
+def build_scenario(cfg: dict):
+    """Scenario, mollified fields, L^p grid and quantization grid of a config.
+
+    cfg uses the keys of HEADLINE_CONFIG.  Fails with ParameterError before
+    the mollified lattices or any ensemble are allocated when they cannot
+    fit in physical memory.
+    """
+    grid_t = TimeGrid(cfg["horizon"], cfg["steps"])
+    fbm = generate_fbm(cfg["hurst"], cfg["dimension"], grid_t, cfg["fbm_seed"])
+    singular = cfg["sigma"] == "singular"
+    if singular:
+        sigma = singular_example(cfg["gamma"], cfg["radius"], cfg["dimension"])
+    else:
+        sigma = identity_field(cfg["dimension"])
+    scenario = QuenchedScenario(fbm, sigma, np.asarray(cfg["x0"], dtype=float),
+                                tuple(cfg["eps"]), cfg["paths"],
+                                cfg["base_seed"], p=cfg["p"])
+    _check_memory(scenario, family_grid(scenario) if singular else None)
+    if singular:
+        lp_grid, fields = mollified_family(scenario)
+    else:
+        lp_grid = SpatialGrid.from_box(-2.0, 2.0, 64, cfg["dimension"])
+        fields = {eps: sigma for eps in cfg["eps"]}
+    quant_grid = SpatialGrid.cover(fbm.values.T, grid_t.dt)
+    return scenario, fields, lp_grid, quant_grid
+
+
+def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None) -> None:
+    """ParameterError when the sweep's resident arrays exceed physical memory.
+
+    The estimate is a lower bound: one ensemble (solution values and driver
+    increments) plus, for a mollified field, one lattice table per radius.
+    """
+    steps = scenario.grid.steps
+    d, n = scenario.dimension, scenario.driver_dimension
+    ensemble = 8 * scenario.ensemble_size * (d * (steps + 1) + n * steps)
+    lattice_bytes = (0 if lattice is None else
+                     8 * len(scenario.eps_seq) * math.prod(lattice.bins) * d * n)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if ensemble + lattice_bytes > physical:
+        raise ParameterError(
+            f"the sweep needs at least {(ensemble + lattice_bytes) / 1e9:.3g} GB "
+            f"({lattice_bytes / 1e9:.3g} GB of mollified lattices, "
+            f"{ensemble / 1e9:.3g} GB per ensemble), more than the "
+            f"{physical / 1e9:.3g} GB of physical memory")
+
+
 @dataclass(frozen=True, eq=False)
-class HeadlineResults:
-    scenario: QuenchedScenario
-    quant_grid: SpatialGrid
+class SweepResults:
+    """Every identity check of one radius sweep, per radius where it varies."""
+
     ratio_reports: list[MomentRatioReport]
+    trend: dict
     iso_reports: list[IdentityReport]
     cross_reports: list[IdentityReport]
     martingale_reports: list[IdentityReport]
     qv_report: IdentityReport
     cauchy: MollifiedCauchyReport
-    reference: Ensemble
     elapsed: float
 
 
-_HEADLINE_CACHE: dict[tuple, HeadlineResults] = {}
+def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField],
+                    lp_grid: SpatialGrid, quant_grid: SpatialGrid, m: float,
+                    gamma0: float, martingale_windows: list[tuple[float, float]]
+                    ) -> SweepResults:
+    """Solve the ensemble at every radius and run the identity checks on it.
 
-
-def run_headline(paths: int | None = None, steps: int | None = None,
-                 threads: int = 1) -> HeadlineResults:
-    cfg = dict(HEADLINE)
-    if paths is not None:
-        cfg["paths"] = paths
-    if steps is not None:
-        cfg["steps"] = steps
-    key = (cfg["paths"], cfg["steps"])
-    if key in _HEADLINE_CACHE:
-        return _HEADLINE_CACHE[key]
+    The smallest radius gives the reference ensemble, which carries the
+    cross pairings, the martingale residuals over martingale_windows, the
+    quadratic-variation check on its first path and the mollified Cauchy
+    sequence.
+    """
     start = time.perf_counter()
-
-    grid_t = TimeGrid(1.0, cfg["steps"])
-    fbm = generate_fbm(cfg["hurst"], 1, grid_t, cfg["fbm_seed"])
-    sigma = singular_example(cfg["gamma"], cfg["radius"], 1)
-    scenario = QuenchedScenario(fbm, sigma, np.full(1, cfg["x0"]),
-                                cfg["eps_seq"], cfg["paths"],
-                                cfg["base_seed"], p=cfg["p"])
-    lp_grid, fields = mollified_family(scenario)
-    quant_grid = SpatialGrid.cover(fbm.values.T, grid_t.dt)
-
-    eps_min = min(cfg["eps_seq"])
-    reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min,
-                               threads=threads)
+    horizon = scenario.grid.horizon
+    eps_min = min(scenario.eps_seq)
+    reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min)
     ratio_reports, iso_reports, cross_reports = [], [], []
-    for eps in cfg["eps_seq"]:
+    for eps in scenario.eps_seq:
         ens = (reference if eps == eps_min else
-               solve_ensemble(scenario, fields[eps], epsilon=eps, threads=threads))
-        ratio_reports.append(moment_ratio(ens, cfg["m"], cfg["gamma0"]))
-        iso_reports.append(ito_isometry_check(ens, fields[eps], quant_grid, 1.0))
+               solve_ensemble(scenario, fields[eps], epsilon=eps))
+        ratio_reports.append(moment_ratio(ens, m, gamma0))
+        iso_reports.append(ito_isometry_check(ens, fields[eps], quant_grid,
+                                              horizon))
         # The cross pairing always rides on the reference ensemble; the
         # sweep shows the mollified integrals closing on the martingale.
-        cross_reports.append(cross_term_check(reference, sigma, fields[eps],
-                                              quant_grid, 1.0, epsilon=eps))
-    pairs = [(0.25, 0.5), (0.5, 0.75), (0.25, 1.0)]
-    martingale_reports = martingale_residuals(reference, fields[eps_min], pairs)
-    qv_report = lebesgue_vs_sewing(reference.values[0], fbm,
+        cross_reports.append(cross_term_check(reference, scenario.sigma,
+                                              fields[eps], quant_grid, horizon,
+                                              epsilon=eps))
+    martingale_reports = martingale_residuals(reference, fields[eps_min],
+                                              martingale_windows)
+    qv_report = lebesgue_vs_sewing(reference.values[0], scenario.fbm,
                                    hs_norm_sq(fields[eps_min]), quant_grid,
-                                   (0.25, 0.75))
-    cauchy = mollified_integral_sequence(scenario, m=cfg["m"],
-                                         reference=reference, fields=fields,
-                                         lp_grid=lp_grid)
-    out = HeadlineResults(scenario, quant_grid, ratio_reports, iso_reports,
-                          cross_reports, martingale_reports, qv_report, cauchy,
-                          reference, time.perf_counter() - start)
-    _HEADLINE_CACHE[key] = out
-    return out
+                                   (horizon * 0.25, horizon * 0.75))
+    cauchy = mollified_integral_sequence(scenario, m=m, reference=reference,
+                                         fields=fields, lp_grid=lp_grid)
+    return SweepResults(ratio_reports, moment_ratio_trend(ratio_reports),
+                        iso_reports, cross_reports, martingale_reports,
+                        qv_report, cauchy, time.perf_counter() - start)
 
 
-def criterion_moment_bound(threads: int = 1) -> dict:
-    res = run_headline(threads=threads)
-    trend = moment_ratio_trend(res.ratio_reports)
+@functools.cache
+def run_headline() -> SweepResults:
+    """The headline sweep, computed once per process; elapsed covers the build."""
+    start = time.perf_counter()
+    scenario, fields, lp_grid, quant_grid = build_scenario(HEADLINE_CONFIG)
+    res = verify_scenario(scenario, fields, lp_grid, quant_grid, HEADLINE["m"],
+                          HEADLINE["gamma0"], [(0.25, 0.5), (0.5, 0.75), (0.25, 1.0)])
+    return replace(res, elapsed=time.perf_counter() - start)
+
+
+def criterion_moment_bound() -> dict:
+    res = run_headline()
+    trend = res.trend
     ok = trend["uniform"] and res.elapsed < 600.0
-    ratios = ", ".join(f"{r:.3g}" for r in trend["ratios"])
     return _result(
         "moment-bound-uniformity", ok,
         f"ratio spread {trend['spread']:.2f} (limit 2), increasing tail: "
@@ -342,9 +401,9 @@ def criterion_moment_bound(threads: int = 1) -> dict:
          "per_eps": [r.to_dict() for r in res.ratio_reports]}, res.elapsed)
 
 
-def criterion_ito_isometry(threads: int = 1) -> dict:
+def criterion_ito_isometry() -> dict:
     start = time.perf_counter()
-    res = run_headline(threads=threads)
+    res = run_headline()
     iso_ok = all(r.passed for r in res.iso_reports)
     qv_ok = res.qv_report.passed
 
@@ -365,24 +424,29 @@ def criterion_ito_isometry(threads: int = 1) -> dict:
         time.perf_counter() - start)
 
 
-def _constant_field_reports() -> list[IdentityReport]:
+def _identity_ensemble() -> tuple[Ensemble, SpatialGrid]:
+    """4000 paths with sigma = identity along one H=0.2 path, and its quantization grid."""
     grid_t = TimeGrid(1.0, 256)
     fbm = generate_fbm(0.2, 1, grid_t, 3)
-    sigma = identity_field(1)
-    scen = QuenchedScenario(fbm, sigma, np.zeros(1), (0.25,), 4000, 13, p=2.0)
-    ens = solve_ensemble(scen, sigma)
-    qgrid = SpatialGrid.cover(fbm.values.T, grid_t.dt)
+    scen = QuenchedScenario(fbm, identity_field(1), np.zeros(1), (0.25,), 4000,
+                            13, p=2.0)
+    return solve_ensemble(scen), SpatialGrid.cover(fbm.values.T, grid_t.dt)
+
+
+def _constant_field_reports() -> list[IdentityReport]:
+    ens, qgrid = _identity_ensemble()
+    sigma = ens.scenario.sigma
     iso = ito_isometry_check(ens, sigma, qgrid, 1.0, margin_fraction=0.0)
     cross = cross_term_check(ens, sigma, sigma, qgrid, 1.0, margin_fraction=0.0)
-    qv = lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma), qgrid,
-                            (0.25, 0.75), margin_fraction=0.0)
+    qv = lebesgue_vs_sewing(ens.values[0], ens.scenario.fbm, hs_norm_sq(sigma),
+                            qgrid, (0.25, 0.75), margin_fraction=0.0)
     # For a constant field the right sides are deterministic time integrals.
     return [iso, cross, qv]
 
 
-def criterion_martingale_residuals(threads: int = 1) -> dict:
+def criterion_martingale_residuals() -> dict:
     start = time.perf_counter()
-    res = run_headline(threads=threads)
+    res = run_headline()
     bad = [r for r in res.martingale_reports if not r.passed]
     worst = max(abs(r.left) / (4.0 * r.stderr) if r.stderr > 0 else 0.0
                 for r in res.martingale_reports)
@@ -390,7 +454,9 @@ def criterion_martingale_residuals(threads: int = 1) -> dict:
     # Identity field: residuals pass and the compensators are exactly the
     # window length on every path, so the zero expectation carries no
     # discretization margin at all.
-    id_reports = _identity_martingale_reports()
+    ens, _qgrid = _identity_ensemble()
+    id_reports = martingale_residuals(ens, ens.scenario.sigma,
+                                      [(0.25, 0.5), (0.5, 1.0)])
     id_ok = all(r.passed for r in id_reports)
     comp_exact = all(
         r.extras["compensator_min"] == r.extras["compensator_max"]
@@ -408,18 +474,9 @@ def criterion_martingale_residuals(threads: int = 1) -> dict:
         time.perf_counter() - start)
 
 
-def _identity_martingale_reports() -> list[IdentityReport]:
-    grid_t = TimeGrid(1.0, 256)
-    fbm = generate_fbm(0.2, 1, grid_t, 3)
-    sigma = identity_field(1)
-    scen = QuenchedScenario(fbm, sigma, np.zeros(1), (0.25,), 4000, 13, p=2.0)
-    ens = solve_ensemble(scen, sigma)
-    return martingale_residuals(ens, sigma, [(0.25, 0.5), (0.5, 1.0)])
-
-
-def criterion_mollified_cauchy(threads: int = 1) -> dict:
+def criterion_mollified_cauchy() -> dict:
     start = time.perf_counter()
-    res = run_headline(threads=threads)
+    res = run_headline()
     diffs = res.cauchy.consecutive_diffs
     gaps = res.cauchy.sigma_gaps
     decreasing = all(b <= 1.1 * a for a, b in zip(diffs, diffs[1:]))

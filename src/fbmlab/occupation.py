@@ -136,14 +136,6 @@ class SpatialGrid:
                    tuple(int(m) for m in bins))
 
 
-def _window_slice(path_grid, s: float, t: float) -> tuple[int, int]:
-    k0 = path_grid.node_index(s)
-    k1 = path_grid.node_index(t)
-    if not k0 < k1:
-        raise ParameterError(f"need s < t on the grid, got s={s}, t={t}")
-    return k0, k1
-
-
 def _count_window(path_values: np.ndarray, grid: SpatialGrid,
                   k0: int, k1: int) -> tuple[np.ndarray, int]:
     pts = path_values[:, k0:k1].T  # (samples, d)
@@ -246,7 +238,7 @@ def occupation_measure(path, grid: SpatialGrid, s: float, t: float) -> Occupatio
     if path.dimension != grid.dimension:
         raise ParameterError(
             f"path dimension {path.dimension} != grid dimension {grid.dimension}")
-    k0, k1 = _window_slice(path.grid, s, t)
+    k0, k1 = path.grid.window(s, t)
     counts, escaped = _count_window(path.values, grid, k0, k1)
     return OccupationMeasure(grid, s, t, path.grid.dt, counts, escaped)
 
@@ -267,7 +259,7 @@ def local_time(path, grid: SpatialGrid, s: float, t: float) -> LocalTimeField:
     if path.dimension != grid.dimension:
         raise ParameterError(
             f"path dimension {path.dimension} != grid dimension {grid.dimension}")
-    k0, k1 = _window_slice(path.grid, s, t)
+    k0, k1 = path.grid.window(s, t)
     counts, escaped = _count_window(path.values, grid, k0, k1)
     return LocalTimeField(grid, s, t, path.grid.dt, counts, escaped)
 
@@ -282,7 +274,7 @@ def occupation_formula_residual(f, path, grid: SpatialGrid, t: float) -> float:
     choose the box to cover the path when using this as a convergence
     diagnostic.
     """
-    k0, k1 = _window_slice(path.grid, 0.0, t)
+    k0, k1 = path.grid.window(0.0, t)
     pts = path.values[:, k0:k1].T
     left = math.fsum(np.asarray(f(pts), dtype=float)) * path.grid.dt
     idx, inside = grid.bin_indices(pts)

@@ -66,6 +66,13 @@ class TimeGrid:
             raise ParameterError(f"time {time} is not aligned to the grid (dt={self.dt})")
         return int(k)
 
+    def window(self, s: float, t: float) -> tuple[int, int]:
+        """Node indices (k0, k1) of the window [s, t]; ParameterError unless k0 < k1."""
+        k0, k1 = self.node_index(s), self.node_index(t)
+        if not k0 < k1:
+            raise ParameterError(f"need s < t on the time grid, got s={s}, t={t}")
+        return k0, k1
+
     def subsample(self, factor: int) -> "TimeGrid":
         if factor < 1 or self.steps % factor != 0:
             raise ParameterError(f"factor {factor} does not divide steps {self.steps}")

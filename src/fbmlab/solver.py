@@ -14,7 +14,6 @@ order-independent, and mollification sweeps reuse exactly the same drivers
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,8 @@ from .paths import BmPath, FbmPath, TimeGrid, generate_bm_increments
 
 BLOWUP_BOUND = 1.0e6
 BLOWUP_ABORT_FRACTION = 0.01
+# Margin of the mollification lattice beyond the support and the largest radius.
+LATTICE_PAD = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,38 +160,23 @@ class Ensemble:
                          "moment": mean, "stderr": stderr})
         return rows
 
-    def moment_table_csv(self, fh, m: float, max_level: int = 6) -> None:
-        fh.write("s,t,m,moment,stderr\n")
-        for row in self.moment_table(m, max_level):
-            fh.write(f"{row['s']!r},{row['t']!r},{row['m']!r},"
-                     f"{row['moment']!r},{row['stderr']!r}\n")
-
 
 def solve_ensemble(scenario: QuenchedScenario, sigma_field: MatrixField | None = None,
                    *, epsilon: float | None = None,
-                   blowup_bound: float = BLOWUP_BOUND, threads: int = 1,
+                   blowup_bound: float = BLOWUP_BOUND,
                    abort_fraction: float = BLOWUP_ABORT_FRACTION) -> Ensemble:
     """Run the scheme for every driver of the scenario.
 
     sigma_field overrides the scenario field (callers pass a mollified
     field here); drivers are regenerated from (base_seed, path_index), so
-    repeated calls see identical randomness regardless of threads.
+    repeated calls see identical randomness.  Each path's row depends on
+    its own drivers only, so any split of the batch gives the same bits.
     """
     sigma = sigma_field if sigma_field is not None else scenario.sigma
     db = generate_bm_increments(sigma.n, scenario.grid, scenario.base_seed,
                                 scenario.ensemble_size)
-    w_nodes = scenario.fbm.values  # (d, steps + 1)
-    if threads <= 1 or scenario.ensemble_size < 2 * threads:
-        values, blowup = _euler_batch(sigma, w_nodes, db, scenario.x0, blowup_bound)
-    else:
-        bounds = np.linspace(0, scenario.ensemble_size, threads + 1).astype(int)
-        chunks = [(db[a:b],) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda c: _euler_batch(sigma, w_nodes, c[0], scenario.x0, blowup_bound),
-                chunks))
-        values = np.concatenate([p[0] for p in parts])
-        blowup = np.concatenate([p[1] for p in parts])
+    values, blowup = _euler_batch(sigma, scenario.fbm.values, db, scenario.x0,
+                                  blowup_bound)
     ens = Ensemble(scenario, epsilon, values, db, blowup)
     if ens.blowup_count > abort_fraction * ens.n_paths:
         raise BlowUpError(
@@ -199,24 +185,27 @@ def solve_ensemble(scenario: QuenchedScenario, sigma_field: MatrixField | None =
     return ens
 
 
-def mollified_family(scenario: QuenchedScenario, *, pad: float = 0.5,
-                     h: float | None = None) -> tuple[SpatialGrid, dict[float, MatrixField]]:
-    """Mollified fields for every radius in the scenario, on one shared grid.
+def family_grid(scenario: QuenchedScenario) -> SpatialGrid:
+    """The lattice mollified_family puts every radius on; no values yet.
 
-    The grid resolves the smallest radius (h <= eps_min / 4) and covers the
-    field support plus the largest radius plus pad.
+    The grid resolves the smallest radius (h = eps_min / 4) and covers the
+    field support plus the largest radius plus LATTICE_PAD.
     """
     eps_min = min(scenario.eps_seq)
-    eps_max = max(scenario.eps_seq)
-    if h is None:
-        h = eps_min / 4.0
+    h = eps_min / 4.0
     radius = scenario.sigma.support_radius
     if radius is None:
         radius = 1.0 / eps_min  # worst-case support of the cut-off field
-    extent = radius + eps_max + pad
+    extent = radius + max(scenario.eps_seq) + LATTICE_PAD
     half_bins = int(math.ceil(extent / h))
-    grid = SpatialGrid((-half_bins * h,) * scenario.dimension, h,
+    return SpatialGrid((-half_bins * h,) * scenario.dimension, h,
                        (2 * half_bins,) * scenario.dimension)
+
+
+def mollified_family(scenario: QuenchedScenario
+                     ) -> tuple[SpatialGrid, dict[float, MatrixField]]:
+    """Mollified fields for every radius in the scenario, on family_grid."""
+    grid = family_grid(scenario)
     fields = {eps: mollify(scenario.sigma, MollifierSpec(eps), grid)
               for eps in scenario.eps_seq}
     return grid, fields
@@ -242,8 +231,8 @@ class MollifiedCauchyReport:
 def mollified_integral_sequence(scenario: QuenchedScenario, *, m: float = 4.0,
                                 reference: Ensemble | None = None,
                                 fields: dict[float, MatrixField] | None = None,
-                                lp_grid: SpatialGrid | None = None,
-                                threads: int = 1) -> MollifiedCauchyReport:
+                                lp_grid: SpatialGrid | None = None
+                                ) -> MollifiedCauchyReport:
     """Integral sums of each mollified field along one fixed reference process.
 
     The reference solution is computed at the smallest radius (the best
@@ -257,8 +246,7 @@ def mollified_integral_sequence(scenario: QuenchedScenario, *, m: float = 4.0,
     eps_seq = scenario.eps_seq
     eps_min = min(eps_seq)
     if reference is None:
-        reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min,
-                                   threads=threads)
+        reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min)
     ok = reference.ok_mask
     x_nodes = reference.values[ok]           # (paths, d, steps + 1)
     db = reference.driver_increments[ok]     # (paths, n, steps)

@@ -140,14 +140,6 @@ def quantized_perturbation(fbm_values: np.ndarray, grid: SpatialGrid) -> np.ndar
     return snapped
 
 
-def _window_indices(grid, s: float, t: float) -> tuple[int, int]:
-    k0 = grid.node_index(s)
-    k1 = grid.node_index(t)
-    if not k0 < k1:
-        raise ParameterError(f"need s < t on the grid, got s={s}, t={t}")
-    return k0, k1
-
-
 def _scalar_on_path(scalar_fn, x_nodes: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """scalar_fn(X(t_k) - z_k) for all paths and steps, shape (paths, steps)."""
     n_paths, _d, n_nodes = x_nodes.shape
@@ -172,7 +164,7 @@ def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGri
     """
     s, t = window
     tg = fbm.grid
-    k_s, k_t = _window_indices(tg, s, t)
+    k_s, k_t = tg.window(s, t)
     # Partition nodes must stay on the time grid, so cap the dyadic depth.
     levels = min(levels, int(math.floor(math.log2(k_t - k_s))))
     if levels < 3:
@@ -357,7 +349,7 @@ def martingale_residuals(ensemble: Ensemble, sigma_eps: MatrixField,
     mart = x_nodes[:, j, :] - scen.x0[j]
     reports = []
     for s, t in pairs:
-        k_s, k_t = _window_indices(tg, s, t)
+        k_s, k_t = tg.window(s, t)
         k_half = k_s // 2
         quad_comp = row_sq_on(k_s, k_t)
         cross_comp = entry_on(k_s, k_t)

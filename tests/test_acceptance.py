@@ -13,11 +13,7 @@ from fbmlab.experiments import ALL_CRITERIA
 
 @pytest.mark.parametrize("cid", list(ALL_CRITERIA), ids=list(ALL_CRITERIA))
 def test_acceptance_criterion(cid):
-    fn = ALL_CRITERIA[cid]
-    try:
-        result = fn(threads=1)
-    except TypeError:
-        result = fn()
+    result = ALL_CRITERIA[cid]()
     verdict = "PASS" if result["passed"] else "FAIL"
     print(f"[{verdict}] {result['id']}: {result['summary']}")
     assert result["passed"], f"{result['id']}: {result['summary']}"

@@ -1,11 +1,13 @@
 """Front-end parsing, validation exit codes and artifact layout."""
 
 import json
+import time
 
 import pytest
 
 from fbmlab import ParameterError
 from fbmlab.cli import main, parse_config_text
+from fbmlab.experiments import ALL_CRITERIA
 
 IDENTITY_CONFIG = """\
 # small identity-coefficient setup
@@ -177,3 +179,41 @@ def test_run_e0_artifacts_are_byte_stable(tmp_path, capsys):
     assert summary["passed"]
     assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
     assert (first / "config.json").read_bytes() == (second / "config.json").read_bytes()
+
+
+def test_run_calls_each_criterion_once_and_propagates_type_errors(
+        tmp_path, monkeypatch, capsys):
+    # The stubs accept any arguments, so only a retry can call them twice.
+    calls = []
+
+    def criterion(*args, **kwargs):
+        calls.append("ok")
+        return {"id": "sewing-engine", "passed": True, "summary": "stub",
+                "details": {}, "elapsed_s": 0.0}
+
+    def broken(*args, **kwargs):
+        calls.append("broken")
+        raise TypeError("raised inside the criterion")
+
+    monkeypatch.setitem(ALL_CRITERIA, "sewing-engine", criterion)
+    assert main(["run", "--experiment", "E4", "--out", str(tmp_path / "a")]) == 0
+    assert calls == ["ok"]
+    capsys.readouterr()
+
+    monkeypatch.setitem(ALL_CRITERIA, "sewing-engine", broken)
+    with pytest.raises(TypeError, match="raised inside the criterion"):
+        main(["run", "--experiment", "E4", "--out", str(tmp_path / "b")])
+    assert calls == ["ok", "broken"]
+
+
+def test_lattice_beyond_physical_memory_exits_2_early(tmp_path, capsys):
+    """A d=3 singular sweep would need 896^3-cell lattices (about 52 GB per
+    radius); the estimate rejects it before anything large is allocated."""
+    path = _write_config(tmp_path, "dimension = 3\np = 4\nhurst = 0.15\n"
+                                   "gamma0 = 0.7\nx0 = 0.5, 0.5, 0.5\n")
+    start = time.perf_counter()
+    assert main(["verify", "--config", path]) == 2
+    assert time.perf_counter() - start < 30.0
+    err = capsys.readouterr().err
+    assert "physical memory" in err
+    assert "259 GB of mollified lattices" in err

@@ -120,6 +120,10 @@ def test_time_grid_node_lookup_and_subsample():
     assert grid.node_index(1.0) == 256
     with pytest.raises(ParameterError):
         grid.node_index(0.5 + 0.3 * grid.dt)
+    assert grid.window(0.25, 0.5) == (64, 128)
+    for s, t in ((0.5, 0.5), (0.5, 0.25), (0.25, 0.5 + 0.3 * grid.dt)):
+        with pytest.raises(ParameterError):
+            grid.window(s, t)
     sub = grid.subsample(4)
     assert sub.steps == 64 and sub.horizon == 1.0
     with pytest.raises(ParameterError):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, TimeGrid,
-                    constant_field, euler_maruyama, generate_bm, generate_fbm,
-                    identity_field, mollified_family,
-                    mollified_integral_sequence, singular_example,
-                    solve_ensemble)
+                    constant_field, euler_maruyama, generate_bm,
+                    generate_bm_increments, generate_fbm, identity_field,
+                    mollified_family, mollified_integral_sequence,
+                    singular_example, solve_ensemble)
+from fbmlab.solver import _euler_batch
 
 GRID = TimeGrid(1.0, 64)
 FBM = generate_fbm(0.2, 1, GRID, seed=5)
@@ -53,14 +54,28 @@ def test_single_path_matches_batch_row():
         assert np.array_equal(vals, ens.values[i])
 
 
-def test_solves_are_deterministic_and_thread_independent():
+def test_solves_are_deterministic_and_split_independent():
+    """Repeated solves agree, and the scheme over any split of the driver
+    batch, concatenated, equals the whole batch bit for bit."""
     scenario = _identity_scenario()
     a = solve_ensemble(scenario)
     b = solve_ensemble(scenario)
-    c = solve_ensemble(scenario, threads=4)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
-    assert np.array_equal(a.driver_increments, c.driver_increments)
+    assert np.array_equal(a.driver_increments, b.driver_increments)
+
+    singular = QuenchedScenario(FBM, singular_example(0.4, 1.0, 1), [0.5],
+                                (0.25,), 32, BASE_SEED)
+    _grid, fields = mollified_family(singular)
+    db = generate_bm_increments(1, GRID, BASE_SEED, 32)
+    # A low blow-up bound makes some paths freeze, so the flags split too.
+    whole = _euler_batch(fields[0.25], FBM.values, db, singular.x0, 0.7)
+    assert 0 < np.count_nonzero(whole[1] >= 0) < 32
+    for k in (1, 13, 31):
+        head = _euler_batch(fields[0.25], FBM.values, db[:k], singular.x0, 0.7)
+        tail = _euler_batch(fields[0.25], FBM.values, db[k:], singular.x0, 0.7)
+        for part_whole, part_head, part_tail in zip(whole, head, tail):
+            assert np.array_equal(np.concatenate([part_head, part_tail]),
+                                  part_whole)
 
 
 def test_radius_sweep_shares_drivers():
