@@ -32,11 +32,13 @@ from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
 from .paths import TimeGrid, fbm_covariance, generate_fbm, generate_fbm_batch
 from .sewing import Germ, sew
 from .solver import (Ensemble, MollifiedCauchyReport, QuenchedScenario,
-                     family_grid, mollified_family, mollified_integral_sequence,
-                     solve_ensemble)
+                     cauchy_report, family_grid, mollified_family,
+                     solve_ensemble, walk_ensemble)
 from .verify import (IdentityReport, MomentRatioReport, cross_term_check,
-                     ito_isometry_check, lebesgue_vs_sewing,
-                     martingale_residuals, moment_ratio, moment_ratio_trend)
+                     cross_term_report, isometry_report, ito_isometry_check,
+                     lebesgue_vs_sewing, martingale_reports,
+                     martingale_residuals, moment_ratio, moment_ratio_trend,
+                     quantized_perturbation)
 
 HEADLINE = {
     "hurst": 0.2, "gamma": 0.4, "radius": 1.0, "p": 2.0, "m": 4.0,
@@ -308,8 +310,9 @@ def build_scenario(cfg: dict):
 def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None) -> None:
     """ParameterError when the sweep's resident arrays exceed physical memory.
 
-    The estimate is a lower bound: one ensemble (solution values and driver
-    increments) plus, for a mollified field, one lattice table per radius.
+    The estimate is a lower bound: the driver increments and one ensemble's
+    solution values (the sweep holds up to two) plus, for a mollified
+    field, one lattice table per radius.
     """
     steps = scenario.grid.steps
     d, n = scenario.dimension, scenario.driver_dimension
@@ -348,33 +351,47 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     The smallest radius gives the reference ensemble, which carries the
     cross pairings, the martingale residuals over martingale_windows, the
     quadratic-variation check on its first path and the mollified Cauchy
-    sequence.
+    sequence.  One walk over the reference paths produces every sum those
+    checks need, for all radii at once; each other radius is then solved
+    and walked for its isometry alone, so at most two ensembles are held.
     """
     start = time.perf_counter()
-    horizon = scenario.grid.horizon
-    eps_min = min(scenario.eps_seq)
+    tg = scenario.grid
+    horizon = tg.horizon
+    k_t = tg.node_index(horizon)
+    eps_seq = scenario.eps_seq
+    eps_min = min(eps_seq)
+    e_min = eps_seq.index(eps_min)
+    family = [fields[eps] for eps in eps_seq]
+    snapped = quantized_perturbation(scenario.fbm.values, quant_grid)[:k_t]
     reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min)
+    # The cross pairings always ride on the reference ensemble; the sweep
+    # shows the mollified integrals closing on the martingale.
+    ref_sums = walk_ensemble(
+        reference, k_t, drift=family, snap=family, snapped=snapped,
+        sigma_raw=scenario.sigma,
+        windows=[tg.window(s, t) for s, t in martingale_windows])
     ratio_reports, iso_reports, cross_reports = [], [], []
-    for eps in scenario.eps_seq:
-        ens = (reference if eps == eps_min else
-               solve_ensemble(scenario, fields[eps], epsilon=eps))
+    for e, eps in enumerate(eps_seq):
+        if eps == eps_min:
+            ens, sums, col = reference, ref_sums, e
+        else:
+            ens = solve_ensemble(scenario, fields[eps], epsilon=eps)
+            sums = walk_ensemble(ens, k_t, snap=[fields[eps]], snapped=snapped)
+            col = 0
         ratio_reports.append(moment_ratio(ens, m, gamma0))
-        iso_reports.append(ito_isometry_check(ens, fields[eps], quant_grid,
-                                              horizon))
-        # The cross pairing always rides on the reference ensemble; the
-        # sweep shows the mollified integrals closing on the martingale.
-        cross_reports.append(cross_term_check(reference, scenario.sigma,
-                                              fields[eps], quant_grid, horizon,
-                                              epsilon=eps))
-    martingale_reports = martingale_residuals(reference, fields[eps_min],
-                                              martingale_windows)
+        iso_reports.append(isometry_report(ens, sums, col, horizon))
+        cross_reports.append(cross_term_report(reference, ref_sums, e, horizon,
+                                               epsilon=eps))
+        del ens, sums  # so the next solve does not run beside a third ensemble
+    mart_reports = martingale_reports(reference, ref_sums, e_min,
+                                      martingale_windows)
     qv_report = lebesgue_vs_sewing(reference.values[0], scenario.fbm,
                                    hs_norm_sq(fields[eps_min]), quant_grid,
                                    (horizon * 0.25, horizon * 0.75))
-    cauchy = mollified_integral_sequence(scenario, m=m, reference=reference,
-                                         fields=fields, lp_grid=lp_grid)
+    cauchy = cauchy_report(scenario, ref_sums.ito, fields, lp_grid, m)
     return SweepResults(ratio_reports, moment_ratio_trend(ratio_reports),
-                        iso_reports, cross_reports, martingale_reports,
+                        iso_reports, cross_reports, mart_reports,
                         qv_report, cauchy, time.perf_counter() - start)
 
 

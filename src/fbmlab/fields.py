@@ -273,28 +273,75 @@ def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> Matri
         for j in range(field.n):
             out[..., i, j] = fftconvolve(samples[..., i, j], kernel, mode="same")
 
-    lower = np.asarray(grid.lower)
     radius = 1.0 / eps + eps
     if field.support_radius is not None:
         radius = min(radius, field.support_radius + eps)
-
-    def oracle(pts):
-        flat = np.empty(pts.shape[:-1] + (field.d, field.n))
-        for a in range(field.d):
-            for b in range(field.n):
-                flat[..., a, b] = multilinear_interpolate(
-                    lower, grid.h, out[..., a, b], pts, fill=0.0)
-        # The convolution support is a ball; clip FFT dust outside it.
-        outside = np.linalg.norm(pts, axis=-1) > radius
-        if outside.ndim == 0:
-            if bool(outside):
-                flat[...] = 0.0
-        else:
-            flat[outside] = 0.0
-        return flat
-    return MatrixField(oracle, field.d, field.n, p_tag=field.p_tag,
+    return MatrixField(lambda pts: _lattice_values(grid, out, radius, pts),
+                       field.d, field.n, p_tag=field.p_tag,
                        support_radius=radius, label=f"mollified({field.label},{eps})",
                        grid=grid, grid_values=out)
+
+
+def _lattice_values(grid: SpatialGrid, table: np.ndarray, radius, pts) -> np.ndarray:
+    """Interpolated table at pts, zero off the lattice and beyond radius.
+
+    table has shape grid.shape + entry shape; radius is a float, or one
+    radius per member of a stacked (..., k, d, n) table.
+    """
+    vals = multilinear_interpolate(grid.lower, grid.h, table, pts, fill=0.0)
+    # The convolution support is a ball; clip FFT dust outside it.
+    r = np.linalg.norm(pts, axis=-1)
+    vals[r[..., None] > radius if np.ndim(radius) else r > radius] = 0.0
+    return vals
+
+
+class LatticeStack:
+    """Lattice fields on one grid, interpolated together.
+
+    table has shape grid.shape + (k, d, n).  Member e interpolates
+    table[..., e, :, :] between bin centers and vanishes off the lattice
+    and beyond radii[e], as a mollified field does.  Calling the stack at
+    points (..., d) returns every member, (..., k, d, n), from one
+    base/fraction computation per point; member e's own evaluation is
+    bit-equal to slice e of that call.
+    """
+
+    def __init__(self, grid: SpatialGrid, table: np.ndarray, radii):
+        self.grid = grid
+        self.table = table
+        self.radii = tuple(float(r) for r in radii)
+
+    def __call__(self, points) -> np.ndarray:
+        return _lattice_values(self.grid, self.table, np.asarray(self.radii),
+                               np.asarray(points, dtype=float))
+
+    def member(self, e: int, *, p_tag: float | None, label: str) -> MatrixField:
+        table, radius = self.table[..., e, :, :], self.radii[e]
+        d, n = table.shape[-2:]
+        fld = MatrixField(lambda pts: _lattice_values(self.grid, table, radius, pts),
+                          d, n, p_tag=p_tag, support_radius=radius, label=label,
+                          grid=self.grid, grid_values=table)
+        fld.lattice = (self, e)
+        return fld
+
+
+def evaluate_together(fields, points) -> np.ndarray:
+    """Every field at the same points, shape (..., len(fields), d, n).
+
+    Bit-equal to stacking each field's own evaluation on axis -3.  When the
+    fields are the members of one LatticeStack in stack order, the stack
+    interpolates them in one call; otherwise a field listed several times
+    is evaluated once.
+    """
+    lattice = [getattr(f, "lattice", None) for f in fields]
+    stack = lattice[0][0] if lattice[0] is not None else None
+    if stack is not None and lattice == [(stack, e) for e in range(len(stack.radii))]:
+        return stack(points)
+    seen: dict[int, np.ndarray] = {}
+    for f in fields:
+        if id(f) not in seen:
+            seen[id(f)] = f(points)
+    return np.stack([seen[id(f)] for f in fields], axis=-3)
 
 
 def _norm_power(field, pts: np.ndarray, p: float) -> np.ndarray:

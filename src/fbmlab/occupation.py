@@ -289,18 +289,21 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
     """Multilinear interpolation between lattice samples.
 
     values[i_1, .., i_d] is the sample at lower + (i + 0.5) * h (bin
-    centers).  Outside the center lattice the result is `fill`, or the edge
-    value when clamp is True.  Works for any dimension; points has shape
-    (..., d).
+    centers), with d = len(lower).  Further axes of values are entry axes:
+    one call interpolates a whole matrix (or a stack of matrices) per point
+    from a single base/fraction computation, each entry bit-equal to
+    interpolating its own scalar lattice.  Outside the center lattice the
+    result is `fill`, or the edge value when clamp is True.  Works for any
+    dimension; points has shape (..., d), the result (...,) + entry shape.
     """
     pts = np.asarray(points, dtype=float)
     lo = np.asarray(lower, dtype=float)
-    d = values.ndim
-    if pts.shape[-1] != d:
+    d = lo.size
+    if pts.shape[-1] != d or values.ndim < d:
         raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
     # Position in center-lattice units.
     u = (pts - lo) / h - 0.5
-    shape = np.asarray(values.shape)
+    shape = np.asarray(values.shape[:d])
     if clamp:
         u = np.clip(u, 0.0, shape - 1.0)
         in_range = np.ones(pts.shape[:-1], dtype=bool)
@@ -309,7 +312,8 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
         u = np.clip(u, 0.0, shape - 1.0)
     base = np.maximum(np.minimum(np.floor(u).astype(np.int64), shape - 2), 0)
     frac = u - base
-    out = np.zeros(pts.shape[:-1])
+    entry = (None,) * (values.ndim - d)
+    out = np.zeros(pts.shape[:-1] + values.shape[d:])
     for corner in range(1 << d):
         offs = [(corner >> a) & 1 for a in range(d)]
         weight = np.ones(pts.shape[:-1])
@@ -317,5 +321,5 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
             weight = weight * (frac[..., a] if offs[a] else 1.0 - frac[..., a])
         # Clamp covers size-1 axes, where the far corner has zero weight.
         idx = tuple(np.minimum(base[..., a] + offs[a], shape[a] - 1) for a in range(d))
-        out += weight * values[idx]
-    return np.where(in_range, out, fill)
+        out += weight[(...,) + entry] * values[idx]
+    return np.where(in_range[(...,) + entry], out, fill)

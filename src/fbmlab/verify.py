@@ -26,7 +26,7 @@ from .errors import ParameterError
 from .fields import MatrixField
 from .occupation import SpatialGrid
 from .sewing import Germ, sew
-from .solver import Ensemble
+from .solver import Ensemble, PathSums, walk_ensemble
 
 WEIGHT_DICTIONARY_VERSION = 1
 _CLIP = 1.0
@@ -140,16 +140,6 @@ def quantized_perturbation(fbm_values: np.ndarray, grid: SpatialGrid) -> np.ndar
     return snapped
 
 
-def _scalar_on_path(scalar_fn, x_nodes: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """scalar_fn(X(t_k) - z_k) for all paths and steps, shape (paths, steps)."""
-    n_paths, _d, n_nodes = x_nodes.shape
-    steps = positions.shape[0]
-    out = np.empty((n_paths, steps))
-    for k in range(steps):
-        out[:, k] = scalar_fn(x_nodes[:, :, k] - positions[k])
-    return out
-
-
 def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGrid,
                        window: tuple[float, float], *, levels: int = 8,
                        margin_fraction: float = 0.05) -> IdentityReport:
@@ -190,6 +180,51 @@ def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGri
                           {"sewing_rate": result.rate, "diverged": result.diverged})
 
 
+def _check_steps(ensemble: Ensemble, t: float) -> int:
+    k_t = ensemble.scenario.grid.node_index(t)
+    if k_t < 1:
+        raise ParameterError("t must be at least one step into the grid")
+    return k_t
+
+
+def _paired_report(tag: str, label: str, left_samples: np.ndarray,
+                   right_samples: np.ndarray, margin_fraction: float,
+                   extras: dict) -> IdentityReport:
+    """Means of both estimators, with the paired stderr of their difference."""
+    diff = left_samples - right_samples
+    stderr = float(diff.std(ddof=1) / math.sqrt(diff.size)) if diff.size > 1 else 0.0
+    left = float(left_samples.mean())
+    right = float(right_samples.mean())
+    margin = margin_fraction * max(abs(left), abs(right))
+    return IdentityReport(tag, label, left, right, stderr, margin, extras)
+
+
+def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
+                    margin_fraction: float = 0.05) -> IdentityReport:
+    """ito_isometry_check from snap field e of a walk over ensemble up to t."""
+    j = sums.coordinate
+    x_t = ensemble.values[:, j, sums.k_end][ensemble.ok_mask]
+    left_samples = (x_t - ensemble.scenario.x0[j]) ** 2
+    return _paired_report("ito_isometry", f"coordinate {j}, t={t}", left_samples,
+                          sums.row_sq[e], margin_fraction,
+                          {"epsilon": ensemble.epsilon})
+
+
+def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
+                      epsilon: float | None = None,
+                      margin_fraction: float = 0.05) -> IdentityReport:
+    """cross_term_check from drift and snap field e of a walk over ensemble up to t."""
+    scen = ensemble.scenario
+    j = sums.coordinate
+    x_t = ensemble.values[:, j, sums.k_end][ensemble.ok_mask]
+    left_samples = (x_t - scen.x0[j]) * sums.ito[e][:, j]
+    d_over_p = scen.dimension / scen.p
+    return _paired_report("cross_term", f"coordinate {j}, t={t}", left_samples,
+                          sums.mixed[e], margin_fraction,
+                          {"epsilon": epsilon, "d_over_p": d_over_p,
+                           "hypothesis_d_over_p_lt_1": d_over_p < 1.0})
+
+
 def ito_isometry_check(ensemble: Ensemble, sigma_eps: MatrixField,
                        grid: SpatialGrid, t: float, *, coordinate: int = 0,
                        margin_fraction: float = 0.05) -> IdentityReport:
@@ -200,30 +235,11 @@ def ito_isometry_check(ensemble: Ensemble, sigma_eps: MatrixField,
     sum).  stderr is the paired standard error of the per-path difference,
     since both estimators ride on the same paths.
     """
-    scen = ensemble.scenario
-    k_t = scen.grid.node_index(t)
-    if k_t < 1:
-        raise ParameterError("t must be at least one step into the grid")
-    j = coordinate
-    ok = ensemble.ok_mask
-    x_nodes = ensemble.values[ok]
-    left_samples = (x_nodes[:, j, k_t] - scen.x0[j]) ** 2
-
-    def row_sq(pts):
-        mats = sigma_eps(pts)
-        return np.sum(mats[..., j, :] ** 2, axis=-1)
-
-    snapped = quantized_perturbation(scen.fbm.values, grid)[:k_t]
-    vals = _scalar_on_path(row_sq, x_nodes[:, :, :k_t], snapped)
-    right_samples = vals.sum(axis=1) * scen.grid.dt
-
-    diff = left_samples - right_samples
-    stderr = float(diff.std(ddof=1) / math.sqrt(diff.size)) if diff.size > 1 else 0.0
-    left = float(left_samples.mean())
-    right = float(right_samples.mean())
-    margin = margin_fraction * max(abs(left), abs(right))
-    return IdentityReport("ito_isometry", f"coordinate {j}, t={t}", left, right,
-                          stderr, margin, {"epsilon": ensemble.epsilon})
+    k_t = _check_steps(ensemble, t)
+    snapped = quantized_perturbation(ensemble.scenario.fbm.values, grid)[:k_t]
+    sums = walk_ensemble(ensemble, k_t, snap=[sigma_eps], snapped=snapped,
+                         coordinate=coordinate)
+    return isometry_report(ensemble, sums, 0, t, margin_fraction=margin_fraction)
 
 
 def cross_term_check(ensemble: Ensemble, sigma_raw: MatrixField,
@@ -241,40 +257,13 @@ def cross_term_check(ensemble: Ensemble, sigma_raw: MatrixField,
     and the sweep over radii traces the convergence the stability result
     predicts.  Requires d/p < 1 to mean anything, reported in extras.
     """
-    scen = ensemble.scenario
-    tg = scen.grid
-    k_t = tg.node_index(t)
-    j = coordinate
-    ok = ensemble.ok_mask
-    x_nodes = ensemble.values[ok]
-    db = ensemble.driver_increments[ok]
-    w = scen.fbm.values
-
-    ito = np.zeros(x_nodes.shape[0])
-    for k in range(k_t):
-        mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
-        ito += np.einsum("pi,pi->p", mats[:, j, :], db[:, :, k])
-    left_samples = (x_nodes[:, j, k_t] - scen.x0[j]) * ito
-
-    def mixed(pts):
-        a = sigma_raw(pts)
-        b = sigma_eps(pts)
-        return np.sum(a[..., j, :] * b[..., j, :], axis=-1)
-
-    snapped = quantized_perturbation(w, grid)[:k_t]
-    vals = _scalar_on_path(mixed, x_nodes[:, :, :k_t], snapped)
-    right_samples = vals.sum(axis=1) * tg.dt
-
-    diff = left_samples - right_samples
-    stderr = float(diff.std(ddof=1) / math.sqrt(diff.size)) if diff.size > 1 else 0.0
-    left = float(left_samples.mean())
-    right = float(right_samples.mean())
-    margin = margin_fraction * max(abs(left), abs(right))
-    d_over_p = scen.dimension / scen.p
-    return IdentityReport("cross_term", f"coordinate {j}, t={t}", left, right,
-                          stderr, margin,
-                          {"epsilon": epsilon, "d_over_p": d_over_p,
-                           "hypothesis_d_over_p_lt_1": d_over_p < 1.0})
+    k_t = _check_steps(ensemble, t)
+    snapped = quantized_perturbation(ensemble.scenario.fbm.values, grid)[:k_t]
+    sums = walk_ensemble(ensemble, k_t, drift=[sigma_eps], snap=[sigma_eps],
+                         snapped=snapped, sigma_raw=sigma_raw,
+                         coordinate=coordinate)
+    return cross_term_report(ensemble, sums, 0, t, epsilon=epsilon,
+                             margin_fraction=margin_fraction)
 
 
 def weight_dictionary(d: int, n: int):
@@ -306,6 +295,47 @@ def weight_dictionary(d: int, n: int):
     return entries
 
 
+def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
+                       pairs: list[tuple[float, float]]) -> list[IdentityReport]:
+    """martingale_residuals from drift field e of a walk whose windows are
+    the node pairs of `pairs`."""
+    scen = ensemble.scenario
+    j, i = sums.coordinate, sums.driver_coordinate
+    reports = []
+    for w_idx, ((s, t), (k_s, k_t)) in enumerate(zip(pairs, sums.windows)):
+        # Columns k_s, k_s // 2, k_t of the solution and k_s, k_t of the
+        # driver: the weights read columns 0 and 1 of x_w and 0 of b_w.
+        x_w = ensemble.values[:, :, [k_s, k_s // 2, k_t]][ensemble.ok_mask]
+        b_w = sums.driver_nodes[:, :, [sums.nodes.index(k_s), sums.nodes.index(k_t)]]
+        mart_s = x_w[:, j, 0] - scen.x0[j]
+        mart_t = x_w[:, j, 2] - scen.x0[j]
+        quad_comp = sums.quad_comp[w_idx, e]
+        cross_comp = sums.cross_comp[w_idx, e]
+        z_level = mart_t - mart_s
+        z_quad = mart_t ** 2 - mart_s ** 2 - quad_comp
+        z_cross = mart_t * b_w[:, i, 1] - mart_s * b_w[:, i, 0] - cross_comp
+        comp_range = {
+            "level": (0.0, 0.0),
+            "quadratic": (float(quad_comp.min()), float(quad_comp.max())),
+            "cross": (float(cross_comp.min()), float(cross_comp.max())),
+        }
+        for family, z in (("level", z_level), ("quadratic", z_quad),
+                          ("cross", z_cross)):
+            for label, w_fn in weight_dictionary(scen.dimension, scen.driver_dimension):
+                wts = w_fn(x_w, b_w, 0, 1)
+                samples = wts * z
+                stderr = (float(samples.std(ddof=1) / math.sqrt(samples.size))
+                          if samples.size > 1 else 0.0)
+                lo, hi = comp_range[family]
+                reports.append(IdentityReport(
+                    "martingale", f"{family}/{label}/window[{s},{t}]",
+                    float(samples.mean()), 0.0, stderr, 0.0,
+                    {"family": family, "weight": label, "s": s, "t": t,
+                     "compensator_min": lo, "compensator_max": hi,
+                     "dictionary_version": WEIGHT_DICTIONARY_VERSION}))
+    return reports
+
+
 def martingale_residuals(ensemble: Ensemble, sigma_eps: MatrixField,
                          pairs: list[tuple[float, float]], *,
                          coordinate: int = 0, driver_coordinate: int = 0
@@ -322,58 +352,7 @@ def martingale_residuals(ensemble: Ensemble, sigma_eps: MatrixField,
     Every family has expectation exactly zero for the scheme, so the pass
     criterion is |residual| <= 4 stderr with no discretization margin.
     """
-    scen = ensemble.scenario
-    tg = scen.grid
-    j, i = coordinate, driver_coordinate
-    ok = ensemble.ok_mask
-    x_nodes = ensemble.values[ok]
-    db = ensemble.driver_increments[ok]
-    b_nodes = np.concatenate([np.zeros((db.shape[0], db.shape[1], 1)),
-                              np.cumsum(db, axis=2)], axis=2)
-    w = scen.fbm.values
-
-    def row_sq_on(k0, k1):
-        out = np.zeros(x_nodes.shape[0])
-        for k in range(k0, k1):
-            mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
-            out += np.sum(mats[:, j, :] ** 2, axis=1)
-        return out * tg.dt
-
-    def entry_on(k0, k1):
-        out = np.zeros(x_nodes.shape[0])
-        for k in range(k0, k1):
-            mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
-            out += mats[:, j, i]
-        return out * tg.dt
-
-    mart = x_nodes[:, j, :] - scen.x0[j]
-    reports = []
-    for s, t in pairs:
-        k_s, k_t = tg.window(s, t)
-        k_half = k_s // 2
-        quad_comp = row_sq_on(k_s, k_t)
-        cross_comp = entry_on(k_s, k_t)
-        z_level = mart[:, k_t] - mart[:, k_s]
-        z_quad = mart[:, k_t] ** 2 - mart[:, k_s] ** 2 - quad_comp
-        z_cross = (mart[:, k_t] * b_nodes[:, i, k_t]
-                   - mart[:, k_s] * b_nodes[:, i, k_s] - cross_comp)
-        comp_range = {
-            "level": (0.0, 0.0),
-            "quadratic": (float(quad_comp.min()), float(quad_comp.max())),
-            "cross": (float(cross_comp.min()), float(cross_comp.max())),
-        }
-        for family, z in (("level", z_level), ("quadratic", z_quad),
-                          ("cross", z_cross)):
-            for label, w_fn in weight_dictionary(scen.dimension, scen.driver_dimension):
-                wts = w_fn(x_nodes, b_nodes, k_s, k_half)
-                samples = wts * z
-                stderr = (float(samples.std(ddof=1) / math.sqrt(samples.size))
-                          if samples.size > 1 else 0.0)
-                lo, hi = comp_range[family]
-                reports.append(IdentityReport(
-                    "martingale", f"{family}/{label}/window[{s},{t}]",
-                    float(samples.mean()), 0.0, stderr, 0.0,
-                    {"family": family, "weight": label, "s": s, "t": t,
-                     "compensator_min": lo, "compensator_max": hi,
-                     "dictionary_version": WEIGHT_DICTIONARY_VERSION}))
-    return reports
+    windows = [ensemble.scenario.grid.window(s, t) for s, t in pairs]
+    sums = walk_ensemble(ensemble, 0, drift=[sigma_eps], windows=windows,
+                         coordinate=coordinate, driver_coordinate=driver_coordinate)
+    return martingale_reports(ensemble, sums, 0, pairs)

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmlab import (CLAMP_VALUE, ClampWarning, MatrixField, MollifierSpec,
-                    ParameterError, ResolutionError, ScalarField, SpatialGrid,
-                    constant_field, hs_norm_sq, identity_field, lp_norm,
-                    mollify, singular_example)
+                    ParameterError, QuenchedScenario, ResolutionError,
+                    ScalarField, SpatialGrid, TimeGrid, constant_field,
+                    generate_fbm, hs_norm_sq, identity_field, lp_norm,
+                    mollified_family, mollify, multilinear_interpolate,
+                    singular_example)
+from fbmlab.fields import evaluate_together
 
 
 def test_constant_and_identity_fields():
@@ -198,3 +203,87 @@ def test_lp_norm_scales_homogeneously():
     assert tripled == pytest.approx(3.0 * base, rel=1e-12)
     with pytest.raises(ParameterError):
         lp_norm(sigma, 0.0, grid)
+
+
+# --- one interpolation for a whole mollified family ---------------------------
+
+def _family(d: int):
+    """Two mollified radii on one lattice; h = 1/16, so bin centers are exact."""
+    if d == 1:
+        sigma = singular_example(0.4, 1.0, 1)
+    else:
+        mix = np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]])
+        sigma = MatrixField(
+            lambda p: (np.exp(-np.sum(p * p, axis=-1))
+                       * (np.linalg.norm(p, axis=-1) <= 1.0))[..., None, None] * mix,
+            2, 3, support_radius=1.0)
+    fbm = generate_fbm(0.2, d, TimeGrid(1.0, 16), 1)
+    scen = QuenchedScenario(fbm, sigma, np.zeros(d), (0.5, 0.25), 4, 1)
+    grid, fields = mollified_family(scen)
+    return grid, [fields[eps] for eps in scen.eps_seq]
+
+
+FAMILIES = {d: _family(d) for d in (1, 2)}
+
+
+def _per_entry_reference(fld, pts):
+    """A mollified field evaluated one matrix entry at a time."""
+    table = fld.grid_values
+    out = np.empty(pts.shape[:-1] + table.shape[-2:])
+    for a in range(table.shape[-2]):
+        for b in range(table.shape[-1]):
+            out[..., a, b] = multilinear_interpolate(fld.grid.lower, fld.grid.h,
+                                                     table[..., a, b], pts)
+    out[np.linalg.norm(pts, axis=-1) > fld.support_radius] = 0.0
+    return out
+
+
+def _assert_family_consistent(d, pts):
+    _grid, family = FAMILIES[d]
+    together = evaluate_together(family, pts)
+    assert together.shape == pts.shape[:-1] + (len(family),) + family[0](pts).shape[-2:]
+    for e, fld in enumerate(family):
+        own = fld(pts)
+        assert np.array_equal(together[..., e, :, :], own)
+        assert np.array_equal(own, _per_entry_reference(fld, pts))
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.lists(_coord, min_size=d, max_size=d),
+                                             min_size=1, max_size=12))))
+def test_stacked_family_equals_each_field_inside_and_outside_the_lattice(case):
+    d, rows = case
+    _assert_family_consistent(d, np.array(rows, dtype=float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 1),
+       st.floats(0.0, 2.0 * math.pi, allow_nan=False))
+def test_stacked_family_on_the_support_radius(d, e, angle):
+    _grid, family = FAMILIES[d]
+    radius = family[e].support_radius
+    direction = (np.array([math.copysign(1.0, math.cos(angle))]) if d == 1
+                 else np.array([math.cos(angle), math.sin(angle)]))
+    pts = np.stack([radius * direction, np.nextafter(radius, 0.0) * direction,
+                    np.nextafter(radius, 9.0) * direction])
+    _assert_family_consistent(d, pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.integers(0, 63), min_size=d, max_size=d))))
+def test_interpolation_is_exact_at_lattice_nodes(case):
+    d, index = case
+    grid, family = FAMILIES[d]
+    index = [min(i, grid.bins[a] - 1) for a, i in enumerate(index)]
+    point = np.asarray(grid.lower) + (np.asarray(index) + 0.5) * grid.h
+    _assert_family_consistent(d, point[None, :])
+    together = evaluate_together(family, point)
+    for e, fld in enumerate(family):
+        inside = np.linalg.norm(point) <= fld.support_radius
+        want = fld.grid_values[tuple(index)] if inside else 0.0
+        assert np.array_equal(together[e], np.broadcast_to(want, together[e].shape))

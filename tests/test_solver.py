@@ -31,6 +31,9 @@ def test_scenario_validation():
         QuenchedScenario(FBM, identity_field(1), [0.0], (0.5, 0.5), 8, 1)
     with pytest.raises(ParameterError):
         QuenchedScenario(FBM, identity_field(1), [0.0], (0.5, -0.1), 8, 1)
+    # A field must fit the scenario's shared drivers.
+    with pytest.raises(ParameterError):
+        solve_ensemble(_identity_scenario(), identity_field(2))
 
 
 def test_identity_field_reduces_to_the_driver():
@@ -157,3 +160,20 @@ def test_constant_field_sweep_has_no_gap():
     assert report.consecutive_diffs[0] < 1e-12
     assert report.m == 4.0 and report.p == 2.0
     assert report.terminal_integrals.shape == (2, 16, 1)
+
+
+def test_integral_sequence_takes_fields_and_lp_grid_together():
+    """Fields without their L^p grid (or the grid alone) are refused instead
+    of being silently replaced by a fresh mollification."""
+    scenario = QuenchedScenario(FBM, singular_example(0.4, 1.0, 1), [0.5],
+                                (0.5, 0.25), 8, BASE_SEED)
+    grid, fields = mollified_family(scenario)
+    constant = {eps: constant_field(np.array([[5.0]])) for eps in fields}
+    with pytest.raises(ParameterError):
+        mollified_integral_sequence(scenario, fields=constant)
+    with pytest.raises(ParameterError):
+        mollified_integral_sequence(scenario, lp_grid=grid)
+    given = mollified_integral_sequence(scenario, fields=constant, lp_grid=grid)
+    own = mollified_integral_sequence(scenario)
+    assert not np.array_equal(given.terminal_integrals, own.terminal_integrals)
+    assert given.consecutive_diffs == (0.0,)

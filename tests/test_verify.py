@@ -99,6 +99,17 @@ def test_cross_term_identity_and_zero_coefficient():
     assert trivial.stderr == 0.0 and trivial.passed
 
 
+def test_cross_term_rejects_t_below_one_step():
+    """At t = 0 there is no Ito sum to pair: the check refuses, as the
+    isometry does, rather than passing with both sides zero."""
+    ens = _identity_ensemble(13)
+    for check in (lambda t: ito_isometry_check(ens, identity_field(1), SGRID, t),
+                  lambda t: cross_term_check(ens, identity_field(1),
+                                             identity_field(1, scale=3.0), SGRID, t)):
+        with pytest.raises(ParameterError):
+            check(0.0)
+
+
 def test_martingale_residuals_identity_coefficient():
     ens = _identity_ensemble(13)
     reports = martingale_residuals(ens, identity_field(1),

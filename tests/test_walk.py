@@ -1,0 +1,292 @@
+"""The one walk over stored paths against the per-step loops it replaced.
+
+The reference functions below are the per-check loops the identity checks
+used before they were fused into `walk_ensemble`: one field call per time
+step, running sums for the Ito sums and compensators, a (paths, steps)
+buffer summed by row for the quantized averages.  Every result must agree
+with them bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fbmlab import (ParameterError, QuenchedScenario, SpatialGrid, TimeGrid,
+                    cross_term_check, generate_fbm, hs_norm_sq, identity_field,
+                    ito_isometry_check, lebesgue_vs_sewing,
+                    martingale_residuals, mollified_family,
+                    mollified_integral_sequence, moment_ratio,
+                    quantized_perturbation, singular_example, solve_ensemble,
+                    weight_dictionary)
+from fbmlab import paths, solver
+from fbmlab.experiments import HEADLINE_CONFIG, build_scenario, verify_scenario
+from fbmlab.fields import lp_norm
+
+
+# --- reference: the per-step loops --------------------------------------------
+
+def _scalar_on_path(scalar_fn, x_nodes, positions):
+    out = np.empty((x_nodes.shape[0], positions.shape[0]))
+    for k in range(positions.shape[0]):
+        out[:, k] = scalar_fn(x_nodes[:, :, k] - positions[k])
+    return out
+
+
+def _paired(tag, label, left_samples, right_samples, margin_fraction, extras):
+    diff = left_samples - right_samples
+    stderr = float(diff.std(ddof=1) / math.sqrt(diff.size)) if diff.size > 1 else 0.0
+    left, right = float(left_samples.mean()), float(right_samples.mean())
+    return {"tag": tag, "label": label, "left": left, "right": right,
+            "stderr": stderr,
+            "margin": margin_fraction * max(abs(left), abs(right)), **extras}
+
+
+def ref_isometry(ens, sigma_eps, grid, t, coordinate=0, margin_fraction=0.05):
+    scen = ens.scenario
+    k_t = scen.grid.node_index(t)
+    j = coordinate
+    x_nodes = ens.values[ens.ok_mask]
+    left = (x_nodes[:, j, k_t] - scen.x0[j]) ** 2
+
+    def row_sq(pts):
+        return np.sum(sigma_eps(pts)[..., j, :] ** 2, axis=-1)
+
+    snapped = quantized_perturbation(scen.fbm.values, grid)[:k_t]
+    right = _scalar_on_path(row_sq, x_nodes[:, :, :k_t], snapped).sum(axis=1) * scen.grid.dt
+    return _paired("ito_isometry", f"coordinate {j}, t={t}", left, right,
+                   margin_fraction, {"epsilon": ens.epsilon})
+
+
+def ref_cross(ens, sigma_raw, sigma_eps, grid, t, coordinate=0, epsilon=None,
+              margin_fraction=0.05):
+    scen = ens.scenario
+    k_t = scen.grid.node_index(t)
+    j = coordinate
+    ok = ens.ok_mask
+    x_nodes, db, w = ens.values[ok], ens.driver_increments[ok], scen.fbm.values
+    ito = np.zeros(x_nodes.shape[0])
+    for k in range(k_t):
+        mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
+        ito += np.einsum("pi,pi->p", mats[:, j, :], db[:, :, k])
+    left = (x_nodes[:, j, k_t] - scen.x0[j]) * ito
+
+    def mixed(pts):
+        return np.sum(sigma_raw(pts)[..., j, :] * sigma_eps(pts)[..., j, :], axis=-1)
+
+    snapped = quantized_perturbation(w, grid)[:k_t]
+    right = _scalar_on_path(mixed, x_nodes[:, :, :k_t], snapped).sum(axis=1) * scen.grid.dt
+    d_over_p = scen.dimension / scen.p
+    return _paired("cross_term", f"coordinate {j}, t={t}", left, right,
+                   margin_fraction, {"epsilon": epsilon, "d_over_p": d_over_p,
+                                     "hypothesis_d_over_p_lt_1": d_over_p < 1.0})
+
+
+def ref_martingale(ens, sigma_eps, pairs, coordinate=0, driver_coordinate=0):
+    scen = ens.scenario
+    tg = scen.grid
+    j, i = coordinate, driver_coordinate
+    ok = ens.ok_mask
+    x_nodes, db, w = ens.values[ok], ens.driver_increments[ok], scen.fbm.values
+    b_nodes = np.concatenate([np.zeros((db.shape[0], db.shape[1], 1)),
+                              np.cumsum(db, axis=2)], axis=2)
+
+    def row_sq_on(k0, k1):
+        out = np.zeros(x_nodes.shape[0])
+        for k in range(k0, k1):
+            mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
+            out += np.sum(mats[:, j, :] ** 2, axis=1)
+        return out * tg.dt
+
+    def entry_on(k0, k1):
+        out = np.zeros(x_nodes.shape[0])
+        for k in range(k0, k1):
+            out += sigma_eps(x_nodes[:, :, k] - w[:, k])[:, j, i]
+        return out * tg.dt
+
+    mart = x_nodes[:, j, :] - scen.x0[j]
+    rows = []
+    for s, t in pairs:
+        k_s, k_t = tg.window(s, t)
+        quad, cross = row_sq_on(k_s, k_t), entry_on(k_s, k_t)
+        zs = {"level": mart[:, k_t] - mart[:, k_s],
+              "quadratic": mart[:, k_t] ** 2 - mart[:, k_s] ** 2 - quad,
+              "cross": (mart[:, k_t] * b_nodes[:, i, k_t]
+                        - mart[:, k_s] * b_nodes[:, i, k_s] - cross)}
+        ranges = {"level": (0.0, 0.0),
+                  "quadratic": (float(quad.min()), float(quad.max())),
+                  "cross": (float(cross.min()), float(cross.max()))}
+        for family, z in zs.items():
+            for label, w_fn in weight_dictionary(scen.dimension, scen.driver_dimension):
+                samples = w_fn(x_nodes, b_nodes, k_s, k_s // 2) * z
+                stderr = (float(samples.std(ddof=1) / math.sqrt(samples.size))
+                          if samples.size > 1 else 0.0)
+                rows.append((f"{family}/{label}/window[{s},{t}]",
+                             float(samples.mean()), stderr, ranges[family]))
+    return rows
+
+
+def ref_terminals(ens, fields):
+    scen = ens.scenario
+    ok = ens.ok_mask
+    x_nodes, db, w = ens.values[ok], ens.driver_increments[ok], scen.fbm.values
+    out = np.zeros((len(scen.eps_seq), x_nodes.shape[0], scen.dimension))
+    for e, eps in enumerate(scen.eps_seq):
+        for k in range(scen.grid.steps):
+            mats = fields[eps](x_nodes[:, :, k] - w[:, k])
+            out[e] += np.einsum("pij,pj->pi", mats, db[:, :, k])
+    return out
+
+
+def _report_dict(report):
+    out = report.to_dict()
+    del out["passed"]
+    return out
+
+
+def _martingale_rows(reports):
+    return [(r.label, r.left, r.stderr,
+             (r.extras["compensator_min"], r.extras["compensator_max"]))
+            for r in reports]
+
+
+# --- the sweep ------------------------------------------------------------------
+
+WINDOWS = [(0.25, 0.5), (0.5, 0.75), (0.25, 1.0)]
+
+
+def _small_config(sigma, dimension):
+    cfg = dict(HEADLINE_CONFIG, sigma=sigma, dimension=dimension)
+    if dimension == 1:
+        return dict(cfg, paths=150, steps=64)
+    return dict(cfg, paths=70, steps=32, x0=[0.5, -0.2], eps=[0.25, 0.125])
+
+
+@pytest.mark.parametrize("blocks", [None, (24, 37)],
+                         ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("sigma,dimension", [("singular", 1), ("identity", 1),
+                                             ("singular", 2), ("identity", 2)])
+def test_verify_scenario_matches_per_step_reference(sigma, dimension, blocks,
+                                                    monkeypatch):
+    """Paths are never a multiple of the path chunk, and with the small
+    blocks the steps are not a multiple of the time block either."""
+    if blocks is not None:
+        monkeypatch.setattr(solver, "TIME_BLOCK", blocks[0])
+        monkeypatch.setattr(solver, "PATH_CHUNK", blocks[1])
+    cfg = _small_config(sigma, dimension)
+    scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
+    res = verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
+                          cfg["gamma0"], WINDOWS)
+
+    eps_seq = scenario.eps_seq
+    eps_min = min(eps_seq)
+    reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min)
+    for e, eps in enumerate(eps_seq):
+        ens = (reference if eps == eps_min
+               else solve_ensemble(scenario, fields[eps], epsilon=eps))
+        assert res.ratio_reports[e].to_dict() == moment_ratio(ens, cfg["m"],
+                                                              cfg["gamma0"]).to_dict()
+        assert _report_dict(res.iso_reports[e]) == ref_isometry(
+            ens, fields[eps], quant_grid, 1.0)
+        assert _report_dict(res.cross_reports[e]) == ref_cross(
+            reference, scenario.sigma, fields[eps], quant_grid, 1.0, epsilon=eps)
+    assert _martingale_rows(res.martingale_reports) == ref_martingale(
+        reference, fields[eps_min], WINDOWS)
+    qv = lebesgue_vs_sewing(reference.values[0], scenario.fbm,
+                            hs_norm_sq(fields[eps_min]), quant_grid, (0.25, 0.75))
+    assert res.qv_report == qv
+
+    terminals = ref_terminals(reference, fields)
+    assert np.array_equal(res.cauchy.terminal_integrals, terminals)
+    half = cfg["m"] / 2.0
+    diffs = tuple(float(np.mean(np.linalg.norm(b - a, axis=1) ** half) ** (1.0 / half))
+                  for a, b in zip(terminals[:-1], terminals[1:]))
+    gaps = tuple(lp_norm(fields[b] - fields[a], scenario.p, lp_grid,
+                         refine_singular=False)
+                 for a, b in zip(eps_seq[:-1], eps_seq[1:]))
+    assert res.cauchy.consecutive_diffs == diffs
+    assert res.cauchy.sigma_gaps == gaps
+
+
+# --- the standalone checks, with frozen paths -------------------------------------
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("singular", [True, False], ids=["singular", "identity"])
+def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular,
+                                                             monkeypatch):
+    monkeypatch.setattr(solver, "TIME_BLOCK", 48)
+    monkeypatch.setattr(solver, "PATH_CHUNK", 40)
+    grid = TimeGrid(1.0, 160)
+    fbm = generate_fbm(0.2, dimension, grid, 7)
+    sigma = (singular_example(0.4, 1.0, dimension) if singular
+             else identity_field(dimension, 1.3))
+    scen = QuenchedScenario(fbm, sigma, np.full(dimension, 0.3), (0.25, 0.125),
+                            97, 5)
+    if singular:
+        lp_grid, fields = mollified_family(scen)
+    else:
+        lp_grid = SpatialGrid.from_box(-2.0, 2.0, 16, dimension)
+        fields = {eps: sigma for eps in scen.eps_seq}
+    # A low blow-up bound freezes part of the ensemble, which the sums mask.
+    ens = solve_ensemble(scen, fields[0.125], epsilon=0.125, blowup_bound=0.9,
+                         abort_fraction=1.0)
+    assert 0 < ens.blowup_count < ens.n_paths
+    qgrid = SpatialGrid.cover(fbm.values.T, grid.dt)
+    for t in (0.4375, 1.0):
+        for j in range(dimension):
+            assert _report_dict(ito_isometry_check(ens, fields[0.25], qgrid, t,
+                                                   coordinate=j)) == ref_isometry(
+                ens, fields[0.25], qgrid, t, coordinate=j)
+            assert _report_dict(cross_term_check(ens, sigma, fields[0.25], qgrid, t,
+                                                 coordinate=j)) == ref_cross(
+                ens, sigma, fields[0.25], qgrid, t, coordinate=j)
+    pairs = [(0.0, 0.5), (0.25, 0.75), (0.3, 1.0)]
+    for j in range(dimension):
+        for i in range(dimension):
+            reports = martingale_residuals(ens, fields[0.125], pairs,
+                                           coordinate=j, driver_coordinate=i)
+            assert _martingale_rows(reports) == ref_martingale(
+                ens, fields[0.125], pairs, coordinate=j, driver_coordinate=i)
+    report = mollified_integral_sequence(scen, reference=ens, fields=fields,
+                                         lp_grid=lp_grid)
+    assert np.array_equal(report.terminal_integrals, ref_terminals(ens, fields))
+
+
+# --- drivers ---------------------------------------------------------------------
+
+def test_sweep_draws_each_driver_stream_once(monkeypatch):
+    """One Philox stream per (path, driver component) for the whole sweep,
+    plus one per component of the frozen fBm path; every ensemble shares
+    the scenario's read-only driver array."""
+    streams = []
+    component_rng = paths._component_rng
+
+    def counted(seed, path_index, component):
+        streams.append((seed, path_index, component))
+        return component_rng(seed, path_index, component)
+
+    monkeypatch.setattr(paths, "_component_rng", counted)
+    cfg = _small_config("singular", 2)
+    scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
+    verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
+                    cfg["gamma0"], WINDOWS)
+    n = scenario.driver_dimension
+    assert len(streams) == cfg["paths"] * n + cfg["dimension"]
+    assert len(set(streams)) == len(streams)
+
+    db = scenario.driver_increments
+    assert not db.flags.writeable
+    with pytest.raises(ValueError):
+        db[0, 0, 0] = 1.0
+    ens = solve_ensemble(scenario, fields[0.25], epsilon=0.25)
+    assert ens.driver_increments is db
+    assert len(streams) == cfg["paths"] * n + cfg["dimension"]
+
+
+def test_walk_rejects_too_few_snapped_positions():
+    scen = QuenchedScenario(generate_fbm(0.2, 1, TimeGrid(1.0, 16), 3),
+                            identity_field(1), [0.0], (0.5,), 4, 1)
+    ens = solve_ensemble(scen)
+    with pytest.raises(ParameterError):
+        solver.walk_ensemble(ens, 16, snap=[identity_field(1)],
+                             snapped=np.zeros((15, 1)))
