@@ -20,9 +20,9 @@ from .errors import (BlowUpError, ClampWarning, CoverageError, FbmLabError,
 from .fields import (CLAMP_VALUE, MatrixField, MollifierSpec, ScalarField,
                      constant_field, hs_norm_sq, identity_field, lp_norm,
                      mollify, singular_example)
-from .occupation import (LocalTimeField, OccupationMeasure, SpatialGrid,
-                         local_time, multilinear_interpolate,
-                         occupation_formula_residual, occupation_measure)
+from .occupation import (OccupationMeasure, SpatialGrid, local_time,
+                         multilinear_interpolate, occupation_formula_residual,
+                         occupation_measure)
 from .paths import (BmPath, FbmPath, TimeGrid, fbm_covariance, generate_bm,
                     generate_bm_increments, generate_fbm, generate_fbm_batch)
 from .sewing import (Germ, SewingDiagnostics, SewingResult, delta,
@@ -43,7 +43,7 @@ __all__ = [
     "AveragedField", "BmPath", "BlowUpError", "CLAMP_VALUE", "ClampWarning",
     "CoverageError", "Ensemble", "FbmLabError", "FbmPath", "GenerationError",
     "Germ", "HolderEstimate", "HypothesisError", "IdentityReport",
-    "InsufficientDataError", "IntegrabilityWarning", "LocalTimeField",
+    "InsufficientDataError", "IntegrabilityWarning",
     "MatrixField", "MollifiedCauchyReport", "MollifierSpec",
     "MomentRatioReport", "OccupationMeasure", "ParameterError",
     "QuenchedScenario", "RegularityBudget", "ResolutionError", "ScalarField",

@@ -26,7 +26,8 @@ from scipy.signal import fftconvolve
 
 from .errors import (CoverageError, HypothesisError, InsufficientDataError,
                      ParameterError)
-from .occupation import LocalTimeField, SpatialGrid, multilinear_interpolate
+from .occupation import OccupationMeasure, SpatialGrid, multilinear_interpolate
+from .paths import _write_csv
 
 _NOISE_FLOOR_RTOL = 1e-12
 
@@ -49,13 +50,10 @@ class AveragedField:
         return float(np.max(np.abs(self.values)))
 
     def to_csv(self, fh) -> None:
-        fh.write(f"# s={self.s} t={self.t} h={self.grid.h}\n")
-        axes = ",".join(f"x_{a + 1}" for a in range(self.grid.dimension))
-        fh.write(f"{axes},value\n")
         mesh = self.grid.centers_mesh().reshape(-1, self.grid.dimension)
-        for center, val in zip(mesh, self.values.ravel()):
-            coords = ",".join(repr(float(c)) for c in center)
-            fh.write(f"{coords},{float(val)!r}\n")
+        _write_csv(fh, f"s={self.s} t={self.t} h={self.grid.h}",
+                   [f"x_{a + 1}" for a in range(self.grid.dimension)] + ["value"],
+                   np.column_stack([mesh, self.values.ravel()]))
 
 
 def average_direct(f, path, s: float, t: float, probes) -> np.ndarray:
@@ -78,7 +76,7 @@ def average_direct(f, path, s: float, t: float, probes) -> np.ndarray:
 
 
 def average_via_local_time(f_values: np.ndarray, f_grid: SpatialGrid,
-                           local_time_field: LocalTimeField,
+                           local_time_field: OccupationMeasure,
                            escaped_tol: float = 0.01) -> AveragedField:
     """Averaged field as the convolution of f samples with a local-time field.
 

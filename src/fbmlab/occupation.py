@@ -136,18 +136,13 @@ class SpatialGrid:
                    tuple(int(m) for m in bins))
 
 
-def _count_window(path_values: np.ndarray, grid: SpatialGrid,
-                  k0: int, k1: int) -> tuple[np.ndarray, int]:
-    pts = path_values[:, k0:k1].T  # (samples, d)
-    idx, inside = grid.bin_indices(pts)
-    flat = np.ravel_multi_index(tuple(idx[inside].T), grid.shape)
-    counts = np.bincount(flat, minlength=int(np.prod(grid.shape)))
-    return counts.reshape(grid.shape), int((~inside).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class OccupationMeasure:
-    """Bin visit counts times dt over a window [s, t)."""
+    """Bin visit counts over a window [s, t), with a mass and a density view.
+
+    masses is the occupation measure (counts times dt); values is the
+    local-time density estimate (masses over the bin volume).
+    """
 
     grid: SpatialGrid
     s: float
@@ -159,37 +154,6 @@ class OccupationMeasure:
     @property
     def masses(self) -> np.ndarray:
         return self.counts * self.dt
-
-    @property
-    def covered_mass(self) -> float:
-        return float(self.counts.sum() * self.dt)
-
-    @property
-    def escaped_mass(self) -> float:
-        return self.escaped_count * self.dt
-
-    @property
-    def escaped_fraction(self) -> float:
-        total = self.counts.sum() + self.escaped_count
-        return self.escaped_count / total if total else 0.0
-
-    def __add__(self, other: "OccupationMeasure") -> "OccupationMeasure":
-        _check_mergeable(self, other)
-        return OccupationMeasure(self.grid, self.s, other.t, self.dt,
-                                 self.counts + other.counts,
-                                 self.escaped_count + other.escaped_count)
-
-
-@dataclass(frozen=True, eq=False)
-class LocalTimeField:
-    """Occupation density estimate: bin mass divided by bin volume."""
-
-    grid: SpatialGrid
-    s: float
-    t: float
-    dt: float
-    counts: np.ndarray = field(repr=False)
-    escaped_count: int = 0
 
     @property
     def values(self) -> np.ndarray:
@@ -208,43 +172,39 @@ class LocalTimeField:
         total = self.counts.sum() + self.escaped_count
         return self.escaped_count / total if total else 0.0
 
-    def __add__(self, other: "LocalTimeField") -> "LocalTimeField":
-        _check_mergeable(self, other)
-        return LocalTimeField(self.grid, self.s, other.t, self.dt,
-                              self.counts + other.counts,
-                              self.escaped_count + other.escaped_count)
-
-    def to_csv(self, fh) -> None:
-        fh.write(f"# s={self.s} t={self.t} dt={self.dt} h={self.grid.h}\n")
-        axes = ",".join(f"z_{a + 1}" for a in range(self.grid.dimension))
-        fh.write(f"{axes},L\n")
-        mesh = self.grid.centers_mesh().reshape(-1, self.grid.dimension)
-        for center, val in zip(mesh, self.values.ravel()):
-            coords = ",".join(repr(float(c)) for c in center)
-            fh.write(f"{coords},{float(val)!r}\n")
+    def __add__(self, other: "OccupationMeasure") -> "OccupationMeasure":
+        if self.grid != other.grid:
+            raise ParameterError("windows live on different spatial grids")
+        if self.dt != other.dt:
+            raise ParameterError("windows have different time steps")
+        if self.t != other.s:
+            raise ParameterError(
+                f"windows are not contiguous: [{self.s},{self.t}) + [{other.s},{other.t})")
+        return OccupationMeasure(self.grid, self.s, other.t, self.dt,
+                                 self.counts + other.counts,
+                                 self.escaped_count + other.escaped_count)
 
 
-def _check_mergeable(a, b) -> None:
-    if a.grid != b.grid:
-        raise ParameterError("windows live on different spatial grids")
-    if a.dt != b.dt:
-        raise ParameterError("windows have different time steps")
-    if a.t != b.s:
-        raise ParameterError(f"windows are not contiguous: [{a.s},{a.t}) + [{b.s},{b.t})")
-
-
-def occupation_measure(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
-    """Histogram occupation measure of the path over [s, t)."""
+def _occupy(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
+    """Bin the path samples t_k in [s, t); samples outside the box are escaped."""
     if path.dimension != grid.dimension:
         raise ParameterError(
             f"path dimension {path.dimension} != grid dimension {grid.dimension}")
     k0, k1 = path.grid.window(s, t)
-    counts, escaped = _count_window(path.values, grid, k0, k1)
-    return OccupationMeasure(grid, s, t, path.grid.dt, counts, escaped)
+    idx, inside = grid.bin_indices(path.values[:, k0:k1].T)
+    flat = np.ravel_multi_index(tuple(idx[inside].T), grid.shape)
+    counts = np.bincount(flat, minlength=int(np.prod(grid.shape)))
+    return OccupationMeasure(grid, s, t, path.grid.dt, counts.reshape(grid.shape),
+                             int((~inside).sum()))
 
 
-def local_time(path, grid: SpatialGrid, s: float, t: float) -> LocalTimeField:
-    """Local-time density estimate of the path over [s, t).
+def occupation_measure(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
+    """Histogram occupation measure of the path over [s, t)."""
+    return _occupy(path, grid, s, t)
+
+
+def local_time(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
+    """Occupation measure of the path over [s, t), read through its density view.
 
     The density interpretation requires the occupation measure to be
     absolutely continuous; for fBm that holds when hurst * dimension < 1,
@@ -256,12 +216,7 @@ def local_time(path, grid: SpatialGrid, s: float, t: float) -> LocalTimeField:
             f"hurst*dimension = {hurst * grid.dimension:.3f} >= 1: the occupation "
             "measure may have no density; treat this field as a histogram only",
             RuntimeWarning, stacklevel=2)
-    if path.dimension != grid.dimension:
-        raise ParameterError(
-            f"path dimension {path.dimension} != grid dimension {grid.dimension}")
-    k0, k1 = path.grid.window(s, t)
-    counts, escaped = _count_window(path.values, grid, k0, k1)
-    return LocalTimeField(grid, s, t, path.grid.dt, counts, escaped)
+    return _occupy(path, grid, s, t)
 
 
 def occupation_formula_residual(f, path, grid: SpatialGrid, t: float) -> float:
@@ -277,10 +232,8 @@ def occupation_formula_residual(f, path, grid: SpatialGrid, t: float) -> float:
     k0, k1 = path.grid.window(0.0, t)
     pts = path.values[:, k0:k1].T
     left = math.fsum(np.asarray(f(pts), dtype=float)) * path.grid.dt
-    idx, inside = grid.bin_indices(pts)
-    lo = np.asarray(grid.lower)
-    centers = lo + (idx[inside] + 0.5) * grid.h
-    right = math.fsum(np.asarray(f(centers), dtype=float)) * path.grid.dt
+    snapped, inside = grid.quantize(pts)
+    right = math.fsum(np.asarray(f(snapped[inside]), dtype=float)) * path.grid.dt
     return abs(left - right)
 
 

@@ -105,7 +105,6 @@ class FbmPath:
     dimension: int
     grid: TimeGrid
     values: np.ndarray = field(repr=False)
-    increments: np.ndarray = field(repr=False)
     seed: int
     path_index: int = 0
 
@@ -114,9 +113,10 @@ class FbmPath:
         return self.grid.times
 
     def to_csv(self, fh) -> None:
-        _write_path_csv(fh, self, header=f"# H={self.hurst} d={self.dimension} "
-                        f"seed={self.seed} N={self.grid.steps} T={self.grid.horizon}",
-                        prefix="w")
+        _write_csv(fh, f"H={self.hurst} d={self.dimension} seed={self.seed} "
+                   f"N={self.grid.steps} T={self.grid.horizon}",
+                   ["t"] + [f"w_{c + 1}" for c in range(self.dimension)],
+                   np.column_stack([self.times, self.values.T]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,18 +134,12 @@ class BmPath:
     def times(self) -> np.ndarray:
         return self.grid.times
 
-    def to_csv(self, fh) -> None:
-        _write_path_csv(fh, self, header=f"# n={self.dimension} seed={self.seed} "
-                        f"N={self.grid.steps} T={self.grid.horizon}", prefix="b")
 
-
-def _write_path_csv(fh, path, header: str, prefix: str) -> None:
-    fh.write(header + "\n")
-    cols = ",".join(f"{prefix}_{i + 1}" for i in range(path.dimension))
-    fh.write(f"t,{cols}\n")
-    for k, t in enumerate(path.times):
-        row = ",".join(repr(float(v)) for v in path.values[:, k])
-        fh.write(f"{float(t)!r},{row}\n")
+def _write_csv(fh, comment: str, columns: list[str], rows) -> None:
+    """A '# comment' line, a header line, then each row's floats by repr."""
+    fh.write(f"# {comment}\n{','.join(columns)}\n")
+    for row in rows:
+        fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def fbm_covariance(s, t, hurst: float):
@@ -204,22 +198,64 @@ def _fgn_from_normals(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.fft.fft(w).real[:n]
 
 
-def _fgn_cholesky(gamma: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Dense exact fallback: lower Cholesky of the Toeplitz increment covariance."""
+def _fgn_cholesky(gamma: np.ndarray) -> np.ndarray:
+    """Dense exact fallback: lower Cholesky factor of the Toeplitz increment covariance."""
     cov = toeplitz(gamma[:-1])
     try:
-        chol = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         eigs = np.linalg.eigvalsh(cov)
         raise GenerationError(
             f"increment covariance is numerically singular "
             f"(min eigenvalue {eigs.min():.3e}, max {eigs.max():.3e})") from exc
-    return chol @ z
 
 
-def _validate_hurst(hurst: float) -> None:
+def _validate_shape(dimension: int, count: int) -> None:
+    if dimension < 1:
+        raise ParameterError(f"dimension must be >= 1, got {dimension}")
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+
+
+def _fbm_rows(hurst: float, dimension: int, grid: TimeGrid, seed: int,
+              first: int, count: int) -> np.ndarray:
+    """Paths first .. first + count - 1 as one (count, dimension, steps + 1) array.
+
+    Each increment row is drawn from its own Philox stream and cumsummed
+    straight into the output, so row i depends on (seed, first + i) only.
+    The embedding eigenvalues, or the Cholesky factor when the embedding
+    is not nonnegative definite, are computed once for all rows.
+    """
     if not (0.0 < hurst < 1.0):
         raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
+    _validate_shape(dimension, count)
+    gamma = _fgn_autocov(hurst, grid.steps, grid.dt)
+    lam = _circulant_eigenvalues(gamma)
+    chol = None if lam is not None else _fgn_cholesky(gamma)
+    out = np.empty((count, dimension, grid.steps + 1))
+    out[:, :, 0] = 0.0
+    for i in range(count):
+        for c in range(dimension):
+            rng = _component_rng(seed, first + i, c)
+            if lam is not None:
+                inc = _fgn_from_normals(lam, rng.standard_normal(2 * grid.steps))
+            else:
+                inc = chol @ rng.standard_normal(grid.steps)
+            np.cumsum(inc, out=out[i, c, 1:])
+    return out
+
+
+def _bm_rows(dimension: int, grid: TimeGrid, seed: int, first: int,
+             count: int) -> np.ndarray:
+    """Increments of Brownian paths first .. first + count - 1, (count, dimension, steps)."""
+    _validate_shape(dimension, count)
+    scale = math.sqrt(grid.dt)
+    out = np.empty((count, dimension, grid.steps))
+    for i in range(count):
+        for c in range(dimension):
+            rng = _component_rng(seed, first + i, c)
+            out[i, c] = scale * rng.standard_normal(grid.steps)
+    return out
 
 
 def generate_fbm(hurst: float, dimension: int, grid: TimeGrid, seed: int,
@@ -229,31 +265,13 @@ def generate_fbm(hurst: float, dimension: int, grid: TimeGrid, seed: int,
     Deterministic: the same (hurst, dimension, grid, seed, path_index)
     always returns bit-identical values.
     """
-    _validate_hurst(hurst)
-    if dimension < 1:
-        raise ParameterError(f"dimension must be >= 1, got {dimension}")
-    gamma = _fgn_autocov(hurst, grid.steps, grid.dt)
-    lam = _circulant_eigenvalues(gamma)
-    inc = np.empty((dimension, grid.steps))
-    for c in range(dimension):
-        rng = _component_rng(seed, path_index, c)
-        if lam is not None:
-            inc[c] = _fgn_from_normals(lam, rng.standard_normal(2 * grid.steps))
-        else:
-            inc[c] = _fgn_cholesky(gamma, rng.standard_normal(grid.steps))
-    values = np.concatenate([np.zeros((dimension, 1)), np.cumsum(inc, axis=1)], axis=1)
-    return FbmPath(hurst, dimension, grid, values, inc, seed, path_index)
+    values = _fbm_rows(hurst, dimension, grid, seed, path_index, 1)[0]
+    return FbmPath(hurst, dimension, grid, values, seed, path_index)
 
 
 def generate_bm(dimension: int, grid: TimeGrid, seed: int, path_index: int = 0) -> BmPath:
     """Sample one standard Brownian path with independent components."""
-    if dimension < 1:
-        raise ParameterError(f"dimension must be >= 1, got {dimension}")
-    scale = math.sqrt(grid.dt)
-    inc = np.empty((dimension, grid.steps))
-    for c in range(dimension):
-        rng = _component_rng(seed, path_index, c)
-        inc[c] = scale * rng.standard_normal(grid.steps)
+    inc = _bm_rows(dimension, grid, seed, path_index, 1)[0]
     values = np.concatenate([np.zeros((dimension, 1)), np.cumsum(inc, axis=1)], axis=1)
     return BmPath(dimension, grid, values, inc, seed, path_index)
 
@@ -262,43 +280,13 @@ def generate_fbm_batch(hurst: float, dimension: int, grid: TimeGrid, seed: int,
                        count: int) -> np.ndarray:
     """Values array of shape (count, dimension, steps + 1).
 
-    Path i equals generate_fbm(..., path_index=i).values bit for bit; the
-    batch form only avoids recomputing the embedding eigenvalues.
+    Path i equals generate_fbm(..., path_index=i).values bit for bit: a
+    single path is this batch with one row.
     """
-    _validate_hurst(hurst)
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    gamma = _fgn_autocov(hurst, grid.steps, grid.dt)
-    lam = _circulant_eigenvalues(gamma)
-    chol = None
-    if lam is None:
-        cov = toeplitz(gamma[:-1])
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise GenerationError("increment covariance is numerically singular") from exc
-    out = np.empty((count, dimension, grid.steps + 1))
-    out[:, :, 0] = 0.0
-    for i in range(count):
-        for c in range(dimension):
-            rng = _component_rng(seed, i, c)
-            if lam is not None:
-                inc = _fgn_from_normals(lam, rng.standard_normal(2 * grid.steps))
-            else:
-                inc = chol @ rng.standard_normal(grid.steps)
-            np.cumsum(inc, out=out[i, c, 1:])
-    return out
+    return _fbm_rows(hurst, dimension, grid, seed, 0, count)
 
 
 def generate_bm_increments(dimension: int, grid: TimeGrid, seed: int,
                            count: int) -> np.ndarray:
     """Increment array of shape (count, dimension, steps) for a driver ensemble."""
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    scale = math.sqrt(grid.dt)
-    out = np.empty((count, dimension, grid.steps))
-    for i in range(count):
-        for c in range(dimension):
-            rng = _component_rng(seed, i, c)
-            out[i, c] = scale * rng.standard_normal(grid.steps)
-    return out
+    return _bm_rows(dimension, grid, seed, 0, count)

@@ -165,17 +165,24 @@ class Ensemble:
     def blowup_count(self) -> int:
         return int((~self.ok_mask).sum())
 
-    def increments(self, k0: int, k1: int) -> np.ndarray:
-        """X(t_k1) - X(t_k0) for surviving paths, shape (ok_paths, d)."""
-        vals = self.values[self.ok_mask]
-        return vals[:, :, k1] - vals[:, :, k0]
+    def window_increments(self, windows: list[tuple[int, int]]):
+        """Yield X(t_k1) - X(t_k0) of the surviving paths, (ok_paths, d), per window.
+
+        Only the windows' end-point columns of the surviving paths are
+        gathered, once for all windows.
+        """
+        nodes = sorted({k for window in windows for k in window})
+        column = {k: j for j, k in enumerate(nodes)}
+        ends = self.values[:, :, nodes][self.ok_mask]
+        for k0, k1 in windows:
+            yield ends[:, :, column[k1]] - ends[:, :, column[k0]]
 
     def moment_table(self, m: float, max_level: int = 6) -> list[dict]:
         """Empirical E|X(t)-X(s)|^m with stderr over the dyadic window set."""
         rows = []
         grid = self.scenario.grid
-        for k0, k1 in grid.dyadic_windows(max_level):
-            inc = self.increments(k0, k1)
+        windows = grid.dyadic_windows(max_level)
+        for (k0, k1), inc in zip(windows, self.window_increments(windows)):
             mags = np.linalg.norm(inc, axis=1) ** m
             mean = float(mags.mean())
             stderr = float(mags.std(ddof=1) / math.sqrt(mags.size)) if mags.size > 1 else 0.0

@@ -90,12 +90,10 @@ def moment_ratio(ensemble: Ensemble, m: float, gamma0: float, *,
         raise ParameterError(f"m must be >= 2, got {m}")
     grid = ensemble.scenario.grid
     windows = grid.dyadic_windows(max_level)
-    ok = ensemble.ok_mask
-    vals = ensemble.values[ok]
-    mags = np.empty((vals.shape[0], len(windows)))
+    mags = np.empty((int(ensemble.ok_mask.sum()), len(windows)))
     weights = np.empty(len(windows))
-    for col, (k0, k1) in enumerate(windows):
-        inc = vals[:, :, k1] - vals[:, :, k0]
+    increments = ensemble.window_increments(windows)
+    for col, ((k0, k1), inc) in enumerate(zip(windows, increments)):
         mags[:, col] = np.linalg.norm(inc, axis=1) ** m
         weights[col] = ((k1 - k0) * grid.dt) ** (m * gamma0 / 2.0)
     ratios = mags.mean(axis=0) / weights

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmlab import (ParameterError, SpatialGrid, TimeGrid, generate_fbm,
                     local_time, multilinear_interpolate,
@@ -108,6 +110,27 @@ def test_window_additivity_is_bit_exact():
     assert np.array_equal(lt.counts, local_time(path, box, 0.0, 1.0).counts)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 2),
+       st.lists(st.integers(1, 127), max_size=6, unique=True),
+       st.sampled_from([0.02, 0.1, 0.4]), st.booleans())
+def test_occupation_counts_are_additive_over_window_splits(seed, d, cuts, h, tight):
+    grid_t = TimeGrid(1.0, 128)
+    path = generate_fbm(0.3, d, grid_t, seed)
+    # A tight box lets some samples escape, so escaped counts add up too.
+    box = SpatialGrid.cover(path.values.T[:40] if tight else path.values.T, h)
+    nodes = [0, *sorted(cuts), 128]
+    pieces = [occupation_measure(path, box, k0 * grid_t.dt, k1 * grid_t.dt)
+              for k0, k1 in zip(nodes[:-1], nodes[1:])]
+    merged = sum(pieces[1:], pieces[0])
+    whole = local_time(path, box, 0.0, 1.0)
+    assert np.array_equal(merged.counts, whole.counts)
+    assert merged.escaped_count == whole.escaped_count
+    assert merged.counts.sum() + merged.escaped_count == 128
+    assert np.array_equal(merged.values, whole.values)
+    assert np.array_equal(merged.masses, whole.masses)
+
+
 def test_incompatible_windows_do_not_merge():
     grid_t = TimeGrid(1.0, 16)
     path = RawPath(1, grid_t, np.zeros((1, 17)) + 0.3)
@@ -171,19 +194,6 @@ def test_occupation_formula_residual_within_lipschitz_budget():
     # finer grid is held to its own budget rather than to the coarse value.
     finer = SpatialGrid.cover(path.values.T, h / 4)
     assert occupation_formula_residual(f, path, finer, 1.0) <= 0.5 * (h / 4)
-
-
-def test_local_time_csv_layout():
-    import io
-
-    grid_t = TimeGrid(1.0, 8)
-    path = RawPath(1, grid_t, np.full((1, 9), 0.3))
-    box = SpatialGrid((-1.0,), 0.5, (4,))
-    buf = io.StringIO()
-    local_time(path, box, 0.0, 1.0).to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[1] == "z_1,L"
-    assert len(lines) == 2 + 4
 
 
 def test_multilinear_interpolation_reproduces_affine_fields():

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from fbmlab import (ParameterError, TimeGrid, fbm_covariance, generate_bm,
-                    generate_bm_increments, generate_fbm, generate_fbm_batch)
+from fbmlab import (GenerationError, ParameterError, TimeGrid, fbm_covariance,
+                    generate_bm, generate_bm_increments, generate_fbm,
+                    generate_fbm_batch, paths)
 from fbmlab.paths import (_circulant_eigenvalues, _fgn_autocov,
                           _fgn_from_normals)
 
@@ -77,6 +80,51 @@ def test_bm_increment_ensemble_matches_paths():
         assert np.array_equal(np.cumsum(db[i], axis=1), single.values[:, 1:])
 
 
+# (seed, count, index < count, dimension, steps)
+_batches = st.integers(1, 6).flatmap(lambda count: st.tuples(
+    st.integers(0, 2 ** 63), st.just(count), st.integers(0, count - 1),
+    st.integers(1, 3), st.sampled_from([1, 2, 5, 16, 33])))
+
+
+def _assert_batch_rows_are_single_paths(seed, count, index, d, steps, hurst):
+    grid = TimeGrid(1.0, steps)
+    fbm = generate_fbm_batch(hurst, d, grid, seed, count)
+    assert fbm.shape == (count, d, steps + 1)
+    assert np.array_equal(fbm[index], generate_fbm(hurst, d, grid, seed, index).values)
+    db = generate_bm_increments(d, grid, seed, count)
+    assert db.shape == (count, d, steps)
+    assert np.array_equal(db[index], generate_bm(d, grid, seed, index).increments)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_batches, st.sampled_from([0.1, 0.25, 0.5, 0.75]))
+def test_batch_row_is_the_single_path(batch, hurst):
+    _assert_batch_rows_are_single_paths(*batch, hurst)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_batches)
+def test_batch_row_is_the_single_path_on_the_cholesky_route(batch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paths, "_circulant_eigenvalues", lambda gamma: None)
+        _assert_batch_rows_are_single_paths(*batch, 0.3)
+        # The fallback is an exact sampler too: H = 1/2 gives Brownian paths.
+        grid = TimeGrid(1.0, batch[4])
+        rows = generate_fbm_batch(0.5, 1, grid, batch[0], 1)[0, 0, 1:]
+        bm = generate_bm(1, grid, batch[0]).values[0, 1:]
+        assert np.allclose(rows, bm, rtol=1e-12, atol=1e-14)
+
+
+def test_singular_covariance_fails_with_its_eigenvalues(monkeypatch):
+    monkeypatch.setattr(paths, "_circulant_eigenvalues", lambda gamma: None)
+    monkeypatch.setattr(paths, "_fgn_autocov", lambda hurst, n, dt: np.zeros(n + 1))
+    grid = TimeGrid(1.0, 8)
+    for sample in (lambda: generate_fbm(0.3, 1, grid, 1),
+                   lambda: generate_fbm_batch(0.3, 1, grid, 1, 3)):
+        with pytest.raises(GenerationError, match="min eigenvalue 0.000e"):
+            sample()
+
+
 def test_components_and_paths_are_independent_streams():
     grid = TimeGrid(1.0, 64)
     p = generate_fbm(0.5, 2, grid, 5)
@@ -111,6 +159,17 @@ def test_parameter_validation():
         TimeGrid(1.0, 0)
     with pytest.raises(ParameterError):
         generate_fbm_batch(0.5, 1, grid, 1, 0)
+
+
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_batch_generators_reject_nonpositive_dimension(dimension):
+    grid = TimeGrid(1.0, 16)
+    with pytest.raises(ParameterError, match="dimension"):
+        generate_fbm_batch(0.5, dimension, grid, 1, 4)
+    with pytest.raises(ParameterError, match="dimension"):
+        generate_bm_increments(dimension, grid, 1, 4)
+    with pytest.raises(ParameterError, match="dimension"):
+        generate_bm(dimension, grid, 1)
 
 
 def test_time_grid_node_lookup_and_subsample():
