@@ -35,7 +35,7 @@ from .errors import (BlowUpError, FbmLabError, HypothesisError,
                      ParameterError)
 from .experiments import (ALL_CRITERIA, HEADLINE_CONFIG, build_scenario,
                           criterion_admissibility, verify_scenario,
-                          _constant_field_reports)
+                          _identity_field_reports)
 from .occupation import SpatialGrid, local_time
 from .paths import TimeGrid, generate_fbm
 from .sewing import Germ, sew
@@ -177,7 +177,7 @@ def _emit(text: str) -> None:
 
 def _experiment_e0() -> tuple[list[dict], list[dict]]:
     """Identity-field smoke test: exact identities plus threshold table."""
-    reports = _constant_field_reports()
+    reports = _identity_field_reports()[0]
     rows = [r.to_dict() for r in reports]
     adm = criterion_admissibility()
     results = [{"id": "constant-field-identities",

@@ -19,7 +19,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,16 +29,15 @@ from .averaging import (average_direct, average_via_local_time,
 from .errors import ParameterError
 from .fields import MatrixField, hs_norm_sq, identity_field, singular_example
 from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
-from .paths import TimeGrid, fbm_covariance, generate_fbm, generate_fbm_batch
+from .paths import (FbmPath, TimeGrid, fbm_covariance, generate_fbm,
+                    generate_fbm_batch)
 from .sewing import Germ, sew
-from .solver import (Ensemble, MollifiedCauchyReport, QuenchedScenario,
-                     cauchy_report, family_grid, mollified_family,
-                     solve_ensemble, walk_ensemble)
-from .verify import (IdentityReport, MomentRatioReport, cross_term_check,
-                     cross_term_report, isometry_report, ito_isometry_check,
-                     lebesgue_vs_sewing, martingale_reports,
-                     martingale_residuals, moment_ratio, moment_ratio_trend,
-                     quantized_perturbation)
+from .solver import (MollifiedCauchyReport, QuenchedScenario, cauchy_report,
+                     family_grid, mollified_family, solve_ensemble,
+                     walk_ensemble)
+from .verify import (IdentityReport, MomentRatioReport, cross_term_report,
+                     isometry_report, lebesgue_vs_sewing, martingale_reports,
+                     moment_ratio, moment_ratio_trend, quantized_perturbation)
 
 HEADLINE = {
     "hurst": 0.2, "gamma": 0.4, "radius": 1.0, "p": 2.0, "m": 4.0,
@@ -111,7 +110,7 @@ def criterion_occupation_formula(seed: int = 5) -> dict:
         factor = 1 << (10 - level)
         grid_t = fbm.grid.subsample(factor)
         sub = fbm.values[:, ::factor]
-        path = _RawPath(1, grid_t, sub, hurst=0.25)
+        path = FbmPath(0.25, 1, grid_t, sub, seed)
         h = 2.0 ** (-level)
         grid = SpatialGrid.cover(sub.T, h)
         residuals.append(occupation_formula_residual(f, path, grid, 1.0))
@@ -127,16 +126,6 @@ def criterion_occupation_formula(seed: int = 5) -> dict:
         f"residual {residuals[-1]:.3e} <= {bound:.3e}, decay rate "
         f"{-slope:.2f} per halving (need >= 0.8)",
         {"residuals": residuals, "bound": bound, "rate": -slope}, elapsed)
-
-
-@dataclass(frozen=True, eq=False)
-class _RawPath:
-    """Array-backed path view used when subsampling an existing path."""
-
-    dimension: int
-    grid: TimeGrid
-    values: np.ndarray = field(repr=False)
-    hurst: float | None = None
 
 
 # --- criterion 3: dual averaging routes agree ------------------------------
@@ -425,7 +414,7 @@ def criterion_ito_isometry() -> dict:
     qv_ok = res.qv_report.passed
 
     # Constant field: identities with zero discretization margin.
-    exact = _constant_field_reports()
+    exact = _identity_field_reports()[0]
     const_ok = all(r.passed for r in exact)
     ok = iso_ok and qv_ok and const_ok
     worst = max(abs(r.left - r.right) / (4.0 * r.stderr + r.margin)
@@ -441,24 +430,31 @@ def criterion_ito_isometry() -> dict:
         time.perf_counter() - start)
 
 
-def _identity_ensemble() -> tuple[Ensemble, SpatialGrid]:
-    """4000 paths with sigma = identity along one H=0.2 path, and its quantization grid."""
+@functools.cache
+def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
+                                      tuple[IdentityReport, ...]]:
+    """The identity-field control: 4000 paths along one H=0.2 path, solved
+    and walked once per process.  Returns the constant-field reports
+    (isometry, cross term, quadratic variation; their right sides are
+    deterministic time integrals, so zero margin) and the martingale
+    residuals.  Only the reports are cached; the ensemble is freed."""
     grid_t = TimeGrid(1.0, 256)
     fbm = generate_fbm(0.2, 1, grid_t, 3)
-    scen = QuenchedScenario(fbm, identity_field(1), np.zeros(1), (0.25,), 4000,
-                            13, p=2.0)
-    return solve_ensemble(scen), SpatialGrid.cover(fbm.values.T, grid_t.dt)
-
-
-def _constant_field_reports() -> list[IdentityReport]:
-    ens, qgrid = _identity_ensemble()
-    sigma = ens.scenario.sigma
-    iso = ito_isometry_check(ens, sigma, qgrid, 1.0, margin_fraction=0.0)
-    cross = cross_term_check(ens, sigma, sigma, qgrid, 1.0, margin_fraction=0.0)
-    qv = lebesgue_vs_sewing(ens.values[0], ens.scenario.fbm, hs_norm_sq(sigma),
-                            qgrid, (0.25, 0.75), margin_fraction=0.0)
-    # For a constant field the right sides are deterministic time integrals.
-    return [iso, cross, qv]
+    sigma = identity_field(1)
+    ens = solve_ensemble(QuenchedScenario(fbm, sigma, np.zeros(1), (0.25,), 4000,
+                                          13, p=2.0))
+    qgrid = SpatialGrid.cover(fbm.values.T, grid_t.dt)
+    pairs = [(0.25, 0.5), (0.5, 1.0)]
+    k_t = grid_t.node_index(1.0)
+    sums = walk_ensemble(ens, k_t, drift=[sigma], snap=[sigma],
+                         snapped=quantized_perturbation(fbm.values, qgrid)[:k_t],
+                         sigma_raw=sigma,
+                         windows=[grid_t.window(s, t) for s, t in pairs])
+    exact = (isometry_report(ens, sums, 0, 1.0, margin_fraction=0.0),
+             cross_term_report(ens, sums, 0, 1.0, margin_fraction=0.0),
+             lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma), qgrid,
+                                (0.25, 0.75), margin_fraction=0.0))
+    return exact, tuple(martingale_reports(ens, sums, 0, pairs))
 
 
 def criterion_martingale_residuals() -> dict:
@@ -471,9 +467,7 @@ def criterion_martingale_residuals() -> dict:
     # Identity field: residuals pass and the compensators are exactly the
     # window length on every path, so the zero expectation carries no
     # discretization margin at all.
-    ens, _qgrid = _identity_ensemble()
-    id_reports = martingale_residuals(ens, ens.scenario.sigma,
-                                      [(0.25, 0.5), (0.5, 1.0)])
+    id_reports = _identity_field_reports()[1]
     id_ok = all(r.passed for r in id_reports)
     comp_exact = all(
         r.extras["compensator_min"] == r.extras["compensator_max"]
@@ -497,7 +491,7 @@ def criterion_mollified_cauchy() -> dict:
     diffs = res.cauchy.consecutive_diffs
     gaps = res.cauchy.sigma_gaps
     decreasing = all(b <= 1.1 * a for a, b in zip(diffs, diffs[1:]))
-    ratios = [d / g for d, g in zip(diffs, gaps)]
+    ratios = list(res.cauchy.tracking_ratios)
     geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     tracked = all(geo / 3.0 <= r <= 3.0 * geo for r in ratios)
     ok = decreasing and tracked

@@ -67,12 +67,6 @@ class MatrixField:
                 f"oracle returned shape {out.shape}, expected {pts.shape[:-1] + (self.d, self.n)}")
         return out
 
-    def sample(self, grid: SpatialGrid) -> np.ndarray:
-        """Values at all bin centers, shape grid.shape + (d, n)."""
-        if grid == self.grid and self.grid_values is not None:
-            return self.grid_values
-        return self(grid.centers_mesh())
-
     def _combine(self, other: "MatrixField", op, label: str) -> "MatrixField":
         if (self.d, self.n) != (other.d, other.n):
             raise ParameterError("field shapes differ")
@@ -116,9 +110,6 @@ class ScalarField:
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return np.asarray(self._oracle(pts), dtype=float)
-
-    def sample(self, grid: SpatialGrid) -> np.ndarray:
-        return self(grid.centers_mesh())
 
     def __repr__(self) -> str:
         return f"ScalarField({self.label}, d={self.d})"
@@ -168,12 +159,9 @@ def singular_example(gamma: float, radius: float, d: int) -> MatrixField:
         amp = np.where(r <= radius, amp, 0.0)
         return amp[..., None, None] * eye
 
-    fld = MatrixField(oracle, d, d, p_tag=d / gamma, support_radius=radius,
-                      singular_points=(np.zeros(d),),
-                      label=f"|x|^-{gamma} on |x|<={radius}")
-    fld.gamma = gamma
-    fld.radius = radius
-    return fld
+    return MatrixField(oracle, d, d, p_tag=d / gamma, support_radius=radius,
+                       singular_points=(np.zeros(d),),
+                       label=f"|x|^-{gamma} on |x|<={radius}")
 
 
 def hs_norm_sq(field: MatrixField) -> ScalarField:
@@ -233,12 +221,6 @@ class MollifierSpec:
         ramp = u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
         return 1.0 - ramp
 
-    def metadata(self) -> dict:
-        return {"epsilon": self.epsilon, "kernel": "polynomial_bump",
-                "bump_power": self.bump_power,
-                "cutoff": "quintic_ramp", "cutoff_inner_radius": 0.5 / self.epsilon,
-                "cutoff_outer_radius": 1.0 / self.epsilon}
-
 
 def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> MatrixField:
     """Entry-wise zero-padded FFT convolution of the cut-off field with the bump.
@@ -288,7 +270,7 @@ def _lattice_values(grid: SpatialGrid, table: np.ndarray, radius, pts) -> np.nda
     table has shape grid.shape + entry shape; radius is a float, or one
     radius per member of a stacked (..., k, d, n) table.
     """
-    vals = multilinear_interpolate(grid.lower, grid.h, table, pts, fill=0.0)
+    vals = multilinear_interpolate(grid.lower, grid.h, table, pts)
     # The convolution support is a ball; clip FFT dust outside it.
     r = np.linalg.norm(pts, axis=-1)
     vals[r[..., None] > radius if np.ndim(radius) else r > radius] = 0.0

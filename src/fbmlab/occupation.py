@@ -238,7 +238,7 @@ def occupation_formula_residual(f, path, grid: SpatialGrid, t: float) -> float:
 
 
 def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
-                            fill: float = 0.0, clamp: bool = False) -> np.ndarray:
+                            clamp: bool = False) -> np.ndarray:
     """Multilinear interpolation between lattice samples.
 
     values[i_1, .., i_d] is the sample at lower + (i + 0.5) * h (bin
@@ -246,7 +246,7 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
     one call interpolates a whole matrix (or a stack of matrices) per point
     from a single base/fraction computation, each entry bit-equal to
     interpolating its own scalar lattice.  Outside the center lattice the
-    result is `fill`, or the edge value when clamp is True.  Works for any
+    result is 0, or the edge value when clamp is True.  Works for any
     dimension; points has shape (..., d), the result (...,) + entry shape.
     """
     pts = np.asarray(points, dtype=float)
@@ -275,4 +275,4 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
         # Clamp covers size-1 axes, where the far corner has zero weight.
         idx = tuple(np.minimum(base[..., a] + offs[a], shape[a] - 1) for a in range(d))
         out += weight[(...,) + entry] * values[idx]
-    return np.where(in_range[(...,) + entry], out, fill)
+    return np.where(in_range[(...,) + entry], out, 0.0)

@@ -18,7 +18,9 @@ increment covariance, which is exact as well, just slower.
 
 Randomness is counter-based: each (seed, path_index, component) triple keys
 an independent Philox stream, so ensembles can be generated in any order,
-or in parallel, without coupling between paths.
+or in parallel, without coupling between paths.  The key holds the seed in
+64 bits and the path index and the component in 32 bits each, so seeds lie
+in [0, 2**64) and path indices and components in [0, 2**32).
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .errors import GenerationError, ParameterError
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK32 = 0xFFFFFFFF
 
 # Relative tolerance for clipping roundoff-negative circulant eigenvalues.
 _EIG_CLIP_RTOL = 1e-12
@@ -151,12 +150,8 @@ def fbm_covariance(s, t, hurst: float):
 
 
 def _component_rng(seed: int, path_index: int, component: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, path_index, component)."""
-    if path_index < 0 or component < 0:
-        raise ParameterError("path_index and component must be nonnegative")
-    key = np.array([seed & _MASK64,
-                    ((path_index & _MASK32) << 32) | (component & _MASK32)],
-                   dtype=np.uint64)
+    """Philox stream keyed by (seed, path_index, component) in _validate_rows ranges."""
+    key = np.array([seed, (int(path_index) << 32) | component], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -210,11 +205,17 @@ def _fgn_cholesky(gamma: np.ndarray) -> np.ndarray:
             f"(min eigenvalue {eigs.min():.3e}, max {eigs.max():.3e})") from exc
 
 
-def _validate_shape(dimension: int, count: int) -> None:
-    if dimension < 1:
-        raise ParameterError(f"dimension must be >= 1, got {dimension}")
+def _validate_rows(dimension: int, seed: int, first: int, count: int) -> None:
+    """ParameterError unless rows first .. first + count - 1 have valid stream keys."""
+    if not 1 <= dimension <= 1 << 32:
+        raise ParameterError(f"dimension must lie in [1, 2**32], got {dimension}")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    if not 0 <= seed < 1 << 64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
+    if not 0 <= first <= first + count - 1 < 1 << 32:
+        raise ParameterError(f"path indices must lie in [0, 2**32), got "
+                             f"{first} .. {first + count - 1}")
 
 
 def _fbm_rows(hurst: float, dimension: int, grid: TimeGrid, seed: int,
@@ -228,7 +229,7 @@ def _fbm_rows(hurst: float, dimension: int, grid: TimeGrid, seed: int,
     """
     if not (0.0 < hurst < 1.0):
         raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-    _validate_shape(dimension, count)
+    _validate_rows(dimension, seed, first, count)
     gamma = _fgn_autocov(hurst, grid.steps, grid.dt)
     lam = _circulant_eigenvalues(gamma)
     chol = None if lam is not None else _fgn_cholesky(gamma)
@@ -248,7 +249,7 @@ def _fbm_rows(hurst: float, dimension: int, grid: TimeGrid, seed: int,
 def _bm_rows(dimension: int, grid: TimeGrid, seed: int, first: int,
              count: int) -> np.ndarray:
     """Increments of Brownian paths first .. first + count - 1, (count, dimension, steps)."""
-    _validate_shape(dimension, count)
+    _validate_rows(dimension, seed, first, count)
     scale = math.sqrt(grid.dt)
     out = np.empty((count, dimension, grid.steps))
     for i in range(count):

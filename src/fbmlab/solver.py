@@ -24,7 +24,8 @@ from .errors import BlowUpError, ParameterError
 from .fields import (LatticeStack, MatrixField, MollifierSpec,
                      evaluate_together, lp_norm, mollify)
 from .occupation import SpatialGrid
-from .paths import BmPath, FbmPath, TimeGrid, generate_bm_increments
+from .paths import (BmPath, FbmPath, TimeGrid, _validate_rows,
+                    generate_bm_increments)
 
 BLOWUP_BOUND = 1.0e6
 BLOWUP_ABORT_FRACTION = 0.01
@@ -61,6 +62,8 @@ class QuenchedScenario:
             raise ParameterError("perturbation path and field dimensions differ")
         if self.ensemble_size < 1:
             raise ParameterError("ensemble_size must be >= 1")
+        # Driver stream keys fail here, before a sweep mollifies anything.
+        _validate_rows(self.driver_dimension, self.base_seed, 0, self.ensemble_size)
         eps = tuple(float(e) for e in self.eps_seq)
         if any(e <= 0.0 for e in eps):
             raise ParameterError("mollification radii must be positive")
@@ -150,8 +153,12 @@ class Ensemble:
     scenario: QuenchedScenario
     epsilon: float | None
     values: np.ndarray = field(repr=False)       # (paths, d, steps + 1)
-    driver_increments: np.ndarray = field(repr=False)  # (paths, n, steps)
     blowup_steps: np.ndarray = field(repr=False)  # (paths,), -1 = none
+
+    @property
+    def driver_increments(self) -> np.ndarray:
+        """The scenario's drivers (paths, n, steps), shared by all its solves."""
+        return self.scenario.driver_increments
 
     @property
     def n_paths(self) -> int:
@@ -208,7 +215,7 @@ def solve_ensemble(scenario: QuenchedScenario, sigma_field: MatrixField | None =
     db = scenario.driver_increments
     values, blowup = _euler_batch(sigma, scenario.fbm.values, db, scenario.x0,
                                   blowup_bound)
-    ens = Ensemble(scenario, epsilon, values, db, blowup)
+    ens = Ensemble(scenario, epsilon, values, blowup)
     if ens.blowup_count > abort_fraction * ens.n_paths:
         raise BlowUpError(
             f"{ens.blowup_count} of {ens.n_paths} paths blew up "

@@ -30,6 +30,9 @@ from .solver import Ensemble, PathSums, walk_ensemble
 
 WEIGHT_DICTIONARY_VERSION = 1
 _CLIP = 1.0
+# moment_ratio's path bootstrap: resamples, and the Philox key of their draws.
+_BOOTSTRAP = 200
+_BOOTSTRAP_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,7 @@ class MomentRatioReport:
 
 
 def moment_ratio(ensemble: Ensemble, m: float, gamma0: float, *,
-                 max_level: int = 4, bootstrap: int = 200,
-                 bootstrap_seed: int = 0) -> MomentRatioReport:
+                 max_level: int = 4) -> MomentRatioReport:
     """max over dyadic windows of mean |X(t)-X(s)|^m / (t-s)^(m gamma0 / 2).
 
     The window set runs over dyadic levels 0..max_level.  The default stops
@@ -98,10 +100,10 @@ def moment_ratio(ensemble: Ensemble, m: float, gamma0: float, *,
         weights[col] = ((k1 - k0) * grid.dt) ** (m * gamma0 / 2.0)
     ratios = mags.mean(axis=0) / weights
     ratio = float(ratios.max())
-    rng = np.random.Generator(np.random.Philox(key=bootstrap_seed))
+    rng = np.random.Generator(np.random.Philox(key=_BOOTSTRAP_SEED))
     n = mags.shape[0]
-    stats = np.empty(bootstrap)
-    for b in range(bootstrap):
+    stats = np.empty(_BOOTSTRAP)
+    for b in range(_BOOTSTRAP):
         pick = rng.integers(0, n, size=n)
         stats[b] = (mags[pick].mean(axis=0) / weights).max()
     hurst = ensemble.scenario.fbm.hurst

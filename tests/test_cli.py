@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from fbmlab import ParameterError
+from fbmlab import ParameterError, experiments, verify
 from fbmlab.cli import main, parse_config_text
-from fbmlab.experiments import ALL_CRITERIA
+from fbmlab.experiments import ALL_CRITERIA, HEADLINE_CONFIG
 
 IDENTITY_CONFIG = """\
 # small identity-coefficient setup
@@ -90,6 +90,19 @@ def test_gen_fbm_writes_deterministic_csv(tmp_path, capsys):
     assert lines[1] == "t,w_1,w_2"
     assert len(lines) == 13  # comment + header + 11 nodes
     assert text == second.read_text()
+
+
+def test_gen_fbm_rejects_keys_outside_the_philox_fields(capsys):
+    """Seeds outside [0, 2**64) and path indices outside [0, 2**32) would
+    reuse another path's stream; they exit 2 instead."""
+    base = ["gen-fbm", "--hurst", "0.4", "--dim", "1", "--steps", "8"]
+    for extra in (["--seed", "5", "--path-index", str(2 ** 32)],
+                  ["--seed", str(2 ** 64)], ["--seed", "-1"]):
+        assert main(base + extra) == 2
+        assert "must lie in" in capsys.readouterr().err
+    assert main(base + ["--seed", str(2 ** 64 - 1),
+                        "--path-index", str(2 ** 32 - 1)]) == 0
+    capsys.readouterr()
 
 
 def test_sew_subcommand_reports_rate_and_value(capsys):
@@ -179,6 +192,43 @@ def test_run_e0_artifacts_are_byte_stable(tmp_path, capsys):
     assert summary["passed"]
     assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
     assert (first / "config.json").read_bytes() == (second / "config.json").read_bytes()
+
+
+def test_identity_control_is_solved_and_walked_once(tmp_path, monkeypatch, capsys):
+    """fbmlab run E0 and the constant-field halves of the ito-isometry and
+    martingale-residuals criteria share one solve and one walk of the
+    4000-path identity-field ensemble."""
+    # A small sweep stands in for the headline one, which those criteria
+    # also read but which is not under test here.
+    small = {**HEADLINE_CONFIG, "sigma": "identity", "steps": 64, "paths": 64,
+             "eps": [0.5, 0.25]}
+    sweep = experiments.verify_scenario(*experiments.build_scenario(small), 2.0,
+                                        0.5, [(0.25, 0.5)])
+    monkeypatch.setattr(experiments, "run_headline", lambda: sweep)
+    solved, walked = [], []
+
+    def logged(log, fn):
+        def call(*args, **kwargs):
+            log.append(args[0])
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(experiments, "solve_ensemble",
+                        logged(solved, experiments.solve_ensemble))
+    for module in (experiments, verify):
+        monkeypatch.setattr(module, "walk_ensemble",
+                            logged(walked, module.walk_ensemble))
+    experiments._identity_field_reports.cache_clear()
+    assert main(["run", "--experiment", "E0", "--out", str(tmp_path)]) == 0
+    iso = ALL_CRITERIA["ito-isometry"]()["details"]["constant_field"]
+    mart = ALL_CRITERIA["martingale-residuals"]()["details"]
+    capsys.readouterr()
+    assert [r["tag"] for r in iso] == ["ito_isometry", "cross_term",
+                                       "quadratic_variation"]
+    assert all(r["passed"] for r in iso)
+    assert mart["identity_passed"] and mart["identity_compensators_exact"]
+    assert [s.ensemble_size for s in solved] == [4000]
+    assert [ens.n_paths for ens in walked] == [4000]
 
 
 def test_run_calls_each_criterion_once_and_propagates_type_errors(

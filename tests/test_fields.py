@@ -129,11 +129,23 @@ def test_mollify_requires_resolving_grid():
                 SpatialGrid.from_box(-2.0, 2.0, 64))
 
 
-def test_mollify_passes_constants_through():
-    grid = SpatialGrid.from_box(-4.0, 4.0, 512)
-    fld = mollify(constant_field(np.array([[2.0]])), MollifierSpec(0.25), grid)
-    pts = np.linspace(-1.0, 1.0, 41)[:, None]
-    assert np.max(np.abs(fld(pts)[..., 0, 0] - 2.0)) < 1e-12
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.sampled_from([0.125, 0.25, 0.5]),
+       st.data())
+def test_mollify_passes_constants_through(d, n, eps, data):
+    """Deep in the interior a constant field comes out unchanged: inside the
+    cut-off plateau by one kernel reach plus one bin, and at least one
+    kernel reach plus one bin from the lattice edge."""
+    entry = st.floats(-5.0, 5.0, allow_nan=False)
+    mat = np.array(data.draw(st.lists(entry, min_size=d * n, max_size=d * n)))
+    mat = mat.reshape(d, n)
+    h = eps / 4.0  # kernel reach: 4 bins
+    grid = SpatialGrid.from_box(-24 * h, 24 * h, 48, d)
+    deep = min(0.5 / eps - eps - math.sqrt(d) * h, (24 - 4 - 2) * h) / math.sqrt(d)
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    pts = deep * np.array(data.draw(st.lists(unit, min_size=1, max_size=8)))
+    fld = mollify(constant_field(mat), MollifierSpec(eps), grid)
+    assert np.max(np.abs(fld(pts) - mat)) <= 1e-12 * max(1.0, np.abs(mat).max())
 
 
 def test_mollify_smooths_the_singularity():

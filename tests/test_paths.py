@@ -12,7 +12,7 @@ from fbmlab import (GenerationError, ParameterError, TimeGrid, fbm_covariance,
                     generate_bm, generate_bm_increments, generate_fbm,
                     generate_fbm_batch, paths)
 from fbmlab.paths import (_circulant_eigenvalues, _fgn_autocov,
-                          _fgn_from_normals)
+                          _fgn_cholesky, _fgn_from_normals)
 
 
 def test_covariance_closed_form_values():
@@ -28,7 +28,7 @@ def test_covariance_closed_form_values():
     assert fbm_covariance(0.6, 0.6, 0.3) == pytest.approx(0.6 ** 0.6, rel=1e-15)
 
 
-@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99])
 def test_circulant_map_is_exact(hurst):
     """Push basis vectors through the sampling map and recover the covariance.
 
@@ -44,6 +44,25 @@ def test_circulant_map_is_exact(hurst):
     a = np.stack(cols, axis=1)
     err = np.max(np.abs(a @ a.T - toeplitz(gamma[:-1])))
     assert err < 1e-13
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999])
+def test_embedding_stays_positive_and_cholesky_stays_exact_near_one(hurst):
+    """Circulant embedding (Davies-Harte 1987, Dietrich-Newsam 1997) samples
+    exactly when the embedding's eigenvalues are nonnegative.  For
+    fractional Gaussian noise the raw eigenvalues stay clear of the
+    clipping tolerance up to H = 0.999 at 2**14 steps, and near H = 1 the
+    Cholesky fallback still factors the Toeplitz covariance to rounding."""
+    for n in (2 ** 4, 2 ** 10, 2 ** 14):
+        gamma = _fgn_autocov(hurst, n, 1.0 / n)
+        lam = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        assert lam.min() >= 1e-8 * lam.max()
+        assert np.array_equal(_circulant_eigenvalues(gamma), lam)
+    if hurst in (0.95, 0.99):
+        gamma = _fgn_autocov(hurst, 1024, 1.0 / 1024)
+        chol = _fgn_cholesky(gamma)
+        err = np.max(np.abs(chol @ chol.T - toeplitz(gamma[:-1])))
+        assert err <= 1e-14 * gamma[0]
 
 
 def test_brownian_autocovariance_is_diagonal():
@@ -159,6 +178,28 @@ def test_parameter_validation():
         TimeGrid(1.0, 0)
     with pytest.raises(ParameterError):
         generate_fbm_batch(0.5, 1, grid, 1, 0)
+
+
+def test_stream_keys_out_of_range_are_rejected():
+    """Philox keys hold the seed in 64 bits and the path index in 32, so a
+    seed or an index past its field would repeat another path's stream."""
+    grid = TimeGrid(1.0, 16)
+    for seed, first, count in [(2 ** 64, 0, 1), (-1, 0, 1), (0, 2 ** 32, 1),
+                               (0, 2 ** 32 - 2, 3)]:
+        with pytest.raises(ParameterError, match="must lie in"):
+            paths._fbm_rows(0.3, 1, grid, seed, first, count)
+        with pytest.raises(ParameterError, match="must lie in"):
+            paths._bm_rows(1, grid, seed, first, count)
+        if count == 1:
+            with pytest.raises(ParameterError, match="must lie in"):
+                generate_fbm(0.3, 1, grid, seed, path_index=first)
+            with pytest.raises(ParameterError, match="must lie in"):
+                generate_bm(1, grid, seed, path_index=first)
+    # The largest keys are valid, and distinct from the smallest.
+    top = generate_fbm(0.3, 1, grid, 2 ** 64 - 1, path_index=2 ** 32 - 1).values
+    assert not np.array_equal(top, generate_fbm(0.3, 1, grid, 0).values)
+    assert np.array_equal(paths._fbm_rows(0.3, 1, grid, 2 ** 64 - 1, 2 ** 32 - 2, 2)[1],
+                          top)
 
 
 @pytest.mark.parametrize("dimension", [0, -1])

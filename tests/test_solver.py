@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, TimeGrid,
                     constant_field, euler_maruyama, generate_bm,
                     generate_bm_increments, generate_fbm, identity_field,
                     mollified_family, mollified_integral_sequence,
                     singular_example, solve_ensemble)
-from fbmlab.solver import _euler_batch
+from fbmlab.solver import BLOWUP_BOUND, _euler_batch
 
 GRID = TimeGrid(1.0, 64)
 FBM = generate_fbm(0.2, 1, GRID, seed=5)
@@ -89,6 +91,41 @@ def test_radius_sweep_shares_drivers():
     fine = solve_ensemble(scenario, fields[0.25], epsilon=0.25)
     assert coarse.epsilon == 0.5 and fine.epsilon == 0.25
     assert np.array_equal(coarse.driver_increments, fine.driver_increments)
+
+
+def _adapted_fields(d: int):
+    """The perturbation path, and a singular, a mollified and an identity field."""
+    fbm = generate_fbm(0.2, d, GRID, seed=5)
+    sigma = singular_example(0.4, 1.0, d)
+    scenario = QuenchedScenario(fbm, sigma, np.full(d, 0.5), (0.5,), 8, BASE_SEED)
+    _grid, fields = mollified_family(scenario)
+    return fbm, {"singular": sigma, "mollified": fields[0.5],
+                 "identity": identity_field(d)}
+
+
+ADAPTED = {d: _adapted_fields(d) for d in (1, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.sampled_from(["singular", "mollified", "identity"]),
+       st.integers(0, GRID.steps - 1), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.7, BLOWUP_BOUND]), st.floats(-50.0, 50.0))
+def test_euler_scheme_is_adapted(d, kind, k, seed, bound, value):
+    """Changing the driver increments of step k leaves the states up to
+    node k, and every blow-up at or before step k, bit-identical."""
+    fbm, fields = ADAPTED[d]
+    db = generate_bm_increments(d, GRID, seed, 8)
+    changed = db.copy()
+    changed[:, :, k] = value
+    x0 = np.full(d, 0.5)
+    values, blowup = _euler_batch(fields[kind], fbm.values, db, x0, bound)
+    values_c, blowup_c = _euler_batch(fields[kind], fbm.values, changed, x0, bound)
+    assert np.array_equal(values[:, :, :k + 1], values_c[:, :, :k + 1])
+
+    def by_step_k(steps):
+        return np.where((steps >= 0) & (steps <= k), steps, -1)
+
+    assert np.array_equal(by_step_k(blowup), by_step_k(blowup_c))
 
 
 def test_euler_maruyama_validation():
