@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import (CoverageError, HypothesisError, InsufficientDataError,
                      ParameterError)
+from .fields import _fftconvolve
 from .occupation import OccupationMeasure, SpatialGrid, multilinear_interpolate
 from .paths import _write_csv
 
@@ -97,7 +97,7 @@ def average_via_local_time(f_values: np.ndarray, f_grid: SpatialGrid,
         raise CoverageError(
             f"{local_time_field.escaped_fraction:.2%} of the occupation mass "
             f"escaped the box (tolerance {escaped_tol:.2%})")
-    conv = fftconvolve(f_values, local_time_field.values) * grid_l.cell_volume
+    conv = _fftconvolve(f_values, local_time_field.values) * grid_l.cell_volume
     h = grid_l.h
     lower = tuple(fl + ll + 0.5 * h for fl, ll in zip(f_grid.lower, grid_l.lower))
     bins = tuple(mf + ml - 1 for mf, ml in zip(f_grid.shape, grid_l.shape))

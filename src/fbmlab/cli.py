@@ -358,7 +358,7 @@ def _load_config(args) -> dict:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
-    scenario, fields, _lp, _quant = build_scenario(cfg)
+    scenario, fields, _lp, _quant = build_scenario(cfg, sweep=False)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -29,15 +29,18 @@ from .averaging import (average_direct, average_via_local_time,
 from .errors import ParameterError
 from .fields import MatrixField, hs_norm_sq, identity_field, singular_example
 from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
-from .paths import (FbmPath, TimeGrid, fbm_covariance, generate_fbm,
+from .paths import (FbmPath, TimeGrid, _bm_rows, fbm_covariance, generate_fbm,
                     generate_fbm_batch)
 from .sewing import Germ, sew
-from .solver import (MollifiedCauchyReport, QuenchedScenario, cauchy_report,
-                     family_grid, mollified_family, solve_ensemble,
-                     walk_ensemble)
-from .verify import (IdentityReport, MomentRatioReport, cross_term_report,
-                     isometry_report, lebesgue_vs_sewing, martingale_reports,
-                     moment_ratio, moment_ratio_trend, quantized_perturbation)
+from .solver import (BLOWUP_ABORT_FRACTION, BLOWUP_BOUND, Ensemble,
+                     MollifiedCauchyReport, PathSums, QuenchedScenario,
+                     _abort_on_blowups, cauchy_report, family_grid,
+                     mollified_family, solve_ensemble, solve_fields,
+                     walk_ensemble, walk_members)
+from .verify import (MOMENT_MAX_LEVEL, IdentityReport, MomentRatioReport,
+                     cross_term_report, isometry_report, lebesgue_vs_sewing,
+                     martingale_nodes, martingale_reports, moment_ratio,
+                     moment_ratio_trend, quantized_perturbation)
 
 HEADLINE = {
     "hurst": 0.2, "gamma": 0.4, "radius": 1.0, "p": 2.0, "m": 4.0,
@@ -56,6 +59,11 @@ HEADLINE_CONFIG = {
     "fbm_seed": HEADLINE["fbm_seed"], "base_seed": HEADLINE["base_seed"],
     "eps": list(HEADLINE["eps_seq"]), "x0": [HEADLINE["x0"]],
 }
+
+# The radius sweep solves and walks its paths in chunks of about this many
+# bytes of solution values and drivers, split evenly: the 1000-path
+# headline sweep is one chunk, the 10^4-path one eight.
+CHUNK_BYTES = 64 << 20
 
 
 def _result(cid: str, passed: bool, summary: str, details: dict,
@@ -269,12 +277,13 @@ def criterion_sewing_engine() -> dict:
 
 # --- criteria 6-9: the shared singular scenario ----------------------------
 
-def build_scenario(cfg: dict):
+def build_scenario(cfg: dict, *, sweep: bool = True):
     """Scenario, mollified fields, L^p grid and quantization grid of a config.
 
     cfg uses the keys of HEADLINE_CONFIG.  Fails with ParameterError before
     the mollified lattices or any ensemble are allocated when they cannot
-    fit in physical memory.
+    fit in physical memory: the chunked radius sweep of verify_scenario,
+    or with sweep False one whole ensemble and its drivers.
     """
     grid_t = TimeGrid(cfg["horizon"], cfg["steps"])
     fbm = generate_fbm(cfg["hurst"], cfg["dimension"], grid_t, cfg["fbm_seed"])
@@ -286,7 +295,7 @@ def build_scenario(cfg: dict):
     scenario = QuenchedScenario(fbm, sigma, np.asarray(cfg["x0"], dtype=float),
                                 tuple(cfg["eps"]), cfg["paths"],
                                 cfg["base_seed"], p=cfg["p"])
-    _check_memory(scenario, family_grid(scenario) if singular else None)
+    _check_memory(scenario, family_grid(scenario) if singular else None, sweep)
     if singular:
         lp_grid, fields = mollified_family(scenario)
     else:
@@ -296,24 +305,54 @@ def build_scenario(cfg: dict):
     return scenario, fields, lp_grid, quant_grid
 
 
-def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None) -> None:
-    """ParameterError when the sweep's resident arrays exceed physical memory.
+def _chunk_paths(scenario: QuenchedScenario, n_fields: int) -> int:
+    """Paths per chunk of a sweep solving n_fields fields together.
 
-    The estimate is a lower bound: the driver increments and one ensemble's
-    solution values (the sweep holds up to two) plus, for a mollified
-    field, one lattice table per radius.
+    A path holds n_fields * d * (steps + 1) solution values and n * steps
+    driver increments; CHUNK_BYTES of them, at least one path, make a
+    chunk, and the paths are split evenly over the chunks.
+    """
+    steps = scenario.grid.steps
+    per_path = 8 * (n_fields * scenario.dimension * (steps + 1)
+                    + scenario.driver_dimension * steps)
+    n_chunks = -(-scenario.ensemble_size // max(1, CHUNK_BYTES // per_path))
+    return -(-scenario.ensemble_size // n_chunks)
+
+
+def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None,
+                  sweep: bool) -> None:
+    """ParameterError when the resident arrays exceed physical memory.
+
+    The estimate is a lower bound.  The sweep holds one chunk of every
+    distinct field's solution values (one field per radius for a mollified
+    field, one in all otherwise) and its drivers, plus per path over the
+    whole ensemble the kept moment-window nodes and blow-up flags of each
+    field and the Ito, squared-row and mixed sums of each radius.  Without
+    sweep, one whole ensemble and its drivers are held.  A mollified field
+    adds one lattice table per radius.
     """
     steps = scenario.grid.steps
     d, n = scenario.dimension, scenario.driver_dimension
-    ensemble = 8 * scenario.ensemble_size * (d * (steps + 1) + n * steps)
+    n_eps = len(scenario.eps_seq)
+    if sweep:
+        n_fields = n_eps if lattice is not None else 1
+        rows = _chunk_paths(scenario, n_fields)
+        nodes = (1 << MOMENT_MAX_LEVEL) + 1
+        kept = 8 * scenario.ensemble_size * (n_fields * (d * nodes + 1)
+                                             + n_eps * (d + 2))
+    else:
+        n_fields, rows, kept = 1, scenario.ensemble_size, 0
+    chunk = 8 * rows * (n_fields * d * (steps + 1) + n * steps)
     lattice_bytes = (0 if lattice is None else
-                     8 * len(scenario.eps_seq) * math.prod(lattice.bins) * d * n)
+                     8 * n_eps * math.prod(lattice.bins) * d * n)
+    needed = chunk + kept + lattice_bytes
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if ensemble + lattice_bytes > physical:
+    if needed > physical:
         raise ParameterError(
-            f"the sweep needs at least {(ensemble + lattice_bytes) / 1e9:.3g} GB "
+            f"the sweep needs at least {needed / 1e9:.3g} GB "
             f"({lattice_bytes / 1e9:.3g} GB of mollified lattices, "
-            f"{ensemble / 1e9:.3g} GB per ensemble), more than the "
+            f"{chunk / 1e9:.3g} GB of solution paths and drivers, "
+            f"{kept / 1e9:.3g} GB of kept nodes and sums), more than the "
             f"{physical / 1e9:.3g} GB of physical memory")
 
 
@@ -340,9 +379,13 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     The smallest radius gives the reference ensemble, which carries the
     cross pairings, the martingale residuals over martingale_windows, the
     quadratic-variation check on its first path and the mollified Cauchy
-    sequence.  One walk over the reference paths produces every sum those
-    checks need, for all radii at once; each other radius is then solved
-    and walked for its isometry alone, so at most two ensembles are held.
+    sequence.  The paths run in chunks (CHUNK_BYTES).  Each chunk draws
+    its drivers, solves every distinct field in one recursion, walks the
+    reference paths once for every sum those checks need, for all radii
+    at once, walks each other field's paths for its isometry, and keeps
+    only the nodes and sums the reports read.  Every path's row depends on
+    its own drivers alone, so the results do not depend on the chunk size.
+    A radius whose field is the reference's reuses its solve and its walk.
     """
     start = time.perf_counter()
     tg = scenario.grid
@@ -352,30 +395,54 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     eps_min = min(eps_seq)
     e_min = eps_seq.index(eps_min)
     family = [fields[eps] for eps in eps_seq]
+    solved, solved_eps = [], []  # each distinct field once, the reference's first
+    for eps in (eps_min, *eps_seq):
+        if fields[eps] not in solved:
+            solved.append(fields[eps])
+            solved_eps.append(eps)
     snapped = quantized_perturbation(scenario.fbm.values, quant_grid)[:k_t]
-    reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min)
-    # The cross pairings always ride on the reference ensemble; the sweep
-    # shows the mollified integrals closing on the martingale.
-    ref_sums = walk_ensemble(
-        reference, k_t, drift=family, snap=family, snapped=snapped,
-        sigma_raw=scenario.sigma,
-        windows=[tg.window(s, t) for s, t in martingale_windows])
+    windows = [tg.window(s, t) for s, t in martingale_windows]
+    keep = tuple(sorted({k for pair in tg.dyadic_windows(MOMENT_MAX_LEVEL)
+                         for k in pair} | martingale_nodes(windows)))
+    size = _chunk_paths(scenario, len(solved))
+    chunks = []
+    for first in range(0, scenario.ensemble_size, size):
+        count = min(size, scenario.ensemble_size - first)
+        db = _bm_rows(scenario.driver_dimension, tg, scenario.base_seed, first, count)
+        part = solve_fields(scenario, solved, solved_eps, db, BLOWUP_BOUND)
+        # The cross pairings always ride on the reference ensemble; the
+        # sweep shows the mollified integrals closing on the martingale.
+        sums = [walk_ensemble(part[0], k_t, drift=family, snap=family,
+                              snapped=snapped, sigma_raw=scenario.sigma,
+                              windows=windows),
+                *walk_members(part[1:], solved[1:], snapped, k_t)]
+        if first == 0:
+            path0 = part[0].values[0].copy()
+        chunks.append([(ens.at_nodes(keep), ens.blowup_steps, s)
+                       for ens, s in zip(part, sums)])
+        del part, db  # so the next chunk does not run beside this one
+    ensembles, field_sums = [], []
+    for i, eps in enumerate(solved_eps):
+        ensembles.append(Ensemble(scenario, eps,
+                                  np.concatenate([c[i][0] for c in chunks]),
+                                  np.concatenate([c[i][1] for c in chunks]),
+                                  nodes=keep))
+        field_sums.append(PathSums.join([c[i][2] for c in chunks]))
+        _abort_on_blowups(ensembles[i], BLOWUP_ABORT_FRACTION)
+    reference, ref_sums = ensembles[0], field_sums[0]
+    ratios = [moment_ratio(ens, m, gamma0) for ens in ensembles]
     ratio_reports, iso_reports, cross_reports = [], [], []
     for e, eps in enumerate(eps_seq):
-        if eps == eps_min:
-            ens, sums, col = reference, ref_sums, e
-        else:
-            ens = solve_ensemble(scenario, fields[eps], epsilon=eps)
-            sums = walk_ensemble(ens, k_t, snap=[fields[eps]], snapped=snapped)
-            col = 0
-        ratio_reports.append(moment_ratio(ens, m, gamma0))
-        iso_reports.append(isometry_report(ens, sums, col, horizon))
+        i = solved.index(fields[eps])
+        ratio_reports.append(replace(ratios[i], epsilon=eps))
+        iso_reports.append(isometry_report(replace(ensembles[i], epsilon=eps),
+                                           field_sums[i], e if i == 0 else 0,
+                                           horizon))
         cross_reports.append(cross_term_report(reference, ref_sums, e, horizon,
                                                epsilon=eps))
-        del ens, sums  # so the next solve does not run beside a third ensemble
     mart_reports = martingale_reports(reference, ref_sums, e_min,
                                       martingale_windows)
-    qv_report = lebesgue_vs_sewing(reference.values[0], scenario.fbm,
+    qv_report = lebesgue_vs_sewing(path0, scenario.fbm,
                                    hs_norm_sq(fields[eps_min]), quant_grid,
                                    (horizon * 0.25, horizon * 0.75))
     cauchy = cauchy_report(scenario, ref_sums.ito, fields, lp_grid, m)

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 from scipy.special import gamma as gamma_fn
 
 from .errors import (ClampWarning, IntegrabilityWarning, ParameterError,
@@ -253,7 +253,7 @@ def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> Matri
     out = np.empty_like(samples)
     for i in range(field.d):
         for j in range(field.n):
-            out[..., i, j] = fftconvolve(samples[..., i, j], kernel, mode="same")
+            out[..., i, j] = _fftconvolve(samples[..., i, j], kernel, same=True)
 
     radius = 1.0 / eps + eps
     if field.support_radius is not None:
@@ -264,16 +264,46 @@ def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> Matri
                        grid=grid, grid_values=out)
 
 
-def _lattice_values(grid: SpatialGrid, table: np.ndarray, radius, pts) -> np.ndarray:
+def _fftconvolve(a: np.ndarray, b: np.ndarray, *, same: bool = False) -> np.ndarray:
+    """Linear convolution of two real arrays by zero-padded real FFTs.
+
+    The full result, or with same its centre part of a's shape.  Axes are
+    padded to next_fast_len, and an axis where either input has length 1
+    is multiplied by broadcasting instead of transformed, so the bits are
+    those of scipy.signal.fftconvolve, without importing scipy.signal.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    axes = [k for k in range(a.ndim) if a.shape[k] != 1 and b.shape[k] != 1]
+    shape = [a.shape[k] + b.shape[k] - 1 if k in axes else max(a.shape[k], b.shape[k])
+             for k in range(a.ndim)]
+    if axes:
+        fshape = [sp_fft.next_fast_len(shape[k], True) for k in axes]
+        spectrum = (sp_fft.rfftn(a, fshape, axes=axes)
+                    * sp_fft.rfftn(b, fshape, axes=axes))
+        out = sp_fft.irfftn(spectrum, fshape, axes=axes)[tuple(map(slice, shape))]
+    else:
+        out = a * b
+    if same:
+        start = [(n - m) // 2 for n, m in zip(shape, a.shape)]
+        out = out[tuple(slice(s, s + m) for s, m in zip(start, a.shape))]
+    return out
+
+
+def _lattice_values(grid: SpatialGrid, table: np.ndarray, radius, pts,
+                    members=None) -> np.ndarray:
     """Interpolated table at pts, zero off the lattice and beyond radius.
 
     table has shape grid.shape + entry shape; radius is a float, or one
-    radius per member of a stacked (..., k, d, n) table.
+    radius per member of a stacked (..., k, d, n) table.  With members (see
+    multilinear_interpolate) each point reads its own member, and radius
+    holds the radius of each point's member.
     """
-    vals = multilinear_interpolate(grid.lower, grid.h, table, pts)
+    vals = multilinear_interpolate(grid.lower, grid.h, table, pts, members=members)
     # The convolution support is a ball; clip FFT dust outside it.
     r = np.linalg.norm(pts, axis=-1)
-    vals[r[..., None] > radius if np.ndim(radius) else r > radius] = 0.0
+    stacked = members is None and np.ndim(radius)
+    vals[r[..., None] > radius if stacked else r > radius] = 0.0
     return vals
 
 
@@ -296,6 +326,17 @@ class LatticeStack:
     def __call__(self, points) -> np.ndarray:
         return _lattice_values(self.grid, self.table, np.asarray(self.radii),
                                np.asarray(points, dtype=float))
+
+    def gather(self, members, points) -> np.ndarray:
+        """Member members[j] at points[j], (k, ..., d) -> (k, ..., d, n).
+
+        One interpolation for all k point sets; slice j is bit-equal to
+        member members[j]'s own evaluation at points[j].
+        """
+        pts = np.asarray(points, dtype=float)
+        index = np.asarray(members).reshape((-1,) + (1,) * (pts.ndim - 2))
+        return _lattice_values(self.grid, self.table, np.asarray(self.radii)[index],
+                               pts, members=index)
 
     def member(self, e: int, *, p_tag: float | None, label: str) -> MatrixField:
         table, radius = self.table[..., e, :, :], self.radii[e]
@@ -324,6 +365,20 @@ def evaluate_together(fields, points) -> np.ndarray:
         if id(f) not in seen:
             seen[id(f)] = f(points)
     return np.stack([seen[id(f)] for f in fields], axis=-3)
+
+
+def evaluate_members(fields, points) -> np.ndarray:
+    """fields[j] at its own points[j], (k, ..., d) -> (k, ..., d, n).
+
+    Bit-equal to stacking each field's own evaluation on axis 0.  When
+    every field is a member of one LatticeStack, in any order, the stack
+    gathers them all in one interpolation.
+    """
+    lattice = [getattr(f, "lattice", None) for f in fields]
+    stack = lattice[0][0] if lattice[0] is not None else None
+    if stack is not None and all(lat is not None and lat[0] is stack for lat in lattice):
+        return stack.gather([e for _stack, e in lattice], points)
+    return np.stack([f(pts) for f, pts in zip(fields, points)])
 
 
 def _norm_power(field, pts: np.ndarray, p: float) -> np.ndarray:

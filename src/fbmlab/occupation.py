@@ -238,7 +238,7 @@ def occupation_formula_residual(f, path, grid: SpatialGrid, t: float) -> float:
 
 
 def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
-                            clamp: bool = False) -> np.ndarray:
+                            clamp: bool = False, members=None) -> np.ndarray:
     """Multilinear interpolation between lattice samples.
 
     values[i_1, .., i_d] is the sample at lower + (i + 0.5) * h (bin
@@ -248,12 +248,19 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
     interpolating its own scalar lattice.  Outside the center lattice the
     result is 0, or the edge value when clamp is True.  Works for any
     dimension; points has shape (..., d), the result (...,) + entry shape.
+
+    With members, an integer array broadcasting against points.shape[:-1],
+    axis d of values is a member axis: each point reads only the lattice
+    values[..., members[...], ...] of its own member, bit-equal to
+    interpolating that member's lattice on its own, and the entry shape is
+    values.shape[d + 1:].
     """
     pts = np.asarray(points, dtype=float)
     lo = np.asarray(lower, dtype=float)
     d = lo.size
     if pts.shape[-1] != d or values.ndim < d:
         raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
+    member = () if members is None else (np.asarray(members),)
     # Position in center-lattice units.
     u = (pts - lo) / h - 0.5
     shape = np.asarray(values.shape[:d])
@@ -265,8 +272,8 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
         u = np.clip(u, 0.0, shape - 1.0)
     base = np.maximum(np.minimum(np.floor(u).astype(np.int64), shape - 2), 0)
     frac = u - base
-    entry = (None,) * (values.ndim - d)
-    out = np.zeros(pts.shape[:-1] + values.shape[d:])
+    entry = (None,) * (values.ndim - d - len(member))
+    out = np.zeros(pts.shape[:-1] + values.shape[d + len(member):])
     for corner in range(1 << d):
         offs = [(corner >> a) & 1 for a in range(d)]
         weight = np.ones(pts.shape[:-1])
@@ -274,5 +281,5 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
             weight = weight * (frac[..., a] if offs[a] else 1.0 - frac[..., a])
         # Clamp covers size-1 axes, where the far corner has zero weight.
         idx = tuple(np.minimum(base[..., a] + offs[a], shape[a] - 1) for a in range(d))
-        out += weight[(...,) + entry] * values[idx]
+        out += weight[(...,) + entry] * values[idx + member]
     return np.where(in_range[(...,) + entry], out, 0.0)

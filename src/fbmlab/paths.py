@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import GenerationError, ParameterError
 
@@ -195,7 +194,8 @@ def _fgn_from_normals(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _fgn_cholesky(gamma: np.ndarray) -> np.ndarray:
     """Dense exact fallback: lower Cholesky factor of the Toeplitz increment covariance."""
-    cov = toeplitz(gamma[:-1])
+    lag = np.arange(gamma.size - 1)
+    cov = gamma[np.abs(lag[:, None] - lag[None, :])]
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

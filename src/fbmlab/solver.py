@@ -16,13 +16,13 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BlowUpError, ParameterError
 from .fields import (LatticeStack, MatrixField, MollifierSpec,
-                     evaluate_together, lp_norm, mollify)
+                     evaluate_members, evaluate_together, lp_norm, mollify)
 from .occupation import SpatialGrid
 from .paths import (BmPath, FbmPath, TimeGrid, _validate_rows,
                     generate_bm_increments)
@@ -87,9 +87,10 @@ class QuenchedScenario:
     def driver_increments(self) -> np.ndarray:
         """The ensemble's driver increments (paths, n, steps), drawn once.
 
-        Every solve of the scenario shares this read-only array, so a radius
-        sweep sees identical noise (common random numbers) without drawing
-        it again.
+        Every solve_ensemble call shares this read-only array, so repeated
+        solves see identical noise (common random numbers) without drawing
+        it again.  The radius sweep draws the same rows chunk by chunk from
+        the same Philox keys instead of holding them all.
         """
         db = generate_bm_increments(self.driver_dimension, self.grid,
                                     self.base_seed, self.ensemble_size)
@@ -97,32 +98,36 @@ class QuenchedScenario:
         return db
 
 
-def _euler_batch(sigma: MatrixField, w_values: np.ndarray, db: np.ndarray,
-                 x0: np.ndarray, blowup_bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized scheme over a batch of drivers.
+def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
+                 db: np.ndarray, x0: np.ndarray,
+                 blowup_bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scheme for k fields over one batch of drivers, advanced together.
 
-    w_values has shape (d, steps + 1) and db (paths, n, steps); returns
-    values (paths, d, steps + 1) and the first blow-up step per path (-1
+    Field e moves its own state X^e, and each step reads every field at
+    its own X^e_k - w_k with one evaluate_members call.  w_values has shape
+    (d, steps + 1) and db (paths, n, steps); returns values (k, paths, d,
+    steps + 1) and the first blow-up step per field and path (k, paths; -1
     when none).  Paths are frozen at their last finite state after blowing
-    up so ensemble statistics can simply mask them out.
+    up so ensemble statistics can simply mask them out.  Slice e depends on
+    field e alone: it is bit-equal to the scheme for [fields[e]].
     """
     n_paths, _, steps = db.shape
-    d = x0.size
-    values = np.empty((n_paths, d, steps + 1))
-    values[:, :, 0] = x0
-    x = np.broadcast_to(x0, (n_paths, d)).copy()
-    blowup = np.full(n_paths, -1, dtype=np.int64)
-    alive = np.ones(n_paths, dtype=bool)
+    shape = (len(fields), n_paths, x0.size)
+    values = np.empty(shape + (steps + 1,))
+    values[..., 0] = x0
+    x = np.broadcast_to(x0, shape).copy()
+    blowup = np.full(shape[:2], -1, dtype=np.int64)
+    alive = np.ones(shape[:2], dtype=bool)
     for k in range(steps):
-        mats = sigma(x - w_values[:, k])
-        step = np.einsum("pij,pj->pi", mats, db[:, :, k])
-        x = np.where(alive[:, None], x + step, x)
-        bad = alive & (~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > blowup_bound))
+        mats = evaluate_members(fields, x - w_values[:, k])
+        step = np.einsum("epij,pj->epi", mats, db[:, :, k])
+        x = np.where(alive[..., None], x + step, x)
+        bad = alive & (~np.isfinite(x).all(axis=-1) | (np.abs(x).max(axis=-1) > blowup_bound))
         if np.any(bad):
-            x = np.where(bad[:, None], values[:, :, k], x)
+            x = np.where(bad[..., None], values[..., k], x)
             blowup[bad] = k + 1
             alive &= ~bad
-        values[:, :, k + 1] = x
+        values[..., k + 1] = x
     return values, blowup
 
 
@@ -141,24 +146,26 @@ def euler_maruyama(sigma: MatrixField, fbm: FbmPath, bm: BmPath, x0,
         raise ParameterError(f"x0 has shape {x0.shape}, field wants ({sigma.d},)")
     if bm.dimension != sigma.n:
         raise ParameterError("driver dimension does not match the field")
-    values, blowup = _euler_batch(sigma, fbm.values, bm.increments[None],
+    values, blowup = _euler_batch([sigma], fbm.values, bm.increments[None],
                                   x0, blowup_bound)
-    return values[0], int(blowup[0])
+    return values[0, 0], int(blowup[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Solution paths, their drivers and blow-up bookkeeping."""
+    """Solution paths, their drivers and blow-up bookkeeping.
+
+    values holds every node, (paths, d, steps + 1), or only the grid nodes
+    listed in nodes, (paths, d, len(nodes)).  An ensemble of kept nodes
+    has no drivers; it serves the report builders, not walk_ensemble.
+    """
 
     scenario: QuenchedScenario
     epsilon: float | None
-    values: np.ndarray = field(repr=False)       # (paths, d, steps + 1)
+    values: np.ndarray = field(repr=False)       # (paths, d, nodes)
     blowup_steps: np.ndarray = field(repr=False)  # (paths,), -1 = none
-
-    @property
-    def driver_increments(self) -> np.ndarray:
-        """The scenario's drivers (paths, n, steps), shared by all its solves."""
-        return self.scenario.driver_increments
+    driver_increments: np.ndarray | None = field(default=None, repr=False)
+    nodes: tuple[int, ...] | None = None          # None: every node
 
     @property
     def n_paths(self) -> int:
@@ -172,6 +179,11 @@ class Ensemble:
     def blowup_count(self) -> int:
         return int((~self.ok_mask).sum())
 
+    def at_nodes(self, ks) -> np.ndarray:
+        """X(t_k) of every path for k in ks, (paths, d, len(ks))."""
+        cols = list(ks) if self.nodes is None else [self.nodes.index(k) for k in ks]
+        return self.values[:, :, cols]
+
     def window_increments(self, windows: list[tuple[int, int]]):
         """Yield X(t_k1) - X(t_k0) of the surviving paths, (ok_paths, d), per window.
 
@@ -180,7 +192,7 @@ class Ensemble:
         """
         nodes = sorted({k for window in windows for k in window})
         column = {k: j for j, k in enumerate(nodes)}
-        ends = self.values[:, :, nodes][self.ok_mask]
+        ends = self.at_nodes(nodes)[self.ok_mask]
         for k0, k1 in windows:
             yield ends[:, :, column[k1]] - ends[:, :, column[k0]]
 
@@ -198,6 +210,25 @@ class Ensemble:
         return rows
 
 
+def solve_fields(scenario: QuenchedScenario, fields: Sequence[MatrixField],
+                 epsilons: Sequence[float | None], db: np.ndarray,
+                 blowup_bound: float) -> list[Ensemble]:
+    """One ensemble per field over the driver rows db, from one recursion."""
+    values, blowup = _euler_batch(fields, scenario.fbm.values, db, scenario.x0,
+                                  blowup_bound)
+    return [Ensemble(scenario, eps, v, b, db)
+            for eps, v, b in zip(epsilons, values, blowup)]
+
+
+def _abort_on_blowups(ens: Ensemble, abort_fraction: float) -> None:
+    """BlowUpError when more than abort_fraction of the paths blew up."""
+    if ens.blowup_count > abort_fraction * ens.n_paths:
+        radius = "" if ens.epsilon is None else f" at epsilon={ens.epsilon}"
+        raise BlowUpError(
+            f"{ens.blowup_count} of {ens.n_paths} paths blew up{radius} "
+            f"(abort threshold {abort_fraction:.1%})", count=ens.blowup_count)
+
+
 def solve_ensemble(scenario: QuenchedScenario, sigma_field: MatrixField | None = None,
                    *, epsilon: float | None = None,
                    blowup_bound: float = BLOWUP_BOUND,
@@ -212,14 +243,9 @@ def solve_ensemble(scenario: QuenchedScenario, sigma_field: MatrixField | None =
     sigma = sigma_field if sigma_field is not None else scenario.sigma
     if (sigma.d, sigma.n) != (scenario.dimension, scenario.driver_dimension):
         raise ParameterError("field shape differs from the scenario's")
-    db = scenario.driver_increments
-    values, blowup = _euler_batch(sigma, scenario.fbm.values, db, scenario.x0,
-                                  blowup_bound)
-    ens = Ensemble(scenario, epsilon, values, blowup)
-    if ens.blowup_count > abort_fraction * ens.n_paths:
-        raise BlowUpError(
-            f"{ens.blowup_count} of {ens.n_paths} paths blew up "
-            f"(abort threshold {abort_fraction:.1%})", count=ens.blowup_count)
+    ens, = solve_fields(scenario, [sigma], [epsilon], scenario.driver_increments,
+                        blowup_bound)
+    _abort_on_blowups(ens, abort_fraction)
     return ens
 
 
@@ -292,6 +318,17 @@ class PathSums:
     quad_comp: np.ndarray = field(repr=False)     # (windows, drift, paths)
     cross_comp: np.ndarray = field(repr=False)    # (windows, drift, paths)
     driver_nodes: np.ndarray = field(repr=False)  # (paths, n, nodes)
+
+    @staticmethod
+    def join(parts: Sequence["PathSums"]) -> "PathSums":
+        """The sums of consecutive row chunks as one walk over all their rows."""
+        def rows(name, axis):
+            return np.concatenate([getattr(p, name) for p in parts], axis=axis)
+
+        return replace(parts[0], ito=rows("ito", 1), row_sq=rows("row_sq", 1),
+                       mixed=rows("mixed", 1), quad_comp=rows("quad_comp", 2),
+                       cross_comp=rows("cross_comp", 2),
+                       driver_nodes=rows("driver_nodes", 0))
 
 
 def _carry(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -381,6 +418,42 @@ def walk_ensemble(ensemble: Ensemble, k_end: int, *,
                 driver_nodes[part, :, col] = b_run[:, :, k - 1] if k else 0.0
     return PathSums(k_end, j, driver_coordinate, windows, nodes, ito, row_sq,
                     mixed, quad_comp, cross_comp, driver_nodes)
+
+
+def walk_members(ensembles: Sequence[Ensemble], snap: Sequence[MatrixField],
+                 snapped: np.ndarray, k_end: int) -> list[PathSums]:
+    """walk_ensemble(ensembles[s], k_end, snap=[snap[s]], snapped=snapped) for
+    every s, bit for bit, in one pass (coordinate 0).
+
+    The ensembles are member solves over the same driver rows.  Each block
+    of TIME_BLOCK steps of PATH_CHUNK paths reads every snap field at its
+    own ensemble's paths with one evaluate_members call.  Blown-up paths are
+    walked too, from their frozen states, and dropped at the end.
+    """
+    if not ensembles:
+        return []
+    if snapped.shape[0] < k_end:
+        raise ParameterError(f"need {k_end} snapped positions for the snap fields")
+    scen = ensembles[0].scenario
+    n_paths = ensembles[0].n_paths
+    row_sq = np.empty((len(snap), n_paths))
+    for r0 in range(0, n_paths, PATH_CHUNK):
+        x = np.stack([ens.values[r0:r0 + PATH_CHUNK, :, :k_end] for ens in ensembles])
+        sq_rows = np.empty(x.shape[:2] + (k_end,))
+        for k0 in range(0, k_end, TIME_BLOCK):
+            k1 = min(k0 + TIME_BLOCK, k_end)
+            pts = x[..., k0:k1].transpose(0, 1, 3, 2) - snapped[k0:k1]
+            sq_rows[:, :, k0:k1] = np.sum(evaluate_members(snap, pts)[..., 0, :] ** 2,
+                                          axis=-1)
+        row_sq[:, r0:r0 + x.shape[1]] = sq_rows.sum(axis=2) * scen.grid.dt
+    out = []
+    for s, ens in enumerate(ensembles):
+        ok = int(ens.ok_mask.sum())
+        out.append(PathSums(k_end, 0, 0, (), (), np.empty((0, ok, scen.dimension)),
+                            row_sq[s:s + 1, ens.ok_mask], np.empty((0, ok)),
+                            np.empty((0, 0, ok)), np.empty((0, 0, ok)),
+                            np.empty((ok, scen.driver_dimension, 0))))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

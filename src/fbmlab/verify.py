@@ -30,6 +30,8 @@ from .solver import Ensemble, PathSums, walk_ensemble
 
 WEIGHT_DICTIONARY_VERSION = 1
 _CLIP = 1.0
+# Finest dyadic level of moment_ratio's windows.
+MOMENT_MAX_LEVEL = 4
 # moment_ratio's path bootstrap: resamples, and the Philox key of their draws.
 _BOOTSTRAP = 200
 _BOOTSTRAP_SEED = 0
@@ -77,7 +79,7 @@ class MomentRatioReport:
 
 
 def moment_ratio(ensemble: Ensemble, m: float, gamma0: float, *,
-                 max_level: int = 4) -> MomentRatioReport:
+                 max_level: int = MOMENT_MAX_LEVEL) -> MomentRatioReport:
     """max over dyadic windows of mean |X(t)-X(s)|^m / (t-s)^(m gamma0 / 2).
 
     The window set runs over dyadic levels 0..max_level.  The default stops
@@ -203,7 +205,7 @@ def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
                     margin_fraction: float = 0.05) -> IdentityReport:
     """ito_isometry_check from snap field e of a walk over ensemble up to t."""
     j = sums.coordinate
-    x_t = ensemble.values[:, j, sums.k_end][ensemble.ok_mask]
+    x_t = ensemble.at_nodes([sums.k_end])[:, j, 0][ensemble.ok_mask]
     left_samples = (x_t - ensemble.scenario.x0[j]) ** 2
     return _paired_report("ito_isometry", f"coordinate {j}, t={t}", left_samples,
                           sums.row_sq[e], margin_fraction,
@@ -216,7 +218,7 @@ def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
     """cross_term_check from drift and snap field e of a walk over ensemble up to t."""
     scen = ensemble.scenario
     j = sums.coordinate
-    x_t = ensemble.values[:, j, sums.k_end][ensemble.ok_mask]
+    x_t = ensemble.at_nodes([sums.k_end])[:, j, 0][ensemble.ok_mask]
     left_samples = (x_t - scen.x0[j]) * sums.ito[e][:, j]
     d_over_p = scen.dimension / scen.p
     return _paired_report("cross_term", f"coordinate {j}, t={t}", left_samples,
@@ -295,6 +297,17 @@ def weight_dictionary(d: int, n: int):
     return entries
 
 
+def _weight_nodes(k_s: int, k_t: int) -> tuple[int, int, int]:
+    """The solution nodes the martingale weights and increments of window
+    (k_s, k_t) read: its start, half its start, its end."""
+    return k_s, k_s // 2, k_t
+
+
+def martingale_nodes(windows: list[tuple[int, int]]) -> set[int]:
+    """Every solution node martingale_reports reads for node-pair windows."""
+    return {k for k_s, k_t in windows for k in _weight_nodes(k_s, k_t)}
+
+
 def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
                        pairs: list[tuple[float, float]]) -> list[IdentityReport]:
     """martingale_residuals from drift field e of a walk whose windows are
@@ -305,7 +318,7 @@ def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
     for w_idx, ((s, t), (k_s, k_t)) in enumerate(zip(pairs, sums.windows)):
         # Columns k_s, k_s // 2, k_t of the solution and k_s, k_t of the
         # driver: the weights read columns 0 and 1 of x_w and 0 of b_w.
-        x_w = ensemble.values[:, :, [k_s, k_s // 2, k_t]][ensemble.ok_mask]
+        x_w = ensemble.at_nodes(_weight_nodes(k_s, k_t))[ensemble.ok_mask]
         b_w = sums.driver_nodes[:, :, [sums.nodes.index(k_s), sums.nodes.index(k_t)]]
         mart_s = x_w[:, j, 0] - scen.x0[j]
         mart_t = x_w[:, j, 2] - scen.x0[j]

@@ -267,3 +267,18 @@ def test_lattice_beyond_physical_memory_exits_2_early(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "physical memory" in err
     assert "259 GB of mollified lattices" in err
+
+
+def test_pre_flight_estimates_one_chunk_of_the_sweep():
+    """d = 1, 1024 steps and 2*10^6 paths: the whole driver array alone would
+    be 16 GB, but the sweep holds one chunk of paths at a time, so the
+    pre-flight passes, and nothing path-sized is allocated.  An ensemble
+    held whole (fbmlab solve) is still estimated whole."""
+    cfg = {**HEADLINE_CONFIG, "paths": 2_000_000}
+    start = time.perf_counter()
+    scenario, _fields, _lp, _quant = experiments.build_scenario(cfg)
+    assert time.perf_counter() - start < 30.0
+    assert "driver_increments" not in vars(scenario)
+    for sweep in (True, False):
+        with pytest.raises(ParameterError, match="physical memory"):
+            experiments.build_scenario({**cfg, "paths": 10 ** 9}, sweep=sweep)

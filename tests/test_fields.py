@@ -13,7 +13,7 @@ from fbmlab import (CLAMP_VALUE, ClampWarning, MatrixField, MollifierSpec,
                     generate_fbm, hs_norm_sq, identity_field, lp_norm,
                     mollified_family, mollify, multilinear_interpolate,
                     singular_example)
-from fbmlab.fields import evaluate_together
+from fbmlab.fields import _fftconvolve, evaluate_members, evaluate_together
 
 
 def test_constant_and_identity_fields():
@@ -258,6 +258,13 @@ def _assert_family_consistent(d, pts):
         own = fld(pts)
         assert np.array_equal(together[..., e, :, :], own)
         assert np.array_equal(own, _per_entry_reference(fld, pts))
+    # The member-axis gather: members in any order, each at its own points.
+    order = [1, 0, 1]
+    own_pts = np.stack([pts, pts[::-1], 0.5 * pts])
+    gathered = evaluate_members([family[e] for e in order], own_pts)
+    assert gathered.shape == (len(order),) + together[..., 0, :, :].shape
+    for j, e in enumerate(order):
+        assert np.array_equal(gathered[j], family[e](own_pts[j]))
 
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -299,3 +306,41 @@ def test_interpolation_is_exact_at_lattice_nodes(case):
         inside = np.linalg.norm(point) <= fld.support_radius
         want = fld.grid_values[tuple(index)] if inside else 0.0
         assert np.array_equal(together[e], np.broadcast_to(want, together[e].shape))
+
+
+# --- the convolution, without scipy.signal ------------------------------------
+
+_axis_len = st.integers(1, 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda d: st.tuples(st.lists(_axis_len, min_size=d, max_size=d),
+                        st.lists(_axis_len, min_size=d, max_size=d))),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_fftconvolve_is_scipy_signal_bit_for_bit(shapes, seed, same):
+    """Full and same modes, 1-D and 2-D, including length-1 axes and a
+    second input larger than the first."""
+    from scipy.signal import fftconvolve
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+    want = fftconvolve(a, b, mode="same" if same else "full")
+    got = _fftconvolve(a, b, same=same)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_import_leaves_out_scipy_signal_and_linalg():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, fbmlab; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.linalg') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -262,3 +262,13 @@ def test_path_csv_round_trip():
     last = [float(v) for v in lines[-1].split(",")]
     assert last[0] == 1.0
     assert last[1] == path.values[0, -1] and last[2] == path.values[1, -1]
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.95])
+@pytest.mark.parametrize("steps", [1, 2, 17, 256])
+def test_cholesky_fallback_factors_the_scipy_toeplitz_matrix(hurst, steps):
+    """The fallback builds its Toeplitz matrix by indexing gamma[|i - j|];
+    its factor is the Cholesky factor of scipy's Toeplitz matrix, bit for bit."""
+    gamma = _fgn_autocov(hurst, steps, 1.0 / steps)
+    want = np.linalg.cholesky(toeplitz(gamma[:-1]))
+    assert np.array_equal(_fgn_cholesky(gamma), want)

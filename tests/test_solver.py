@@ -59,28 +59,74 @@ def test_single_path_matches_batch_row():
         assert np.array_equal(vals, ens.values[i])
 
 
-def test_solves_are_deterministic_and_split_independent():
-    """Repeated solves agree, and the scheme over any split of the driver
-    batch, concatenated, equals the whole batch bit for bit."""
+def _reference_scheme(sigma, w_values, db, x0, blowup_bound):
+    """The one-field scheme, one field call per step."""
+    n_paths, _, steps = db.shape
+    values = np.empty((n_paths, x0.size, steps + 1))
+    values[:, :, 0] = x0
+    x = np.broadcast_to(x0, (n_paths, x0.size)).copy()
+    blowup = np.full(n_paths, -1, dtype=np.int64)
+    alive = np.ones(n_paths, dtype=bool)
+    for k in range(steps):
+        step = np.einsum("pij,pj->pi", sigma(x - w_values[:, k]), db[:, :, k])
+        x = np.where(alive[:, None], x + step, x)
+        bad = alive & (~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > blowup_bound))
+        if np.any(bad):
+            x = np.where(bad[:, None], values[:, :, k], x)
+            blowup[bad] = k + 1
+            alive &= ~bad
+        values[:, :, k + 1] = x
+    return values, blowup
+
+
+def _stack_members(d: int):
+    """The perturbation path and four mollified radii of one LatticeStack."""
+    fbm = generate_fbm(0.2, d, GRID, seed=5)
+    scenario = QuenchedScenario(fbm, singular_example(0.4, 1.0, d), np.full(d, 0.5),
+                                (0.5, 0.375, 0.25, 0.125), 8, BASE_SEED)
+    _grid, fields = mollified_family(scenario)
+    return fbm, [fields[eps] for eps in scenario.eps_seq]
+
+
+STACKS = {d: _stack_members(d) for d in (1, 2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.permutations(range(4)), st.integers(1, 4),
+       st.sampled_from([0.7, BLOWUP_BOUND]), st.integers(1, 31))
+def test_solves_are_deterministic_and_split_independent(d, order, k, bound, split):
+    """Repeated solves agree.  The k-field scheme over any subset and order
+    of stack members equals, field by field, the one-field scheme and a
+    per-step reference, bit for bit in values and blow-up steps.  The
+    scheme over any split of the driver batch, concatenated, equals the
+    whole batch."""
     scenario = _identity_scenario()
     a = solve_ensemble(scenario)
     b = solve_ensemble(scenario)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.driver_increments, b.driver_increments)
 
-    singular = QuenchedScenario(FBM, singular_example(0.4, 1.0, 1), [0.5],
-                                (0.25,), 32, BASE_SEED)
-    _grid, fields = mollified_family(singular)
-    db = generate_bm_increments(1, GRID, BASE_SEED, 32)
-    # A low blow-up bound makes some paths freeze, so the flags split too.
-    whole = _euler_batch(fields[0.25], FBM.values, db, singular.x0, 0.7)
-    assert 0 < np.count_nonzero(whole[1] >= 0) < 32
-    for k in (1, 13, 31):
-        head = _euler_batch(fields[0.25], FBM.values, db[:k], singular.x0, 0.7)
-        tail = _euler_batch(fields[0.25], FBM.values, db[k:], singular.x0, 0.7)
-        for part_whole, part_head, part_tail in zip(whole, head, tail):
-            assert np.array_equal(np.concatenate([part_head, part_tail]),
-                                  part_whole)
+    fbm, members = STACKS[d]
+    chosen = [members[e] for e in order[:k]]
+    db = generate_bm_increments(d, GRID, BASE_SEED, 32)
+    x0 = np.full(d, 0.3)
+    values, blowup = _euler_batch(chosen, fbm.values, db, x0, bound)
+    assert values.shape == (k, 32, d, GRID.steps + 1) and blowup.shape == (k, 32)
+    for j, fld in enumerate(chosen):
+        one_values, one_blowup = _euler_batch([fld], fbm.values, db, x0, bound)
+        ref_values, ref_blowup = _reference_scheme(fld, fbm.values, db, x0, bound)
+        for got in (values[j], one_values[0]):
+            assert np.array_equal(got, ref_values)
+        for got in (blowup[j], one_blowup[0]):
+            assert np.array_equal(got, ref_blowup)
+    if bound == 0.7:
+        # The low bound freezes some paths of every field, not all of them,
+        # so the flags split too.
+        assert np.all((blowup >= 0).any(axis=1) & (blowup < 0).any(axis=1))
+    head = _euler_batch(chosen, fbm.values, db[:split], x0, bound)
+    tail = _euler_batch(chosen, fbm.values, db[split:], x0, bound)
+    for whole, part_head, part_tail in zip((values, blowup), head, tail):
+        assert np.array_equal(np.concatenate([part_head, part_tail], axis=1), whole)
 
 
 def test_radius_sweep_shares_drivers():
@@ -94,33 +140,35 @@ def test_radius_sweep_shares_drivers():
 
 
 def _adapted_fields(d: int):
-    """The perturbation path, and a singular, a mollified and an identity field."""
+    """The perturbation path, and a singular, two mollified and an identity field."""
     fbm = generate_fbm(0.2, d, GRID, seed=5)
     sigma = singular_example(0.4, 1.0, d)
-    scenario = QuenchedScenario(fbm, sigma, np.full(d, 0.5), (0.5,), 8, BASE_SEED)
+    scenario = QuenchedScenario(fbm, sigma, np.full(d, 0.5), (0.5, 0.25), 8, BASE_SEED)
     _grid, fields = mollified_family(scenario)
-    return fbm, {"singular": sigma, "mollified": fields[0.5],
-                 "identity": identity_field(d)}
+    return fbm, [sigma, fields[0.5], fields[0.25], identity_field(d)]
 
 
 ADAPTED = {d: _adapted_fields(d) for d in (1, 2)}
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.sampled_from(["singular", "mollified", "identity"]),
+@given(st.integers(1, 2), st.permutations(range(4)), st.integers(1, 4),
        st.integers(0, GRID.steps - 1), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([0.7, BLOWUP_BOUND]), st.floats(-50.0, 50.0))
-def test_euler_scheme_is_adapted(d, kind, k, seed, bound, value):
+def test_euler_scheme_is_adapted(d, order, n_fields, k, seed, bound, value):
     """Changing the driver increments of step k leaves the states up to
-    node k, and every blow-up at or before step k, bit-identical."""
+    node k, and every blow-up at or before step k, bit-identical, for k
+    fields (singular, mollified and identity, in any order) solved
+    together."""
     fbm, fields = ADAPTED[d]
+    chosen = [fields[e] for e in order[:n_fields]]
     db = generate_bm_increments(d, GRID, seed, 8)
     changed = db.copy()
     changed[:, :, k] = value
     x0 = np.full(d, 0.5)
-    values, blowup = _euler_batch(fields[kind], fbm.values, db, x0, bound)
-    values_c, blowup_c = _euler_batch(fields[kind], fbm.values, changed, x0, bound)
-    assert np.array_equal(values[:, :, :k + 1], values_c[:, :, :k + 1])
+    values, blowup = _euler_batch(chosen, fbm.values, db, x0, bound)
+    values_c, blowup_c = _euler_batch(chosen, fbm.values, changed, x0, bound)
+    assert np.array_equal(values[..., :k + 1], values_c[..., :k + 1])
 
     def by_step_k(steps):
         return np.where((steps >= 0) & (steps <= k), steps, -1)

@@ -12,14 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from fbmlab import (ParameterError, QuenchedScenario, SpatialGrid, TimeGrid,
-                    cross_term_check, generate_fbm, hs_norm_sq, identity_field,
-                    ito_isometry_check, lebesgue_vs_sewing,
+from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, SpatialGrid,
+                    TimeGrid, constant_field, cross_term_check, generate_fbm,
+                    hs_norm_sq, identity_field, ito_isometry_check,
+                    lebesgue_vs_sewing,
                     martingale_residuals, mollified_family,
                     mollified_integral_sequence, moment_ratio,
                     quantized_perturbation, singular_example, solve_ensemble,
                     weight_dictionary)
-from fbmlab import paths, solver
+from fbmlab import experiments, paths, solver
 from fbmlab.experiments import HEADLINE_CONFIG, build_scenario, verify_scenario
 from fbmlab.fields import lp_norm
 
@@ -256,8 +257,9 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
 
 def test_sweep_draws_each_driver_stream_once(monkeypatch):
     """One Philox stream per (path, driver component) for the whole sweep,
-    plus one per component of the frozen fBm path; every ensemble shares
-    the scenario's read-only driver array."""
+    plus one per component of the frozen fBm path.  The sweep draws its
+    drivers chunk by chunk; the scenario's read-only driver array, drawn
+    once on first use, is shared by every ensemble solved from it."""
     streams = []
     component_rng = paths._component_rng
 
@@ -274,13 +276,17 @@ def test_sweep_draws_each_driver_stream_once(monkeypatch):
     assert len(streams) == cfg["paths"] * n + cfg["dimension"]
     assert len(set(streams)) == len(streams)
 
+    sweep_streams = set(streams[cfg["dimension"]:])
+    streams.clear()
     db = scenario.driver_increments
     assert not db.flags.writeable
     with pytest.raises(ValueError):
         db[0, 0, 0] = 1.0
     ens = solve_ensemble(scenario, fields[0.25], epsilon=0.25)
     assert ens.driver_increments is db
-    assert len(streams) == cfg["paths"] * n + cfg["dimension"]
+    assert solve_ensemble(scenario, fields[0.125]).driver_increments is db
+    assert len(streams) == cfg["paths"] * n
+    assert set(streams) == sweep_streams
 
 
 def test_walk_rejects_too_few_snapped_positions():
@@ -290,3 +296,106 @@ def test_walk_rejects_too_few_snapped_positions():
     with pytest.raises(ParameterError):
         solver.walk_ensemble(ens, 16, snap=[identity_field(1)],
                              snapped=np.zeros((15, 1)))
+
+
+# --- chunks of paths ----------------------------------------------------------------
+
+def _sweep_record(res):
+    """Every report, the terminals and the Cauchy gaps of a sweep."""
+    return ([(r.to_dict(), r.window_ratios) for r in res.ratio_reports], res.trend,
+            [r.to_dict() for r in res.iso_reports + res.cross_reports
+             + res.martingale_reports + [res.qv_report]],
+            res.cauchy.terminal_integrals.tobytes(), res.cauchy.consecutive_diffs,
+            res.cauchy.sigma_gaps)
+
+
+@pytest.mark.parametrize("sigma,dimension", [("singular", 1), ("identity", 1),
+                                             ("singular", 2), ("identity", 2)])
+def test_sweep_does_not_depend_on_the_chunk_size(sigma, dimension, monkeypatch):
+    """Budgets of 1, 37 and all paths per chunk give the same bits as the
+    default, and each runs as many chunks as it should."""
+    cfg = _small_config(sigma, dimension)
+    scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
+
+    def sweep():
+        return _sweep_record(verify_scenario(scenario, fields, lp_grid, quant_grid,
+                                             cfg["m"], cfg["gamma0"], WINDOWS))
+
+    whole = sweep()
+    drawn = []
+    bm_rows = experiments._bm_rows
+
+    def counted(*args):
+        drawn.append(args[-1])
+        return bm_rows(*args)
+
+    monkeypatch.setattr(experiments, "_bm_rows", counted)
+    n_fields = len(scenario.eps_seq) if sigma == "singular" else 1
+    steps = scenario.grid.steps
+    per_path = 8 * (n_fields * dimension * (steps + 1) + dimension * steps)
+    for budget in (1, 37, cfg["paths"]):
+        drawn.clear()
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", budget * per_path)
+        assert sweep() == whole
+        assert len(drawn) == math.ceil(cfg["paths"] / budget)
+        assert sum(drawn) == cfg["paths"] and max(drawn) - min(drawn) <= 1
+
+
+def _first_failing_radius(scenario, fields, bound):
+    """The radius and count the per-radius solves abort on: the reference
+    first, then the others in eps_seq order."""
+    eps_min = min(scenario.eps_seq)
+    for eps in [eps_min] + [e for e in scenario.eps_seq if e != eps_min]:
+        ens = solve_ensemble(scenario, fields[eps], epsilon=eps,
+                             blowup_bound=bound, abort_fraction=1.0)
+        if ens.blowup_count > solver.BLOWUP_ABORT_FRACTION * ens.n_paths:
+            return eps, ens.blowup_count
+    return None
+
+
+@pytest.mark.parametrize("case", ["low-bound", "late-radius"])
+def test_sweep_blowup_names_the_radius_and_whole_ensemble_count(case, monkeypatch):
+    """With chunks of 37 paths, the abort names the radius the per-radius
+    solves abort on, with the count over the whole ensemble.  In the
+    late-radius case the reference and the first radius stay bounded and
+    the second does not."""
+    cfg = _small_config("singular", 1)
+    scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
+    bound = solver.BLOWUP_BOUND
+    if case == "low-bound":
+        bound = 0.9
+        monkeypatch.setattr(experiments, "BLOWUP_BOUND", bound)
+    else:
+        fields = {eps: constant_field(np.array([[1e9 if e in (1, 3) else 0.5]]))
+                  for e, eps in enumerate(scenario.eps_seq)}
+    eps, count = _first_failing_radius(scenario, fields, bound)
+    assert case == "low-bound" or eps == scenario.eps_seq[1]
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 37 * 8 * (
+        len(scenario.eps_seq) * (scenario.grid.steps + 1) + scenario.grid.steps))
+    with pytest.raises(BlowUpError, match=f"at epsilon={eps} ") as info:
+        verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
+                        cfg["gamma0"], WINDOWS)
+    assert info.value.count == count
+
+
+def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
+    """Every radius of the identity sweep shares one field, so one recursion
+    and one walk serve them all; each report keeps its own radius."""
+    calls = {"recursions": 0, "walks": 0}
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(solver, "_euler_batch",
+                        counting("recursions", solver._euler_batch))
+    monkeypatch.setattr(experiments, "walk_ensemble",
+                        counting("walks", experiments.walk_ensemble))
+    cfg = _small_config("identity", 1)
+    res = verify_scenario(*build_scenario(cfg), cfg["m"], cfg["gamma0"], WINDOWS)
+    assert calls == {"recursions": 1, "walks": 1}
+    eps_seq = tuple(cfg["eps"])
+    assert tuple(r.epsilon for r in res.ratio_reports) == eps_seq
+    assert tuple(r.extras["epsilon"] for r in res.iso_reports) == eps_seq
