@@ -29,14 +29,14 @@ from .averaging import (average_direct, average_via_local_time,
 from .errors import ParameterError
 from .fields import MatrixField, hs_norm_sq, identity_field, singular_example
 from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
-from .paths import (FbmPath, TimeGrid, _bm_rows, fbm_covariance, generate_fbm,
+from .paths import (FbmPath, TimeGrid, fbm_covariance, generate_fbm,
                     generate_fbm_batch)
 from .sewing import Germ, sew
 from .solver import (BLOWUP_ABORT_FRACTION, BLOWUP_BOUND, Ensemble,
                      MollifiedCauchyReport, PathSums, QuenchedScenario,
                      _abort_on_blowups, cauchy_report, family_grid,
                      mollified_family, solve_ensemble, solve_fields,
-                     walk_ensemble, walk_members)
+                     walk_ensemble)
 from .verify import (MOMENT_MAX_LEVEL, IdentityReport, MomentRatioReport,
                      cross_term_report, isometry_report, lebesgue_vs_sewing,
                      martingale_nodes, martingale_reports, moment_ratio,
@@ -62,8 +62,10 @@ HEADLINE_CONFIG = {
 
 # The radius sweep solves and walks its paths in chunks of about this many
 # bytes of solution values and drivers, split evenly: the 1000-path
-# headline sweep is one chunk, the 10^4-path one eight.
-CHUNK_BYTES = 64 << 20
+# headline sweep is one chunk, the 10^4-path one four.  At 10^4 paths,
+# 64 MiB chunks ran slower than whole ensembles and 128 MiB ones as fast,
+# at 202 MB peak RSS against 352 MB (BENCH_6.json).
+CHUNK_BYTES = 128 << 20
 
 
 def _result(cid: str, passed: bool, summary: str, details: dict,
@@ -357,6 +359,20 @@ def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None,
 
 
 @dataclass(frozen=True, eq=False)
+class _KeptNodes(Ensemble):
+    """An ensemble reduced to the grid nodes `nodes`: values (paths, d,
+    len(nodes)).  It has no drivers of its own, so only the reports that
+    read nodes and blow-ups (moment_ratio, isometry_report,
+    cross_term_report, martingale_reports) take it, never walk_ensemble.
+    """
+
+    nodes: tuple[int, ...]
+
+    def at_nodes(self, ks) -> np.ndarray:
+        return self.values[:, :, [self.nodes.index(k) for k in ks]]
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResults:
     """Every identity check of one radius sweep, per radius where it varies."""
 
@@ -407,26 +423,27 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     size = _chunk_paths(scenario, len(solved))
     chunks = []
     for first in range(0, scenario.ensemble_size, size):
-        count = min(size, scenario.ensemble_size - first)
-        db = _bm_rows(scenario.driver_dimension, tg, scenario.base_seed, first, count)
-        part = solve_fields(scenario, solved, solved_eps, db, BLOWUP_BOUND)
+        rows = replace(scenario, first_path=first,
+                       ensemble_size=min(size, scenario.ensemble_size - first))
+        part = solve_fields(rows, solved, solved_eps, BLOWUP_BOUND)
         # The cross pairings always ride on the reference ensemble; the
         # sweep shows the mollified integrals closing on the martingale.
         sums = [walk_ensemble(part[0], k_t, drift=family, snap=family,
                               snapped=snapped, sigma_raw=scenario.sigma,
-                              windows=windows),
-                *walk_members(part[1:], solved[1:], snapped, k_t)]
+                              windows=windows)]
+        sums += [walk_ensemble(ens, k_t, snap=[fld], snapped=snapped)
+                 for ens, fld in zip(part[1:], solved[1:])]
         if first == 0:
             path0 = part[0].values[0].copy()
         chunks.append([(ens.at_nodes(keep), ens.blowup_steps, s)
                        for ens, s in zip(part, sums)])
-        del part, db  # so the next chunk does not run beside this one
+        del part, rows  # so the next chunk does not run beside this one
     ensembles, field_sums = [], []
     for i, eps in enumerate(solved_eps):
-        ensembles.append(Ensemble(scenario, eps,
-                                  np.concatenate([c[i][0] for c in chunks]),
-                                  np.concatenate([c[i][1] for c in chunks]),
-                                  nodes=keep))
+        ensembles.append(_KeptNodes(scenario, eps,
+                                    np.concatenate([c[i][0] for c in chunks]),
+                                    np.concatenate([c[i][1] for c in chunks]),
+                                    keep))
         field_sums.append(PathSums.join([c[i][2] for c in chunks]))
         _abort_on_blowups(ensembles[i], BLOWUP_ABORT_FRACTION)
     reference, ref_sums = ensembles[0], field_sums[0]

@@ -24,8 +24,7 @@ from .errors import BlowUpError, ParameterError
 from .fields import (LatticeStack, MatrixField, MollifierSpec,
                      evaluate_members, evaluate_together, lp_norm, mollify)
 from .occupation import SpatialGrid
-from .paths import (BmPath, FbmPath, TimeGrid, _validate_rows,
-                    generate_bm_increments)
+from .paths import BmPath, FbmPath, TimeGrid, _bm_rows, _validate_rows
 
 BLOWUP_BOUND = 1.0e6
 BLOWUP_ABORT_FRACTION = 0.01
@@ -51,6 +50,7 @@ class QuenchedScenario:
     ensemble_size: int
     base_seed: int
     p: float = 2.0
+    first_path: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "x0",
@@ -63,7 +63,8 @@ class QuenchedScenario:
         if self.ensemble_size < 1:
             raise ParameterError("ensemble_size must be >= 1")
         # Driver stream keys fail here, before a sweep mollifies anything.
-        _validate_rows(self.driver_dimension, self.base_seed, 0, self.ensemble_size)
+        _validate_rows(self.driver_dimension, self.base_seed, self.first_path,
+                       self.ensemble_size)
         eps = tuple(float(e) for e in self.eps_seq)
         if any(e <= 0.0 for e in eps):
             raise ParameterError("mollification radii must be positive")
@@ -87,13 +88,14 @@ class QuenchedScenario:
     def driver_increments(self) -> np.ndarray:
         """The ensemble's driver increments (paths, n, steps), drawn once.
 
-        Every solve_ensemble call shares this read-only array, so repeated
-        solves see identical noise (common random numbers) without drawing
-        it again.  The radius sweep draws the same rows chunk by chunk from
-        the same Philox keys instead of holding them all.
+        The ensemble is driver rows first_path .. first_path +
+        ensemble_size - 1.  Every solve_ensemble call shares this read-only
+        array, so repeated solves see identical noise (common random
+        numbers) without drawing it again.  The radius sweep solves a
+        scenario per chunk of rows, each drawing only its own.
         """
-        db = generate_bm_increments(self.driver_dimension, self.grid,
-                                    self.base_seed, self.ensemble_size)
+        db = _bm_rows(self.driver_dimension, self.grid, self.base_seed,
+                      self.first_path, self.ensemble_size)
         db.flags.writeable = False
         return db
 
@@ -153,19 +155,17 @@ def euler_maruyama(sigma: MatrixField, fbm: FbmPath, bm: BmPath, x0,
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Solution paths, their drivers and blow-up bookkeeping.
-
-    values holds every node, (paths, d, steps + 1), or only the grid nodes
-    listed in nodes, (paths, d, len(nodes)).  An ensemble of kept nodes
-    has no drivers; it serves the report builders, not walk_ensemble.
-    """
+    """Solution paths, their drivers and blow-up bookkeeping."""
 
     scenario: QuenchedScenario
     epsilon: float | None
-    values: np.ndarray = field(repr=False)       # (paths, d, nodes)
+    values: np.ndarray = field(repr=False)       # (paths, d, steps + 1)
     blowup_steps: np.ndarray = field(repr=False)  # (paths,), -1 = none
-    driver_increments: np.ndarray | None = field(default=None, repr=False)
-    nodes: tuple[int, ...] | None = None          # None: every node
+
+    @property
+    def driver_increments(self) -> np.ndarray:
+        """The scenario's drivers (paths, n, steps), shared by all its solves."""
+        return self.scenario.driver_increments
 
     @property
     def n_paths(self) -> int:
@@ -181,8 +181,7 @@ class Ensemble:
 
     def at_nodes(self, ks) -> np.ndarray:
         """X(t_k) of every path for k in ks, (paths, d, len(ks))."""
-        cols = list(ks) if self.nodes is None else [self.nodes.index(k) for k in ks]
-        return self.values[:, :, cols]
+        return self.values[:, :, list(ks)]
 
     def window_increments(self, windows: list[tuple[int, int]]):
         """Yield X(t_k1) - X(t_k0) of the surviving paths, (ok_paths, d), per window.
@@ -211,12 +210,13 @@ class Ensemble:
 
 
 def solve_fields(scenario: QuenchedScenario, fields: Sequence[MatrixField],
-                 epsilons: Sequence[float | None], db: np.ndarray,
+                 epsilons: Sequence[float | None],
                  blowup_bound: float) -> list[Ensemble]:
-    """One ensemble per field over the driver rows db, from one recursion."""
-    values, blowup = _euler_batch(fields, scenario.fbm.values, db, scenario.x0,
+    """One ensemble per field over the scenario's drivers, from one recursion."""
+    values, blowup = _euler_batch(fields, scenario.fbm.values,
+                                  scenario.driver_increments, scenario.x0,
                                   blowup_bound)
-    return [Ensemble(scenario, eps, v, b, db)
+    return [Ensemble(scenario, eps, v, b)
             for eps, v, b in zip(epsilons, values, blowup)]
 
 
@@ -243,8 +243,7 @@ def solve_ensemble(scenario: QuenchedScenario, sigma_field: MatrixField | None =
     sigma = sigma_field if sigma_field is not None else scenario.sigma
     if (sigma.d, sigma.n) != (scenario.dimension, scenario.driver_dimension):
         raise ParameterError("field shape differs from the scenario's")
-    ens, = solve_fields(scenario, [sigma], [epsilon], scenario.driver_increments,
-                        blowup_bound)
+    ens, = solve_fields(scenario, [sigma], [epsilon], blowup_bound)
     _abort_on_blowups(ens, abort_fraction)
     return ens
 
@@ -418,42 +417,6 @@ def walk_ensemble(ensemble: Ensemble, k_end: int, *,
                 driver_nodes[part, :, col] = b_run[:, :, k - 1] if k else 0.0
     return PathSums(k_end, j, driver_coordinate, windows, nodes, ito, row_sq,
                     mixed, quad_comp, cross_comp, driver_nodes)
-
-
-def walk_members(ensembles: Sequence[Ensemble], snap: Sequence[MatrixField],
-                 snapped: np.ndarray, k_end: int) -> list[PathSums]:
-    """walk_ensemble(ensembles[s], k_end, snap=[snap[s]], snapped=snapped) for
-    every s, bit for bit, in one pass (coordinate 0).
-
-    The ensembles are member solves over the same driver rows.  Each block
-    of TIME_BLOCK steps of PATH_CHUNK paths reads every snap field at its
-    own ensemble's paths with one evaluate_members call.  Blown-up paths are
-    walked too, from their frozen states, and dropped at the end.
-    """
-    if not ensembles:
-        return []
-    if snapped.shape[0] < k_end:
-        raise ParameterError(f"need {k_end} snapped positions for the snap fields")
-    scen = ensembles[0].scenario
-    n_paths = ensembles[0].n_paths
-    row_sq = np.empty((len(snap), n_paths))
-    for r0 in range(0, n_paths, PATH_CHUNK):
-        x = np.stack([ens.values[r0:r0 + PATH_CHUNK, :, :k_end] for ens in ensembles])
-        sq_rows = np.empty(x.shape[:2] + (k_end,))
-        for k0 in range(0, k_end, TIME_BLOCK):
-            k1 = min(k0 + TIME_BLOCK, k_end)
-            pts = x[..., k0:k1].transpose(0, 1, 3, 2) - snapped[k0:k1]
-            sq_rows[:, :, k0:k1] = np.sum(evaluate_members(snap, pts)[..., 0, :] ** 2,
-                                          axis=-1)
-        row_sq[:, r0:r0 + x.shape[1]] = sq_rows.sum(axis=2) * scen.grid.dt
-    out = []
-    for s, ens in enumerate(ensembles):
-        ok = int(ens.ok_mask.sum())
-        out.append(PathSums(k_end, 0, 0, (), (), np.empty((0, ok, scen.dimension)),
-                            row_sq[s:s + 1, ens.ok_mask], np.empty((0, ok)),
-                            np.empty((0, 0, ok)), np.empty((0, 0, ok)),
-                            np.empty((ok, scen.driver_dimension, 0))))
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 """Quenched ensembles: scheme anchors, reproducibility and mollified sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,21 @@ def test_identity_field_reduces_to_the_driver():
     assert np.array_equal(ens.values, expected)
     assert ens.blowup_count == 0
     assert ens.epsilon is None
+
+
+def test_scenario_rows_are_a_window_of_the_ensemble():
+    """A scenario over rows first_path .. first_path + size - 1 draws and
+    solves exactly those rows of the whole ensemble; keys past 2**32 - 1
+    are refused."""
+    whole = solve_ensemble(_identity_scenario())
+    for first, size in ((0, 5), (5, 27), (31, 1)):
+        rows = replace(_identity_scenario(), first_path=first, ensemble_size=size)
+        part = solve_ensemble(rows)
+        assert np.array_equal(part.driver_increments,
+                              whole.driver_increments[first:first + size])
+        assert np.array_equal(part.values, whole.values[first:first + size])
+    with pytest.raises(ParameterError):
+        replace(_identity_scenario(), first_path=(1 << 32) - 2, ensemble_size=3)
 
 
 def test_single_path_matches_batch_row():

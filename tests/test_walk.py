@@ -323,13 +323,13 @@ def test_sweep_does_not_depend_on_the_chunk_size(sigma, dimension, monkeypatch):
 
     whole = sweep()
     drawn = []
-    bm_rows = experiments._bm_rows
+    bm_rows = solver._bm_rows
 
     def counted(*args):
         drawn.append(args[-1])
         return bm_rows(*args)
 
-    monkeypatch.setattr(experiments, "_bm_rows", counted)
+    monkeypatch.setattr(solver, "_bm_rows", counted)
     n_fields = len(scenario.eps_seq) if sigma == "singular" else 1
     steps = scenario.grid.steps
     per_path = 8 * (n_fields * dimension * (steps + 1) + dimension * steps)
