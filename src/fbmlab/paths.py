@@ -34,6 +34,10 @@ from .errors import GenerationError, ParameterError
 
 # Relative tolerance for clipping roundoff-negative circulant eigenvalues.
 _EIG_CLIP_RTOL = 1e-12
+# Normals mapped together by one batched FFT, in whole (row, component)
+# lines of 2N; bounds the scratch per call to this many normals and as many
+# complex values, and a line longer than this goes alone.
+BLOCK_NORMALS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -172,24 +176,29 @@ def _circulant_eigenvalues(gamma: np.ndarray) -> np.ndarray | None:
     return np.clip(lam, 0.0, None)
 
 
-def _fgn_from_normals(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Map 2N iid standard normals through the circulant square root.
+def _fgn_from_normals(lam: np.ndarray, z: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Map each row of 2N iid standard normals through the circulant square root.
 
+    z has shape (..., 2N) and the result (..., N): the real part of one
+    row-wise FFT, taken in place in `out` (complex, z's shape) when given.
     The map is linear, so its exactness can be audited by pushing basis
     vectors through and comparing the implied covariance with gamma.
     """
     m = lam.size
     n = m // 2
-    w = np.zeros(m, dtype=complex)
-    w[0] = math.sqrt(lam[0] / m) * z[0]
-    w[n] = math.sqrt(lam[n] / m) * z[1]
+    w = np.empty(z.shape, dtype=complex) if out is None else out
+    re, im = w.real, w.imag
+    np.multiply(math.sqrt(lam[0] / m), z[..., 0], out=re[..., 0])
+    np.multiply(math.sqrt(lam[n] / m), z[..., 1], out=re[..., n])
+    im[..., 0] = im[..., n] = 0.0
     if n > 1:
-        u = z[2:n + 1]
-        v = z[n + 1:]
         amp = np.sqrt(lam[1:n] / (2.0 * m))
-        w[1:n] = amp * (u + 1j * v)
-        w[m - 1:n:-1] = amp * (u - 1j * v)
-    return np.fft.fft(w).real[:n]
+        np.multiply(amp, z[..., 2:n + 1], out=re[..., 1:n])
+        np.multiply(amp, z[..., n + 1:], out=im[..., 1:n])
+        re[..., m - 1:n:-1] = re[..., 1:n]
+        np.negative(im[..., 1:n], out=im[..., m - 1:n:-1])
+    return np.fft.fft(w, axis=-1, out=w).real[..., :n]
 
 
 def _fgn_cholesky(gamma: np.ndarray) -> np.ndarray:
@@ -218,32 +227,52 @@ def _validate_rows(dimension: int, seed: int, first: int, count: int) -> None:
                              f"{first} .. {first + count - 1}")
 
 
-def _fbm_rows(hurst: float, dimension: int, grid: TimeGrid, seed: int,
+def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: int,
               first: int, count: int) -> np.ndarray:
-    """Paths first .. first + count - 1 as one (count, dimension, steps + 1) array.
+    """Paths first .. first + count - 1 for each Hurst value in one array.
 
-    Each increment row is drawn from its own Philox stream and cumsummed
-    straight into the output, so row i depends on (seed, first + i) only.
-    The embedding eigenvalues, or the Cholesky factor when the embedding
-    is not nonnegative definite, are computed once for all rows.
+    The shape is (len(hursts), count, dimension, steps + 1).
+
+    Each (row, component) Philox stream is built once and draws 2N normals
+    once; every Hurst value maps that same draw, the circulant route through
+    its embedding and the Cholesky route (when the embedding is not
+    nonnegative definite) through the first N normals.  The (row, component)
+    lines go in blocks of about BLOCK_NORMALS normals, one batched FFT per
+    block and Hurst value, cumsummed straight into the output.  Row i
+    therefore depends on (seed, first + i) and its Hurst value only, not on
+    the other Hurst values or the block.
     """
-    if not (0.0 < hurst < 1.0):
-        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
+    for hurst in hursts:
+        if not (0.0 < hurst < 1.0):
+            raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
     _validate_rows(dimension, seed, first, count)
-    gamma = _fgn_autocov(hurst, grid.steps, grid.dt)
-    lam = _circulant_eigenvalues(gamma)
-    chol = None if lam is not None else _fgn_cholesky(gamma)
-    out = np.empty((count, dimension, grid.steps + 1))
-    out[:, :, 0] = 0.0
-    for i in range(count):
-        for c in range(dimension):
-            rng = _component_rng(seed, first + i, c)
+    n = grid.steps
+    routes = []
+    for hurst in hursts:
+        gamma = _fgn_autocov(hurst, n, grid.dt)
+        lam = _circulant_eigenvalues(gamma)
+        routes.append((lam, None if lam is not None else _fgn_cholesky(gamma)))
+    lines = count * dimension
+    out = np.empty((len(routes), lines, n + 1))
+    out[..., 0] = 0.0
+    # Scratch for one block of normals and its FFT, reused by every block.
+    per_block = min(lines, max(1, BLOCK_NORMALS // (2 * n)))
+    normals = np.empty((per_block, 2 * n))
+    spectrum = np.empty(normals.shape, dtype=complex)
+    for b0 in range(0, lines, per_block):
+        b1 = min(b0 + per_block, lines)
+        z = normals[:b1 - b0]
+        for k, line in enumerate(range(b0, b1)):
+            row, c = divmod(line, dimension)
+            _component_rng(seed, first + row, c).standard_normal(out=z[k])
+        for j, (lam, chol) in enumerate(routes):
+            block = out[j, b0:b1, 1:]
             if lam is not None:
-                inc = _fgn_from_normals(lam, rng.standard_normal(2 * grid.steps))
+                np.cumsum(_fgn_from_normals(lam, z, spectrum[:b1 - b0]), axis=-1, out=block)
             else:
-                inc = chol @ rng.standard_normal(grid.steps)
-            np.cumsum(inc, out=out[i, c, 1:])
-    return out
+                for k in range(b1 - b0):
+                    np.cumsum(chol @ z[k, :n], out=block[k])
+    return out.reshape(len(routes), count, dimension, n + 1)
 
 
 def _bm_rows(dimension: int, grid: TimeGrid, seed: int, first: int,
@@ -266,7 +295,7 @@ def generate_fbm(hurst: float, dimension: int, grid: TimeGrid, seed: int,
     Deterministic: the same (hurst, dimension, grid, seed, path_index)
     always returns bit-identical values.
     """
-    values = _fbm_rows(hurst, dimension, grid, seed, path_index, 1)[0]
+    values = _fbm_rows((hurst,), dimension, grid, seed, path_index, 1)[0, 0]
     return FbmPath(hurst, dimension, grid, values, seed, path_index)
 
 
@@ -284,7 +313,7 @@ def generate_fbm_batch(hurst: float, dimension: int, grid: TimeGrid, seed: int,
     Path i equals generate_fbm(..., path_index=i).values bit for bit: a
     single path is this batch with one row.
     """
-    return _fbm_rows(hurst, dimension, grid, seed, 0, count)
+    return _fbm_rows((hurst,), dimension, grid, seed, 0, count)[0]
 
 
 def generate_bm_increments(dimension: int, grid: TimeGrid, seed: int,

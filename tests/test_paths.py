@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from fbmlab import (GenerationError, ParameterError, TimeGrid, fbm_covariance,
-                    generate_bm, generate_bm_increments, generate_fbm,
-                    generate_fbm_batch, paths)
+from fbmlab import (GenerationError, ParameterError, TimeGrid, experiments,
+                    fbm_covariance, generate_bm, generate_bm_increments,
+                    generate_fbm, generate_fbm_batch, paths)
 from fbmlab.paths import (_circulant_eigenvalues, _fgn_autocov,
                           _fgn_cholesky, _fgn_from_normals)
 
@@ -134,6 +134,67 @@ def test_batch_row_is_the_single_path_on_the_cholesky_route(batch):
         assert np.allclose(rows, bm, rtol=1e-12, atol=1e-14)
 
 
+# (hursts, seed, first, count, dimension, steps) with counts around a block
+# of 3 lines: just below, at and above it, and up to three blocks.  At
+# d = 2 a block boundary can split a path's components.
+_SMALL_BLOCK = 3
+_multi = st.tuples(
+    st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75]), min_size=1, max_size=3).map(tuple),
+    st.integers(0, 2 ** 63), st.integers(0, 2 ** 20),
+    st.one_of(st.sampled_from([_SMALL_BLOCK - 1, _SMALL_BLOCK, _SMALL_BLOCK + 1]),
+              st.integers(1, 3 * _SMALL_BLOCK + 1)),
+    st.sampled_from([1, 2]), st.sampled_from([1, 2, 5, 16, 33]))
+
+
+def _assert_rows_do_not_depend_on_company(hursts, seed, first, count, d, steps):
+    """Row i at hursts[j] is the single path first + i at hursts[j] alone."""
+    grid = TimeGrid(1.0, steps)
+    rows = paths._fbm_rows(hursts, d, grid, seed, first, count)
+    assert rows.shape == (len(hursts), count, d, steps + 1)
+    for j, hurst in enumerate(hursts):
+        assert np.array_equal(rows[j], paths._fbm_rows((hurst,), d, grid, seed,
+                                                       first, count)[0])
+        for i in range(count):
+            single = generate_fbm(hurst, d, grid, seed, path_index=first + i)
+            assert np.array_equal(rows[j, i], single.values)
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(_multi)
+def test_rows_for_several_hursts_are_the_single_hurst_rows(case):
+    hursts, seed, first, count, d, steps = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paths, "BLOCK_NORMALS", _SMALL_BLOCK * 2 * steps)
+        rows = _assert_rows_do_not_depend_on_company(hursts, seed, first, count, d, steps)
+    # The block size does not change a row either.
+    assert np.array_equal(
+        rows, paths._fbm_rows(hursts, d, TimeGrid(1.0, steps), seed, first, count))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_multi)
+def test_cholesky_and_circulant_routes_share_one_draw(case):
+    """With the embedding refused for hursts[0] only, that Hurst value takes
+    the Cholesky route through the first N normals of each key's stream,
+    while the others map all 2N of the same draw through their embeddings."""
+    hursts, seed, first, count, d, steps = case
+    hursts = (0.3, *hursts)
+    grid = TimeGrid(1.0, steps)
+    refused = _fgn_autocov(0.3, steps, grid.dt)
+    embed = paths._circulant_eigenvalues
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paths, "BLOCK_NORMALS", _SMALL_BLOCK * 2 * steps)
+        mp.setattr(paths, "_circulant_eigenvalues",
+                   lambda gamma: None if np.array_equal(gamma, refused) else embed(gamma))
+        rows = _assert_rows_do_not_depend_on_company(hursts, seed, first, count, d, steps)
+    chol = _fgn_cholesky(refused)
+    for i in range(count):
+        for c in range(d):
+            z = paths._component_rng(seed, first + i, c).standard_normal(steps)
+            assert np.array_equal(rows[0, i, c, 1:], np.cumsum(chol @ z))
+
+
 def test_singular_covariance_fails_with_its_eigenvalues(monkeypatch):
     monkeypatch.setattr(paths, "_circulant_eigenvalues", lambda gamma: None)
     monkeypatch.setattr(paths, "_fgn_autocov", lambda hurst, n, dt: np.zeros(n + 1))
@@ -187,7 +248,7 @@ def test_stream_keys_out_of_range_are_rejected():
     for seed, first, count in [(2 ** 64, 0, 1), (-1, 0, 1), (0, 2 ** 32, 1),
                                (0, 2 ** 32 - 2, 3)]:
         with pytest.raises(ParameterError, match="must lie in"):
-            paths._fbm_rows(0.3, 1, grid, seed, first, count)
+            paths._fbm_rows((0.3,), 1, grid, seed, first, count)
         with pytest.raises(ParameterError, match="must lie in"):
             paths._bm_rows(1, grid, seed, first, count)
         if count == 1:
@@ -198,8 +259,8 @@ def test_stream_keys_out_of_range_are_rejected():
     # The largest keys are valid, and distinct from the smallest.
     top = generate_fbm(0.3, 1, grid, 2 ** 64 - 1, path_index=2 ** 32 - 1).values
     assert not np.array_equal(top, generate_fbm(0.3, 1, grid, 0).values)
-    assert np.array_equal(paths._fbm_rows(0.3, 1, grid, 2 ** 64 - 1, 2 ** 32 - 2, 2)[1],
-                          top)
+    assert np.array_equal(
+        paths._fbm_rows((0.3,), 1, grid, 2 ** 64 - 1, 2 ** 32 - 2, 2)[0, 1], top)
 
 
 @pytest.mark.parametrize("dimension", [0, -1])
@@ -272,3 +333,53 @@ def test_cholesky_fallback_factors_the_scipy_toeplitz_matrix(hurst, steps):
     gamma = _fgn_autocov(hurst, steps, 1.0 / steps)
     want = np.linalg.cholesky(toeplitz(gamma[:-1]))
     assert np.array_equal(_fgn_cholesky(gamma), want)
+
+
+# --- the E1 covariance audit --------------------------------------------------
+
+
+def _counted_streams(monkeypatch):
+    calls = []
+    stream = paths._component_rng
+
+    def counted(seed, path_index, component):
+        calls.append((seed, path_index, component))
+        return stream(seed, path_index, component)
+
+    monkeypatch.setattr(paths, "_component_rng", counted)
+    return calls
+
+
+def test_covariance_audit_rows_are_the_per_hurst_batch_formula(monkeypatch):
+    """700 paths of 256 steps straddle two blocks of 256 paths; each of the
+    15 rows equals the formula over a whole per-Hurst batch, and every
+    key's stream is built once for all three Hurst values."""
+    n_paths, steps, seed = 700, 256, 11
+    assert paths.BLOCK_NORMALS // (2 * steps) == 256
+    grid = TimeGrid(1.0, steps)
+    want = []
+    for hurst in (0.1, 0.25, 0.5):
+        batch = generate_fbm_batch(hurst, 1, grid, seed, n_paths)[:, 0, :]
+        for s, t in [(0.25, 0.5), (0.5, 1.0), (0.25, 0.75), (0.125, 1.0), (0.5, 0.75)]:
+            prods = batch[:, grid.node_index(s)] * batch[:, grid.node_index(t)]
+            est = float(prods.mean())
+            se = float(prods.std(ddof=1) / math.sqrt(n_paths))
+            target = float(fbm_covariance(s, t, hurst))
+            want.append({"hurst": hurst, "s": s, "t": t, "estimate": est,
+                         "target": target, "stderr": se,
+                         "z": abs(est - target) / se})
+    calls = _counted_streams(monkeypatch)
+    got = experiments.criterion_fbm_covariance(n_paths, steps, seed)["details"]
+    assert got["rows"] == want
+    assert got["worst_z"] == max(row["z"] for row in want)
+    assert sorted(calls) == [(seed, i, 0) for i in range(n_paths)]
+
+
+@pytest.mark.parametrize("n_paths, steps", [(1, 64), (0, 64), (100, 3)])
+def test_covariance_audit_rejects_bad_sizes_before_drawing(monkeypatch, n_paths, steps):
+    """One path has no standard error, and at 3 steps the pair times 1/4
+    and 1/8 are off the grid: both fail before any stream is built."""
+    calls = _counted_streams(monkeypatch)
+    with pytest.raises(ParameterError):
+        experiments.criterion_fbm_covariance(n_paths, steps, 11)
+    assert calls == []
