@@ -29,8 +29,8 @@ from .averaging import (average_direct, average_via_local_time,
 from .errors import ParameterError
 from .fields import MatrixField, hs_norm_sq, identity_field, singular_example
 from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
-from .paths import (BLOCK_NORMALS, FbmPath, TimeGrid, _fbm_rows,
-                    fbm_covariance, generate_fbm)
+from .paths import (FbmPath, TimeGrid, _fbm_rows, fbm_covariance,
+                    generate_fbm)
 from .sewing import Germ, sew
 from .solver import (BLOWUP_ABORT_FRACTION, BLOWUP_BOUND, Ensemble,
                      MollifiedCauchyReport, PathSums, QuenchedScenario,
@@ -85,22 +85,17 @@ def criterion_fbm_covariance(n_paths: int = 20000, steps: int = 1024,
     pairs = [(0.25, 0.5), (0.5, 1.0), (0.25, 0.75), (0.125, 1.0), (0.5, 0.75)]
     hursts = (0.1, 0.25, 0.5)
     nodes = sorted({grid.node_index(t) for pair in pairs for t in pair})
-    # Each block of paths (one block of _fbm_rows) is drawn once for all
-    # three Hurst values and only its pair nodes are kept: kept[j, q] is
-    # node nodes[q] of every path at hursts[j], contiguous.
-    kept = np.empty((len(hursts), len(nodes), n_paths))
-    per_block = max(1, BLOCK_NORMALS // (2 * steps))
-    for first in range(0, n_paths, per_block):
-        count = min(per_block, n_paths - first)
-        block = _fbm_rows(hursts, 1, grid, seed, first, count)
-        kept[:, :, first:first + count] = block[:, :, 0, nodes].transpose(0, 2, 1)
+    # Every path is drawn once for all three Hurst values, in blocks, and
+    # only its pair nodes are kept: kept[j, i, 0, q] is node nodes[q] of
+    # path i at hursts[j].
+    kept = _fbm_rows(hursts, 1, grid, seed, 0, n_paths, nodes=nodes)
     worst = 0.0
     rows = []
     ok = True
-    for hurst, columns in zip(hursts, kept):
+    for hurst, values in zip(hursts, kept[:, :, 0]):
         for s, t in pairs:
             ks, kt = nodes.index(grid.node_index(s)), nodes.index(grid.node_index(t))
-            prods = columns[ks] * columns[kt]
+            prods = values[:, ks] * values[:, kt]
             est = float(prods.mean())
             se = float(prods.std(ddof=1) / math.sqrt(n_paths))
             target = float(fbm_covariance(s, t, hurst))

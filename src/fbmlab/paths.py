@@ -176,19 +176,17 @@ def _circulant_eigenvalues(gamma: np.ndarray) -> np.ndarray | None:
     return np.clip(lam, 0.0, None)
 
 
-def _fgn_from_normals(lam: np.ndarray, z: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
+def _fgn_from_normals(lam: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Map each row of 2N iid standard normals through the circulant square root.
 
     z has shape (..., 2N) and the result (..., N): the real part of one
-    row-wise FFT, taken in place in `out` (complex, z's shape) when given.
-    The map is linear, so its exactness can be audited by pushing basis
-    vectors through and comparing the implied covariance with gamma.
+    row-wise FFT, taken in place in `out` (complex, z's shape).  The map is
+    linear, so its exactness can be audited by pushing basis vectors
+    through and comparing the implied covariance with gamma.
     """
     m = lam.size
     n = m // 2
-    w = np.empty(z.shape, dtype=complex) if out is None else out
-    re, im = w.real, w.imag
+    re, im = out.real, out.imag
     np.multiply(math.sqrt(lam[0] / m), z[..., 0], out=re[..., 0])
     np.multiply(math.sqrt(lam[n] / m), z[..., 1], out=re[..., n])
     im[..., 0] = im[..., n] = 0.0
@@ -198,7 +196,7 @@ def _fgn_from_normals(lam: np.ndarray, z: np.ndarray,
         np.multiply(amp, z[..., n + 1:], out=im[..., 1:n])
         re[..., m - 1:n:-1] = re[..., 1:n]
         np.negative(im[..., 1:n], out=im[..., m - 1:n:-1])
-    return np.fft.fft(w, axis=-1, out=w).real[..., :n]
+    return np.fft.fft(out, axis=-1, out=out).real[..., :n]
 
 
 def _fgn_cholesky(gamma: np.ndarray) -> np.ndarray:
@@ -228,19 +226,22 @@ def _validate_rows(dimension: int, seed: int, first: int, count: int) -> None:
 
 
 def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: int,
-              first: int, count: int) -> np.ndarray:
+              first: int, count: int, nodes: list[int] | None = None) -> np.ndarray:
     """Paths first .. first + count - 1 for each Hurst value in one array.
 
-    The shape is (len(hursts), count, dimension, steps + 1).
+    The shape is (len(hursts), count, dimension, steps + 1), or, given
+    `nodes`, (len(hursts), count, dimension, len(nodes)) holding only the
+    values at those node indices.
 
     Each (row, component) Philox stream is built once and draws 2N normals
     once; every Hurst value maps that same draw, the circulant route through
     its embedding and the Cholesky route (when the embedding is not
     nonnegative definite) through the first N normals.  The (row, component)
     lines go in blocks of about BLOCK_NORMALS normals, one batched FFT per
-    block and Hurst value, cumsummed straight into the output.  Row i
-    therefore depends on (seed, first + i) and its Hurst value only, not on
-    the other Hurst values or the block.
+    block and Hurst value, cumsummed straight into the output (or into one
+    block of scratch when only `nodes` are kept).  Row i therefore depends
+    on (seed, first + i) and its Hurst value only, not on the other Hurst
+    values or the block.
     """
     for hurst in hursts:
         if not (0.0 < hurst < 1.0):
@@ -253,26 +254,32 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
         lam = _circulant_eigenvalues(gamma)
         routes.append((lam, None if lam is not None else _fgn_cholesky(gamma)))
     lines = count * dimension
-    out = np.empty((len(routes), lines, n + 1))
-    out[..., 0] = 0.0
-    # Scratch for one block of normals and its FFT, reused by every block.
+    width = n + 1 if nodes is None else len(nodes)
+    out = np.empty((len(routes), lines, width))
+    # Scratch for one block of normals, its FFT and, when only nodes are
+    # kept, its paths, reused by every block.
     per_block = min(lines, max(1, BLOCK_NORMALS // (2 * n)))
     normals = np.empty((per_block, 2 * n))
     spectrum = np.empty(normals.shape, dtype=complex)
+    walk = out if nodes is None else np.empty((len(routes), per_block, n + 1))
+    walk[..., 0] = 0.0
     for b0 in range(0, lines, per_block):
         b1 = min(b0 + per_block, lines)
         z = normals[:b1 - b0]
         for k, line in enumerate(range(b0, b1)):
             row, c = divmod(line, dimension)
             _component_rng(seed, first + row, c).standard_normal(out=z[k])
+        at = slice(b0, b1) if nodes is None else slice(0, b1 - b0)
         for j, (lam, chol) in enumerate(routes):
-            block = out[j, b0:b1, 1:]
+            block = walk[j, at, 1:]
             if lam is not None:
                 np.cumsum(_fgn_from_normals(lam, z, spectrum[:b1 - b0]), axis=-1, out=block)
             else:
                 for k in range(b1 - b0):
                     np.cumsum(chol @ z[k, :n], out=block[k])
-    return out.reshape(len(routes), count, dimension, n + 1)
+        if nodes is not None:
+            out[:, b0:b1] = walk[:, :b1 - b0, nodes]
+    return out.reshape(len(routes), count, dimension, width)
 
 
 def _bm_rows(dimension: int, grid: TimeGrid, seed: int, first: int,

@@ -40,7 +40,7 @@ def test_circulant_map_is_exact(hurst):
     gamma = _fgn_autocov(hurst, n, 1.0 / n)
     lam = _circulant_eigenvalues(gamma)
     assert lam is not None
-    cols = [_fgn_from_normals(lam, e) for e in np.eye(2 * n)]
+    cols = [_fgn_from_normals(lam, e, np.empty(2 * n, complex)) for e in np.eye(2 * n)]
     a = np.stack(cols, axis=1)
     err = np.max(np.abs(a @ a.T - toeplitz(gamma[:-1])))
     assert err < 1e-13
@@ -147,10 +147,14 @@ _multi = st.tuples(
 
 
 def _assert_rows_do_not_depend_on_company(hursts, seed, first, count, d, steps):
-    """Row i at hursts[j] is the single path first + i at hursts[j] alone."""
+    """Row i at hursts[j] is the single path first + i at hursts[j] alone,
+    and keeping only some nodes keeps exactly those columns."""
     grid = TimeGrid(1.0, steps)
     rows = paths._fbm_rows(hursts, d, grid, seed, first, count)
     assert rows.shape == (len(hursts), count, d, steps + 1)
+    nodes = [steps, 0, steps // 2, steps]
+    assert np.array_equal(
+        paths._fbm_rows(hursts, d, grid, seed, first, count, nodes=nodes), rows[..., nodes])
     for j, hurst in enumerate(hursts):
         assert np.array_equal(rows[j], paths._fbm_rows((hurst,), d, grid, seed,
                                                        first, count)[0])
