@@ -26,7 +26,8 @@ import numpy as np
 from .errors import (CoverageError, HypothesisError, InsufficientDataError,
                      ParameterError)
 from .fields import _fftconvolve
-from .occupation import OccupationMeasure, SpatialGrid, multilinear_interpolate
+from .occupation import (OccupationMeasure, SpatialGrid, _exact_sum,
+                         multilinear_interpolate)
 from .paths import _write_csv
 
 _NOISE_FLOOR_RTOL = 1e-12
@@ -60,8 +61,8 @@ def average_direct(f, path, s: float, t: float, probes) -> np.ndarray:
     """Direct quadrature of (T f) at probe points.
 
     Sums f(x - w(t_k)) * dt over grid nodes t_k in [s, t).  Each probe sum
-    runs through math.fsum, so window additivity holds to the last rounding
-    of the final product.
+    is correctly rounded (equal to math.fsum), so window additivity holds
+    to the last rounding of the final product.
     """
     k0, k1 = path.grid.window(s, t)
     pts = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -70,8 +71,7 @@ def average_direct(f, path, s: float, t: float, probes) -> np.ndarray:
     window = path.values[:, k0:k1].T  # (samples, d)
     out = np.empty(pts.shape[0])
     for i, x in enumerate(pts):
-        vals = np.asarray(f(x[None, :] - window), dtype=float)
-        out[i] = math.fsum(vals) * path.grid.dt
+        out[i] = _exact_sum(f(x[None, :] - window)) * path.grid.dt
     return out
 
 

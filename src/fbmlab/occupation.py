@@ -26,6 +26,11 @@ import numpy as np
 from .errors import ParameterError
 
 _ORIGIN_RTOL = 1e-9
+# _exact_sum hands math.fsum the last _FSUM_TAIL nonzero remainders, and the
+# whole input when a pass would need sigma above 2**_EXTRACT_MAX_EXPONENT,
+# where a partial sum could overflow.
+_FSUM_TAIL = 64
+_EXTRACT_MAX_EXPONENT = 1020
 
 
 @dataclass(frozen=True)
@@ -219,21 +224,51 @@ def local_time(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure
     return _occupy(path, grid, s, t)
 
 
+def _exact_sum(values) -> float:
+    """math.fsum of a float array, bit for bit, without a Python float per sample.
+
+    Repeated error-free extraction (Rump, Ogita and Oishi, Accurate
+    floating-point summation part I, SIAM J. Sci. Comput. 2008): for n
+    remainders below 2**e in magnitude and sigma = 2**(ceil(log2(n + 2)) + e),
+    every q = (sigma + r) - sigma lies on one grid below sigma, so np.sum(q)
+    is exact in any order and r - q is exact.  The pass sums and the last
+    few nonzero remainders hold the exact total, which math.fsum rounds
+    once.  Non-finite or near-overflow input goes to math.fsum whole (its
+    zeros dropped), so nan, inf, ValueError and OverflowError come out as
+    they do there.
+    """
+    r = np.array(values, dtype=float).ravel()
+    q = np.empty_like(r)
+    k = (r.size + 1).bit_length()
+    passes = []
+    while np.count_nonzero(r) > _FSUM_TAIL:
+        top = max(float(r.max()), -float(r.min()))
+        exponent = math.frexp(top)[1] + k
+        if not (top < math.inf and exponent <= _EXTRACT_MAX_EXPONENT):
+            break
+        sigma = math.ldexp(1.0, exponent)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        passes.append(float(np.sum(q)))
+        r -= q
+    return math.fsum(passes + r[r != 0.0].tolist())
+
+
 def occupation_formula_residual(f, path, grid: SpatialGrid, t: float) -> float:
     """|time quadrature of f(w) - space quadrature against the occupation measure|.
 
     Left side: sum over t_k in [0, t) of f(w(t_k)) * dt.  Right side: sum
-    over bins of f(center) * mass.  Both sums run through math.fsum, so for
-    f constant on bins the two sides agree to the last bit and the residual
-    is exactly zero.  Escaped samples contribute to the left side only;
-    choose the box to cover the path when using this as a convergence
-    diagnostic.
+    over bins of f(center) * mass.  Both sums are correctly rounded (equal
+    to math.fsum), so for f constant on bins the two sides agree to the
+    last bit and the residual is exactly zero.  Escaped samples contribute
+    to the left side only; choose the box to cover the path when using
+    this as a convergence diagnostic.
     """
     k0, k1 = path.grid.window(0.0, t)
     pts = path.values[:, k0:k1].T
-    left = math.fsum(np.asarray(f(pts), dtype=float)) * path.grid.dt
+    left = _exact_sum(f(pts)) * path.grid.dt
     snapped, inside = grid.quantize(pts)
-    right = math.fsum(np.asarray(f(snapped[inside]), dtype=float)) * path.grid.dt
+    right = _exact_sum(f(snapped[inside])) * path.grid.dt
     return abs(left - right)
 
 

@@ -142,6 +142,34 @@ def quantized_perturbation(fbm_values: np.ndarray, grid: SpatialGrid) -> np.ndar
     return snapped
 
 
+class _QuantizedAverageGerm(Germ):
+    """A(u, v) = sum over t_k in [u, v) of f(x(u) - z_k) dt, z_k the snapped
+    perturbation: one field call per partition level.
+
+    The nodes must split their span into equal runs of grid steps, as
+    lebesgue_vs_sewing's depth cap ensures.  Each run's sum is a row sum of
+    one (windows, steps) reshape, which sums each row as np.sum sums that
+    run on its own.
+    """
+
+    def __init__(self, x: np.ndarray, snapped: np.ndarray, scalar_field, grid):
+        super().__init__(None, label="averaged-square")
+        self._x, self._snapped, self._f, self._grid = x, snapped, scalar_field, grid
+
+    def __call__(self, u: float, v: float) -> np.ndarray:
+        return np.asarray(self.level_values(np.array([u, v]))[0])
+
+    def level_values(self, nodes: np.ndarray) -> np.ndarray:
+        k0, k1 = self._grid.window(nodes[0], nodes[-1])
+        count = nodes.size - 1
+        width = (k1 - k0) // count
+        d = self._snapped.shape[1]
+        args = (self._x[:, k0:k1:width].T[:, None, :]
+                - self._snapped[k0:k1].reshape(count, width, d))
+        vals = np.asarray(self._f(args.reshape(-1, d)), dtype=float)
+        return vals.reshape(count, width).sum(axis=1) * self._grid.dt
+
+
 def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGrid,
                        window: tuple[float, float], *, levels: int = 8,
                        margin_fraction: float = 0.05) -> IdentityReport:
@@ -153,28 +181,25 @@ def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGri
     exactly the local-time convolution of f evaluated at X(u).  Both routes
     see the same time quadrature, so the gap is the spatial quantization
     plus the frozen-argument (sewing) error, covered by margin_fraction.
+
+    Partition nodes must stay on the time grid, so the dyadic depth is
+    capped at the power of 2 dividing the window's step count; a window
+    with fewer than 3 such levels raises ParameterError.
     """
     s, t = window
     tg = fbm.grid
     k_s, k_t = tg.window(s, t)
-    # Partition nodes must stay on the time grid, so cap the dyadic depth.
-    levels = min(levels, int(math.floor(math.log2(k_t - k_s))))
+    steps = k_t - k_s
+    levels = min(levels, (steps & -steps).bit_length() - 1)
     if levels < 3:
         raise ParameterError(
-            f"window [{s}, {t}] spans {k_t - k_s} steps, too few for sewing")
-    dt = tg.dt
+            f"window [{s}, {t}] spans {steps} steps, which 2**3 does not "
+            "divide: sewing needs 3 dyadic levels on the time grid")
     x = np.atleast_2d(x_values)
     w = fbm.values
-    left = float(np.sum(scalar_field((x[:, k_s:k_t] - w[:, k_s:k_t]).T)) * dt)
-
-    snapped = quantized_perturbation(w, grid)
-
-    def germ_fn(u: float, v: float) -> float:
-        ku, kv = tg.node_index(u), tg.node_index(v)
-        args = x[:, ku][None, :] - snapped[ku:kv]
-        return float(np.sum(scalar_field(args)) * dt)
-
-    result = sew(Germ(germ_fn, label="averaged-square"), s, t, levels=levels)
+    left = float(np.sum(scalar_field((x[:, k_s:k_t] - w[:, k_s:k_t]).T)) * tg.dt)
+    germ = _QuantizedAverageGerm(x, quantized_perturbation(w, grid), scalar_field, tg)
+    result = sew(germ, s, t, levels=levels)
     right = float(np.asarray(result.value))
     margin = margin_fraction * max(abs(left), abs(right))
     return IdentityReport("quadratic_variation", f"window[{s},{t}]", left, right,

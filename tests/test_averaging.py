@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmlab import (CoverageError, HypothesisError, InsufficientDataError,
                     ParameterError, SpatialGrid, TimeGrid, average_direct,
@@ -63,6 +65,34 @@ def test_average_direct_window_additivity():
              + average_direct(hat, path, 0.375, 1.0, probes))
     assert np.max(np.abs(whole - parts)) < 1e-13
     assert np.max(np.abs(whole)) <= 1.0  # (t - s) * sup|f|
+
+
+DIRECT_STEPS = 2048
+DIRECT_PATHS = {d: generate_fbm(0.3, d, TimeGrid(1.0, DIRECT_STEPS), seed=40 + d)
+                for d in (1, 2)}
+DIRECT_FIELDS = {
+    "tent": lambda p: np.maximum(0.0, 1.0 - np.linalg.norm(p, axis=-1) / 0.5),
+    # Signed, with tails many orders below the peak, so the sums cancel.
+    "signed": lambda p: (np.sin(5.0 * p[:, 0]) * np.exp(-4.0 * np.sum(p * p, axis=-1))
+                         + 1e-9 * p[:, -1]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from(sorted(DIRECT_FIELDS)),
+       st.integers(0, DIRECT_STEPS - 1), st.integers(1, DIRECT_STEPS),
+       st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                min_size=1, max_size=5))
+def test_average_direct_is_the_fsum_of_each_probe(d, name, k0, width, probes):
+    path, f = DIRECT_PATHS[d], DIRECT_FIELDS[name]
+    dt = path.grid.dt
+    k1 = min(k0 + width, DIRECT_STEPS)
+    pts = np.array(probes)[:, :d]
+    out = average_direct(f, path, k0 * dt, k1 * dt, pts)
+    window = path.values[:, k0:k1].T
+    for value, x in zip(out, pts):
+        reference = math.fsum(f(x[None, :] - window).tolist()) * dt
+        assert float.hex(float(value)) == float.hex(reference)
 
 
 def test_average_direct_validation():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fbmlab import (ParameterError, SpatialGrid, TimeGrid, generate_fbm,
                     local_time, multilinear_interpolate,
                     occupation_formula_residual, occupation_measure)
+from fbmlab.occupation import _exact_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +195,69 @@ def test_occupation_formula_residual_within_lipschitz_budget():
     # finer grid is held to its own budget rather than to the coarse value.
     finer = SpatialGrid.cover(path.values.T, h / 4)
     assert occupation_formula_residual(f, path, finer, 1.0) <= 0.5 * (h / 4)
+
+
+def _fsum_outcome(fn, values):
+    """fn(values) as a bit pattern, or the type and message it raised."""
+    try:
+        return float.hex(fn(values))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _summands(kind, n, seed, pattern):
+    """n float64 summands of one adversarial family, from a seed."""
+    rng = np.random.default_rng(seed)
+    if kind == "tiled":
+        # A drawn pattern tiled with random signs, so its values repeat.
+        return np.resize(np.asarray(pattern, dtype=float), n) * rng.choice([-1.0, 1.0], n)
+    if kind == "wide":
+        # Magnitudes from 1e-300 to 1e300 in one array.
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    if kind == "subnormal":
+        return rng.integers(-2 ** 20, 2 ** 20, n) * 5e-324
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0, 5e-324, -5e-324], n, p=[0.45, 0.45, 0.05, 0.05])
+    if kind == "cancel":
+        # Pairs that cancel exactly, plus a few survivors many orders below.
+        half = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-30.0, 30.0, n // 2)
+        vals = np.concatenate([half, -half, rng.standard_normal(n % 2) * 1e-40])
+        return rng.permutation(vals)
+    if kind == "ill-conditioned":
+        # Huge terms that nearly cancel around a small true sum.
+        big = rng.standard_normal(n) * 1e16
+        big[-1:] = -math.fsum(big[:-1].tolist())
+        return rng.permutation(big + rng.uniform(-1.0, 1.0, n))
+    return rng.uniform(0.0, 1.0, n)  # "tent-like": bounded and positive
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["uniform", "tiled", "wide", "subnormal", "signed zeros",
+                        "cancel", "ill-conditioned"]),
+       st.one_of(st.integers(0, 200), st.integers(0, 10 ** 5),
+                 st.sampled_from([0, 1, 63, 64, 65, 10 ** 5])),
+       st.integers(0, 2 ** 32),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                min_size=1, max_size=8))
+def test_exact_sum_is_math_fsum(kind, n, seed, pattern):
+    values = _summands(kind, n, seed, pattern)
+    assert _fsum_outcome(_exact_sum, values) == _fsum_outcome(
+        lambda v: math.fsum(v.tolist()), values)
+
+
+@pytest.mark.parametrize("specials", [[math.inf], [-math.inf], [math.nan],
+                                      [math.inf, -math.inf], [math.nan, math.inf],
+                                      [1e308, 1e308], [-1e308, -1e308, 1e308],
+                                      [1.7e308, 1.7e308, -1.7e308]])
+@pytest.mark.parametrize("n", [0, 10, 5000])
+def test_exact_sum_matches_fsum_on_non_finite_and_overflow(specials, n):
+    """inf, nan and intermediate overflow come out (or raise) as in math.fsum,
+    wherever they sit among ordinary summands."""
+    rng = np.random.default_rng(n)
+    for at in (0, n // 2, n):
+        values = np.insert(rng.standard_normal(n), at, specials)
+        assert _fsum_outcome(_exact_sum, values) == _fsum_outcome(
+            lambda v: math.fsum(v.tolist()), values)
 
 
 def test_multilinear_interpolation_reproduces_affine_fields():

@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+from fbmlab import verify
 from fbmlab import (MomentRatioReport, ParameterError, QuenchedScenario,
                     SpatialGrid, TimeGrid, WEIGHT_DICTIONARY_VERSION,
                     cross_term_check, generate_fbm, identity_field,
@@ -174,3 +175,27 @@ def test_lebesgue_vs_sewing_hat_square_on_brownian_path():
     with pytest.raises(ParameterError):
         lebesgue_vs_sewing(ens.values[0], FBM, hat_sq, cover,
                            (0.25, 0.25 + 4.0 * GRID.dt))
+
+
+def test_lebesgue_vs_sewing_depth_stops_at_the_window_s_power_of_two(monkeypatch):
+    """3000 = 2**3 * 375 steps: sewing runs 3 levels, every node on the grid
+    (a floor(log2) cap asked for 8 and hit an off-grid node).  A 500-step
+    window (2**2 * 125) has too few such levels and says so."""
+    grid = TimeGrid(1.0, 3000)
+    w = generate_fbm(0.2, 1, grid, seed=3)
+    x = generate_fbm(0.75, 1, grid, seed=4).values
+    cover = SpatialGrid.cover(np.concatenate([w.values.T, x.T]), 0.02)
+    hat_sq = lambda p: np.maximum(0.0, 1.0 - np.abs(p[:, 0])) ** 2
+    depths = []
+    real_sew = verify.sew
+
+    def spy(germ, s, t, levels):
+        depths.append(levels)
+        return real_sew(germ, s, t, levels=levels)
+
+    monkeypatch.setattr(verify, "sew", spy)
+    report = lebesgue_vs_sewing(x, w, hat_sq, cover, (0.0, 1.0))
+    assert depths == [3]
+    assert np.isfinite(report.left) and np.isfinite(report.right)
+    with pytest.raises(ParameterError, match="spans 500 steps"):
+        lebesgue_vs_sewing(x, w, hat_sq, cover, (0.0, 500 * grid.dt))
