@@ -121,6 +121,8 @@ def validate_config(cfg: dict) -> None:
         if cfg["gamma0"] >= bound:
             raise ParameterError(
                 f"gamma0={cfg['gamma0']} exceeds 1 - H*d/2 = {bound:.6g}")
+    if not cfg["eps"]:
+        raise ParameterError("eps must list at least one radius")
     if not all(a > b for a, b in zip(cfg["eps"], cfg["eps"][1:])):
         raise ParameterError("eps must be strictly decreasing")
 

@@ -292,8 +292,12 @@ def build_scenario(cfg: dict, *, sweep: bool = True):
     cfg uses the keys of HEADLINE_CONFIG.  Fails with ParameterError before
     the mollified lattices or any ensemble are allocated when they cannot
     fit in physical memory: the chunked radius sweep of verify_scenario,
-    or with sweep False one whole ensemble and its drivers.
+    or with sweep False one whole ensemble and its drivers.  The sweep
+    needs at least two radii for its moment trend.
     """
+    if sweep and len(cfg["eps"]) < 2:
+        raise ParameterError(
+            f"the radius sweep needs at least two radii for a trend, got {len(cfg['eps'])}")
     grid_t = TimeGrid(cfg["horizon"], cfg["steps"])
     fbm = generate_fbm(cfg["hurst"], cfg["dimension"], grid_t, cfg["fbm_seed"])
     singular = cfg["sigma"] == "singular"

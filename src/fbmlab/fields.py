@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import gamma as gamma_fn
 
 from .errors import (ClampWarning, IntegrabilityWarning, ParameterError,
                      ResolutionError)
@@ -196,7 +194,7 @@ class MollifierSpec:
     def bump_mass(self, d: int) -> float:
         """integral over the unit ball of (1 - |u|^2)**bump_power, exactly."""
         k = self.bump_power
-        return math.pi ** (d / 2.0) * gamma_fn(k + 1) / gamma_fn(d / 2.0 + k + 1)
+        return math.pi ** (d / 2.0) * _gamma(k + 1) / _gamma(d / 2.0 + k + 1)
 
     def rho(self, points) -> np.ndarray:
         """Unit-mass bump on the unit ball, evaluated at points (..., d)."""
@@ -268,9 +266,12 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, *, same: bool = False) -> np.ndar
     """Linear convolution of two real arrays by zero-padded real FFTs.
 
     The full result, or with same its centre part of a's shape.  Axes are
-    padded to next_fast_len, and an axis where either input has length 1
-    is multiplied by broadcasting instead of transformed, so the bits are
-    those of scipy.signal.fftconvolve, without importing scipy.signal.
+    padded to _next_fast_len, and an axis where either input has length 1
+    is multiplied by broadcasting instead of transformed.  numpy.fft runs
+    the pocketfft that scipy.fft runs; with the forward axes in scipy's
+    order (_rfftn) and the inverse scaled once by 1 / prod(fshape), as
+    scipy scales it, instead of per axis (which changes the last bits in
+    2-D), the bits are those of scipy.signal.fftconvolve.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -278,16 +279,96 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, *, same: bool = False) -> np.ndar
     shape = [a.shape[k] + b.shape[k] - 1 if k in axes else max(a.shape[k], b.shape[k])
              for k in range(a.ndim)]
     if axes:
-        fshape = [sp_fft.next_fast_len(shape[k], True) for k in axes]
-        spectrum = (sp_fft.rfftn(a, fshape, axes=axes)
-                    * sp_fft.rfftn(b, fshape, axes=axes))
-        out = sp_fft.irfftn(spectrum, fshape, axes=axes)[tuple(map(slice, shape))]
+        fshape = [_next_fast_len(shape[k]) for k in axes]
+        spectrum = _rfftn(a, fshape, axes) * _rfftn(b, fshape, axes)
+        out = np.fft.irfftn(spectrum, fshape, axes=axes, norm="forward")
+        out = out[tuple(map(slice, shape))] * (1.0 / math.prod(fshape))
     else:
         out = a * b
     if same:
         start = [(n - m) // 2 for n, m in zip(shape, a.shape)]
         out = out[tuple(slice(s, s + m) for s, m in zip(start, a.shape))]
     return out
+
+
+def _rfftn(x: np.ndarray, fshape: list[int], axes: list[int]) -> np.ndarray:
+    """Real FFT over axes in scipy.fft.rfftn's order.
+
+    The last axis first, then the others from first to last; np.fft.rfftn
+    runs them from last to first, which changes the last bits in 3-D.
+    """
+    x = np.fft.rfft(x, fshape[-1], axis=axes[-1])
+    for n, k in zip(fshape[:-1], axes[:-1]):
+        x = np.fft.fft(x, n, axis=k)
+    return x
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n (scipy.fft.next_fast_len(n, True))."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+# Cephes Gamma (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), which scipy.special.gamma evaluates: a rational
+# approximation on [2, 3), reached by recurrence, and Stirling's series
+# above 33.  math.gamma rounds differently at most half-integers.
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
+            1.04213797561761569935e-2, 4.76367800457137231464e-2,
+            2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
+            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
+            3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+_STIRLING = (7.87311395793093628397e-4, -2.29549961613378126380e-4,
+             -2.68132617805781232825e-3, 3.47222221605458667310e-3,
+             8.33333333333482257126e-2)
+
+
+def _polevl(x: float, coefs: tuple) -> float:
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for x >= 1, bit-equal to scipy.special.gamma there."""
+    x = float(x)
+    if x >= 171.624376956302725:
+        return math.inf
+    if x > 33.0:
+        w = 1.0 / x
+        w = 1.0 + w * _polevl(w, _STIRLING)
+        y = math.exp(x)
+        if x > 143.01608:
+            v = x ** (0.5 * x - 0.25)
+            y = v * (v / y)
+        else:
+            y = x ** (x - 0.5) / y
+        return 2.50662827463100050242 * y * w
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
 def _lattice_values(grid: SpatialGrid, table: np.ndarray, radius, pts,

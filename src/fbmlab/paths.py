@@ -29,6 +29,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; load it with the package, so
+# the first draw does not pay for the import.
+import numpy.random  # noqa: F401
 
 from .errors import GenerationError, ParameterError
 

@@ -70,6 +70,30 @@ def test_eps_and_x0_validation_exit_2(tmp_path, capsys):
     assert "x0" in capsys.readouterr().err
 
 
+def _no_allocation(*_args, **_kwargs):
+    raise AssertionError("build_scenario drew the fBm path")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_no_radius_exits_2_before_any_allocation(tmp_path, monkeypatch, capsys,
+                                                 command):
+    monkeypatch.setattr(experiments, "generate_fbm", _no_allocation)
+    path = _write_config(tmp_path, "eps =\n")
+    assert main([command, "--config", path]) == 2
+    assert "at least one radius" in capsys.readouterr().err
+
+
+def test_verify_with_one_radius_exits_2_before_any_allocation(tmp_path, monkeypatch,
+                                                              capsys):
+    """The sweep needs two radii for its moment trend; fbmlab solve does not."""
+    one_radius = IDENTITY_CONFIG.replace("eps = 0.5, 0.25", "eps = 0.5")
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "generate_fbm", _no_allocation)
+        assert main(["verify", "--config", _write_config(tmp_path, one_radius)]) == 2
+    assert "at least two radii" in capsys.readouterr().err
+    assert main(["solve", "--config", _write_config(tmp_path, one_radius)]) == 0
+
+
 def test_unknown_experiment_is_an_argparse_error():
     with pytest.raises(SystemExit) as info:
         main(["run", "--experiment", "E9"])

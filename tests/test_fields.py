@@ -13,7 +13,8 @@ from fbmlab import (CLAMP_VALUE, ClampWarning, MatrixField, MollifierSpec,
                     generate_fbm, hs_norm_sq, identity_field, lp_norm,
                     mollified_family, mollify, multilinear_interpolate,
                     singular_example)
-from fbmlab.fields import _fftconvolve, evaluate_members, evaluate_together
+from fbmlab.fields import (_fftconvolve, _gamma, _next_fast_len, evaluate_members,
+                           evaluate_together)
 
 
 def test_constant_and_identity_fields():
@@ -85,6 +86,26 @@ def test_bump_mass_closed_form():
     assert spec.bump_mass(1) == pytest.approx(256.0 / 315.0, rel=1e-15)
     # d=2, k=4 in polar coordinates: pi * integral of (1-v)^4 dv = pi/5.
     assert spec.bump_mass(2) == pytest.approx(math.pi / 5.0, rel=1e-15)
+
+
+def test_gamma_is_scipy_special_gamma_bit_for_bit():
+    """The in-package Gamma at the integers and half-integers bump_mass
+    passes, and bump_mass itself against the scipy closed form."""
+    from scipy.special import gamma
+    for x in [n / 2.0 for n in range(2, 67)]:  # 1, 1.5, ..., 33
+        assert _gamma(x).hex() == float(gamma(x)).hex(), x
+    for d in range(1, 9):
+        for k in range(1, 13):
+            want = math.pi ** (d / 2) * gamma(k + 1) / gamma(d / 2 + k + 1)
+            got = MollifierSpec(0.5, bump_power=k).bump_mass(d)
+            assert got.hex() == float(want).hex(), (d, k)
+
+
+def test_gamma_above_33_is_scipy_special_gamma_bit_for_bit():
+    """Stirling's branch, up to where Gamma overflows."""
+    from scipy.special import gamma
+    for x in [n / 2.0 for n in range(67, 346)]:  # 33.5, ..., 172.5
+        assert _gamma(x).hex() == float(gamma(x)).hex(), x
 
 
 def test_mollifier_kernel_properties():
@@ -308,19 +329,19 @@ def test_interpolation_is_exact_at_lattice_nodes(case):
         assert np.array_equal(together[e], np.broadcast_to(want, together[e].shape))
 
 
-# --- the convolution, without scipy.signal ------------------------------------
+# --- the convolution, without scipy -------------------------------------------
 
 _axis_len = st.integers(1, 40)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2).flatmap(
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
     lambda d: st.tuples(st.lists(_axis_len, min_size=d, max_size=d),
                         st.lists(_axis_len, min_size=d, max_size=d))),
        st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_fftconvolve_is_scipy_signal_bit_for_bit(shapes, seed, same):
-    """Full and same modes, 1-D and 2-D, including length-1 axes and a
-    second input larger than the first."""
+    """Full and same modes, 1-D, 2-D and 3-D, including length-1 axes and
+    a second input larger than the first."""
     from scipy.signal import fftconvolve
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
@@ -330,7 +351,32 @@ def test_fftconvolve_is_scipy_signal_bit_for_bit(shapes, seed, same):
     assert np.array_equal(got, want)
 
 
-def test_import_leaves_out_scipy_signal_and_linalg():
+@pytest.mark.parametrize("shapes", [
+    ((9, 7, 11), (5, 5, 5)),     # every axis transformed
+    ((1, 12, 13), (4, 1, 3)),    # a length-1 axis on either side
+    ((6, 1, 8), (3, 1, 5)),      # a length-1 axis on both sides
+    ((1, 1, 30), (1, 1, 7)),     # one transformed axis in 3-D
+])
+@pytest.mark.parametrize("same", [False, True])
+def test_fftconvolve_3d_is_scipy_signal_bit_for_bit(shapes, same):
+    from scipy.signal import fftconvolve
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+    want = fftconvolve(a, b, mode="same" if same else "full")
+    got = _fftconvolve(a, b, same=same)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_next_fast_len_is_scipy_fft():
+    from scipy.fft import next_fast_len
+    for n in range(1, 2 ** 16 + 1):
+        assert _next_fast_len(n) == next_fast_len(n, True), n
+
+
+def test_import_loads_no_scipy_and_loads_numpy_random():
+    """scipy is a test dependency only; numpy.random, which numpy 2 loads
+    lazily, loads with the package instead of at the first draw."""
     import os
     import subprocess
     import sys
@@ -339,8 +385,8 @@ def test_import_leaves_out_scipy_signal_and_linalg():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, fbmlab; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.linalg') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] True"
