@@ -23,43 +23,36 @@ from .fields import (CLAMP_VALUE, MatrixField, MollifierSpec, ScalarField,
 from .occupation import (OccupationMeasure, SpatialGrid, local_time,
                          multilinear_interpolate, occupation_formula_residual,
                          occupation_measure)
-from .paths import (BmPath, FbmPath, TimeGrid, fbm_covariance, generate_bm,
-                    generate_bm_increments, generate_fbm, generate_fbm_batch)
-from .sewing import (Germ, SewingDiagnostics, SewingResult, delta,
-                     nonlinear_young_solve, remainder_check, sew,
-                     stochastic_sewing_diagnostic)
+from .paths import (FbmPath, TimeGrid, fbm_covariance, generate_bm_increments,
+                    generate_fbm, generate_fbm_batch)
+from .sewing import Germ, SewingResult, sew
 from .solver import (Ensemble, MollifiedCauchyReport, QuenchedScenario,
-                     euler_maruyama, mollified_family,
-                     mollified_integral_sequence, solve_ensemble)
+                     mollified_family, solve_ensemble)
 from .verify import (WEIGHT_DICTIONARY_VERSION, IdentityReport,
-                     MomentRatioReport, cross_term_check, ito_isometry_check,
-                     lebesgue_vs_sewing, martingale_residuals, moment_ratio,
+                     MomentRatioReport, lebesgue_vs_sewing, moment_ratio,
                      moment_ratio_trend, quantized_perturbation,
                      weight_dictionary)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragedField", "BmPath", "BlowUpError", "CLAMP_VALUE", "ClampWarning",
+    "AveragedField", "BlowUpError", "CLAMP_VALUE", "ClampWarning",
     "CoverageError", "Ensemble", "FbmLabError", "FbmPath", "GenerationError",
     "Germ", "HolderEstimate", "HypothesisError", "IdentityReport",
     "InsufficientDataError", "IntegrabilityWarning",
     "MatrixField", "MollifiedCauchyReport", "MollifierSpec",
     "MomentRatioReport", "OccupationMeasure", "ParameterError",
     "QuenchedScenario", "RegularityBudget", "ResolutionError", "ScalarField",
-    "SewingDiagnostics", "SewingResult", "SpatialGrid", "TimeGrid",
+    "SewingResult", "SpatialGrid", "TimeGrid",
     "WEIGHT_DICTIONARY_VERSION",
     "admissible_regularity", "average_direct", "average_via_local_time",
-    "constant_field", "convolution_agreement_bound", "cross_term_check",
-    "delta", "euler_maruyama", "fbm_covariance", "generate_bm",
-    "generate_bm_increments", "generate_fbm", "generate_fbm_batch",
+    "constant_field", "convolution_agreement_bound",
+    "fbm_covariance", "generate_bm_increments", "generate_fbm", "generate_fbm_batch",
     "hs_norm_sq", "holder_exponent", "hurst_admissible_fbm_driver",
-    "hurst_admissible_main", "identity_field", "ito_isometry_check",
-    "lebesgue_vs_sewing", "local_time", "lp_norm", "martingale_residuals",
-    "moment_ratio", "moment_ratio_trend", "mollified_family",
-    "mollified_integral_sequence", "mollify", "multilinear_interpolate",
-    "nonlinear_young_solve", "occupation_formula_residual",
-    "occupation_measure", "quantized_perturbation", "remainder_check", "sew",
-    "singular_example", "solve_ensemble", "stochastic_sewing_diagnostic",
-    "weight_dictionary",
+    "hurst_admissible_main", "identity_field",
+    "lebesgue_vs_sewing", "local_time", "lp_norm", "moment_ratio",
+    "moment_ratio_trend", "mollified_family", "mollify",
+    "multilinear_interpolate", "occupation_formula_residual",
+    "occupation_measure", "quantized_perturbation", "sew",
+    "singular_example", "solve_ensemble", "weight_dictionary",
 ]

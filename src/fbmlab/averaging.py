@@ -242,6 +242,8 @@ def hurst_admissible_main(dimension: int, p: float) -> float:
     Requires p >= 2 and d/p < 1; the threshold is
     0.5 / (1 + d / min(p/2, 4/3)).
     """
+    if dimension < 1:
+        raise ParameterError("dimension must be >= 1")
     if p < 2.0:
         raise HypothesisError(f"threshold requires p >= 2, got {p}")
     if not dimension / p < 1.0:
@@ -258,6 +260,8 @@ def hurst_admissible_fbm_driver(driver_hurst: float, dimension: int, p: float) -
     Valid for driver_hurst strictly between 1/2 and 1; the bound is
     (driver_hurst - 1/2) / (2 + d/p).
     """
+    if dimension < 1:
+        raise ParameterError("dimension must be >= 1")
     if not driver_hurst > 0.5:
         raise HypothesisError(
             f"driver_hurst must exceed 1/2, got {driver_hurst}")

@@ -40,15 +40,12 @@ class BlowUpError(FbmLabError, RuntimeError):
 
     Attributes
     ----------
-    index : int or None
-        First time-step index at which the bound was exceeded.
     count : int or None
         Number of affected paths when raised for an ensemble.
     """
 
-    def __init__(self, message: str, index: int | None = None, count: int | None = None):
+    def __init__(self, message: str, count: int | None = None):
         super().__init__(message)
-        self.index = index
         self.count = count
 
 

@@ -293,11 +293,15 @@ def build_scenario(cfg: dict, *, sweep: bool = True):
     the mollified lattices or any ensemble are allocated when they cannot
     fit in physical memory: the chunked radius sweep of verify_scenario,
     or with sweep False one whole ensemble and its drivers.  The sweep
-    needs at least two radii for its moment trend.
+    needs at least two radii for its moment trend and two paths for the
+    standard errors of its identity checks.
     """
     if sweep and len(cfg["eps"]) < 2:
         raise ParameterError(
             f"the radius sweep needs at least two radii for a trend, got {len(cfg['eps'])}")
+    if sweep and cfg["paths"] < 2:
+        raise ParameterError(
+            f"the radius sweep needs at least two paths for a standard error, got {cfg['paths']}")
     grid_t = TimeGrid(cfg["horizon"], cfg["steps"])
     fbm = generate_fbm(cfg["hurst"], cfg["dimension"], grid_t, cfg["fbm_seed"])
     singular = cfg["sigma"] == "singular"

@@ -124,22 +124,6 @@ class FbmPath:
                    np.column_stack([self.times, self.values.T]))
 
 
-@dataclass(frozen=True, eq=False)
-class BmPath:
-    """One standard Brownian path: values[c, k] = B^c(t_k), B(0) = 0."""
-
-    dimension: int
-    grid: TimeGrid
-    values: np.ndarray = field(repr=False)
-    increments: np.ndarray = field(repr=False)
-    seed: int
-    path_index: int = 0
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
-
-
 def _write_csv(fh, comment: str, columns: list[str], rows) -> None:
     """A '# comment' line, a header line, then each row's floats by repr."""
     fh.write(f"# {comment}\n{','.join(columns)}\n")
@@ -307,13 +291,6 @@ def generate_fbm(hurst: float, dimension: int, grid: TimeGrid, seed: int,
     """
     values = _fbm_rows((hurst,), dimension, grid, seed, path_index, 1)[0, 0]
     return FbmPath(hurst, dimension, grid, values, seed, path_index)
-
-
-def generate_bm(dimension: int, grid: TimeGrid, seed: int, path_index: int = 0) -> BmPath:
-    """Sample one standard Brownian path with independent components."""
-    inc = _bm_rows(dimension, grid, seed, path_index, 1)[0]
-    values = np.concatenate([np.zeros((dimension, 1)), np.cumsum(inc, axis=1)], axis=1)
-    return BmPath(dimension, grid, values, inc, seed, path_index)
 
 
 def generate_fbm_batch(hurst: float, dimension: int, grid: TimeGrid, seed: int,

@@ -24,7 +24,7 @@ from .errors import BlowUpError, ParameterError
 from .fields import (LatticeStack, MatrixField, MollifierSpec,
                      evaluate_members, evaluate_together, lp_norm, mollify)
 from .occupation import SpatialGrid
-from .paths import BmPath, FbmPath, TimeGrid, _bm_rows, _validate_rows
+from .paths import FbmPath, TimeGrid, _bm_rows, _validate_rows
 
 BLOWUP_BOUND = 1.0e6
 BLOWUP_ABORT_FRACTION = 0.01
@@ -131,26 +131,6 @@ def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
             alive &= ~bad
         values[..., k + 1] = x
     return values, blowup
-
-
-def euler_maruyama(sigma: MatrixField, fbm: FbmPath, bm: BmPath, x0,
-                   blowup_bound: float = BLOWUP_BOUND) -> tuple[np.ndarray, int]:
-    """Single-path scheme; returns (values (d, steps+1), blowup step or -1).
-
-    Adapted by construction: the state at t_k depends on driver increments
-    before t_k only, and identical drivers up to a step yield bit-identical
-    states up to that step.
-    """
-    if fbm.grid != bm.grid:
-        raise ParameterError("perturbation and driver live on different time grids")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (sigma.d,):
-        raise ParameterError(f"x0 has shape {x0.shape}, field wants ({sigma.d},)")
-    if bm.dimension != sigma.n:
-        raise ParameterError("driver dimension does not match the field")
-    values, blowup = _euler_batch([sigma], fbm.values, bm.increments[None],
-                                  x0, blowup_bound)
-    return values[0, 0], int(blowup[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,8 +421,10 @@ def cauchy_report(scenario: QuenchedScenario, terminals: np.ndarray,
                   m: float) -> MollifiedCauchyReport:
     """Consecutive-radius gaps of the terminal Ito integrals (n_eps, paths, d).
 
-    Pairs the L^(m/2) distance of consecutive terminals with the L^p
-    distance of the fields themselves.
+    The terminals integrate each mollified field against the same drivers
+    along one reference process, the smallest radius's solve, so the
+    differences between consecutive radii isolate the field gap.  Pairs
+    their L^(m/2) distance with the L^p distance of the fields themselves.
     """
     eps_seq = scenario.eps_seq
     half = m / 2.0
@@ -456,29 +438,3 @@ def cauchy_report(scenario: QuenchedScenario, terminals: np.ndarray,
         gaps.append(lp_norm(gap_field, scenario.p, lp_grid, refine_singular=False))
     return MollifiedCauchyReport(eps_seq, terminals, tuple(diffs), tuple(gaps),
                                  m, scenario.p)
-
-
-def mollified_integral_sequence(scenario: QuenchedScenario, *, m: float = 4.0,
-                                reference: Ensemble | None = None,
-                                fields: dict[float, MatrixField] | None = None,
-                                lp_grid: SpatialGrid | None = None
-                                ) -> MollifiedCauchyReport:
-    """Integral sums of each mollified field along one fixed reference process.
-
-    The reference solution is computed at the smallest radius (the best
-    resolved field), then each sigma_eps is integrated against the same
-    drivers along that same process.  Differences between consecutive radii
-    then isolate the field gap, which the report pairs with the L^p
-    distance of the fields themselves.  fields and lp_grid come together
-    (as mollified_family returns them) or not at all.
-    """
-    if (fields is None) != (lp_grid is None):
-        raise ParameterError("pass fields and lp_grid together, or neither")
-    if fields is None:
-        lp_grid, fields = mollified_family(scenario)
-    eps_min = min(scenario.eps_seq)
-    if reference is None:
-        reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min)
-    sums = walk_ensemble(reference, scenario.grid.steps,
-                         drift=[fields[eps] for eps in scenario.eps_seq])
-    return cauchy_report(scenario, sums.ito, fields, lp_grid, m)

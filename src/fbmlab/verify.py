@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .fields import MatrixField
 from .occupation import SpatialGrid
 from .sewing import Germ, sew
-from .solver import Ensemble, PathSums, walk_ensemble
+from .solver import Ensemble, PathSums
 
 WEIGHT_DICTIONARY_VERSION = 1
 _CLIP = 1.0
@@ -207,13 +206,6 @@ def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGri
                           {"sewing_rate": result.rate, "diverged": result.diverged})
 
 
-def _check_steps(ensemble: Ensemble, t: float) -> int:
-    k_t = ensemble.scenario.grid.node_index(t)
-    if k_t < 1:
-        raise ParameterError("t must be at least one step into the grid")
-    return k_t
-
-
 def _paired_report(tag: str, label: str, left_samples: np.ndarray,
                    right_samples: np.ndarray, margin_fraction: float,
                    extras: dict) -> IdentityReport:
@@ -226,12 +218,29 @@ def _paired_report(tag: str, label: str, left_samples: np.ndarray,
     return IdentityReport(tag, label, left, right, stderr, margin, extras)
 
 
-def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
-                    margin_fraction: float = 0.05) -> IdentityReport:
-    """ito_isometry_check from snap field e of a walk over ensemble up to t."""
+def _end_increments(ensemble: Ensemble, sums: PathSums) -> np.ndarray:
+    """X_j(t) - x0_j of the surviving paths at the walk's end node t; at
+    t = 0 there is no sum to pair, so both sides would pass as zero."""
+    if sums.k_end < 1:
+        raise ParameterError("t must be at least one step into the grid")
     j = sums.coordinate
     x_t = ensemble.at_nodes([sums.k_end])[:, j, 0][ensemble.ok_mask]
-    left_samples = (x_t - ensemble.scenario.x0[j]) ** 2
+    return x_t - ensemble.scenario.x0[j]
+
+
+def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
+                    margin_fraction: float = 0.05) -> IdentityReport:
+    """E[(X_j(t) - x0_j)^2] against the averaged squared row of a field.
+
+    sums is a walk_ensemble pass over ensemble up to t (k_end its node)
+    with coordinate j.  The right estimator is its row_sq[e]: the germ of
+    |row_j sigma_eps|^2, sigma_eps its snap field e, accumulated against
+    the quantized perturbation along each path (finest dyadic partition
+    sum).  stderr is the paired standard error of the per-path difference,
+    since both estimators ride on the same paths.
+    """
+    j = sums.coordinate
+    left_samples = _end_increments(ensemble, sums) ** 2
     return _paired_report("ito_isometry", f"coordinate {j}, t={t}", left_samples,
                           sums.row_sq[e], margin_fraction,
                           {"epsilon": ensemble.epsilon})
@@ -240,57 +249,28 @@ def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
 def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
                       epsilon: float | None = None,
                       margin_fraction: float = 0.05) -> IdentityReport:
-    """cross_term_check from drift and snap field e of a walk over ensemble up to t."""
+    """Pairing of the martingale with the mollified integral vs the mixed germ.
+
+    sums is a walk_ensemble pass over ensemble up to t with coordinate j,
+    whose drift and snap field e is sigma_eps and whose sigma_raw is the
+    unmollified field.  Left: E[(X_j(t) - x0_j) * I_j(t)] where I_j, its
+    ito[e], is the Ito sum of row j of sigma_eps along the ensemble paths
+    against the shared driver.  Right: its mixed[e], the mixed germ
+    (sigma_raw sigma_eps^T)_jj accumulated at quantized perturbation
+    positions.  The ensemble should be the reference (smallest radius)
+    solve; at that radius the Ito sum reproduces the martingale increment
+    bitwise, so the left side collapses onto the isometry value and the
+    sweep over radii traces the convergence the stability result predicts.
+    Requires d/p < 1 to mean anything, reported in extras.
+    """
     scen = ensemble.scenario
     j = sums.coordinate
-    x_t = ensemble.at_nodes([sums.k_end])[:, j, 0][ensemble.ok_mask]
-    left_samples = (x_t - scen.x0[j]) * sums.ito[e][:, j]
+    left_samples = _end_increments(ensemble, sums) * sums.ito[e][:, j]
     d_over_p = scen.dimension / scen.p
     return _paired_report("cross_term", f"coordinate {j}, t={t}", left_samples,
                           sums.mixed[e], margin_fraction,
                           {"epsilon": epsilon, "d_over_p": d_over_p,
                            "hypothesis_d_over_p_lt_1": d_over_p < 1.0})
-
-
-def ito_isometry_check(ensemble: Ensemble, sigma_eps: MatrixField,
-                       grid: SpatialGrid, t: float, *, coordinate: int = 0,
-                       margin_fraction: float = 0.05) -> IdentityReport:
-    """E[(X_j(t) - x0_j)^2] against the averaged squared row of the field.
-
-    The right estimator accumulates the germ of |row_j sigma_eps|^2 against
-    the quantized perturbation along each path (finest dyadic partition
-    sum).  stderr is the paired standard error of the per-path difference,
-    since both estimators ride on the same paths.
-    """
-    k_t = _check_steps(ensemble, t)
-    snapped = quantized_perturbation(ensemble.scenario.fbm.values, grid)[:k_t]
-    sums = walk_ensemble(ensemble, k_t, snap=[sigma_eps], snapped=snapped,
-                         coordinate=coordinate)
-    return isometry_report(ensemble, sums, 0, t, margin_fraction=margin_fraction)
-
-
-def cross_term_check(ensemble: Ensemble, sigma_raw: MatrixField,
-                     sigma_eps: MatrixField, grid: SpatialGrid, t: float, *,
-                     coordinate: int = 0, epsilon: float | None = None,
-                     margin_fraction: float = 0.05) -> IdentityReport:
-    """Pairing of the martingale with the mollified integral vs the mixed germ.
-
-    Left: E[(X_j(t) - x0_j) * I_j(t)] where I_j is the Ito sum of row j of
-    sigma_eps along the ensemble paths against the shared driver.  Right:
-    the mixed germ (sigma_raw sigma_eps^T)_jj accumulated at quantized
-    perturbation positions.  The ensemble should be the reference (smallest
-    radius) solve; at that radius the Ito sum reproduces the martingale
-    increment bitwise, so the left side collapses onto the isometry value
-    and the sweep over radii traces the convergence the stability result
-    predicts.  Requires d/p < 1 to mean anything, reported in extras.
-    """
-    k_t = _check_steps(ensemble, t)
-    snapped = quantized_perturbation(ensemble.scenario.fbm.values, grid)[:k_t]
-    sums = walk_ensemble(ensemble, k_t, drift=[sigma_eps], snap=[sigma_eps],
-                         snapped=snapped, sigma_raw=sigma_raw,
-                         coordinate=coordinate)
-    return cross_term_report(ensemble, sums, 0, t, epsilon=epsilon,
-                             margin_fraction=margin_fraction)
 
 
 def weight_dictionary(d: int, n: int):
@@ -335,8 +315,23 @@ def martingale_nodes(windows: list[tuple[int, int]]) -> set[int]:
 
 def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
                        pairs: list[tuple[float, float]]) -> list[IdentityReport]:
-    """martingale_residuals from drift field e of a walk whose windows are
-    the node pairs of `pairs`."""
+    """Residuals E[weight * increment] for the three martingale families.
+
+    sums is a walk_ensemble pass whose windows are the node pairs of
+    `pairs`, with coordinate j and driver_coordinate i.  Families, for
+    M = X_j - x0_j and the discrete compensators of its drift field e,
+    sigma_eps, evaluated along the exact (unquantized) perturbation
+    positions:
+
+      level:      M(t) - M(s)
+      quadratic:  M(t)^2 - M(s)^2 - sum |row_j sigma_eps|^2 dt
+      cross:      M(t) B_i(t) - M(s) B_i(s) - sum (sigma_eps)_ji dt
+
+    Each family is weighted by every entry of weight_dictionary, read at
+    the window start and half of it.  Every family has expectation exactly
+    zero for the scheme, so the pass criterion is |residual| <= 4 stderr
+    with no discretization margin.
+    """
     scen = ensemble.scenario
     j, i = sums.coordinate, sums.driver_coordinate
     reports = []
@@ -372,25 +367,3 @@ def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
                      "compensator_min": lo, "compensator_max": hi,
                      "dictionary_version": WEIGHT_DICTIONARY_VERSION}))
     return reports
-
-
-def martingale_residuals(ensemble: Ensemble, sigma_eps: MatrixField,
-                         pairs: list[tuple[float, float]], *,
-                         coordinate: int = 0, driver_coordinate: int = 0
-                         ) -> list[IdentityReport]:
-    """Residuals E[weight * increment] for the three martingale families.
-
-    Families, for M = X_j - x0_j and the discrete compensators evaluated
-    along the exact (unquantized) perturbation positions:
-
-      level:      M(t) - M(s)
-      quadratic:  M(t)^2 - M(s)^2 - sum |row_j sigma_eps|^2 dt
-      cross:      M(t) B_i(t) - M(s) B_i(s) - sum (sigma_eps)_ji dt
-
-    Every family has expectation exactly zero for the scheme, so the pass
-    criterion is |residual| <= 4 stderr with no discretization margin.
-    """
-    windows = [ensemble.scenario.grid.window(s, t) for s, t in pairs]
-    sums = walk_ensemble(ensemble, 0, drift=[sigma_eps], windows=windows,
-                         coordinate=coordinate, driver_coordinate=driver_coordinate)
-    return martingale_reports(ensemble, sums, 0, pairs)

@@ -263,6 +263,9 @@ def test_main_hurst_threshold_exact_branches():
         hurst_admissible_main(1, 1.5)
     with pytest.raises(HypothesisError):
         hurst_admissible_main(2, 2.0)  # d/p >= 1
+    for dimension in (0, -2):  # a negative d/p would pass d/p < 1
+        with pytest.raises(ParameterError, match="dimension"):
+            hurst_admissible_main(dimension, 2.0)
 
 
 def test_fractional_driver_threshold():
@@ -272,3 +275,7 @@ def test_fractional_driver_threshold():
         hurst_admissible_fbm_driver(0.5, 1, 2.0)
     with pytest.raises(HypothesisError):
         hurst_admissible_fbm_driver(1.0, 1, 2.0)
+    for dimension in (0, -2):
+        with pytest.raises(ParameterError, match="dimension"):
+            hurst_admissible_fbm_driver(0.7, dimension, 2.0)
+

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fbmlab import ParameterError, experiments, verify
+from fbmlab import ParameterError, experiments
 from fbmlab.cli import main, parse_config_text
 from fbmlab.experiments import ALL_CRITERIA, HEADLINE_CONFIG
 
@@ -94,6 +94,19 @@ def test_verify_with_one_radius_exits_2_before_any_allocation(tmp_path, monkeypa
     assert main(["solve", "--config", _write_config(tmp_path, one_radius)]) == 0
 
 
+def test_verify_with_one_path_exits_2_before_any_allocation(tmp_path, monkeypatch,
+                                                            capsys):
+    """A one-path ensemble has no standard error, so every identity of the
+    sweep would fail with stderr 0.0; fbmlab solve still runs it."""
+    one_path = IDENTITY_CONFIG.replace("paths = 500", "paths = 1").replace(
+        "steps = 128", "steps = 64")
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "generate_fbm", _no_allocation)
+        assert main(["verify", "--config", _write_config(tmp_path, one_path)]) == 2
+    assert "at least two paths" in capsys.readouterr().err
+    assert main(["solve", "--config", _write_config(tmp_path, one_path)]) == 0
+
+
 def test_unknown_experiment_is_an_argparse_error():
     with pytest.raises(SystemExit) as info:
         main(["run", "--experiment", "E9"])
@@ -148,6 +161,12 @@ def test_admissibility_subcommand_json(capsys):
     assert out["regularity_budget"]["lambda_max"] == 4.5
     assert out["hurst_max_fbm_driver"] == 0.1
     assert main(["admissibility", "--dim", "2", "--p", "2"]) == 2
+    capsys.readouterr()
+    for extra in (["--dim", "-2", "--p", "2"],
+                  ["--dim", "0", "--p", "2", "--driver-hurst", "0.7"]):
+        assert main(["admissibility", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dimension must be >= 1" in captured.err
 
 
 def test_local_time_subcommand_smoke(tmp_path, capsys):
@@ -239,9 +258,8 @@ def test_identity_control_is_solved_and_walked_once(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(experiments, "solve_ensemble",
                         logged(solved, experiments.solve_ensemble))
-    for module in (experiments, verify):
-        monkeypatch.setattr(module, "walk_ensemble",
-                            logged(walked, module.walk_ensemble))
+    monkeypatch.setattr(experiments, "walk_ensemble",
+                        logged(walked, experiments.walk_ensemble))
     experiments._identity_field_reports.cache_clear()
     assert main(["run", "--experiment", "E0", "--out", str(tmp_path)]) == 0
     iso = ALL_CRITERIA["ito-isometry"]()["details"]["constant_field"]

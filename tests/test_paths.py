@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from fbmlab import (GenerationError, ParameterError, TimeGrid, experiments,
-                    fbm_covariance, generate_bm, generate_bm_increments,
-                    generate_fbm, generate_fbm_batch, paths)
+                    fbm_covariance, generate_bm_increments, generate_fbm,
+                    generate_fbm_batch, paths)
 from fbmlab.paths import (_circulant_eigenvalues, _fgn_autocov,
                           _fgn_cholesky, _fgn_from_normals)
 
@@ -94,9 +94,7 @@ def test_bm_increment_ensemble_matches_paths():
     grid = TimeGrid(2.0, 32)
     db = generate_bm_increments(3, grid, 9, 3)
     for i in range(3):
-        single = generate_bm(3, grid, 9, path_index=i)
-        assert np.array_equal(db[i], single.increments)
-        assert np.array_equal(np.cumsum(db[i], axis=1), single.values[:, 1:])
+        assert np.array_equal(db[i], paths._bm_rows(3, grid, 9, i, 1)[0])
 
 
 # (seed, count, index < count, dimension, steps)
@@ -112,7 +110,7 @@ def _assert_batch_rows_are_single_paths(seed, count, index, d, steps, hurst):
     assert np.array_equal(fbm[index], generate_fbm(hurst, d, grid, seed, index).values)
     db = generate_bm_increments(d, grid, seed, count)
     assert db.shape == (count, d, steps)
-    assert np.array_equal(db[index], generate_bm(d, grid, seed, index).increments)
+    assert np.array_equal(db[index], paths._bm_rows(d, grid, seed, index, 1)[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,7 +128,7 @@ def test_batch_row_is_the_single_path_on_the_cholesky_route(batch):
         # The fallback is an exact sampler too: H = 1/2 gives Brownian paths.
         grid = TimeGrid(1.0, batch[4])
         rows = generate_fbm_batch(0.5, 1, grid, batch[0], 1)[0, 0, 1:]
-        bm = generate_bm(1, grid, batch[0]).values[0, 1:]
+        bm = np.cumsum(paths._bm_rows(1, grid, batch[0], 0, 1)[0, 0])
         assert np.allclose(rows, bm, rtol=1e-12, atol=1e-14)
 
 
@@ -258,8 +256,6 @@ def test_stream_keys_out_of_range_are_rejected():
         if count == 1:
             with pytest.raises(ParameterError, match="must lie in"):
                 generate_fbm(0.3, 1, grid, seed, path_index=first)
-            with pytest.raises(ParameterError, match="must lie in"):
-                generate_bm(1, grid, seed, path_index=first)
     # The largest keys are valid, and distinct from the smallest.
     top = generate_fbm(0.3, 1, grid, 2 ** 64 - 1, path_index=2 ** 32 - 1).values
     assert not np.array_equal(top, generate_fbm(0.3, 1, grid, 0).values)
@@ -274,8 +270,6 @@ def test_batch_generators_reject_nonpositive_dimension(dimension):
         generate_fbm_batch(0.5, dimension, grid, 1, 4)
     with pytest.raises(ParameterError, match="dimension"):
         generate_bm_increments(dimension, grid, 1, 4)
-    with pytest.raises(ParameterError, match="dimension"):
-        generate_bm(dimension, grid, 1)
 
 
 def test_time_grid_node_lookup_and_subsample():

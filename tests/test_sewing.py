@@ -1,33 +1,16 @@
-"""Dyadic sewing, stochastic defect diagnostics and the drift scheme."""
+"""Dyadic sewing and the level-wise averaged germ."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fbmlab import (BlowUpError, Germ, InsufficientDataError, MollifierSpec,
-                    ParameterError, SpatialGrid, TimeGrid, delta,
-                    generate_bm_increments, generate_fbm, holder_exponent,
-                    hs_norm_sq, lebesgue_vs_sewing, mollify,
-                    nonlinear_young_solve, quantized_perturbation,
-                    remainder_check, sew, singular_example,
-                    stochastic_sewing_diagnostic)
+from fbmlab import (Germ, MollifierSpec, ParameterError, SpatialGrid,
+                    TimeGrid, generate_fbm, hs_norm_sq, lebesgue_vs_sewing,
+                    mollify, quantized_perturbation, sew, singular_example)
 from fbmlab import verify
 
 LEFT_LINEAR = Germ(lambda s, t: s * (t - s), label="s*(t-s)")
-
-
-def test_delta_of_additive_germ_vanishes():
-    additive = Germ(lambda s, t: 3.0 * (t - s))
-    assert delta(additive, 0.0, 0.5, 1.0) == 0.0
-    assert delta(LEFT_LINEAR, 0.2, 0.2, 0.9) == 0.0  # u = s collapses one term
-
-
-def test_delta_left_linear_closed_form():
-    # A(0,1) - A(0,1/2) - A(1/2,1) = 0 - 0 - 1/4.
-    assert delta(LEFT_LINEAR, 0.0, 0.5, 1.0) == -0.25
-    with pytest.raises(ParameterError):
-        delta(LEFT_LINEAR, 0.0, 2.0, 1.0)
 
 
 def test_sew_additive_germ_is_level_independent():
@@ -45,7 +28,7 @@ def test_sew_left_linear_richardson_hits_the_integral():
     assert float(res.value) == pytest.approx(0.5, abs=1e-12)
     assert res.rate == pytest.approx(1.0, abs=1e-9)
     assert res.rate_half_width == pytest.approx(0.0, abs=1e-9)
-    assert float(res.last_sum) == pytest.approx(0.5 * (1.0 - 2.0 ** -10), rel=1e-13)
+    assert float(res.level_sums[-1]) == pytest.approx(0.5 * (1.0 - 2.0 ** -10), rel=1e-13)
     assert not res.diverged
 
 
@@ -60,18 +43,17 @@ def test_sew_flags_subcritical_germ():
 
 def test_sew_rate_tracks_declared_window_exponent():
     for beta in (1.5, 2.0):
-        germ = Germ(lambda s, t, b=beta: (t - s) ** b, beta=beta)
-        res = sew(germ, 0.0, 1.0)
-        assert res.rate >= germ.beta - 1.0 - 0.15
+        res = sew(Germ(lambda s, t, b=beta: (t - s) ** b), 0.0, 1.0)
+        assert res.rate >= beta - 1.0 - 0.15
         assert abs(float(res.value)) < 1e-12  # sums 2^{k(1-beta)} shrink to zero
 
 
 def test_sew_is_linear_in_the_germ():
-    both = sew(LEFT_LINEAR + Germ(lambda s, t: 2.0 * (t - s)), 0.0, 1.0)
-    parts = (sew(LEFT_LINEAR, 0.0, 1.0).last_sum
-             + sew(Germ(lambda s, t: 2.0 * (t - s)), 0.0, 1.0).last_sum)
-    assert float(both.last_sum) == pytest.approx(float(parts), rel=1e-12)
-    scaled = sew(LEFT_LINEAR.scaled(-3.0), 0.0, 1.0)
+    both = sew(Germ(lambda s, t: s * (t - s) + 2.0 * (t - s)), 0.0, 1.0)
+    parts = (sew(LEFT_LINEAR, 0.0, 1.0).level_sums[-1]
+             + sew(Germ(lambda s, t: 2.0 * (t - s)), 0.0, 1.0).level_sums[-1])
+    assert float(both.level_sums[-1]) == pytest.approx(float(parts), rel=1e-12)
+    scaled = sew(Germ(lambda s, t: -3.0 * (s * (t - s))), 0.0, 1.0)
     assert float(scaled.value) == pytest.approx(-1.5, abs=1e-11)
 
 
@@ -181,120 +163,3 @@ def test_level_wise_averaged_germ_on_a_duck_typed_path():
                         reference_germ, 0.25, 0.75)
     report = lebesgue_vs_sewing(x, _Flat(), f, sgrid, (0.25, 0.75))
     assert report.right == float(sew(reference_germ, 0.25, 0.75, levels=7).value)
-
-
-def test_remainder_additive_germ_is_exact():
-    additive = Germ(lambda s, t: 2.0 * (t - s))
-    res = sew(additive, 0.0, 1.0, levels=5)
-    assert remainder_check(additive, res, 2.0, level=4) == 0.0
-
-
-def test_remainder_left_linear_beta_two():
-    """Worst window ratio |IA - A| / (t-s)^2: IA(s,t) = (t^2 - s^2)/2, so the
-    remainder is exactly half the squared width at every window."""
-    res = sew(LEFT_LINEAR, 0.0, 1.0, levels=8)
-    worst = remainder_check(LEFT_LINEAR, res, 2.0, level=5)
-    assert worst == pytest.approx(0.5, rel=1e-10)
-    with pytest.raises(ParameterError):
-        remainder_check(LEFT_LINEAR, res, 1.0)
-
-
-def test_stochastic_diagnostic_degenerates_on_additive_germs():
-    rng = np.random.default_rng(9)
-    cs = rng.normal(size=1200)
-    germs = [Germ(lambda s, t, c=c: c * (t - s)) for c in cs]
-    windows = [(0.25, 0.25 + 2.0 ** -j) for j in range(2, 6)]
-    diag = stochastic_sewing_diagnostic(germs, windows)
-    assert diag.defect_degenerate and diag.projected_degenerate
-    assert math.isnan(diag.defect_exponent)
-    assert diag.n_paths == 1200
-
-
-def test_stochastic_diagnostic_validation():
-    germs = [Germ(lambda s, t: t - s)] * 1000
-    windows = [(0.0, 0.5), (0.0, 0.25), (0.0, 0.125)]
-    with pytest.raises(InsufficientDataError):
-        stochastic_sewing_diagnostic(germs[:999], windows)
-    with pytest.raises(ParameterError):
-        stochastic_sewing_diagnostic(germs, windows, m=1.5)
-    with pytest.raises(ParameterError):
-        stochastic_sewing_diagnostic(germs, windows[:2])
-
-
-def test_stochastic_diagnostic_averaged_germ_exponent():
-    """Averaged hat-function germs along Brownian states beat the width-one
-    barrier: the L2 defect exponent clears 1.2, which is the signature the
-    compensated-defect bound needs."""
-    grid = TimeGrid(1.0, 2 ** 11)
-    w = generate_fbm(0.2, 1, grid, seed=404).values[0]
-    db = generate_bm_increments(1, grid, 405, 1024)
-    states = np.concatenate([np.zeros((1024, 1)),
-                             np.cumsum(db[:, 0, :], axis=1)], axis=1)
-    dt = grid.dt
-
-    def make_germ(i):
-        def fn(s, t):
-            k0 = grid.node_index(s)
-            k1 = grid.node_index(t)
-            x = states[i, k0]
-            return dt * np.sum(np.maximum(0.0, 1.0 - np.abs(x - w[k0:k1])))
-        return Germ(fn)
-
-    germs = [make_germ(i) for i in range(1024)]
-    windows = [(0.25, 0.25 + 2.0 ** -j) for j in range(2, 9)]
-    diag = stochastic_sewing_diagnostic(germs, windows)
-    assert diag.defect_exponent == pytest.approx(1.374427904509919, abs=1e-9)
-    assert diag.defect_exponent - diag.defect_half_width >= 1.2
-    assert not diag.defect_degenerate
-    assert diag.projected_exponent > diag.defect_exponent
-
-
-def test_drift_scheme_zero_drift_is_constant():
-    grid = TimeGrid(1.0, 64)
-    out = nonlinear_young_solve(lambda s, t, y: np.zeros_like(y),
-                                [0.3, -0.2], grid)
-    assert out.shape == (2, 65)
-    assert np.all(out[0] == 0.3) and np.all(out[1] == -0.2)
-
-
-def test_drift_scheme_exponential_first_order():
-    errs = {}
-    for n in (1024, 2048):
-        grid = TimeGrid(1.0, n)
-        out = nonlinear_young_solve(lambda s, t, y: y * (t - s), 1.0, grid)
-        errs[n] = abs(float(out[0, -1]) - math.e)
-    assert errs[1024] == pytest.approx(1.3260989926093814e-3, rel=1e-9)
-    assert errs[2048] == pytest.approx(6.633461221654535e-4, rel=1e-9)
-    assert 1.9 < errs[1024] / errs[2048] < 2.1
-
-
-def test_drift_scheme_step_drift_stays_lipschitz():
-    """Sign drift averaged along a rough perturbation: the solution keeps
-    exponent close to one even though the drift itself is discontinuous."""
-    grid = TimeGrid(1.0, 2 ** 12)
-    dt = grid.dt
-    exps = {}
-    for seed in (501, 502, 503):
-        w = generate_fbm(0.1, 1, grid, seed=seed).values[0]
-
-        def drift(s, t, y, w=w):
-            k0 = grid.node_index(s)
-            k1 = grid.node_index(t)
-            return np.array(
-                [dt * np.sum(np.where(y[0] - w[k0:k1] >= 0.0, 1.0, -1.0))])
-
-        x = nonlinear_young_solve(drift, 0.1, grid)
-        assert np.max(np.abs(x[0, 1:] - x[0, :-1])) <= dt + 1e-15
-        exps[seed] = holder_exponent(x[0], spacing=dt).exponent
-        assert exps[seed] >= 0.9
-    assert exps[501] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_drift_scheme_blowup_and_shape_errors():
-    grid = TimeGrid(1.0, 16)
-    with pytest.raises(BlowUpError) as info:
-        nonlinear_young_solve(lambda s, t, y: 2.0 * y, 1.0, grid,
-                              blowup_bound=100.0)
-    assert info.value.index == 5  # 3^5 = 243 is the first state above 100
-    with pytest.raises(ParameterError):
-        nonlinear_young_solve(lambda s, t, y: np.zeros(2), 1.0, grid)

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, TimeGrid,
-                    constant_field, euler_maruyama, generate_bm,
-                    generate_bm_increments, generate_fbm, identity_field,
-                    mollified_family, mollified_integral_sequence,
-                    singular_example, solve_ensemble)
-from fbmlab.solver import BLOWUP_BOUND, _euler_batch
+                    constant_field, generate_bm_increments, generate_fbm,
+                    identity_field, mollified_family, singular_example,
+                    solve_ensemble)
+from fbmlab.solver import (BLOWUP_BOUND, _euler_batch, cauchy_report,
+                           walk_ensemble)
 
 GRID = TimeGrid(1.0, 64)
 FBM = generate_fbm(0.2, 1, GRID, seed=5)
@@ -64,16 +64,6 @@ def test_scenario_rows_are_a_window_of_the_ensemble():
         assert np.array_equal(part.values, whole.values[first:first + size])
     with pytest.raises(ParameterError):
         replace(_identity_scenario(), first_path=(1 << 32) - 2, ensemble_size=3)
-
-
-def test_single_path_matches_batch_row():
-    scenario = _identity_scenario()
-    ens = solve_ensemble(scenario)
-    for i in (0, 7, 31):
-        bm = generate_bm(1, GRID, BASE_SEED, path_index=i)
-        vals, blowup = euler_maruyama(identity_field(1), FBM, bm, [0.0])
-        assert blowup == -1
-        assert np.array_equal(vals, ens.values[i])
 
 
 def _reference_scheme(sigma, w_values, db, x0, blowup_bound):
@@ -193,23 +183,10 @@ def test_euler_scheme_is_adapted(d, order, n_fields, k, seed, bound, value):
     assert np.array_equal(by_step_k(blowup), by_step_k(blowup_c))
 
 
-def test_euler_maruyama_validation():
-    other_grid = TimeGrid(1.0, 32)
-    bm = generate_bm(1, other_grid, 1)
-    with pytest.raises(ParameterError):
-        euler_maruyama(identity_field(1), FBM, bm, [0.0])
-    bm64 = generate_bm(2, GRID, 1)
-    with pytest.raises(ParameterError):
-        euler_maruyama(identity_field(1), FBM, bm64, [0.0])
-    with pytest.raises(ParameterError):
-        euler_maruyama(identity_field(1), FBM, generate_bm(1, GRID, 1),
-                       [0.0, 0.0])
-
-
 def test_blown_up_path_freezes_at_last_finite_state():
-    bm = generate_bm(1, GRID, 99)
-    vals, blowup = euler_maruyama(identity_field(1), FBM, bm, [0.0],
-                                  blowup_bound=0.05)
+    one_path = QuenchedScenario(FBM, identity_field(1), [0.0], (0.5,), 1, 99)
+    ens = solve_ensemble(one_path, blowup_bound=0.05, abort_fraction=1.0)
+    vals, blowup = ens.values[0], int(ens.blowup_steps[0])
     assert blowup > 0
     assert np.max(np.abs(vals)) <= 0.05
     assert np.all(vals[:, blowup:] == vals[:, blowup - 1][:, None])
@@ -256,26 +233,13 @@ def test_constant_field_sweep_has_no_gap():
     integral sums along the shared drivers cancel to rounding dust."""
     scenario = QuenchedScenario(FBM, constant_field(np.array([[2.0]])), [0.0],
                                 (0.0625, 0.05), 16, BASE_SEED)
-    report = mollified_integral_sequence(scenario)
+    lp_grid, fields = mollified_family(scenario)
+    reference = solve_ensemble(scenario, fields[0.05], epsilon=0.05)
+    sums = walk_ensemble(reference, GRID.steps,
+                         drift=[fields[eps] for eps in scenario.eps_seq])
+    report = cauchy_report(scenario, sums.ito, fields, lp_grid, 4.0)
     assert report.eps_seq == (0.0625, 0.05)
     assert len(report.consecutive_diffs) == 1
     assert report.consecutive_diffs[0] < 1e-12
     assert report.m == 4.0 and report.p == 2.0
     assert report.terminal_integrals.shape == (2, 16, 1)
-
-
-def test_integral_sequence_takes_fields_and_lp_grid_together():
-    """Fields without their L^p grid (or the grid alone) are refused instead
-    of being silently replaced by a fresh mollification."""
-    scenario = QuenchedScenario(FBM, singular_example(0.4, 1.0, 1), [0.5],
-                                (0.5, 0.25), 8, BASE_SEED)
-    grid, fields = mollified_family(scenario)
-    constant = {eps: constant_field(np.array([[5.0]])) for eps in fields}
-    with pytest.raises(ParameterError):
-        mollified_integral_sequence(scenario, fields=constant)
-    with pytest.raises(ParameterError):
-        mollified_integral_sequence(scenario, lp_grid=grid)
-    given = mollified_integral_sequence(scenario, fields=constant, lp_grid=grid)
-    own = mollified_integral_sequence(scenario)
-    assert not np.array_equal(given.terminal_integrals, own.terminal_integrals)
-    assert given.consecutive_diffs == (0.0,)

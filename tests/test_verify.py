@@ -8,10 +8,12 @@ import pytest
 from fbmlab import verify
 from fbmlab import (MomentRatioReport, ParameterError, QuenchedScenario,
                     SpatialGrid, TimeGrid, WEIGHT_DICTIONARY_VERSION,
-                    cross_term_check, generate_fbm, identity_field,
-                    ito_isometry_check, lebesgue_vs_sewing,
-                    martingale_residuals, moment_ratio, moment_ratio_trend,
-                    quantized_perturbation, solve_ensemble, weight_dictionary)
+                    generate_fbm, identity_field, lebesgue_vs_sewing,
+                    moment_ratio, moment_ratio_trend, quantized_perturbation,
+                    solve_ensemble, weight_dictionary)
+from fbmlab.solver import walk_ensemble
+from fbmlab.verify import (cross_term_report, isometry_report,
+                           martingale_reports)
 
 GRID = TimeGrid(1.0, 256)
 FBM = generate_fbm(0.2, 1, GRID, seed=3)
@@ -74,47 +76,60 @@ def test_moment_ratio_trend_verdicts():
         moment_ratio_trend(_synthetic_reports([1.0]))
 
 
+def _walk_to(ens, t, **fields):
+    """walk_ensemble over ens up to t, quantized on SGRID."""
+    k_t = GRID.node_index(t)
+    return walk_ensemble(ens, k_t, **fields,
+                         snapped=quantized_perturbation(FBM.values, SGRID)[:k_t])
+
+
 def test_ito_isometry_identity_coefficient():
     ens = _identity_ensemble(13)
-    report = ito_isometry_check(ens, identity_field(1), SGRID, 0.5,
-                                margin_fraction=0.0)
+    sums = _walk_to(ens, 0.5, snap=[identity_field(1)])
+    report = isometry_report(ens, sums, 0, 0.5, margin_fraction=0.0)
     assert report.right == 0.5  # sum of |row|^2 dt is exactly t
     assert report.passed
     assert report.stderr > 0.0
     # The averaged square is quadratic in the field scale.
-    doubled = ito_isometry_check(ens, identity_field(1, scale=2.0), SGRID, 0.5)
+    sums = _walk_to(ens, 0.5, snap=[identity_field(1, scale=2.0)])
+    doubled = isometry_report(ens, sums, 0, 0.5)
     assert doubled.right == 2.0
 
 
 def test_cross_term_identity_and_zero_coefficient():
     ens = _identity_ensemble(13)
-    report = cross_term_check(ens, identity_field(1), identity_field(1),
-                              SGRID, 0.5)
+    sigma = identity_field(1)
+    sums = _walk_to(ens, 0.5, drift=[sigma], snap=[sigma], sigma_raw=sigma)
+    report = cross_term_report(ens, sums, 0, 0.5)
     assert report.right == 0.5
     assert report.passed
     assert report.extras["hypothesis_d_over_p_lt_1"]
     assert report.extras["d_over_p"] == 0.5
     zero = identity_field(1, scale=0.0)
-    trivial = cross_term_check(ens, zero, zero, SGRID, 0.5)
+    sums = _walk_to(ens, 0.5, drift=[zero], snap=[zero], sigma_raw=zero)
+    trivial = cross_term_report(ens, sums, 0, 0.5)
     assert trivial.left == 0.0 and trivial.right == 0.0
     assert trivial.stderr == 0.0 and trivial.passed
 
 
 def test_cross_term_rejects_t_below_one_step():
-    """At t = 0 there is no Ito sum to pair: the check refuses, as the
+    """At t = 0 there is no Ito sum to pair: the report refuses, as the
     isometry does, rather than passing with both sides zero."""
     ens = _identity_ensemble(13)
-    for check in (lambda t: ito_isometry_check(ens, identity_field(1), SGRID, t),
-                  lambda t: cross_term_check(ens, identity_field(1),
-                                             identity_field(1, scale=3.0), SGRID, t)):
-        with pytest.raises(ParameterError):
-            check(0.0)
+    sums = walk_ensemble(ens, 0, drift=[identity_field(1)],
+                         snap=[identity_field(1, scale=3.0)],
+                         snapped=np.empty((0, 1)), sigma_raw=identity_field(1))
+    for report in (isometry_report, cross_term_report):
+        with pytest.raises(ParameterError, match="one step"):
+            report(ens, sums, 0, 0.0)
 
 
 def test_martingale_residuals_identity_coefficient():
     ens = _identity_ensemble(13)
-    reports = martingale_residuals(ens, identity_field(1),
-                                   [(0.25, 0.5), (0.5, 1.0)])
+    pairs = [(0.25, 0.5), (0.5, 1.0)]
+    sums = walk_ensemble(ens, 0, drift=[identity_field(1)],
+                         windows=[GRID.window(s, t) for s, t in pairs])
+    reports = martingale_reports(ens, sums, 0, pairs)
     assert len(reports) == 36  # 2 windows x 3 families x 6 weights
     assert all(r.passed for r in reports)
     for report in reports:

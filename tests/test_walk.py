@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, SpatialGrid,
-                    TimeGrid, constant_field, cross_term_check, generate_fbm,
-                    hs_norm_sq, identity_field, ito_isometry_check,
-                    lebesgue_vs_sewing,
-                    martingale_residuals, mollified_family,
-                    mollified_integral_sequence, moment_ratio,
-                    quantized_perturbation, singular_example, solve_ensemble,
-                    weight_dictionary)
+                    TimeGrid, constant_field, generate_fbm, hs_norm_sq,
+                    identity_field, lebesgue_vs_sewing, mollified_family,
+                    moment_ratio, quantized_perturbation, singular_example,
+                    solve_ensemble, weight_dictionary)
 from fbmlab import experiments, paths, solver
 from fbmlab.experiments import HEADLINE_CONFIG, build_scenario, verify_scenario
 from fbmlab.fields import lp_norm
+from fbmlab.verify import (cross_term_report, isometry_report,
+                           martingale_reports)
 
 
 # --- reference: the per-step loops --------------------------------------------
@@ -209,7 +208,7 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, blocks,
     assert res.cauchy.sigma_gaps == gaps
 
 
-# --- the standalone checks, with frozen paths -------------------------------------
+# --- one walk and the report builders, with frozen paths -------------------------
 
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "identity"])
@@ -233,23 +232,29 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
                          abort_fraction=1.0)
     assert 0 < ens.blowup_count < ens.n_paths
     qgrid = SpatialGrid.cover(fbm.values.T, grid.dt)
+    snapped = quantized_perturbation(fbm.values, qgrid)
     for t in (0.4375, 1.0):
+        k_t = grid.node_index(t)
         for j in range(dimension):
-            assert _report_dict(ito_isometry_check(ens, fields[0.25], qgrid, t,
-                                                   coordinate=j)) == ref_isometry(
+            sums = solver.walk_ensemble(ens, k_t, drift=[fields[0.25]],
+                                        snap=[fields[0.25]], snapped=snapped[:k_t],
+                                        sigma_raw=sigma, coordinate=j)
+            assert _report_dict(isometry_report(ens, sums, 0, t)) == ref_isometry(
                 ens, fields[0.25], qgrid, t, coordinate=j)
-            assert _report_dict(cross_term_check(ens, sigma, fields[0.25], qgrid, t,
-                                                 coordinate=j)) == ref_cross(
+            assert _report_dict(cross_term_report(ens, sums, 0, t)) == ref_cross(
                 ens, sigma, fields[0.25], qgrid, t, coordinate=j)
     pairs = [(0.0, 0.5), (0.25, 0.75), (0.3, 1.0)]
+    windows = [grid.window(s, t) for s, t in pairs]
     for j in range(dimension):
         for i in range(dimension):
-            reports = martingale_residuals(ens, fields[0.125], pairs,
-                                           coordinate=j, driver_coordinate=i)
-            assert _martingale_rows(reports) == ref_martingale(
-                ens, fields[0.125], pairs, coordinate=j, driver_coordinate=i)
-    report = mollified_integral_sequence(scen, reference=ens, fields=fields,
-                                         lp_grid=lp_grid)
+            sums = solver.walk_ensemble(ens, 0, drift=[fields[0.125]], windows=windows,
+                                        coordinate=j, driver_coordinate=i)
+            assert _martingale_rows(martingale_reports(ens, sums, 0, pairs)) == (
+                ref_martingale(ens, fields[0.125], pairs, coordinate=j,
+                               driver_coordinate=i))
+    sums = solver.walk_ensemble(ens, grid.steps,
+                                drift=[fields[eps] for eps in scen.eps_seq])
+    report = solver.cauchy_report(scen, sums.ito, fields, lp_grid, 4.0)
     assert np.array_equal(report.terminal_integrals, ref_terminals(ens, fields))
 
 
