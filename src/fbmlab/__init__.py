@@ -27,7 +27,7 @@ from .paths import (FbmPath, TimeGrid, fbm_covariance, generate_bm_increments,
                     generate_fbm, generate_fbm_batch)
 from .sewing import Germ, SewingResult, sew
 from .solver import (Ensemble, MollifiedCauchyReport, QuenchedScenario,
-                     mollified_family, solve_ensemble)
+                     mollified_family)
 from .verify import (WEIGHT_DICTIONARY_VERSION, IdentityReport,
                      MomentRatioReport, lebesgue_vs_sewing, moment_ratio,
                      moment_ratio_trend, quantized_perturbation,
@@ -54,5 +54,5 @@ __all__ = [
     "moment_ratio_trend", "mollified_family", "mollify",
     "multilinear_interpolate", "occupation_formula_residual",
     "occupation_measure", "quantized_perturbation", "sew",
-    "singular_example", "solve_ensemble", "weight_dictionary",
+    "singular_example", "weight_dictionary",
 ]

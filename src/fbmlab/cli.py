@@ -34,12 +34,11 @@ from .averaging import (admissible_regularity, average_via_local_time,
 from .errors import (BlowUpError, FbmLabError, HypothesisError,
                      ParameterError)
 from .experiments import (ALL_CRITERIA, HEADLINE_CONFIG, build_scenario,
-                          criterion_admissibility, verify_scenario,
-                          _identity_field_reports)
+                          criterion_admissibility, solve_scenario,
+                          verify_scenario, _identity_field_reports)
 from .occupation import SpatialGrid, local_time
 from .paths import TimeGrid, generate_fbm
 from .sewing import Germ, sew
-from .solver import solve_ensemble
 
 _CONFIG_SCHEMA = {
     "experiment": str,
@@ -105,6 +104,8 @@ def validate_config(cfg: dict) -> None:
         raise ParameterError(f"sigma must be 'singular' or 'identity', got {cfg['sigma']!r}")
     if cfg["steps"] < 1 or cfg["paths"] < 1:
         raise ParameterError("steps and paths must be positive")
+    if cfg["p"] <= 0.0:
+        raise ParameterError(f"p must be positive, got {cfg['p']}")
     if len(cfg["x0"]) != cfg["dimension"]:
         raise ParameterError(
             f"x0 has {len(cfg['x0'])} components for dimension {cfg['dimension']}")
@@ -320,9 +321,9 @@ def _cmd_average(args) -> int:
 
 _GERM_REGISTRY = {
     "additive": Germ(lambda s, t: (np.sin(3.0 * t) + t * t)
-                     - (np.sin(3.0 * s) + s * s), label="additive"),
-    "left-linear": Germ(lambda s, t: s * (t - s), label="left-linear"),
-    "sqrt": Germ(lambda s, t: np.sqrt(t - s), label="sqrt"),
+                     - (np.sin(3.0 * s) + s * s)),
+    "left-linear": Germ(lambda s, t: s * (t - s)),
+    "sqrt": Germ(lambda s, t: np.sqrt(t - s)),
 }
 
 
@@ -360,18 +361,15 @@ def _load_config(args) -> dict:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
-    scenario, fields, _lp, _quant = build_scenario(cfg, sweep=False)
+    scenario, fields, _lp, _quant = build_scenario(cfg)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         _dump_json(out_dir / "config.json", cfg)
     rows = []
-    for eps in scenario.eps_seq:
-        ens = solve_ensemble(scenario, fields[eps], epsilon=eps)
-        for row in ens.moment_table(cfg["m"]):
-            rows.append({"epsilon": eps, **row})
-        _emit(f"eps={eps:g}: {ens.blowup_count} of {scenario.ensemble_size} "
-              f"paths flagged")
+    for ens in solve_scenario(scenario, fields):
+        rows += [{"epsilon": ens.epsilon, **row} for row in ens.moment_table(cfg["m"])]
+        _emit(f"eps={ens.epsilon:g}: {ens.blowup_count} of {ens.n_paths} paths flagged")
     if out_dir:
         written = _write_rows(out_dir / "moments", rows, args.format)
         _emit(f"wrote {written}")
@@ -380,6 +378,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
+    for what, count in (("radii for a trend", len(cfg["eps"])),
+                        ("paths for a standard error", cfg["paths"])):
+        if count < 2:
+            raise ParameterError(f"the radius sweep needs at least two {what}, got {count}")
+    if cfg["m"] < 2.0:
+        raise ParameterError(f"m must be >= 2, got {cfg['m']}")
     scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
     half = scenario.grid.horizon / 2.0
     res = verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],

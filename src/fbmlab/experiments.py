@@ -10,7 +10,7 @@ The heavyweight scenario (singular field, frozen rough path, five
 mollification radii, 10^4 drivers) is computed once per process and
 shared by the moment, isometry, martingale and Cauchy criteria.  Its radius
 sweep, `verify_scenario`, is also the one `fbmlab verify` runs on a
-configured scenario.
+configured scenario, and `solve_scenario` (`fbmlab solve`) shares its chunks.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
 from .paths import (FbmPath, TimeGrid, _fbm_rows, fbm_covariance,
                     generate_fbm)
 from .sewing import Germ, sew
-from .solver import (BLOWUP_ABORT_FRACTION, BLOWUP_BOUND, Ensemble,
-                     MollifiedCauchyReport, PathSums, QuenchedScenario,
-                     _abort_on_blowups, cauchy_report, family_grid,
-                     mollified_family, solve_ensemble, solve_fields,
+from .solver import (BLOWUP_ABORT_FRACTION, BLOWUP_BOUND, MOMENT_TABLE_LEVEL,
+                     Ensemble, MollifiedCauchyReport, PathSums,
+                     QuenchedScenario, _abort_on_blowups, cauchy_report,
+                     family_grid, mollified_family, solve_fields,
                      walk_ensemble)
 from .verify import (MOMENT_MAX_LEVEL, IdentityReport, MomentRatioReport,
                      cross_term_report, isometry_report, lebesgue_vs_sewing,
@@ -60,7 +60,7 @@ HEADLINE_CONFIG = {
     "eps": list(HEADLINE["eps_seq"]), "x0": [HEADLINE["x0"]],
 }
 
-# The radius sweep solves and walks its paths in chunks of about this many
+# fbmlab solve and verify solve their paths in chunks of about this many
 # bytes of solution values and drivers, split evenly: the 1000-path
 # headline sweep is one chunk, the 10^4-path one four.  At 10^4 paths,
 # 64 MiB chunks ran slower than whole ensembles and 128 MiB ones as fast,
@@ -259,16 +259,14 @@ def criterion_sewing_engine() -> dict:
     def f_additive(s, t):
         return (math.sin(3.0 * t) + t * t) - (math.sin(3.0 * s) + s * s)
 
-    res_add = sew(Germ(f_additive, label="additive"), 0.0, 1.0, levels=8)
+    res_add = sew(Germ(f_additive), 0.0, 1.0, levels=8)
     add_err = max(float(np.max(np.abs(np.atleast_1d(v - res_add.level_sums[0]))))
                   for v in res_add.level_sums)
 
-    res_rate = sew(Germ(lambda s, t: s * (t - s), label="left-linear"),
-                   0.0, 1.0, levels=10)
+    res_rate = sew(Germ(lambda s, t: s * (t - s)), 0.0, 1.0, levels=10)
     value = float(np.asarray(res_rate.value))
 
-    res_div = sew(Germ(lambda s, t: math.sqrt(t - s), label="sqrt"),
-                  0.0, 1.0, levels=8)
+    res_div = sew(Germ(lambda s, t: math.sqrt(t - s)), 0.0, 1.0, levels=8)
 
     ok = (add_err <= 1e-12
           and res_rate.rate is not None and abs(res_rate.rate - 1.0) <= 0.1
@@ -286,22 +284,13 @@ def criterion_sewing_engine() -> dict:
 
 # --- criteria 6-9: the shared singular scenario ----------------------------
 
-def build_scenario(cfg: dict, *, sweep: bool = True):
+def build_scenario(cfg: dict):
     """Scenario, mollified fields, L^p grid and quantization grid of a config.
 
     cfg uses the keys of HEADLINE_CONFIG.  Fails with ParameterError before
-    the mollified lattices or any ensemble are allocated when they cannot
-    fit in physical memory: the chunked radius sweep of verify_scenario,
-    or with sweep False one whole ensemble and its drivers.  The sweep
-    needs at least two radii for its moment trend and two paths for the
-    standard errors of its identity checks.
+    the mollified lattices or any ensemble are allocated when they and one
+    chunk of paths cannot fit in physical memory (_check_memory).
     """
-    if sweep and len(cfg["eps"]) < 2:
-        raise ParameterError(
-            f"the radius sweep needs at least two radii for a trend, got {len(cfg['eps'])}")
-    if sweep and cfg["paths"] < 2:
-        raise ParameterError(
-            f"the radius sweep needs at least two paths for a standard error, got {cfg['paths']}")
     grid_t = TimeGrid(cfg["horizon"], cfg["steps"])
     fbm = generate_fbm(cfg["hurst"], cfg["dimension"], grid_t, cfg["fbm_seed"])
     singular = cfg["sigma"] == "singular"
@@ -312,7 +301,7 @@ def build_scenario(cfg: dict, *, sweep: bool = True):
     scenario = QuenchedScenario(fbm, sigma, np.asarray(cfg["x0"], dtype=float),
                                 tuple(cfg["eps"]), cfg["paths"],
                                 cfg["base_seed"], p=cfg["p"])
-    _check_memory(scenario, family_grid(scenario) if singular else None, sweep)
+    _check_memory(scenario, family_grid(scenario) if singular else None)
     if singular:
         lp_grid, fields = mollified_family(scenario)
     else:
@@ -322,8 +311,8 @@ def build_scenario(cfg: dict, *, sweep: bool = True):
     return scenario, fields, lp_grid, quant_grid
 
 
-def _chunk_paths(scenario: QuenchedScenario, n_fields: int) -> int:
-    """Paths per chunk of a sweep solving n_fields fields together.
+def _chunk_paths(scenario: QuenchedScenario, n_fields: int) -> tuple[int, int]:
+    """Paths per chunk of n_fields fields solved together, and bytes per path.
 
     A path holds n_fields * d * (steps + 1) solution values and n * steps
     driver increments; CHUNK_BYTES of them, at least one path, make a
@@ -333,42 +322,33 @@ def _chunk_paths(scenario: QuenchedScenario, n_fields: int) -> int:
     per_path = 8 * (n_fields * scenario.dimension * (steps + 1)
                     + scenario.driver_dimension * steps)
     n_chunks = -(-scenario.ensemble_size // max(1, CHUNK_BYTES // per_path))
-    return -(-scenario.ensemble_size // n_chunks)
+    return -(-scenario.ensemble_size // n_chunks), per_path
 
 
-def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None,
-                  sweep: bool) -> None:
+def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None) -> None:
     """ParameterError when the resident arrays exceed physical memory.
 
-    The estimate is a lower bound.  The sweep holds one chunk of every
-    distinct field's solution values (one field per radius for a mollified
-    field, one in all otherwise) and its drivers, plus per path over the
-    whole ensemble the kept moment-window nodes and blow-up flags of each
-    field and the Ito, squared-row and mixed sums of each radius.  Without
-    sweep, one whole ensemble and its drivers are held.  A mollified field
-    adds one lattice table per radius.
+    A run holds one chunk of paths (_chunk_paths) of every distinct field:
+    one per radius for a mollified field, one in all otherwise.  Per path
+    it keeps each field's blow-up flag and moment-table nodes (at least as
+    many as the sweep keeps), and the sweep each radius's Ito, squared-row
+    and mixed sums.  A mollified field adds one lattice table per radius.
     """
-    steps = scenario.grid.steps
-    d, n = scenario.dimension, scenario.driver_dimension
-    n_eps = len(scenario.eps_seq)
-    if sweep:
-        n_fields = n_eps if lattice is not None else 1
-        rows = _chunk_paths(scenario, n_fields)
-        nodes = (1 << MOMENT_MAX_LEVEL) + 1
-        kept = 8 * scenario.ensemble_size * (n_fields * (d * nodes + 1)
-                                             + n_eps * (d + 2))
-    else:
-        n_fields, rows, kept = 1, scenario.ensemble_size, 0
-    chunk = 8 * rows * (n_fields * d * (steps + 1) + n * steps)
-    lattice_bytes = (0 if lattice is None else
-                     8 * n_eps * math.prod(lattice.bins) * d * n)
-    needed = chunk + kept + lattice_bytes
+    d, n_eps = scenario.dimension, len(scenario.eps_seq)
+    n_fields = n_eps if lattice is not None else 1
+    rows, per_path = _chunk_paths(scenario, n_fields)
+    nodes = (1 << MOMENT_TABLE_LEVEL) + 1
+    kept = 8 * scenario.ensemble_size * (n_fields * (d * nodes + 1)
+                                         + n_eps * (d + 2))
+    lattice_bytes = (0 if lattice is None else 8 * n_eps * math.prod(lattice.bins)
+                     * d * scenario.driver_dimension)
+    needed = rows * per_path + kept + lattice_bytes
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > physical:
         raise ParameterError(
-            f"the sweep needs at least {needed / 1e9:.3g} GB "
+            f"the run needs about {needed / 1e9:.3g} GB "
             f"({lattice_bytes / 1e9:.3g} GB of mollified lattices, "
-            f"{chunk / 1e9:.3g} GB of solution paths and drivers, "
+            f"{rows * per_path / 1e9:.3g} GB of solution paths and drivers, "
             f"{kept / 1e9:.3g} GB of kept nodes and sums), more than the "
             f"{physical / 1e9:.3g} GB of physical memory")
 
@@ -376,15 +356,55 @@ def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None,
 @dataclass(frozen=True, eq=False)
 class _KeptNodes(Ensemble):
     """An ensemble reduced to the grid nodes `nodes`: values (paths, d,
-    len(nodes)).  It has no drivers of its own, so only the reports that
-    read nodes and blow-ups (moment_ratio, isometry_report,
-    cross_term_report, martingale_reports) take it, never walk_ensemble.
+    len(nodes)).  It has no drivers of its own, so only what reads nodes
+    and blow-ups (moment_table, moment_ratio, isometry_report,
+    cross_term_report, martingale_reports) takes it, never walk_ensemble.
     """
 
     nodes: tuple[int, ...]
 
     def at_nodes(self, ks) -> np.ndarray:
         return self.values[:, :, [self.nodes.index(k) for k in ks]]
+
+
+def _solve_in_chunks(scenario: QuenchedScenario, fields: dict[float, MatrixField],
+                     order, keep: tuple[int, ...], walk=None):
+    """Each distinct field of `fields`, with the first radius in order that
+    has it, solved once over chunks of paths (CHUNK_BYTES) and reduced to
+    the grid nodes keep.  Each chunk draws its drivers, solves every field
+    in one recursion and is read by walk(part), when given, before it is
+    dropped.  Rows depend on their own drivers alone, so no result depends
+    on the chunk size.  Returns one _KeptNodes per field and the walks."""
+    first_eps = {}
+    for eps in order:
+        first_eps.setdefault(fields[eps], eps)
+    size, _ = _chunk_paths(scenario, len(first_eps))
+    chunks, walked = [], []
+    for first in range(0, scenario.ensemble_size, size):
+        rows = replace(scenario, first_path=first,
+                       ensemble_size=min(size, scenario.ensemble_size - first))
+        part = solve_fields(rows, list(first_eps), list(first_eps.values()),
+                            BLOWUP_BOUND)
+        if walk is not None:
+            walked.append(walk(part))
+        chunks.append([(ens.at_nodes(keep), ens.blowup_steps) for ens in part])
+        del part, rows  # so the next chunk does not run beside this one
+    return [_KeptNodes(scenario, eps, *map(np.concatenate, zip(*parts)), keep)
+            for eps, parts in zip(first_eps.values(), zip(*chunks))], walked
+
+
+def solve_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]):
+    """Yield every radius's ensemble in eps_seq order, reduced to the nodes
+    its moment table reads.  BlowUpError names the first radius on which
+    more than BLOWUP_ABORT_FRACTION of the paths blew up."""
+    keep = tuple(sorted({k for pair in scenario.grid.dyadic_windows(MOMENT_TABLE_LEVEL)
+                         for k in pair}))
+    ensembles, _ = _solve_in_chunks(scenario, fields, scenario.eps_seq, keep)
+    by_field = {fields[ens.epsilon]: ens for ens in ensembles}
+    for eps in scenario.eps_seq:
+        ens = replace(by_field[fields[eps]], epsilon=eps)
+        _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
+        yield ens
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,13 +430,10 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     The smallest radius gives the reference ensemble, which carries the
     cross pairings, the martingale residuals over martingale_windows, the
     quadratic-variation check on its first path and the mollified Cauchy
-    sequence.  The paths run in chunks (CHUNK_BYTES).  Each chunk draws
-    its drivers, solves every distinct field in one recursion, walks the
-    reference paths once for every sum those checks need, for all radii
-    at once, walks each other field's paths for its isometry, and keeps
-    only the nodes and sums the reports read.  Every path's row depends on
-    its own drivers alone, so the results do not depend on the chunk size.
-    A radius whose field is the reference's reuses its solve and its walk.
+    sequence.  Each chunk of paths (_solve_in_chunks) walks the reference
+    paths once for every sum those checks need, for all radii at once, and
+    each other field's paths for its isometry.  A radius whose field is
+    the reference's reuses its solve and its walk.
     """
     start = time.perf_counter()
     tg = scenario.grid
@@ -426,41 +443,30 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     eps_min = min(eps_seq)
     e_min = eps_seq.index(eps_min)
     family = [fields[eps] for eps in eps_seq]
-    solved, solved_eps = [], []  # each distinct field once, the reference's first
-    for eps in (eps_min, *eps_seq):
-        if fields[eps] not in solved:
-            solved.append(fields[eps])
-            solved_eps.append(eps)
     snapped = quantized_perturbation(scenario.fbm.values, quant_grid)[:k_t]
     windows = [tg.window(s, t) for s, t in martingale_windows]
     keep = tuple(sorted({k for pair in tg.dyadic_windows(MOMENT_MAX_LEVEL)
                          for k in pair} | martingale_nodes(windows)))
-    size = _chunk_paths(scenario, len(solved))
-    chunks = []
-    for first in range(0, scenario.ensemble_size, size):
-        rows = replace(scenario, first_path=first,
-                       ensemble_size=min(size, scenario.ensemble_size - first))
-        part = solve_fields(rows, solved, solved_eps, BLOWUP_BOUND)
+    path0 = None
+
+    def walk(part):
+        nonlocal path0
+        if path0 is None:
+            path0 = part[0].values[0].copy()
         # The cross pairings always ride on the reference ensemble; the
         # sweep shows the mollified integrals closing on the martingale.
         sums = [walk_ensemble(part[0], k_t, drift=family, snap=family,
                               snapped=snapped, sigma_raw=scenario.sigma,
                               windows=windows)]
-        sums += [walk_ensemble(ens, k_t, snap=[fld], snapped=snapped)
-                 for ens, fld in zip(part[1:], solved[1:])]
-        if first == 0:
-            path0 = part[0].values[0].copy()
-        chunks.append([(ens.at_nodes(keep), ens.blowup_steps, s)
-                       for ens, s in zip(part, sums)])
-        del part, rows  # so the next chunk does not run beside this one
-    ensembles, field_sums = [], []
-    for i, eps in enumerate(solved_eps):
-        ensembles.append(_KeptNodes(scenario, eps,
-                                    np.concatenate([c[i][0] for c in chunks]),
-                                    np.concatenate([c[i][1] for c in chunks]),
-                                    keep))
-        field_sums.append(PathSums.join([c[i][2] for c in chunks]))
-        _abort_on_blowups(ensembles[i], BLOWUP_ABORT_FRACTION)
+        return sums + [walk_ensemble(ens, k_t, snap=[fields[ens.epsilon]],
+                                     snapped=snapped) for ens in part[1:]]
+
+    ensembles, walked = _solve_in_chunks(scenario, fields, (eps_min, *eps_seq),
+                                         keep, walk)  # the reference first
+    solved = [fields[ens.epsilon] for ens in ensembles]
+    for ens in ensembles:
+        _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
+    field_sums = [PathSums.join(sums) for sums in zip(*walked)]
     reference, ref_sums = ensembles[0], field_sums[0]
     ratios = [moment_ratio(ens, m, gamma0) for ens in ensembles]
     ratio_reports, iso_reports, cross_reports = [], [], []
@@ -540,8 +546,9 @@ def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
     grid_t = TimeGrid(1.0, 256)
     fbm = generate_fbm(0.2, 1, grid_t, 3)
     sigma = identity_field(1)
-    ens = solve_ensemble(QuenchedScenario(fbm, sigma, np.zeros(1), (0.25,), 4000,
-                                          13, p=2.0))
+    scenario = QuenchedScenario(fbm, sigma, np.zeros(1), (0.25,), 4000, 13, p=2.0)
+    ens, = solve_fields(scenario, [sigma], [None], BLOWUP_BOUND)
+    _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
     qgrid = SpatialGrid.cover(fbm.values.T, grid_t.dt)
     pairs = [(0.25, 0.5), (0.5, 1.0)]
     k_t = grid_t.node_index(1.0)

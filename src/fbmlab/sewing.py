@@ -30,9 +30,8 @@ _DIFF_FLOOR_RTOL = 1e-13
 class Germ:
     """Two-parameter function of a window (s, t)."""
 
-    def __init__(self, fn, label: str = "germ"):
+    def __init__(self, fn):
         self._fn = fn
-        self.label = label
 
     def __call__(self, s: float, t: float) -> np.ndarray:
         return np.asarray(self._fn(s, t), dtype=float)

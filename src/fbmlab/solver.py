@@ -28,6 +28,8 @@ from .paths import FbmPath, TimeGrid, _bm_rows, _validate_rows
 
 BLOWUP_BOUND = 1.0e6
 BLOWUP_ABORT_FRACTION = 0.01
+# Finest dyadic level of Ensemble.moment_table's windows.
+MOMENT_TABLE_LEVEL = 6
 # Margin of the mollification lattice beyond the support and the largest radius.
 LATTICE_PAD = 0.5
 # walk_ensemble evaluates fields on blocks of TIME_BLOCK steps of PATH_CHUNK
@@ -86,13 +88,10 @@ class QuenchedScenario:
 
     @functools.cached_property
     def driver_increments(self) -> np.ndarray:
-        """The ensemble's driver increments (paths, n, steps), drawn once.
-
-        The ensemble is driver rows first_path .. first_path +
-        ensemble_size - 1.  Every solve_ensemble call shares this read-only
-        array, so repeated solves see identical noise (common random
-        numbers) without drawing it again.  The radius sweep solves a
-        scenario per chunk of rows, each drawing only its own.
+        """Driver rows first_path .. first_path + ensemble_size - 1, (paths,
+        n, steps), drawn once and read-only: every solve_fields call sees
+        the same noise (common random numbers).  fbmlab solve and verify
+        solve a scenario per chunk of rows, each drawing only its own.
         """
         db = _bm_rows(self.driver_dimension, self.grid, self.base_seed,
                       self.first_path, self.ensemble_size)
@@ -175,7 +174,8 @@ class Ensemble:
         for k0, k1 in windows:
             yield ends[:, :, column[k1]] - ends[:, :, column[k0]]
 
-    def moment_table(self, m: float, max_level: int = 6) -> list[dict]:
+    def moment_table(self, m: float,
+                     max_level: int = MOMENT_TABLE_LEVEL) -> list[dict]:
         """Empirical E|X(t)-X(s)|^m with stderr over the dyadic window set."""
         rows = []
         grid = self.scenario.grid
@@ -192,7 +192,14 @@ class Ensemble:
 def solve_fields(scenario: QuenchedScenario, fields: Sequence[MatrixField],
                  epsilons: Sequence[float | None],
                  blowup_bound: float) -> list[Ensemble]:
-    """One ensemble per field over the scenario's drivers, from one recursion."""
+    """One ensemble per field over the scenario's drivers, from one recursion.
+
+    Each path's row depends on its own drivers only, so any split of the
+    rows gives the same bits.
+    """
+    if any((f.d, f.n) != (scenario.dimension, scenario.driver_dimension)
+           for f in fields):
+        raise ParameterError("field shape differs from the scenario's")
     values, blowup = _euler_batch(fields, scenario.fbm.values,
                                   scenario.driver_increments, scenario.x0,
                                   blowup_bound)
@@ -207,25 +214,6 @@ def _abort_on_blowups(ens: Ensemble, abort_fraction: float) -> None:
         raise BlowUpError(
             f"{ens.blowup_count} of {ens.n_paths} paths blew up{radius} "
             f"(abort threshold {abort_fraction:.1%})", count=ens.blowup_count)
-
-
-def solve_ensemble(scenario: QuenchedScenario, sigma_field: MatrixField | None = None,
-                   *, epsilon: float | None = None,
-                   blowup_bound: float = BLOWUP_BOUND,
-                   abort_fraction: float = BLOWUP_ABORT_FRACTION) -> Ensemble:
-    """Run the scheme for every driver of the scenario.
-
-    sigma_field overrides the scenario field (callers pass a mollified
-    field here); every call uses the scenario's driver_increments, so
-    repeated calls see identical randomness.  Each path's row depends on
-    its own drivers only, so any split of the batch gives the same bits.
-    """
-    sigma = sigma_field if sigma_field is not None else scenario.sigma
-    if (sigma.d, sigma.n) != (scenario.dimension, scenario.driver_dimension):
-        raise ParameterError("field shape differs from the scenario's")
-    ens, = solve_fields(scenario, [sigma], [epsilon], blowup_bound)
-    _abort_on_blowups(ens, abort_fraction)
-    return ens
 
 
 def family_grid(scenario: QuenchedScenario) -> SpatialGrid:

@@ -152,7 +152,7 @@ class _QuantizedAverageGerm(Germ):
     """
 
     def __init__(self, x: np.ndarray, snapped: np.ndarray, scalar_field, grid):
-        super().__init__(None, label="averaged-square")
+        super().__init__(None)
         self._x, self._snapped, self._f, self._grid = x, snapped, scalar_field, grid
 
     def __call__(self, u: float, v: float) -> np.ndarray:

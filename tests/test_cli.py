@@ -1,13 +1,17 @@
 """Front-end parsing, validation exit codes and artifact layout."""
 
 import json
+import math
 import time
+
+import numpy as np
 
 import pytest
 
-from fbmlab import ParameterError, experiments
-from fbmlab.cli import main, parse_config_text
+from fbmlab import ParameterError, experiments, solver
+from fbmlab.cli import main, parse_config_text, resolve_config
 from fbmlab.experiments import ALL_CRITERIA, HEADLINE_CONFIG
+from fbmlab.fields import constant_field
 
 IDENTITY_CONFIG = """\
 # small identity-coefficient setup
@@ -105,6 +109,45 @@ def test_verify_with_one_path_exits_2_before_any_allocation(tmp_path, monkeypatc
         assert main(["verify", "--config", _write_config(tmp_path, one_path)]) == 2
     assert "at least two paths" in capsys.readouterr().err
     assert main(["solve", "--config", _write_config(tmp_path, one_path)]) == 0
+
+
+@pytest.mark.parametrize("setting,message", [
+    ("p = 0", "p must be positive, got 0.0"),
+    ("p = -1", "p must be positive, got -1.0"),
+    ("m = 1.5", "m must be >= 2, got 1.5"),
+    ("m = -2", "m must be >= 2, got -2.0"),
+])
+def test_verify_refuses_m_and_p_before_any_allocation(tmp_path, monkeypatch,
+                                                      capsys, setting, message):
+    """p <= 0 is refused for every command; m < 2 only for verify, whose
+    moment ratios need it.  On the identity config p = 0 used to run the
+    whole sweep and die in the cross-term report."""
+    text = IDENTITY_CONFIG.replace("m = 2.0", "m = 2.0\n" + setting)
+    path = _write_config(tmp_path, text)
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "generate_fbm", _no_allocation)
+        assert main(["verify", "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        if setting.startswith("p"):
+            assert main(["solve", "--config", path]) == 2
+            assert message in capsys.readouterr().err
+    if setting.startswith("m"):
+        assert main(["solve", "--config", path]) == 0
+        capsys.readouterr()
+
+
+def test_solve_refuses_steps_off_the_moment_table_before_solving(tmp_path,
+                                                                 monkeypatch,
+                                                                 capsys):
+    """The moment table's finest windows need 2**6 to divide the steps;
+    992 steps are refused before any driver is drawn."""
+    def no_draw(*_args):
+        raise AssertionError("fbmlab solve drew drivers")
+
+    monkeypatch.setattr(solver, "_bm_rows", no_draw)
+    path = _write_config(tmp_path, "steps = 992\npaths = 50\n")
+    assert main(["solve", "--config", path]) == 2
+    assert "steps 992 not divisible by 2**6" in capsys.readouterr().err
 
 
 def test_unknown_experiment_is_an_argparse_error():
@@ -208,6 +251,108 @@ def test_solve_subcommand_writes_moment_table(tmp_path, capsys):
     assert header == "epsilon,m,moment,s,stderr,t"
 
 
+SOLVE_CONFIGS = {
+    "singular-d1": "paths = 150\nsteps = 128\n",
+    "singular-d2": "dimension = 2\np = 4\nhurst = 0.2\ngamma = 0.4\n"
+                   "gamma0 = 0.7\nx0 = 0.5, 0.3\nsteps = 128\npaths = 90\n"
+                   "eps = 0.25, 0.125\n",
+    "identity": IDENTITY_CONFIG.replace("paths = 500", "paths = 120"),
+}
+
+
+def _per_radius_solve(text: str, bound: float = solver.BLOWUP_BOUND):
+    """fbmlab solve as one whole-ensemble recursion per radius: the moment
+    rows and stdout lines up to the first radius that aborts, and that
+    radius's (epsilon, blow-up count), or None."""
+    cfg = resolve_config(parse_config_text(text))
+    scenario, fields, _lp, _quant = experiments.build_scenario(cfg)
+    rows, lines = [], []
+    for eps in scenario.eps_seq:
+        ens, = solver.solve_fields(scenario, [fields[eps]], [eps], bound)
+        if ens.blowup_count > solver.BLOWUP_ABORT_FRACTION * ens.n_paths:
+            return rows, lines, (eps, ens.blowup_count)
+        rows += [{"epsilon": eps, **row} for row in ens.moment_table(cfg["m"])]
+        lines.append(f"eps={eps:g}: {ens.blowup_count} of {ens.n_paths} "
+                     "paths flagged")
+    return rows, lines, None
+
+
+def _chunk_budget(text: str, paths_per_chunk: int) -> int:
+    """CHUNK_BYTES for chunks of paths_per_chunk paths of fbmlab solve."""
+    cfg = resolve_config(parse_config_text(text))
+    n_fields = 1 if cfg["sigma"] == "identity" else len(cfg["eps"])
+    d, steps = cfg["dimension"], cfg["steps"]
+    return paths_per_chunk * 8 * (n_fields * d * (steps + 1) + d * steps)
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CONFIGS))
+def test_solve_moments_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch,
+                                                       capsys, case):
+    """fbmlab solve runs every radius in one chunked recursion.  Its moment
+    rows and stdout equal one whole-ensemble solve per radius, bit for bit,
+    with chunks of 1, 37 and all paths as with the default; a field shared
+    by all radii is solved once per chunk."""
+    text = SOLVE_CONFIGS[case]
+    rows, lines, abort = _per_radius_solve(text)
+    assert abort is None
+    n_paths = parse_config_text(text)["paths"]
+    n_fields = 1 if case == "identity" else len(lines)
+    recursions = []
+    euler_batch = solver._euler_batch
+
+    def counted(fields, *args):
+        recursions.append(len(fields))
+        return euler_batch(fields, *args)
+
+    monkeypatch.setattr(solver, "_euler_batch", counted)
+    for budget in (None, 1, 37, n_paths):
+        if budget is not None:
+            monkeypatch.setattr(experiments, "CHUNK_BYTES",
+                                _chunk_budget(text, budget))
+        recursions.clear()
+        out_dir = tmp_path / f"budget-{budget}"
+        assert main(["solve", "--config", _write_config(tmp_path, text),
+                     "--out", str(out_dir), "--format", "json"]) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout == lines + [f"wrote {out_dir / 'moments.json'}"]
+        assert json.loads((out_dir / "moments.json").read_text()) == rows
+        chunks = 1 if budget is None else math.ceil(n_paths / budget)
+        assert recursions == [n_fields] * chunks
+
+
+@pytest.mark.parametrize("case", ["low-bound", "late-radius"])
+def test_solve_blowup_names_the_radius_of_the_per_radius_solves(
+        tmp_path, monkeypatch, capsys, case):
+    """With chunks of 37 paths, fbmlab solve exits 3 on the radius, and with
+    the whole-ensemble count, that one solve per radius in eps_seq order
+    aborts on, after the same stdout lines.  In the late-radius case the
+    first radius stays bounded and the second does not."""
+    text = SOLVE_CONFIGS["singular-d1"]
+    bound = solver.BLOWUP_BOUND
+    if case == "low-bound":
+        bound = 0.9
+        monkeypatch.setattr(experiments, "BLOWUP_BOUND", bound)
+    else:
+        def constant_family(scenario):
+            return experiments.family_grid(scenario), {
+                eps: constant_field(np.array([[1e9 if e in (1, 3) else 0.5]]))
+                for e, eps in enumerate(scenario.eps_seq)}
+
+        monkeypatch.setattr(experiments, "mollified_family", constant_family)
+    _rows, lines, (eps, count) = _per_radius_solve(text, bound)
+    assert (case, len(lines)) in (("low-bound", 0), ("late-radius", 1))
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", _chunk_budget(text, 37))
+    out_dir = tmp_path / "out"
+    assert main(["solve", "--config", _write_config(tmp_path, text),
+                 "--out", str(out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == (f"blow-up abort: {count} of 150 paths blew up at "
+                            f"epsilon={eps} (abort threshold 1.0%)\n")
+    assert (out_dir / "config.json").exists()
+    assert not (out_dir / "moments.csv").exists()
+
+
 def test_verify_subcommand_identity_config(tmp_path, capsys):
     cfg = _write_config(tmp_path, IDENTITY_CONFIG)
     out_dir = tmp_path / "verify-run"
@@ -256,8 +401,8 @@ def test_identity_control_is_solved_and_walked_once(tmp_path, monkeypatch, capsy
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(experiments, "solve_ensemble",
-                        logged(solved, experiments.solve_ensemble))
+    monkeypatch.setattr(experiments, "solve_fields",
+                        logged(solved, experiments.solve_fields))
     monkeypatch.setattr(experiments, "walk_ensemble",
                         logged(walked, experiments.walk_ensemble))
     experiments._identity_field_reports.cache_clear()
@@ -311,16 +456,37 @@ def test_lattice_beyond_physical_memory_exits_2_early(tmp_path, capsys):
     assert "259 GB of mollified lattices" in err
 
 
-def test_pre_flight_estimates_one_chunk_of_the_sweep():
+class _DrewDrivers(Exception):
+    pass
+
+
+def test_pre_flight_estimates_one_chunk_of_the_sweep(tmp_path, monkeypatch, capsys):
     """d = 1, 1024 steps and 2*10^6 paths: the whole driver array alone would
-    be 16 GB, but the sweep holds one chunk of paths at a time, so the
-    pre-flight passes, and nothing path-sized is allocated.  An ensemble
-    held whole (fbmlab solve) is still estimated whole."""
+    be 16 GB, but fbmlab solve and verify hold one chunk of paths at a time,
+    so the pre-flight passes, and nothing path-sized is allocated.  solve's
+    kept moment-table nodes come to about 5.3 GB; it gets as far as
+    drawing the drivers of its first chunk.  10^9 paths are refused."""
     cfg = {**HEADLINE_CONFIG, "paths": 2_000_000}
     start = time.perf_counter()
     scenario, _fields, _lp, _quant = experiments.build_scenario(cfg)
     assert time.perf_counter() - start < 30.0
     assert "driver_increments" not in vars(scenario)
-    for sweep in (True, False):
-        with pytest.raises(ParameterError, match="physical memory"):
-            experiments.build_scenario({**cfg, "paths": 10 ** 9}, sweep=sweep)
+    with pytest.raises(ParameterError, match="physical memory"):
+        experiments.build_scenario({**cfg, "paths": 10 ** 9})
+
+    drawn = []
+
+    def first_draw(*args):
+        drawn.append(args[-1])
+        raise _DrewDrivers
+
+    monkeypatch.setattr(solver, "_bm_rows", first_draw)
+    with pytest.raises(_DrewDrivers):
+        main(["solve", "--config", _write_config(tmp_path, "paths = 2000000\n")])
+    assert drawn == [experiments._chunk_paths(scenario, len(scenario.eps_seq))[0]]
+    assert drawn[0] < 10 ** 4
+    for command in ("solve", "verify"):
+        path = _write_config(tmp_path, "paths = 1000000000\n")
+        assert main([command, "--config", path]) == 2
+        assert "physical memory" in capsys.readouterr().err
+    assert len(drawn) == 1

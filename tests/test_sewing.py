@@ -10,7 +10,7 @@ from fbmlab import (Germ, MollifierSpec, ParameterError, SpatialGrid,
                     mollify, quantized_perturbation, sew, singular_example)
 from fbmlab import verify
 
-LEFT_LINEAR = Germ(lambda s, t: s * (t - s), label="s*(t-s)")
+LEFT_LINEAR = Germ(lambda s, t: s * (t - s))
 
 
 def test_sew_additive_germ_is_level_independent():
@@ -86,7 +86,7 @@ def _reference_averaged_germ(x, path, f, sgrid):
         args = x[:, ku][None, :] - snapped[ku:kv]
         return float(np.sum(f(args)) * tg.dt)
 
-    return Germ(germ_fn, label="averaged-square")
+    return Germ(germ_fn)
 
 
 def _assert_same_sewing(engine, reference, germ, s, t):

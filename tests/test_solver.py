@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, TimeGrid,
                     constant_field, generate_bm_increments, generate_fbm,
-                    identity_field, mollified_family, singular_example,
-                    solve_ensemble)
-from fbmlab.solver import (BLOWUP_BOUND, _euler_batch, cauchy_report,
-                           walk_ensemble)
+                    identity_field, mollified_family, singular_example)
+from fbmlab.solver import (BLOWUP_ABORT_FRACTION, BLOWUP_BOUND,
+                           _abort_on_blowups, _euler_batch, cauchy_report,
+                           solve_fields, walk_ensemble)
 
 GRID = TimeGrid(1.0, 64)
 FBM = generate_fbm(0.2, 1, GRID, seed=5)
@@ -22,6 +22,13 @@ BASE_SEED = 17
 def _identity_scenario(paths: int = 32) -> QuenchedScenario:
     return QuenchedScenario(FBM, identity_field(1), [0.0], (0.5, 0.25),
                             paths, BASE_SEED)
+
+
+def _solve(scenario, field=None, epsilon=None, bound=BLOWUP_BOUND):
+    """`field`, by default the scenario's own, solved alone."""
+    field = scenario.sigma if field is None else field
+    ens, = solve_fields(scenario, [field], [epsilon], bound)
+    return ens
 
 
 def test_scenario_validation():
@@ -37,13 +44,14 @@ def test_scenario_validation():
         QuenchedScenario(FBM, identity_field(1), [0.0], (0.5, -0.1), 8, 1)
     # A field must fit the scenario's shared drivers.
     with pytest.raises(ParameterError):
-        solve_ensemble(_identity_scenario(), identity_field(2))
+        solve_fields(_identity_scenario(), [identity_field(1), identity_field(2)],
+                     [0.5, 0.25], BLOWUP_BOUND)
 
 
 def test_identity_field_reduces_to_the_driver():
     """With sigma the identity the scheme telescopes to X = x0 + B, with
     bit-identical rounding to a running cumulative sum."""
-    ens = solve_ensemble(_identity_scenario())
+    ens = _solve(_identity_scenario())
     expected = np.zeros_like(ens.values)
     expected[:, :, 1:] = np.cumsum(ens.driver_increments, axis=2)
     assert np.array_equal(ens.values, expected)
@@ -55,10 +63,10 @@ def test_scenario_rows_are_a_window_of_the_ensemble():
     """A scenario over rows first_path .. first_path + size - 1 draws and
     solves exactly those rows of the whole ensemble; keys past 2**32 - 1
     are refused."""
-    whole = solve_ensemble(_identity_scenario())
+    whole = _solve(_identity_scenario())
     for first, size in ((0, 5), (5, 27), (31, 1)):
         rows = replace(_identity_scenario(), first_path=first, ensemble_size=size)
-        part = solve_ensemble(rows)
+        part = _solve(rows)
         assert np.array_equal(part.driver_increments,
                               whole.driver_increments[first:first + size])
         assert np.array_equal(part.values, whole.values[first:first + size])
@@ -108,8 +116,8 @@ def test_solves_are_deterministic_and_split_independent(d, order, k, bound, spli
     scheme over any split of the driver batch, concatenated, equals the
     whole batch."""
     scenario = _identity_scenario()
-    a = solve_ensemble(scenario)
-    b = solve_ensemble(scenario)
+    a = _solve(scenario)
+    b = _solve(scenario)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.driver_increments, b.driver_increments)
 
@@ -140,8 +148,8 @@ def test_radius_sweep_shares_drivers():
     scenario = QuenchedScenario(FBM, singular_example(0.4, 1.0, 1), [0.5],
                                 (0.5, 0.25), 16, BASE_SEED)
     grid, fields = mollified_family(scenario)
-    coarse = solve_ensemble(scenario, fields[0.5], epsilon=0.5)
-    fine = solve_ensemble(scenario, fields[0.25], epsilon=0.25)
+    coarse = _solve(scenario, fields[0.5], 0.5)
+    fine = _solve(scenario, fields[0.25], 0.25)
     assert coarse.epsilon == 0.5 and fine.epsilon == 0.25
     assert np.array_equal(coarse.driver_increments, fine.driver_increments)
 
@@ -185,7 +193,8 @@ def test_euler_scheme_is_adapted(d, order, n_fields, k, seed, bound, value):
 
 def test_blown_up_path_freezes_at_last_finite_state():
     one_path = QuenchedScenario(FBM, identity_field(1), [0.0], (0.5,), 1, 99)
-    ens = solve_ensemble(one_path, blowup_bound=0.05, abort_fraction=1.0)
+    ens = _solve(one_path, bound=0.05)
+    _abort_on_blowups(ens, 1.0)
     vals, blowup = ens.values[0], int(ens.blowup_steps[0])
     assert blowup > 0
     assert np.max(np.abs(vals)) <= 0.05
@@ -195,16 +204,17 @@ def test_blown_up_path_freezes_at_last_finite_state():
 def test_ensemble_blowup_abort_and_masking():
     scenario = QuenchedScenario(FBM, constant_field(np.array([[1.0e9]])),
                                 [0.0], (0.5,), 16, BASE_SEED)
+    ens = _solve(scenario)
     with pytest.raises(BlowUpError) as info:
-        solve_ensemble(scenario)
+        _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
     assert info.value.count == 16
-    tolerant = solve_ensemble(scenario, abort_fraction=1.0)
-    assert tolerant.blowup_count == 16
-    assert not tolerant.ok_mask.any()
+    _abort_on_blowups(ens, 1.0)  # tolerates every path blowing up
+    assert ens.blowup_count == 16
+    assert not ens.ok_mask.any()
 
 
 def test_moment_table_layout():
-    ens = solve_ensemble(_identity_scenario())
+    ens = _solve(_identity_scenario())
     rows = ens.moment_table(2.0, max_level=4)
     assert len(rows) == 31  # 1 + 2 + 4 + 8 + 16 dyadic windows
     for row in rows:
@@ -234,7 +244,7 @@ def test_constant_field_sweep_has_no_gap():
     scenario = QuenchedScenario(FBM, constant_field(np.array([[2.0]])), [0.0],
                                 (0.0625, 0.05), 16, BASE_SEED)
     lp_grid, fields = mollified_family(scenario)
-    reference = solve_ensemble(scenario, fields[0.05], epsilon=0.05)
+    reference = _solve(scenario, fields[0.05], 0.05)
     sums = walk_ensemble(reference, GRID.steps,
                          drift=[fields[eps] for eps in scenario.eps_seq])
     report = cauchy_report(scenario, sums.ito, fields, lp_grid, 4.0)

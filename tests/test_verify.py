@@ -10,8 +10,8 @@ from fbmlab import (MomentRatioReport, ParameterError, QuenchedScenario,
                     SpatialGrid, TimeGrid, WEIGHT_DICTIONARY_VERSION,
                     generate_fbm, identity_field, lebesgue_vs_sewing,
                     moment_ratio, moment_ratio_trend, quantized_perturbation,
-                    solve_ensemble, weight_dictionary)
-from fbmlab.solver import walk_ensemble
+                    weight_dictionary)
+from fbmlab.solver import BLOWUP_BOUND, solve_fields, walk_ensemble
 from fbmlab.verify import (cross_term_report, isometry_report,
                            martingale_reports)
 
@@ -25,7 +25,8 @@ N_PATHS = 4000
 def _identity_ensemble(base_seed: int):
     scenario = QuenchedScenario(FBM, identity_field(1), [0.0], (0.25,),
                                 N_PATHS, base_seed)
-    return solve_ensemble(scenario)
+    ens, = solve_fields(scenario, [scenario.sigma], [None], BLOWUP_BOUND)
+    return ens
 
 
 def test_quantized_perturbation_snaps_left_endpoints():

@@ -16,12 +16,18 @@ from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, SpatialGrid,
                     TimeGrid, constant_field, generate_fbm, hs_norm_sq,
                     identity_field, lebesgue_vs_sewing, mollified_family,
                     moment_ratio, quantized_perturbation, singular_example,
-                    solve_ensemble, weight_dictionary)
+                    weight_dictionary)
 from fbmlab import experiments, paths, solver
 from fbmlab.experiments import HEADLINE_CONFIG, build_scenario, verify_scenario
 from fbmlab.fields import lp_norm
 from fbmlab.verify import (cross_term_report, isometry_report,
                            martingale_reports)
+
+
+def _solve(scenario, field, epsilon=None, bound=solver.BLOWUP_BOUND):
+    """One field solved alone over the scenario's drivers."""
+    ens, = solver.solve_fields(scenario, [field], [epsilon], bound)
+    return ens
 
 
 # --- reference: the per-step loops --------------------------------------------
@@ -180,10 +186,10 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, blocks,
 
     eps_seq = scenario.eps_seq
     eps_min = min(eps_seq)
-    reference = solve_ensemble(scenario, fields[eps_min], epsilon=eps_min)
+    reference = _solve(scenario, fields[eps_min], eps_min)
     for e, eps in enumerate(eps_seq):
         ens = (reference if eps == eps_min
-               else solve_ensemble(scenario, fields[eps], epsilon=eps))
+               else _solve(scenario, fields[eps], eps))
         assert res.ratio_reports[e].to_dict() == moment_ratio(ens, cfg["m"],
                                                               cfg["gamma0"]).to_dict()
         assert _report_dict(res.iso_reports[e]) == ref_isometry(
@@ -228,8 +234,7 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
         lp_grid = SpatialGrid.from_box(-2.0, 2.0, 16, dimension)
         fields = {eps: sigma for eps in scen.eps_seq}
     # A low blow-up bound freezes part of the ensemble, which the sums mask.
-    ens = solve_ensemble(scen, fields[0.125], epsilon=0.125, blowup_bound=0.9,
-                         abort_fraction=1.0)
+    ens = _solve(scen, fields[0.125], 0.125, bound=0.9)
     assert 0 < ens.blowup_count < ens.n_paths
     qgrid = SpatialGrid.cover(fbm.values.T, grid.dt)
     snapped = quantized_perturbation(fbm.values, qgrid)
@@ -287,9 +292,9 @@ def test_sweep_draws_each_driver_stream_once(monkeypatch):
     assert not db.flags.writeable
     with pytest.raises(ValueError):
         db[0, 0, 0] = 1.0
-    ens = solve_ensemble(scenario, fields[0.25], epsilon=0.25)
+    ens = _solve(scenario, fields[0.25], 0.25)
     assert ens.driver_increments is db
-    assert solve_ensemble(scenario, fields[0.125]).driver_increments is db
+    assert _solve(scenario, fields[0.125]).driver_increments is db
     assert len(streams) == cfg["paths"] * n
     assert set(streams) == sweep_streams
 
@@ -297,7 +302,7 @@ def test_sweep_draws_each_driver_stream_once(monkeypatch):
 def test_walk_rejects_too_few_snapped_positions():
     scen = QuenchedScenario(generate_fbm(0.2, 1, TimeGrid(1.0, 16), 3),
                             identity_field(1), [0.0], (0.5,), 4, 1)
-    ens = solve_ensemble(scen)
+    ens = _solve(scen, scen.sigma)
     with pytest.raises(ParameterError):
         solver.walk_ensemble(ens, 16, snap=[identity_field(1)],
                              snapped=np.zeros((15, 1)))
@@ -351,8 +356,7 @@ def _first_failing_radius(scenario, fields, bound):
     first, then the others in eps_seq order."""
     eps_min = min(scenario.eps_seq)
     for eps in [eps_min] + [e for e in scenario.eps_seq if e != eps_min]:
-        ens = solve_ensemble(scenario, fields[eps], epsilon=eps,
-                             blowup_bound=bound, abort_fraction=1.0)
+        ens = _solve(scenario, fields[eps], eps, bound)
         if ens.blowup_count > solver.BLOWUP_ABORT_FRACTION * ens.n_paths:
             return eps, ens.blowup_count
     return None
