@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import platform
 import sys
 import time
@@ -39,6 +40,7 @@ from .experiments import (ALL_CRITERIA, HEADLINE_CONFIG, build_scenario,
 from .occupation import SpatialGrid, local_time
 from .paths import TimeGrid, generate_fbm
 from .sewing import Germ, sew
+from .solver import BLOWUP_BOUND
 
 _CONFIG_SCHEMA = {
     "experiment": str,
@@ -109,6 +111,10 @@ def validate_config(cfg: dict) -> None:
     if len(cfg["x0"]) != cfg["dimension"]:
         raise ParameterError(
             f"x0 has {len(cfg['x0'])} components for dimension {cfg['dimension']}")
+    # Beyond the blow-up bound every path would count as blown up.
+    if not all(math.isfinite(v) and abs(v) <= BLOWUP_BOUND for v in cfg["x0"]):
+        raise ParameterError(
+            f"x0 must be finite with |x0| <= {BLOWUP_BOUND:g}, got {cfg['x0']}")
     if cfg["sigma"] == "singular":
         h_max = hurst_admissible_main(cfg["dimension"], cfg["p"])
         if cfg["hurst"] > h_max:

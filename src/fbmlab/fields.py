@@ -381,10 +381,16 @@ def _lattice_values(grid: SpatialGrid, table: np.ndarray, radius, pts,
     holds the radius of each point's member.
     """
     vals = multilinear_interpolate(grid.lower, grid.h, table, pts, members=members)
-    # The convolution support is a ball; clip FFT dust outside it.
-    r = np.linalg.norm(pts, axis=-1)
+    # The convolution support is a ball; clip FFT dust outside it.  In d = 1
+    # the norm is |x|: sqrt(fl(x^2)) = |x|, and where x^2 under- or
+    # overflows both compare with radius alike.
+    r = np.abs(pts[..., 0]) if pts.shape[-1] == 1 else np.linalg.norm(pts, axis=-1)
+    # np.where in place.  A stacked table is clipped one member at a time: a
+    # mask of every point against every radius would make numpy loop over
+    # the short member axis innermost.
     stacked = members is None and np.ndim(radius)
-    vals[r[..., None] > radius if stacked else r > radius] = 0.0
+    for part, rad in zip(np.moveaxis(vals, -3, 0), radius) if stacked else [(vals, radius)]:
+        np.copyto(part, 0.0, where=(r > rad)[..., None, None])
     return vals
 
 
@@ -408,21 +414,30 @@ class LatticeStack:
         return _lattice_values(self.grid, self.table, np.asarray(self.radii),
                                np.asarray(points, dtype=float))
 
-    def gather(self, members, points) -> np.ndarray:
-        """Member members[j] at points[j], (k, ..., d) -> (k, ..., d, n).
+    def gather(self, members):
+        """Member members[j] at points[j], as a function (k, ..., d) -> (k, ..., d, n).
 
-        One interpolation for all k point sets; slice j is bit-equal to
-        member members[j]'s own evaluation at points[j].
+        Each call is one interpolation for all k point sets; slice j is
+        bit-equal to member members[j]'s own evaluation at points[j].  The
+        member index and each member's radius are taken here, once.
         """
-        pts = np.asarray(points, dtype=float)
-        index = np.asarray(members).reshape((-1,) + (1,) * (pts.ndim - 2))
-        return _lattice_values(self.grid, self.table, np.asarray(self.radii)[index],
-                               pts, members=index)
+        index = np.asarray(members)
+        radius = np.asarray(self.radii)[index]
+
+        def evaluate(points) -> np.ndarray:
+            pts = np.asarray(points, dtype=float)
+            per_set = (-1,) + (1,) * (pts.ndim - 2)
+            return _lattice_values(self.grid, self.table, radius.reshape(per_set),
+                                   pts, members=index.reshape(per_set))
+        return evaluate
 
     def member(self, e: int, *, p_tag: float | None, label: str) -> MatrixField:
         table, radius = self.table[..., e, :, :], self.radii[e]
         d, n = table.shape[-2:]
-        fld = MatrixField(lambda pts: _lattice_values(self.grid, table, radius, pts),
+        # Read through the whole stacked table: np.take would copy the
+        # non-contiguous slice on every call.
+        fld = MatrixField(lambda pts: _lattice_values(self.grid, self.table, radius, pts,
+                                                      members=e),
                           d, n, p_tag=p_tag, support_radius=radius, label=label,
                           grid=self.grid, grid_values=table)
         fld.lattice = (self, e)
@@ -448,18 +463,18 @@ def evaluate_together(fields, points) -> np.ndarray:
     return np.stack([seen[id(f)] for f in fields], axis=-3)
 
 
-def evaluate_members(fields, points) -> np.ndarray:
-    """fields[j] at its own points[j], (k, ..., d) -> (k, ..., d, n).
+def evaluate_members(fields):
+    """A function of points (k, ..., d) -> (k, ..., d, n): fields[j] at points[j].
 
-    Bit-equal to stacking each field's own evaluation on axis 0.  When
-    every field is a member of one LatticeStack, in any order, the stack
-    gathers them all in one interpolation.
+    Its result is bit-equal to stacking each field's own evaluation on
+    axis 0.  When every field is a member of one LatticeStack, in any
+    order, the stack gathers them all in one interpolation per call.
     """
     lattice = [getattr(f, "lattice", None) for f in fields]
     stack = lattice[0][0] if lattice[0] is not None else None
     if stack is not None and all(lat is not None and lat[0] is stack for lat in lattice):
-        return stack.gather([e for _stack, e in lattice], points)
-    return np.stack([f(pts) for f, pts in zip(fields, points)])
+        return stack.gather([e for _stack, e in lattice])
+    return lambda points: np.stack([f(pts) for f, pts in zip(fields, points)])
 
 
 def _norm_power(field, pts: np.ndarray, p: float) -> np.ndarray:

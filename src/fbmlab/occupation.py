@@ -289,32 +289,58 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
     values[..., members[...], ...] of its own member, bit-equal to
     interpolating that member's lattice on its own, and the entry shape is
     values.shape[d + 1:].
+
+    The lattice is read through one flat view, values.reshape((-1,) +
+    entry shape): one row per node, or per node and member, in row-major
+    order.  Each of the 2^d corners is one np.take of rows, at the point's
+    lower corner raveled (times the member count, plus its member) plus a
+    fixed row step for each far axis; the step is 0 on a size-1 axis, where
+    the far corner has zero weight.  np.take reads a C-contiguous table in
+    place but copies any other table on every call, so a member of a
+    stacked table is best read through the whole table with members.  A
+    corner's weight is the product of its per-axis factors, frac or
+    1 - frac, from axis 0 on, and the corners add up as
+    0.0 + w_0 v_0 + w_1 v_1 + ... in corner order, with the weight as the
+    first factor.  Those are the operations, in their order, of a plain
+    loop over corners that indexes values directly, so every bit of that
+    loop is kept: signed zeros, and the NaN a NaN point reads under clamp.
     """
     pts = np.asarray(points, dtype=float)
     lo = np.asarray(lower, dtype=float)
+    values = np.asarray(values, dtype=float)
     d = lo.size
-    if pts.shape[-1] != d or values.ndim < d:
+    if d == 0 or pts.shape[-1] != d or values.ndim < d:
         raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
-    member = () if members is None else (np.asarray(members),)
-    # Position in center-lattice units.
+    shape = values.shape[:d]
+    # Position in center-lattice units, clipped onto the lattice.
     u = (pts - lo) / h - 0.5
-    shape = np.asarray(values.shape[:d])
-    if clamp:
-        u = np.clip(u, 0.0, shape - 1.0)
-        in_range = np.ones(pts.shape[:-1], dtype=bool)
-    else:
-        in_range = np.all((u >= 0.0) & (u <= shape - 1.0), axis=-1)
-        u = np.clip(u, 0.0, shape - 1.0)
-    base = np.maximum(np.minimum(np.floor(u).astype(np.int64), shape - 2), 0)
-    frac = u - base
-    entry = (None,) * (values.ndim - d - len(member))
-    out = np.zeros(pts.shape[:-1] + values.shape[d + len(member):])
+    clipped = np.clip(u, 0.0, np.subtract(shape, 1.0))
+    in_range = None if clamp else np.all(clipped == u, axis=-1)
+    base = np.maximum(np.minimum(np.floor(clipped).astype(np.int64),
+                                 np.subtract(shape, 2)), 0)
+    frac = clipped - base
+    rest = 1.0 - frac
+    # Flat row of the lower corner, and the row step of each far axis.
+    n_members = 1 if members is None else values.shape[d]
+    flat = values.reshape((-1,) + values.shape[d + (members is not None):])
+    row = n_members * np.cumprod((1,) + shape[:0:-1])[::-1]
+    near = base[..., 0] * row[0]
+    for a in range(1, d):
+        near = near + base[..., a] * row[a]
+    if members is not None:
+        near = near + members
+    step = [int(row[a]) if shape[a] > 1 else 0 for a in range(d)]
+    entry = (...,) + (None,) * (flat.ndim - 1)
+    out = 0.0
     for corner in range(1 << d):
-        offs = [(corner >> a) & 1 for a in range(d)]
-        weight = np.ones(pts.shape[:-1])
-        for a in range(d):
-            weight = weight * (frac[..., a] if offs[a] else 1.0 - frac[..., a])
-        # Clamp covers size-1 axes, where the far corner has zero weight.
-        idx = tuple(np.minimum(base[..., a] + offs[a], shape[a] - 1) for a in range(d))
-        out += weight[(...,) + entry] * values[idx + member]
-    return np.where(in_range[(...,) + entry], out, 0.0)
+        far = [(corner >> a) & 1 for a in range(d)]
+        weight = frac[..., 0] if far[0] else rest[..., 0]
+        for a in range(1, d):
+            weight = weight * (frac[..., a] if far[a] else rest[..., a])
+        offset = sum(s for s, f in zip(step, far) if f)
+        term = np.take(flat, near + offset if offset else near, axis=0)
+        np.multiply(weight[entry], term, out=term)
+        out = np.add(out, term, out=term)
+    if not clamp:
+        out.reshape((in_range.size,) + flat.shape[1:])[np.flatnonzero(~in_range)] = 0.0
+    return out

@@ -105,12 +105,13 @@ def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
     """The scheme for k fields over one batch of drivers, advanced together.
 
     Field e moves its own state X^e, and each step reads every field at
-    its own X^e_k - w_k with one evaluate_members call.  w_values has shape
-    (d, steps + 1) and db (paths, n, steps); returns values (k, paths, d,
-    steps + 1) and the first blow-up step per field and path (k, paths; -1
-    when none).  Paths are frozen at their last finite state after blowing
-    up so ensemble statistics can simply mask them out.  Slice e depends on
-    field e alone: it is bit-equal to the scheme for [fields[e]].
+    its own X^e_k - w_k with one call of one evaluate_members function.
+    w_values has shape (d, steps + 1) and db (paths, n, steps); returns
+    values (k, paths, d, steps + 1) and the first blow-up step per field
+    and path (k, paths; -1 when none).  Paths are frozen at their last
+    finite state after blowing up so ensemble statistics can simply mask
+    them out.  Slice e depends on field e alone: it is bit-equal to the
+    scheme for [fields[e]].
     """
     n_paths, _, steps = db.shape
     shape = (len(fields), n_paths, x0.size)
@@ -119,8 +120,9 @@ def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
     x = np.broadcast_to(x0, shape).copy()
     blowup = np.full(shape[:2], -1, dtype=np.int64)
     alive = np.ones(shape[:2], dtype=bool)
+    evaluate = evaluate_members(fields)
     for k in range(steps):
-        mats = evaluate_members(fields, x - w_values[:, k])
+        mats = evaluate(x - w_values[:, k])
         step = np.einsum("epij,pj->epi", mats, db[:, :, k])
         x = np.where(alive[..., None], x + step, x)
         bad = alive & (~np.isfinite(x).all(axis=-1) | (np.abs(x).max(axis=-1) > blowup_bound))

@@ -79,6 +79,20 @@ def _no_allocation(*_args, **_kwargs):
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf", "2000000", "-1000000.5"])
+def test_x0_beyond_the_blowup_bound_exits_2_before_any_allocation(
+        tmp_path, monkeypatch, capsys, command, x0):
+    """Every path would blow up at its first step; the sweep used to run in
+    full and exit 3."""
+    monkeypatch.setattr(experiments, "generate_fbm", _no_allocation)
+    path = _write_config(tmp_path, IDENTITY_CONFIG.replace("x0 = 0.0", f"x0 = {x0}"))
+    assert main([command, "--config", path]) == 2
+    assert "x0 must be finite with |x0| <= 1e+06" in capsys.readouterr().err
+    for edge in (solver.BLOWUP_BOUND, -solver.BLOWUP_BOUND):
+        assert resolve_config({"x0": [edge]})["x0"] == [edge]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
 def test_no_radius_exits_2_before_any_allocation(tmp_path, monkeypatch, capsys,
                                                  command):
     monkeypatch.setattr(experiments, "generate_fbm", _no_allocation)

@@ -282,7 +282,7 @@ def _assert_family_consistent(d, pts):
     # The member-axis gather: members in any order, each at its own points.
     order = [1, 0, 1]
     own_pts = np.stack([pts, pts[::-1], 0.5 * pts])
-    gathered = evaluate_members([family[e] for e in order], own_pts)
+    gathered = evaluate_members([family[e] for e in order])(own_pts)
     assert gathered.shape == (len(order),) + together[..., 0, :, :].shape
     for j, e in enumerate(order):
         assert np.array_equal(gathered[j], family[e](own_pts[j]))

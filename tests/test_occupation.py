@@ -1,6 +1,7 @@
 """Occupation measures, local times and the half-offset grid conventions."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from fbmlab import (ParameterError, SpatialGrid, TimeGrid, generate_fbm,
                     local_time, multilinear_interpolate,
                     occupation_formula_residual, occupation_measure)
+from fbmlab.fields import LatticeStack
 from fbmlab.occupation import _exact_sum
 
 
@@ -276,3 +278,139 @@ def test_multilinear_interpolation_reproduces_affine_fields():
     edge = multilinear_interpolate(lower, h, values, np.array([[5.0, 0.0]]),
                                    clamp=True)[0]
     assert math.isfinite(edge) and edge != 0.0
+
+
+# --- the flat-index gather, bit for bit against the corner loop ---------------
+
+def _corner_loop_interpolate(lower, h, values, points, clamp=False, members=None):
+    """The corner loop multilinear_interpolate ran before the flat-index
+    gather, verbatim: the bit-for-bit reference."""
+    pts = np.asarray(points, dtype=float)
+    lo = np.asarray(lower, dtype=float)
+    d = lo.size
+    if pts.shape[-1] != d or values.ndim < d:
+        raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
+    member = () if members is None else (np.asarray(members),)
+    # Position in center-lattice units.
+    u = (pts - lo) / h - 0.5
+    shape = np.asarray(values.shape[:d])
+    if clamp:
+        u = np.clip(u, 0.0, shape - 1.0)
+        in_range = np.ones(pts.shape[:-1], dtype=bool)
+    else:
+        in_range = np.all((u >= 0.0) & (u <= shape - 1.0), axis=-1)
+        u = np.clip(u, 0.0, shape - 1.0)
+    base = np.maximum(np.minimum(np.floor(u).astype(np.int64), shape - 2), 0)
+    frac = u - base
+    entry = (None,) * (values.ndim - d - len(member))
+    out = np.zeros(pts.shape[:-1] + values.shape[d + len(member):])
+    for corner in range(1 << d):
+        offs = [(corner >> a) & 1 for a in range(d)]
+        weight = np.ones(pts.shape[:-1])
+        for a in range(d):
+            weight = weight * (frac[..., a] if offs[a] else 1.0 - frac[..., a])
+        # Clamp covers size-1 axes, where the far corner has zero weight.
+        idx = tuple(np.minimum(base[..., a] + offs[a], shape[a] - 1) for a in range(d))
+        out += weight[(...,) + entry] * values[idx + member]
+    return np.where(in_range[(...,) + entry], out, 0.0)
+
+
+def _mask_clip_lattice_values(grid, table, radius, pts, members=None):
+    """The lattice evaluation with the norm and boolean-mask radius clip it
+    had before, verbatim but for the interpolation it calls."""
+    vals = _corner_loop_interpolate(grid.lower, grid.h, table, pts, members=members)
+    # The convolution support is a ball; clip FFT dust outside it.
+    r = np.linalg.norm(pts, axis=-1)
+    stacked = members is None and np.ndim(radius)
+    vals[r[..., None] > radius if stacked else r > radius] = 0.0
+    return vals
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+_TABLE_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _stacked_lattices(draw):
+    """A grid, a stacked (k, d, n) table with signed zeros and non-finite
+    entries sprinkled in, radii, and points on, off and at the edges of
+    the lattice, NaN and +-inf among them."""
+    d = draw(st.integers(1, 3))
+    bins = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    h = draw(st.sampled_from([0.25, 0.375, 1.0]))
+    lower = tuple(draw(st.lists(st.sampled_from([-0.9, -0.4, 0.1]),
+                                min_size=d, max_size=d)))
+    grid = SpatialGrid(lower, h, bins)
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = rng.standard_normal(bins + (k, d, n))
+    table[rng.random(table.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, table.size - 1))
+        table.flat[at] = draw(st.sampled_from(_TABLE_SPECIALS))
+    radii = draw(st.lists(st.floats(0.05, 4.0), min_size=k, max_size=k))
+    upper = [lo + m * h for lo, m in zip(lower, bins)]
+    coordinate = [st.one_of(
+        st.floats(lo - 1.5 * h, up + 1.5 * h),
+        st.sampled_from([lo, lo + 0.5 * h, up - 0.5 * h, up, 0.0, -0.0,
+                         math.nan, math.inf, -math.inf]))
+        for lo, up in zip(lower, upper)]
+    rows = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=6))
+    return grid, table, radii, np.array(rows, dtype=float).reshape(-1, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stacked_lattices(), st.booleans(), st.data())
+def test_flat_gather_is_bit_equal_to_the_corner_loop(case, clamp, data):
+    grid, table, radii, pts = case
+    k, m = table.shape[-3], pts.shape[0]
+    members = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+    e = data.draw(st.integers(0, k - 1))
+    stack = LatticeStack(grid, table, radii)
+    with np.errstate(invalid="ignore"):  # NaN points cast to int64 in both
+        # Whole stacked entries, members, and one scalar lattice cut from a
+        # stack (a non-contiguous table), each with and without clamp.
+        for values, kw in ((table, {}), (table, {"members": members}),
+                           (table[..., e, -1, 0], {})):
+            _assert_same_bits(
+                multilinear_interpolate(grid.lower, grid.h, values, pts, clamp=clamp, **kw),
+                _corner_loop_interpolate(grid.lower, grid.h, values, pts, clamp=clamp, **kw))
+        # The stack's three routes: every member with stacked radii, one
+        # member field, and the member-axis gather of k point sets.
+        _assert_same_bits(stack(pts), _mask_clip_lattice_values(
+            grid, table, np.asarray(stack.radii), pts))
+        _assert_same_bits(stack.member(e, p_tag=None, label="e")(pts),
+                          _mask_clip_lattice_values(grid, table[..., e, :, :],
+                                                    stack.radii[e], pts))
+        sets = np.stack([pts, pts[::-1], -pts])
+        order = [e, (e + 1) % k, 0]
+        index = np.array(order)[:, None]
+        _assert_same_bits(stack.gather(order)(sets), _mask_clip_lattice_values(
+            grid, table, np.asarray(stack.radii)[index], sets, members=index))
+
+
+def test_member_fields_read_the_stacked_table_in_place():
+    """A member's table is a view of the stack's, and evaluating a member
+    allocates in proportion to its points, not to its lattice."""
+    grid = SpatialGrid((-8.1,), 2.0 ** -12, (1 << 16,))
+    table = np.random.default_rng(0).standard_normal(grid.shape + (5, 1, 1))
+    stack = LatticeStack(grid, table, [1.0] * 5)
+    member = table[..., 3, :, :]
+    assert np.shares_memory(member.reshape((-1,) + member.shape[1:]), table)
+    field = stack.member(3, p_tag=None, label="member 3")
+    pts = np.linspace(-2.0, 2.0, 16)[:, None]
+    field(pts)
+    tracemalloc.start()
+    try:
+        field(pts)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < member.size * member.itemsize // 8
