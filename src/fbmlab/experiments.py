@@ -367,30 +367,37 @@ class _KeptNodes(Ensemble):
         return self.values[:, :, [self.nodes.index(k) for k in ks]]
 
 
-def _solve_in_chunks(scenario: QuenchedScenario, fields: dict[float, MatrixField],
-                     order, keep: tuple[int, ...], walk=None):
-    """Each distinct field of `fields`, with the first radius in order that
-    has it, solved once over chunks of paths (CHUNK_BYTES) and reduced to
-    the grid nodes keep.  Each chunk draws its drivers, solves every field
-    in one recursion and is read by walk(part), when given, before it is
-    dropped.  Rows depend on their own drivers alone, so no result depends
-    on the chunk size.  Returns one _KeptNodes per field and the walks."""
-    first_eps = {}
-    for eps in order:
-        first_eps.setdefault(fields[eps], eps)
-    size, _ = _chunk_paths(scenario, len(first_eps))
+def _distinct_fields(scenario: QuenchedScenario, fields: dict[float, MatrixField]
+                     ) -> tuple[list[MatrixField], list[int]]:
+    """The sweep's distinct fields in eps_seq order, and each radius's slot
+    among them: radii with the same field object share a slot, so that
+    field is solved and walked once.  For a mollified family this is the
+    LatticeStack order, which evaluate_together reads in one call."""
+    slots: dict[MatrixField, int] = {}
+    slot = [slots.setdefault(fields[eps], len(slots)) for eps in scenario.eps_seq]
+    return list(slots), slot
+
+
+def _solve_in_chunks(scenario: QuenchedScenario, fields: list[MatrixField],
+                     keep: tuple[int, ...], walk=None):
+    """Each of the distinct `fields` solved over chunks of paths
+    (CHUNK_BYTES) and reduced to the grid nodes keep.  Each chunk draws its
+    drivers, solves every field in one recursion and is read by walk(part),
+    when given, before it is dropped.  Rows depend on their own drivers
+    alone, so no result depends on the chunk size.  Returns one _KeptNodes
+    per field, with no radius, and the walks."""
+    size, _ = _chunk_paths(scenario, len(fields))
     chunks, walked = [], []
     for first in range(0, scenario.ensemble_size, size):
         rows = replace(scenario, first_path=first,
                        ensemble_size=min(size, scenario.ensemble_size - first))
-        part = solve_fields(rows, list(first_eps), list(first_eps.values()),
-                            BLOWUP_BOUND)
+        part = solve_fields(rows, fields, [None] * len(fields), BLOWUP_BOUND)
         if walk is not None:
             walked.append(walk(part))
         chunks.append([(ens.at_nodes(keep), ens.blowup_steps) for ens in part])
         del part, rows  # so the next chunk does not run beside this one
-    return [_KeptNodes(scenario, eps, *map(np.concatenate, zip(*parts)), keep)
-            for eps, parts in zip(first_eps.values(), zip(*chunks))], walked
+    return [_KeptNodes(scenario, None, *map(np.concatenate, zip(*parts)), keep)
+            for parts in zip(*chunks)], walked
 
 
 def solve_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]):
@@ -399,10 +406,10 @@ def solve_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField])
     more than BLOWUP_ABORT_FRACTION of the paths blew up."""
     keep = tuple(sorted({k for pair in scenario.grid.dyadic_windows(MOMENT_TABLE_LEVEL)
                          for k in pair}))
-    ensembles, _ = _solve_in_chunks(scenario, fields, scenario.eps_seq, keep)
-    by_field = {fields[ens.epsilon]: ens for ens in ensembles}
-    for eps in scenario.eps_seq:
-        ens = replace(by_field[fields[eps]], epsilon=eps)
+    distinct, slot = _distinct_fields(scenario, fields)
+    ensembles, _ = _solve_in_chunks(scenario, distinct, keep)
+    for eps, s in zip(scenario.eps_seq, slot):
+        ens = replace(ensembles[s], epsilon=eps)
         _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
         yield ens
 
@@ -430,19 +437,20 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     The smallest radius gives the reference ensemble, which carries the
     cross pairings, the martingale residuals over martingale_windows, the
     quadratic-variation check on its first path and the mollified Cauchy
-    sequence.  Each chunk of paths (_solve_in_chunks) walks the reference
-    paths once for every sum those checks need, for all radii at once, and
-    each other field's paths for its isometry.  A radius whose field is
-    the reference's reuses its solve and its walk.
+    sequence.  Each distinct field (_distinct_fields) is solved and walked
+    once per chunk of paths (_solve_in_chunks): the reference paths first,
+    once for every sum those checks need with each distinct field, then
+    each other field's paths for its isometry.  Every radius reads its
+    field's solve and sums through its slot.
     """
     start = time.perf_counter()
     tg = scenario.grid
     horizon = tg.horizon
     k_t = tg.node_index(horizon)
     eps_seq = scenario.eps_seq
-    eps_min = min(eps_seq)
-    e_min = eps_seq.index(eps_min)
-    family = [fields[eps] for eps in eps_seq]
+    e_min = eps_seq.index(min(eps_seq))
+    distinct, slot = _distinct_fields(scenario, fields)
+    ref = slot[e_min]
     snapped = quantized_perturbation(scenario.fbm.values, quant_grid)[:k_t]
     windows = [tg.window(s, t) for s, t in martingale_windows]
     keep = tuple(sorted({k for pair in tg.dyadic_windows(MOMENT_MAX_LEVEL)
@@ -452,38 +460,40 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     def walk(part):
         nonlocal path0
         if path0 is None:
-            path0 = part[0].values[0].copy()
+            path0 = part[ref].values[0].copy()
         # The cross pairings always ride on the reference ensemble; the
         # sweep shows the mollified integrals closing on the martingale.
-        sums = [walk_ensemble(part[0], k_t, drift=family, snap=family,
-                              snapped=snapped, sigma_raw=scenario.sigma,
-                              windows=windows)]
-        return sums + [walk_ensemble(ens, k_t, snap=[fields[ens.epsilon]],
-                                     snapped=snapped) for ens in part[1:]]
+        # Walked first: its larger temporaries raise glibc's trim threshold,
+        # so the walks after it find warm heap pages (about 300 minor page
+        # faults each on the 1000-path headline, against 12,800 before it).
+        ref_sums = walk_ensemble(part[ref], k_t, drift=distinct, snap=distinct,
+                                 snapped=snapped, sigma_raw=scenario.sigma,
+                                 windows=windows)
+        return [ref_sums if s == ref
+                else walk_ensemble(ens, k_t, snap=[distinct[s]], snapped=snapped)
+                for s, ens in enumerate(part)]
 
-    ensembles, walked = _solve_in_chunks(scenario, fields, (eps_min, *eps_seq),
-                                         keep, walk)  # the reference first
-    solved = [fields[ens.epsilon] for ens in ensembles]
-    for ens in ensembles:
+    ensembles, walked = _solve_in_chunks(scenario, distinct, keep, walk)
+    radii = [replace(ensembles[s], epsilon=eps) for eps, s in zip(eps_seq, slot)]
+    for ens in (radii[e_min], *radii):  # the reference first
         _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
     field_sums = [PathSums.join(sums) for sums in zip(*walked)]
-    reference, ref_sums = ensembles[0], field_sums[0]
+    reference, ref_sums = radii[e_min], field_sums[ref]
     ratios = [moment_ratio(ens, m, gamma0) for ens in ensembles]
     ratio_reports, iso_reports, cross_reports = [], [], []
-    for e, eps in enumerate(eps_seq):
-        i = solved.index(fields[eps])
-        ratio_reports.append(replace(ratios[i], epsilon=eps))
-        iso_reports.append(isometry_report(replace(ensembles[i], epsilon=eps),
-                                           field_sums[i], e if i == 0 else 0,
-                                           horizon))
-        cross_reports.append(cross_term_report(reference, ref_sums, e, horizon,
+    for e, (eps, s) in enumerate(zip(eps_seq, slot)):
+        ratio_reports.append(replace(ratios[s], epsilon=eps))
+        # The reference walk holds every field's row, another walk its own.
+        iso_reports.append(isometry_report(radii[e], field_sums[s],
+                                           s if s == ref else 0, horizon))
+        cross_reports.append(cross_term_report(reference, ref_sums, s, horizon,
                                                epsilon=eps))
-    mart_reports = martingale_reports(reference, ref_sums, e_min,
+    mart_reports = martingale_reports(reference, ref_sums, ref,
                                       martingale_windows)
     qv_report = lebesgue_vs_sewing(path0, scenario.fbm,
-                                   hs_norm_sq(fields[eps_min]), quant_grid,
+                                   hs_norm_sq(distinct[ref]), quant_grid,
                                    (horizon * 0.25, horizon * 0.75))
-    cauchy = cauchy_report(scenario, ref_sums.ito, fields, lp_grid, m)
+    cauchy = cauchy_report(scenario, ref_sums.ito[slot], fields, lp_grid, m)
     return SweepResults(ratio_reports, moment_ratio_trend(ratio_reports),
                         iso_reports, cross_reports, mart_reports,
                         qv_report, cauchy, time.perf_counter() - start)

@@ -449,18 +449,14 @@ def evaluate_together(fields, points) -> np.ndarray:
 
     Bit-equal to stacking each field's own evaluation on axis -3.  When the
     fields are the members of one LatticeStack in stack order, the stack
-    interpolates them in one call; otherwise a field listed several times
-    is evaluated once.
+    interpolates them in one call; otherwise each field is evaluated on its
+    own, so a field listed twice is evaluated twice.
     """
     lattice = [getattr(f, "lattice", None) for f in fields]
     stack = lattice[0][0] if lattice[0] is not None else None
     if stack is not None and lattice == [(stack, e) for e in range(len(stack.radii))]:
         return stack(points)
-    seen: dict[int, np.ndarray] = {}
-    for f in fields:
-        if id(f) not in seen:
-            seen[id(f)] = f(points)
-    return np.stack([seen[id(f)] for f in fields], axis=-3)
+    return np.stack([f(points) for f in fields], axis=-3)
 
 
 def evaluate_members(fields):

@@ -316,8 +316,10 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
     u = (pts - lo) / h - 0.5
     clipped = np.clip(u, 0.0, np.subtract(shape, 1.0))
     in_range = None if clamp else np.all(clipped == u, axis=-1)
-    base = np.maximum(np.minimum(np.floor(clipped).astype(np.int64),
-                                 np.subtract(shape, 2)), 0)
+    # Clamped as floats, so a NaN point is never cast to an integer: np.fmax
+    # sends it to corner 0, where its weights are NaN, and a size-1 axis too.
+    base = np.fmax(np.minimum(np.floor(clipped), np.subtract(shape, 2)),
+                   0).astype(np.int64)
     frac = clipped - base
     rest = 1.0 - frac
     # Flat row of the lower corner, and the row step of each far axis.
@@ -340,7 +342,9 @@ def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
         offset = sum(s for s, f in zip(step, far) if f)
         term = np.take(flat, near + offset if offset else near, axis=0)
         np.multiply(weight[entry], term, out=term)
-        out = np.add(out, term, out=term)
+        # In place from the second corner on, as out += term adds: in a
+        # one-element sum of two NaNs, the output operand decides which stays.
+        out = np.add(out, term, out=out if corner else term)
     if not clamp:
         out.reshape((in_range.size,) + flat.shape[1:])[np.flatnonzero(~in_range)] = 0.0
     return out

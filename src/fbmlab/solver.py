@@ -32,13 +32,10 @@ BLOWUP_ABORT_FRACTION = 0.01
 MOMENT_TABLE_LEVEL = 6
 # Margin of the mollification lattice beyond the support and the largest radius.
 LATTICE_PAD = 0.5
-# walk_ensemble evaluates fields on blocks of TIME_BLOCK steps of PATH_CHUNK
-# paths: large enough that numpy's per-call cost vanishes, small enough that
-# a chunk's (paths, steps) row buffers stay a few MB at 10^3 steps.  On the
-# 1000-path headline sweep, 128-256 steps by 64-128 paths ran equally fast;
-# 64 paths held the least memory.
-TIME_BLOCK = 256
-PATH_CHUNK = 64
+# walk_ensemble evaluates fields on blocks of whole rows, max(1,
+# WALK_POINTS // steps) paths each: large enough that numpy's per-call cost
+# vanishes, small enough that a block's buffers stay a few MB.
+WALK_POINTS = 64 * 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,9 +268,10 @@ class PathSums:
       cross_comp[w, e] dt sum_{k in window w} drift[e]_ji (X_k - w_k)
       driver_nodes     B(t_k) at the window end points, (paths, n, nodes)
 
-    ito and the compensators add one step at a time, row_sq and mixed are
-    numpy row sums of a (paths, steps) buffer: the summation orders of the
-    per-check loops they replace, so results match those bit for bit.
+    ito and the compensators add one step at a time from 0.0, row_sq and
+    mixed are numpy row sums of a contiguous (paths, steps) buffer of whole
+    rows: the summation orders of the per-check loops they replace, so
+    results match those bit for bit whatever the walk's block of paths.
     """
 
     k_end: int
@@ -300,9 +298,10 @@ class PathSums:
                        driver_nodes=rows("driver_nodes", 0))
 
 
-def _carry(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """acc + terms[:, 0] + terms[:, 1] + ..., added one step at a time."""
-    return np.cumsum(np.concatenate([acc[:, None], terms], axis=1), axis=1)[:, -1]
+def _carry(terms: np.ndarray) -> np.ndarray:
+    """0.0 + terms[:, 0] + terms[:, 1] + ..., added one step at a time."""
+    start = np.zeros((terms.shape[0], 1) + terms.shape[2:])
+    return np.cumsum(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
 
 
 def walk_ensemble(ensemble: Ensemble, k_end: int, *,
@@ -318,8 +317,8 @@ def walk_ensemble(ensemble: Ensemble, k_end: int, *,
     compensators over windows given as node pairs), snap fields at
     X_k - snapped[k] (squared-row sums, and mixed sums with sigma_raw when
     given).  Nothing here is recursive, so fields are evaluated on blocks
-    of TIME_BLOCK steps of PATH_CHUNK paths, each field list in one
-    evaluate_together call per block.
+    of whole rows, every step a sum reads for max(1, WALK_POINTS // steps)
+    paths, each field list in one evaluate_together call per block.
     """
     scen = ensemble.scenario
     dt = scen.grid.dt
@@ -339,48 +338,32 @@ def walk_ensemble(ensemble: Ensemble, k_end: int, *,
     quad_comp = np.empty((n_win, n_drift, rows.size))
     cross_comp = np.empty((n_win, n_drift, rows.size))
     driver_nodes = np.empty((rows.size, scen.driver_dimension, len(nodes)))
-    for r0 in range(0, rows.size, PATH_CHUNK):
-        chunk = rows[r0:r0 + PATH_CHUNK]
+    block = max(1, WALK_POINTS // max(k_run, 1))
+    for r0 in range(0, rows.size, block):
+        chunk = rows[r0:r0 + block]
         part = slice(r0, r0 + chunk.size)
-        x = ensemble.values[chunk]
+        x = ensemble.values[chunk][:, :, :k_run].transpose(0, 2, 1)
         db = ensemble.driver_increments[chunk]
-        acc_ito = np.zeros((chunk.size, n_drift, scen.dimension))
-        acc_quad = np.zeros((n_win, chunk.size, n_drift))
-        acc_cross = np.zeros((n_win, chunk.size, n_drift))
-        sq_rows = np.empty((n_snap, chunk.size, k_end))
-        mixed_rows = np.empty((n_mixed, chunk.size, k_end))
-        for k0 in range(0, k_run, TIME_BLOCK):
-            k1 = min(k0 + TIME_BLOCK, k_run)
-            kk = max(min(k1, k_end) - k0, 0)  # steps of this block before k_end
-            xb = x[:, :, k0:k1].transpose(0, 2, 1)
-            if n_drift:
-                vals = evaluate_together(drift, xb - w[:, k0:k1].T)
-                if kk:
-                    inc = np.einsum("pkeij,pkj->pkei", vals[:, :kk],
-                                    db[:, :, k0:k0 + kk].transpose(0, 2, 1))
-                    acc_ito = _carry(acc_ito, inc)
-                if n_win:
-                    sq = np.sum(vals[..., j, :] ** 2, axis=-1)
-                    entry = vals[..., j, i]
-                    for wi, (ks, kt) in enumerate(windows):
-                        a, b = max(ks, k0) - k0, min(kt, k1) - k0
-                        if a < b:
-                            acc_quad[wi] = _carry(acc_quad[wi], sq[:, a:b])
-                            acc_cross[wi] = _carry(acc_cross[wi], entry[:, a:b])
-            if n_snap and kk:
-                pts = xb[:, :kk] - snapped[k0:k0 + kk]
-                vals = evaluate_together(snap, pts)
-                sq_rows[:, :, k0:k0 + kk] = np.moveaxis(
-                    np.sum(vals[..., j, :] ** 2, axis=-1), -1, 0)
-                if n_mixed:
-                    raw = sigma_raw(pts)[..., None, j, :]
-                    mixed_rows[:, :, k0:k0 + kk] = np.moveaxis(
-                        np.sum(raw * vals[..., j, :], axis=-1), -1, 0)
-        ito[:, part] = acc_ito.transpose(1, 0, 2)
-        row_sq[:, part] = sq_rows.sum(axis=2) * dt
-        mixed[:, part] = mixed_rows.sum(axis=2) * dt
-        quad_comp[:, :, part] = acc_quad.transpose(0, 2, 1) * dt
-        cross_comp[:, :, part] = acc_cross.transpose(0, 2, 1) * dt
+        if n_drift:
+            vals = evaluate_together(drift, x - w[:, :k_run].T)
+            inc = np.einsum("pkeij,pkj->pkei", vals[:, :k_end],
+                            db[:, :, :k_end].transpose(0, 2, 1))
+            ito[:, part] = _carry(inc).transpose(1, 0, 2)
+            if n_win:
+                sq = np.sum(vals[..., j, :] ** 2, axis=-1)
+                entry = vals[..., j, i]
+                for wi, (ks, kt) in enumerate(windows):
+                    quad_comp[wi, :, part] = _carry(sq[:, ks:kt]).T * dt
+                    cross_comp[wi, :, part] = _carry(entry[:, ks:kt]).T * dt
+        if n_snap:
+            pts = x[:, :k_end] - snapped[:k_end]
+            vals = evaluate_together(snap, pts)
+            sq_rows = np.moveaxis(np.sum(vals[..., j, :] ** 2, axis=-1), -1, 0)
+            row_sq[:, part] = np.ascontiguousarray(sq_rows).sum(axis=2) * dt
+            if n_mixed:
+                raw = sigma_raw(pts)[..., None, j, :]
+                mixed_rows = np.moveaxis(np.sum(raw * vals[..., j, :], axis=-1), -1, 0)
+                mixed[:, part] = np.ascontiguousarray(mixed_rows).sum(axis=2) * dt
         if nodes:
             b_run = np.cumsum(db, axis=2)
             for col, k in enumerate(nodes):

@@ -1,5 +1,6 @@
 """Front-end parsing, validation exit codes and artifact layout."""
 
+import hashlib
 import json
 import math
 import time
@@ -394,6 +395,20 @@ def test_run_e0_artifacts_are_byte_stable(tmp_path, capsys):
     assert summary["passed"]
     assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
     assert (first / "config.json").read_bytes() == (second / "config.json").read_bytes()
+
+
+# sha256 of fbmlab run --experiment E0's summary.json, pinned with numpy 2.4
+# on Python 3.11 (x86-64).  Any change to the identity-field control's
+# solve, walk or reports that moves a bit of it fails here.
+E0_SUMMARY_SHA256 = "ee479942cba366624e2e40ed17dbdbae59ac644d070cd1c1d8f1c03c49ae64b8"
+
+
+def test_run_e0_summary_matches_its_pinned_digest(tmp_path, capsys):
+    experiments._identity_field_reports.cache_clear()  # solve and walk anew
+    assert main(["run", "--experiment", "E0", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
+    assert digest == E0_SUMMARY_SHA256
 
 
 def test_identity_control_is_solved_and_walked_once(tmp_path, monkeypatch, capsys):

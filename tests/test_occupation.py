@@ -300,7 +300,8 @@ def _corner_loop_interpolate(lower, h, values, points, clamp=False, members=None
     else:
         in_range = np.all((u >= 0.0) & (u <= shape - 1.0), axis=-1)
         u = np.clip(u, 0.0, shape - 1.0)
-    base = np.maximum(np.minimum(np.floor(u).astype(np.int64), shape - 2), 0)
+    with np.errstate(invalid="ignore"):  # a NaN point casts to int64
+        base = np.maximum(np.minimum(np.floor(u).astype(np.int64), shape - 2), 0)
     frac = u - base
     entry = (None,) * (values.ndim - d - len(member))
     out = np.zeros(pts.shape[:-1] + values.shape[d + len(member):])
@@ -366,6 +367,9 @@ def _stacked_lattices(draw):
     return grid, table, radii, np.array(rows, dtype=float).reshape(-1, d)
 
 
+# The tables' infinities meet zero weights, and each other, in both routes.
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in (multiply|add):RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(_stacked_lattices(), st.booleans(), st.data())
 def test_flat_gather_is_bit_equal_to_the_corner_loop(case, clamp, data):
@@ -374,26 +378,44 @@ def test_flat_gather_is_bit_equal_to_the_corner_loop(case, clamp, data):
     members = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
     e = data.draw(st.integers(0, k - 1))
     stack = LatticeStack(grid, table, radii)
-    with np.errstate(invalid="ignore"):  # NaN points cast to int64 in both
-        # Whole stacked entries, members, and one scalar lattice cut from a
-        # stack (a non-contiguous table), each with and without clamp.
-        for values, kw in ((table, {}), (table, {"members": members}),
-                           (table[..., e, -1, 0], {})):
-            _assert_same_bits(
-                multilinear_interpolate(grid.lower, grid.h, values, pts, clamp=clamp, **kw),
-                _corner_loop_interpolate(grid.lower, grid.h, values, pts, clamp=clamp, **kw))
-        # The stack's three routes: every member with stacked radii, one
-        # member field, and the member-axis gather of k point sets.
-        _assert_same_bits(stack(pts), _mask_clip_lattice_values(
-            grid, table, np.asarray(stack.radii), pts))
-        _assert_same_bits(stack.member(e, p_tag=None, label="e")(pts),
-                          _mask_clip_lattice_values(grid, table[..., e, :, :],
-                                                    stack.radii[e], pts))
-        sets = np.stack([pts, pts[::-1], -pts])
-        order = [e, (e + 1) % k, 0]
-        index = np.array(order)[:, None]
-        _assert_same_bits(stack.gather(order)(sets), _mask_clip_lattice_values(
-            grid, table, np.asarray(stack.radii)[index], sets, members=index))
+    # Whole stacked entries, members, and one scalar lattice cut from a
+    # stack (a non-contiguous table), each with and without clamp.
+    for values, kw in ((table, {}), (table, {"members": members}),
+                       (table[..., e, -1, 0], {})):
+        _assert_same_bits(
+            multilinear_interpolate(grid.lower, grid.h, values, pts, clamp=clamp, **kw),
+            _corner_loop_interpolate(grid.lower, grid.h, values, pts, clamp=clamp, **kw))
+    # The stack's three routes: every member with stacked radii, one
+    # member field, and the member-axis gather of k point sets.
+    _assert_same_bits(stack(pts), _mask_clip_lattice_values(
+        grid, table, np.asarray(stack.radii), pts))
+    _assert_same_bits(stack.member(e, p_tag=None, label="e")(pts),
+                      _mask_clip_lattice_values(grid, table[..., e, :, :],
+                                                stack.radii[e], pts))
+    sets = np.stack([pts, pts[::-1], -pts])
+    order = [e, (e + 1) % k, 0]
+    index = np.array(order)[:, None]
+    _assert_same_bits(stack.gather(order)(sets), _mask_clip_lattice_values(
+        grid, table, np.asarray(stack.radii)[index], sets, members=index))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("clamp", [False, True], ids=["zero-off-lattice", "clamp"])
+@pytest.mark.parametrize("bins", [(4,), (3, 1), (1, 2, 3)])
+def test_nan_points_interpolate_without_a_cast_warning(bins, clamp):
+    """A NaN coordinate reads NaN, or 0 off the lattice without clamp,
+    with and without members, and casts no NaN to an integer on the way."""
+    d = len(bins)
+    grid = SpatialGrid((-0.5,) * d, 0.25, bins)
+    table = np.random.default_rng(1).standard_normal(bins + (2, 1, 1))
+    pts = np.array([[math.nan] * d, [0.0] * (d - 1) + [math.nan], [0.0] * d])
+    for kw in ({}, {"members": np.array([1, 0, 1])}):
+        got = multilinear_interpolate(grid.lower, grid.h, table, pts, clamp=clamp, **kw)
+        if clamp:
+            assert np.isnan(got[:2]).all()
+        else:
+            assert np.array_equal(got[:2], np.zeros_like(got[:2]))
+            assert not np.signbit(got[:2]).any()
 
 
 def test_member_fields_read_the_stacked_table_in_place():

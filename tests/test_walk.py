@@ -168,17 +168,17 @@ def _small_config(sigma, dimension):
     return dict(cfg, paths=70, steps=32, x0=[0.5, -0.2], eps=[0.25, 0.125])
 
 
-@pytest.mark.parametrize("blocks", [None, (24, 37)],
-                         ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("points", [None, 1300, 24],
+                         ids=["default-blocks", "small-blocks", "one-path-blocks"])
 @pytest.mark.parametrize("sigma,dimension", [("singular", 1), ("identity", 1),
                                              ("singular", 2), ("identity", 2)])
-def test_verify_scenario_matches_per_step_reference(sigma, dimension, blocks,
+def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
                                                     monkeypatch):
-    """Paths are never a multiple of the path chunk, and with the small
-    blocks the steps are not a multiple of the time block either."""
-    if blocks is not None:
-        monkeypatch.setattr(solver, "TIME_BLOCK", blocks[0])
-        monkeypatch.setattr(solver, "PATH_CHUNK", blocks[1])
+    """The walk's blocks of whole rows never divide the paths: the small
+    blocks hold 20 paths of 64 steps or 40 of 32 and leave a partial last
+    block, and a budget below the step count walks one path per block."""
+    if points is not None:
+        monkeypatch.setattr(solver, "WALK_POINTS", points)
     cfg = _small_config(sigma, dimension)
     scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
     res = verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
@@ -220,8 +220,9 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, blocks,
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "identity"])
 def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular,
                                                              monkeypatch):
-    monkeypatch.setattr(solver, "TIME_BLOCK", 48)
-    monkeypatch.setattr(solver, "PATH_CHUNK", 40)
+    """Each walk runs with blocks of 12 paths of 160 steps (27 of 70), which
+    the 50 or 57 surviving singular paths do not fill, and with 50 points,
+    below every step count walked, so one path per block."""
     grid = TimeGrid(1.0, 160)
     fbm = generate_fbm(0.2, dimension, grid, 7)
     sigma = (singular_example(0.4, 1.0, dimension) if singular
@@ -238,29 +239,33 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
     assert 0 < ens.blowup_count < ens.n_paths
     qgrid = SpatialGrid.cover(fbm.values.T, grid.dt)
     snapped = quantized_perturbation(fbm.values, qgrid)
-    for t in (0.4375, 1.0):
-        k_t = grid.node_index(t)
-        for j in range(dimension):
-            sums = solver.walk_ensemble(ens, k_t, drift=[fields[0.25]],
-                                        snap=[fields[0.25]], snapped=snapped[:k_t],
-                                        sigma_raw=sigma, coordinate=j)
-            assert _report_dict(isometry_report(ens, sums, 0, t)) == ref_isometry(
-                ens, fields[0.25], qgrid, t, coordinate=j)
-            assert _report_dict(cross_term_report(ens, sums, 0, t)) == ref_cross(
-                ens, sigma, fields[0.25], qgrid, t, coordinate=j)
     pairs = [(0.0, 0.5), (0.25, 0.75), (0.3, 1.0)]
     windows = [grid.window(s, t) for s, t in pairs]
-    for j in range(dimension):
-        for i in range(dimension):
-            sums = solver.walk_ensemble(ens, 0, drift=[fields[0.125]], windows=windows,
-                                        coordinate=j, driver_coordinate=i)
-            assert _martingale_rows(martingale_reports(ens, sums, 0, pairs)) == (
-                ref_martingale(ens, fields[0.125], pairs, coordinate=j,
-                               driver_coordinate=i))
-    sums = solver.walk_ensemble(ens, grid.steps,
-                                drift=[fields[eps] for eps in scen.eps_seq])
-    report = solver.cauchy_report(scen, sums.ito, fields, lp_grid, 4.0)
-    assert np.array_equal(report.terminal_integrals, ref_terminals(ens, fields))
+    for points in (40 * 48, 50):
+        monkeypatch.setattr(solver, "WALK_POINTS", points)
+        for t in (0.4375, 1.0):
+            k_t = grid.node_index(t)
+            for j in range(dimension):
+                sums = solver.walk_ensemble(ens, k_t, drift=[fields[0.25]],
+                                            snap=[fields[0.25]],
+                                            snapped=snapped[:k_t],
+                                            sigma_raw=sigma, coordinate=j)
+                assert _report_dict(isometry_report(ens, sums, 0, t)) == ref_isometry(
+                    ens, fields[0.25], qgrid, t, coordinate=j)
+                assert _report_dict(cross_term_report(ens, sums, 0, t)) == ref_cross(
+                    ens, sigma, fields[0.25], qgrid, t, coordinate=j)
+        for j in range(dimension):
+            for i in range(dimension):
+                sums = solver.walk_ensemble(ens, 0, drift=[fields[0.125]],
+                                            windows=windows, coordinate=j,
+                                            driver_coordinate=i)
+                assert _martingale_rows(martingale_reports(ens, sums, 0, pairs)) == (
+                    ref_martingale(ens, fields[0.125], pairs, coordinate=j,
+                                   driver_coordinate=i))
+        sums = solver.walk_ensemble(ens, grid.steps,
+                                    drift=[fields[eps] for eps in scen.eps_seq])
+        report = solver.cauchy_report(scen, sums.ito, fields, lp_grid, 4.0)
+        assert np.array_equal(report.terminal_integrals, ref_terminals(ens, fields))
 
 
 # --- drivers ---------------------------------------------------------------------
@@ -389,12 +394,16 @@ def test_sweep_blowup_names_the_radius_and_whole_ensemble_count(case, monkeypatc
 
 def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
     """Every radius of the identity sweep shares one field, so one recursion
-    and one walk serve them all; each report keeps its own radius."""
+    and one walk serve them all, and that walk evaluates the field once as
+    its drift and once as its snap field; each report keeps its own radius."""
     calls = {"recursions": 0, "walks": 0}
+    walk_fields = []
 
     def counting(name, fn):
         def call(*args, **kwargs):
             calls[name] += 1
+            if name == "walks":
+                walk_fields.append((len(kwargs["drift"]), len(kwargs["snap"])))
             return fn(*args, **kwargs)
         return call
 
@@ -405,6 +414,7 @@ def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
     cfg = _small_config("identity", 1)
     res = verify_scenario(*build_scenario(cfg), cfg["m"], cfg["gamma0"], WINDOWS)
     assert calls == {"recursions": 1, "walks": 1}
+    assert walk_fields == [(1, 1)]
     eps_seq = tuple(cfg["eps"])
     assert tuple(r.epsilon for r in res.ratio_reports) == eps_seq
     assert tuple(r.extras["epsilon"] for r in res.iso_reports) == eps_seq
