@@ -106,8 +106,9 @@ def validate_config(cfg: dict) -> None:
         raise ParameterError(f"sigma must be 'singular' or 'identity', got {cfg['sigma']!r}")
     if cfg["steps"] < 1 or cfg["paths"] < 1:
         raise ParameterError("steps and paths must be positive")
-    if cfg["p"] <= 0.0:
-        raise ParameterError(f"p must be positive, got {cfg['p']}")
+    for key in ("p", "m"):
+        if not cfg[key] > 0.0:  # NaN too
+            raise ParameterError(f"{key} must be positive, got {cfg[key]}")
     if len(cfg["x0"]) != cfg["dimension"]:
         raise ParameterError(
             f"x0 has {len(cfg['x0'])} components for dimension {cfg['dimension']}")

@@ -32,11 +32,10 @@ from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
 from .paths import (FbmPath, TimeGrid, _fbm_rows, fbm_covariance,
                     generate_fbm)
 from .sewing import Germ, sew
-from .solver import (BLOWUP_ABORT_FRACTION, BLOWUP_BOUND, MOMENT_TABLE_LEVEL,
-                     Ensemble, MollifiedCauchyReport, PathSums,
-                     QuenchedScenario, _abort_on_blowups, cauchy_report,
-                     family_grid, mollified_family, solve_fields,
-                     walk_ensemble)
+from .solver import (MOMENT_TABLE_LEVEL, Ensemble, MollifiedCauchyReport,
+                     PathSums, QuenchedScenario, _abort_on_blowups, _stderr,
+                     cauchy_report, family_grid, mollified_family,
+                     solve_fields, walk_ensemble)
 from .verify import (MOMENT_MAX_LEVEL, IdentityReport, MomentRatioReport,
                      cross_term_report, isometry_report, lebesgue_vs_sewing,
                      martingale_nodes, martingale_reports, moment_ratio,
@@ -97,7 +96,7 @@ def criterion_fbm_covariance(n_paths: int = 20000, steps: int = 1024,
             ks, kt = nodes.index(grid.node_index(s)), nodes.index(grid.node_index(t))
             prods = values[:, ks] * values[:, kt]
             est = float(prods.mean())
-            se = float(prods.std(ddof=1) / math.sqrt(n_paths))
+            se = _stderr(prods)
             target = float(fbm_covariance(s, t, hurst))
             z = abs(est - target) / se
             worst = max(worst, z)
@@ -391,7 +390,7 @@ def _solve_in_chunks(scenario: QuenchedScenario, fields: list[MatrixField],
     for first in range(0, scenario.ensemble_size, size):
         rows = replace(scenario, first_path=first,
                        ensemble_size=min(size, scenario.ensemble_size - first))
-        part = solve_fields(rows, fields, [None] * len(fields), BLOWUP_BOUND)
+        part = solve_fields(rows, fields)
         if walk is not None:
             walked.append(walk(part))
         chunks.append([(ens.at_nodes(keep), ens.blowup_steps) for ens in part])
@@ -410,7 +409,7 @@ def solve_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField])
     ensembles, _ = _solve_in_chunks(scenario, distinct, keep)
     for eps, s in zip(scenario.eps_seq, slot):
         ens = replace(ensembles[s], epsilon=eps)
-        _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
+        _abort_on_blowups(ens)
         yield ens
 
 
@@ -446,12 +445,11 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     start = time.perf_counter()
     tg = scenario.grid
     horizon = tg.horizon
-    k_t = tg.node_index(horizon)
     eps_seq = scenario.eps_seq
     e_min = eps_seq.index(min(eps_seq))
     distinct, slot = _distinct_fields(scenario, fields)
     ref = slot[e_min]
-    snapped = quantized_perturbation(scenario.fbm.values, quant_grid)[:k_t]
+    snapped = quantized_perturbation(scenario.fbm.values, quant_grid)
     windows = [tg.window(s, t) for s, t in martingale_windows]
     keep = tuple(sorted({k for pair in tg.dyadic_windows(MOMENT_MAX_LEVEL)
                          for k in pair} | martingale_nodes(windows)))
@@ -466,17 +464,14 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
         # Walked first: its larger temporaries raise glibc's trim threshold,
         # so the walks after it find warm heap pages (about 300 minor page
         # faults each on the 1000-path headline, against 12,800 before it).
-        ref_sums = walk_ensemble(part[ref], k_t, drift=distinct, snap=distinct,
-                                 snapped=snapped, sigma_raw=scenario.sigma,
-                                 windows=windows)
-        return [ref_sums if s == ref
-                else walk_ensemble(ens, k_t, snap=[distinct[s]], snapped=snapped)
+        ref_sums = walk_ensemble(part[ref], distinct, snapped, windows)
+        return [ref_sums if s == ref else walk_ensemble(ens, [distinct[s]], snapped)
                 for s, ens in enumerate(part)]
 
     ensembles, walked = _solve_in_chunks(scenario, distinct, keep, walk)
     radii = [replace(ensembles[s], epsilon=eps) for eps, s in zip(eps_seq, slot)]
     for ens in (radii[e_min], *radii):  # the reference first
-        _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
+        _abort_on_blowups(ens)
     field_sums = [PathSums.join(sums) for sums in zip(*walked)]
     reference, ref_sums = radii[e_min], field_sums[ref]
     ratios = [moment_ratio(ens, m, gamma0) for ens in ensembles]
@@ -485,9 +480,8 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
         ratio_reports.append(replace(ratios[s], epsilon=eps))
         # The reference walk holds every field's row, another walk its own.
         iso_reports.append(isometry_report(radii[e], field_sums[s],
-                                           s if s == ref else 0, horizon))
-        cross_reports.append(cross_term_report(reference, ref_sums, s, horizon,
-                                               epsilon=eps))
+                                           s if s == ref else 0))
+        cross_reports.append(cross_term_report(reference, ref_sums, s, epsilon=eps))
     mart_reports = martingale_reports(reference, ref_sums, ref,
                                       martingale_windows)
     qv_report = lebesgue_vs_sewing(path0, scenario.fbm,
@@ -557,17 +551,14 @@ def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
     fbm = generate_fbm(0.2, 1, grid_t, 3)
     sigma = identity_field(1)
     scenario = QuenchedScenario(fbm, sigma, np.zeros(1), (0.25,), 4000, 13, p=2.0)
-    ens, = solve_fields(scenario, [sigma], [None], BLOWUP_BOUND)
-    _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
+    ens, = solve_fields(scenario, [sigma])
+    _abort_on_blowups(ens)
     qgrid = SpatialGrid.cover(fbm.values.T, grid_t.dt)
     pairs = [(0.25, 0.5), (0.5, 1.0)]
-    k_t = grid_t.node_index(1.0)
-    sums = walk_ensemble(ens, k_t, drift=[sigma], snap=[sigma],
-                         snapped=quantized_perturbation(fbm.values, qgrid)[:k_t],
-                         sigma_raw=sigma,
-                         windows=[grid_t.window(s, t) for s, t in pairs])
-    exact = (isometry_report(ens, sums, 0, 1.0, margin_fraction=0.0),
-             cross_term_report(ens, sums, 0, 1.0, margin_fraction=0.0),
+    sums = walk_ensemble(ens, [sigma], quantized_perturbation(fbm.values, qgrid),
+                         [grid_t.window(s, t) for s, t in pairs])
+    exact = (isometry_report(ens, sums, 0, margin_fraction=0.0),
+             cross_term_report(ens, sums, 0, margin_fraction=0.0),
              lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma), qgrid,
                                 (0.25, 0.75), margin_fraction=0.0))
     return exact, tuple(martingale_reports(ens, sums, 0, pairs))

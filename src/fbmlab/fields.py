@@ -40,7 +40,7 @@ class MatrixField:
     share between threads.
     """
 
-    def __init__(self, oracle, d: int, n: int, *, p_tag: float | None = None,
+    def __init__(self, oracle, d: int, n: int, *,
                  support_radius: float | None = None,
                  singular_points: tuple = (), label: str = "field",
                  grid: SpatialGrid | None = None,
@@ -48,7 +48,6 @@ class MatrixField:
         self._oracle = oracle
         self.d = int(d)
         self.n = int(n)
-        self.p_tag = p_tag
         self.support_radius = support_radius
         self.singular_points = tuple(np.asarray(q, dtype=float) for q in singular_points)
         self.label = label
@@ -85,7 +84,7 @@ class MatrixField:
     def __mul__(self, scalar: float) -> "MatrixField":
         c = float(scalar)
         return MatrixField(lambda x: c * self(x), self.d, self.n,
-                           p_tag=self.p_tag, support_radius=self.support_radius,
+                           support_radius=self.support_radius,
                            singular_points=self.singular_points,
                            label=f"{c}*{self.label}")
 
@@ -157,7 +156,7 @@ def singular_example(gamma: float, radius: float, d: int) -> MatrixField:
         amp = np.where(r <= radius, amp, 0.0)
         return amp[..., None, None] * eye
 
-    return MatrixField(oracle, d, d, p_tag=d / gamma, support_radius=radius,
+    return MatrixField(oracle, d, d, support_radius=radius,
                        singular_points=(np.zeros(d),),
                        label=f"|x|^-{gamma} on |x|<={radius}")
 
@@ -257,8 +256,8 @@ def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> Matri
     if field.support_radius is not None:
         radius = min(radius, field.support_radius + eps)
     return MatrixField(lambda pts: _lattice_values(grid, out, radius, pts),
-                       field.d, field.n, p_tag=field.p_tag,
-                       support_radius=radius, label=f"mollified({field.label},{eps})",
+                       field.d, field.n, support_radius=radius,
+                       label=f"mollified({field.label},{eps})",
                        grid=grid, grid_values=out)
 
 
@@ -431,14 +430,14 @@ class LatticeStack:
                                    pts, members=index.reshape(per_set))
         return evaluate
 
-    def member(self, e: int, *, p_tag: float | None, label: str) -> MatrixField:
+    def member(self, e: int, *, label: str) -> MatrixField:
         table, radius = self.table[..., e, :, :], self.radii[e]
         d, n = table.shape[-2:]
         # Read through the whole stacked table: np.take would copy the
         # non-contiguous slice on every call.
         fld = MatrixField(lambda pts: _lattice_values(self.grid, self.table, radius, pts,
                                                       members=e),
-                          d, n, p_tag=p_tag, support_radius=radius, label=label,
+                          d, n, support_radius=radius, label=label,
                           grid=self.grid, grid_values=table)
         fld.lattice = (self, e)
         return fld

@@ -38,6 +38,13 @@ LATTICE_PAD = 0.5
 WALK_POINTS = 64 * 256
 
 
+def _stderr(samples: np.ndarray) -> float:
+    """Standard error of the mean of samples; 0.0 below two samples."""
+    if samples.size < 2:
+        return 0.0
+    return float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
 @dataclass(frozen=True, eq=False)
 class QuenchedScenario:
     """Frozen perturbation path, coefficient field and ensemble layout."""
@@ -181,18 +188,17 @@ class Ensemble:
         windows = grid.dyadic_windows(max_level)
         for (k0, k1), inc in zip(windows, self.window_increments(windows)):
             mags = np.linalg.norm(inc, axis=1) ** m
-            mean = float(mags.mean())
-            stderr = float(mags.std(ddof=1) / math.sqrt(mags.size)) if mags.size > 1 else 0.0
             rows.append({"s": k0 * grid.dt, "t": k1 * grid.dt, "m": m,
-                         "moment": mean, "stderr": stderr})
+                         "moment": float(mags.mean()), "stderr": _stderr(mags)})
         return rows
 
 
-def solve_fields(scenario: QuenchedScenario, fields: Sequence[MatrixField],
-                 epsilons: Sequence[float | None],
-                 blowup_bound: float) -> list[Ensemble]:
+def solve_fields(scenario: QuenchedScenario,
+                 fields: Sequence[MatrixField]) -> list[Ensemble]:
     """One ensemble per field over the scenario's drivers, from one recursion.
 
+    A path blows up when a state leaves the box |x| <= BLOWUP_BOUND.  The
+    ensembles carry no radius; the sweep sets it with dataclasses.replace.
     Each path's row depends on its own drivers only, so any split of the
     rows gives the same bits.
     """
@@ -201,18 +207,17 @@ def solve_fields(scenario: QuenchedScenario, fields: Sequence[MatrixField],
         raise ParameterError("field shape differs from the scenario's")
     values, blowup = _euler_batch(fields, scenario.fbm.values,
                                   scenario.driver_increments, scenario.x0,
-                                  blowup_bound)
-    return [Ensemble(scenario, eps, v, b)
-            for eps, v, b in zip(epsilons, values, blowup)]
+                                  BLOWUP_BOUND)
+    return [Ensemble(scenario, None, v, b) for v, b in zip(values, blowup)]
 
 
-def _abort_on_blowups(ens: Ensemble, abort_fraction: float) -> None:
-    """BlowUpError when more than abort_fraction of the paths blew up."""
-    if ens.blowup_count > abort_fraction * ens.n_paths:
+def _abort_on_blowups(ens: Ensemble) -> None:
+    """BlowUpError when more than BLOWUP_ABORT_FRACTION of the paths blew up."""
+    if ens.blowup_count > BLOWUP_ABORT_FRACTION * ens.n_paths:
         radius = "" if ens.epsilon is None else f" at epsilon={ens.epsilon}"
         raise BlowUpError(
             f"{ens.blowup_count} of {ens.n_paths} paths blew up{radius} "
-            f"(abort threshold {abort_fraction:.1%})", count=ens.blowup_count)
+            f"(abort threshold {BLOWUP_ABORT_FRACTION:.1%})", count=ens.blowup_count)
 
 
 def family_grid(scenario: QuenchedScenario) -> SpatialGrid:
@@ -249,7 +254,7 @@ def mollified_family(scenario: QuenchedScenario
         radii.append(fld.support_radius)
         labels.append(fld.label)
     stack = LatticeStack(grid, table, radii)
-    fields = {eps: stack.member(e, p_tag=sigma.p_tag, label=labels[e])
+    fields = {eps: stack.member(e, label=labels[e])
               for e, eps in enumerate(scenario.eps_seq)}
     return grid, fields
 
@@ -259,31 +264,31 @@ class PathSums:
     """Per-path sums of one walk_ensemble pass over the surviving paths.
 
     Rows follow the ensemble's ok_mask.  With X the solution, w the frozen
-    path, z its quantization, j = coordinate and i = driver_coordinate:
+    path, z its quantization, sigma the scenario's unmollified field and f
+    the walk's fields, summed over the steps k of the whole horizon:
 
-      ito[e]           sum_{k<k_end} drift[e](X_k - w_k) dB_k, (paths, d)
-      row_sq[e]        dt sum_{k<k_end} |row_j snap[e](X_k - z_k)|^2
-      mixed[e]         dt sum_{k<k_end} (sigma_raw snap[e]^T)_jj (X_k - z_k)
-      quad_comp[w, e]  dt sum_{k in window w} |row_j drift[e](X_k - w_k)|^2
-      cross_comp[w, e] dt sum_{k in window w} drift[e]_ji (X_k - w_k)
+      ito[e]           sum_k f[e](X_k - w_k) dB_k, (paths, d)
+      row_sq[e]        dt sum_k |row_0 f[e](X_k - z_k)|^2
+      mixed[e]         dt sum_k (sigma f[e]^T)_00 (X_k - z_k)
+      quad_comp[w, e]  dt sum_{k in window w} |row_0 f[e](X_k - w_k)|^2
+      cross_comp[w, e] dt sum_{k in window w} f[e]_00 (X_k - w_k)
       driver_nodes     B(t_k) at the window end points, (paths, n, nodes)
 
-    ito and the compensators add one step at a time from 0.0, row_sq and
-    mixed are numpy row sums of a contiguous (paths, steps) buffer of whole
-    rows: the summation orders of the per-check loops they replace, so
-    results match those bit for bit whatever the walk's block of paths.
+    An isometry walk fills row_sq alone, the others have no fields or
+    windows.  ito and the compensators add one step at a time
+    from 0.0, row_sq and mixed are numpy row sums of a contiguous (paths,
+    steps) buffer of whole rows: the summation orders of the per-check
+    loops they replace, so results match those bit for bit whatever the
+    walk's block of paths.
     """
 
-    k_end: int
-    coordinate: int
-    driver_coordinate: int
     windows: tuple[tuple[int, int], ...]
     nodes: tuple[int, ...]
-    ito: np.ndarray = field(repr=False)           # (drift, paths, d)
-    row_sq: np.ndarray = field(repr=False)        # (snap, paths)
-    mixed: np.ndarray = field(repr=False)         # (snap, paths) with sigma_raw
-    quad_comp: np.ndarray = field(repr=False)     # (windows, drift, paths)
-    cross_comp: np.ndarray = field(repr=False)    # (windows, drift, paths)
+    ito: np.ndarray = field(repr=False)           # (fields, paths, d)
+    row_sq: np.ndarray = field(repr=False)        # (fields, paths)
+    mixed: np.ndarray = field(repr=False)         # (fields, paths)
+    quad_comp: np.ndarray = field(repr=False)     # (windows, fields, paths)
+    cross_comp: np.ndarray = field(repr=False)    # (windows, fields, paths)
     driver_nodes: np.ndarray = field(repr=False)  # (paths, n, nodes)
 
     @staticmethod
@@ -304,72 +309,64 @@ def _carry(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
 
 
-def walk_ensemble(ensemble: Ensemble, k_end: int, *,
-                  drift: Sequence[MatrixField] = (),
-                  snap: Sequence[MatrixField] = (),
-                  snapped: np.ndarray | None = None,
-                  sigma_raw: MatrixField | None = None,
-                  windows: Sequence[tuple[int, int]] = (),
-                  coordinate: int = 0, driver_coordinate: int = 0) -> PathSums:
+def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
+                  snapped: np.ndarray,
+                  windows: Sequence[tuple[int, int]] | None = None) -> PathSums:
     """Every per-path sum of the identity checks in one pass over the paths.
 
-    drift fields are evaluated at X_k - w_k (Ito sums, and the martingale
-    compensators over windows given as node pairs), snap fields at
-    X_k - snapped[k] (squared-row sums, and mixed sums with sigma_raw when
-    given).  Nothing here is recursive, so fields are evaluated on blocks
-    of whole rows, every step a sum reads for max(1, WALK_POINTS // steps)
-    paths, each field list in one evaluate_together call per block.
+    The walk covers the whole horizon on coordinate 0, with snapped the
+    quantized perturbation z (PathSums).  Given martingale windows as node
+    pairs it is the reference walk: Ito sums, squared rows, mixed sums,
+    compensators and driver nodes.  Without them it is an isometry walk,
+    squared rows only.  Nothing here is recursive, so fields are evaluated
+    on blocks of whole rows, max(1, WALK_POINTS // steps) paths each, every
+    field list in one evaluate_together call per block.
     """
     scen = ensemble.scenario
-    dt = scen.grid.dt
-    w = scen.fbm.values
-    j, i = coordinate, driver_coordinate
-    windows = tuple((int(a), int(b)) for a, b in windows)
+    steps, dt = scen.grid.steps, scen.grid.dt
+    if snapped.shape[0] < steps:
+        raise ParameterError(f"need {steps} snapped positions, got {snapped.shape[0]}")
+    snapped = snapped[:steps]
+    w = scen.fbm.values[:, :steps].T
+    reference = windows is not None
+    windows = tuple((int(a), int(b)) for a, b in windows or ())
     nodes = tuple(sorted({k for pair in windows for k in pair}))
-    k_run = max([k_end] + [b for _a, b in windows])
-    if snap and (snapped is None or snapped.shape[0] < k_end):
-        raise ParameterError(f"need {k_end} snapped positions for the snap fields")
     rows = np.flatnonzero(ensemble.ok_mask)
-    n_drift, n_snap, n_win = len(drift), len(snap), len(windows)
-    n_mixed = n_snap if sigma_raw is not None else 0
-    ito = np.empty((n_drift, rows.size, scen.dimension))
-    row_sq = np.empty((n_snap, rows.size))
-    mixed = np.empty((n_mixed, rows.size))
-    quad_comp = np.empty((n_win, n_drift, rows.size))
-    cross_comp = np.empty((n_win, n_drift, rows.size))
+    n_ref = len(fields) if reference else 0
+    ito = np.empty((n_ref, rows.size, scen.dimension))
+    row_sq = np.empty((len(fields), rows.size))
+    mixed = np.empty((n_ref, rows.size))
+    quad_comp = np.empty((len(windows), n_ref, rows.size))
+    cross_comp = np.empty((len(windows), n_ref, rows.size))
     driver_nodes = np.empty((rows.size, scen.driver_dimension, len(nodes)))
-    block = max(1, WALK_POINTS // max(k_run, 1))
+    block = max(1, WALK_POINTS // steps)
     for r0 in range(0, rows.size, block):
         chunk = rows[r0:r0 + block]
         part = slice(r0, r0 + chunk.size)
-        x = ensemble.values[chunk][:, :, :k_run].transpose(0, 2, 1)
+        x = ensemble.values[chunk][:, :, :steps].transpose(0, 2, 1)
         db = ensemble.driver_increments[chunk]
-        if n_drift:
-            vals = evaluate_together(drift, x - w[:, :k_run].T)
-            inc = np.einsum("pkeij,pkj->pkei", vals[:, :k_end],
-                            db[:, :, :k_end].transpose(0, 2, 1))
+        if reference:
+            vals = evaluate_together(fields, x - w)
+            inc = np.einsum("pkeij,pkj->pkei", vals, db.transpose(0, 2, 1))
             ito[:, part] = _carry(inc).transpose(1, 0, 2)
-            if n_win:
-                sq = np.sum(vals[..., j, :] ** 2, axis=-1)
-                entry = vals[..., j, i]
-                for wi, (ks, kt) in enumerate(windows):
-                    quad_comp[wi, :, part] = _carry(sq[:, ks:kt]).T * dt
-                    cross_comp[wi, :, part] = _carry(entry[:, ks:kt]).T * dt
-        if n_snap:
-            pts = x[:, :k_end] - snapped[:k_end]
-            vals = evaluate_together(snap, pts)
-            sq_rows = np.moveaxis(np.sum(vals[..., j, :] ** 2, axis=-1), -1, 0)
-            row_sq[:, part] = np.ascontiguousarray(sq_rows).sum(axis=2) * dt
-            if n_mixed:
-                raw = sigma_raw(pts)[..., None, j, :]
-                mixed_rows = np.moveaxis(np.sum(raw * vals[..., j, :], axis=-1), -1, 0)
-                mixed[:, part] = np.ascontiguousarray(mixed_rows).sum(axis=2) * dt
-        if nodes:
+            sq = np.sum(vals[..., 0, :] ** 2, axis=-1)
+            entry = vals[..., 0, 0]
+            for wi, (ks, kt) in enumerate(windows):
+                quad_comp[wi, :, part] = _carry(sq[:, ks:kt]).T * dt
+                cross_comp[wi, :, part] = _carry(entry[:, ks:kt]).T * dt
+        pts = x - snapped
+        vals = evaluate_together(fields, pts)
+        sq_rows = np.moveaxis(np.sum(vals[..., 0, :] ** 2, axis=-1), -1, 0)
+        row_sq[:, part] = np.ascontiguousarray(sq_rows).sum(axis=2) * dt
+        if reference:
+            raw = scen.sigma(pts)[..., None, 0, :]
+            mixed_rows = np.moveaxis(np.sum(raw * vals[..., 0, :], axis=-1), -1, 0)
+            mixed[:, part] = np.ascontiguousarray(mixed_rows).sum(axis=2) * dt
             b_run = np.cumsum(db, axis=2)
             for col, k in enumerate(nodes):
                 driver_nodes[part, :, col] = b_run[:, :, k - 1] if k else 0.0
-    return PathSums(k_end, j, driver_coordinate, windows, nodes, ito, row_sq,
-                    mixed, quad_comp, cross_comp, driver_nodes)
+    return PathSums(windows, nodes, ito, row_sq, mixed, quad_comp, cross_comp,
+                    driver_nodes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,6 @@ threshold a pure sampling-error statement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import ParameterError
 from .occupation import SpatialGrid
 from .sewing import Germ, sew
-from .solver import Ensemble, PathSums
+from .solver import Ensemble, PathSums, _stderr
 
 WEIGHT_DICTIONARY_VERSION = 1
 _CLIP = 1.0
@@ -206,68 +205,64 @@ def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGri
                           {"sewing_rate": result.rate, "diverged": result.diverged})
 
 
-def _paired_report(tag: str, label: str, left_samples: np.ndarray,
+def _paired_report(tag: str, ensemble: Ensemble, left_samples: np.ndarray,
                    right_samples: np.ndarray, margin_fraction: float,
                    extras: dict) -> IdentityReport:
-    """Means of both estimators, with the paired stderr of their difference."""
-    diff = left_samples - right_samples
-    stderr = float(diff.std(ddof=1) / math.sqrt(diff.size)) if diff.size > 1 else 0.0
+    """Means of both estimators, with the paired stderr of their difference,
+    labelled with coordinate 0 and the horizon."""
     left = float(left_samples.mean())
     right = float(right_samples.mean())
     margin = margin_fraction * max(abs(left), abs(right))
-    return IdentityReport(tag, label, left, right, stderr, margin, extras)
+    return IdentityReport(tag, f"coordinate 0, t={ensemble.scenario.grid.horizon}",
+                          left, right, _stderr(left_samples - right_samples),
+                          margin, extras)
 
 
-def _end_increments(ensemble: Ensemble, sums: PathSums) -> np.ndarray:
-    """X_j(t) - x0_j of the surviving paths at the walk's end node t; at
-    t = 0 there is no sum to pair, so both sides would pass as zero."""
-    if sums.k_end < 1:
-        raise ParameterError("t must be at least one step into the grid")
-    j = sums.coordinate
-    x_t = ensemble.at_nodes([sums.k_end])[:, j, 0][ensemble.ok_mask]
-    return x_t - ensemble.scenario.x0[j]
+def _end_increments(ensemble: Ensemble) -> np.ndarray:
+    """X_0(T) - x0_0 of the surviving paths at the horizon T."""
+    steps = ensemble.scenario.grid.steps
+    x_t = ensemble.at_nodes([steps])[:, 0, 0][ensemble.ok_mask]
+    return x_t - ensemble.scenario.x0[0]
 
 
-def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
+def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, *,
                     margin_fraction: float = 0.05) -> IdentityReport:
-    """E[(X_j(t) - x0_j)^2] against the averaged squared row of a field.
+    """E[(X_0(T) - x0_0)^2] at the horizon T against the averaged squared
+    row of a field.
 
-    sums is a walk_ensemble pass over ensemble up to t (k_end its node)
-    with coordinate j.  The right estimator is its row_sq[e]: the germ of
-    |row_j sigma_eps|^2, sigma_eps its snap field e, accumulated against
-    the quantized perturbation along each path (finest dyadic partition
-    sum).  stderr is the paired standard error of the per-path difference,
-    since both estimators ride on the same paths.
+    sums is a walk_ensemble pass over ensemble.  The right estimator is
+    its row_sq[e]: the germ of |row_0 sigma_eps|^2, sigma_eps the walk's
+    field e, accumulated against the quantized perturbation along each
+    path (finest dyadic partition sum).  stderr is the paired standard
+    error of the per-path difference, since both estimators ride on the
+    same paths.
     """
-    j = sums.coordinate
-    left_samples = _end_increments(ensemble, sums) ** 2
-    return _paired_report("ito_isometry", f"coordinate {j}, t={t}", left_samples,
-                          sums.row_sq[e], margin_fraction,
-                          {"epsilon": ensemble.epsilon})
+    return _paired_report("ito_isometry", ensemble,
+                          _end_increments(ensemble) ** 2, sums.row_sq[e],
+                          margin_fraction, {"epsilon": ensemble.epsilon})
 
 
-def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, t: float, *,
+def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, *,
                       epsilon: float | None = None,
                       margin_fraction: float = 0.05) -> IdentityReport:
     """Pairing of the martingale with the mollified integral vs the mixed germ.
 
-    sums is a walk_ensemble pass over ensemble up to t with coordinate j,
-    whose drift and snap field e is sigma_eps and whose sigma_raw is the
-    unmollified field.  Left: E[(X_j(t) - x0_j) * I_j(t)] where I_j, its
-    ito[e], is the Ito sum of row j of sigma_eps along the ensemble paths
-    against the shared driver.  Right: its mixed[e], the mixed germ
-    (sigma_raw sigma_eps^T)_jj accumulated at quantized perturbation
-    positions.  The ensemble should be the reference (smallest radius)
-    solve; at that radius the Ito sum reproduces the martingale increment
-    bitwise, so the left side collapses onto the isometry value and the
-    sweep over radii traces the convergence the stability result predicts.
-    Requires d/p < 1 to mean anything, reported in extras.
+    sums is a reference walk_ensemble pass over ensemble (windows given),
+    whose field e is sigma_eps.  Left: E[(X_0(T) - x0_0) * I_0(T)] at the
+    horizon T, where I_0, its ito[e], is the Ito sum of row 0 of sigma_eps
+    along the ensemble paths against the shared driver.  Right: its
+    mixed[e], the mixed germ (sigma sigma_eps^T)_00 of the scenario's
+    unmollified sigma, accumulated at quantized perturbation positions.
+    The ensemble should be the reference (smallest radius) solve; at that
+    radius the Ito sum reproduces the martingale increment bitwise, so the
+    left side collapses onto the isometry value and the sweep over radii
+    traces the convergence the stability result predicts.  Requires
+    d/p < 1 to mean anything, reported in extras.
     """
     scen = ensemble.scenario
-    j = sums.coordinate
-    left_samples = _end_increments(ensemble, sums) * sums.ito[e][:, j]
+    left_samples = _end_increments(ensemble) * sums.ito[e][:, 0]
     d_over_p = scen.dimension / scen.p
-    return _paired_report("cross_term", f"coordinate {j}, t={t}", left_samples,
+    return _paired_report("cross_term", ensemble, left_samples,
                           sums.mixed[e], margin_fraction,
                           {"epsilon": epsilon, "d_over_p": d_over_p,
                            "hypothesis_d_over_p_lt_1": d_over_p < 1.0})
@@ -317,15 +312,14 @@ def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
                        pairs: list[tuple[float, float]]) -> list[IdentityReport]:
     """Residuals E[weight * increment] for the three martingale families.
 
-    sums is a walk_ensemble pass whose windows are the node pairs of
-    `pairs`, with coordinate j and driver_coordinate i.  Families, for
-    M = X_j - x0_j and the discrete compensators of its drift field e,
-    sigma_eps, evaluated along the exact (unquantized) perturbation
-    positions:
+    sums is a reference walk_ensemble pass whose windows are the node
+    pairs of `pairs`.  Families, for M = X_0 - x0_0 and the discrete
+    compensators of the walk's field e, sigma_eps, evaluated along the
+    exact (unquantized) perturbation positions:
 
       level:      M(t) - M(s)
-      quadratic:  M(t)^2 - M(s)^2 - sum |row_j sigma_eps|^2 dt
-      cross:      M(t) B_i(t) - M(s) B_i(s) - sum (sigma_eps)_ji dt
+      quadratic:  M(t)^2 - M(s)^2 - sum |row_0 sigma_eps|^2 dt
+      cross:      M(t) B_0(t) - M(s) B_0(s) - sum (sigma_eps)_00 dt
 
     Each family is weighted by every entry of weight_dictionary, read at
     the window start and half of it.  Every family has expectation exactly
@@ -333,20 +327,19 @@ def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
     with no discretization margin.
     """
     scen = ensemble.scenario
-    j, i = sums.coordinate, sums.driver_coordinate
     reports = []
     for w_idx, ((s, t), (k_s, k_t)) in enumerate(zip(pairs, sums.windows)):
         # Columns k_s, k_s // 2, k_t of the solution and k_s, k_t of the
         # driver: the weights read columns 0 and 1 of x_w and 0 of b_w.
         x_w = ensemble.at_nodes(_weight_nodes(k_s, k_t))[ensemble.ok_mask]
         b_w = sums.driver_nodes[:, :, [sums.nodes.index(k_s), sums.nodes.index(k_t)]]
-        mart_s = x_w[:, j, 0] - scen.x0[j]
-        mart_t = x_w[:, j, 2] - scen.x0[j]
+        mart_s = x_w[:, 0, 0] - scen.x0[0]
+        mart_t = x_w[:, 0, 2] - scen.x0[0]
         quad_comp = sums.quad_comp[w_idx, e]
         cross_comp = sums.cross_comp[w_idx, e]
         z_level = mart_t - mart_s
         z_quad = mart_t ** 2 - mart_s ** 2 - quad_comp
-        z_cross = mart_t * b_w[:, i, 1] - mart_s * b_w[:, i, 0] - cross_comp
+        z_cross = mart_t * b_w[:, 0, 1] - mart_s * b_w[:, 0, 0] - cross_comp
         comp_range = {
             "level": (0.0, 0.0),
             "quadratic": (float(quad_comp.min()), float(quad_comp.max())),
@@ -357,12 +350,10 @@ def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
             for label, w_fn in weight_dictionary(scen.dimension, scen.driver_dimension):
                 wts = w_fn(x_w, b_w, 0, 1)
                 samples = wts * z
-                stderr = (float(samples.std(ddof=1) / math.sqrt(samples.size))
-                          if samples.size > 1 else 0.0)
                 lo, hi = comp_range[family]
                 reports.append(IdentityReport(
                     "martingale", f"{family}/{label}/window[{s},{t}]",
-                    float(samples.mean()), 0.0, stderr, 0.0,
+                    float(samples.mean()), 0.0, _stderr(samples), 0.0,
                     {"family": family, "weight": label, "s": s, "t": t,
                      "compensator_min": lo, "compensator_max": hi,
                      "dictionary_version": WEIGHT_DICTIONARY_VERSION}))

@@ -130,23 +130,29 @@ def test_verify_with_one_path_exits_2_before_any_allocation(tmp_path, monkeypatc
     ("p = 0", "p must be positive, got 0.0"),
     ("p = -1", "p must be positive, got -1.0"),
     ("m = 1.5", "m must be >= 2, got 1.5"),
-    ("m = -2", "m must be >= 2, got -2.0"),
+    ("m = 0", "m must be positive, got 0.0"),
+    ("m = -2", "m must be positive, got -2.0"),
+    ("m = nan", "m must be positive, got nan"),
 ])
 def test_verify_refuses_m_and_p_before_any_allocation(tmp_path, monkeypatch,
                                                       capsys, setting, message):
-    """p <= 0 is refused for every command; m < 2 only for verify, whose
-    moment ratios need it.  On the identity config p = 0 used to run the
-    whole sweep and die in the cross-term report."""
+    """p <= 0 and m <= 0 are refused for every command; 0 < m < 2 only for
+    verify, whose moment ratios need it.  On the identity config p = 0 used
+    to run the whole sweep and die in the cross-term report, and solve with
+    m = -2 wrote a moment table of inf and nan (a frozen path's zero
+    increment to the power -2), with m = 0 one of 1.0 and with m = nan one
+    of nan."""
     text = IDENTITY_CONFIG.replace("m = 2.0", "m = 2.0\n" + setting)
     path = _write_config(tmp_path, text)
+    refused_by_all = "positive" in message
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "generate_fbm", _no_allocation)
         assert main(["verify", "--config", path]) == 2
         assert message in capsys.readouterr().err
-        if setting.startswith("p"):
+        if refused_by_all:
             assert main(["solve", "--config", path]) == 2
             assert message in capsys.readouterr().err
-    if setting.startswith("m"):
+    if not refused_by_all:
         assert main(["solve", "--config", path]) == 0
         capsys.readouterr()
 
@@ -275,7 +281,7 @@ SOLVE_CONFIGS = {
 }
 
 
-def _per_radius_solve(text: str, bound: float = solver.BLOWUP_BOUND):
+def _per_radius_solve(text: str):
     """fbmlab solve as one whole-ensemble recursion per radius: the moment
     rows and stdout lines up to the first radius that aborts, and that
     radius's (epsilon, blow-up count), or None."""
@@ -283,7 +289,7 @@ def _per_radius_solve(text: str, bound: float = solver.BLOWUP_BOUND):
     scenario, fields, _lp, _quant = experiments.build_scenario(cfg)
     rows, lines = [], []
     for eps in scenario.eps_seq:
-        ens, = solver.solve_fields(scenario, [fields[eps]], [eps], bound)
+        ens, = solver.solve_fields(scenario, [fields[eps]])
         if ens.blowup_count > solver.BLOWUP_ABORT_FRACTION * ens.n_paths:
             return rows, lines, (eps, ens.blowup_count)
         rows += [{"epsilon": eps, **row} for row in ens.moment_table(cfg["m"])]
@@ -343,10 +349,8 @@ def test_solve_blowup_names_the_radius_of_the_per_radius_solves(
     aborts on, after the same stdout lines.  In the late-radius case the
     first radius stays bounded and the second does not."""
     text = SOLVE_CONFIGS["singular-d1"]
-    bound = solver.BLOWUP_BOUND
     if case == "low-bound":
-        bound = 0.9
-        monkeypatch.setattr(experiments, "BLOWUP_BOUND", bound)
+        monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
     else:
         def constant_family(scenario):
             return experiments.family_grid(scenario), {
@@ -354,7 +358,7 @@ def test_solve_blowup_names_the_radius_of_the_per_radius_solves(
                 for e, eps in enumerate(scenario.eps_seq)}
 
         monkeypatch.setattr(experiments, "mollified_family", constant_family)
-    _rows, lines, (eps, count) = _per_radius_solve(text, bound)
+    _rows, lines, (eps, count) = _per_radius_solve(text)
     assert (case, len(lines)) in (("low-bound", 0), ("late-radius", 1))
     monkeypatch.setattr(experiments, "CHUNK_BYTES", _chunk_budget(text, 37))
     out_dir = tmp_path / "out"
@@ -409,6 +413,31 @@ def test_run_e0_summary_matches_its_pinned_digest(tmp_path, capsys):
     capsys.readouterr()
     digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
     assert digest == E0_SUMMARY_SHA256
+
+
+# sha256 of fbmlab verify --out's verify.json for two d = 2 sweeps on top of
+# the headline defaults, pinned with numpy 2.4 on Python 3.11 (x86-64).  The
+# benchmark's workloads and the E0 pin are all d = 1; these catch a drift
+# in a d = 2 label or sum.
+D2_VERIFY = {
+    "singular": ("dimension = 2\np = 4\ngamma0 = 0.7\nx0 = 0.5, -0.2\n"
+                 "paths = 70\nsteps = 32\neps = 0.25, 0.125\n",
+                 "d79ddbfee0ab0411829dc67954560d8e3bca19a6fbaf72179001538940a32ef4"),
+    "identity": ("sigma = identity\ndimension = 2\nx0 = 0.5, -0.2\n"
+                 "paths = 70\nsteps = 32\neps = 0.25, 0.125\n",
+                 "29b37832bdc7c5001ed795c6d68d18f46c8392c6099f3c2d507616e74423a7b4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(D2_VERIFY))
+def test_d2_verify_matches_its_pinned_digest(tmp_path, capsys, case):
+    text, expected = D2_VERIFY[case]
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", _write_config(tmp_path, text),
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out_dir / "verify.json").read_bytes()).hexdigest()
+    assert digest == expected
 
 
 def test_identity_control_is_solved_and_walked_once(tmp_path, monkeypatch, capsys):

@@ -53,7 +53,6 @@ def test_singular_example_values_and_support():
     assert out[0, 0, 0] == pytest.approx(0.5 ** -0.4, rel=1e-15)
     assert out[1, 0, 0] == pytest.approx(0.25 ** -0.4, rel=1e-15)
     assert out[2, 0, 0] == 0.0  # outside the support ball
-    assert fld.p_tag == pytest.approx(2.5, rel=1e-15)
     assert fld.support_radius == 1.0
 
 

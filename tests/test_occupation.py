@@ -389,7 +389,7 @@ def test_flat_gather_is_bit_equal_to_the_corner_loop(case, clamp, data):
     # member field, and the member-axis gather of k point sets.
     _assert_same_bits(stack(pts), _mask_clip_lattice_values(
         grid, table, np.asarray(stack.radii), pts))
-    _assert_same_bits(stack.member(e, p_tag=None, label="e")(pts),
+    _assert_same_bits(stack.member(e, label="e")(pts),
                       _mask_clip_lattice_values(grid, table[..., e, :, :],
                                                 stack.radii[e], pts))
     sets = np.stack([pts, pts[::-1], -pts])
@@ -426,7 +426,7 @@ def test_member_fields_read_the_stacked_table_in_place():
     stack = LatticeStack(grid, table, [1.0] * 5)
     member = table[..., 3, :, :]
     assert np.shares_memory(member.reshape((-1,) + member.shape[1:]), table)
-    field = stack.member(3, p_tag=None, label="member 3")
+    field = stack.member(3, label="member 3")
     pts = np.linspace(-2.0, 2.0, 16)[:, None]
     field(pts)
     tracemalloc.start()

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, TimeGrid,
-                    constant_field, generate_bm_increments, generate_fbm,
-                    identity_field, mollified_family, singular_example)
-from fbmlab.solver import (BLOWUP_ABORT_FRACTION, BLOWUP_BOUND,
-                           _abort_on_blowups, _euler_batch, cauchy_report,
-                           solve_fields, walk_ensemble)
+from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, SpatialGrid,
+                    TimeGrid, constant_field, generate_bm_increments,
+                    generate_fbm, identity_field, mollified_family,
+                    quantized_perturbation, singular_example, solver)
+from fbmlab.solver import (BLOWUP_BOUND, _abort_on_blowups, _euler_batch,
+                           cauchy_report, solve_fields, walk_ensemble)
 
 GRID = TimeGrid(1.0, 64)
 FBM = generate_fbm(0.2, 1, GRID, seed=5)
@@ -24,11 +24,11 @@ def _identity_scenario(paths: int = 32) -> QuenchedScenario:
                             paths, BASE_SEED)
 
 
-def _solve(scenario, field=None, epsilon=None, bound=BLOWUP_BOUND):
-    """`field`, by default the scenario's own, solved alone."""
+def _solve(scenario, field=None, epsilon=None):
+    """`field`, by default the scenario's own, solved alone at radius epsilon."""
     field = scenario.sigma if field is None else field
-    ens, = solve_fields(scenario, [field], [epsilon], bound)
-    return ens
+    ens, = solve_fields(scenario, [field])
+    return replace(ens, epsilon=epsilon)
 
 
 def test_scenario_validation():
@@ -44,8 +44,7 @@ def test_scenario_validation():
         QuenchedScenario(FBM, identity_field(1), [0.0], (0.5, -0.1), 8, 1)
     # A field must fit the scenario's shared drivers.
     with pytest.raises(ParameterError):
-        solve_fields(_identity_scenario(), [identity_field(1), identity_field(2)],
-                     [0.5, 0.25], BLOWUP_BOUND)
+        solve_fields(_identity_scenario(), [identity_field(1), identity_field(2)])
 
 
 def test_identity_field_reduces_to_the_driver():
@@ -191,24 +190,27 @@ def test_euler_scheme_is_adapted(d, order, n_fields, k, seed, bound, value):
     assert np.array_equal(by_step_k(blowup), by_step_k(blowup_c))
 
 
-def test_blown_up_path_freezes_at_last_finite_state():
+def test_blown_up_path_freezes_at_last_finite_state(monkeypatch):
+    monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.05)
+    monkeypatch.setattr(solver, "BLOWUP_ABORT_FRACTION", 1.0)
     one_path = QuenchedScenario(FBM, identity_field(1), [0.0], (0.5,), 1, 99)
-    ens = _solve(one_path, bound=0.05)
-    _abort_on_blowups(ens, 1.0)
+    ens = _solve(one_path)
+    _abort_on_blowups(ens)
     vals, blowup = ens.values[0], int(ens.blowup_steps[0])
     assert blowup > 0
     assert np.max(np.abs(vals)) <= 0.05
     assert np.all(vals[:, blowup:] == vals[:, blowup - 1][:, None])
 
 
-def test_ensemble_blowup_abort_and_masking():
+def test_ensemble_blowup_abort_and_masking(monkeypatch):
     scenario = QuenchedScenario(FBM, constant_field(np.array([[1.0e9]])),
                                 [0.0], (0.5,), 16, BASE_SEED)
     ens = _solve(scenario)
     with pytest.raises(BlowUpError) as info:
-        _abort_on_blowups(ens, BLOWUP_ABORT_FRACTION)
+        _abort_on_blowups(ens)
     assert info.value.count == 16
-    _abort_on_blowups(ens, 1.0)  # tolerates every path blowing up
+    monkeypatch.setattr(solver, "BLOWUP_ABORT_FRACTION", 1.0)
+    _abort_on_blowups(ens)  # tolerates every path blowing up
     assert ens.blowup_count == 16
     assert not ens.ok_mask.any()
 
@@ -245,8 +247,9 @@ def test_constant_field_sweep_has_no_gap():
                                 (0.0625, 0.05), 16, BASE_SEED)
     lp_grid, fields = mollified_family(scenario)
     reference = _solve(scenario, fields[0.05], 0.05)
-    sums = walk_ensemble(reference, GRID.steps,
-                         drift=[fields[eps] for eps in scenario.eps_seq])
+    snapped = quantized_perturbation(FBM.values, SpatialGrid.cover(FBM.values.T, GRID.dt))
+    sums = walk_ensemble(reference, [fields[eps] for eps in scenario.eps_seq],
+                         snapped, windows=[])
     report = cauchy_report(scenario, sums.ito, fields, lp_grid, 4.0)
     assert report.eps_seq == (0.0625, 0.05)
     assert len(report.consecutive_diffs) == 1

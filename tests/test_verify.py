@@ -11,7 +11,7 @@ from fbmlab import (MomentRatioReport, ParameterError, QuenchedScenario,
                     generate_fbm, identity_field, lebesgue_vs_sewing,
                     moment_ratio, moment_ratio_trend, quantized_perturbation,
                     weight_dictionary)
-from fbmlab.solver import BLOWUP_BOUND, solve_fields, walk_ensemble
+from fbmlab.solver import solve_fields, walk_ensemble
 from fbmlab.verify import (cross_term_report, isometry_report,
                            martingale_reports)
 
@@ -25,7 +25,7 @@ N_PATHS = 4000
 def _identity_ensemble(base_seed: int):
     scenario = QuenchedScenario(FBM, identity_field(1), [0.0], (0.25,),
                                 N_PATHS, base_seed)
-    ens, = solve_fields(scenario, [scenario.sigma], [None], BLOWUP_BOUND)
+    ens, = solve_fields(scenario, [scenario.sigma])
     return ens
 
 
@@ -77,59 +77,41 @@ def test_moment_ratio_trend_verdicts():
         moment_ratio_trend(_synthetic_reports([1.0]))
 
 
-def _walk_to(ens, t, **fields):
-    """walk_ensemble over ens up to t, quantized on SGRID."""
-    k_t = GRID.node_index(t)
-    return walk_ensemble(ens, k_t, **fields,
-                         snapped=quantized_perturbation(FBM.values, SGRID)[:k_t])
+def _walk(ens, fields, windows=None):
+    """walk_ensemble over ens, quantized on SGRID."""
+    return walk_ensemble(ens, fields, quantized_perturbation(FBM.values, SGRID),
+                         windows)
 
 
 def test_ito_isometry_identity_coefficient():
     ens = _identity_ensemble(13)
-    sums = _walk_to(ens, 0.5, snap=[identity_field(1)])
-    report = isometry_report(ens, sums, 0, 0.5, margin_fraction=0.0)
-    assert report.right == 0.5  # sum of |row|^2 dt is exactly t
+    report = isometry_report(ens, _walk(ens, [identity_field(1)]), 0,
+                             margin_fraction=0.0)
+    assert report.right == 1.0  # sum of |row|^2 dt is exactly the horizon
+    assert report.label == "coordinate 0, t=1.0"
     assert report.passed
     assert report.stderr > 0.0
     # The averaged square is quadratic in the field scale.
-    sums = _walk_to(ens, 0.5, snap=[identity_field(1, scale=2.0)])
-    doubled = isometry_report(ens, sums, 0, 0.5)
-    assert doubled.right == 2.0
+    doubled = isometry_report(ens, _walk(ens, [identity_field(1, scale=2.0)]), 0)
+    assert doubled.right == 4.0
 
 
 def test_cross_term_identity_and_zero_coefficient():
     ens = _identity_ensemble(13)
-    sigma = identity_field(1)
-    sums = _walk_to(ens, 0.5, drift=[sigma], snap=[sigma], sigma_raw=sigma)
-    report = cross_term_report(ens, sums, 0, 0.5)
-    assert report.right == 0.5
+    report = cross_term_report(ens, _walk(ens, [identity_field(1)], []), 0)
+    assert report.right == 1.0
     assert report.passed
     assert report.extras["hypothesis_d_over_p_lt_1"]
     assert report.extras["d_over_p"] == 0.5
-    zero = identity_field(1, scale=0.0)
-    sums = _walk_to(ens, 0.5, drift=[zero], snap=[zero], sigma_raw=zero)
-    trivial = cross_term_report(ens, sums, 0, 0.5)
+    trivial = cross_term_report(ens, _walk(ens, [identity_field(1, scale=0.0)], []), 0)
     assert trivial.left == 0.0 and trivial.right == 0.0
     assert trivial.stderr == 0.0 and trivial.passed
-
-
-def test_cross_term_rejects_t_below_one_step():
-    """At t = 0 there is no Ito sum to pair: the report refuses, as the
-    isometry does, rather than passing with both sides zero."""
-    ens = _identity_ensemble(13)
-    sums = walk_ensemble(ens, 0, drift=[identity_field(1)],
-                         snap=[identity_field(1, scale=3.0)],
-                         snapped=np.empty((0, 1)), sigma_raw=identity_field(1))
-    for report in (isometry_report, cross_term_report):
-        with pytest.raises(ParameterError, match="one step"):
-            report(ens, sums, 0, 0.0)
 
 
 def test_martingale_residuals_identity_coefficient():
     ens = _identity_ensemble(13)
     pairs = [(0.25, 0.5), (0.5, 1.0)]
-    sums = walk_ensemble(ens, 0, drift=[identity_field(1)],
-                         windows=[GRID.window(s, t) for s, t in pairs])
+    sums = _walk(ens, [identity_field(1)], [GRID.window(s, t) for s, t in pairs])
     reports = martingale_reports(ens, sums, 0, pairs)
     assert len(reports) == 36  # 2 windows x 3 families x 6 weights
     assert all(r.passed for r in reports)

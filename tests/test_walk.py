@@ -4,10 +4,13 @@ The reference functions below are the per-check loops the identity checks
 used before they were fused into `walk_ensemble`: one field call per time
 step, running sums for the Ito sums and compensators, a (paths, steps)
 buffer summed by row for the quantized averages.  Every result must agree
-with them bit for bit.
+with them bit for bit.  Like the walk, they read coordinate 0 of the
+solution and of the driver, over the whole horizon.
 """
 
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +27,10 @@ from fbmlab.verify import (cross_term_report, isometry_report,
                            martingale_reports)
 
 
-def _solve(scenario, field, epsilon=None, bound=solver.BLOWUP_BOUND):
-    """One field solved alone over the scenario's drivers."""
-    ens, = solver.solve_fields(scenario, [field], [epsilon], bound)
-    return ens
+def _solve(scenario, field, epsilon=None):
+    """One field solved alone over the scenario's drivers, at radius epsilon."""
+    ens, = solver.solve_fields(scenario, [field])
+    return replace(ens, epsilon=epsilon)
 
 
 # --- reference: the per-step loops --------------------------------------------
@@ -48,50 +51,47 @@ def _paired(tag, label, left_samples, right_samples, margin_fraction, extras):
             "margin": margin_fraction * max(abs(left), abs(right)), **extras}
 
 
-def ref_isometry(ens, sigma_eps, grid, t, coordinate=0, margin_fraction=0.05):
+def ref_isometry(ens, sigma_eps, grid, margin_fraction=0.05):
     scen = ens.scenario
-    k_t = scen.grid.node_index(t)
-    j = coordinate
+    k_t = scen.grid.steps
     x_nodes = ens.values[ens.ok_mask]
-    left = (x_nodes[:, j, k_t] - scen.x0[j]) ** 2
+    left = (x_nodes[:, 0, k_t] - scen.x0[0]) ** 2
 
     def row_sq(pts):
-        return np.sum(sigma_eps(pts)[..., j, :] ** 2, axis=-1)
+        return np.sum(sigma_eps(pts)[..., 0, :] ** 2, axis=-1)
 
-    snapped = quantized_perturbation(scen.fbm.values, grid)[:k_t]
+    snapped = quantized_perturbation(scen.fbm.values, grid)
     right = _scalar_on_path(row_sq, x_nodes[:, :, :k_t], snapped).sum(axis=1) * scen.grid.dt
-    return _paired("ito_isometry", f"coordinate {j}, t={t}", left, right,
-                   margin_fraction, {"epsilon": ens.epsilon})
+    return _paired("ito_isometry", f"coordinate 0, t={scen.grid.horizon}", left,
+                   right, margin_fraction, {"epsilon": ens.epsilon})
 
 
-def ref_cross(ens, sigma_raw, sigma_eps, grid, t, coordinate=0, epsilon=None,
-              margin_fraction=0.05):
+def ref_cross(ens, sigma_eps, grid, epsilon=None, margin_fraction=0.05):
     scen = ens.scenario
-    k_t = scen.grid.node_index(t)
-    j = coordinate
+    k_t = scen.grid.steps
     ok = ens.ok_mask
     x_nodes, db, w = ens.values[ok], ens.driver_increments[ok], scen.fbm.values
     ito = np.zeros(x_nodes.shape[0])
     for k in range(k_t):
         mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
-        ito += np.einsum("pi,pi->p", mats[:, j, :], db[:, :, k])
-    left = (x_nodes[:, j, k_t] - scen.x0[j]) * ito
+        ito += np.einsum("pi,pi->p", mats[:, 0, :], db[:, :, k])
+    left = (x_nodes[:, 0, k_t] - scen.x0[0]) * ito
 
     def mixed(pts):
-        return np.sum(sigma_raw(pts)[..., j, :] * sigma_eps(pts)[..., j, :], axis=-1)
+        return np.sum(scen.sigma(pts)[..., 0, :] * sigma_eps(pts)[..., 0, :], axis=-1)
 
-    snapped = quantized_perturbation(w, grid)[:k_t]
+    snapped = quantized_perturbation(w, grid)
     right = _scalar_on_path(mixed, x_nodes[:, :, :k_t], snapped).sum(axis=1) * scen.grid.dt
     d_over_p = scen.dimension / scen.p
-    return _paired("cross_term", f"coordinate {j}, t={t}", left, right,
+    return _paired("cross_term", f"coordinate 0, t={scen.grid.horizon}", left, right,
                    margin_fraction, {"epsilon": epsilon, "d_over_p": d_over_p,
                                      "hypothesis_d_over_p_lt_1": d_over_p < 1.0})
 
 
-def ref_martingale(ens, sigma_eps, pairs, coordinate=0, driver_coordinate=0):
+def ref_martingale(ens, sigma_eps, pairs):
     scen = ens.scenario
     tg = scen.grid
-    j, i = coordinate, driver_coordinate
+    j = i = 0
     ok = ens.ok_mask
     x_nodes, db, w = ens.values[ok], ens.driver_increments[ok], scen.fbm.values
     b_nodes = np.concatenate([np.zeros((db.shape[0], db.shape[1], 1)),
@@ -193,9 +193,9 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
         assert res.ratio_reports[e].to_dict() == moment_ratio(ens, cfg["m"],
                                                               cfg["gamma0"]).to_dict()
         assert _report_dict(res.iso_reports[e]) == ref_isometry(
-            ens, fields[eps], quant_grid, 1.0)
+            ens, fields[eps], quant_grid)
         assert _report_dict(res.cross_reports[e]) == ref_cross(
-            reference, scenario.sigma, fields[eps], quant_grid, 1.0, epsilon=eps)
+            reference, fields[eps], quant_grid, epsilon=eps)
     assert _martingale_rows(res.martingale_reports) == ref_martingale(
         reference, fields[eps_min], WINDOWS)
     qv = lebesgue_vs_sewing(reference.values[0], scenario.fbm,
@@ -220,9 +220,10 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "identity"])
 def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular,
                                                              monkeypatch):
-    """Each walk runs with blocks of 12 paths of 160 steps (27 of 70), which
-    the 50 or 57 surviving singular paths do not fill, and with 50 points,
-    below every step count walked, so one path per block."""
+    """A reference walk and an isometry walk over both radii, each with
+    blocks of 12 paths of 160 steps, which the 50 or 57 surviving singular
+    paths do not fill, and with 50 points, below the step count, so one
+    path per block."""
     grid = TimeGrid(1.0, 160)
     fbm = generate_fbm(0.2, dimension, grid, 7)
     sigma = (singular_example(0.4, 1.0, dimension) if singular
@@ -235,35 +236,26 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
         lp_grid = SpatialGrid.from_box(-2.0, 2.0, 16, dimension)
         fields = {eps: sigma for eps in scen.eps_seq}
     # A low blow-up bound freezes part of the ensemble, which the sums mask.
-    ens = _solve(scen, fields[0.125], 0.125, bound=0.9)
+    monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
+    ens = _solve(scen, fields[0.125], 0.125)
     assert 0 < ens.blowup_count < ens.n_paths
     qgrid = SpatialGrid.cover(fbm.values.T, grid.dt)
     snapped = quantized_perturbation(fbm.values, qgrid)
     pairs = [(0.0, 0.5), (0.25, 0.75), (0.3, 1.0)]
     windows = [grid.window(s, t) for s, t in pairs]
+    radii = [fields[eps] for eps in scen.eps_seq]
     for points in (40 * 48, 50):
         monkeypatch.setattr(solver, "WALK_POINTS", points)
-        for t in (0.4375, 1.0):
-            k_t = grid.node_index(t)
-            for j in range(dimension):
-                sums = solver.walk_ensemble(ens, k_t, drift=[fields[0.25]],
-                                            snap=[fields[0.25]],
-                                            snapped=snapped[:k_t],
-                                            sigma_raw=sigma, coordinate=j)
-                assert _report_dict(isometry_report(ens, sums, 0, t)) == ref_isometry(
-                    ens, fields[0.25], qgrid, t, coordinate=j)
-                assert _report_dict(cross_term_report(ens, sums, 0, t)) == ref_cross(
-                    ens, sigma, fields[0.25], qgrid, t, coordinate=j)
-        for j in range(dimension):
-            for i in range(dimension):
-                sums = solver.walk_ensemble(ens, 0, drift=[fields[0.125]],
-                                            windows=windows, coordinate=j,
-                                            driver_coordinate=i)
-                assert _martingale_rows(martingale_reports(ens, sums, 0, pairs)) == (
-                    ref_martingale(ens, fields[0.125], pairs, coordinate=j,
-                                   driver_coordinate=i))
-        sums = solver.walk_ensemble(ens, grid.steps,
-                                    drift=[fields[eps] for eps in scen.eps_seq])
+        sums = solver.walk_ensemble(ens, radii, snapped, windows)
+        isometry = solver.walk_ensemble(ens, radii, snapped)
+        for e, fld in enumerate(radii):
+            for walked in (sums, isometry):
+                assert _report_dict(isometry_report(ens, walked, e)) == ref_isometry(
+                    ens, fld, qgrid)
+            assert _report_dict(cross_term_report(ens, sums, e)) == ref_cross(
+                ens, fld, qgrid)
+            assert _martingale_rows(martingale_reports(ens, sums, e, pairs)) == (
+                ref_martingale(ens, fld, pairs))
         report = solver.cauchy_report(scen, sums.ito, fields, lp_grid, 4.0)
         assert np.array_equal(report.terminal_integrals, ref_terminals(ens, fields))
 
@@ -309,8 +301,7 @@ def test_walk_rejects_too_few_snapped_positions():
                             identity_field(1), [0.0], (0.5,), 4, 1)
     ens = _solve(scen, scen.sigma)
     with pytest.raises(ParameterError):
-        solver.walk_ensemble(ens, 16, snap=[identity_field(1)],
-                             snapped=np.zeros((15, 1)))
+        solver.walk_ensemble(ens, [identity_field(1)], np.zeros((15, 1)))
 
 
 # --- chunks of paths ----------------------------------------------------------------
@@ -356,12 +347,12 @@ def test_sweep_does_not_depend_on_the_chunk_size(sigma, dimension, monkeypatch):
         assert sum(drawn) == cfg["paths"] and max(drawn) - min(drawn) <= 1
 
 
-def _first_failing_radius(scenario, fields, bound):
+def _first_failing_radius(scenario, fields):
     """The radius and count the per-radius solves abort on: the reference
     first, then the others in eps_seq order."""
     eps_min = min(scenario.eps_seq)
     for eps in [eps_min] + [e for e in scenario.eps_seq if e != eps_min]:
-        ens = _solve(scenario, fields[eps], eps, bound)
+        ens = _solve(scenario, fields[eps], eps)
         if ens.blowup_count > solver.BLOWUP_ABORT_FRACTION * ens.n_paths:
             return eps, ens.blowup_count
     return None
@@ -375,14 +366,12 @@ def test_sweep_blowup_names_the_radius_and_whole_ensemble_count(case, monkeypatc
     the second does not."""
     cfg = _small_config("singular", 1)
     scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
-    bound = solver.BLOWUP_BOUND
     if case == "low-bound":
-        bound = 0.9
-        monkeypatch.setattr(experiments, "BLOWUP_BOUND", bound)
+        monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
     else:
         fields = {eps: constant_field(np.array([[1e9 if e in (1, 3) else 0.5]]))
                   for e, eps in enumerate(scenario.eps_seq)}
-    eps, count = _first_failing_radius(scenario, fields, bound)
+    eps, count = _first_failing_radius(scenario, fields)
     assert case == "low-bound" or eps == scenario.eps_seq[1]
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 37 * 8 * (
         len(scenario.eps_seq) * (scenario.grid.steps + 1) + scenario.grid.steps))
@@ -394,8 +383,8 @@ def test_sweep_blowup_names_the_radius_and_whole_ensemble_count(case, monkeypatc
 
 def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
     """Every radius of the identity sweep shares one field, so one recursion
-    and one walk serve them all, and that walk evaluates the field once as
-    its drift and once as its snap field; each report keeps its own radius."""
+    and one reference walk of that one field serve them all; each report
+    keeps its own radius."""
     calls = {"recursions": 0, "walks": 0}
     walk_fields = []
 
@@ -403,7 +392,8 @@ def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
         def call(*args, **kwargs):
             calls[name] += 1
             if name == "walks":
-                walk_fields.append((len(kwargs["drift"]), len(kwargs["snap"])))
+                walk = inspect.signature(fn).bind(*args, **kwargs).arguments
+                walk_fields.append((len(walk["fields"]), walk.get("windows") is not None))
             return fn(*args, **kwargs)
         return call
 
@@ -414,7 +404,7 @@ def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
     cfg = _small_config("identity", 1)
     res = verify_scenario(*build_scenario(cfg), cfg["m"], cfg["gamma0"], WINDOWS)
     assert calls == {"recursions": 1, "walks": 1}
-    assert walk_fields == [(1, 1)]
+    assert walk_fields == [(1, True)]
     eps_seq = tuple(cfg["eps"])
     assert tuple(r.epsilon for r in res.ratio_reports) == eps_seq
     assert tuple(r.extras["epsilon"] for r in res.iso_reports) == eps_seq
