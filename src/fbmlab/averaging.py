@@ -76,14 +76,13 @@ def average_direct(f, path, s: float, t: float, probes) -> np.ndarray:
 
 
 def average_via_local_time(f_values: np.ndarray, f_grid: SpatialGrid,
-                           local_time_field: OccupationMeasure,
-                           escaped_tol: float = 0.01) -> AveragedField:
+                           local_time_field: OccupationMeasure) -> AveragedField:
     """Averaged field as the convolution of f samples with a local-time field.
 
     The output lives on the difference lattice: sample k of the full
     convolution sits at f_lower + L_lower + (k + 1) * h, which is again a
     uniform center lattice.  Escaped occupation mass is missing from the
-    local time, so the fraction is checked against escaped_tol.
+    local time, so a fraction above 1% raises CoverageError.
     """
     grid_l = local_time_field.grid
     if f_grid.dimension != grid_l.dimension:
@@ -93,10 +92,10 @@ def average_via_local_time(f_values: np.ndarray, f_grid: SpatialGrid,
             f"incompatible bin widths: f grid h={f_grid.h}, local time h={grid_l.h}")
     if f_values.shape != f_grid.shape:
         raise ParameterError("f_values shape does not match its grid")
-    if local_time_field.escaped_fraction > escaped_tol:
+    if local_time_field.escaped_fraction > 0.01:
         raise CoverageError(
             f"{local_time_field.escaped_fraction:.2%} of the occupation mass "
-            f"escaped the box (tolerance {escaped_tol:.2%})")
+            "escaped the box (tolerance 1.00%)")
     conv = _fftconvolve(f_values, local_time_field.values) * grid_l.cell_volume
     h = grid_l.h
     lower = tuple(fl + ll + 0.5 * h for fl, ll in zip(f_grid.lower, grid_l.lower))
@@ -106,14 +105,14 @@ def average_via_local_time(f_values: np.ndarray, f_grid: SpatialGrid,
 
 
 def convolution_agreement_bound(lipschitz: float, grid_h: float, mass: float,
-                                dimension: int = 1, sup_f: float = 0.0,
-                                escaped_mass: float = 0.0) -> float:
+                                dimension: int = 1) -> float:
     """Sup-norm budget between the direct and convolution routes.
 
     Snapping each path sample to its bin center moves the argument of f by
-    at most (h/2) * sqrt(d); escaped samples are dropped entirely.
+    at most (h/2) * sqrt(d).  The budget covers a local time that kept all
+    its mass; an escaped sample is missing from the convolution route.
     """
-    return lipschitz * 0.5 * grid_h * math.sqrt(dimension) * mass + sup_f * escaped_mass
+    return lipschitz * 0.5 * grid_h * math.sqrt(dimension) * mass
 
 
 @dataclass(frozen=True)
@@ -122,24 +121,23 @@ class HolderEstimate:
     half_width: float
     degenerate: bool
     lags: tuple[int, ...]
-    log2_sup_increments: tuple[float, ...]
 
 
-def holder_exponent(samples, spacing: float = 1.0, *, drop_finest: int = 2,
-                    min_scales: int = 4, max_lag_fraction: int = 4) -> HolderEstimate:
+def holder_exponent(samples, spacing: float = 1.0) -> HolderEstimate:
     """Sup-increment Holder exponent over dyadic lags.
 
-    For each dyadic lag l the statistic is max_i |v[i+l] - v[i]|; the
-    exponent is the least-squares slope of log2(statistic) against log2(lag).
-    The finest `drop_finest` lags are excluded (they sit on the noise floor
-    of whatever produced the samples).  Constant samples yield the
-    degenerate flag instead of an exponent.
+    For each dyadic lag l up to a quarter of the samples the statistic is
+    max_i |v[i+l] - v[i]|; the exponent is the least-squares slope of
+    log2(statistic) against log2(lag).  The finest two lags are excluded
+    (they sit on the noise floor of whatever produced the samples), and at
+    least four lags must remain.  Constant samples yield the degenerate
+    flag instead of an exponent.
     """
     v = np.asarray(samples, dtype=float).ravel()
     if spacing <= 0.0:
         raise ParameterError("spacing must be positive")
     n = v.size
-    max_lag = n // max_lag_fraction
+    max_lag = n // 4
     if max_lag < 1:
         raise InsufficientDataError(f"too few samples ({n}) for any dyadic lag")
     n_levels = int(math.floor(math.log2(max_lag))) + 1
@@ -149,23 +147,20 @@ def holder_exponent(samples, spacing: float = 1.0, *, drop_finest: int = 2,
     scale = np.max(np.abs(v - v[0])) if n else 0.0
     floor = _NOISE_FLOOR_RTOL * max(scale, 1.0)
     if np.all(sups <= floor):
-        return HolderEstimate(math.nan, math.nan, True, tuple(lags),
-                              tuple(math.nan for _ in lags))
+        return HolderEstimate(math.nan, math.nan, True, tuple(lags))
 
-    usable = [(lag, sup) for lag, sup in zip(lags[drop_finest:], sups[drop_finest:])
-              if sup > floor]
-    if len(usable) < min_scales:
+    usable = [(lag, sup) for lag, sup in zip(lags[2:], sups[2:]) if sup > floor]
+    if len(usable) < 4:
         raise InsufficientDataError(
-            f"only {len(usable)} usable dyadic scales, need >= {min_scales}")
+            f"only {len(usable)} usable dyadic scales, need >= 4")
     x = np.log2([lag for lag, _ in usable])
     y = np.log2([sup for _, sup in usable])
-    slope, _intercept, se = _ols_slope(x, y)
-    return HolderEstimate(float(slope), 2.0 * se, False, tuple(lags),
-                          tuple(np.log2(np.maximum(sups, 1e-300))))
+    slope, se = _ols_slope(x, y)
+    return HolderEstimate(float(slope), 2.0 * se, False, tuple(lags))
 
 
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and slope standard error."""
+def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and its standard error."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xbar = x.mean()
@@ -176,7 +171,7 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     resid = y - (y.mean() + slope * (x - xbar))
     dof = max(x.size - 2, 1)
     se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
-    return float(slope), float(y.mean() - slope * xbar), se
+    return float(slope), se
 
 
 @dataclass(frozen=True)

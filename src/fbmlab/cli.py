@@ -391,11 +391,11 @@ def _cmd_verify(args) -> int:
             raise ParameterError(f"the radius sweep needs at least two {what}, got {count}")
     if cfg["m"] < 2.0:
         raise ParameterError(f"m must be >= 2, got {cfg['m']}")
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
-    half = scenario.grid.horizon / 2.0
+    half = cfg["horizon"] / 2.0
+    windows = [(half / 2.0, half), (half, cfg["horizon"])]
+    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, windows)
     res = verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
-                          cfg["gamma0"],
-                          [(half / 2.0, half), (half, scenario.grid.horizon)])
+                          cfg["gamma0"], windows)
     reports = [r for pair in zip(res.iso_reports, res.cross_reports) for r in pair]
     reports += res.martingale_reports + [res.qv_report]
     rows = [r.to_dict() for r in reports]

@@ -6,6 +6,8 @@ failures (factorization breakdown, blow-up, lost coverage) so callers can
 map them to exit codes without string matching.
 """
 
+import os
+
 
 class FbmLabError(Exception):
     """Base class for all package errors."""
@@ -13,6 +15,18 @@ class FbmLabError(Exception):
 
 class ParameterError(FbmLabError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def require_memory(needed: int, what: str) -> None:
+    """ParameterError, naming the bytes, when `needed` bytes exceed physical memory.
+
+    Called before an allocation whose size an input sets, so an input that
+    cannot fit fails with exit code 2 instead of a MemoryError.
+    """
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise ParameterError(f"{what} needs at least {needed:,} bytes, more than "
+                             f"the {physical:,} bytes of physical memory")
 
 
 class HypothesisError(FbmLabError, ValueError):

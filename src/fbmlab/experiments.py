@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -26,7 +25,7 @@ import numpy as np
 from .averaging import (average_direct, average_via_local_time,
                         convolution_agreement_bound, holder_exponent,
                         hurst_admissible_fbm_driver, hurst_admissible_main)
-from .errors import ParameterError
+from .errors import ParameterError, require_memory
 from .fields import MatrixField, hs_norm_sq, identity_field, singular_example
 from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
 from .paths import (FbmPath, TimeGrid, _fbm_rows, fbm_covariance,
@@ -283,12 +282,15 @@ def criterion_sewing_engine() -> dict:
 
 # --- criteria 6-9: the shared singular scenario ----------------------------
 
-def build_scenario(cfg: dict):
+def build_scenario(cfg: dict, martingale_windows=None):
     """Scenario, mollified fields, L^p grid and quantization grid of a config.
 
-    cfg uses the keys of HEADLINE_CONFIG.  Fails with ParameterError before
-    the mollified lattices or any ensemble are allocated when they and one
-    chunk of paths cannot fit in physical memory (_check_memory).
+    cfg uses the keys of HEADLINE_CONFIG.  martingale_windows are those a
+    verify_scenario run will pass, or None for a solve_scenario run; the
+    pre-flight (_check_memory) counts the nodes that run keeps.  Fails with
+    ParameterError before the mollified lattices or any ensemble are
+    allocated when they and one chunk of paths cannot fit in physical
+    memory.
     """
     grid_t = TimeGrid(cfg["horizon"], cfg["steps"])
     fbm = generate_fbm(cfg["hurst"], cfg["dimension"], grid_t, cfg["fbm_seed"])
@@ -300,7 +302,8 @@ def build_scenario(cfg: dict):
     scenario = QuenchedScenario(fbm, sigma, np.asarray(cfg["x0"], dtype=float),
                                 tuple(cfg["eps"]), cfg["paths"],
                                 cfg["base_seed"], p=cfg["p"])
-    _check_memory(scenario, family_grid(scenario) if singular else None)
+    _check_memory(scenario, family_grid(scenario) if singular else None,
+                  martingale_windows)
     if singular:
         lp_grid, fields = mollified_family(scenario)
     else:
@@ -324,32 +327,44 @@ def _chunk_paths(scenario: QuenchedScenario, n_fields: int) -> tuple[int, int]:
     return -(-scenario.ensemble_size // n_chunks), per_path
 
 
-def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None) -> None:
+def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None,
+                  martingale_windows) -> None:
     """ParameterError when the resident arrays exceed physical memory.
 
     A run holds one chunk of paths (_chunk_paths) of every distinct field:
     one per radius for a mollified field, one in all otherwise.  Per path
-    it keeps each field's blow-up flag and moment-table nodes (at least as
-    many as the sweep keeps), and the sweep each radius's Ito, squared-row
+    it keeps each field's blow-up flag and the nodes of _kept_nodes, and a
+    verify run (martingale_windows given) each radius's Ito, squared-row
     and mixed sums.  A mollified field adds one lattice table per radius.
     """
     d, n_eps = scenario.dimension, len(scenario.eps_seq)
     n_fields = n_eps if lattice is not None else 1
     rows, per_path = _chunk_paths(scenario, n_fields)
-    nodes = (1 << MOMENT_TABLE_LEVEL) + 1
-    kept = 8 * scenario.ensemble_size * (n_fields * (d * nodes + 1)
-                                         + n_eps * (d + 2))
+    grid = scenario.grid
+    windows = (None if martingale_windows is None
+               else [grid.window(s, t) for s, t in martingale_windows])
+    nodes = len(_kept_nodes(grid, windows))
+    sums = 0 if windows is None else n_eps * (d + 2)
+    kept = 8 * scenario.ensemble_size * (n_fields * (d * nodes + 1) + sums)
     lattice_bytes = (0 if lattice is None else 8 * n_eps * math.prod(lattice.bins)
                      * d * scenario.driver_dimension)
-    needed = rows * per_path + kept + lattice_bytes
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > physical:
-        raise ParameterError(
-            f"the run needs about {needed / 1e9:.3g} GB "
-            f"({lattice_bytes / 1e9:.3g} GB of mollified lattices, "
-            f"{rows * per_path / 1e9:.3g} GB of solution paths and drivers, "
-            f"{kept / 1e9:.3g} GB of kept nodes and sums), more than the "
-            f"{physical / 1e9:.3g} GB of physical memory")
+    require_memory(rows * per_path + kept + lattice_bytes,
+                   f"the run ({lattice_bytes / 1e9:.3g} GB of mollified lattices, "
+                   f"{rows * per_path / 1e9:.3g} GB of solution paths and drivers, "
+                   f"{kept / 1e9:.3g} GB of kept nodes and sums)")
+
+
+def _kept_nodes(grid: TimeGrid, windows: list[tuple[int, int]] | None
+                ) -> tuple[int, ...]:
+    """The grid nodes a run keeps of each solved path.  A solve (windows
+    None) keeps the end points of its moment table's dyadic windows; a
+    verify run those of moment_ratio's and the nodes martingale_reports
+    reads for the node-pair windows."""
+    if windows is None:
+        return tuple(sorted({k for pair in grid.dyadic_windows(MOMENT_TABLE_LEVEL)
+                             for k in pair}))
+    return tuple(sorted({k for pair in grid.dyadic_windows(MOMENT_MAX_LEVEL)
+                         for k in pair} | martingale_nodes(windows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,10 +418,8 @@ def solve_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField])
     """Yield every radius's ensemble in eps_seq order, reduced to the nodes
     its moment table reads.  BlowUpError names the first radius on which
     more than BLOWUP_ABORT_FRACTION of the paths blew up."""
-    keep = tuple(sorted({k for pair in scenario.grid.dyadic_windows(MOMENT_TABLE_LEVEL)
-                         for k in pair}))
     distinct, slot = _distinct_fields(scenario, fields)
-    ensembles, _ = _solve_in_chunks(scenario, distinct, keep)
+    ensembles, _ = _solve_in_chunks(scenario, distinct, _kept_nodes(scenario.grid, None))
     for eps, s in zip(scenario.eps_seq, slot):
         ens = replace(ensembles[s], epsilon=eps)
         _abort_on_blowups(ens)
@@ -451,8 +464,6 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     ref = slot[e_min]
     snapped = quantized_perturbation(scenario.fbm.values, quant_grid)
     windows = [tg.window(s, t) for s, t in martingale_windows]
-    keep = tuple(sorted({k for pair in tg.dyadic_windows(MOMENT_MAX_LEVEL)
-                         for k in pair} | martingale_nodes(windows)))
     path0 = None
 
     def walk(part):
@@ -468,7 +479,7 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
         return [ref_sums if s == ref else walk_ensemble(ens, [distinct[s]], snapped)
                 for s, ens in enumerate(part)]
 
-    ensembles, walked = _solve_in_chunks(scenario, distinct, keep, walk)
+    ensembles, walked = _solve_in_chunks(scenario, distinct, _kept_nodes(tg, windows), walk)
     radii = [replace(ensembles[s], epsilon=eps) for eps, s in zip(eps_seq, slot)]
     for ens in (radii[e_min], *radii):  # the reference first
         _abort_on_blowups(ens)
@@ -497,9 +508,10 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
 def run_headline() -> SweepResults:
     """The headline sweep, computed once per process; elapsed covers the build."""
     start = time.perf_counter()
-    scenario, fields, lp_grid, quant_grid = build_scenario(HEADLINE_CONFIG)
+    windows = [(0.25, 0.5), (0.5, 0.75), (0.25, 1.0)]
+    scenario, fields, lp_grid, quant_grid = build_scenario(HEADLINE_CONFIG, windows)
     res = verify_scenario(scenario, fields, lp_grid, quant_grid, HEADLINE["m"],
-                          HEADLINE["gamma0"], [(0.25, 0.5), (0.5, 0.75), (0.25, 1.0)])
+                          HEADLINE["gamma0"], windows)
     return replace(res, elapsed=time.perf_counter() - start)
 
 

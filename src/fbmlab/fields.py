@@ -3,15 +3,18 @@
 A field maps points of R^d to d x n matrices.  The running singular
 example is sigma(x) = |x|**(-gamma) * Id restricted to the ball of radius
 K; it belongs to L^p exactly when gamma < d / p, which the quadrature
-below can confirm or refute numerically.
+below can confirm or refute numerically.  A field flags its own singular
+points, and lp_norm refines the bins at exactly those.
 
-Mollification convolves the field with a fixed polynomial bump after a
-smooth cut-off: sigma_eps = rho_eps * (phi_eps * sigma), where rho_eps has
+Mollification convolves the field with the fixed bump (1 - |u|^2)**4 after
+a smooth cut-off: sigma_eps = rho_eps * (phi_eps * sigma), where rho_eps has
 support in the ball of radius eps and unit mass, and phi_eps equals 1 on
 the ball of radius 1/(2 eps) and 0 outside radius 1/eps.  The convolution
 runs entry by entry on a sampling grid via zero-padded FFT, and the result
 evaluates anywhere through multilinear interpolation (zero outside the
 sampled box, matching the compact support of the mollified field).
+Fields subtract pointwise, which is how the Cauchy gaps between radii are
+built.
 """
 
 from __future__ import annotations
@@ -64,31 +67,17 @@ class MatrixField:
                 f"oracle returned shape {out.shape}, expected {pts.shape[:-1] + (self.d, self.n)}")
         return out
 
-    def _combine(self, other: "MatrixField", op, label: str) -> "MatrixField":
+    def __sub__(self, other: "MatrixField") -> "MatrixField":
+        """Pointwise difference; it flags the singular points of both fields."""
         if (self.d, self.n) != (other.d, other.n):
             raise ParameterError("field shapes differ")
         radius = None
         if self.support_radius is not None and other.support_radius is not None:
             radius = max(self.support_radius, other.support_radius)
-        return MatrixField(lambda x: op(self(x), other(x)), self.d, self.n,
+        return MatrixField(lambda x: self(x) - other(x), self.d, self.n,
                            support_radius=radius,
                            singular_points=self.singular_points + other.singular_points,
-                           label=label)
-
-    def __add__(self, other: "MatrixField") -> "MatrixField":
-        return self._combine(other, np.add, f"({self.label}+{other.label})")
-
-    def __sub__(self, other: "MatrixField") -> "MatrixField":
-        return self._combine(other, np.subtract, f"({self.label}-{other.label})")
-
-    def __mul__(self, scalar: float) -> "MatrixField":
-        c = float(scalar)
-        return MatrixField(lambda x: c * self(x), self.d, self.n,
-                           support_radius=self.support_radius,
-                           singular_points=self.singular_points,
-                           label=f"{c}*{self.label}")
-
-    __rmul__ = __mul__
+                           label=f"({self.label}-{other.label})")
 
     def __repr__(self) -> str:
         return f"MatrixField({self.label}, d={self.d}, n={self.n})"
@@ -124,8 +113,9 @@ def constant_field(matrix: np.ndarray) -> MatrixField:
     return MatrixField(oracle, d, n, label="const")
 
 
-def identity_field(d: int, scale: float = 1.0) -> MatrixField:
-    return constant_field(scale * np.eye(d))
+def identity_field(d: int) -> MatrixField:
+    """The d x d identity matrix at every point."""
+    return constant_field(np.eye(d))
 
 
 def singular_example(gamma: float, radius: float, d: int) -> MatrixField:
@@ -175,25 +165,21 @@ def hs_norm_sq(field: MatrixField) -> ScalarField:
 class MollifierSpec:
     """Mollification kernel and cut-off conventions.
 
-    rho(u) = c_d * (1 - |u|^2)**bump_power on the unit ball, normalized to
+    rho(u) = c_d * (1 - |u|^2)**4 on the unit ball, normalized to
     unit mass with the exact beta-integral constant; the scaled kernel is
     rho_eps(x) = eps**(-d) * rho(x / eps).  The cut-off is 1 on
     |x| <= 1/(2 eps), 0 on |x| >= 1/eps, with a C^2 quintic ramp between.
     """
 
     epsilon: float
-    bump_power: int = 4
 
     def __post_init__(self):
         if not (0.0 < self.epsilon and math.isfinite(self.epsilon)):
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.bump_power < 1:
-            raise ParameterError("bump_power must be >= 1")
 
     def bump_mass(self, d: int) -> float:
-        """integral over the unit ball of (1 - |u|^2)**bump_power, exactly."""
-        k = self.bump_power
-        return math.pi ** (d / 2.0) * _gamma(k + 1) / _gamma(d / 2.0 + k + 1)
+        """integral over the unit ball of (1 - |u|^2)**4, exactly."""
+        return math.pi ** (d / 2.0) * _gamma(5) / _gamma(d / 2.0 + 5)
 
     def rho(self, points) -> np.ndarray:
         """Unit-mass bump on the unit ball, evaluated at points (..., d)."""
@@ -201,7 +187,7 @@ class MollifierSpec:
         d = pts.shape[-1]
         r2 = np.sum(pts * pts, axis=-1)
         c = 1.0 / self.bump_mass(d)
-        return c * np.clip(1.0 - r2, 0.0, None) ** self.bump_power
+        return c * np.clip(1.0 - r2, 0.0, None) ** 4
 
     def rho_scaled(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -482,8 +468,7 @@ def _norm_power(field, pts: np.ndarray, p: float) -> np.ndarray:
 
 
 def _refine_singular_cell(field, p: float, lo: np.ndarray, size: float,
-                          point: np.ndarray, max_depth: int, rtol: float,
-                          budget: float) -> float:
+                          point: np.ndarray, budget: float) -> float:
     """Adaptive dyadic refinement of one cell whose corner holds the singular point.
 
     Splits the cell in 2**d; subcells away from the point get midpoint
@@ -495,7 +480,7 @@ def _refine_singular_cell(field, p: float, lo: np.ndarray, size: float,
     total = 0.0
     last_inner = math.inf
     grew = 0
-    for _depth in range(max_depth):
+    for _depth in range(48):
         half = size / 2.0
         inner_lo = None
         for corner in range(1 << d):
@@ -523,19 +508,20 @@ def _refine_singular_cell(field, p: float, lo: np.ndarray, size: float,
             grew = 0
         last_inner = inner_est
         lo, size = inner_lo, half
-        if inner_est <= rtol * max(budget + total, 1e-300):
+        if inner_est <= 1e-7 * max(budget + total, 1e-300):
             return total + inner_est
     mid = lo + size / 2.0
     return total + float(_norm_power(field, mid[None, :], p)[0]) * size ** d
 
 
-def lp_norm(field, p: float, grid: SpatialGrid, *, refine_singular: bool = True,
-            max_depth: int = 48, rtol: float = 1e-7) -> float:
-    """(sum over bins of |field|^p * h^d) ** (1/p) with singular-bin refinement.
+def lp_norm(field, p: float, grid: SpatialGrid) -> float:
+    """(sum over bins of |field|^p * h^d) ** (1/p), refined where the field is singular.
 
-    Bins whose closure contains a flagged singular point are re-integrated
-    by adaptive dyadic refinement, which removes the midpoint-rule bias the
-    singularity would otherwise cause.
+    Bins whose closure contains a singular point the field flags are
+    re-integrated by adaptive dyadic refinement, which removes the
+    midpoint-rule bias the singularity would otherwise cause.  A field that
+    flags none, such as a mollified field or a difference of two, gets the
+    plain midpoint rule.
     """
     if p <= 0.0:
         raise ParameterError(f"p must be positive, got {p}")
@@ -543,20 +529,18 @@ def lp_norm(field, p: float, grid: SpatialGrid, *, refine_singular: bool = True,
     powers = _norm_power(field, mesh, p)
     vol = grid.cell_volume
     total = float(powers.sum()) * vol
-    if refine_singular:
-        lo = np.asarray(grid.lower)
-        shape = np.asarray(grid.shape)
-        for q in getattr(field, "singular_points", ()):  # re-do cells touching q
-            u = (np.asarray(q) - lo) / grid.h
-            if np.any(u < 0.0) or np.any(u > shape):
-                continue
-            lo_idx = np.maximum(np.ceil(u - 1.0 - 1e-9).astype(int), 0)
-            hi_idx = np.minimum(np.floor(u + 1e-9).astype(int), shape - 1)
-            for flat in np.ndindex(*(hi_idx - lo_idx + 1)):
-                idx = lo_idx + np.asarray(flat)
-                center = lo + (idx + 0.5) * grid.h
-                total -= float(_norm_power(field, center[None, :], p)[0]) * vol
-                total += _refine_singular_cell(field, p, lo + idx * grid.h, grid.h,
-                                               np.asarray(q, dtype=float),
-                                               max_depth, rtol, total)
+    lo = np.asarray(grid.lower)
+    shape = np.asarray(grid.shape)
+    for q in getattr(field, "singular_points", ()):  # re-do cells touching q
+        u = (np.asarray(q) - lo) / grid.h
+        if np.any(u < 0.0) or np.any(u > shape):
+            continue
+        lo_idx = np.maximum(np.ceil(u - 1.0 - 1e-9).astype(int), 0)
+        hi_idx = np.minimum(np.floor(u + 1e-9).astype(int), shape - 1)
+        for flat in np.ndindex(*(hi_idx - lo_idx + 1)):
+            idx = lo_idx + np.asarray(flat)
+            center = lo + (idx + 0.5) * grid.h
+            total -= float(_norm_power(field, center[None, :], p)[0]) * vol
+            total += _refine_singular_cell(field, p, lo + idx * grid.h, grid.h,
+                                           np.asarray(q, dtype=float), total)
     return total ** (1.0 / p)

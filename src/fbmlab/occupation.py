@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_memory
 
 _ORIGIN_RTOL = 1e-9
 # _exact_sum hands math.fsum the last _FSUM_TAIL nonzero remainders, and the
@@ -38,7 +38,7 @@ class SpatialGrid:
     """Axis-aligned box with a common bin width h along every axis.
 
     lower[a] and bins[a] fix the box on axis a; the box is
-    [lower[a], lower[a] + bins[a] * h].
+    [lower[a], lower[a] + bins[a] * h], with every lower[a] finite.
     """
 
     lower: tuple[float, ...]
@@ -51,6 +51,8 @@ class SpatialGrid:
             raise ParameterError(f"bin width must be positive, got {self.h}")
         if len(self.lower) != len(self.bins) or not self.lower:
             raise ParameterError("lower and bins must have equal positive length")
+        if not all(math.isfinite(lo) for lo in self.lower):
+            raise ParameterError(f"the box's lower corner must be finite, got {self.lower}")
         if any(m < 1 for m in self.bins):
             raise ParameterError(f"bins must all be >= 1, got {self.bins}")
         if not self.allow_origin_center and self._has_origin_center():
@@ -88,6 +90,7 @@ class SpatialGrid:
 
     def centers_mesh(self) -> np.ndarray:
         """All bin centers, shape bins + (dimension,)."""
+        require_memory(8 * self.dimension * math.prod(self.bins), "the mesh of bin centers")
         axes = [self.centers(a) for a in range(self.dimension)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
@@ -114,31 +117,36 @@ class SpatialGrid:
         return np.where(inside[..., None], snapped, pts), inside
 
     @classmethod
-    def from_box(cls, a: float, b: float, bins: int, dimension: int = 1,
-                 allow_origin_center: bool = False) -> "SpatialGrid":
+    def from_box(cls, a: float, b: float, bins: int, dimension: int = 1) -> "SpatialGrid":
         """Same interval [a, b] with the same bin count on every axis."""
         if not b > a:
             raise ParameterError(f"need b > a, got a={a}, b={b}")
         h = (b - a) / bins
-        return cls((a,) * dimension, h, (bins,) * dimension,
-                   allow_origin_center=allow_origin_center)
+        return cls((a,) * dimension, h, (bins,) * dimension)
 
     @classmethod
-    def cover(cls, points: np.ndarray, h: float, pad: float = 0.0) -> "SpatialGrid":
+    def cover(cls, points: np.ndarray, h: float) -> "SpatialGrid":
         """Smallest half-offset-safe grid of width h covering the points.
 
         The lower corner is snapped to an integer multiple of h, so centers
         sit at half-integer multiples and the origin stays on a bin edge.
+        h and the points must be finite, h positive, and the box's bin
+        count must be finite too.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        lo = pts.min(axis=0) - pad
-        hi = pts.max(axis=0) + pad
-        lower = np.floor(lo / h) * h
-        bins = np.maximum(np.ceil((hi - lower) / h).astype(int) + 1, 1)
+        if not (h > 0.0 and math.isfinite(h)):
+            raise ParameterError(f"bin width must be positive and finite, got {h}")
+        if not np.all(np.isfinite(pts)):
+            raise ParameterError("the points to cover must be finite")
+        with np.errstate(over="ignore"):  # an infinite bin count is refused below
+            lower = np.floor(pts.min(axis=0) / h) * h
+            bins = np.ceil((pts.max(axis=0) - lower) / h) + 1
+        if not np.all(np.isfinite(bins)):
+            raise ParameterError(f"bin width {h} gives a box with infinitely many bins")
         return cls(tuple(float(v) for v in lower), h,
-                   tuple(int(m) for m in bins))
+                   tuple(max(int(m), 1) for m in bins))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +204,11 @@ def _occupy(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
         raise ParameterError(
             f"path dimension {path.dimension} != grid dimension {grid.dimension}")
     k0, k1 = path.grid.window(s, t)
+    n_bins = math.prod(grid.shape)
+    require_memory(8 * n_bins, "binning the occupation measure")
     idx, inside = grid.bin_indices(path.values[:, k0:k1].T)
     flat = np.ravel_multi_index(tuple(idx[inside].T), grid.shape)
-    counts = np.bincount(flat, minlength=int(np.prod(grid.shape)))
+    counts = np.bincount(flat, minlength=n_bins)
     return OccupationMeasure(grid, s, t, path.grid.dt, counts.reshape(grid.shape),
                              int((~inside).sum()))
 

@@ -33,7 +33,7 @@ import numpy as np
 # the first draw does not pay for the import.
 import numpy.random  # noqa: F401
 
-from .errors import GenerationError, ParameterError
+from .errors import GenerationError, ParameterError, require_memory
 
 # Relative tolerance for clipping roundoff-negative circulant eigenvalues.
 _EIG_CLIP_RTOL = 1e-12
@@ -64,10 +64,10 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def node_index(self, time: float, rtol: float = 1e-9) -> int:
-        """Index k with t_k == time, or ParameterError if time is off-grid."""
+    def node_index(self, time: float) -> int:
+        """Index k with |t_k - time| <= 1e-9 max(horizon, 1), or ParameterError."""
         k = round(time / self.dt)
-        if k < 0 or k > self.steps or abs(k * self.dt - time) > rtol * max(self.horizon, 1.0):
+        if k < 0 or k > self.steps or abs(k * self.dt - time) > 1e-9 * max(self.horizon, 1.0):
             raise ParameterError(f"time {time} is not aligned to the grid (dt={self.dt})")
         return int(k)
 
@@ -187,8 +187,13 @@ def _fgn_from_normals(lam: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.nda
 
 
 def _fgn_cholesky(gamma: np.ndarray) -> np.ndarray:
-    """Dense exact fallback: lower Cholesky factor of the Toeplitz increment covariance."""
-    lag = np.arange(gamma.size - 1)
+    """Dense exact fallback: lower Cholesky factor of the Toeplitz increment covariance.
+
+    The N x N covariance and its factor must fit in physical memory.
+    """
+    n = gamma.size - 1
+    require_memory(16 * n * n, f"factoring the dense covariance of {n} increments")
+    lag = np.arange(n)
     cov = gamma[np.abs(lag[:, None] - lag[None, :])]
     try:
         return np.linalg.cholesky(cov)
@@ -235,13 +240,16 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
             raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
     _validate_rows(dimension, seed, first, count)
     n = grid.steps
+    lines = count * dimension
+    width = n + 1 if nodes is None else len(nodes)
+    # The output, and the circulant embedding's 2N complex eigenvalue FFT.
+    require_memory(8 * len(hursts) * lines * width + 32 * n,
+                   f"sampling {count} path(s) of {n} steps")
     routes = []
     for hurst in hursts:
         gamma = _fgn_autocov(hurst, n, grid.dt)
         lam = _circulant_eigenvalues(gamma)
         routes.append((lam, None if lam is not None else _fgn_cholesky(gamma)))
-    lines = count * dimension
-    width = n + 1 if nodes is None else len(nodes)
     out = np.empty((len(routes), lines, width))
     # Scratch for one block of normals, its FFT and, when only nodes are
     # kept, its paths, reused by every block.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_memory
 from .averaging import _ols_slope
 
 _DIFF_FLOOR_RTOL = 1e-13
@@ -76,12 +76,15 @@ def sew(germ: Germ, s: float, t: float, levels: int = 10) -> SewingResult:
     """Dyadic partition sums of the germ over [s, t] with convergence diagnostics.
 
     levels >= 3 so that divergence (three consecutive non-decreasing level
-    differences above the noise floor) is observable at all.
+    differences above the noise floor) is observable at all.  The finest
+    partition's 2**levels + 1 nodes, 8 bytes each, must fit in physical
+    memory; above 64 levels the count stops at 2**64 + 1, still too many.
     """
     if not s < t:
         raise ParameterError(f"need s < t, got s={s}, t={t}")
     if levels < 3:
         raise ParameterError(f"levels must be >= 3, got {levels}")
+    require_memory(8 * ((1 << min(levels, 64)) + 1), f"sewing at {levels} levels")
     sums = [_partition_sum(germ, s, t, k) for k in range(levels + 1)]
     diffs = [float(np.linalg.norm(np.atleast_1d(sums[k + 1] - sums[k])))
              for k in range(levels)]
@@ -98,7 +101,7 @@ def sew(germ: Germ, s: float, t: float, levels: int = 10) -> SewingResult:
     if len(usable) >= 3 and not diverged:
         x = np.array([k for k, _ in usable], dtype=float)
         y = np.log2([d for _, d in usable])
-        slope, _, se = _ols_slope(x, y)
+        slope, se = _ols_slope(x, y)
         rate, half_width = -slope, 2.0 * se
 
     value = np.asarray(sums[-1], dtype=float)

@@ -170,9 +170,8 @@ def test_convolution_route_zero_integrand():
 
 
 def test_agreement_bound_formula():
-    got = convolution_agreement_bound(2.0, 0.1, 3.0, dimension=4,
-                                      sup_f=5.0, escaped_mass=0.01)
-    assert got == pytest.approx(0.65, rel=1e-14)
+    got = convolution_agreement_bound(2.0, 0.1, 3.0, dimension=4)
+    assert got == pytest.approx(0.6, rel=1e-14)
     assert convolution_agreement_bound(1.0, 0.0, 5.0) == 0.0
 
 

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import math
+import os
 import time
 
 import numpy as np
 
 import pytest
 
-from fbmlab import ParameterError, experiments, solver
+from fbmlab import ParameterError, experiments, paths, solver
 from fbmlab.cli import main, parse_config_text, resolve_config
 from fbmlab.experiments import ALL_CRITERIA, HEADLINE_CONFIG
 from fbmlab.fields import constant_field
@@ -548,3 +549,90 @@ def test_pre_flight_estimates_one_chunk_of_the_sweep(tmp_path, monkeypatch, caps
         assert main([command, "--config", path]) == 2
         assert "physical memory" in capsys.readouterr().err
     assert len(drawn) == 1
+
+
+def _physical_memory(monkeypatch, n_bytes: int) -> None:
+    """Make the physical-memory read report n_bytes."""
+    sysconf = os.sysconf
+    read = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": n_bytes}
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: read[name] if name in read else sysconf(name))
+
+
+class _PassedPreFlight(Exception):
+    pass
+
+
+def test_pre_flight_counts_the_nodes_each_command_keeps(tmp_path, monkeypatch,
+                                                        capsys):
+    """At the headline settings fbmlab verify keeps 17 nodes of each path,
+    the level-4 dyadic end points (which hold the martingale nodes), and
+    fbmlab solve the moment table's 65.  At 1000 paths the pre-flight
+    estimates 50,067,840 bytes for verify and 51,867,840 for solve; with
+    51,000,000 bytes of physical memory verify passes it and solve does
+    not.  It used to count 65 nodes for verify too, and refuse it."""
+    def passed(*_args):
+        raise _PassedPreFlight
+
+    monkeypatch.setattr(experiments, "mollified_family", passed)
+    _physical_memory(monkeypatch, 51_000_000)
+    path = _write_config(tmp_path, "paths = 1000\n")
+    with pytest.raises(_PassedPreFlight):
+        main(["verify", "--config", path])
+    assert main(["solve", "--config", path]) == 2
+    assert "needs at least 51,867,840 bytes" in capsys.readouterr().err
+
+    grid = paths.TimeGrid(1.0, 1024)
+    halves = [grid.window(0.25, 0.5), grid.window(0.5, 1.0)]
+    assert len(experiments._kept_nodes(grid, halves)) == 17
+    assert len(experiments._kept_nodes(grid, None)) == 65
+
+
+@pytest.mark.parametrize("args,what", [
+    (["local-time", "--hurst", "0.3", "--seed", "1", "--width", "1e-5",
+      "--steps", "64"], "binning the occupation measure"),
+    (["average", "--hurst", "0.3", "--seed", "1", "--width", "0.001",
+      "--span", "100", "--steps", "64"], "the mesh of bin centers"),
+    (["gen-fbm", "--hurst", "0.4", "--steps", "4096", "--seed", "1"],
+     "sampling 1 path(s) of 4096 steps"),
+    (["sew", "--levels", "16"], "sewing at 16 levels"),
+], ids=["local-time-bins", "average-span", "gen-fbm-steps", "sew-levels"])
+def test_allocations_beyond_physical_memory_exit_2(monkeypatch, capsys, args, what):
+    """An input that sizes an allocation beyond physical memory (here
+    patched to 100,000 bytes) exits 2 with the bytes it needs, before the
+    allocation.  Unpatched, local-time at width 1e-9 died allocating
+    13.5 GiB of bin counts, and sew at 100000 levels ran without end."""
+    _physical_memory(monkeypatch, 100_000)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {what} needs at least " in captured.err
+    assert "bytes, more than the 100,000 bytes of physical memory" in captured.err
+
+
+def test_dense_cholesky_beyond_physical_memory_exits_2(monkeypatch, capsys):
+    """Where the circulant embedding fails (H = 0.9999 from 65536 steps),
+    gen-fbm factors the N x N increment covariance; it used to die
+    allocating 32 GiB for its index matrix.  The route is forced at 512
+    steps, whose covariance and factor need 4,194,304 bytes."""
+    monkeypatch.setattr(paths, "_circulant_eigenvalues", lambda gamma: None)
+    _physical_memory(monkeypatch, 1_000_000)
+    assert main(["gen-fbm", "--hurst", "0.9999", "--steps", "512", "--seed", "1"]) == 2
+    assert ("factoring the dense covariance of 512 increments needs at least "
+            "4,194,304 bytes") in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["average", "--width", "0.05", "--span", "nan"],
+    ["average", "--width", "0.05", "--span", "inf"],
+    ["local-time", "--width", "0"],
+    ["local-time", "--width", "nan"],
+], ids=["span-nan", "span-inf", "width-0", "width-nan"])
+def test_non_finite_boxes_exit_2_without_a_warning(capsys, args):
+    """A NaN or infinite span used to exit 0 and print a NaN Holder
+    exponent, which is not JSON, and a zero or NaN width set off numpy's
+    invalid-cast warning before it exited 2."""
+    assert main(args + ["--hurst", "0.3", "--seed", "1", "--steps", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

@@ -22,8 +22,8 @@ def test_constant_and_identity_fields():
     out = c(np.zeros((5, 2)))
     assert out.shape == (5, 2, 2)
     assert np.array_equal(out[3], [[1.0, 2.0], [3.0, 4.0]])
-    ident = identity_field(2, scale=3.0)
-    assert np.array_equal(ident(np.array([7.0, -1.0])), 3.0 * np.eye(2))
+    ident = identity_field(2)
+    assert np.array_equal(ident(np.array([7.0, -1.0])), np.eye(2))
     with pytest.raises(ParameterError):
         constant_field(np.zeros(3))
 
@@ -41,9 +41,7 @@ def test_field_algebra():
     a = identity_field(1)
     b = constant_field(np.array([[2.0]]))
     pts = np.array([[0.3], [0.7]])
-    assert np.array_equal((a + b)(pts), a(pts) + b(pts))
     assert np.array_equal((a - b)(pts), a(pts) - b(pts))
-    assert np.array_equal((3.0 * a)(pts), 3.0 * a(pts))
 
 
 def test_singular_example_values_and_support():
@@ -93,11 +91,10 @@ def test_gamma_is_scipy_special_gamma_bit_for_bit():
     from scipy.special import gamma
     for x in [n / 2.0 for n in range(2, 67)]:  # 1, 1.5, ..., 33
         assert _gamma(x).hex() == float(gamma(x)).hex(), x
+    k = 4  # the bump is (1 - |u|^2)**4
     for d in range(1, 9):
-        for k in range(1, 13):
-            want = math.pi ** (d / 2) * gamma(k + 1) / gamma(d / 2 + k + 1)
-            got = MollifierSpec(0.5, bump_power=k).bump_mass(d)
-            assert got.hex() == float(want).hex(), (d, k)
+        want = math.pi ** (d / 2) * gamma(k + 1) / gamma(d / 2 + k + 1)
+        assert MollifierSpec(0.5).bump_mass(d).hex() == float(want).hex(), d
 
 
 def test_gamma_above_33_is_scipy_special_gamma_bit_for_bit():
@@ -136,8 +133,6 @@ def test_mollifier_spec_validation():
         MollifierSpec(0.0)
     with pytest.raises(ParameterError):
         MollifierSpec(math.inf)
-    with pytest.raises(ParameterError):
-        MollifierSpec(0.5, bump_power=0)
 
 
 def test_mollify_requires_resolving_grid():
@@ -201,20 +196,21 @@ def test_lp_norm_smooth_field_is_spectrally_accurate():
     gauss = ScalarField(lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1)), 2)
     grid = SpatialGrid.from_box(-6.0, 6.0, 192, dimension=2)
     # L2 norm squared is the integral of exp(-|x|^2) over the plane = pi.
-    assert lp_norm(gauss, 2.0, grid, refine_singular=False) == pytest.approx(
+    assert lp_norm(gauss, 2.0, grid) == pytest.approx(
         math.sqrt(math.pi), rel=1e-12)
 
 
 def test_lp_norm_refines_singular_cells():
     """Against the closed forms: integral of |x|^(-0.8) over [-1, 1] is 10.
 
-    The plain midpoint rule underestimates the singular bin badly; the
-    refined quadrature lands within about one percent at h = 1/256.
+    The plain midpoint rule, which a copy of sigma that flags no singular
+    point gets, underestimates the singular bin badly; the refined
+    quadrature lands within about one percent at h = 1/256.
     """
     sigma = singular_example(0.4, 1.0, 1)
     grid = SpatialGrid.from_box(-1.0, 1.0, 512)
     refined = lp_norm(sigma, 2.0, grid)
-    plain = lp_norm(sigma, 2.0, grid, refine_singular=False)
+    plain = lp_norm(MatrixField(sigma, 1, 1), 2.0, grid)
     target = math.sqrt(10.0)
     assert abs(refined - target) / target < 0.01
     assert abs(refined - target) < abs(plain - target)
@@ -231,7 +227,8 @@ def test_lp_norm_scales_homogeneously():
     sigma = singular_example(0.4, 1.0, 1)
     grid = SpatialGrid.from_box(-1.0, 1.0, 256)
     base = lp_norm(sigma, 2.0, grid)
-    tripled = lp_norm(3.0 * sigma, 2.0, grid)
+    tripled = lp_norm(MatrixField(lambda p: 3.0 * sigma(p), 1, 1,
+                                  singular_points=sigma.singular_points), 2.0, grid)
     assert tripled == pytest.approx(3.0 * base, rel=1e-12)
     with pytest.raises(ParameterError):
         lp_norm(sigma, 0.0, grid)

@@ -38,6 +38,9 @@ def test_grid_rejects_origin_centered_bins():
 def test_grid_parameter_validation():
     with pytest.raises(ParameterError):
         SpatialGrid((0.0,), 0.0, (4,))
+    for lower in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="lower corner must be finite"):
+            SpatialGrid((0.0, lower), 1.0, (4, 4))
     with pytest.raises(ParameterError):
         SpatialGrid((0.0,), 1.0, (0,))
     with pytest.raises(ParameterError):
@@ -55,13 +58,26 @@ def test_cover_snaps_to_integer_multiples():
     assert np.min(np.abs(grid.centers(0))) >= 0.4 * h
 
 
-def test_cover_handles_2d_and_padding():
+@pytest.mark.filterwarnings("error")
+def test_cover_refuses_non_finite_input_before_dividing():
+    pts = np.array([[0.1], [1.4]])
+    for h in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="bin width"):
+            SpatialGrid.cover(pts, h)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="must be finite"):
+            SpatialGrid.cover(np.array([[0.1], [bad]]), 0.5)
+    with pytest.raises(ParameterError, match="infinitely many bins"):
+        SpatialGrid.cover(np.array([[-1e308], [1e308]]), 1e-10)
+
+
+def test_cover_handles_2d():
     pts = np.array([[0.1, -0.2], [1.4, 0.7]])
-    grid = SpatialGrid.cover(pts, 0.5, pad=0.25)
+    grid = SpatialGrid.cover(pts, 0.5)
     assert grid.dimension == 2
     _, inside = grid.bin_indices(pts)
     assert inside.all()
-    assert grid.upper[0] >= 1.65 and grid.lower[1] <= -0.45
+    assert grid.lower == (0.0, -0.5) and grid.bins == (4, 4)
 
 
 def test_quantize_maps_centers_to_themselves():

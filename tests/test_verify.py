@@ -8,7 +8,7 @@ import pytest
 from fbmlab import verify
 from fbmlab import (MomentRatioReport, ParameterError, QuenchedScenario,
                     SpatialGrid, TimeGrid, WEIGHT_DICTIONARY_VERSION,
-                    generate_fbm, identity_field, lebesgue_vs_sewing,
+                    constant_field, generate_fbm, identity_field, lebesgue_vs_sewing,
                     moment_ratio, moment_ratio_trend, quantized_perturbation,
                     weight_dictionary)
 from fbmlab.solver import solve_fields, walk_ensemble
@@ -92,7 +92,7 @@ def test_ito_isometry_identity_coefficient():
     assert report.passed
     assert report.stderr > 0.0
     # The averaged square is quadratic in the field scale.
-    doubled = isometry_report(ens, _walk(ens, [identity_field(1, scale=2.0)]), 0)
+    doubled = isometry_report(ens, _walk(ens, [constant_field(2.0 * np.eye(1))]), 0)
     assert doubled.right == 4.0
 
 
@@ -103,7 +103,7 @@ def test_cross_term_identity_and_zero_coefficient():
     assert report.passed
     assert report.extras["hypothesis_d_over_p_lt_1"]
     assert report.extras["d_over_p"] == 0.5
-    trivial = cross_term_report(ens, _walk(ens, [identity_field(1, scale=0.0)], []), 0)
+    trivial = cross_term_report(ens, _walk(ens, [constant_field(0.0 * np.eye(1))], []), 0)
     assert trivial.left == 0.0 and trivial.right == 0.0
     assert trivial.stderr == 0.0 and trivial.passed
 

@@ -180,7 +180,7 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
     if points is not None:
         monkeypatch.setattr(solver, "WALK_POINTS", points)
     cfg = _small_config(sigma, dimension)
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
+    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, WINDOWS)
     res = verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
                           cfg["gamma0"], WINDOWS)
 
@@ -207,8 +207,7 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
     half = cfg["m"] / 2.0
     diffs = tuple(float(np.mean(np.linalg.norm(b - a, axis=1) ** half) ** (1.0 / half))
                   for a, b in zip(terminals[:-1], terminals[1:]))
-    gaps = tuple(lp_norm(fields[b] - fields[a], scenario.p, lp_grid,
-                         refine_singular=False)
+    gaps = tuple(lp_norm(fields[b] - fields[a], scenario.p, lp_grid)
                  for a, b in zip(eps_seq[:-1], eps_seq[1:]))
     assert res.cauchy.consecutive_diffs == diffs
     assert res.cauchy.sigma_gaps == gaps
@@ -227,7 +226,7 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
     grid = TimeGrid(1.0, 160)
     fbm = generate_fbm(0.2, dimension, grid, 7)
     sigma = (singular_example(0.4, 1.0, dimension) if singular
-             else identity_field(dimension, 1.3))
+             else constant_field(1.3 * np.eye(dimension)))
     scen = QuenchedScenario(fbm, sigma, np.full(dimension, 0.3), (0.25, 0.125),
                             97, 5)
     if singular:
@@ -276,7 +275,7 @@ def test_sweep_draws_each_driver_stream_once(monkeypatch):
 
     monkeypatch.setattr(paths, "_component_rng", counted)
     cfg = _small_config("singular", 2)
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
+    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, WINDOWS)
     verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
                     cfg["gamma0"], WINDOWS)
     n = scenario.driver_dimension
@@ -321,7 +320,7 @@ def test_sweep_does_not_depend_on_the_chunk_size(sigma, dimension, monkeypatch):
     """Budgets of 1, 37 and all paths per chunk give the same bits as the
     default, and each runs as many chunks as it should."""
     cfg = _small_config(sigma, dimension)
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
+    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, WINDOWS)
 
     def sweep():
         return _sweep_record(verify_scenario(scenario, fields, lp_grid, quant_grid,
@@ -365,7 +364,7 @@ def test_sweep_blowup_names_the_radius_and_whole_ensemble_count(case, monkeypatc
     late-radius case the reference and the first radius stay bounded and
     the second does not."""
     cfg = _small_config("singular", 1)
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg)
+    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, WINDOWS)
     if case == "low-bound":
         monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
     else:
@@ -402,7 +401,7 @@ def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
     monkeypatch.setattr(experiments, "walk_ensemble",
                         counting("walks", experiments.walk_ensemble))
     cfg = _small_config("identity", 1)
-    res = verify_scenario(*build_scenario(cfg), cfg["m"], cfg["gamma0"], WINDOWS)
+    res = verify_scenario(*build_scenario(cfg, WINDOWS), cfg["m"], cfg["gamma0"], WINDOWS)
     assert calls == {"recursions": 1, "walks": 1}
     assert walk_fields == [(1, True)]
     eps_seq = tuple(cfg["eps"])
