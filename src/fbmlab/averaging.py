@@ -123,7 +123,7 @@ class HolderEstimate:
     lags: tuple[int, ...]
 
 
-def holder_exponent(samples, spacing: float = 1.0) -> HolderEstimate:
+def holder_exponent(samples) -> HolderEstimate:
     """Sup-increment Holder exponent over dyadic lags.
 
     For each dyadic lag l up to a quarter of the samples the statistic is
@@ -131,11 +131,10 @@ def holder_exponent(samples, spacing: float = 1.0) -> HolderEstimate:
     log2(statistic) against log2(lag).  The finest two lags are excluded
     (they sit on the noise floor of whatever produced the samples), and at
     least four lags must remain.  Constant samples yield the degenerate
-    flag instead of an exponent.
+    flag instead of an exponent.  The slope is in lag units, so it does
+    not depend on the sample spacing.
     """
     v = np.asarray(samples, dtype=float).ravel()
-    if spacing <= 0.0:
-        raise ParameterError("spacing must be positive")
     n = v.size
     max_lag = n // 4
     if max_lag < 1:

@@ -5,8 +5,8 @@ solve, verify, admissibility) plus `run`, which executes one of the canned
 experiments E0 to E6 and writes a reproducible artifact directory:
 
     config.json    resolved configuration, sorted keys
-    summary.json   results with timing stripped, byte-stable across reruns
-    run_meta.json  timestamps, versions, elapsed wall time
+    summary.json   results without wall times, byte-stable across reruns
+    run_meta.json  timestamps, versions, wall time, each criterion's seconds
     results.csv/.json   flat tables for the experiment
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid configuration
@@ -35,8 +35,8 @@ from .averaging import (admissible_regularity, average_via_local_time,
 from .errors import (BlowUpError, FbmLabError, HypothesisError,
                      ParameterError)
 from .experiments import (ALL_CRITERIA, HEADLINE_CONFIG, build_scenario,
-                          criterion_admissibility, solve_scenario,
-                          verify_scenario, _identity_field_reports)
+                          solve_scenario, verify_scenario,
+                          _identity_field_reports)
 from .occupation import SpatialGrid, local_time
 from .paths import TimeGrid, generate_fbm
 from .sewing import Germ, sew
@@ -138,15 +138,6 @@ def validate_config(cfg: dict) -> None:
 # --- artifact helpers -------------------------------------------------------
 
 
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in sorted(obj.items())
-                if k not in ("elapsed_s", "elapsed")}
-    if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
-    return obj
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -185,21 +176,18 @@ def _emit(text: str) -> None:
 # --- experiments -------------------------------------------------------------
 
 
-def _experiment_e0() -> tuple[list[dict], list[dict]]:
-    """Identity-field smoke test: exact identities plus threshold table."""
+def _constant_field_identities() -> dict:
+    """E0's identity-field smoke test: the exact identities."""
     reports = _identity_field_reports()[0]
-    rows = [r.to_dict() for r in reports]
-    adm = criterion_admissibility()
-    results = [{"id": "constant-field-identities",
-                "passed": all(r.passed for r in reports),
-                "summary": f"{len(reports)} identities on an identity field",
-                "details": {"reports": rows}, "elapsed_s": 0.0},
-               adm]
-    return results, rows
+    return {"id": "constant-field-identities",
+            "passed": all(r.passed for r in reports),
+            "summary": f"{len(reports)} identities on an identity field",
+            "details": {"reports": [r.to_dict() for r in reports]}}
 
 
 _EXPERIMENTS = {
-    "E0": ("identity-field smoke test and admissibility table", None),
+    "E0": ("identity-field smoke test and admissibility table",
+           ["constant-field-identities", "admissibility-thresholds"]),
     "E1": ("driver covariance audit", ["fbm-covariance"]),
     "E2": ("occupation-times formula convergence", ["occupation-formula"]),
     "E3": ("dual-route averaging and regularization gain",
@@ -220,28 +208,30 @@ def run_experiment(name: str, cfg: dict, out_dir: Path, fmt: str) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     description, criteria = _EXPERIMENTS[name]
-    rows: list[dict] = []
-    if name == "E0":
-        results, rows = _experiment_e0()
+    run = {**ALL_CRITERIA, "constant-field-identities": _constant_field_identities}
+    results, seconds = [], {}
+    for cid in criteria:
+        start = time.perf_counter()
+        results.append(run[cid]())
+        seconds[cid] = round(time.perf_counter() - start, 3)
+    if name == "E0":  # the identity reports themselves
+        rows = results[0]["details"]["reports"]
     else:
-        results = [ALL_CRITERIA[cid]() for cid in criteria]
-        for res in results:
-            detail_rows = res["details"].get("rows")
-            if detail_rows:
-                rows.extend({"criterion": res["id"], **row}
-                            for row in detail_rows)
+        rows = [{"criterion": res["id"], **row}
+                for res in results for row in res["details"].get("rows", [])]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(out_dir / "config.json", {"experiment": name, **cfg,
                                          "format": fmt})
     summary = {"experiment": name, "description": description,
-               "results": _strip_timing(results),
+               "results": results,
                "passed": all(r["passed"] for r in results)}
     _dump_json(out_dir / "summary.json", summary)
     _dump_json(out_dir / "run_meta.json", {
         "started_utc": started,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_s": round(time.perf_counter() - t0, 3),
+        "criterion_s": seconds,
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -313,7 +303,7 @@ def _cmd_average(args) -> int:
     field = local_time(path, box, args.s, t)
     f_grid = SpatialGrid.cover(np.array([[-args.span], [args.span]]), args.width)
     avg = average_via_local_time(f(f_grid.centers_mesh()), f_grid, field)
-    est = holder_exponent(avg.values, spacing=avg.grid.h)
+    est = holder_exponent(avg.values)
     if args.out:
         buf = io.StringIO()
         avg.to_csv(buf)
@@ -409,7 +399,7 @@ def _cmd_verify(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _dump_json(out_dir / "config.json", cfg)
-        _dump_json(out_dir / "verify.json", _strip_timing(out))
+        _dump_json(out_dir / "verify.json", out)
         _write_rows(out_dir / "identities", rows, args.format)
         _emit(f"wrote {out_dir / 'verify.json'}")
     for r in reports:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import solver, verify
 from .averaging import (average_direct, average_via_local_time,
                         convolution_agreement_bound, holder_exponent,
                         hurst_admissible_fbm_driver, hurst_admissible_main)
@@ -31,14 +32,20 @@ from .occupation import (SpatialGrid, local_time, occupation_formula_residual)
 from .paths import (FbmPath, TimeGrid, _fbm_rows, fbm_covariance,
                     generate_fbm)
 from .sewing import Germ, sew
-from .solver import (MOMENT_TABLE_LEVEL, Ensemble, MollifiedCauchyReport,
-                     PathSums, QuenchedScenario, _abort_on_blowups, _stderr,
+from .solver import (Ensemble, MollifiedCauchyReport, PathSums,
+                     QuenchedScenario, _abort_on_blowups, _stderr,
                      cauchy_report, family_grid, mollified_family,
                      solve_fields, walk_ensemble)
-from .verify import (MOMENT_MAX_LEVEL, IdentityReport, MomentRatioReport,
-                     cross_term_report, isometry_report, lebesgue_vs_sewing,
-                     martingale_nodes, martingale_reports, moment_ratio,
-                     moment_ratio_trend, quantized_perturbation)
+from .verdicts import (AVERAGED_EXPONENT, AVERAGING_EXACT_GAP,
+                       AVERAGING_ROUNDOFF, CAUCHY_GROWTH, CAUCHY_TRACKING,
+                       COVARIANCE_SECONDS, COVARIANCE_Z, IDENTITY_STDERRS,
+                       OCCUPATION_RATE, OCCUPATION_SLACK, RAW_EXPONENT,
+                       SEWING_ADDITIVE, SEWING_LIMIT, SEWING_RATE,
+                       STABILITY_SLOPE, SWEEP_SECONDS, TREND_SPREAD)
+from .verify import (IdentityReport, MomentRatioReport, cross_term_report,
+                     isometry_report, lebesgue_vs_sewing, martingale_nodes,
+                     martingale_reports, moment_ratio, moment_ratio_trend,
+                     quantized_perturbation)
 
 HEADLINE = {
     "hurst": 0.2, "gamma": 0.4, "radius": 1.0, "p": 2.0, "m": 4.0,
@@ -66,10 +73,9 @@ HEADLINE_CONFIG = {
 CHUNK_BYTES = 128 << 20
 
 
-def _result(cid: str, passed: bool, summary: str, details: dict,
-            elapsed: float) -> dict:
+def _result(cid: str, passed: bool, summary: str, details: dict) -> dict:
     return {"id": cid, "passed": bool(passed), "summary": summary,
-            "details": details, "elapsed_s": round(elapsed, 3)}
+            "details": details}
 
 
 # --- criterion 1: exact fBm covariance ------------------------------------
@@ -99,21 +105,19 @@ def criterion_fbm_covariance(n_paths: int = 20000, steps: int = 1024,
             target = float(fbm_covariance(s, t, hurst))
             z = abs(est - target) / se
             worst = max(worst, z)
-            ok &= z <= 4.0
+            ok &= z <= COVARIANCE_Z.gate
             rows.append({"hurst": hurst, "s": s, "t": t, "estimate": est,
                          "target": target, "stderr": se, "z": z})
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 60.0
+    ok &= time.perf_counter() - start < COVARIANCE_SECONDS.gate
     return _result(
         "fbm-covariance", ok,
-        f"15 covariance checks, worst |z|={worst:.2f} (limit 4), {elapsed:.1f}s",
-        {"rows": rows, "worst_z": worst}, elapsed)
+        f"15 covariance checks, worst |z|={worst:.2f} (limit {COVARIANCE_Z.gate:g})",
+        {"rows": rows, "worst_z": worst})
 
 
 # --- criterion 2: occupation-times formula --------------------------------
 
 def criterion_occupation_formula(seed: int = 5) -> dict:
-    start = time.perf_counter()
     fine_steps = 1 << 10
     fbm = generate_fbm(0.25, 1, TimeGrid(1.0, fine_steps), seed)
 
@@ -130,17 +134,16 @@ def criterion_occupation_formula(seed: int = 5) -> dict:
         grid = SpatialGrid.cover(sub.T, h)
         residuals.append(occupation_formula_residual(f, path, grid, 1.0))
     h_fine = 2.0 ** -10
-    bound = 1.0 * h_fine * 1.0 * 2.0  # Lip(f) * h * t * 2
+    bound = 1.0 * h_fine * 1.0 * OCCUPATION_SLACK.gate  # Lip(f) * h * t * slack
     x = np.arange(len(residuals), dtype=float)
     y = np.log2(residuals)
     slope = float(np.polyfit(x, y, 1)[0])
-    ok = residuals[-1] <= bound and -slope >= 0.8
-    elapsed = time.perf_counter() - start
+    ok = residuals[-1] <= bound and -slope >= OCCUPATION_RATE.gate
     return _result(
         "occupation-formula", ok,
         f"residual {residuals[-1]:.3e} <= {bound:.3e}, decay rate "
-        f"{-slope:.2f} per halving (need >= 0.8)",
-        {"residuals": residuals, "bound": bound, "rate": -slope}, elapsed)
+        f"{-slope:.2f} per halving (need >= {OCCUPATION_RATE.gate:g})",
+        {"residuals": residuals, "bound": bound, "rate": -slope})
 
 
 # --- criterion 3: dual averaging routes agree ------------------------------
@@ -159,7 +162,6 @@ def _random_lipschitz(rng: np.random.Generator, span: float = 3.0,
 
 
 def criterion_averaging_agreement(seed: int = 21) -> dict:
-    start = time.perf_counter()
     steps = 1 << 12
     h = 2.0 ** -8
     fbm = generate_fbm(0.25, 1, TimeGrid(1.0, steps), seed)
@@ -177,7 +179,7 @@ def criterion_averaging_agreement(seed: int = 21) -> dict:
         probes = avg.grid.centers_mesh()[::16]
         direct = average_direct(f, fbm, 0.0, 1.0, probes)
         gap = float(np.max(np.abs(direct - avg.values[::16])))
-        budget = convolution_agreement_bound(lip, h, 1.0) + 1e-12
+        budget = convolution_agreement_bound(lip, h, 1.0) + AVERAGING_ROUNDOFF.gate
         worst_excess = max(worst_excess, gap - budget)
         ok &= gap <= budget
         rows.append({"trial": trial, "gap": gap, "budget": budget, "lip": lip})
@@ -195,19 +197,17 @@ def criterion_averaging_agreement(seed: int = 21) -> dict:
     probes = avg_c.grid.centers_mesh()[::16]
     direct_c = average_direct(f_const, fbm, 0.0, 1.0, probes)
     exact_gap = float(np.max(np.abs(direct_c - avg_c.values[::16])))
-    ok &= exact_gap <= 1e-10
-    elapsed = time.perf_counter() - start
+    ok &= exact_gap <= AVERAGING_EXACT_GAP.gate
     return _result(
         "averaging-dual-route", ok,
         f"10 Lipschitz fields within budget (worst excess {worst_excess:.2e}), "
         f"bin-constant gap {exact_gap:.1e}",
-        {"rows": rows, "bin_constant_gap": exact_gap}, elapsed)
+        {"rows": rows, "bin_constant_gap": exact_gap})
 
 
 # --- criterion 4: regularization observable --------------------------------
 
 def criterion_regularization_gain(seed: int = 31) -> dict:
-    start = time.perf_counter()
     steps = 1 << 13
     h = 2.0 ** -9
     fbm = generate_fbm(0.1, 1, TimeGrid(1.0, steps), seed)
@@ -221,9 +221,9 @@ def criterion_regularization_gain(seed: int = 31) -> dict:
     # Estimate the spatial exponent on the central stretch of both fields.
     mid = averaged.values.size // 2
     window = averaged.values[mid - 1024: mid + 1024]
-    est_avg = holder_exponent(window, spacing=h)
+    est_avg = holder_exponent(window)
     est_raw = holder_exponent(f_vals[f_vals.size // 2 - 1024:
-                                     f_vals.size // 2 + 1024], spacing=h)
+                                     f_vals.size // 2 + 1024])
 
     # Stability: perturbations of shrinking L^p size, response in sup norm.
     rng = np.random.Generator(np.random.Philox(key=seed + 1))
@@ -238,22 +238,21 @@ def criterion_regularization_gain(seed: int = 31) -> dict:
         ys.append(math.log2(resp.sup_norm))
     slope = float(np.polyfit(xs, ys, 1)[0])
 
-    ok = (est_avg.exponent >= 0.5 and est_raw.exponent <= 0.15
-          and abs(slope - 1.0) <= 0.1)
-    elapsed = time.perf_counter() - start
+    ok = (est_avg.exponent >= AVERAGED_EXPONENT.gate
+          and est_raw.exponent <= RAW_EXPONENT.gate
+          and abs(slope - 1.0) <= STABILITY_SLOPE.gate)
     return _result(
         "regularization-gain", ok,
-        f"averaged exponent {est_avg.exponent:.2f} (need >= 0.5) vs raw "
-        f"{est_raw.exponent:.2f}, stability slope {slope:.3f}",
+        f"averaged exponent {est_avg.exponent:.2f} (need >= "
+        f"{AVERAGED_EXPONENT.gate:g}) vs raw {est_raw.exponent:.2f}, stability "
+        f"slope {slope:.3f}",
         {"averaged_exponent": est_avg.exponent, "raw_exponent": est_raw.exponent,
-         "stability_slope": slope}, elapsed)
+         "stability_slope": slope})
 
 
 # --- criterion 5: sewing engine -------------------------------------------
 
 def criterion_sewing_engine() -> dict:
-    start = time.perf_counter()
-
     def f_additive(s, t):
         return (math.sin(3.0 * t) + t * t) - (math.sin(3.0 * s) + s * s)
 
@@ -266,18 +265,19 @@ def criterion_sewing_engine() -> dict:
 
     res_div = sew(Germ(lambda s, t: math.sqrt(t - s)), 0.0, 1.0, levels=8)
 
-    ok = (add_err <= 1e-12
-          and res_rate.rate is not None and abs(res_rate.rate - 1.0) <= 0.1
-          and abs(value - 0.5) <= 1e-9
+    ok = (add_err <= SEWING_ADDITIVE.gate
+          and res_rate.rate is not None
+          and abs(res_rate.rate - 1.0) <= SEWING_RATE.gate
+          and abs(value - 0.5) <= SEWING_LIMIT.gate
           and not res_add.diverged and not res_rate.diverged
           and res_div.diverged)
-    elapsed = time.perf_counter() - start
     return _result(
         "sewing-engine", ok,
         f"additive invariance {add_err:.1e}, rate {res_rate.rate:.3f} "
-        f"(need 1 +- 0.1), limit {value:.6f}, sqrt germ diverged={res_div.diverged}",
+        f"(need 1 +- {SEWING_RATE.gate:g}), limit {value:.6f}, sqrt germ "
+        f"diverged={res_div.diverged}",
         {"additive_error": add_err, "rate": res_rate.rate, "value": value,
-         "sqrt_diverged": res_div.diverged}, elapsed)
+         "sqrt_diverged": res_div.diverged})
 
 
 # --- criteria 6-9: the shared singular scenario ----------------------------
@@ -361,9 +361,9 @@ def _kept_nodes(grid: TimeGrid, windows: list[tuple[int, int]] | None
     verify run those of moment_ratio's and the nodes martingale_reports
     reads for the node-pair windows."""
     if windows is None:
-        return tuple(sorted({k for pair in grid.dyadic_windows(MOMENT_TABLE_LEVEL)
+        return tuple(sorted({k for pair in grid.dyadic_windows(solver.MOMENT_TABLE_LEVEL)
                              for k in pair}))
-    return tuple(sorted({k for pair in grid.dyadic_windows(MOMENT_MAX_LEVEL)
+    return tuple(sorted({k for pair in grid.dyadic_windows(verify.MOMENT_MAX_LEVEL)
                          for k in pair} | martingale_nodes(windows)))
 
 
@@ -437,7 +437,6 @@ class SweepResults:
     martingale_reports: list[IdentityReport]
     qv_report: IdentityReport
     cauchy: MollifiedCauchyReport
-    elapsed: float
 
 
 def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField],
@@ -455,7 +454,6 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     each other field's paths for its isometry.  Every radius reads its
     field's solve and sums through its slot.
     """
-    start = time.perf_counter()
     tg = scenario.grid
     horizon = tg.horizon
     eps_seq = scenario.eps_seq
@@ -501,36 +499,35 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     cauchy = cauchy_report(scenario, ref_sums.ito[slot], fields, lp_grid, m)
     return SweepResults(ratio_reports, moment_ratio_trend(ratio_reports),
                         iso_reports, cross_reports, mart_reports,
-                        qv_report, cauchy, time.perf_counter() - start)
+                        qv_report, cauchy)
 
 
 @functools.cache
-def run_headline() -> SweepResults:
-    """The headline sweep, computed once per process; elapsed covers the build."""
+def run_headline() -> tuple[SweepResults, float]:
+    """The headline sweep, once per process, and its seconds to build and verify."""
     start = time.perf_counter()
     windows = [(0.25, 0.5), (0.5, 0.75), (0.25, 1.0)]
     scenario, fields, lp_grid, quant_grid = build_scenario(HEADLINE_CONFIG, windows)
     res = verify_scenario(scenario, fields, lp_grid, quant_grid, HEADLINE["m"],
                           HEADLINE["gamma0"], windows)
-    return replace(res, elapsed=time.perf_counter() - start)
+    return res, time.perf_counter() - start
 
 
 def criterion_moment_bound() -> dict:
-    res = run_headline()
+    res, seconds = run_headline()
     trend = res.trend
-    ok = trend["uniform"] and res.elapsed < 600.0
+    ok = trend["uniform"] and seconds < SWEEP_SECONDS.gate
     return _result(
         "moment-bound-uniformity", ok,
-        f"ratio spread {trend['spread']:.2f} (limit 2), increasing tail: "
-        f"{trend['increasing_tail']}, scenario built in {res.elapsed:.0f}s",
+        f"ratio spread {trend['spread']:.2f} (limit {TREND_SPREAD.gate:g}), "
+        f"increasing tail: {trend['increasing_tail']}",
         {"ratios": trend["ratios"], "spread": trend["spread"],
          "increasing_tail": trend["increasing_tail"],
-         "per_eps": [r.to_dict() for r in res.ratio_reports]}, res.elapsed)
+         "per_eps": [r.to_dict() for r in res.ratio_reports]})
 
 
 def criterion_ito_isometry() -> dict:
-    start = time.perf_counter()
-    res = run_headline()
+    res, _ = run_headline()
     iso_ok = all(r.passed for r in res.iso_reports)
     qv_ok = res.qv_report.passed
 
@@ -538,17 +535,16 @@ def criterion_ito_isometry() -> dict:
     exact = _identity_field_reports()[0]
     const_ok = all(r.passed for r in exact)
     ok = iso_ok and qv_ok and const_ok
-    worst = max(abs(r.left - r.right) / (4.0 * r.stderr + r.margin)
-                for r in res.iso_reports)
+    worst = max(r.usage for r in res.iso_reports)
     return _result(
         "ito-isometry", ok,
-        f"isometry at 5 radii (worst gap/(4se+margin) {worst:.2f}), quadratic "
-        f"variation gap {abs(res.qv_report.left - res.qv_report.right):.2e}, "
+        f"isometry at 5 radii (worst gap/({IDENTITY_STDERRS.gate:g}se+margin) "
+        f"{worst:.2f}), quadratic variation gap "
+        f"{abs(res.qv_report.left - res.qv_report.right):.2e}, "
         f"constant-field checks exact={const_ok}",
         {"isometry": [r.to_dict() for r in res.iso_reports],
          "quadratic_variation": res.qv_report.to_dict(),
-         "constant_field": [r.to_dict() for r in exact]},
-        time.perf_counter() - start)
+         "constant_field": [r.to_dict() for r in exact]})
 
 
 @functools.cache
@@ -577,11 +573,9 @@ def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
 
 
 def criterion_martingale_residuals() -> dict:
-    start = time.perf_counter()
-    res = run_headline()
+    res, _ = run_headline()
     bad = [r for r in res.martingale_reports if not r.passed]
-    worst = max(abs(r.left) / (4.0 * r.stderr) if r.stderr > 0 else 0.0
-                for r in res.martingale_reports)
+    worst = max(r.usage for r in res.martingale_reports)
 
     # Identity field: residuals pass and the compensators are exactly the
     # window length on every path, so the zero expectation carries no
@@ -596,37 +590,34 @@ def criterion_martingale_residuals() -> dict:
     return _result(
         "martingale-residuals", ok,
         f"{len(res.martingale_reports)} residuals across 3 families, worst "
-        f"|resid|/(4se) = {worst:.2f} (limit 1); identity-field compensators "
-        f"exact: {comp_exact}",
+        f"|resid|/({IDENTITY_STDERRS.gate:g}se) = {worst:.2f} (limit 1); "
+        f"identity-field compensators exact: {comp_exact}",
         {"n_reports": len(res.martingale_reports), "worst": worst,
          "failed": [r.to_dict() for r in bad],
-         "identity_passed": id_ok, "identity_compensators_exact": comp_exact},
-        time.perf_counter() - start)
+         "identity_passed": id_ok, "identity_compensators_exact": comp_exact})
 
 
 def criterion_mollified_cauchy() -> dict:
-    start = time.perf_counter()
-    res = run_headline()
+    res, _ = run_headline()
     diffs = res.cauchy.consecutive_diffs
     gaps = res.cauchy.sigma_gaps
-    decreasing = all(b <= 1.1 * a for a, b in zip(diffs, diffs[1:]))
+    decreasing = all(b <= CAUCHY_GROWTH.gate * a for a, b in zip(diffs, diffs[1:]))
     ratios = list(res.cauchy.tracking_ratios)
     geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-    tracked = all(geo / 3.0 <= r <= 3.0 * geo for r in ratios)
+    factor = CAUCHY_TRACKING.gate
+    tracked = all(geo / factor <= r <= factor * geo for r in ratios)
     ok = decreasing and tracked
     return _result(
         "mollified-cauchy", ok,
         f"integral gaps decrease ({', '.join(f'{d:.3g}' for d in diffs)}), "
-        f"tracking ratios within x3 of {geo:.3g}: {tracked}",
+        f"tracking ratios within x{factor:g} of {geo:.3g}: {tracked}",
         {"diffs": list(diffs), "sigma_gaps": list(gaps), "ratios": ratios,
-         "geometric_mean_ratio": geo, "decreasing": decreasing},
-        time.perf_counter() - start)
+         "geometric_mean_ratio": geo, "decreasing": decreasing})
 
 
 # --- criterion 10: admissibility arithmetic --------------------------------
 
 def criterion_admissibility() -> dict:
-    start = time.perf_counter()
     checks = [
         ("main d=1 p=2", hurst_admissible_main(1, 2.0), 0.25),
         ("main d=2 p=4", hurst_admissible_main(2, 4.0), 0.2),
@@ -640,7 +631,7 @@ def criterion_admissibility() -> dict:
         "admissibility-thresholds", ok,
         "four closed-form thresholds match exactly" if ok else
         "threshold mismatch: " + str([r for r in rows if not r["exact"]]),
-        {"rows": rows}, time.perf_counter() - start)
+        {"rows": rows})
 
 
 ALL_CRITERIA = {

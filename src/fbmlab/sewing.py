@@ -15,14 +15,13 @@ critical window exponent looks like.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, require_memory
 from .averaging import _ols_slope
+from .verdicts import SEWING_DIVERGENCE_RUN
 
 _DIFF_FLOOR_RTOL = 1e-13
 
@@ -36,13 +35,18 @@ class Germ:
     def __call__(self, s: float, t: float) -> np.ndarray:
         return np.asarray(self._fn(s, t), dtype=float)
 
-    def level_values(self, nodes: np.ndarray):
-        """Values on the windows between consecutive nodes, in order.
+    def level_values(self, nodes: np.ndarray) -> np.ndarray:
+        """Values on the windows between consecutive nodes, one row each.
 
         The sewing engine asks for a whole partition level at once; a germ
         that can evaluate every window in one pass overrides this.
         """
-        return [self(a, b) for a, b in zip(nodes[:-1], nodes[1:])]
+        first = self(nodes[0], nodes[1])
+        values = np.empty((nodes.size - 1,) + first.shape)
+        values[0] = first
+        for i in range(1, nodes.size - 1):
+            values[i] = self(nodes[i], nodes[i + 1])
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,24 +71,26 @@ class SewingResult:
 
 def _partition_sum(germ: Germ, s: float, t: float, level: int) -> np.ndarray:
     nodes = s + (t - s) * np.arange((1 << level) + 1) / (1 << level)
-    # Left to right, one addition per window: the order fixes the bits.
-    return np.asarray(functools.reduce(operator.add, germ.level_values(nodes)),
-                      dtype=float)
+    values = np.asarray(germ.level_values(nodes), dtype=float)
+    # A left fold, one addition per window, fixes the bits; np.sum adds pairwise.
+    return np.array(np.add.accumulate(values, axis=0)[-1])
 
 
 def sew(germ: Germ, s: float, t: float, levels: int = 10) -> SewingResult:
     """Dyadic partition sums of the germ over [s, t] with convergence diagnostics.
 
-    levels >= 3 so that divergence (three consecutive non-decreasing level
-    differences above the noise floor) is observable at all.  The finest
-    partition's 2**levels + 1 nodes, 8 bytes each, must fit in physical
+    levels >= SEWING_DIVERGENCE_RUN so that divergence (that many consecutive
+    non-decreasing level differences above the noise floor) is observable
+    at all.  The finest partition's 2**levels + 1 nodes, a scalar germ's
+    values and their running sum, 24 bytes a node, must fit in physical
     memory; above 64 levels the count stops at 2**64 + 1, still too many.
     """
     if not s < t:
         raise ParameterError(f"need s < t, got s={s}, t={t}")
-    if levels < 3:
-        raise ParameterError(f"levels must be >= 3, got {levels}")
-    require_memory(8 * ((1 << min(levels, 64)) + 1), f"sewing at {levels} levels")
+    run = SEWING_DIVERGENCE_RUN.gate
+    if levels < run:
+        raise ParameterError(f"levels must be >= {run}, got {levels}")
+    require_memory(24 * ((1 << min(levels, 64)) + 1), f"sewing at {levels} levels")
     sums = [_partition_sum(germ, s, t, k) for k in range(levels + 1)]
     diffs = [float(np.linalg.norm(np.atleast_1d(sums[k + 1] - sums[k])))
              for k in range(levels)]
@@ -92,9 +98,8 @@ def sew(germ: Germ, s: float, t: float, levels: int = 10) -> SewingResult:
     floor = _DIFF_FLOOR_RTOL * max(scale, 1.0)
 
     live = [d > floor for d in diffs]
-    diverged = any(live[k] and live[k + 1] and live[k + 2]
-                   and diffs[k] <= diffs[k + 1] <= diffs[k + 2]
-                   for k in range(len(diffs) - 2))
+    diverged = any(all(live[k:k + run]) and diffs[k:k + run] == sorted(diffs[k:k + run])
+                   for k in range(len(diffs) - run + 1))
 
     usable = [(k, d) for k, d in enumerate(diffs) if live[k]]
     rate = half_width = None

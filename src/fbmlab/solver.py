@@ -104,18 +104,17 @@ class QuenchedScenario:
 
 
 def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
-                 db: np.ndarray, x0: np.ndarray,
-                 blowup_bound: float) -> tuple[np.ndarray, np.ndarray]:
+                 db: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scheme for k fields over one batch of drivers, advanced together.
 
     Field e moves its own state X^e, and each step reads every field at
     its own X^e_k - w_k with one call of one evaluate_members function.
     w_values has shape (d, steps + 1) and db (paths, n, steps); returns
     values (k, paths, d, steps + 1) and the first blow-up step per field
-    and path (k, paths; -1 when none).  Paths are frozen at their last
-    finite state after blowing up so ensemble statistics can simply mask
-    them out.  Slice e depends on field e alone: it is bit-equal to the
-    scheme for [fields[e]].
+    and path (k, paths; -1 when none), against BLOWUP_BOUND as it reads at
+    call time.  Paths are frozen at their last finite state after blowing
+    up so ensemble statistics can simply mask them out.  Slice e depends on
+    field e alone: it is bit-equal to the scheme for [fields[e]].
     """
     n_paths, _, steps = db.shape
     shape = (len(fields), n_paths, x0.size)
@@ -129,7 +128,7 @@ def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
         mats = evaluate(x - w_values[:, k])
         step = np.einsum("epij,pj->epi", mats, db[:, :, k])
         x = np.where(alive[..., None], x + step, x)
-        bad = alive & (~np.isfinite(x).all(axis=-1) | (np.abs(x).max(axis=-1) > blowup_bound))
+        bad = alive & (~np.isfinite(x).all(axis=-1) | (np.abs(x).max(axis=-1) > BLOWUP_BOUND))
         if np.any(bad):
             x = np.where(bad[..., None], values[..., k], x)
             blowup[bad] = k + 1
@@ -180,12 +179,12 @@ class Ensemble:
         for k0, k1 in windows:
             yield ends[:, :, column[k1]] - ends[:, :, column[k0]]
 
-    def moment_table(self, m: float,
-                     max_level: int = MOMENT_TABLE_LEVEL) -> list[dict]:
-        """Empirical E|X(t)-X(s)|^m with stderr over the dyadic window set."""
+    def moment_table(self, m: float) -> list[dict]:
+        """Empirical E|X(t)-X(s)|^m with stderr over the dyadic windows down
+        to level MOMENT_TABLE_LEVEL, read at call time."""
         rows = []
         grid = self.scenario.grid
-        windows = grid.dyadic_windows(max_level)
+        windows = grid.dyadic_windows(MOMENT_TABLE_LEVEL)
         for (k0, k1), inc in zip(windows, self.window_increments(windows)):
             mags = np.linalg.norm(inc, axis=1) ** m
             rows.append({"s": k0 * grid.dt, "t": k1 * grid.dt, "m": m,
@@ -206,8 +205,7 @@ def solve_fields(scenario: QuenchedScenario,
            for f in fields):
         raise ParameterError("field shape differs from the scenario's")
     values, blowup = _euler_batch(fields, scenario.fbm.values,
-                                  scenario.driver_increments, scenario.x0,
-                                  BLOWUP_BOUND)
+                                  scenario.driver_increments, scenario.x0)
     return [Ensemble(scenario, None, v, b) for v, b in zip(values, blowup)]
 
 

@@ -17,6 +17,7 @@ threshold a pure sampling-error statement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,9 @@ from .errors import ParameterError
 from .occupation import SpatialGrid
 from .sewing import Germ, sew
 from .solver import Ensemble, PathSums, _stderr
+from .verdicts import (CROSS_TERM_MARGIN, IDENTITY_STDERRS, ISOMETRY_MARGIN,
+                       QUADRATIC_VARIATION_MARGIN, TREND_RISING_TAIL,
+                       TREND_SPREAD)
 
 WEIGHT_DICTIONARY_VERSION = 1
 _CLIP = 1.0
@@ -47,9 +51,20 @@ class IdentityReport:
     margin: float
     extras: dict = field(default_factory=dict)
 
+    def _gap_and_gate(self) -> tuple[float, float]:
+        return (abs(self.left - self.right),
+                IDENTITY_STDERRS.gate * self.stderr + self.margin)
+
     @property
     def passed(self) -> bool:
-        return abs(self.left - self.right) <= 4.0 * self.stderr + self.margin
+        gap, gate = self._gap_and_gate()
+        return gap <= gate
+
+    @property
+    def usage(self) -> float:
+        """The gap over its gate: at most 1 when the report passes."""
+        gap, gate = self._gap_and_gate()
+        return gap / gate if gate > 0.0 else (0.0 if gap == 0.0 else math.inf)
 
     def to_dict(self) -> dict:
         return {"tag": self.tag, "label": self.label, "left": self.left,
@@ -68,7 +83,6 @@ class MomentRatioReport:
     stderr: float
     gamma0_in_range: bool
     n_paths: int
-    window_ratios: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
         return {"m": self.m, "gamma0": self.gamma0, "epsilon": self.epsilon,
@@ -76,13 +90,12 @@ class MomentRatioReport:
                 "gamma0_in_range": self.gamma0_in_range, "n_paths": self.n_paths}
 
 
-def moment_ratio(ensemble: Ensemble, m: float, gamma0: float, *,
-                 max_level: int = MOMENT_MAX_LEVEL) -> MomentRatioReport:
+def moment_ratio(ensemble: Ensemble, m: float, gamma0: float) -> MomentRatioReport:
     """max over dyadic windows of mean |X(t)-X(s)|^m / (t-s)^(m gamma0 / 2).
 
-    The window set runs over dyadic levels 0..max_level.  The default stops
-    at level 4 so the finest windows still average many solver steps; below
-    that scale the frozen-coefficient scheme sees the raw spike of the
+    The window set runs over dyadic levels 0..MOMENT_MAX_LEVEL, as read at
+    call time.  Level 4 leaves the finest windows many solver steps wide;
+    below that the frozen-coefficient scheme sees the raw spike of the
     coefficient and the discrete moments leave the continuum regime.
 
     The stderr is a path bootstrap of the max statistic, which respects the
@@ -91,7 +104,7 @@ def moment_ratio(ensemble: Ensemble, m: float, gamma0: float, *,
     if m < 2.0:
         raise ParameterError(f"m must be >= 2, got {m}")
     grid = ensemble.scenario.grid
-    windows = grid.dyadic_windows(max_level)
+    windows = grid.dyadic_windows(MOMENT_MAX_LEVEL)
     mags = np.empty((int(ensemble.ok_mask.sum()), len(windows)))
     weights = np.empty(len(windows))
     increments = ensemble.window_increments(windows)
@@ -110,8 +123,7 @@ def moment_ratio(ensemble: Ensemble, m: float, gamma0: float, *,
     d = ensemble.scenario.dimension
     in_range = gamma0 < 1.0 - hurst * d / 2.0
     return MomentRatioReport(m, gamma0, ensemble.epsilon, ratio,
-                             float(stats.std(ddof=1)), in_range, n,
-                             tuple(float(r) for r in ratios))
+                             float(stats.std(ddof=1)), in_range, n)
 
 
 def moment_ratio_trend(reports: list[MomentRatioReport]) -> dict:
@@ -120,11 +132,12 @@ def moment_ratio_trend(reports: list[MomentRatioReport]) -> dict:
         raise ParameterError("need at least two radii for a trend")
     ratios = [r.ratio for r in reports]
     spread = max(ratios) / min(ratios)
-    tail = ratios[-3:]
-    increasing_tail = len(tail) == 3 and tail[0] < tail[1] < tail[2]
+    run = TREND_RISING_TAIL.gate
+    tail = ratios[-run:]
+    increasing_tail = len(tail) == run and all(a < b for a, b in zip(tail, tail[1:]))
     return {"ratios": ratios, "spread": spread,
             "increasing_tail": increasing_tail,
-            "uniform": spread <= 2.0 and not increasing_tail}
+            "uniform": spread <= TREND_SPREAD.gate and not increasing_tail}
 
 
 def quantized_perturbation(fbm_values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -170,7 +183,8 @@ class _QuantizedAverageGerm(Germ):
 
 def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGrid,
                        window: tuple[float, float], *, levels: int = 8,
-                       margin_fraction: float = 0.05) -> IdentityReport:
+                       margin_fraction: float = QUADRATIC_VARIATION_MARGIN.gate
+                       ) -> IdentityReport:
     """Pathwise check: time quadrature of f(X - w) vs the sewn averaging germ.
 
     Left: sum of f(X(t_k) - w(t_k)) dt over the window.  Right: dyadic
@@ -226,7 +240,7 @@ def _end_increments(ensemble: Ensemble) -> np.ndarray:
 
 
 def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, *,
-                    margin_fraction: float = 0.05) -> IdentityReport:
+                    margin_fraction: float = ISOMETRY_MARGIN.gate) -> IdentityReport:
     """E[(X_0(T) - x0_0)^2] at the horizon T against the averaged squared
     row of a field.
 
@@ -244,7 +258,8 @@ def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, *,
 
 def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, *,
                       epsilon: float | None = None,
-                      margin_fraction: float = 0.05) -> IdentityReport:
+                      margin_fraction: float = CROSS_TERM_MARGIN.gate
+                      ) -> IdentityReport:
     """Pairing of the martingale with the mollified integral vs the mixed germ.
 
     sums is a reference walk_ensemble pass over ensemble (windows given),
@@ -323,8 +338,8 @@ def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
 
     Each family is weighted by every entry of weight_dictionary, read at
     the window start and half of it.  Every family has expectation exactly
-    zero for the scheme, so the pass criterion is |residual| <= 4 stderr
-    with no discretization margin.
+    zero for the scheme, so the pass criterion is IDENTITY_STDERRS standard
+    errors with no discretization margin.
     """
     scen = ensemble.scenario
     reports = []

@@ -1,6 +1,8 @@
 """Front-end parsing, validation exit codes and artifact layout."""
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -402,6 +404,26 @@ def test_run_e0_artifacts_are_byte_stable(tmp_path, capsys):
     assert (first / "config.json").read_bytes() == (second / "config.json").read_bytes()
 
 
+def test_run_e1_summary_holds_no_wall_time(tmp_path, monkeypatch, capsys):
+    """E1's summary.json has the same bytes however long its covariance
+    audit takes; run_meta.json holds the seconds, by criterion id."""
+    monkeypatch.setitem(ALL_CRITERIA, "fbm-covariance", functools.partial(
+        experiments.criterion_fbm_covariance, n_paths=200, steps=64))
+    summaries, metas = [], []
+    for step in (1.0, 2.5):
+        clock = itertools.count(0.0, step)
+        monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+        out_dir = tmp_path / f"step-{step}"
+        assert main(["run", "--experiment", "E1", "--out", str(out_dir)]) == 0
+        summaries.append((out_dir / "summary.json").read_bytes())
+        metas.append(json.loads((out_dir / "run_meta.json").read_text()))
+    capsys.readouterr()
+    assert summaries[0] == summaries[1]
+    for meta in metas:
+        assert list(meta["criterion_s"]) == ["fbm-covariance"]
+        assert meta["criterion_s"]["fbm-covariance"] > 0
+
+
 # sha256 of fbmlab run --experiment E0's summary.json, pinned with numpy 2.4
 # on Python 3.11 (x86-64).  Any change to the identity-field control's
 # solve, walk or reports that moves a bit of it fails here.
@@ -451,7 +473,7 @@ def test_identity_control_is_solved_and_walked_once(tmp_path, monkeypatch, capsy
              "eps": [0.5, 0.25]}
     sweep = experiments.verify_scenario(*experiments.build_scenario(small), 2.0,
                                         0.5, [(0.25, 0.5)])
-    monkeypatch.setattr(experiments, "run_headline", lambda: sweep)
+    monkeypatch.setattr(experiments, "run_headline", lambda: (sweep, 0.0))
     solved, walked = [], []
 
     def logged(log, fn):
@@ -485,7 +507,7 @@ def test_run_calls_each_criterion_once_and_propagates_type_errors(
     def criterion(*args, **kwargs):
         calls.append("ok")
         return {"id": "sewing-engine", "passed": True, "summary": "stub",
-                "details": {}, "elapsed_s": 0.0}
+                "details": {}}
 
     def broken(*args, **kwargs):
         calls.append("broken")

@@ -1,6 +1,7 @@
 """Dyadic sewing and the level-wise averaged germ."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fbmlab import (Germ, MollifierSpec, ParameterError, SpatialGrid,
                     TimeGrid, generate_fbm, hs_norm_sq, lebesgue_vs_sewing,
                     mollify, quantized_perturbation, sew, singular_example)
-from fbmlab import verify
+from fbmlab import sewing, verify
 
 LEFT_LINEAR = Germ(lambda s, t: s * (t - s))
 
@@ -62,6 +63,29 @@ def test_sew_validation():
         sew(LEFT_LINEAR, 1.0, 1.0)
     with pytest.raises(ParameterError):
         sew(LEFT_LINEAR, 0.0, 1.0, levels=2)
+
+
+
+@pytest.mark.parametrize("levels", [12, 14])
+def test_sew_peak_memory_lies_between_its_guard_count_and_twice_that(
+        levels, monkeypatch):
+    """The guard counts the finest partition's nodes, the germ's values and
+    their running sum; sew holds little else at its peak."""
+    counted = []
+    guard = sewing.require_memory
+
+    def spy(needed, what):
+        counted.append(needed)
+        guard(needed, what)
+
+    monkeypatch.setattr(sewing, "require_memory", spy)
+    tracemalloc.start()
+    try:
+        sew(LEFT_LINEAR, 0.0, 1.0, levels=levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted[0] <= peak <= 2 * counted[0]
 
 
 # --- reference: one germ call per window ---------------------------------------

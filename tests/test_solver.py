@@ -124,10 +124,14 @@ def test_solves_are_deterministic_and_split_independent(d, order, k, bound, spli
     chosen = [members[e] for e in order[:k]]
     db = generate_bm_increments(d, GRID, BASE_SEED, 32)
     x0 = np.full(d, 0.3)
-    values, blowup = _euler_batch(chosen, fbm.values, db, x0, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "BLOWUP_BOUND", bound)
+        values, blowup = _euler_batch(chosen, fbm.values, db, x0)
+        one = [_euler_batch([fld], fbm.values, db, x0) for fld in chosen]
+        head = _euler_batch(chosen, fbm.values, db[:split], x0)
+        tail = _euler_batch(chosen, fbm.values, db[split:], x0)
     assert values.shape == (k, 32, d, GRID.steps + 1) and blowup.shape == (k, 32)
-    for j, fld in enumerate(chosen):
-        one_values, one_blowup = _euler_batch([fld], fbm.values, db, x0, bound)
+    for j, (fld, (one_values, one_blowup)) in enumerate(zip(chosen, one)):
         ref_values, ref_blowup = _reference_scheme(fld, fbm.values, db, x0, bound)
         for got in (values[j], one_values[0]):
             assert np.array_equal(got, ref_values)
@@ -137,8 +141,6 @@ def test_solves_are_deterministic_and_split_independent(d, order, k, bound, spli
         # The low bound freezes some paths of every field, not all of them,
         # so the flags split too.
         assert np.all((blowup >= 0).any(axis=1) & (blowup < 0).any(axis=1))
-    head = _euler_batch(chosen, fbm.values, db[:split], x0, bound)
-    tail = _euler_batch(chosen, fbm.values, db[split:], x0, bound)
     for whole, part_head, part_tail in zip((values, blowup), head, tail):
         assert np.array_equal(np.concatenate([part_head, part_tail], axis=1), whole)
 
@@ -180,8 +182,10 @@ def test_euler_scheme_is_adapted(d, order, n_fields, k, seed, bound, value):
     changed = db.copy()
     changed[:, :, k] = value
     x0 = np.full(d, 0.5)
-    values, blowup = _euler_batch(chosen, fbm.values, db, x0, bound)
-    values_c, blowup_c = _euler_batch(chosen, fbm.values, changed, x0, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "BLOWUP_BOUND", bound)
+        values, blowup = _euler_batch(chosen, fbm.values, db, x0)
+        values_c, blowup_c = _euler_batch(chosen, fbm.values, changed, x0)
     assert np.array_equal(values[..., :k + 1], values_c[..., :k + 1])
 
     def by_step_k(steps):
@@ -215,9 +219,10 @@ def test_ensemble_blowup_abort_and_masking(monkeypatch):
     assert not ens.ok_mask.any()
 
 
-def test_moment_table_layout():
+def test_moment_table_layout(monkeypatch):
     ens = _solve(_identity_scenario())
-    rows = ens.moment_table(2.0, max_level=4)
+    monkeypatch.setattr(solver, "MOMENT_TABLE_LEVEL", 4)
+    rows = ens.moment_table(2.0)
     assert len(rows) == 31  # 1 + 2 + 4 + 8 + 16 dyadic windows
     for row in rows:
         assert row["s"] < row["t"]

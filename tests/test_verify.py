@@ -37,26 +37,27 @@ def test_quantized_perturbation_snaps_left_endpoints():
     assert np.array_equal(snapped, [[-0.9], [0.125], [0.375]])
 
 
-def test_moment_ratio_identity_coefficient_windows():
+def test_moment_ratio_identity_coefficient_windows(monkeypatch):
     """X = B, so mean |X(t)-X(s)|^m / (t-s)^(m/2) is 1 for m = 2 and 3 for
     m = 4 on every dyadic window, up to sampling error."""
     targets = {(13, 2.0): (1.0, 1.0010279903459982),
                (13, 4.0): (3.0, 3.154662021055356),
                (14, 2.0): (1.0, 0.9979935786086375),
                (14, 4.0): (3.0, 3.014906406948211)}
+    monkeypatch.setattr(verify, "MOMENT_MAX_LEVEL", 1)
     for (seed, m), (target, frozen) in targets.items():
-        report = moment_ratio(_identity_ensemble(seed), m, 1.0, max_level=1)
+        report = moment_ratio(_identity_ensemble(seed), m, 1.0)
         assert report.ratio == pytest.approx(frozen, rel=1e-12)
         assert abs(report.ratio - target) <= 4.0 * report.stderr
-        assert len(report.window_ratios) == 3
         assert report.n_paths == N_PATHS
 
 
-def test_moment_ratio_gamma_range_flag():
+def test_moment_ratio_gamma_range_flag(monkeypatch):
     ens = _identity_ensemble(13)
+    monkeypatch.setattr(verify, "MOMENT_MAX_LEVEL", 1)
     # The admissible range at hurst 0.2, d = 1 is gamma0 < 0.9.
-    assert moment_ratio(ens, 2.0, 0.5, max_level=1).gamma0_in_range
-    assert not moment_ratio(ens, 2.0, 1.0, max_level=1).gamma0_in_range
+    assert moment_ratio(ens, 2.0, 0.5).gamma0_in_range
+    assert not moment_ratio(ens, 2.0, 1.0).gamma0_in_range
     with pytest.raises(ParameterError):
         moment_ratio(ens, 1.5, 0.5)
 

@@ -307,7 +307,7 @@ def test_walk_rejects_too_few_snapped_positions():
 
 def _sweep_record(res):
     """Every report, the terminals and the Cauchy gaps of a sweep."""
-    return ([(r.to_dict(), r.window_ratios) for r in res.ratio_reports], res.trend,
+    return ([r.to_dict() for r in res.ratio_reports], res.trend,
             [r.to_dict() for r in res.iso_reports + res.cross_reports
              + res.martingale_reports + [res.qv_report]],
             res.cauchy.terminal_integrals.tobytes(), res.cauchy.consecutive_diffs,
