@@ -358,7 +358,7 @@ def _load_config(args) -> dict:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
-    scenario, fields, _lp, _quant = build_scenario(cfg)
+    scenario, fields = build_scenario(cfg)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -383,9 +383,8 @@ def _cmd_verify(args) -> int:
         raise ParameterError(f"m must be >= 2, got {cfg['m']}")
     half = cfg["horizon"] / 2.0
     windows = [(half / 2.0, half), (half, cfg["horizon"])]
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, windows)
-    res = verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
-                          cfg["gamma0"], windows)
+    scenario, fields = build_scenario(cfg, windows)
+    res = verify_scenario(scenario, fields, cfg["m"], cfg["gamma0"], windows)
     reports = [r for pair in zip(res.iso_reports, res.cross_reports) for r in pair]
     reports += res.martingale_reports + [res.qv_report]
     rows = [r.to_dict() for r in reports]

@@ -117,7 +117,8 @@ def criterion_fbm_covariance(n_paths: int = 20000, steps: int = 1024,
 
 # --- criterion 2: occupation-times formula --------------------------------
 
-def criterion_occupation_formula(seed: int = 5) -> dict:
+def criterion_occupation_formula() -> dict:
+    seed = 5
     fine_steps = 1 << 10
     fbm = generate_fbm(0.25, 1, TimeGrid(1.0, fine_steps), seed)
 
@@ -148,8 +149,8 @@ def criterion_occupation_formula(seed: int = 5) -> dict:
 
 # --- criterion 3: dual averaging routes agree ------------------------------
 
-def _random_lipschitz(rng: np.random.Generator, span: float = 3.0,
-                      knot_step: float = 0.25):
+def _random_lipschitz(rng: np.random.Generator, span: float = 3.0):
+    knot_step = 0.25
     knots = np.arange(-span, span + knot_step / 2, knot_step)
     vals = rng.normal(0.0, 1.0, knots.size)
     vals[0] = vals[-1] = 0.0
@@ -161,7 +162,8 @@ def _random_lipschitz(rng: np.random.Generator, span: float = 3.0,
     return f, lip, float(np.max(np.abs(vals)))
 
 
-def criterion_averaging_agreement(seed: int = 21) -> dict:
+def criterion_averaging_agreement() -> dict:
+    seed = 21
     steps = 1 << 12
     h = 2.0 ** -8
     fbm = generate_fbm(0.25, 1, TimeGrid(1.0, steps), seed)
@@ -207,7 +209,8 @@ def criterion_averaging_agreement(seed: int = 21) -> dict:
 
 # --- criterion 4: regularization observable --------------------------------
 
-def criterion_regularization_gain(seed: int = 31) -> dict:
+def criterion_regularization_gain() -> dict:
+    seed = 31
     steps = 1 << 13
     h = 2.0 ** -9
     fbm = generate_fbm(0.1, 1, TimeGrid(1.0, steps), seed)
@@ -283,7 +286,8 @@ def criterion_sewing_engine() -> dict:
 # --- criteria 6-9: the shared singular scenario ----------------------------
 
 def build_scenario(cfg: dict, martingale_windows=None):
-    """Scenario, mollified fields, L^p grid and quantization grid of a config.
+    """Scenario and fields by radius of a config: the mollified family of
+    a singular field, or the identity field itself at every radius.
 
     cfg uses the keys of HEADLINE_CONFIG.  martingale_windows are those a
     verify_scenario run will pass, or None for a solve_scenario run; the
@@ -305,12 +309,8 @@ def build_scenario(cfg: dict, martingale_windows=None):
     _check_memory(scenario, family_grid(scenario) if singular else None,
                   martingale_windows)
     if singular:
-        lp_grid, fields = mollified_family(scenario)
-    else:
-        lp_grid = SpatialGrid.from_box(-2.0, 2.0, 64, cfg["dimension"])
-        fields = {eps: sigma for eps in cfg["eps"]}
-    quant_grid = SpatialGrid.cover(fbm.values.T, grid_t.dt)
-    return scenario, fields, lp_grid, quant_grid
+        return scenario, mollified_family(scenario)
+    return scenario, {eps: sigma for eps in cfg["eps"]}
 
 
 def _chunk_paths(scenario: QuenchedScenario, n_fields: int) -> tuple[int, int]:
@@ -440,9 +440,8 @@ class SweepResults:
 
 
 def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField],
-                    lp_grid: SpatialGrid, quant_grid: SpatialGrid, m: float,
-                    gamma0: float, martingale_windows: list[tuple[float, float]]
-                    ) -> SweepResults:
+                    m: float, gamma0: float,
+                    martingale_windows: list[tuple[float, float]]) -> SweepResults:
     """Solve the ensemble at every radius and run the identity checks on it.
 
     The smallest radius gives the reference ensemble, which carries the
@@ -460,6 +459,7 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     e_min = eps_seq.index(min(eps_seq))
     distinct, slot = _distinct_fields(scenario, fields)
     ref = slot[e_min]
+    quant_grid = scenario.quant_grid
     snapped = quantized_perturbation(scenario.fbm.values, quant_grid)
     windows = [tg.window(s, t) for s, t in martingale_windows]
     path0 = None
@@ -496,7 +496,7 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     qv_report = lebesgue_vs_sewing(path0, scenario.fbm,
                                    hs_norm_sq(distinct[ref]), quant_grid,
                                    (horizon * 0.25, horizon * 0.75))
-    cauchy = cauchy_report(scenario, ref_sums.ito[slot], fields, lp_grid, m)
+    cauchy = cauchy_report(scenario, ref_sums.ito[slot], fields, m)
     return SweepResults(ratio_reports, moment_ratio_trend(ratio_reports),
                         iso_reports, cross_reports, mart_reports,
                         qv_report, cauchy)
@@ -507,9 +507,8 @@ def run_headline() -> tuple[SweepResults, float]:
     """The headline sweep, once per process, and its seconds to build and verify."""
     start = time.perf_counter()
     windows = [(0.25, 0.5), (0.5, 0.75), (0.25, 1.0)]
-    scenario, fields, lp_grid, quant_grid = build_scenario(HEADLINE_CONFIG, windows)
-    res = verify_scenario(scenario, fields, lp_grid, quant_grid, HEADLINE["m"],
-                          HEADLINE["gamma0"], windows)
+    scenario, fields = build_scenario(HEADLINE_CONFIG, windows)
+    res = verify_scenario(scenario, fields, HEADLINE["m"], HEADLINE["gamma0"], windows)
     return res, time.perf_counter() - start
 
 
@@ -561,7 +560,7 @@ def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
     scenario = QuenchedScenario(fbm, sigma, np.zeros(1), (0.25,), 4000, 13, p=2.0)
     ens, = solve_fields(scenario, [sigma])
     _abort_on_blowups(ens)
-    qgrid = SpatialGrid.cover(fbm.values.T, grid_t.dt)
+    qgrid = scenario.quant_grid
     pairs = [(0.25, 0.5), (0.5, 1.0)]
     sums = walk_ensemble(ens, [sigma], quantized_perturbation(fbm.values, qgrid),
                          [grid_t.window(s, t) for s, t in pairs])

@@ -46,7 +46,6 @@ class MatrixField:
     def __init__(self, oracle, d: int, n: int, *,
                  support_radius: float | None = None,
                  singular_points: tuple = (), label: str = "field",
-                 grid: SpatialGrid | None = None,
                  grid_values: np.ndarray | None = None):
         self._oracle = oracle
         self.d = int(d)
@@ -54,7 +53,6 @@ class MatrixField:
         self.support_radius = support_radius
         self.singular_points = tuple(np.asarray(q, dtype=float) for q in singular_points)
         self.label = label
-        self.grid = grid
         self.grid_values = grid_values
 
     def __call__(self, points) -> np.ndarray:
@@ -243,8 +241,7 @@ def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> Matri
         radius = min(radius, field.support_radius + eps)
     return MatrixField(lambda pts: _lattice_values(grid, out, radius, pts),
                        field.d, field.n, support_radius=radius,
-                       label=f"mollified({field.label},{eps})",
-                       grid=grid, grid_values=out)
+                       label=f"mollified({field.label},{eps})", grid_values=out)
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray, *, same: bool = False) -> np.ndarray:
@@ -423,8 +420,7 @@ class LatticeStack:
         # non-contiguous slice on every call.
         fld = MatrixField(lambda pts: _lattice_values(self.grid, self.table, radius, pts,
                                                       members=e),
-                          d, n, support_radius=radius, label=label,
-                          grid=self.grid, grid_values=table)
+                          d, n, support_radius=radius, label=label, grid_values=table)
         fld.lattice = (self, e)
         return fld
 

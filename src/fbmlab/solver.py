@@ -90,6 +90,11 @@ class QuenchedScenario:
     def driver_dimension(self) -> int:
         return self.sigma.n
 
+    @property
+    def quant_grid(self) -> SpatialGrid:
+        """The quantization grid of the frozen path: bins of width dt over its range."""
+        return SpatialGrid.cover(self.fbm.values.T, self.grid.dt)
+
     @functools.cached_property
     def driver_increments(self) -> np.ndarray:
         """Driver rows first_path .. first_path + ensemble_size - 1, (paths,
@@ -235,8 +240,7 @@ def family_grid(scenario: QuenchedScenario) -> SpatialGrid:
                        (2 * half_bins,) * scenario.dimension)
 
 
-def mollified_family(scenario: QuenchedScenario
-                     ) -> tuple[SpatialGrid, dict[float, MatrixField]]:
+def mollified_family(scenario: QuenchedScenario) -> dict[float, MatrixField]:
     """Mollified fields for every radius in the scenario, on family_grid.
 
     The fields are the members of one LatticeStack, so evaluate_together
@@ -252,9 +256,8 @@ def mollified_family(scenario: QuenchedScenario
         radii.append(fld.support_radius)
         labels.append(fld.label)
     stack = LatticeStack(grid, table, radii)
-    fields = {eps: stack.member(e, label=labels[e])
-              for e, eps in enumerate(scenario.eps_seq)}
-    return grid, fields
+    return {eps: stack.member(e, label=labels[e])
+            for e, eps in enumerate(scenario.eps_seq)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,16 +388,18 @@ class MollifiedCauchyReport:
 
 
 def cauchy_report(scenario: QuenchedScenario, terminals: np.ndarray,
-                  fields: dict[float, MatrixField], lp_grid: SpatialGrid,
-                  m: float) -> MollifiedCauchyReport:
+                  fields: dict[float, MatrixField], m: float) -> MollifiedCauchyReport:
     """Consecutive-radius gaps of the terminal Ito integrals (n_eps, paths, d).
 
     The terminals integrate each mollified field against the same drivers
     along one reference process, the smallest radius's solve, so the
     differences between consecutive radii isolate the field gap.  Pairs
-    their L^(m/2) distance with the L^p distance of the fields themselves,
-    which lp_norm takes by the midpoint rule: neither a mollified field nor
-    the identity flags a singular point, so their differences flag none.
+    their L^(m/2) distance with the L^p distance of the fields themselves.
+    Radii that share one field object, as every radius of the identity
+    sweep does, are 0.0 apart; family_grid of an unbounded field would span
+    1 / eps_min.  Other pairs are measured on family_grid by lp_norm's
+    midpoint rule: a mollified field flags no singular point, so neither
+    does a difference of two.
     """
     eps_seq = scenario.eps_seq
     half = m / 2.0
@@ -402,9 +407,8 @@ def cauchy_report(scenario: QuenchedScenario, terminals: np.ndarray,
     for a, b in zip(terminals[:-1], terminals[1:]):
         mags = np.linalg.norm(b - a, axis=1)
         diffs.append(float(np.mean(mags ** half) ** (1.0 / half)))
-    gaps = []
-    for ea, eb in zip(eps_seq[:-1], eps_seq[1:]):
-        gap_field = fields[eb] - fields[ea]
-        gaps.append(lp_norm(gap_field, scenario.p, lp_grid))
-    return MollifiedCauchyReport(eps_seq, terminals, tuple(diffs), tuple(gaps),
+    gaps = tuple(0.0 if fields[ea] is fields[eb]
+                 else lp_norm(fields[eb] - fields[ea], scenario.p, family_grid(scenario))
+                 for ea, eb in zip(eps_seq[:-1], eps_seq[1:]))
+    return MollifiedCauchyReport(eps_seq, terminals, tuple(diffs), gaps,
                                  m, scenario.p)

@@ -269,9 +269,10 @@ def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, *,
     mixed[e], the mixed germ (sigma sigma_eps^T)_00 of the scenario's
     unmollified sigma, accumulated at quantized perturbation positions.
     The ensemble should be the reference (smallest radius) solve; at that
-    radius the Ito sum reproduces the martingale increment bitwise, so the
-    left side collapses onto the isometry value and the sweep over radii
-    traces the convergence the stability result predicts.  Requires
+    radius the Ito sum equals the martingale increment up to rounding (the
+    walk adds from 0.0, the recursion from x0), so the left side collapses
+    onto the isometry value and the sweep over radii traces the
+    convergence the stability result predicts.  Requires
     d/p < 1 to mean anything, reported in extras.
     """
     scen = ensemble.scenario

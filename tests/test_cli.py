@@ -289,7 +289,7 @@ def _per_radius_solve(text: str):
     rows and stdout lines up to the first radius that aborts, and that
     radius's (epsilon, blow-up count), or None."""
     cfg = resolve_config(parse_config_text(text))
-    scenario, fields, _lp, _quant = experiments.build_scenario(cfg)
+    scenario, fields = experiments.build_scenario(cfg)
     rows, lines = [], []
     for eps in scenario.eps_seq:
         ens, = solver.solve_fields(scenario, [fields[eps]])
@@ -356,9 +356,8 @@ def test_solve_blowup_names_the_radius_of_the_per_radius_solves(
         monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
     else:
         def constant_family(scenario):
-            return experiments.family_grid(scenario), {
-                eps: constant_field(np.array([[1e9 if e in (1, 3) else 0.5]]))
-                for e, eps in enumerate(scenario.eps_seq)}
+            return {eps: constant_field(np.array([[1e9 if e in (1, 3) else 0.5]]))
+                    for e, eps in enumerate(scenario.eps_seq)}
 
         monkeypatch.setattr(experiments, "mollified_family", constant_family)
     _rows, lines, (eps, count) = _per_radius_solve(text)
@@ -471,8 +470,9 @@ def test_identity_control_is_solved_and_walked_once(tmp_path, monkeypatch, capsy
     # also read but which is not under test here.
     small = {**HEADLINE_CONFIG, "sigma": "identity", "steps": 64, "paths": 64,
              "eps": [0.5, 0.25]}
-    sweep = experiments.verify_scenario(*experiments.build_scenario(small), 2.0,
-                                        0.5, [(0.25, 0.5)])
+    windows = [(0.25, 0.5)]
+    sweep = experiments.verify_scenario(*experiments.build_scenario(small, windows),
+                                        2.0, 0.5, windows)
     monkeypatch.setattr(experiments, "run_headline", lambda: (sweep, 0.0))
     solved, walked = [], []
 
@@ -549,7 +549,7 @@ def test_pre_flight_estimates_one_chunk_of_the_sweep(tmp_path, monkeypatch, caps
     drawing the drivers of its first chunk.  10^9 paths are refused."""
     cfg = {**HEADLINE_CONFIG, "paths": 2_000_000}
     start = time.perf_counter()
-    scenario, _fields, _lp, _quant = experiments.build_scenario(cfg)
+    scenario, _fields = experiments.build_scenario(cfg)
     assert time.perf_counter() - start < 30.0
     assert "driver_increments" not in vars(scenario)
     with pytest.raises(ParameterError, match="physical memory"):

@@ -1,8 +1,15 @@
-"""The package namespace exports exactly what __all__ names."""
+"""The package namespace exports exactly what __all__ names, and the
+package's settable values stay counted."""
 
+import ast
 import types
+from pathlib import Path
 
 import fbmlab
+
+# Parameters with a default, and dataclass fields with a default, over
+# src/fbmlab.  A change that adds a setting moves this pin.
+SETTABLE_VALUES = 48
 
 
 def test_all_matches_the_public_namespace():
@@ -16,3 +23,20 @@ def test_all_matches_the_public_namespace():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert set(fbmlab.__all__) == public
+
+
+def test_settable_values_do_not_grow():
+    """Every parameter with a default in a def, and every dataclass field
+    with a default, is a value some caller can set.  Lambdas' defaults
+    (loop-variable captures) are not counted."""
+    count = 0
+    for path in Path(fbmlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    assert count <= SETTABLE_VALUES

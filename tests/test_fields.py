@@ -15,6 +15,7 @@ from fbmlab import (CLAMP_VALUE, ClampWarning, MatrixField, MollifierSpec,
                     singular_example)
 from fbmlab.fields import (_fftconvolve, _gamma, _next_fast_len, evaluate_members,
                            evaluate_together)
+from fbmlab.solver import family_grid
 
 
 def test_constant_and_identity_fields():
@@ -248,33 +249,33 @@ def _family(d: int):
             2, 3, support_radius=1.0)
     fbm = generate_fbm(0.2, d, TimeGrid(1.0, 16), 1)
     scen = QuenchedScenario(fbm, sigma, np.zeros(d), (0.5, 0.25), 4, 1)
-    grid, fields = mollified_family(scen)
-    return grid, [fields[eps] for eps in scen.eps_seq]
+    fields = mollified_family(scen)
+    return family_grid(scen), [fields[eps] for eps in scen.eps_seq]
 
 
 FAMILIES = {d: _family(d) for d in (1, 2)}
 
 
-def _per_entry_reference(fld, pts):
-    """A mollified field evaluated one matrix entry at a time."""
+def _per_entry_reference(grid, fld, pts):
+    """A mollified field on grid evaluated one matrix entry at a time."""
     table = fld.grid_values
     out = np.empty(pts.shape[:-1] + table.shape[-2:])
     for a in range(table.shape[-2]):
         for b in range(table.shape[-1]):
-            out[..., a, b] = multilinear_interpolate(fld.grid.lower, fld.grid.h,
+            out[..., a, b] = multilinear_interpolate(grid.lower, grid.h,
                                                      table[..., a, b], pts)
     out[np.linalg.norm(pts, axis=-1) > fld.support_radius] = 0.0
     return out
 
 
 def _assert_family_consistent(d, pts):
-    _grid, family = FAMILIES[d]
+    grid, family = FAMILIES[d]
     together = evaluate_together(family, pts)
     assert together.shape == pts.shape[:-1] + (len(family),) + family[0](pts).shape[-2:]
     for e, fld in enumerate(family):
         own = fld(pts)
         assert np.array_equal(together[..., e, :, :], own)
-        assert np.array_equal(own, _per_entry_reference(fld, pts))
+        assert np.array_equal(own, _per_entry_reference(grid, fld, pts))
     # The member-axis gather: members in any order, each at its own points.
     order = [1, 0, 1]
     own_pts = np.stack([pts, pts[::-1], 0.5 * pts])

@@ -12,7 +12,7 @@ from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, SpatialGrid,
                     generate_fbm, identity_field, mollified_family,
                     quantized_perturbation, singular_example, solver)
 from fbmlab.solver import (BLOWUP_BOUND, _abort_on_blowups, _euler_batch,
-                           cauchy_report, solve_fields, walk_ensemble)
+                           cauchy_report, family_grid, solve_fields, walk_ensemble)
 
 GRID = TimeGrid(1.0, 64)
 FBM = generate_fbm(0.2, 1, GRID, seed=5)
@@ -98,7 +98,7 @@ def _stack_members(d: int):
     fbm = generate_fbm(0.2, d, GRID, seed=5)
     scenario = QuenchedScenario(fbm, singular_example(0.4, 1.0, d), np.full(d, 0.5),
                                 (0.5, 0.375, 0.25, 0.125), 8, BASE_SEED)
-    _grid, fields = mollified_family(scenario)
+    fields = mollified_family(scenario)
     return fbm, [fields[eps] for eps in scenario.eps_seq]
 
 
@@ -148,7 +148,7 @@ def test_solves_are_deterministic_and_split_independent(d, order, k, bound, spli
 def test_radius_sweep_shares_drivers():
     scenario = QuenchedScenario(FBM, singular_example(0.4, 1.0, 1), [0.5],
                                 (0.5, 0.25), 16, BASE_SEED)
-    grid, fields = mollified_family(scenario)
+    fields = mollified_family(scenario)
     coarse = _solve(scenario, fields[0.5], 0.5)
     fine = _solve(scenario, fields[0.25], 0.25)
     assert coarse.epsilon == 0.5 and fine.epsilon == 0.25
@@ -160,7 +160,7 @@ def _adapted_fields(d: int):
     fbm = generate_fbm(0.2, d, GRID, seed=5)
     sigma = singular_example(0.4, 1.0, d)
     scenario = QuenchedScenario(fbm, sigma, np.full(d, 0.5), (0.5, 0.25), 8, BASE_SEED)
-    _grid, fields = mollified_family(scenario)
+    fields = mollified_family(scenario)
     return fbm, [sigma, fields[0.5], fields[0.25], identity_field(d)]
 
 
@@ -234,7 +234,8 @@ def test_moment_table_layout(monkeypatch):
 def test_mollified_family_grid_contract():
     scenario = QuenchedScenario(FBM, singular_example(0.4, 1.0, 1), [0.5],
                                 (0.5, 0.25), 8, BASE_SEED)
-    grid, fields = mollified_family(scenario)
+    fields = mollified_family(scenario)
+    grid = family_grid(scenario)
     assert grid.h == 0.25 / 4.0
     assert set(fields) == {0.5, 0.25}
     for eps, fld in fields.items():
@@ -250,12 +251,12 @@ def test_constant_field_sweep_has_no_gap():
     integral sums along the shared drivers cancel to rounding dust."""
     scenario = QuenchedScenario(FBM, constant_field(np.array([[2.0]])), [0.0],
                                 (0.0625, 0.05), 16, BASE_SEED)
-    lp_grid, fields = mollified_family(scenario)
+    fields = mollified_family(scenario)
     reference = _solve(scenario, fields[0.05], 0.05)
     snapped = quantized_perturbation(FBM.values, SpatialGrid.cover(FBM.values.T, GRID.dt))
     sums = walk_ensemble(reference, [fields[eps] for eps in scenario.eps_seq],
                          snapped, windows=[])
-    report = cauchy_report(scenario, sums.ito, fields, lp_grid, 4.0)
+    report = cauchy_report(scenario, sums.ito, fields, 4.0)
     assert report.eps_seq == (0.0625, 0.05)
     assert len(report.consecutive_diffs) == 1
     assert report.consecutive_diffs[0] < 1e-12

@@ -23,6 +23,7 @@ from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, SpatialGrid,
 from fbmlab import experiments, paths, solver
 from fbmlab.experiments import HEADLINE_CONFIG, build_scenario, verify_scenario
 from fbmlab.fields import lp_norm
+from fbmlab.solver import family_grid
 from fbmlab.verify import (cross_term_report, isometry_report,
                            martingale_reports)
 
@@ -180,9 +181,9 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
     if points is not None:
         monkeypatch.setattr(solver, "WALK_POINTS", points)
     cfg = _small_config(sigma, dimension)
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, WINDOWS)
-    res = verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
-                          cfg["gamma0"], WINDOWS)
+    scenario, fields = build_scenario(cfg, WINDOWS)
+    res = verify_scenario(scenario, fields, cfg["m"], cfg["gamma0"], WINDOWS)
+    quant_grid = SpatialGrid.cover(scenario.fbm.values.T, scenario.grid.dt)
 
     eps_seq = scenario.eps_seq
     eps_min = min(eps_seq)
@@ -207,8 +208,11 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
     half = cfg["m"] / 2.0
     diffs = tuple(float(np.mean(np.linalg.norm(b - a, axis=1) ** half) ** (1.0 / half))
                   for a, b in zip(terminals[:-1], terminals[1:]))
-    gaps = tuple(lp_norm(fields[b] - fields[a], scenario.p, lp_grid)
-                 for a, b in zip(eps_seq[:-1], eps_seq[1:]))
+    if sigma == "singular":
+        gaps = tuple(lp_norm(fields[b] - fields[a], scenario.p, family_grid(scenario))
+                     for a, b in zip(eps_seq[:-1], eps_seq[1:]))
+    else:  # one field at every radius
+        gaps = (0.0,) * (len(eps_seq) - 1)
     assert res.cauchy.consecutive_diffs == diffs
     assert res.cauchy.sigma_gaps == gaps
 
@@ -229,11 +233,8 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
              else constant_field(1.3 * np.eye(dimension)))
     scen = QuenchedScenario(fbm, sigma, np.full(dimension, 0.3), (0.25, 0.125),
                             97, 5)
-    if singular:
-        lp_grid, fields = mollified_family(scen)
-    else:
-        lp_grid = SpatialGrid.from_box(-2.0, 2.0, 16, dimension)
-        fields = {eps: sigma for eps in scen.eps_seq}
+    fields = (mollified_family(scen) if singular
+              else {eps: sigma for eps in scen.eps_seq})
     # A low blow-up bound freezes part of the ensemble, which the sums mask.
     monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
     ens = _solve(scen, fields[0.125], 0.125)
@@ -255,7 +256,7 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
                 ens, fld, qgrid)
             assert _martingale_rows(martingale_reports(ens, sums, e, pairs)) == (
                 ref_martingale(ens, fld, pairs))
-        report = solver.cauchy_report(scen, sums.ito, fields, lp_grid, 4.0)
+        report = solver.cauchy_report(scen, sums.ito, fields, 4.0)
         assert np.array_equal(report.terminal_integrals, ref_terminals(ens, fields))
 
 
@@ -275,9 +276,8 @@ def test_sweep_draws_each_driver_stream_once(monkeypatch):
 
     monkeypatch.setattr(paths, "_component_rng", counted)
     cfg = _small_config("singular", 2)
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, WINDOWS)
-    verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
-                    cfg["gamma0"], WINDOWS)
+    scenario, fields = build_scenario(cfg, WINDOWS)
+    verify_scenario(scenario, fields, cfg["m"], cfg["gamma0"], WINDOWS)
     n = scenario.driver_dimension
     assert len(streams) == cfg["paths"] * n + cfg["dimension"]
     assert len(set(streams)) == len(streams)
@@ -320,11 +320,11 @@ def test_sweep_does_not_depend_on_the_chunk_size(sigma, dimension, monkeypatch):
     """Budgets of 1, 37 and all paths per chunk give the same bits as the
     default, and each runs as many chunks as it should."""
     cfg = _small_config(sigma, dimension)
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, WINDOWS)
+    scenario, fields = build_scenario(cfg, WINDOWS)
 
     def sweep():
-        return _sweep_record(verify_scenario(scenario, fields, lp_grid, quant_grid,
-                                             cfg["m"], cfg["gamma0"], WINDOWS))
+        return _sweep_record(verify_scenario(scenario, fields, cfg["m"],
+                                             cfg["gamma0"], WINDOWS))
 
     whole = sweep()
     drawn = []
@@ -364,7 +364,7 @@ def test_sweep_blowup_names_the_radius_and_whole_ensemble_count(case, monkeypatc
     late-radius case the reference and the first radius stay bounded and
     the second does not."""
     cfg = _small_config("singular", 1)
-    scenario, fields, lp_grid, quant_grid = build_scenario(cfg, WINDOWS)
+    scenario, fields = build_scenario(cfg, WINDOWS)
     if case == "low-bound":
         monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
     else:
@@ -375,8 +375,7 @@ def test_sweep_blowup_names_the_radius_and_whole_ensemble_count(case, monkeypatc
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 37 * 8 * (
         len(scenario.eps_seq) * (scenario.grid.steps + 1) + scenario.grid.steps))
     with pytest.raises(BlowUpError, match=f"at epsilon={eps} ") as info:
-        verify_scenario(scenario, fields, lp_grid, quant_grid, cfg["m"],
-                        cfg["gamma0"], WINDOWS)
+        verify_scenario(scenario, fields, cfg["m"], cfg["gamma0"], WINDOWS)
     assert info.value.count == count
 
 
@@ -407,3 +406,22 @@ def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
     eps_seq = tuple(cfg["eps"])
     assert tuple(r.epsilon for r in res.ratio_reports) == eps_seq
     assert tuple(r.extras["epsilon"] for r in res.iso_reports) == eps_seq
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_identity_sweep_measures_no_field_gap(dimension, monkeypatch):
+    """The identity sweep's radii share one field, so the Cauchy report
+    integrates no field difference: every L^p gap is exactly 0.0, with no
+    lp_norm call."""
+    calls = []
+    norm = solver.lp_norm
+
+    def counted(*args):
+        calls.append(args)
+        return norm(*args)
+
+    monkeypatch.setattr(solver, "lp_norm", counted)
+    cfg = _small_config("identity", dimension)
+    res = verify_scenario(*build_scenario(cfg, WINDOWS), cfg["m"], cfg["gamma0"], WINDOWS)
+    assert calls == []
+    assert res.cauchy.sigma_gaps == (0.0,) * (len(cfg["eps"]) - 1)
