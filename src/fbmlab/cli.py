@@ -4,7 +4,7 @@ Subcommands expose the pipeline stages (gen-fbm, local-time, average, sew,
 solve, verify, admissibility) plus `run`, which executes one of the canned
 experiments E0 to E6 and writes a reproducible artifact directory:
 
-    config.json    resolved configuration, sorted keys
+    config.json    the experiment and the table format; experiments take no config
     summary.json   results without wall times, byte-stable across reruns
     run_meta.json  timestamps, versions, wall time, each criterion's seconds
     results.csv/.json   flat tables for the experiment
@@ -42,26 +42,10 @@ from .paths import TimeGrid, generate_fbm
 from .sewing import Germ, sew
 from .solver import BLOWUP_BOUND
 
-_CONFIG_SCHEMA = {
-    "experiment": str,
-    "sigma": str,
-    "hurst": float,
-    "gamma": float,
-    "radius": float,
-    "p": float,
-    "m": float,
-    "gamma0": float,
-    "horizon": float,
-    "dimension": int,
-    "steps": int,
-    "paths": int,
-    "fbm_seed": int,
-    "base_seed": int,
-    "eps": "floats",
-    "x0": "floats",
-}
-
-_DEFAULT_CONFIG = {"experiment": "E5", **HEADLINE_CONFIG}
+# Each config key and the type its value parses to, read off the headline
+# defaults; a list is comma-separated floats.
+_CONFIG_SCHEMA = {key: "floats" if isinstance(value, list) else type(value)
+                  for key, value in HEADLINE_CONFIG.items()}
 
 
 def parse_config_text(text: str) -> dict:
@@ -81,25 +65,16 @@ def parse_config_text(text: str) -> dict:
         try:
             if kind == "floats":
                 out[key] = [float(v) for v in value.split(",") if v.strip()]
-            elif kind is int:
-                out[key] = int(value)
-            elif kind is float:
-                out[key] = float(value)
             else:
-                out[key] = value
+                out[key] = kind(value)
         except ValueError as exc:
             raise ParameterError(f"config line {lineno}: {exc}") from None
     return out
 
 
 def resolve_config(overrides: dict) -> dict:
-    cfg = dict(_DEFAULT_CONFIG)
-    cfg.update(overrides)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: dict) -> None:
+    """The headline config with `overrides` applied, checked."""
+    cfg = {**HEADLINE_CONFIG, **overrides}
     if not 0.0 < cfg["hurst"] < 1.0:
         raise ParameterError(f"hurst must lie in (0, 1), got {cfg['hurst']}")
     if cfg["sigma"] not in ("singular", "identity"):
@@ -109,6 +84,8 @@ def validate_config(cfg: dict) -> None:
     for key in ("p", "m"):
         if not cfg[key] > 0.0:  # NaN too
             raise ParameterError(f"{key} must be positive, got {cfg[key]}")
+        if cfg[key] == math.inf:
+            raise ParameterError(f"{key} must be finite, got {cfg[key]}")
     if len(cfg["x0"]) != cfg["dimension"]:
         raise ParameterError(
             f"x0 has {len(cfg['x0'])} components for dimension {cfg['dimension']}")
@@ -125,14 +102,11 @@ def validate_config(cfg: dict) -> None:
             raise HypothesisError(
                 f"gamma={cfg['gamma']} is not inside L^{cfg['p']}: need "
                 f"gamma < d/p = {cfg['dimension'] / cfg['p']:.6g}")
-        bound = 1.0 - cfg["hurst"] * cfg["dimension"] / 2.0
-        if cfg["gamma0"] >= bound:
-            raise ParameterError(
-                f"gamma0={cfg['gamma0']} exceeds 1 - H*d/2 = {bound:.6g}")
     if not cfg["eps"]:
         raise ParameterError("eps must list at least one radius")
     if not all(a > b for a, b in zip(cfg["eps"], cfg["eps"][1:])):
         raise ParameterError("eps must be strictly decreasing")
+    return cfg
 
 
 # --- artifact helpers -------------------------------------------------------
@@ -201,7 +175,7 @@ _EXPERIMENTS = {
 }
 
 
-def run_experiment(name: str, cfg: dict, out_dir: Path, fmt: str) -> int:
+def run_experiment(name: str, out_dir: Path, fmt: str) -> int:
     if name not in _EXPERIMENTS:
         raise ParameterError(
             f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}")
@@ -221,8 +195,7 @@ def run_experiment(name: str, cfg: dict, out_dir: Path, fmt: str) -> int:
                 for res in results for row in res["details"].get("rows", [])]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _dump_json(out_dir / "config.json", {"experiment": name, **cfg,
-                                         "format": fmt})
+    _dump_json(out_dir / "config.json", {"experiment": name, "format": fmt})
     summary = {"experiment": name, "description": description,
                "results": results,
                "passed": all(r["passed"] for r in results)}
@@ -351,7 +324,7 @@ def _load_config(args) -> dict:
     overrides = {}
     if args.config:
         overrides = parse_config_text(Path(args.config).read_text())
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["base_seed"] = args.seed
     return resolve_config(overrides)
 
@@ -381,10 +354,17 @@ def _cmd_verify(args) -> int:
             raise ParameterError(f"the radius sweep needs at least two {what}, got {count}")
     if cfg["m"] < 2.0:
         raise ParameterError(f"m must be >= 2, got {cfg['m']}")
+    # Only the moment ratios read gamma0.
+    gamma0 = cfg["gamma0"]
+    if not math.isfinite(gamma0):
+        raise ParameterError(f"gamma0 must be finite, got {gamma0}")
+    bound = 1.0 - cfg["hurst"] * cfg["dimension"] / 2.0
+    if cfg["sigma"] == "singular" and not gamma0 < bound:
+        raise ParameterError(f"gamma0={gamma0} exceeds 1 - H*d/2 = {bound:.6g}")
     half = cfg["horizon"] / 2.0
     windows = [(half / 2.0, half), (half, cfg["horizon"])]
     scenario, fields = build_scenario(cfg, windows)
-    res = verify_scenario(scenario, fields, cfg["m"], cfg["gamma0"], windows)
+    res = verify_scenario(scenario, fields, cfg["m"], gamma0, windows)
     reports = [r for pair in zip(res.iso_reports, res.cross_reports) for r in pair]
     reports += res.martingale_reports + [res.qv_report]
     rows = [r.to_dict() for r in reports]
@@ -408,10 +388,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    name = args.experiment or cfg.get("experiment", "E5")
-    out_dir = Path(args.out) if args.out else Path(f"runs/{name.lower()}")
-    return run_experiment(name, cfg, out_dir, args.format)
+    out_dir = Path(args.out) if args.out else Path(f"runs/{args.experiment.lower()}")
+    return run_experiment(args.experiment, out_dir, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,14 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
                             ("verify", _cmd_verify, "integral identity checks"),
                             ("run", _cmd_run, "canned experiments E0..E6")):
         p = sub.add_parser(name, help=extra)
-        p.add_argument("--config", help="key=value file, # comments allowed")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override base_seed")
+        if name == "run":
+            p.add_argument("--experiment", default="E5", choices=sorted(_EXPERIMENTS))
+        else:
+            p.add_argument("--config", help="key=value file, # comments allowed")
+            p.add_argument("--seed", type=int, default=None, help="override base_seed")
         p.add_argument("--out", default=None)
         p.add_argument("--format", default="csv", choices=("csv", "json"))
-        if name == "run":
-            p.add_argument("--experiment", default=None,
-                           choices=sorted(_EXPERIMENTS))
         p.set_defaults(fn=fn)
 
     return parser

@@ -296,13 +296,13 @@ def build_scenario(cfg: dict, martingale_windows=None):
     allocated when they and one chunk of paths cannot fit in physical
     memory.
     """
-    grid_t = TimeGrid(cfg["horizon"], cfg["steps"])
-    fbm = generate_fbm(cfg["hurst"], cfg["dimension"], grid_t, cfg["fbm_seed"])
     singular = cfg["sigma"] == "singular"
     if singular:
         sigma = singular_example(cfg["gamma"], cfg["radius"], cfg["dimension"])
     else:
         sigma = identity_field(cfg["dimension"])
+    grid_t = TimeGrid(cfg["horizon"], cfg["steps"])
+    fbm = generate_fbm(cfg["hurst"], cfg["dimension"], grid_t, cfg["fbm_seed"])
     scenario = QuenchedScenario(fbm, sigma, np.asarray(cfg["x0"], dtype=float),
                                 tuple(cfg["eps"]), cfg["paths"],
                                 cfg["base_seed"], p=cfg["p"])

@@ -125,8 +125,10 @@ def singular_example(gamma: float, radius: float, d: int) -> MatrixField:
     """
     if gamma <= 0.0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    if radius <= 0.0:
+    if not radius > 0.0:  # NaN too
         raise ParameterError(f"radius must be positive, got {radius}")
+    if radius == math.inf:
+        raise ParameterError(f"radius must be finite, got {radius}")
     if not gamma < 1.0:
         raise ParameterError(f"the example requires gamma < 1, got {gamma}")
     if not 2.0 < d / gamma:

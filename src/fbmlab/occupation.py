@@ -90,10 +90,15 @@ class SpatialGrid:
 
     def centers_mesh(self) -> np.ndarray:
         """All bin centers, shape bins + (dimension,)."""
-        require_memory(8 * self.dimension * math.prod(self.bins), "the mesh of bin centers")
-        axes = [self.centers(a) for a in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        # The mesh, and the centers along its longest axis on their way in.
+        require_memory(8 * (self.dimension * math.prod(self.bins) + max(self.bins)),
+                       "the mesh of bin centers")
+        mesh = np.empty(self.bins + (self.dimension,))
+        for a in range(self.dimension):
+            along = [1] * self.dimension
+            along[a] = self.bins[a]
+            mesh[..., a] = self.centers(a).reshape(along)
+        return mesh
 
     def bin_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis bin indices and an inside-the-box mask.

@@ -242,18 +242,21 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
     n = grid.steps
     lines = count * dimension
     width = n + 1 if nodes is None else len(nodes)
-    # The output, and the circulant embedding's 2N complex eigenvalue FFT.
-    require_memory(8 * len(hursts) * lines * width + 32 * n,
-                   f"sampling {count} path(s) of {n} steps")
+    # Scratch for one block of lines, reused by every block: each line's 2N
+    # normals and their complex FFT (48 N bytes) and, when only nodes are
+    # kept, its paths.
+    per_block = min(lines, max(1, BLOCK_NORMALS // (2 * n)))
+    walk_bytes = 0 if nodes is None else 8 * len(hursts) * (n + 1)
+    # The output, the scratch, and the circulant embedding's 2N complex
+    # eigenvalue FFT.
+    require_memory(8 * len(hursts) * lines * width + per_block * (48 * n + walk_bytes)
+                   + 32 * n, f"sampling {count} path(s) of {n} steps")
     routes = []
     for hurst in hursts:
         gamma = _fgn_autocov(hurst, n, grid.dt)
         lam = _circulant_eigenvalues(gamma)
         routes.append((lam, None if lam is not None else _fgn_cholesky(gamma)))
     out = np.empty((len(routes), lines, width))
-    # Scratch for one block of normals, its FFT and, when only nodes are
-    # kept, its paths, reused by every block.
-    per_block = min(lines, max(1, BLOCK_NORMALS // (2 * n)))
     normals = np.empty((per_block, 2 * n))
     spectrum = np.empty(normals.shape, dtype=complex)
     walk = out if nodes is None else np.empty((len(routes), per_block, n + 1))

@@ -6,14 +6,17 @@ import itertools
 import json
 import math
 import os
+import re
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 
 import pytest
 
 from fbmlab import ParameterError, experiments, paths, solver
-from fbmlab.cli import main, parse_config_text, resolve_config
+from fbmlab.cli import build_parser, main, parse_config_text, resolve_config
 from fbmlab.experiments import ALL_CRITERIA, HEADLINE_CONFIG
 from fbmlab.fields import constant_field
 
@@ -59,13 +62,13 @@ def _write_config(tmp_path, text):
 
 def test_hurst_threshold_violation_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path, "hurst = 0.3\n")  # singular default, d=1 p=2
-    assert main(["run", "--experiment", "E0", "--config", path]) == 2
+    assert main(["verify", "--config", path]) == 2
     assert "H exceeds H_max=0.25" in capsys.readouterr().err
 
 
 def test_gamma_integrability_violation_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path, "gamma = 0.5\n")  # needs gamma < d/p = 0.5
-    assert main(["run", "--experiment", "E0", "--config", path]) == 2
+    assert main(["verify", "--config", path]) == 2
     assert "gamma" in capsys.readouterr().err
 
 
@@ -160,6 +163,46 @@ def test_verify_refuses_m_and_p_before_any_allocation(tmp_path, monkeypatch,
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("setting,message", [
+    ("radius = nan", "radius must be positive, got nan"),
+    ("radius = -inf", "radius must be positive, got -inf"),
+    ("radius = inf", "radius must be finite, got inf"),
+    ("p = inf", "p must be finite, got inf"),
+    ("m = inf", "m must be finite, got inf"),
+])
+def test_non_finite_config_numbers_exit_2_before_any_allocation(
+        tmp_path, monkeypatch, capsys, command, setting, message):
+    """On the singular defaults a NaN or infinite radius died in family_grid
+    with a ValueError or OverflowError traceback, and solve with m = inf
+    exited 0 with a moment table of inf and nan."""
+    monkeypatch.setattr(experiments, "generate_fbm", _no_allocation)
+    assert main([command, "--config", _write_config(tmp_path, setting + "\n")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma,gamma0,message", [
+    ("singular", "0.95", "gamma0=0.95 exceeds 1 - H*d/2 = 0.9"),
+    ("singular", "nan", "gamma0 must be finite, got nan"),
+    ("identity", "nan", "gamma0 must be finite, got nan"),
+    ("identity", "-inf", "gamma0 must be finite, got -inf"),
+])
+def test_only_verify_reads_and_checks_gamma0(tmp_path, monkeypatch, capsys,
+                                             sigma, gamma0, message):
+    """verify's moment ratios are gamma0's one reader.  verify refuses a
+    gamma0 out of range before anything is drawn; it used to run the whole
+    sweep with gamma0 = nan and write a NaN spread.  solve, which used to
+    refuse 0.95, runs."""
+    path = _write_config(tmp_path, f"sigma = {sigma}\ngamma0 = {gamma0}\n"
+                                   "paths = 40\nsteps = 64\neps = 0.25, 0.125\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "generate_fbm", _no_allocation)
+        assert main(["verify", "--config", path]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["solve", "--config", path]) == 0
+    capsys.readouterr()
+
+
 def test_solve_refuses_steps_off_the_moment_table_before_solving(tmp_path,
                                                                  monkeypatch,
                                                                  capsys):
@@ -178,6 +221,35 @@ def test_unknown_experiment_is_an_argparse_error():
     with pytest.raises(SystemExit) as info:
         main(["run", "--experiment", "E9"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("extra", [["--seed", "9"], ["--config", "lab.cfg"]])
+def test_run_takes_no_config(capsys, extra):
+    """The experiments read no config, so run has no --config or --seed;
+    --seed used to be recorded in config.json and change nothing else."""
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--experiment", "E0", *extra])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert build_parser().parse_args(["run"]).experiment == "E5"
+
+
+def test_readme_command_lines_parse():
+    """Every fbmlab line of README's sh blocks parses, so a stale flag in
+    the documented usage fails here, and its config file lists every key
+    at its headline default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [shlex.split(line)[1:]
+             for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("fbmlab ")]
+    assert {argv[0] for argv in lines} == {
+        "gen-fbm", "local-time", "average", "sew", "admissibility", "solve",
+        "verify", "run"}
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv)
+    ini, = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert parse_config_text(ini) == HEADLINE_CONFIG
 
 
 def test_gen_fbm_writes_deterministic_csv(tmp_path, capsys):
@@ -401,6 +473,8 @@ def test_run_e0_artifacts_are_byte_stable(tmp_path, capsys):
     assert summary["passed"]
     assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
     assert (first / "config.json").read_bytes() == (second / "config.json").read_bytes()
+    assert json.loads((first / "config.json").read_text()) == {"experiment": "E0",
+                                                              "format": "csv"}
 
 
 def test_run_e1_summary_holds_no_wall_time(tmp_path, monkeypatch, capsys):
