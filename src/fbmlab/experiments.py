@@ -564,10 +564,10 @@ def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
     pairs = [(0.25, 0.5), (0.5, 1.0)]
     sums = walk_ensemble(ens, [sigma], quantized_perturbation(fbm.values, qgrid),
                          [grid_t.window(s, t) for s, t in pairs])
-    exact = (isometry_report(ens, sums, 0, margin_fraction=0.0),
-             cross_term_report(ens, sums, 0, margin_fraction=0.0),
-             lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma), qgrid,
-                                (0.25, 0.75), margin_fraction=0.0))
+    exact = tuple(replace(report, margin=0.0) for report in (
+        isometry_report(ens, sums, 0), cross_term_report(ens, sums, 0),
+        lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma), qgrid,
+                           (0.25, 0.75))))
     return exact, tuple(martingale_reports(ens, sums, 0, pairs))
 
 

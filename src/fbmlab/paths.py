@@ -66,6 +66,8 @@ class TimeGrid:
 
     def node_index(self, time: float) -> int:
         """Index k with |t_k - time| <= 1e-9 max(horizon, 1), or ParameterError."""
+        if not math.isfinite(time):
+            raise ParameterError(f"time must be finite, got {time}")
         k = round(time / self.dt)
         if k < 0 or k > self.steps or abs(k * self.dt - time) > 1e-9 * max(self.horizon, 1.0):
             raise ParameterError(f"time {time} is not aligned to the grid (dt={self.dt})")

@@ -85,8 +85,8 @@ def sew(germ: Germ, s: float, t: float, levels: int = 10) -> SewingResult:
     values and their running sum, 24 bytes a node, must fit in physical
     memory; above 64 levels the count stops at 2**64 + 1, still too many.
     """
-    if not s < t:
-        raise ParameterError(f"need s < t, got s={s}, t={t}")
+    if not (np.isfinite(s) and np.isfinite(t) and s < t):
+        raise ParameterError(f"need finite s < t, got s={s}, t={t}")
     run = SEWING_DIVERGENCE_RUN.gate
     if levels < run:
         raise ParameterError(f"levels must be >= {run}, got {levels}")

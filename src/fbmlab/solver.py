@@ -72,8 +72,10 @@ class QuenchedScenario:
         _validate_rows(self.driver_dimension, self.base_seed, self.first_path,
                        self.ensemble_size)
         eps = tuple(float(e) for e in self.eps_seq)
-        if any(e <= 0.0 for e in eps):
-            raise ParameterError("mollification radii must be positive")
+        if not eps:
+            raise ParameterError("eps_seq must list at least one radius")
+        if not all(0.0 < e < math.inf for e in eps):
+            raise ParameterError(f"mollification radii must be positive and finite, got {eps}")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ParameterError(f"eps_seq must be strictly decreasing, got {eps}")
         object.__setattr__(self, "eps_seq", eps)
@@ -235,6 +237,8 @@ def family_grid(scenario: QuenchedScenario) -> SpatialGrid:
     if radius is None:
         radius = 1.0 / eps_min  # worst-case support of the cut-off field
     extent = radius + max(scenario.eps_seq) + LATTICE_PAD
+    if not math.isfinite(extent / h):
+        raise ParameterError(f"bin width {h} gives a lattice with infinitely many bins")
     half_bins = int(math.ceil(extent / h))
     return SpatialGrid((-half_bins * h,) * scenario.dimension, h,
                        (2 * half_bins,) * scenario.dimension)

@@ -182,8 +182,7 @@ class _QuantizedAverageGerm(Germ):
 
 
 def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGrid,
-                       window: tuple[float, float], *, levels: int = 8,
-                       margin_fraction: float = QUADRATIC_VARIATION_MARGIN.gate
+                       window: tuple[float, float], *, levels: int = 8
                        ) -> IdentityReport:
     """Pathwise check: time quadrature of f(X - w) vs the sewn averaging germ.
 
@@ -192,7 +191,8 @@ def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGri
     f(X(u) - z_k) dt with z_k the bin-center quantization of w, which is
     exactly the local-time convolution of f evaluated at X(u).  Both routes
     see the same time quadrature, so the gap is the spatial quantization
-    plus the frozen-argument (sewing) error, covered by margin_fraction.
+    plus the frozen-argument (sewing) error, covered by
+    QUADRATIC_VARIATION_MARGIN.
 
     Partition nodes must stay on the time grid, so the dyadic depth is
     capped at the power of 2 dividing the window's step count; a window
@@ -213,7 +213,7 @@ def lebesgue_vs_sewing(x_values: np.ndarray, fbm, scalar_field, grid: SpatialGri
     germ = _QuantizedAverageGerm(x, quantized_perturbation(w, grid), scalar_field, tg)
     result = sew(germ, s, t, levels=levels)
     right = float(np.asarray(result.value))
-    margin = margin_fraction * max(abs(left), abs(right))
+    margin = QUADRATIC_VARIATION_MARGIN.gate * max(abs(left), abs(right))
     return IdentityReport("quadratic_variation", f"window[{s},{t}]", left, right,
                           0.0, margin,
                           {"sewing_rate": result.rate, "diverged": result.diverged})
@@ -239,8 +239,7 @@ def _end_increments(ensemble: Ensemble) -> np.ndarray:
     return x_t - ensemble.scenario.x0[0]
 
 
-def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, *,
-                    margin_fraction: float = ISOMETRY_MARGIN.gate) -> IdentityReport:
+def isometry_report(ensemble: Ensemble, sums: PathSums, e: int) -> IdentityReport:
     """E[(X_0(T) - x0_0)^2] at the horizon T against the averaged squared
     row of a field.
 
@@ -253,13 +252,11 @@ def isometry_report(ensemble: Ensemble, sums: PathSums, e: int, *,
     """
     return _paired_report("ito_isometry", ensemble,
                           _end_increments(ensemble) ** 2, sums.row_sq[e],
-                          margin_fraction, {"epsilon": ensemble.epsilon})
+                          ISOMETRY_MARGIN.gate, {"epsilon": ensemble.epsilon})
 
 
 def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, *,
-                      epsilon: float | None = None,
-                      margin_fraction: float = CROSS_TERM_MARGIN.gate
-                      ) -> IdentityReport:
+                      epsilon: float | None = None) -> IdentityReport:
     """Pairing of the martingale with the mollified integral vs the mixed germ.
 
     sums is a reference walk_ensemble pass over ensemble (windows given),
@@ -279,7 +276,7 @@ def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, *,
     left_samples = _end_increments(ensemble) * sums.ito[e][:, 0]
     d_over_p = scen.dimension / scen.p
     return _paired_report("cross_term", ensemble, left_samples,
-                          sums.mixed[e], margin_fraction,
+                          sums.mixed[e], CROSS_TERM_MARGIN.gate,
                           {"epsilon": epsilon, "d_over_p": d_over_p,
                            "hypothesis_d_over_p_lt_1": d_over_p < 1.0})
 

@@ -45,6 +45,18 @@ def test_parse_config_text_types_and_comments():
     assert "gamma" not in cfg  # defaults are resolved later
 
 
+@pytest.mark.parametrize("key", sorted(
+    k for k, v in HEADLINE_CONFIG.items() if isinstance(v, (float, list))))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_config_text_refuses_non_finite_numbers(key, value):
+    """Every float key, and every entry of a list key, must be finite."""
+    if isinstance(HEADLINE_CONFIG[key], list):
+        value = f"0.5, {value}"
+    with pytest.raises(ParameterError) as info:
+        parse_config_text(f"# lab\n{key} = {value}\n")
+    assert str(info.value) == f"config line 2: {key} must be finite, got {value}"
+
+
 def test_parse_config_text_rejects_unknown_and_malformed():
     with pytest.raises(ParameterError, match="line 2: unknown key 'mystery'"):
         parse_config_text("hurst = 0.2\nmystery = 1\n")
@@ -94,7 +106,9 @@ def test_x0_beyond_the_blowup_bound_exits_2_before_any_allocation(
     monkeypatch.setattr(experiments, "generate_fbm", _no_allocation)
     path = _write_config(tmp_path, IDENTITY_CONFIG.replace("x0 = 0.0", f"x0 = {x0}"))
     assert main([command, "--config", path]) == 2
-    assert "x0 must be finite with |x0| <= 1e+06" in capsys.readouterr().err
+    message = ("config line 9: x0 must be finite, got " if x0.endswith(("nan", "inf"))
+               else "x0 must be finite with |x0| <= 1e+06")
+    assert message in capsys.readouterr().err
     for edge in (solver.BLOWUP_BOUND, -solver.BLOWUP_BOUND):
         assert resolve_config({"x0": [edge]})["x0"] == [edge]
 
@@ -138,7 +152,7 @@ def test_verify_with_one_path_exits_2_before_any_allocation(tmp_path, monkeypatc
     ("m = 1.5", "m must be >= 2, got 1.5"),
     ("m = 0", "m must be positive, got 0.0"),
     ("m = -2", "m must be positive, got -2.0"),
-    ("m = nan", "m must be positive, got nan"),
+    ("m = nan", "m must be finite, got nan"),
 ])
 def test_verify_refuses_m_and_p_before_any_allocation(tmp_path, monkeypatch,
                                                       capsys, setting, message):
@@ -150,7 +164,7 @@ def test_verify_refuses_m_and_p_before_any_allocation(tmp_path, monkeypatch,
     of nan."""
     text = IDENTITY_CONFIG.replace("m = 2.0", "m = 2.0\n" + setting)
     path = _write_config(tmp_path, text)
-    refused_by_all = "positive" in message
+    refused_by_all = ">= 2" not in message
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "generate_fbm", _no_allocation)
         assert main(["verify", "--config", path]) == 2
@@ -165,42 +179,83 @@ def test_verify_refuses_m_and_p_before_any_allocation(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("setting,message", [
-    ("radius = nan", "radius must be positive, got nan"),
-    ("radius = -inf", "radius must be positive, got -inf"),
+    ("radius = nan", "radius must be finite, got nan"),
+    ("radius = -inf", "radius must be finite, got -inf"),
     ("radius = inf", "radius must be finite, got inf"),
     ("p = inf", "p must be finite, got inf"),
     ("m = inf", "m must be finite, got inf"),
+    ("sigma = identity\nradius = nan\ngamma0 = nan",
+     "config line 2: radius must be finite, got nan"),
+    ("sigma = identity\neps = inf, 1", "config line 2: eps must be finite, got inf, 1"),
 ])
 def test_non_finite_config_numbers_exit_2_before_any_allocation(
         tmp_path, monkeypatch, capsys, command, setting, message):
     """On the singular defaults a NaN or infinite radius died in family_grid
     with a ValueError or OverflowError traceback, and solve with m = inf
-    exited 0 with a moment table of inf and nan."""
+    exited 0 with a moment table of inf and nan.  The identity field reads
+    neither the radius nor gamma0 for solve, nor eps's values for its
+    field, so those configs exited 0 and wrote bare NaN and Infinity
+    tokens, which strict JSON refuses, into config.json and verify.json."""
     monkeypatch.setattr(experiments, "generate_fbm", _no_allocation)
-    assert main([command, "--config", _write_config(tmp_path, setting + "\n")]) == 2
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", _write_config(tmp_path, setting + "\n"),
+            "--out", str(out_dir)]
+    assert main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("sigma,gamma0,message", [
     ("singular", "0.95", "gamma0=0.95 exceeds 1 - H*d/2 = 0.9"),
-    ("singular", "nan", "gamma0 must be finite, got nan"),
-    ("identity", "nan", "gamma0 must be finite, got nan"),
-    ("identity", "-inf", "gamma0 must be finite, got -inf"),
+    ("singular", "nan", "config line 2: gamma0 must be finite, got nan"),
+    ("identity", "nan", "config line 2: gamma0 must be finite, got nan"),
+    ("identity", "-inf", "config line 2: gamma0 must be finite, got -inf"),
 ])
 def test_only_verify_reads_and_checks_gamma0(tmp_path, monkeypatch, capsys,
                                              sigma, gamma0, message):
     """verify's moment ratios are gamma0's one reader.  verify refuses a
     gamma0 out of range before anything is drawn; it used to run the whole
     sweep with gamma0 = nan and write a NaN spread.  solve, which used to
-    refuse 0.95, runs."""
+    refuse 0.95, runs; a non-finite gamma0 is a malformed number, which the
+    config parser refuses for every command."""
     path = _write_config(tmp_path, f"sigma = {sigma}\ngamma0 = {gamma0}\n"
                                    "paths = 40\nsteps = 64\neps = 0.25, 0.125\n")
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "generate_fbm", _no_allocation)
         assert main(["verify", "--config", path]) == 2
-    assert message in capsys.readouterr().err
-    assert main(["solve", "--config", path]) == 0
-    capsys.readouterr()
+        assert message in capsys.readouterr().err
+        if "finite" in message:
+            assert main(["solve", "--config", path]) == 2
+            assert message in capsys.readouterr().err
+    if "finite" not in message:
+        assert main(["solve", "--config", path]) == 0
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("hurst", ["0", "1.5"])
+def test_hurst_outside_the_unit_interval_exits_2_before_any_driver(
+        tmp_path, monkeypatch, capsys, hurst):
+    """The fBm sampler refuses the Hurst index before it allocates, so
+    the config needs no check of its own."""
+    def no_draw(*_args):
+        raise AssertionError("fbmlab solve drew drivers")
+
+    monkeypatch.setattr(solver, "_bm_rows", no_draw)
+    out_dir = tmp_path / "out"
+    path = _write_config(tmp_path, f"sigma = identity\nhurst = {hurst}\n")
+    assert main(["solve", "--config", path, "--out", str(out_dir)]) == 2
+    assert f"hurst must lie in (0, 1), got {float(hurst)}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_seed_is_a_config_key_not_a_flag(tmp_path, capsys, command):
+    """base_seed is set in the config alone; --seed was a second way to set
+    it that could not set fbm_seed."""
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", "9"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
 def test_solve_refuses_steps_off_the_moment_table_before_solving(tmp_path,
@@ -287,7 +342,10 @@ def test_sew_subcommand_reports_rate_and_value(capsys):
     assert out["value"] == pytest.approx(0.5, abs=1e-9)
     assert out["rate"] == pytest.approx(1.0, abs=1e-6)
     assert not out["diverged"]
-    assert main(["sew", "--germ", "nope"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["sew", "--germ", "nope"])
+    assert info.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_admissibility_subcommand_json(capsys):
@@ -327,8 +385,11 @@ def test_average_subcommand_smoke(capsys):
     out = json.loads(capsys.readouterr().out)
     assert 0.0 < out["sup_norm"] <= 1.0 + 1e-12
     assert not out["degenerate"]
-    assert main(["average", "--hurst", "0.3", "--steps", "512", "--seed", "9",
-                 "--width", "0.02", "--field", "nope"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["average", "--hurst", "0.3", "--steps", "512", "--seed", "9",
+              "--width", "0.02", "--field", "nope"])
+    assert info.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
     # Too coarse a lattice leaves the regularity fit without scales.
     assert main(["average", "--hurst", "0.3", "--steps", "512", "--seed", "9",
                  "--width", "0.2", "--field", "well"]) == 1
@@ -732,3 +793,30 @@ def test_non_finite_boxes_exit_2_without_a_warning(capsys, args):
     assert main(args + ["--hurst", "0.3", "--seed", "1", "--steps", "64"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["local-time", "--hurst", "0.3", "--seed", "1", "--width", "0.05", "--s", "nan"],
+    ["local-time", "--hurst", "0.3", "--seed", "1", "--width", "0.05", "--t", "inf"],
+    ["average", "--hurst", "0.3", "--seed", "1", "--width", "0.05", "--t", "nan"],
+    ["sew", "--t", "inf"],
+    ["sew", "--s=-inf"],
+], ids=["local-time-s-nan", "local-time-t-inf", "average-t-nan", "sew-t-inf",
+        "sew-s-minus-inf"])
+def test_non_finite_window_bounds_exit_2(capsys, args):
+    """local-time and average ended in a ValueError or OverflowError
+    traceback from the grid lookup, and sew exited 0 printing NaN and
+    Infinity, which are not JSON."""
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err or "need finite s < t" in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_radius_near_the_float_maximum_exits_2(tmp_path, capsys, command):
+    """The singular sweep's lattice would need infinitely many bins; it
+    used to end in an OverflowError traceback."""
+    path = _write_config(tmp_path, "eps = 1e308, 0.25\npaths = 2\nsteps = 64\n")
+    assert main([command, "--config", path]) == 2
+    assert "infinitely many bins" in capsys.readouterr().err

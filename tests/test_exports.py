@@ -9,7 +9,7 @@ import fbmlab
 
 # Parameters with a default, and dataclass fields with a default, over
 # src/fbmlab.  A change that adds a setting moves this pin.
-SETTABLE_VALUES = 48
+SETTABLE_VALUES = 34
 
 
 def test_all_matches_the_public_namespace():
@@ -25,6 +25,15 @@ def test_all_matches_the_public_namespace():
     assert set(fbmlab.__all__) == public
 
 
+def _has_default(value: ast.expr | None) -> bool:
+    """A dataclass field's value sets a default unless it is absent or a
+    field(...) call without default or default_factory, as
+    field(repr=False) is."""
+    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
+
+
 def test_settable_values_do_not_grow():
     """Every parameter with a default in a def, and every dataclass field
     with a default, is a value some caller can set.  Lambdas' defaults
@@ -37,6 +46,6 @@ def test_settable_values_do_not_grow():
                 count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
             elif isinstance(node, ast.ClassDef) and any(
                     ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
-                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                count += sum(isinstance(s, ast.AnnAssign) and _has_default(s.value)
                              for s in node.body)
-    assert count <= SETTABLE_VALUES
+    assert count <= SETTABLE_VALUES, count

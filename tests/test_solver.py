@@ -42,6 +42,12 @@ def test_scenario_validation():
         QuenchedScenario(FBM, identity_field(1), [0.0], (0.5, 0.5), 8, 1)
     with pytest.raises(ParameterError):
         QuenchedScenario(FBM, identity_field(1), [0.0], (0.5, -0.1), 8, 1)
+    # An infinite or NaN radius, or none, used to pass the e <= 0 check.
+    for eps_seq in ((np.inf, 1.0), (np.nan,)):
+        with pytest.raises(ParameterError, match="radii must be positive and finite"):
+            QuenchedScenario(FBM, identity_field(1), [0.0], eps_seq, 8, 1)
+    with pytest.raises(ParameterError, match="at least one radius"):
+        QuenchedScenario(FBM, identity_field(1), [0.0], (), 8, 1)
     # A field must fit the scenario's shared drivers.
     with pytest.raises(ParameterError):
         solve_fields(_identity_scenario(), [identity_field(1), identity_field(2)])

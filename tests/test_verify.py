@@ -1,6 +1,7 @@
 """Dual-estimator identity checks on identity-coefficient ensembles."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,8 +87,8 @@ def _walk(ens, fields, windows=None):
 
 def test_ito_isometry_identity_coefficient():
     ens = _identity_ensemble(13)
-    report = isometry_report(ens, _walk(ens, [identity_field(1)]), 0,
-                             margin_fraction=0.0)
+    report = replace(isometry_report(ens, _walk(ens, [identity_field(1)]), 0),
+                     margin=0.0)
     assert report.right == 1.0  # sum of |row|^2 dt is exactly the horizon
     assert report.label == "coordinate 0, t=1.0"
     assert report.passed
