@@ -312,6 +312,15 @@ def _cmd_admissibility(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of a number the command would print: finite, since
+    NaN and Infinity are not JSON."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _load_config(args) -> dict:
     return resolve_config(parse_config_text(Path(args.config).read_text())
                           if args.config else {})
@@ -430,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("admissibility", help="closed-form parameter thresholds")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--hurst", type=float, default=None)
-    p.add_argument("--driver-hurst", type=float, default=None)
+    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--hurst", type=_finite_float, default=None)
+    p.add_argument("--driver-hurst", type=_finite_float, default=None)
     p.add_argument("--variant", default="moment",
                    choices=("moment", "pathwise"))
     p.set_defaults(fn=_cmd_admissibility)

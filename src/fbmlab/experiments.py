@@ -483,7 +483,7 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
         _abort_on_blowups(ens)
     field_sums = [PathSums.join(sums) for sums in zip(*walked)]
     reference, ref_sums = radii[e_min], field_sums[ref]
-    ratios = [moment_ratio(ens, m, gamma0) for ens in ensembles]
+    ratios = moment_ratio(ensembles, m, gamma0)
     ratio_reports, iso_reports, cross_reports = [], [], []
     for e, (eps, s) in enumerate(zip(eps_seq, slot)):
         ratio_reports.append(replace(ratios[s], epsilon=eps))

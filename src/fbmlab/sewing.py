@@ -15,6 +15,7 @@ critical window exponent looks like.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,9 @@ def sew(germ: Germ, s: float, t: float, levels: int = 10) -> SewingResult:
     values and their running sum, 24 bytes a node, must fit in physical
     memory; above 64 levels the count stops at 2**64 + 1, still too many.
     """
-    if not (np.isfinite(s) and np.isfinite(t) and s < t):
-        raise ParameterError(f"need finite s < t, got s={s}, t={t}")
+    # A finite t - s needs finite s and t; finite bounds can still overflow it.
+    if not (s < t and math.isfinite(float(t) - float(s))):
+        raise ParameterError(f"need finite s < t with a finite t - s, got s={s}, t={t}")
     run = SEWING_DIVERGENCE_RUN.gate
     if levels < run:
         raise ParameterError(f"levels must be >= {run}, got {levels}")

@@ -36,6 +36,9 @@ LATTICE_PAD = 0.5
 # WALK_POINTS // steps) paths each: large enough that numpy's per-call cost
 # vanishes, small enough that a block's buffers stay a few MB.
 WALK_POINTS = 64 * 256
+# _euler_batch stages its drivers, perturbation and states in blocks of
+# this many steps: a block of the 1000-path five-radius sweep is 2.6 MB.
+_EULER_BLOCK = 64
 
 
 def _stderr(samples: np.ndarray) -> float:
@@ -122,6 +125,13 @@ def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
     call time.  Paths are frozen at their last finite state after blowing
     up so ensemble statistics can simply mask them out.  Slice e depends on
     field e alone: it is bit-equal to the scheme for [fields[e]].
+
+    Every state is X_k + step, one add per step, so staging changes no
+    bit.  Drivers, w and states are staged time-major in blocks of
+    _EULER_BLOCK steps, so each step reads and writes contiguous rows and
+    values and db are copied once per block.  One scalar test per step
+    shows that no path left the box; the per-path flags are built only
+    when it fails, and frozen paths are masked only once one exists.
     """
     n_paths, _, steps = db.shape
     shape = (len(fields), n_paths, x0.size)
@@ -129,18 +139,26 @@ def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
     values[..., 0] = x0
     x = np.broadcast_to(x0, shape).copy()
     blowup = np.full(shape[:2], -1, dtype=np.int64)
-    alive = np.ones(shape[:2], dtype=bool)
+    alive = None  # every path, until one blows up
     evaluate = evaluate_members(fields)
-    for k in range(steps):
-        mats = evaluate(x - w_values[:, k])
-        step = np.einsum("epij,pj->epi", mats, db[:, :, k])
-        x = np.where(alive[..., None], x + step, x)
-        bad = alive & (~np.isfinite(x).all(axis=-1) | (np.abs(x).max(axis=-1) > BLOWUP_BOUND))
-        if np.any(bad):
-            x = np.where(bad[..., None], values[..., k], x)
-            blowup[bad] = k + 1
-            alive &= ~bad
-        values[..., k + 1] = x
+    states = np.empty((min(_EULER_BLOCK, steps),) + shape)
+    for k0 in range(0, steps, _EULER_BLOCK):
+        k1 = min(k0 + _EULER_BLOCK, steps)
+        db_block = np.ascontiguousarray(db[:, :, k0:k1].transpose(2, 0, 1))
+        w_block = np.ascontiguousarray(w_values[:, k0:k1].T)
+        for j in range(k1 - k0):
+            step = np.einsum("epij,pj->epi", evaluate(x - w_block[j]), db_block[j])
+            moved = x + step if alive is None else np.where(alive[..., None], x + step, x)
+            if not np.abs(moved).max() <= BLOWUP_BOUND:
+                bad = ~np.isfinite(moved).all(axis=-1) | (np.abs(moved).max(axis=-1) > BLOWUP_BOUND)
+                if alive is not None:
+                    bad &= alive
+                if np.any(bad):
+                    moved = np.where(bad[..., None], x, moved)
+                    blowup[bad] = k0 + j + 1
+                    alive = ~bad if alive is None else alive & ~bad
+            x = states[j] = moved
+        values[..., k0 + 1:k1 + 1] = np.moveaxis(states[:k1 - k0], 0, -1)
     return values, blowup
 
 
@@ -281,7 +299,8 @@ class PathSums:
 
     An isometry walk fills row_sq alone, the others have no fields or
     windows.  ito and the compensators add one step at a time
-    from 0.0, row_sq and mixed are numpy row sums of a contiguous (paths,
+    from 0.0 (_carry: windows that share a start read one running sum),
+    row_sq and mixed are numpy row sums of a contiguous (paths,
     steps) buffer of whole rows: the summation orders of the per-check
     loops they replace, so results match those bit for bit whatever the
     walk's block of paths.
@@ -308,10 +327,17 @@ class PathSums:
                        driver_nodes=rows("driver_nodes", 0))
 
 
-def _carry(terms: np.ndarray) -> np.ndarray:
-    """0.0 + terms[:, 0] + terms[:, 1] + ..., added one step at a time."""
-    start = np.zeros((terms.shape[0], 1) + terms.shape[2:])
-    return np.cumsum(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
+def _carry(terms: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
+    """0.0 + terms[:, 0] + ... + terms[:, c - 1] for each c >= 1 in counts,
+    added one step at a time.
+
+    One running sum over the longest count serves them all.  It starts
+    at terms[:, 0], not at 0.0, which changes only the sign of a zero:
+    a sum from +0.0 never ends at -0.0, so adding 0.0 to the read-out
+    gives the sum from 0.0 bit for bit, NaN and inf included.
+    """
+    run = np.cumsum(terms[:, :max(counts)], axis=1)
+    return [run[:, c - 1] + 0.0 for c in counts]
 
 
 def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
@@ -335,7 +361,13 @@ def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
     w = scen.fbm.values[:, :steps].T
     reference = windows is not None
     windows = tuple((int(a), int(b)) for a, b in windows or ())
+    if not all(0 <= a < b <= steps for a, b in windows):
+        raise ParameterError(
+            f"windows must be node pairs 0 <= k0 < k1 <= {steps}, got {windows}")
     nodes = tuple(sorted({k for pair in windows for k in pair}))
+    starts: dict[int, list[tuple[int, int]]] = {}  # (window, steps) by start node
+    for wi, (ks, kt) in enumerate(windows):
+        starts.setdefault(ks, []).append((wi, kt - ks))
     rows = np.flatnonzero(ensemble.ok_mask)
     n_ref = len(fields) if reference else 0
     ito = np.empty((n_ref, rows.size, scen.dimension))
@@ -353,12 +385,15 @@ def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
         if reference:
             vals = evaluate_together(fields, x - w)
             inc = np.einsum("pkeij,pkj->pkei", vals, db.transpose(0, 2, 1))
-            ito[:, part] = _carry(inc).transpose(1, 0, 2)
+            ito[:, part] = _carry(inc, [steps])[0].transpose(1, 0, 2)
             sq = np.sum(vals[..., 0, :] ** 2, axis=-1)
             entry = vals[..., 0, 0]
-            for wi, (ks, kt) in enumerate(windows):
-                quad_comp[wi, :, part] = _carry(sq[:, ks:kt]).T * dt
-                cross_comp[wi, :, part] = _carry(entry[:, ks:kt]).T * dt
+            for ks, group in starts.items():
+                wis, counts = zip(*group)
+                for wi, quad, cross in zip(wis, _carry(sq[:, ks:], counts),
+                                           _carry(entry[:, ks:], counts)):
+                    quad_comp[wi, :, part] = quad.T * dt
+                    cross_comp[wi, :, part] = cross.T * dt
         pts = x - snapped
         vals = evaluate_together(fields, pts)
         sq_rows = np.moveaxis(np.sum(vals[..., 0, :] ** 2, axis=-1), -1, 0)

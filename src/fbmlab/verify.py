@@ -18,6 +18,7 @@ threshold a pure sampling-error statement.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,40 +91,56 @@ class MomentRatioReport:
                 "gamma0_in_range": self.gamma0_in_range, "n_paths": self.n_paths}
 
 
-def moment_ratio(ensemble: Ensemble, m: float, gamma0: float) -> MomentRatioReport:
-    """max over dyadic windows of mean |X(t)-X(s)|^m / (t-s)^(m gamma0 / 2).
+def moment_ratio(ensembles: Sequence[Ensemble], m: float,
+                 gamma0: float) -> list[MomentRatioReport]:
+    """Per ensemble, max over dyadic windows of mean |X(t)-X(s)|^m / (t-s)^(m gamma0 / 2).
 
+    The ensembles share one time grid; the reports follow their order.
     The window set runs over dyadic levels 0..MOMENT_MAX_LEVEL, as read at
     call time.  Level 4 leaves the finest windows many solver steps wide;
     below that the frozen-coefficient scheme sees the raw spike of the
     coefficient and the discrete moments leave the continuum regime.
 
     The stderr is a path bootstrap of the max statistic, which respects the
-    dependence between windows of the same path.
+    dependence between windows of the same path.  Its resamples are drawn
+    from one Philox stream per ensemble, so ensembles with the same number
+    of surviving paths draw the same picks: they are resampled together,
+    one draw and one gather of their stacked (paths, ensembles, windows)
+    magnitudes per resample.  Means add the picked rows in order, each
+    ensemble's resample statistics fill their own contiguous row, and
+    every result is bit-equal to resampling that ensemble alone.
     """
     if m < 2.0:
         raise ParameterError(f"m must be >= 2, got {m}")
-    grid = ensemble.scenario.grid
+    grid = ensembles[0].scenario.grid
+    if any(ens.scenario.grid != grid for ens in ensembles):
+        raise ParameterError("moment ratios need ensembles on one time grid")
     windows = grid.dyadic_windows(MOMENT_MAX_LEVEL)
-    mags = np.empty((int(ensemble.ok_mask.sum()), len(windows)))
-    weights = np.empty(len(windows))
-    increments = ensemble.window_increments(windows)
-    for col, ((k0, k1), inc) in enumerate(zip(windows, increments)):
-        mags[:, col] = np.linalg.norm(inc, axis=1) ** m
-        weights[col] = ((k1 - k0) * grid.dt) ** (m * gamma0 / 2.0)
-    ratios = mags.mean(axis=0) / weights
-    ratio = float(ratios.max())
-    rng = np.random.Generator(np.random.Philox(key=_BOOTSTRAP_SEED))
-    n = mags.shape[0]
-    stats = np.empty(_BOOTSTRAP)
-    for b in range(_BOOTSTRAP):
-        pick = rng.integers(0, n, size=n)
-        stats[b] = (mags[pick].mean(axis=0) / weights).max()
-    hurst = ensemble.scenario.fbm.hurst
-    d = ensemble.scenario.dimension
-    in_range = gamma0 < 1.0 - hurst * d / 2.0
-    return MomentRatioReport(m, gamma0, ensemble.epsilon, ratio,
-                             float(stats.std(ddof=1)), in_range, n)
+    weights = np.array([((k1 - k0) * grid.dt) ** (m * gamma0 / 2.0)
+                        for k0, k1 in windows])
+    groups: dict[int, list[int]] = {}  # ensembles by surviving path count
+    for i, ens in enumerate(ensembles):
+        groups.setdefault(int(ens.ok_mask.sum()), []).append(i)
+    reports = [None] * len(ensembles)
+    for n, members in groups.items():
+        mags = np.empty((n, len(members), len(windows)))
+        for g, i in enumerate(members):
+            increments = ensembles[i].window_increments(windows)
+            for col, inc in enumerate(increments):
+                mags[:, g, col] = np.linalg.norm(inc, axis=1) ** m
+        ratios = (mags.mean(axis=0) / weights).max(axis=1)
+        rng = np.random.Generator(np.random.Philox(key=_BOOTSTRAP_SEED))
+        stats = np.empty((len(members), _BOOTSTRAP))
+        for b in range(_BOOTSTRAP):
+            pick = rng.integers(0, n, size=n)
+            stats[:, b] = (mags[pick].mean(axis=0) / weights).max(axis=1)
+        for g, i in enumerate(members):
+            scen = ensembles[i].scenario
+            in_range = gamma0 < 1.0 - scen.fbm.hurst * scen.dimension / 2.0
+            reports[i] = MomentRatioReport(m, gamma0, ensembles[i].epsilon,
+                                           float(ratios[g]),
+                                           float(stats[g].std(ddof=1)), in_range, n)
+    return reports
 
 
 def moment_ratio_trend(reports: list[MomentRatioReport]) -> dict:

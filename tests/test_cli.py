@@ -366,6 +366,21 @@ def test_admissibility_subcommand_json(capsys):
         assert captured.out == "" and "dimension must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--p", "inf"], ["--p", "nan"], ["--p", "2", "--hurst", "inf"],
+    ["--p", "2", "--hurst", "nan"], ["--p", "2", "--driver-hurst", "nan"],
+    ["--p", "2", "--driver-hurst=-inf"],
+], ids=["p-inf", "p-nan", "hurst-inf", "hurst-nan", "driver-hurst-nan",
+        "driver-hurst-minus-inf"])
+def test_admissibility_refuses_non_finite_numbers(capsys, extra):
+    """--p inf exited 0 and printed "p": Infinity, which is not JSON."""
+    with pytest.raises(SystemExit) as info:
+        main(["admissibility", "--dim", "1", *extra])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite, got" in captured.err
+
+
 def test_local_time_subcommand_smoke(tmp_path, capsys):
     out_csv = tmp_path / "lt.csv"
     assert main(["local-time", "--hurst", "0.3", "--steps", "512",
@@ -801,12 +816,15 @@ def test_non_finite_boxes_exit_2_without_a_warning(capsys, args):
     ["average", "--hurst", "0.3", "--seed", "1", "--width", "0.05", "--t", "nan"],
     ["sew", "--t", "inf"],
     ["sew", "--s=-inf"],
+    ["sew", "--s=-1e308", "--t", "1e308"],
 ], ids=["local-time-s-nan", "local-time-t-inf", "average-t-nan", "sew-t-inf",
-        "sew-s-minus-inf"])
+        "sew-s-minus-inf", "sew-t-minus-s-overflows"])
+@pytest.mark.filterwarnings("error")
 def test_non_finite_window_bounds_exit_2(capsys, args):
     """local-time and average ended in a ValueError or OverflowError
     traceback from the grid lookup, and sew exited 0 printing NaN and
-    Infinity, which are not JSON."""
+    Infinity, which are not JSON; finite bounds whose difference
+    overflows did so after a numpy overflow warning."""
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -63,6 +63,10 @@ def test_sew_validation():
         sew(LEFT_LINEAR, 1.0, 1.0)
     with pytest.raises(ParameterError):
         sew(LEFT_LINEAR, 0.0, 1.0, levels=2)
+    # Finite bounds whose difference overflows used to sew NaN level sums.
+    for s, t in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))):
+        with pytest.raises(ParameterError, match="finite t - s"):
+            sew(LEFT_LINEAR, s, t)
 
 
 

@@ -109,46 +109,90 @@ def _stack_members(d: int):
 
 
 STACKS = {d: _stack_members(d) for d in (1, 2)}
+# The stack members' perturbation paths and drivers on grids whose step
+# count a staging block of _euler_batch divides (64) or does not.
+DRIVEN = {(d, steps): (generate_fbm(0.2, d, TimeGrid(1.0, steps), seed=5).values,
+                       generate_bm_increments(d, TimeGrid(1.0, steps), BASE_SEED, 32))
+          for d in (1, 2) for steps in (64, 37, 100)}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(1, 2), st.permutations(range(4)), st.integers(1, 4),
-       st.sampled_from([0.7, BLOWUP_BOUND]), st.integers(1, 31))
-def test_solves_are_deterministic_and_split_independent(d, order, k, bound, split):
+       st.sampled_from([0.7, BLOWUP_BOUND]), st.integers(1, 31),
+       st.sampled_from([64, 37, 100]), st.sampled_from([None, 8]))
+def test_solves_are_deterministic_and_split_independent(d, order, k, bound, split,
+                                                        steps, block):
     """Repeated solves agree.  The k-field scheme over any subset and order
     of stack members equals, field by field, the one-field scheme and a
-    per-step reference, bit for bit in values and blow-up steps.  The
-    scheme over any split of the driver batch, concatenated, equals the
-    whole batch."""
+    per-step reference, bit for bit in values and blow-up steps, at the
+    default staging block or one of 8 steps, whether or not it divides
+    the step count.  The scheme over any split of the driver batch,
+    concatenated, equals the whole batch."""
     scenario = _identity_scenario()
     a = _solve(scenario)
     b = _solve(scenario)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.driver_increments, b.driver_increments)
 
-    fbm, members = STACKS[d]
+    _fbm, members = STACKS[d]
     chosen = [members[e] for e in order[:k]]
-    db = generate_bm_increments(d, GRID, BASE_SEED, 32)
+    w_values, db = DRIVEN[d, steps]
     x0 = np.full(d, 0.3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "BLOWUP_BOUND", bound)
-        values, blowup = _euler_batch(chosen, fbm.values, db, x0)
-        one = [_euler_batch([fld], fbm.values, db, x0) for fld in chosen]
-        head = _euler_batch(chosen, fbm.values, db[:split], x0)
-        tail = _euler_batch(chosen, fbm.values, db[split:], x0)
-    assert values.shape == (k, 32, d, GRID.steps + 1) and blowup.shape == (k, 32)
+        if block is not None:
+            mp.setattr(solver, "_EULER_BLOCK", block)
+        values, blowup = _euler_batch(chosen, w_values, db, x0)
+        one = [_euler_batch([fld], w_values, db, x0) for fld in chosen]
+        head = _euler_batch(chosen, w_values, db[:split], x0)
+        tail = _euler_batch(chosen, w_values, db[split:], x0)
+    assert values.shape == (k, 32, d, steps + 1) and blowup.shape == (k, 32)
     for j, (fld, (one_values, one_blowup)) in enumerate(zip(chosen, one)):
-        ref_values, ref_blowup = _reference_scheme(fld, fbm.values, db, x0, bound)
+        ref_values, ref_blowup = _reference_scheme(fld, w_values, db, x0, bound)
         for got in (values[j], one_values[0]):
             assert np.array_equal(got, ref_values)
         for got in (blowup[j], one_blowup[0]):
             assert np.array_equal(got, ref_blowup)
-    if bound == 0.7:
+    if bound == 0.7 and steps == 64:
         # The low bound freezes some paths of every field, not all of them,
-        # so the flags split too.
+        # so the flags split too.  On the coarser grids it can freeze all.
         assert np.all((blowup >= 0).any(axis=1) & (blowup < 0).any(axis=1))
     for whole, part_head, part_tail in zip((values, blowup), head, tail):
         assert np.array_equal(np.concatenate([part_head, part_tail], axis=1), whole)
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("steps", [37, 100])
+@pytest.mark.parametrize("d", [1, 2])
+def test_blowups_at_block_edges_match_the_reference(d, steps, block, monkeypatch):
+    """Paths of the identity field leave the box on the first and the last
+    step of every staging block, on a NaN and on an infinite driver, and
+    one path never does; every path of a steep constant field blows up.
+    Each field of the two-field scheme equals the per-step reference bit
+    for bit in values and blow-up steps."""
+    if block is not None:
+        monkeypatch.setattr(solver, "_EULER_BLOCK", block)
+    monkeypatch.setattr(solver, "BLOWUP_BOUND", 5.0)
+    size = solver._EULER_BLOCK
+    edges = sorted({k for k0 in range(0, steps, size)
+                    for k in (k0, min(k0 + size, steps) - 1)})
+    grid = TimeGrid(1.0, steps)
+    db = generate_bm_increments(d, grid, BASE_SEED, len(edges) + 3)
+    for path, k in enumerate(edges):
+        db[path, 0, k] = 100.0
+    db[len(edges), -1, steps // 2] = np.nan
+    db[len(edges) + 1, 0, steps // 3] = -np.inf
+    w_values = generate_fbm(0.2, d, grid, seed=5).values
+    x0 = np.full(d, 0.3)
+    fields = [identity_field(d), constant_field(1.0e3 * np.eye(d))]
+    values, blowup = _euler_batch(fields, w_values, db, x0)
+    for fld, got_values, got_blowup in zip(fields, values, blowup):
+        ref_values, ref_blowup = _reference_scheme(fld, w_values, db, x0, 5.0)
+        assert np.array_equal(got_values, ref_values)
+        assert np.array_equal(got_blowup, ref_blowup)
+    assert blowup[0].tolist() == [k + 1 for k in edges] + [steps // 2 + 1,
+                                                           steps // 3 + 1, -1]
+    assert np.all(blowup[1] >= 1)
 
 
 def test_radius_sweep_shares_drivers():

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fbmlab import verify
 from fbmlab import (MomentRatioReport, ParameterError, QuenchedScenario,
@@ -12,7 +14,7 @@ from fbmlab import (MomentRatioReport, ParameterError, QuenchedScenario,
                     constant_field, generate_fbm, identity_field, lebesgue_vs_sewing,
                     moment_ratio, moment_ratio_trend, quantized_perturbation,
                     weight_dictionary)
-from fbmlab.solver import solve_fields, walk_ensemble
+from fbmlab.solver import Ensemble, solve_fields, walk_ensemble
 from fbmlab.verify import (cross_term_report, isometry_report,
                            martingale_reports)
 
@@ -47,7 +49,7 @@ def test_moment_ratio_identity_coefficient_windows(monkeypatch):
                (14, 4.0): (3.0, 3.014906406948211)}
     monkeypatch.setattr(verify, "MOMENT_MAX_LEVEL", 1)
     for (seed, m), (target, frozen) in targets.items():
-        report = moment_ratio(_identity_ensemble(seed), m, 1.0)
+        report, = moment_ratio([_identity_ensemble(seed)], m, 1.0)
         assert report.ratio == pytest.approx(frozen, rel=1e-12)
         assert abs(report.ratio - target) <= 4.0 * report.stderr
         assert report.n_paths == N_PATHS
@@ -57,10 +59,67 @@ def test_moment_ratio_gamma_range_flag(monkeypatch):
     ens = _identity_ensemble(13)
     monkeypatch.setattr(verify, "MOMENT_MAX_LEVEL", 1)
     # The admissible range at hurst 0.2, d = 1 is gamma0 < 0.9.
-    assert moment_ratio(ens, 2.0, 0.5).gamma0_in_range
-    assert not moment_ratio(ens, 2.0, 1.0).gamma0_in_range
+    assert moment_ratio([ens], 2.0, 0.5)[0].gamma0_in_range
+    assert not moment_ratio([ens], 2.0, 1.0)[0].gamma0_in_range
     with pytest.raises(ParameterError):
-        moment_ratio(ens, 1.5, 0.5)
+        moment_ratio([ens], 1.5, 0.5)
+
+
+def _moment_ratio_alone(ens, m, gamma0):
+    """(ratio, stderr, n_paths) of one ensemble, by the per-ensemble
+    bootstrap loop moment_ratio first ran: a fresh stream, one resample of
+    the (paths, windows) magnitudes per draw."""
+    grid = ens.scenario.grid
+    windows = grid.dyadic_windows(verify.MOMENT_MAX_LEVEL)
+    mags = np.empty((int(ens.ok_mask.sum()), len(windows)))
+    weights = np.empty(len(windows))
+    for col, ((k0, k1), inc) in enumerate(zip(windows, ens.window_increments(windows))):
+        mags[:, col] = np.linalg.norm(inc, axis=1) ** m
+        weights[col] = ((k1 - k0) * grid.dt) ** (m * gamma0 / 2.0)
+    rng = np.random.Generator(np.random.Philox(key=verify._BOOTSTRAP_SEED))
+    n = mags.shape[0]
+    stats = np.empty(verify._BOOTSTRAP)
+    for b in range(verify._BOOTSTRAP):
+        pick = rng.integers(0, n, size=n)
+        stats[b] = (mags[pick].mean(axis=0) / weights).max()
+    return float((mags.mean(axis=0) / weights).max()), float(stats.std(ddof=1)), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=5), st.integers(1, 2),
+       st.integers(0, 2**32 - 1), st.sampled_from([2.0, 4.0]))
+@example([0, 0, 0], 1, 0, 4.0)      # equal survivor counts: one group
+@example([0, 2, 0, 1, 2], 2, 1, 4.0)  # unequal: three groups
+@example([3], 1, 2, 2.0)            # a group of one
+def test_stacked_bootstrap_equals_each_ensemble_alone(blown, d, seed, m):
+    """Ensembles resampled together, in groups by survivor count, report
+    bit for bit the ratio, stderr and path count each reports alone and
+    the per-ensemble loop gives, in the order they were passed."""
+    scenario = QuenchedScenario(generate_fbm(0.2, d, TimeGrid(1.0, 64), seed=3),
+                                identity_field(d), np.zeros(d), (0.25,), 12, 1)
+    rng = np.random.default_rng(seed)
+    ensembles = []
+    for e, count in enumerate(blown):
+        steps = np.full(12, -1)
+        steps[rng.choice(12, size=count, replace=False)] = 5
+        values = np.cumsum(rng.normal(scale=0.125, size=(12, d, 65)), axis=2)
+        ensembles.append(Ensemble(scenario, 0.5 ** e, values, steps))
+    together = moment_ratio(ensembles, m, 0.5)
+    for ens, report in zip(ensembles, together):
+        alone, = moment_ratio([ens], m, 0.5)
+        assert report.to_dict() == alone.to_dict()
+        assert (report.ratio, report.stderr, report.n_paths) == _moment_ratio_alone(
+            ens, m, 0.5)
+        assert report.epsilon == ens.epsilon
+
+
+def test_moment_ratio_needs_one_time_grid():
+    coarse = _identity_ensemble(13)
+    fine = QuenchedScenario(generate_fbm(0.2, 1, TimeGrid(1.0, 64), seed=3),
+                            identity_field(1), [0.0], (0.25,), 8, 1)
+    ens, = solve_fields(fine, [fine.sigma])
+    with pytest.raises(ParameterError, match="one time grid"):
+        moment_ratio([coarse, ens], 4.0, 0.5)
 
 
 def _synthetic_reports(ratios):

@@ -191,8 +191,8 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
     for e, eps in enumerate(eps_seq):
         ens = (reference if eps == eps_min
                else _solve(scenario, fields[eps], eps))
-        assert res.ratio_reports[e].to_dict() == moment_ratio(ens, cfg["m"],
-                                                              cfg["gamma0"]).to_dict()
+        alone, = moment_ratio([ens], cfg["m"], cfg["gamma0"])
+        assert res.ratio_reports[e].to_dict() == alone.to_dict()
         assert _report_dict(res.iso_reports[e]) == ref_isometry(
             ens, fields[eps], quant_grid)
         assert _report_dict(res.cross_reports[e]) == ref_cross(
@@ -301,6 +301,42 @@ def test_walk_rejects_too_few_snapped_positions():
     ens = _solve(scen, scen.sigma)
     with pytest.raises(ParameterError):
         solver.walk_ensemble(ens, [identity_field(1)], np.zeros((15, 1)))
+    # Every window must be a node pair of the grid: the sums of an empty
+    # window, or one past the horizon, are not a window's sums.
+    for windows in ([(4, 4)], [(8, 4)], [(0, 17)], [(-1, 4)]):
+        with pytest.raises(ParameterError, match="node pairs"):
+            solver.walk_ensemble(ens, [identity_field(1)], np.zeros((16, 1)), windows)
+
+
+def _carry_from_zero(terms):
+    """The running sum from a zero row, as the walk first took it."""
+    start = np.zeros((terms.shape[0], 1) + terms.shape[2:])
+    return np.cumsum(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
+
+
+@pytest.mark.parametrize("shape", [(3, 9, 4, 2), (1, 9, 4, 2), (3, 9, 1, 1),
+                                   (1, 9, 1), (2, 1, 3)],
+                         ids=["paths-fields-d", "one-path", "one-field",
+                              "one-path-one-field", "one-step"])
+def test_carry_equals_the_sum_from_zero(shape):
+    """_carry's read-outs of one running sum equal, bit for bit, a sum from
+    a zero row over each count of steps: on runs of -0.0 (which alone end
+    at -0.0 without the zero row), mixed zeros, NaN and infinities."""
+    rng = np.random.default_rng(3)
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324])
+    terms = np.where(rng.random(shape) < 0.5, rng.normal(size=shape),
+                     rng.choice(special, size=shape))
+    terms[0] = -0.0                     # a whole run of -0.0
+    terms[-1, :, ...] = rng.choice([-0.0, 0.0], size=terms[-1].shape)
+    steps = shape[1]
+    counts = sorted({1, (steps + 1) // 2, steps})
+    with np.errstate(over="ignore", invalid="ignore"):
+        carried = solver._carry(terms, counts)
+        wants = [_carry_from_zero(terms[:, :count]) for count in counts]
+    for got, want in zip(carried, wants):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert not np.any(np.signbit(carried[-1][0]))
 
 
 # --- chunks of paths ----------------------------------------------------------------
