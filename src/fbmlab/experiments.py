@@ -473,7 +473,7 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
         # Walked first: its larger temporaries raise glibc's trim threshold,
         # so the walks after it find warm heap pages (about 300 minor page
         # faults each on the 1000-path headline, against 12,800 before it).
-        ref_sums = walk_ensemble(part[ref], distinct, snapped, windows)
+        ref_sums = walk_ensemble(part[ref], distinct, snapped, (ref, windows))
         return [ref_sums if s == ref else walk_ensemble(ens, [distinct[s]], snapped)
                 for s, ens in enumerate(part)]
 
@@ -491,8 +491,7 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
         iso_reports.append(isometry_report(radii[e], field_sums[s],
                                            s if s == ref else 0))
         cross_reports.append(cross_term_report(reference, ref_sums, s, epsilon=eps))
-    mart_reports = martingale_reports(reference, ref_sums, ref,
-                                      martingale_windows)
+    mart_reports = martingale_reports(reference, ref_sums, martingale_windows)
     qv_report = lebesgue_vs_sewing(path0, scenario.fbm,
                                    hs_norm_sq(distinct[ref]), quant_grid,
                                    (horizon * 0.25, horizon * 0.75))
@@ -563,12 +562,12 @@ def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
     qgrid = scenario.quant_grid
     pairs = [(0.25, 0.5), (0.5, 1.0)]
     sums = walk_ensemble(ens, [sigma], quantized_perturbation(fbm.values, qgrid),
-                         [grid_t.window(s, t) for s, t in pairs])
+                         (0, [grid_t.window(s, t) for s, t in pairs]))
     exact = tuple(replace(report, margin=0.0) for report in (
         isometry_report(ens, sums, 0), cross_term_report(ens, sums, 0),
         lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma), qgrid,
                            (0.25, 0.75))))
-    return exact, tuple(martingale_reports(ens, sums, 0, pairs))
+    return exact, tuple(martingale_reports(ens, sums, pairs))
 
 
 def criterion_martingale_residuals() -> dict:

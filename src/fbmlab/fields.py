@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (ClampWarning, IntegrabilityWarning, ParameterError,
                      ResolutionError)
-from .occupation import SpatialGrid, multilinear_interpolate
+from .occupation import SpatialGrid, _corner_sum, _lattice_corners
 
 # Value returned when a singular field is evaluated exactly at its
 # singular point; large enough to poison any identity the evaluation
@@ -241,7 +241,7 @@ def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> Matri
     radius = 1.0 / eps + eps
     if field.support_radius is not None:
         radius = min(radius, field.support_radius + eps)
-    return MatrixField(lambda pts: _lattice_values(grid, out, radius, pts),
+    return MatrixField(lambda pts: _lattice_values(grid, out, radius, pts, None),
                        field.d, field.n, support_radius=radius,
                        label=f"mollified({field.label},{eps})", grid_values=out)
 
@@ -356,37 +356,49 @@ def _gamma(x: float) -> float:
 
 
 def _lattice_values(grid: SpatialGrid, table: np.ndarray, radius, pts,
-                    members=None) -> np.ndarray:
+                    first) -> np.ndarray:
     """Interpolated table at pts, zero off the lattice and beyond radius.
 
-    table has shape grid.shape + entry shape; radius is a float, or one
-    radius per member of a stacked (..., k, d, n) table.  With members (see
-    multilinear_interpolate) each point reads its own member, and radius
-    holds the radius of each point's member.
+    table has shape grid.shape + (d, n), or (k,) + that for k lattices,
+    read through one flat view (in place when C-contiguous).  first and
+    radius broadcast against pts.shape[:-1]: the flat row of each point's
+    lattice's first node (None: the only lattice) and that lattice's
+    radius.
     """
-    vals = multilinear_interpolate(grid.lower, grid.h, table, pts, members=members)
-    # The convolution support is a ball; clip FFT dust outside it.  In d = 1
-    # the norm is |x|: sqrt(fl(x^2)) = |x|, and where x^2 under- or
-    # overflows both compare with radius alike.
-    r = np.abs(pts[..., 0]) if pts.shape[-1] == 1 else np.linalg.norm(pts, axis=-1)
-    # np.where in place.  A stacked table is clipped one member at a time: a
-    # mask of every point against every radius would make numpy loop over
-    # the short member axis innermost.
-    stacked = members is None and np.ndim(radius)
-    for part, rad in zip(np.moveaxis(vals, -3, 0), radius) if stacked else [(vals, radius)]:
-        np.copyto(part, 0.0, where=(r > rad)[..., None, None])
-    return vals
+    flat = table.reshape((-1,) + table.shape[-2:])
+    corners, inside = _lattice_corners(grid.lower, grid.h, grid.shape, pts, first)
+    out = np.empty(corners[0][1].shape + flat.shape[1:])
+    _corner_sum(flat, corners, out, np.empty_like(out))
+    _zero_rows(out, ~inside | (_support_norm(pts) > radius))
+    return out
+
+
+def _support_norm(pts: np.ndarray) -> np.ndarray:
+    """|x| of points (..., d), which lattice fields compare with their radius.
+
+    The convolution support is a ball, so a lattice field is zero beyond it
+    (FFT dust is clipped).  In d = 1 the norm is |x|: sqrt(fl(x^2)) = |x|,
+    and where x^2 under- or overflows both compare with radius alike.
+    """
+    return np.abs(pts[..., 0]) if pts.shape[-1] == 1 else np.linalg.norm(pts, axis=-1)
+
+
+def _zero_rows(vals: np.ndarray, drop: np.ndarray) -> None:
+    """vals (...) + (d, n) set to 0.0 where drop (...) holds, by index: a
+    masked copy costs three times the scatter."""
+    vals.reshape((-1,) + vals.shape[-2:])[np.flatnonzero(drop)] = 0.0
 
 
 class LatticeStack:
     """Lattice fields on one grid, interpolated together.
 
-    table has shape grid.shape + (k, d, n).  Member e interpolates
-    table[..., e, :, :] between bin centers and vanishes off the lattice
-    and beyond radii[e], as a mollified field does.  Calling the stack at
-    points (..., d) returns every member, (..., k, d, n), from one
-    base/fraction computation per point; member e's own evaluation is
-    bit-equal to slice e of that call.
+    table is member-major, (k,) + grid.shape + (d, n): member e
+    interpolates the contiguous table[e] between bin centers and vanishes
+    off the lattice and beyond radii[e], as a mollified field does.
+    Calling the stack at points (..., d) returns every member, (k, ...,
+    d, n): the points' cells and weights are found once, then each
+    member's table is read on its own into its slice.  Member e's own
+    evaluation is bit-equal to slice e of that call.
     """
 
     def __init__(self, grid: SpatialGrid, table: np.ndarray, radii):
@@ -395,42 +407,52 @@ class LatticeStack:
         self.radii = tuple(float(r) for r in radii)
 
     def __call__(self, points) -> np.ndarray:
-        return _lattice_values(self.grid, self.table, np.asarray(self.radii),
-                               np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
+        corners, inside = _lattice_corners(self.grid.lower, self.grid.h,
+                                           self.grid.shape, pts, None)
+        entry = self.table.shape[-2:]
+        out = np.empty((len(self.radii),) + pts.shape[:-1] + entry)
+        term = np.empty(out.shape[1:])
+        r = _support_norm(pts)
+        for vals, table, radius in zip(out, self.table, self.radii):
+            _corner_sum(table.reshape((-1,) + entry), corners, vals, term)
+            _zero_rows(vals, ~inside | (r > radius))
+        return out
 
     def gather(self, members):
         """Member members[j] at points[j], as a function (k, ..., d) -> (k, ..., d, n).
 
-        Each call is one interpolation for all k point sets; slice j is
-        bit-equal to member members[j]'s own evaluation at points[j].  The
-        member index and each member's radius are taken here, once.
+        Each call is one interpolation for all k point sets, which reads
+        row member * nodes + node of the flat table; slice j is bit-equal
+        to member members[j]'s own evaluation at points[j].  The members
+        are checked, and their first rows and radii taken, here, once.
         """
         index = np.asarray(members)
+        if not np.all((index >= 0) & (index < len(self.radii))):
+            raise ParameterError(f"members must lie in [0, {len(self.radii)})")
+        first = index * math.prod(self.grid.shape)
         radius = np.asarray(self.radii)[index]
 
         def evaluate(points) -> np.ndarray:
             pts = np.asarray(points, dtype=float)
             per_set = (-1,) + (1,) * (pts.ndim - 2)
-            return _lattice_values(self.grid, self.table, radius.reshape(per_set),
-                                   pts, members=index.reshape(per_set))
+            return _lattice_values(self.grid, self.table, radius.reshape(per_set), pts,
+                                   first.reshape(per_set))
         return evaluate
 
     def member(self, e: int, *, label: str) -> MatrixField:
-        table, radius = self.table[..., e, :, :], self.radii[e]
+        table, radius = self.table[e], self.radii[e]
         d, n = table.shape[-2:]
-        # Read through the whole stacked table: np.take would copy the
-        # non-contiguous slice on every call.
-        fld = MatrixField(lambda pts: _lattice_values(self.grid, self.table, radius, pts,
-                                                      members=e),
+        fld = MatrixField(lambda pts: _lattice_values(self.grid, table, radius, pts, None),
                           d, n, support_radius=radius, label=label, grid_values=table)
         fld.lattice = (self, e)
         return fld
 
 
 def evaluate_together(fields, points) -> np.ndarray:
-    """Every field at the same points, shape (..., len(fields), d, n).
+    """Every field at the same points, shape (len(fields), ..., d, n).
 
-    Bit-equal to stacking each field's own evaluation on axis -3.  When the
+    Bit-equal to stacking each field's own evaluation on axis 0.  When the
     fields are the members of one LatticeStack in stack order, the stack
     interpolates them in one call; otherwise each field is evaluated on its
     own, so a field listed twice is evaluated twice.
@@ -439,7 +461,7 @@ def evaluate_together(fields, points) -> np.ndarray:
     stack = lattice[0][0] if lattice[0] is not None else None
     if stack is not None and lattice == [(stack, e) for e in range(len(stack.radii))]:
         return stack(points)
-    return np.stack([f(points) for f in fields], axis=-3)
+    return np.stack([f(points) for f in fields])
 
 
 def evaluate_members(fields):

@@ -266,15 +266,16 @@ def mollified_family(scenario: QuenchedScenario) -> dict[float, MatrixField]:
     """Mollified fields for every radius in the scenario, on family_grid.
 
     The fields are the members of one LatticeStack, so evaluate_together
-    interpolates all radii with one call.
+    interpolates all radii with one call.  Each radius's samples go
+    straight into its own contiguous slice of the member-major table.
     """
     grid = family_grid(scenario)
     sigma = scenario.sigma
-    table = np.empty(grid.shape + (len(scenario.eps_seq), sigma.d, sigma.n))
+    table = np.empty((len(scenario.eps_seq),) + grid.shape + (sigma.d, sigma.n))
     radii, labels = [], []
     for e, eps in enumerate(scenario.eps_seq):
         fld = mollify(sigma, MollifierSpec(eps), grid)
-        table[..., e, :, :] = fld.grid_values
+        table[e] = fld.grid_values
         radii.append(fld.support_radius)
         labels.append(fld.label)
     stack = LatticeStack(grid, table, radii)
@@ -287,15 +288,16 @@ class PathSums:
     """Per-path sums of one walk_ensemble pass over the surviving paths.
 
     Rows follow the ensemble's ok_mask.  With X the solution, w the frozen
-    path, z its quantization, sigma the scenario's unmollified field and f
-    the walk's fields, summed over the steps k of the whole horizon:
+    path, z its quantization, sigma the scenario's unmollified field, f
+    the walk's fields and f[own] the field that solved the ensemble,
+    summed over the steps k of the whole horizon:
 
-      ito[e]           sum_k f[e](X_k - w_k) dB_k, (paths, d)
-      row_sq[e]        dt sum_k |row_0 f[e](X_k - z_k)|^2
-      mixed[e]         dt sum_k (sigma f[e]^T)_00 (X_k - z_k)
-      quad_comp[w, e]  dt sum_{k in window w} |row_0 f[e](X_k - w_k)|^2
-      cross_comp[w, e] dt sum_{k in window w} f[e]_00 (X_k - w_k)
-      driver_nodes     B(t_k) at the window end points, (paths, n, nodes)
+      ito[e]         sum_k f[e](X_k - w_k) dB_k, (paths, d)
+      row_sq[e]      dt sum_k |row_0 f[e](X_k - z_k)|^2
+      mixed[e]       dt sum_k (sigma f[e]^T)_00 (X_k - z_k)
+      quad_comp[w]   dt sum_{k in window w} |row_0 f[own](X_k - w_k)|^2
+      cross_comp[w]  dt sum_{k in window w} f[own]_00 (X_k - w_k)
+      driver_nodes   B(t_k) at the window end points, (paths, n, nodes)
 
     An isometry walk fills row_sq alone, the others have no fields or
     windows.  ito and the compensators add one step at a time
@@ -311,8 +313,8 @@ class PathSums:
     ito: np.ndarray = field(repr=False)           # (fields, paths, d)
     row_sq: np.ndarray = field(repr=False)        # (fields, paths)
     mixed: np.ndarray = field(repr=False)         # (fields, paths)
-    quad_comp: np.ndarray = field(repr=False)     # (windows, fields, paths)
-    cross_comp: np.ndarray = field(repr=False)    # (windows, fields, paths)
+    quad_comp: np.ndarray = field(repr=False)     # (windows, paths)
+    cross_comp: np.ndarray = field(repr=False)    # (windows, paths)
     driver_nodes: np.ndarray = field(repr=False)  # (paths, n, nodes)
 
     @staticmethod
@@ -322,36 +324,40 @@ class PathSums:
             return np.concatenate([getattr(p, name) for p in parts], axis=axis)
 
         return replace(parts[0], ito=rows("ito", 1), row_sq=rows("row_sq", 1),
-                       mixed=rows("mixed", 1), quad_comp=rows("quad_comp", 2),
-                       cross_comp=rows("cross_comp", 2),
+                       mixed=rows("mixed", 1), quad_comp=rows("quad_comp", 1),
+                       cross_comp=rows("cross_comp", 1),
                        driver_nodes=rows("driver_nodes", 0))
 
 
 def _carry(terms: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
-    """0.0 + terms[:, 0] + ... + terms[:, c - 1] for each c >= 1 in counts,
-    added one step at a time.
+    """0.0 + terms[..., 0] + ... + terms[..., c - 1] for each c >= 1 in
+    counts, added one step at a time along the last axis.
 
     One running sum over the longest count serves them all.  It starts
-    at terms[:, 0], not at 0.0, which changes only the sign of a zero:
+    at terms[..., 0], not at 0.0, which changes only the sign of a zero:
     a sum from +0.0 never ends at -0.0, so adding 0.0 to the read-out
     gives the sum from 0.0 bit for bit, NaN and inf included.
     """
-    run = np.cumsum(terms[:, :max(counts)], axis=1)
-    return [run[:, c - 1] + 0.0 for c in counts]
+    run = np.cumsum(terms[..., :max(counts)], axis=-1)
+    return [run[..., c - 1] + 0.0 for c in counts]
 
 
 def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
                   snapped: np.ndarray,
-                  windows: Sequence[tuple[int, int]] | None = None) -> PathSums:
+                  martingale: tuple[int, Sequence[tuple[int, int]]] | None = None
+                  ) -> PathSums:
     """Every per-path sum of the identity checks in one pass over the paths.
 
     The walk covers the whole horizon on coordinate 0, with snapped the
-    quantized perturbation z (PathSums).  Given martingale windows as node
-    pairs it is the reference walk: Ito sums, squared rows, mixed sums,
-    compensators and driver nodes.  Without them it is an isometry walk,
-    squared rows only.  Nothing here is recursive, so fields are evaluated
-    on blocks of whole rows, max(1, WALK_POINTS // steps) paths each, every
-    field list in one evaluate_together call per block.
+    quantized perturbation z (PathSums).  Given martingale = (own,
+    windows), fields[own] the field that solved the ensemble and windows
+    node pairs, it is the reference walk: Ito sums, squared rows and mixed
+    sums of every field, the compensators of fields[own] and driver
+    nodes.  Without it it is an isometry walk, squared rows only.
+    Nothing here is recursive, so fields are evaluated on blocks of whole
+    rows, max(1, WALK_POINTS // steps) paths each, every field list in one
+    evaluate_together call per block.  Its (fields, paths, steps, ...)
+    values are summed as they come, over contiguous rows of steps.
     """
     scen = ensemble.scenario
     steps, dt = scen.grid.steps, scen.grid.dt
@@ -359,11 +365,14 @@ def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
         raise ParameterError(f"need {steps} snapped positions, got {snapped.shape[0]}")
     snapped = snapped[:steps]
     w = scen.fbm.values[:, :steps].T
-    reference = windows is not None
-    windows = tuple((int(a), int(b)) for a, b in windows or ())
+    reference = martingale is not None
+    own, windows = martingale if reference else (0, ())
+    windows = tuple((int(a), int(b)) for a, b in windows)
     if not all(0 <= a < b <= steps for a, b in windows):
         raise ParameterError(
             f"windows must be node pairs 0 <= k0 < k1 <= {steps}, got {windows}")
+    if reference and own not in range(len(fields)):
+        raise ParameterError(f"own field {own} is not one of the {len(fields)} walked")
     nodes = tuple(sorted({k for pair in windows for k in pair}))
     starts: dict[int, list[tuple[int, int]]] = {}  # (window, steps) by start node
     for wi, (ks, kt) in enumerate(windows):
@@ -373,8 +382,8 @@ def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
     ito = np.empty((n_ref, rows.size, scen.dimension))
     row_sq = np.empty((len(fields), rows.size))
     mixed = np.empty((n_ref, rows.size))
-    quad_comp = np.empty((len(windows), n_ref, rows.size))
-    cross_comp = np.empty((len(windows), n_ref, rows.size))
+    quad_comp = np.empty((len(windows), rows.size))
+    cross_comp = np.empty((len(windows), rows.size))
     driver_nodes = np.empty((rows.size, scen.driver_dimension, len(nodes)))
     block = max(1, WALK_POINTS // steps)
     for r0 in range(0, rows.size, block):
@@ -384,24 +393,22 @@ def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
         db = ensemble.driver_increments[chunk]
         if reference:
             vals = evaluate_together(fields, x - w)
-            inc = np.einsum("pkeij,pkj->pkei", vals, db.transpose(0, 2, 1))
-            ito[:, part] = _carry(inc, [steps])[0].transpose(1, 0, 2)
-            sq = np.sum(vals[..., 0, :] ** 2, axis=-1)
-            entry = vals[..., 0, 0]
+            inc = np.einsum("epkij,pjk->epik", vals, db)
+            ito[:, part] = _carry(inc, [steps])[0]
+            row0 = vals[own, ..., 0, :]
+            sq, entry = np.sum(row0 ** 2, axis=-1), row0[..., 0]
             for ks, group in starts.items():
                 wis, counts = zip(*group)
                 for wi, quad, cross in zip(wis, _carry(sq[:, ks:], counts),
                                            _carry(entry[:, ks:], counts)):
-                    quad_comp[wi, :, part] = quad.T * dt
-                    cross_comp[wi, :, part] = cross.T * dt
+                    quad_comp[wi, part] = quad * dt
+                    cross_comp[wi, part] = cross * dt
         pts = x - snapped
         vals = evaluate_together(fields, pts)
-        sq_rows = np.moveaxis(np.sum(vals[..., 0, :] ** 2, axis=-1), -1, 0)
-        row_sq[:, part] = np.ascontiguousarray(sq_rows).sum(axis=2) * dt
+        row_sq[:, part] = np.sum(vals[..., 0, :] ** 2, axis=-1).sum(axis=2) * dt
         if reference:
-            raw = scen.sigma(pts)[..., None, 0, :]
-            mixed_rows = np.moveaxis(np.sum(raw * vals[..., 0, :], axis=-1), -1, 0)
-            mixed[:, part] = np.ascontiguousarray(mixed_rows).sum(axis=2) * dt
+            raw = scen.sigma(pts)[..., 0, :]
+            mixed[:, part] = np.sum(raw * vals[..., 0, :], axis=-1).sum(axis=2) * dt
             b_run = np.cumsum(db, axis=2)
             for col, k in enumerate(nodes):
                 driver_nodes[part, :, col] = b_run[:, :, k - 1] if k else 0.0

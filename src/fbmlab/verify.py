@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InsufficientDataError, ParameterError
 from .occupation import SpatialGrid
 from .sewing import Germ, sew
 from .solver import Ensemble, PathSums, _stderr
@@ -108,7 +108,9 @@ def moment_ratio(ensembles: Sequence[Ensemble], m: float,
     one draw and one gather of their stacked (paths, ensembles, windows)
     magnitudes per resample.  Means add the picked rows in order, each
     ensemble's resample statistics fill their own contiguous row, and
-    every result is bit-equal to resampling that ensemble alone.
+    every result is bit-equal to resampling that ensemble alone.  An
+    ensemble with fewer than 2 surviving paths is refused
+    (InsufficientDataError) before anything is resampled.
     """
     if m < 2.0:
         raise ParameterError(f"m must be >= 2, got {m}")
@@ -120,7 +122,12 @@ def moment_ratio(ensembles: Sequence[Ensemble], m: float,
                         for k0, k1 in windows])
     groups: dict[int, list[int]] = {}  # ensembles by surviving path count
     for i, ens in enumerate(ensembles):
-        groups.setdefault(int(ens.ok_mask.sum()), []).append(i)
+        n = int(ens.ok_mask.sum())
+        if n < 2:
+            raise InsufficientDataError(
+                f"ensemble {i} (epsilon={ens.epsilon}) has {n} surviving paths; "
+                "a moment ratio and its bootstrap need at least 2")
+        groups.setdefault(n, []).append(i)
     reports = [None] * len(ensembles)
     for n, members in groups.items():
         mags = np.empty((n, len(members), len(windows)))
@@ -338,14 +345,14 @@ def martingale_nodes(windows: list[tuple[int, int]]) -> set[int]:
     return {k for k_s, k_t in windows for k in _weight_nodes(k_s, k_t)}
 
 
-def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
+def martingale_reports(ensemble: Ensemble, sums: PathSums,
                        pairs: list[tuple[float, float]]) -> list[IdentityReport]:
     """Residuals E[weight * increment] for the three martingale families.
 
     sums is a reference walk_ensemble pass whose windows are the node
     pairs of `pairs`.  Families, for M = X_0 - x0_0 and the discrete
-    compensators of the walk's field e, sigma_eps, evaluated along the
-    exact (unquantized) perturbation positions:
+    compensators of the field that solved the ensemble, sigma_eps,
+    evaluated along the exact (unquantized) perturbation positions:
 
       level:      M(t) - M(s)
       quadratic:  M(t)^2 - M(s)^2 - sum |row_0 sigma_eps|^2 dt
@@ -365,8 +372,8 @@ def martingale_reports(ensemble: Ensemble, sums: PathSums, e: int,
         b_w = sums.driver_nodes[:, :, [sums.nodes.index(k_s), sums.nodes.index(k_t)]]
         mart_s = x_w[:, 0, 0] - scen.x0[0]
         mart_t = x_w[:, 0, 2] - scen.x0[0]
-        quad_comp = sums.quad_comp[w_idx, e]
-        cross_comp = sums.cross_comp[w_idx, e]
+        quad_comp = sums.quad_comp[w_idx]
+        cross_comp = sums.cross_comp[w_idx]
         z_level = mart_t - mart_s
         z_quad = mart_t ** 2 - mart_s ** 2 - quad_comp
         z_cross = mart_t * b_w[:, 0, 1] - mart_s * b_w[:, 0, 0] - cross_comp

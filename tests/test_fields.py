@@ -271,16 +271,16 @@ def _per_entry_reference(grid, fld, pts):
 def _assert_family_consistent(d, pts):
     grid, family = FAMILIES[d]
     together = evaluate_together(family, pts)
-    assert together.shape == pts.shape[:-1] + (len(family),) + family[0](pts).shape[-2:]
+    assert together.shape == (len(family),) + family[0](pts).shape
     for e, fld in enumerate(family):
         own = fld(pts)
-        assert np.array_equal(together[..., e, :, :], own)
+        assert np.array_equal(together[e], own)
         assert np.array_equal(own, _per_entry_reference(grid, fld, pts))
     # The member-axis gather: members in any order, each at its own points.
     order = [1, 0, 1]
     own_pts = np.stack([pts, pts[::-1], 0.5 * pts])
     gathered = evaluate_members([family[e] for e in order])(own_pts)
-    assert gathered.shape == (len(order),) + together[..., 0, :, :].shape
+    assert gathered.shape == (len(order),) + together[0].shape
     for j, e in enumerate(order):
         assert np.array_equal(gathered[j], family[e](own_pts[j]))
 

@@ -356,9 +356,9 @@ _TABLE_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
 
 @st.composite
 def _stacked_lattices(draw):
-    """A grid, a stacked (k, d, n) table with signed zeros and non-finite
-    entries sprinkled in, radii, and points on, off and at the edges of
-    the lattice, NaN and +-inf among them."""
+    """A grid, a member-major (k,) + grid.shape + (d, n) table with signed
+    zeros and non-finite entries sprinkled in, radii, and points on, off
+    and at the edges of the lattice, NaN and +-inf among them."""
     d = draw(st.integers(1, 3))
     bins = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
     h = draw(st.sampled_from([0.25, 0.375, 1.0]))
@@ -367,7 +367,7 @@ def _stacked_lattices(draw):
     grid = SpatialGrid(lower, h, bins)
     k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    table = rng.standard_normal(bins + (k, d, n))
+    table = rng.standard_normal((k,) + bins + (d, n))
     table[rng.random(table.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, table.size - 1))
@@ -389,44 +389,59 @@ def _stacked_lattices(draw):
 @settings(max_examples=150, deadline=None)
 @given(_stacked_lattices(), st.booleans(), st.data())
 def test_flat_gather_is_bit_equal_to_the_corner_loop(case, clamp, data):
+    """The references read the stack's table as it was laid out before,
+    member axis after the lattice axes: np.moveaxis(table, 0, d)."""
     grid, table, radii, pts = case
-    k, m = table.shape[-3], pts.shape[0]
+    k, m, d = table.shape[0], pts.shape[0], grid.dimension
+    lattice_major = np.moveaxis(table, 0, d)
     members = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
     e = data.draw(st.integers(0, k - 1))
     stack = LatticeStack(grid, table, radii)
-    # Whole stacked entries, members, and one scalar lattice cut from a
-    # stack (a non-contiguous table), each with and without clamp.
-    for values, kw in ((table, {}), (table, {"members": members}),
-                       (table[..., e, -1, 0], {})):
+    # Whole entries of one member, every member's entries stacked after the
+    # lattice axes, and one scalar lattice cut from a stack (a
+    # non-contiguous table), each with and without clamp.
+    for values, want in ((table[e], lattice_major[..., e, :, :]),
+                         (lattice_major, lattice_major),
+                         (table[e, ..., -1, 0], lattice_major[..., e, -1, 0])):
         _assert_same_bits(
-            multilinear_interpolate(grid.lower, grid.h, values, pts, clamp=clamp, **kw),
-            _corner_loop_interpolate(grid.lower, grid.h, values, pts, clamp=clamp, **kw))
+            multilinear_interpolate(grid.lower, grid.h, values, pts, clamp=clamp),
+            _corner_loop_interpolate(grid.lower, grid.h, want, pts, clamp=clamp))
     # The stack's three routes: every member with stacked radii, one
-    # member field, and the member-axis gather of k point sets.
-    _assert_same_bits(stack(pts), _mask_clip_lattice_values(
-        grid, table, np.asarray(stack.radii), pts))
+    # member field, and the member-axis gather of k point sets, here one
+    # set per point, each point with its own member, and three sets.
+    per_point = members[:, None]
+    _assert_same_bits(stack.gather(members)(pts[:, None, :]), _mask_clip_lattice_values(
+        grid, lattice_major, np.asarray(stack.radii)[per_point], pts[:, None, :],
+        members=per_point))
+    _assert_same_bits(stack(pts), np.moveaxis(_mask_clip_lattice_values(
+        grid, lattice_major, np.asarray(stack.radii), pts), -3, 0))
     _assert_same_bits(stack.member(e, label="e")(pts),
-                      _mask_clip_lattice_values(grid, table[..., e, :, :],
+                      _mask_clip_lattice_values(grid, lattice_major[..., e, :, :],
                                                 stack.radii[e], pts))
     sets = np.stack([pts, pts[::-1], -pts])
     order = [e, (e + 1) % k, 0]
     index = np.array(order)[:, None]
     _assert_same_bits(stack.gather(order)(sets), _mask_clip_lattice_values(
-        grid, table, np.asarray(stack.radii)[index], sets, members=index))
+        grid, lattice_major, np.asarray(stack.radii)[index], sets, members=index))
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("clamp", [False, True], ids=["zero-off-lattice", "clamp"])
 @pytest.mark.parametrize("bins", [(4,), (3, 1), (1, 2, 3)])
 def test_nan_points_interpolate_without_a_cast_warning(bins, clamp):
-    """A NaN coordinate reads NaN, or 0 off the lattice without clamp,
-    with and without members, and casts no NaN to an integer on the way."""
+    """A NaN coordinate reads NaN, or 0 off the lattice without clamp, on
+    its own and through a stack's members (which zero off the lattice),
+    and casts no NaN to an integer on the way."""
     d = len(bins)
     grid = SpatialGrid((-0.5,) * d, 0.25, bins)
-    table = np.random.default_rng(1).standard_normal(bins + (2, 1, 1))
+    table = np.random.default_rng(1).standard_normal((2,) + bins + (1, 1))
     pts = np.array([[math.nan] * d, [0.0] * (d - 1) + [math.nan], [0.0] * d])
-    for kw in ({}, {"members": np.array([1, 0, 1])}):
-        got = multilinear_interpolate(grid.lower, grid.h, table, pts, clamp=clamp, **kw)
+    stack = LatticeStack(grid, table, [math.inf] * 2)
+    reads = [multilinear_interpolate(grid.lower, grid.h, np.moveaxis(table, 0, d), pts,
+                                     clamp=clamp)]
+    if not clamp:
+        reads += [stack(pts).swapaxes(0, 1), stack.gather([1, 0, 1])(pts[:, None, :])]
+    for got in reads:
         if clamp:
             assert np.isnan(got[:2]).all()
         else:
@@ -434,15 +449,28 @@ def test_nan_points_interpolate_without_a_cast_warning(bins, clamp):
             assert not np.signbit(got[:2]).any()
 
 
+@pytest.mark.parametrize("members", [[0, 3], [-1, 0], [[1], [3]]])
+def test_members_outside_the_stack_are_refused(members):
+    """A member index that names no lattice of a three-member stack is
+    refused when the gather is made, rather than read from another
+    member's rows."""
+    grid = SpatialGrid((-0.5,), 0.25, (4,))
+    stack = LatticeStack(grid, np.zeros((3,) + grid.shape + (1, 1)), [1.0] * 3)
+    with pytest.raises(ParameterError, match="members must lie in"):
+        stack.gather(members)
+
+
 def test_member_fields_read_the_stacked_table_in_place():
-    """A member's table is a view of the stack's, and evaluating a member
-    allocates in proportion to its points, not to its lattice."""
+    """A member's table is the contiguous view table[e] of the stack's, and
+    evaluating a member allocates in proportion to its points, not to its
+    lattice."""
     grid = SpatialGrid((-8.1,), 2.0 ** -12, (1 << 16,))
-    table = np.random.default_rng(0).standard_normal(grid.shape + (5, 1, 1))
+    table = np.random.default_rng(0).standard_normal((5,) + grid.shape + (1, 1))
     stack = LatticeStack(grid, table, [1.0] * 5)
-    member = table[..., 3, :, :]
-    assert np.shares_memory(member.reshape((-1,) + member.shape[1:]), table)
     field = stack.member(3, label="member 3")
+    member = field.grid_values
+    assert member.flags.c_contiguous and np.shares_memory(member, table)
+    assert member.__array_interface__ == table[3].__array_interface__
     pts = np.linspace(-2.0, 2.0, 16)[:, None]
     field(pts)
     tracemalloc.start()

@@ -305,7 +305,7 @@ def test_constant_field_sweep_has_no_gap():
     reference = _solve(scenario, fields[0.05], 0.05)
     snapped = quantized_perturbation(FBM.values, SpatialGrid.cover(FBM.values.T, GRID.dt))
     sums = walk_ensemble(reference, [fields[eps] for eps in scenario.eps_seq],
-                         snapped, windows=[])
+                         snapped, martingale=(1, []))
     report = cauchy_report(scenario, sums.ito, fields, 4.0)
     assert report.eps_seq == (0.0625, 0.05)
     assert len(report.consecutive_diffs) == 1

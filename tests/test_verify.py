@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbmlab import verify
-from fbmlab import (MomentRatioReport, ParameterError, QuenchedScenario,
-                    SpatialGrid, TimeGrid, WEIGHT_DICTIONARY_VERSION,
-                    constant_field, generate_fbm, identity_field, lebesgue_vs_sewing,
+from fbmlab import (InsufficientDataError, MomentRatioReport, ParameterError,
+                    QuenchedScenario, SpatialGrid, TimeGrid,
+                    WEIGHT_DICTIONARY_VERSION, constant_field, generate_fbm,
+                    identity_field, lebesgue_vs_sewing,
                     moment_ratio, moment_ratio_trend, quantized_perturbation,
                     weight_dictionary)
 from fbmlab.solver import Ensemble, solve_fields, walk_ensemble
@@ -122,6 +123,35 @@ def test_moment_ratio_needs_one_time_grid():
         moment_ratio([coarse, ens], 4.0, 0.5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("survivors", [0, 1])
+def test_moment_ratio_refuses_an_ensemble_of_too_few_paths(survivors, monkeypatch):
+    """An ensemble with fewer than 2 surviving paths is refused by its place
+    and radius, before any resample is drawn for it or the others, and
+    without a numpy warning on the way."""
+    scenario = QuenchedScenario(generate_fbm(0.2, 1, TimeGrid(1.0, 64), seed=3),
+                                identity_field(1), np.zeros(1), (0.25,), 12, 1)
+    values = np.cumsum(np.random.default_rng(0).normal(scale=0.125, size=(12, 1, 65)),
+                       axis=2)
+    steps = np.full(12, 5)
+    steps[:survivors] = -1
+    ensembles = [Ensemble(scenario, 0.5, values, np.full(12, -1)),
+                 Ensemble(scenario, 0.25, values, steps)]
+    streams = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        streams.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    with pytest.raises(InsufficientDataError,
+                       match=rf"ensemble 1 \(epsilon=0.25\) has {survivors} surviving"):
+        moment_ratio(ensembles, 4.0, 0.5)
+    assert streams == []
+    assert len(moment_ratio(ensembles[:1], 4.0, 0.5)) == 1 and len(streams) == 1
+
+
 def _synthetic_reports(ratios):
     return [MomentRatioReport(2.0, 0.5, 0.5 ** k, r, 0.01, True, 100)
             for k, r in enumerate(ratios)]
@@ -141,7 +171,7 @@ def test_moment_ratio_trend_verdicts():
 def _walk(ens, fields, windows=None):
     """walk_ensemble over ens, quantized on SGRID."""
     return walk_ensemble(ens, fields, quantized_perturbation(FBM.values, SGRID),
-                         windows)
+                         None if windows is None else (0, windows))
 
 
 def test_ito_isometry_identity_coefficient():
@@ -173,7 +203,7 @@ def test_martingale_residuals_identity_coefficient():
     ens = _identity_ensemble(13)
     pairs = [(0.25, 0.5), (0.5, 1.0)]
     sums = _walk(ens, [identity_field(1)], [GRID.window(s, t) for s, t in pairs])
-    reports = martingale_reports(ens, sums, 0, pairs)
+    reports = martingale_reports(ens, sums, pairs)
     assert len(reports) == 36  # 2 windows x 3 families x 6 weights
     assert all(r.passed for r in reports)
     for report in reports:

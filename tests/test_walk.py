@@ -52,17 +52,34 @@ def _paired(tag, label, left_samples, right_samples, margin_fraction, extras):
             "margin": margin_fraction * max(abs(left), abs(right)), **extras}
 
 
+def _quantized_sum(ens, scalar_fn, snapped):
+    """dt sum_k scalar_fn(X_k - z_k) over the surviving paths: one call per
+    step into a (paths, steps) buffer, summed by row."""
+    scen = ens.scenario
+    x_nodes = ens.values[ens.ok_mask][:, :, :scen.grid.steps]
+    return _scalar_on_path(scalar_fn, x_nodes, snapped).sum(axis=1) * scen.grid.dt
+
+
+def ref_row_sq(ens, sigma_eps, snapped):
+    """dt sum |row_0 sigma_eps|^2 at the quantized positions."""
+    return _quantized_sum(
+        ens, lambda pts: np.sum(sigma_eps(pts)[..., 0, :] ** 2, axis=-1), snapped)
+
+
+def ref_mixed(ens, sigma_eps, snapped):
+    """dt sum (sigma sigma_eps^T)_00 at the quantized positions."""
+    sigma = ens.scenario.sigma
+    return _quantized_sum(
+        ens, lambda pts: np.sum(sigma(pts)[..., 0, :] * sigma_eps(pts)[..., 0, :], axis=-1),
+        snapped)
+
+
 def ref_isometry(ens, sigma_eps, grid, margin_fraction=0.05):
     scen = ens.scenario
     k_t = scen.grid.steps
     x_nodes = ens.values[ens.ok_mask]
     left = (x_nodes[:, 0, k_t] - scen.x0[0]) ** 2
-
-    def row_sq(pts):
-        return np.sum(sigma_eps(pts)[..., 0, :] ** 2, axis=-1)
-
-    snapped = quantized_perturbation(scen.fbm.values, grid)
-    right = _scalar_on_path(row_sq, x_nodes[:, :, :k_t], snapped).sum(axis=1) * scen.grid.dt
+    right = ref_row_sq(ens, sigma_eps, quantized_perturbation(scen.fbm.values, grid))
     return _paired("ito_isometry", f"coordinate 0, t={scen.grid.horizon}", left,
                    right, margin_fraction, {"epsilon": ens.epsilon})
 
@@ -77,16 +94,26 @@ def ref_cross(ens, sigma_eps, grid, epsilon=None, margin_fraction=0.05):
         mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
         ito += np.einsum("pi,pi->p", mats[:, 0, :], db[:, :, k])
     left = (x_nodes[:, 0, k_t] - scen.x0[0]) * ito
-
-    def mixed(pts):
-        return np.sum(scen.sigma(pts)[..., 0, :] * sigma_eps(pts)[..., 0, :], axis=-1)
-
-    snapped = quantized_perturbation(w, grid)
-    right = _scalar_on_path(mixed, x_nodes[:, :, :k_t], snapped).sum(axis=1) * scen.grid.dt
+    right = ref_mixed(ens, sigma_eps, quantized_perturbation(w, grid))
     d_over_p = scen.dimension / scen.p
     return _paired("cross_term", f"coordinate 0, t={scen.grid.horizon}", left, right,
                    margin_fraction, {"epsilon": epsilon, "d_over_p": d_over_p,
                                      "hypothesis_d_over_p_lt_1": d_over_p < 1.0})
+
+
+def ref_compensators(ens, sigma_eps, k0, k1):
+    """dt sum |row_0 sigma_eps|^2 and dt sum (sigma_eps)_00 at X_k - w_k over
+    the steps k0 <= k < k1 of the surviving paths, one running sum each."""
+    scen = ens.scenario
+    ok = ens.ok_mask
+    x_nodes, w = ens.values[ok], scen.fbm.values
+    quad = np.zeros(x_nodes.shape[0])
+    cross = np.zeros(x_nodes.shape[0])
+    for k in range(k0, k1):
+        mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
+        quad += np.sum(mats[:, 0, :] ** 2, axis=1)
+        cross += mats[:, 0, 0]
+    return quad * scen.grid.dt, cross * scen.grid.dt
 
 
 def ref_martingale(ens, sigma_eps, pairs):
@@ -94,28 +121,14 @@ def ref_martingale(ens, sigma_eps, pairs):
     tg = scen.grid
     j = i = 0
     ok = ens.ok_mask
-    x_nodes, db, w = ens.values[ok], ens.driver_increments[ok], scen.fbm.values
+    x_nodes, db = ens.values[ok], ens.driver_increments[ok]
     b_nodes = np.concatenate([np.zeros((db.shape[0], db.shape[1], 1)),
                               np.cumsum(db, axis=2)], axis=2)
-
-    def row_sq_on(k0, k1):
-        out = np.zeros(x_nodes.shape[0])
-        for k in range(k0, k1):
-            mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
-            out += np.sum(mats[:, j, :] ** 2, axis=1)
-        return out * tg.dt
-
-    def entry_on(k0, k1):
-        out = np.zeros(x_nodes.shape[0])
-        for k in range(k0, k1):
-            out += sigma_eps(x_nodes[:, :, k] - w[:, k])[:, j, i]
-        return out * tg.dt
-
     mart = x_nodes[:, j, :] - scen.x0[j]
     rows = []
     for s, t in pairs:
         k_s, k_t = tg.window(s, t)
-        quad, cross = row_sq_on(k_s, k_t), entry_on(k_s, k_t)
+        quad, cross = ref_compensators(ens, sigma_eps, k_s, k_t)
         zs = {"level": mart[:, k_t] - mart[:, k_s],
               "quadratic": mart[:, k_t] ** 2 - mart[:, k_s] ** 2 - quad,
               "cross": (mart[:, k_t] * b_nodes[:, i, k_t]
@@ -226,7 +239,7 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
     """A reference walk and an isometry walk over both radii, each with
     blocks of 12 paths of 160 steps, which the 50 or 57 surviving singular
     paths do not fill, and with 50 points, below the step count, so one
-    path per block."""
+    path per block.  Each radius in turn is the compensated one."""
     grid = TimeGrid(1.0, 160)
     fbm = generate_fbm(0.2, dimension, grid, 7)
     sigma = (singular_example(0.4, 1.0, dimension) if singular
@@ -246,18 +259,78 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
     radii = [fields[eps] for eps in scen.eps_seq]
     for points in (40 * 48, 50):
         monkeypatch.setattr(solver, "WALK_POINTS", points)
-        sums = solver.walk_ensemble(ens, radii, snapped, windows)
         isometry = solver.walk_ensemble(ens, radii, snapped)
-        for e, fld in enumerate(radii):
-            for walked in (sums, isometry):
-                assert _report_dict(isometry_report(ens, walked, e)) == ref_isometry(
+        for own, own_field in enumerate(radii):
+            sums = solver.walk_ensemble(ens, radii, snapped, (own, windows))
+            for e, fld in enumerate(radii):
+                for walked in (sums, isometry):
+                    assert _report_dict(isometry_report(ens, walked, e)) == (
+                        ref_isometry(ens, fld, qgrid))
+                assert _report_dict(cross_term_report(ens, sums, e)) == ref_cross(
                     ens, fld, qgrid)
-            assert _report_dict(cross_term_report(ens, sums, e)) == ref_cross(
-                ens, fld, qgrid)
-            assert _martingale_rows(martingale_reports(ens, sums, e, pairs)) == (
-                ref_martingale(ens, fld, pairs))
-        report = solver.cauchy_report(scen, sums.ito, fields, 4.0)
-        assert np.array_equal(report.terminal_integrals, ref_terminals(ens, fields))
+            assert _martingale_rows(martingale_reports(ens, sums, pairs)) == (
+                ref_martingale(ens, own_field, pairs))
+            report = solver.cauchy_report(scen, sums.ito, fields, 4.0)
+            assert np.array_equal(report.terminal_integrals, ref_terminals(ens, fields))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeypatch):
+    """The reference walk's compensators are those of the field that solved
+    the ensemble, byte for byte the per-step loops', on windows that share
+    a start node.  An isometry walk, and a single-field walk of one radius
+    and of the identity field, keep the bytes of the per-step loops too,
+    with frozen paths and blocks of 20 paths that the survivors do not
+    fill."""
+    grid = TimeGrid(1.0, 96)
+    fbm = generate_fbm(0.2, dimension, grid, 7)
+    scen = QuenchedScenario(fbm, singular_example(0.4, 1.0, dimension),
+                            np.full(dimension, 0.3), (0.25, 0.125), 61, 5)
+    fields = mollified_family(scen)
+    radii = [fields[eps] for eps in scen.eps_seq]
+    monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
+    monkeypatch.setattr(solver, "WALK_POINTS", 20 * grid.steps)
+    ens = _solve(scen, radii[1], 0.125)
+    assert 0 < ens.blowup_count < ens.n_paths
+    snapped = quantized_perturbation(fbm.values, SpatialGrid.cover(fbm.values.T, grid.dt))
+    windows = [(0, 48), (24, 72), (24, 96), (30, 96)]
+
+    sums = solver.walk_ensemble(ens, radii, snapped, (1, windows))
+    survivors = ens.n_paths - ens.blowup_count
+    assert sums.quad_comp.shape == sums.cross_comp.shape == (len(windows), survivors)
+    for wi, (k0, k1) in enumerate(windows):
+        quad, cross = ref_compensators(ens, radii[1], k0, k1)
+        assert _bits(sums.quad_comp[wi]) == _bits(quad)
+        assert _bits(sums.cross_comp[wi]) == _bits(cross)
+    assert _bits(sums.ito) == _bits(ref_terminals(ens, fields))
+    isometry = solver.walk_ensemble(ens, radii, snapped)
+    for e, fld in enumerate(radii):
+        assert _bits(isometry.row_sq[e]) == _bits(sums.row_sq[e]) == _bits(
+            ref_row_sq(ens, fld, snapped))
+        assert _bits(sums.mixed[e]) == _bits(ref_mixed(ens, fld, snapped))
+    alone = solver.walk_ensemble(ens, radii[1:], snapped, (0, windows))
+    for name in ("ito", "row_sq", "mixed"):
+        assert _bits(getattr(alone, name)[0]) == _bits(getattr(sums, name)[1])
+    for name in ("quad_comp", "cross_comp", "driver_nodes"):
+        assert _bits(getattr(alone, name)) == _bits(getattr(sums, name))
+
+    ident = identity_field(dimension)
+    id_scen = QuenchedScenario(fbm, ident, np.full(dimension, 0.3), (0.25,), 61, 5)
+    id_ens = _solve(id_scen, ident)
+    id_sums = solver.walk_ensemble(id_ens, [ident], snapped, (0, windows))
+    for wi, (k0, k1) in enumerate(windows):
+        quad, cross = ref_compensators(id_ens, ident, k0, k1)
+        assert _bits(id_sums.quad_comp[wi]) == _bits(quad)
+        assert _bits(id_sums.cross_comp[wi]) == _bits(cross)
+    assert _bits(id_sums.ito) == _bits(ref_terminals(id_ens, {0.25: ident}))
+    assert _bits(id_sums.row_sq[0]) == _bits(ref_row_sq(id_ens, ident, snapped))
+    assert _bits(id_sums.mixed[0]) == _bits(ref_mixed(id_ens, ident, snapped))
+    assert _bits(solver.walk_ensemble(id_ens, [ident], snapped).row_sq) == _bits(
+        id_sums.row_sq)
 
 
 # --- drivers ---------------------------------------------------------------------
@@ -305,7 +378,13 @@ def test_walk_rejects_too_few_snapped_positions():
     # window, or one past the horizon, are not a window's sums.
     for windows in ([(4, 4)], [(8, 4)], [(0, 17)], [(-1, 4)]):
         with pytest.raises(ParameterError, match="node pairs"):
-            solver.walk_ensemble(ens, [identity_field(1)], np.zeros((16, 1)), windows)
+            solver.walk_ensemble(ens, [identity_field(1)], np.zeros((16, 1)),
+                                 (0, windows))
+    # The compensated field must be one of the walked fields.
+    for own in (1, -1):
+        with pytest.raises(ParameterError, match="own field"):
+            solver.walk_ensemble(ens, [identity_field(1)], np.zeros((16, 1)),
+                                 (own, [(0, 4)]))
 
 
 def _carry_from_zero(terms):
@@ -321,7 +400,8 @@ def _carry_from_zero(terms):
 def test_carry_equals_the_sum_from_zero(shape):
     """_carry's read-outs of one running sum equal, bit for bit, a sum from
     a zero row over each count of steps: on runs of -0.0 (which alone end
-    at -0.0 without the zero row), mixed zeros, NaN and infinities."""
+    at -0.0 without the zero row), mixed zeros, NaN and infinities.  _carry
+    sums along the last axis, so axis 1 of `shape` is moved there."""
     rng = np.random.default_rng(3)
     special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324])
     terms = np.where(rng.random(shape) < 0.5, rng.normal(size=shape),
@@ -331,7 +411,7 @@ def test_carry_equals_the_sum_from_zero(shape):
     steps = shape[1]
     counts = sorted({1, (steps + 1) // 2, steps})
     with np.errstate(over="ignore", invalid="ignore"):
-        carried = solver._carry(terms, counts)
+        carried = solver._carry(np.moveaxis(terms, 1, -1), counts)
         wants = [_carry_from_zero(terms[:, :count]) for count in counts]
     for got, want in zip(carried, wants):
         assert got.shape == want.shape
@@ -427,7 +507,8 @@ def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
             calls[name] += 1
             if name == "walks":
                 walk = inspect.signature(fn).bind(*args, **kwargs).arguments
-                walk_fields.append((len(walk["fields"]), walk.get("windows") is not None))
+                walk_fields.append((len(walk["fields"]),
+                                    walk.get("martingale") is not None))
             return fn(*args, **kwargs)
         return call
 
