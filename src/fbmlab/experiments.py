@@ -470,9 +470,10 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
             path0 = part[ref].values[0].copy()
         # The cross pairings always ride on the reference ensemble; the
         # sweep shows the mollified integrals closing on the martingale.
-        # Walked first: its larger temporaries raise glibc's trim threshold,
-        # so the walks after it find warm heap pages (about 300 minor page
-        # faults each on the 1000-path headline, against 12,800 before it).
+        # Walked first: it has the largest temporaries, so the walks after
+        # it find warm heap pages.  On the 1000-path headline it takes about
+        # 1,060 minor page faults and the four walks after it none; walked
+        # last, it takes about 1,030 and the first walk 103.
         ref_sums = walk_ensemble(part[ref], distinct, snapped, (ref, windows))
         return [ref_sums if s == ref else walk_ensemble(ens, [distinct[s]], snapped)
                 for s, ens in enumerate(part)]

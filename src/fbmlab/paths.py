@@ -20,12 +20,16 @@ Randomness is counter-based: each (seed, path_index, component) triple keys
 an independent Philox stream, so ensembles can be generated in any order,
 or in parallel, without coupling between paths.  The key holds the seed in
 64 bits and the path index and the component in 32 bits each, so seeds lie
-in [0, 2**64) and path indices and components in [0, 2**32).
+in [0, 2**64) and path indices and components in [0, 2**32).  Each thread
+keeps one Philox generator and re-keys it to the start of every stream it
+draws, which gives the bits of a freshly built generator for that key in
+about 1 us instead of 7.6 us (2-core x86-64 host, numpy 2.4).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +43,17 @@ from .errors import GenerationError, ParameterError, require_memory
 _EIG_CLIP_RTOL = 1e-12
 # Normals mapped together by one batched FFT, in whole (row, component)
 # lines of 2N; bounds the scratch per call to this many normals and as many
-# complex values, and a line longer than this goes alone.
-BLOCK_NORMALS = 1 << 17
+# complex values, and a line longer than this goes alone.  A block's
+# normals, their FFT and its kept paths are all touched again within the
+# block, so it is sized to fit a 2 MB per-core L2: at 1024 steps and three
+# Hurst values, 16 lines hold 1.1 MB of scratch, where 1 << 17 (64 lines)
+# holds 4.5 MB.  At the E1 audit's size (6000 paths) on a 2-core x86-64
+# host, a fresh process takes 0.505 s against 0.525 s, faults 516 pages
+# against 1,606 and peaks at 38.1 MB against 41.9 MB (medians of 5); in a
+# warm process the two times agree within 2.5%.
+BLOCK_NORMALS = 1 << 15
+# One Philox generator per thread, re-keyed by _component_rng.
+_STREAMS = threading.local()
 
 
 @dataclass(frozen=True)
@@ -142,9 +155,24 @@ def fbm_covariance(s, t, hurst: float):
 
 
 def _component_rng(seed: int, path_index: int, component: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, path_index, component) in _validate_rows ranges."""
-    key = np.array([seed, (int(path_index) << 32) | component], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Philox stream keyed by (seed, path_index, component) in _validate_rows ranges.
+
+    Returns the calling thread's one generator, re-keyed to the start of
+    that stream: zero counter, empty buffer, no held 32-bit half.  It draws
+    the bits of Generator(Philox(key=...)) for the same key, without the OS
+    entropy read and SeedSequence that building one costs.  The next call
+    on the same thread re-keys the same generator, so draw from it before
+    asking for another stream.
+    """
+    rng = getattr(_STREAMS, "rng", None)
+    if rng is None:
+        rng = _STREAMS.rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0),
+                  "key": (seed, (int(path_index) << 32) | int(component))},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _fgn_autocov(hurst: float, n_steps: int, dt: float) -> np.ndarray:
@@ -165,27 +193,55 @@ def _circulant_eigenvalues(gamma: np.ndarray) -> np.ndarray | None:
     return np.clip(lam, 0.0, None)
 
 
-def _fgn_from_normals(lam: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Map each row of 2N iid standard normals through the circulant square root.
+def _circulant_amplitudes(lam: np.ndarray) -> np.ndarray:
+    """The N + 1 weights of the circulant square root, from its 2N eigenvalues.
 
-    z has shape (..., 2N) and the result (..., N): the real part of one
-    row-wise FFT, taken in place in `out` (complex, z's shape).  The map is
-    linear, so its exactness can be audited by pushing basis vectors
-    through and comparing the implied covariance with gamma.
+    Entries 0 and N scale one real normal each, sqrt(lam_k / 2N); entries
+    1 .. N - 1 scale a (real, imaginary) pair, sqrt(lam_k / 4N).
     """
     m = lam.size
     n = m // 2
+    amp = np.empty(n + 1)
+    amp[0] = math.sqrt(lam[0] / m)
+    amp[n] = math.sqrt(lam[n] / m)
+    np.divide(lam[1:n], 2.0 * m, out=amp[1:n])
+    np.sqrt(amp[1:n], out=amp[1:n])
+    return amp
+
+
+def _fgn_from_normals(amp: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Map each row of 2N iid standard normals through the circulant square root.
+
+    `amp` holds _circulant_amplitudes of the embedding, z has shape
+    (..., 2N) and the result (..., N): the real part of one row-wise FFT,
+    taken in place in `out` (complex, z's shape).  The map is linear, so its
+    exactness can be audited by pushing basis vectors through and comparing
+    the implied covariance with gamma.
+    """
+    n = amp.size - 1
+    m = 2 * n
     re, im = out.real, out.imag
-    np.multiply(math.sqrt(lam[0] / m), z[..., 0], out=re[..., 0])
-    np.multiply(math.sqrt(lam[n] / m), z[..., 1], out=re[..., n])
+    np.multiply(amp[0], z[..., 0], out=re[..., 0])
+    np.multiply(amp[n], z[..., 1], out=re[..., n])
     im[..., 0] = im[..., n] = 0.0
     if n > 1:
-        amp = np.sqrt(lam[1:n] / (2.0 * m))
-        np.multiply(amp, z[..., 2:n + 1], out=re[..., 1:n])
-        np.multiply(amp, z[..., n + 1:], out=im[..., 1:n])
+        pairs = amp[1:n]
+        np.multiply(pairs, z[..., 2:n + 1], out=re[..., 1:n])
+        np.multiply(pairs, z[..., n + 1:], out=im[..., 1:n])
         re[..., m - 1:n:-1] = re[..., 1:n]
         np.negative(im[..., 1:n], out=im[..., m - 1:n:-1])
     return np.fft.fft(out, axis=-1, out=out).real[..., :n]
+
+
+def _sampling_route(hurst: float, n: int, dt: float) -> tuple:
+    """(amplitudes, None) of the circulant route for n increments of spacing
+    dt, or (None, Cholesky factor) when the embedding is not nonnegative
+    definite.  Only these outlive the call, not gamma or the eigenvalues."""
+    gamma = _fgn_autocov(hurst, n, dt)
+    lam = _circulant_eigenvalues(gamma)
+    if lam is None:
+        return None, _fgn_cholesky(gamma)
+    return _circulant_amplitudes(lam), None
 
 
 def _fgn_cholesky(gamma: np.ndarray) -> np.ndarray:
@@ -227,15 +283,15 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
     `nodes`, (len(hursts), count, dimension, len(nodes)) holding only the
     values at those node indices.
 
-    Each (row, component) Philox stream is built once and draws 2N normals
+    Each (row, component) Philox stream is keyed once and draws 2N normals
     once; every Hurst value maps that same draw, the circulant route through
-    its embedding and the Cholesky route (when the embedding is not
-    nonnegative definite) through the first N normals.  The (row, component)
-    lines go in blocks of about BLOCK_NORMALS normals, one batched FFT per
-    block and Hurst value, cumsummed straight into the output (or into one
-    block of scratch when only `nodes` are kept).  Row i therefore depends
-    on (seed, first + i) and its Hurst value only, not on the other Hurst
-    values or the block.
+    its embedding's amplitudes (computed once per Hurst value) and the
+    Cholesky route (when the embedding is not nonnegative definite) through
+    the first N normals.  The (row, component) lines go in blocks of about
+    BLOCK_NORMALS normals, one batched FFT per block and Hurst value,
+    cumsummed straight into the output (or into one block of scratch when
+    only `nodes` are kept).  Row i therefore depends on (seed, first + i)
+    and its Hurst value only, not on the other Hurst values or the block.
     """
     for hurst in hursts:
         if not (0.0 < hurst < 1.0):
@@ -253,11 +309,7 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
     # eigenvalue FFT.
     require_memory(8 * len(hursts) * lines * width + per_block * (48 * n + walk_bytes)
                    + 32 * n, f"sampling {count} path(s) of {n} steps")
-    routes = []
-    for hurst in hursts:
-        gamma = _fgn_autocov(hurst, n, grid.dt)
-        lam = _circulant_eigenvalues(gamma)
-        routes.append((lam, None if lam is not None else _fgn_cholesky(gamma)))
+    routes = [_sampling_route(hurst, n, grid.dt) for hurst in hursts]
     out = np.empty((len(routes), lines, width))
     normals = np.empty((per_block, 2 * n))
     spectrum = np.empty(normals.shape, dtype=complex)
@@ -270,10 +322,10 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
             row, c = divmod(line, dimension)
             _component_rng(seed, first + row, c).standard_normal(out=z[k])
         at = slice(b0, b1) if nodes is None else slice(0, b1 - b0)
-        for j, (lam, chol) in enumerate(routes):
+        for j, (amp, chol) in enumerate(routes):
             block = walk[j, at, 1:]
-            if lam is not None:
-                np.cumsum(_fgn_from_normals(lam, z, spectrum[:b1 - b0]), axis=-1, out=block)
+            if amp is not None:
+                np.cumsum(_fgn_from_normals(amp, z, spectrum[:b1 - b0]), axis=-1, out=block)
             else:
                 for k in range(b1 - b0):
                     np.cumsum(chol @ z[k, :n], out=block[k])
@@ -284,14 +336,17 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
 
 def _bm_rows(dimension: int, grid: TimeGrid, seed: int, first: int,
              count: int) -> np.ndarray:
-    """Increments of Brownian paths first .. first + count - 1, (count, dimension, steps)."""
+    """Increments of Brownian paths first .. first + count - 1, (count, dimension, steps).
+
+    Each (row, component) stream draws its N normals straight into its row,
+    and one multiply scales them all: entry k is fl(sqrt(dt) * z_k).
+    """
     _validate_rows(dimension, seed, first, count)
-    scale = math.sqrt(grid.dt)
     out = np.empty((count, dimension, grid.steps))
     for i in range(count):
         for c in range(dimension):
-            rng = _component_rng(seed, first + i, c)
-            out[i, c] = scale * rng.standard_normal(grid.steps)
+            _component_rng(seed, first + i, c).standard_normal(out=out[i, c])
+    out *= math.sqrt(grid.dt)
     return out
 
 

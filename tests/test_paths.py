@@ -1,6 +1,7 @@
 """Driver sampling: exact covariance, linear-map audit, determinism."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy.linalg import toeplitz
 from fbmlab import (GenerationError, ParameterError, TimeGrid, experiments,
                     fbm_covariance, generate_bm_increments, generate_fbm,
                     generate_fbm_batch, paths)
-from fbmlab.paths import (_circulant_eigenvalues, _fgn_autocov,
-                          _fgn_cholesky, _fgn_from_normals)
+from fbmlab.paths import (_circulant_amplitudes, _circulant_eigenvalues,
+                          _fgn_autocov, _fgn_cholesky, _fgn_from_normals)
 
 
 def test_covariance_closed_form_values():
@@ -40,7 +41,8 @@ def test_circulant_map_is_exact(hurst):
     gamma = _fgn_autocov(hurst, n, 1.0 / n)
     lam = _circulant_eigenvalues(gamma)
     assert lam is not None
-    cols = [_fgn_from_normals(lam, e, np.empty(2 * n, complex)) for e in np.eye(2 * n)]
+    amp = _circulant_amplitudes(lam)
+    cols = [_fgn_from_normals(amp, e, np.empty(2 * n, complex)) for e in np.eye(2 * n)]
     a = np.stack(cols, axis=1)
     err = np.max(np.abs(a @ a.T - toeplitz(gamma[:-1])))
     assert err < 1e-13
@@ -95,6 +97,81 @@ def test_bm_increment_ensemble_matches_paths():
     db = generate_bm_increments(3, grid, 9, 3)
     for i in range(3):
         assert np.array_equal(db[i], paths._bm_rows(3, grid, 9, i, 1)[0])
+
+
+# --- Philox streams ---------------------------------------------------------------
+
+
+def _fresh_rng(seed, path_index, component):
+    key = np.array([seed, (path_index << 32) | component], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _leave_state_behind(rng, how):
+    """Draws that leave the stream mid-buffer: an odd number of 32-bit
+    integers holds a spare 32-bit half, a few normals leave buffered words."""
+    if how == "odd uint32":
+        rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+    elif how == "partial normals":
+        rng.standard_normal(5)
+    else:
+        rng.integers(0, 2 ** 32, dtype=np.uint32)
+        rng.standard_normal(3)
+        rng.random(1)
+
+
+@pytest.mark.parametrize("how", ["odd uint32", "partial normals", "mixed"])
+@pytest.mark.parametrize("key", [(0, 0, 0), (11, 699, 0), (2 ** 64 - 1, 2 ** 32 - 1, 3)])
+def test_rekeyed_stream_is_a_fresh_generator(how, key):
+    """The thread's re-keyed generator draws the bytes of a freshly built
+    Generator(Philox(key=...)), whatever the previous stream left behind."""
+    _leave_state_behind(paths._component_rng(5, 1, 2), how)
+    rng = paths._component_rng(*key)
+    fresh = _fresh_rng(*key)
+    assert rng.bit_generator.state["state"]["key"].tobytes() == \
+        fresh.bit_generator.state["state"]["key"].tobytes()
+    for draw in (lambda g: g.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                 lambda g: g.standard_normal(7), lambda g: g.random(2),
+                 lambda g: g.integers(0, 2 ** 32, dtype=np.uint32),
+                 lambda g: g.standard_normal(33)):
+        assert draw(rng).tobytes() == draw(fresh).tobytes()
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_bm_rows_are_scaled_fresh_streams(dimension):
+    grid = TimeGrid(0.7, 37)
+    seed, first, count = 23, 5, 4
+    rows = paths._bm_rows(dimension, grid, seed, first, count)
+    for i in range(count):
+        for c in range(dimension):
+            want = math.sqrt(grid.dt) * _fresh_rng(seed, first + i, c).standard_normal(37)
+            assert rows[i, c].tobytes() == want.tobytes()
+
+
+def test_rows_drawn_on_two_threads_at_once_are_the_serial_rows():
+    """Each thread re-keys its own generator, so two threads drawing at once
+    get the rows a serial call gets, byte for byte."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    grid = TimeGrid(1.0, 16)
+    jobs = [(kind, seed) for seed in range(8) for kind in ("fbm", "bm")]
+
+    def draw(job):
+        kind, seed = job
+        if kind == "fbm":
+            return paths._fbm_rows((0.3, 0.7), 2, grid, seed, 0, 300)
+        return paths._bm_rows(3, grid, seed, 0, 400)
+
+    serial = [draw(job).tobytes() for job in jobs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # so the threads interleave between draws
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                drawn = pool.map(draw, jobs, timeout=60)
+                assert [rows.tobytes() for rows in drawn] == serial
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # (seed, count, index < count, dimension, steps)
@@ -349,11 +426,11 @@ def _counted_streams(monkeypatch):
 
 
 def test_covariance_audit_rows_are_the_per_hurst_batch_formula(monkeypatch):
-    """700 paths of 256 steps straddle two blocks of 256 paths; each of the
-    15 rows equals the formula over a whole per-Hurst batch, and every
-    key's stream is built once for all three Hurst values."""
+    """700 paths of 256 steps straddle eleven blocks of 64 paths; each of
+    the 15 rows equals the formula over a whole per-Hurst batch, and every
+    key's stream is keyed once for all three Hurst values."""
     n_paths, steps, seed = 700, 256, 11
-    assert paths.BLOCK_NORMALS // (2 * steps) == 256
+    assert paths.BLOCK_NORMALS // (2 * steps) == 64
     grid = TimeGrid(1.0, steps)
     want = []
     for hurst in (0.1, 0.25, 0.5):
