@@ -15,7 +15,7 @@ from .averaging import (AveragedField, HolderEstimate, RegularityBudget,
                         holder_exponent, hurst_admissible_fbm_driver,
                         hurst_admissible_main)
 from .errors import (BlowUpError, ClampWarning, CoverageError, FbmLabError,
-                     GenerationError, HypothesisError, InsufficientDataError,
+                     HypothesisError, InsufficientDataError,
                      IntegrabilityWarning, ParameterError, ResolutionError)
 from .fields import (CLAMP_VALUE, MatrixField, MollifierSpec, ScalarField,
                      constant_field, hs_norm_sq, identity_field, lp_norm,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AveragedField", "BlowUpError", "CLAMP_VALUE", "ClampWarning",
-    "CoverageError", "Ensemble", "FbmLabError", "FbmPath", "GenerationError",
+    "CoverageError", "Ensemble", "FbmLabError", "FbmPath",
     "Germ", "HolderEstimate", "HypothesisError", "IdentityReport",
     "InsufficientDataError", "IntegrabilityWarning",
     "MatrixField", "MollifiedCauchyReport", "MollifierSpec",

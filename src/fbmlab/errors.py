@@ -2,8 +2,8 @@
 
 Errors distinguish precondition violations (bad arguments), hypothesis
 violations (inputs outside the range a formula is valid for) and runtime
-failures (factorization breakdown, blow-up, lost coverage) so callers can
-map them to exit codes without string matching.
+failures (blow-up, lost coverage) so callers can map them to exit codes
+without string matching.
 """
 
 import os
@@ -31,10 +31,6 @@ def require_memory(needed: int, what: str) -> None:
 
 class HypothesisError(FbmLabError, ValueError):
     """Inputs lie outside the hypothesis range of the formula requested."""
-
-
-class GenerationError(FbmLabError, RuntimeError):
-    """Path synthesis failed, e.g. a covariance factorization broke down."""
 
 
 class CoverageError(FbmLabError, RuntimeError):

@@ -12,9 +12,11 @@ Gaussian sequence with autocovariance
 Sampling embeds the Toeplitz covariance of that sequence into a circulant
 matrix of size 2N whose eigenvalues are the FFT of the first row; when all
 eigenvalues are nonnegative the construction below draws from the exact
-Gaussian law (Davies-Harte).  If the embedding fails to be nonnegative
-definite the generator falls back to a dense Cholesky factorization of the
-increment covariance, which is exact as well, just slower.
+Gaussian law (Davies-Harte).  An embedding that is not nonnegative definite
+is refused with ParameterError before anything is drawn; that depends on
+(H, N) alone.  Up to 2**17 steps it holds for every H <= 0.999, and it
+fails from 2**16 steps at H = 0.9999, 2**15 at 0.99999 and 2**14 at
+0.999999.
 
 Randomness is counter-based: each (seed, path_index, component) triple keys
 an independent Philox stream, so ensembles can be generated in any order,
@@ -37,7 +39,7 @@ import numpy as np
 # the first draw does not pay for the import.
 import numpy.random  # noqa: F401
 
-from .errors import GenerationError, ParameterError, require_memory
+from .errors import ParameterError, require_memory
 
 # Relative tolerance for clipping roundoff-negative circulant eigenvalues.
 _EIG_CLIP_RTOL = 1e-12
@@ -233,33 +235,17 @@ def _fgn_from_normals(amp: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.nda
     return np.fft.fft(out, axis=-1, out=out).real[..., :n]
 
 
-def _sampling_route(hurst: float, n: int, dt: float) -> tuple:
-    """(amplitudes, None) of the circulant route for n increments of spacing
-    dt, or (None, Cholesky factor) when the embedding is not nonnegative
-    definite.  Only these outlive the call, not gamma or the eigenvalues."""
+def _sampling_route(hurst: float, n: int, dt: float) -> np.ndarray:
+    """The circulant amplitudes for n increments of spacing dt, or
+    ParameterError when the embedding is not nonnegative definite.  Only
+    the amplitudes outlive the call, not gamma or the eigenvalues."""
     gamma = _fgn_autocov(hurst, n, dt)
     lam = _circulant_eigenvalues(gamma)
     if lam is None:
-        return None, _fgn_cholesky(gamma)
-    return _circulant_amplitudes(lam), None
-
-
-def _fgn_cholesky(gamma: np.ndarray) -> np.ndarray:
-    """Dense exact fallback: lower Cholesky factor of the Toeplitz increment covariance.
-
-    The N x N covariance and its factor must fit in physical memory.
-    """
-    n = gamma.size - 1
-    require_memory(16 * n * n, f"factoring the dense covariance of {n} increments")
-    lag = np.arange(n)
-    cov = gamma[np.abs(lag[:, None] - lag[None, :])]
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        eigs = np.linalg.eigvalsh(cov)
-        raise GenerationError(
-            f"increment covariance is numerically singular "
-            f"(min eigenvalue {eigs.min():.3e}, max {eigs.max():.3e})") from exc
+        raise ParameterError(
+            f"the circulant embedding of fBm increments at H={hurst} and {n} steps "
+            f"is not nonnegative definite, so they cannot be sampled exactly")
+    return _circulant_amplitudes(lam)
 
 
 def _validate_rows(dimension: int, seed: int, first: int, count: int) -> None:
@@ -284,14 +270,14 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
     values at those node indices.
 
     Each (row, component) Philox stream is keyed once and draws 2N normals
-    once; every Hurst value maps that same draw, the circulant route through
-    its embedding's amplitudes (computed once per Hurst value) and the
-    Cholesky route (when the embedding is not nonnegative definite) through
-    the first N normals.  The (row, component) lines go in blocks of about
-    BLOCK_NORMALS normals, one batched FFT per block and Hurst value,
-    cumsummed straight into the output (or into one block of scratch when
-    only `nodes` are kept).  Row i therefore depends on (seed, first + i)
-    and its Hurst value only, not on the other Hurst values or the block.
+    once; every Hurst value maps that same draw through its embedding's
+    amplitudes, computed once per Hurst value before the output and the
+    scratch are allocated, so a refused embedding fails first.  The
+    (row, component) lines go in blocks of about BLOCK_NORMALS normals, one
+    batched FFT per block and Hurst value, cumsummed straight into the
+    output (or into one block of scratch when only `nodes` are kept).  Row i
+    therefore depends on (seed, first + i) and its Hurst value only, not on
+    the other Hurst values or the block.
     """
     for hurst in hursts:
         if not (0.0 < hurst < 1.0):
@@ -309,11 +295,11 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
     # eigenvalue FFT.
     require_memory(8 * len(hursts) * lines * width + per_block * (48 * n + walk_bytes)
                    + 32 * n, f"sampling {count} path(s) of {n} steps")
-    routes = [_sampling_route(hurst, n, grid.dt) for hurst in hursts]
-    out = np.empty((len(routes), lines, width))
+    amps = [_sampling_route(hurst, n, grid.dt) for hurst in hursts]
+    out = np.empty((len(amps), lines, width))
     normals = np.empty((per_block, 2 * n))
     spectrum = np.empty(normals.shape, dtype=complex)
-    walk = out if nodes is None else np.empty((len(routes), per_block, n + 1))
+    walk = out if nodes is None else np.empty((len(amps), per_block, n + 1))
     walk[..., 0] = 0.0
     for b0 in range(0, lines, per_block):
         b1 = min(b0 + per_block, lines)
@@ -322,16 +308,12 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
             row, c = divmod(line, dimension)
             _component_rng(seed, first + row, c).standard_normal(out=z[k])
         at = slice(b0, b1) if nodes is None else slice(0, b1 - b0)
-        for j, (amp, chol) in enumerate(routes):
-            block = walk[j, at, 1:]
-            if amp is not None:
-                np.cumsum(_fgn_from_normals(amp, z, spectrum[:b1 - b0]), axis=-1, out=block)
-            else:
-                for k in range(b1 - b0):
-                    np.cumsum(chol @ z[k, :n], out=block[k])
+        for j, amp in enumerate(amps):
+            np.cumsum(_fgn_from_normals(amp, z, spectrum[:b1 - b0]), axis=-1,
+                      out=walk[j, at, 1:])
         if nodes is not None:
             out[:, b0:b1] = walk[:, :b1 - b0, nodes]
-    return out.reshape(len(routes), count, dimension, width)
+    return out.reshape(len(amps), count, dimension, width)
 
 
 def _bm_rows(dimension: int, grid: TimeGrid, seed: int, first: int,

@@ -782,16 +782,16 @@ def test_allocations_beyond_physical_memory_exit_2(monkeypatch, capsys, args, wh
     assert "bytes, more than the 100,000 bytes of physical memory" in captured.err
 
 
-def test_dense_cholesky_beyond_physical_memory_exits_2(monkeypatch, capsys):
-    """Where the circulant embedding fails (H = 0.9999 from 65536 steps),
-    gen-fbm factors the N x N increment covariance; it used to die
-    allocating 32 GiB for its index matrix.  The route is forced at 512
-    steps, whose covariance and factor need 4,194,304 bytes."""
-    monkeypatch.setattr(paths, "_circulant_eigenvalues", lambda gamma: None)
-    _physical_memory(monkeypatch, 1_000_000)
-    assert main(["gen-fbm", "--hurst", "0.9999", "--steps", "512", "--seed", "1"]) == 2
-    assert ("factoring the dense covariance of 512 increments needs at least "
-            "4,194,304 bytes") in capsys.readouterr().err
+def test_refused_circulant_embedding_exits_2(capsys):
+    """At H = 0.9999 the circulant embedding of 65536 increments is not
+    nonnegative definite; gen-fbm exits 2 naming the embedding, H and the
+    step count, and writes nothing to stdout."""
+    assert main(["gen-fbm", "--hurst", "0.9999", "--steps", "65536", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the circulant embedding of fBm increments at H=0.9999 and 65536 "
+        "steps is not nonnegative definite, so they cannot be sampled exactly\n")
 
 
 @pytest.mark.filterwarnings("error")

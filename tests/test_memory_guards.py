@@ -49,11 +49,6 @@ def _centers_mesh(bins, dimension):
                                                        dimension).centers_mesh
 
 
-def _fgn_cholesky(steps):
-    gamma = paths._fgn_autocov(0.5, steps, 1.0 / steps)
-    return paths, lambda: paths._fgn_cholesky(gamma)
-
-
 def _fbm_rows(hursts, dimension, steps, count, nodes=None):
     grid = paths.TimeGrid(1.0, steps)
     return paths, lambda: paths._fbm_rows(hursts, dimension, grid, 5, 0, count, nodes)
@@ -68,8 +63,6 @@ SITES = {
     "occupy-1e-5": (_occupy, 1e-5),
     "centers_mesh-d1": (_centers_mesh, 100_000, 1),
     "centers_mesh-d2": (_centers_mesh, 300, 2),
-    "fgn_cholesky-256": (_fgn_cholesky, 256),
-    "fgn_cholesky-512": (_fgn_cholesky, 512),
     "fbm_rows-one-path": (_fbm_rows, (0.3,), 1, 4096, 1),
     "fbm_rows-d2-batch": (_fbm_rows, (0.3,), 2, 1024, 200),
     "fbm_rows-three-hursts": (_fbm_rows, (0.2, 0.5, 0.8), 1, 256, 500),
