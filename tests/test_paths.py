@@ -49,6 +49,20 @@ def test_circulant_map_is_exact(hurst):
     assert err < 1e-13
 
 
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.95])
+@pytest.mark.parametrize("steps", [1, 2, 17, 256])
+def test_circulant_map_reproduces_the_scipy_toeplitz_matrix(hurst, steps):
+    """On the smallest grids (one step: a 2 x 2 embedding with no pairs),
+    an odd one and a longer one, the sampling map's implied covariance is
+    scipy's Toeplitz matrix of gamma to within 1e-14 of gamma(0)."""
+    gamma = _fgn_autocov(hurst, steps, 1.0 / steps)
+    amp = _circulant_amplitudes(_circulant_eigenvalues(gamma))
+    a = _fgn_from_normals(amp, np.eye(2 * steps), np.empty((2 * steps, 2 * steps), complex)).T
+    assert a.shape == (steps, 2 * steps)
+    err = np.max(np.abs(a @ a.T - toeplitz(gamma[:-1])))
+    assert err <= 1e-14 * gamma[0]
+
+
 @pytest.mark.parametrize("hurst", [0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999])
 def test_embedding_stays_positive_near_one(hurst):
     """Circulant embedding (Davies-Harte 1987, Dietrich-Newsam 1997) samples
