@@ -68,7 +68,9 @@ def average_direct(f, path, s: float, t: float, probes) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(probes, dtype=float))
     if pts.shape[1] != path.dimension:
         raise ParameterError("probe dimension does not match the path")
-    window = path.values[:, k0:k1].T  # (samples, d)
+    # (samples, d), left a strided view: in a C-contiguous copy, f's reductions
+    # over the short d axis (a norm, say) run about twice as slow.
+    window = path.values[:, k0:k1].T
     out = np.empty(pts.shape[0])
     for i, x in enumerate(pts):
         out[i] = _exact_sum(f(x[None, :] - window)) * path.grid.dt

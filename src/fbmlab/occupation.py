@@ -26,9 +26,9 @@ import numpy as np
 from .errors import ParameterError, require_memory
 
 _ORIGIN_RTOL = 1e-9
-# _exact_sum hands math.fsum the last _FSUM_TAIL nonzero remainders, and the
-# whole input when a pass would need sigma above 2**_EXTRACT_MAX_EXPONENT,
-# where a partial sum could overflow.
+# Unless one pass certifies its result, _exact_sum hands math.fsum the last
+# _FSUM_TAIL nonzero remainders, and the whole input when a pass would need
+# sigma above 2**_EXTRACT_MAX_EXPONENT, where a partial sum could overflow.
 _FSUM_TAIL = 64
 _EXTRACT_MAX_EXPONENT = 1020
 
@@ -242,31 +242,54 @@ def local_time(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure
 def _exact_sum(values) -> float:
     """math.fsum of a float array, bit for bit, without a Python float per sample.
 
-    Repeated error-free extraction (Rump, Ogita and Oishi, Accurate
-    floating-point summation part I, SIAM J. Sci. Comput. 2008): for n
-    remainders below 2**e in magnitude and sigma = 2**(ceil(log2(n + 2)) + e),
-    every q = (sigma + r) - sigma lies on one grid below sigma, so np.sum(q)
-    is exact in any order and r - q is exact.  The pass sums and the last
-    few nonzero remainders hold the exact total, which math.fsum rounds
-    once.  Non-finite or near-overflow input goes to math.fsum whole (its
-    zeros dropped), so nan, inf, ValueError and OverflowError come out as
-    they do there.
+    Error-free extraction (Rump, Ogita and Oishi, Accurate floating-point
+    summation part I, SIAM J. Sci. Comput. 31(1), 2008): for n remainders
+    below 2**e in magnitude and sigma = 2**(ceil(log2(n + 2)) + e), every
+    q = (sigma + r) - sigma lies on one grid below sigma, so head = np.sum(q)
+    is exact in any order, and so is each new remainder r - q, which is at
+    most 2**-52 * sigma in magnitude.
+
+    One pass usually decides the result (part II of the same paper, SIAM J.
+    Sci. Comput. 31(2), 2008): tail = np.sum(r - q) is off by at most
+    gamma(n - 1) * n * 2**-52 * sigma, below bound = n**2 * sigma * 2**-103,
+    so the exact total lies within bound of head + tail = s + err (s rounded,
+    err its exact TwoSum error).  When s is finite, |s| > 2**-960 (so the
+    half gaps are exact), and err +/- bound stays strictly inside half the
+    gap from s to each of its float neighbours, every real in that interval
+    rounds to s, which is then math.fsum's result; a tie never passes.
+    Rounding is monotone, so these float comparisons are safe.  Otherwise
+    the loop goes on from that pass: further passes run until at most
+    _FSUM_TAIL remainders are nonzero, and math.fsum rounds the pass sums
+    and those remainders once.  Non-finite or near-overflow input goes to
+    math.fsum whole (its zeros dropped), so nan, inf, ValueError and
+    OverflowError come out as they do there.
     """
-    r = np.array(values, dtype=float).ravel()
-    q = np.empty_like(r)
+    r = np.asarray(values, dtype=float).ravel()  # read only: passes write to q
+    nonzero = np.empty(r.shape, dtype=bool)
     k = (r.size + 1).bit_length()
     passes = []
-    while np.count_nonzero(r) > _FSUM_TAIL:
+    while np.count_nonzero(np.not_equal(r, 0.0, out=nonzero)) > _FSUM_TAIL:
         top = max(float(r.max()), -float(r.min()))
         exponent = math.frexp(top)[1] + k
         if not (top < math.inf and exponent <= _EXTRACT_MAX_EXPONENT):
             break
         sigma = math.ldexp(1.0, exponent)
-        np.add(r, sigma, out=q)
+        q = np.add(r, sigma)
         q -= sigma
-        passes.append(float(np.sum(q)))
-        r -= q
-    return math.fsum(passes + r[r != 0.0].tolist())
+        head = float(np.sum(q))
+        r = np.subtract(r, q, out=q)
+        if not passes:
+            tail = float(np.sum(r))
+            s = head + tail
+            virtual = s - head
+            err = (head - (s - virtual)) + (tail - virtual)
+            bound = float(r.size) ** 2 * sigma * 2.0 ** -103
+            if (math.isfinite(s) and abs(s) > 2.0 ** -960
+                    and err + bound < (math.nextafter(s, math.inf) - s) * 0.5
+                    and bound - err < (s - math.nextafter(s, -math.inf)) * 0.5):
+                return s
+        passes.append(head)
+    return math.fsum(passes + r[nonzero].tolist())
 
 
 def occupation_formula_residual(f, path, grid: SpatialGrid, t: float) -> float:

@@ -587,6 +587,24 @@ def test_run_e0_summary_matches_its_pinned_digest(tmp_path, capsys):
     assert digest == E0_SUMMARY_SHA256
 
 
+# sha256 of fbmlab run --experiment E2's and E3's summary.json, pinned with
+# numpy 2.4 on Python 3.11 (x86-64).  Both read correctly rounded sums from
+# occupation._exact_sum (through occupation_formula_residual and
+# average_direct), so a sum that misses math.fsum by one bit fails here.
+RUN_SUMMARY_SHA256 = {
+    "E2": "60fe81d669b4a3ddc26535b3d69a91282b30bd64fb8593f8b0e74c186470068f",
+    "E3": "08697de8f9b4715a1f1280ce71bb0b928b90885a64b9ed749213df22e8917fa5",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(RUN_SUMMARY_SHA256))
+def test_run_summary_matches_its_pinned_digest(tmp_path, capsys, experiment):
+    assert main(["run", "--experiment", experiment, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
+    assert digest == RUN_SUMMARY_SHA256[experiment]
+
+
 # sha256 of fbmlab verify --out's verify.json for two d = 2 sweeps on top of
 # the headline defaults, pinned with numpy 2.4 on Python 3.11 (x86-64).  The
 # benchmark's workloads and the E0 pin are all d = 1; these catch a drift

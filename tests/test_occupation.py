@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fbmlab import (ParameterError, SpatialGrid, TimeGrid, generate_fbm,
                     local_time, multilinear_interpolate,
                     occupation_formula_residual, occupation_measure)
 from fbmlab.fields import LatticeStack
-from fbmlab.occupation import _exact_sum
+from fbmlab.occupation import _FSUM_TAIL, _exact_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,12 +247,69 @@ def _summands(kind, n, seed, pattern):
         big = rng.standard_normal(n) * 1e16
         big[-1:] = -math.fsum(big[:-1].tolist())
         return rng.permutation(big + rng.uniform(-1.0, 1.0, n))
+    if kind in MIDPOINT_KINDS:
+        return _near_midpoint(kind, max(n, _FSUM_TAIL + 4), seed)[0]
     return rng.uniform(0.0, 1.0, n)  # "tent-like": bounded and positive
+
+
+# Sums a few certificate bounds from a rounding midpoint, of at least
+# _FSUM_TAIL + 4 summands, so that more than _FSUM_TAIL of them are nonzero.
+MIDPOINT_KINDS = ("below a midpoint", "above a midpoint", "a tie",
+                  "around a power of two")
+# Distances from the midpoint, in units of the bound rounded down to a power
+# of two; up to half a bound, _exact_sum must fall back to its full loop.
+MIDPOINT_OFFSETS = (2.0 ** -40, 2.0 ** -20, 0.25, 0.5, 1.0, 4.0)
+
+
+def _certificate_bound(values):
+    """n**2 * sigma * 2**-103, the bound of _exact_sum's one-pass certificate."""
+    n = values.size
+    top = float(np.max(np.abs(values)))
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + (n + 1).bit_length())
+    return n * n * sigma * 2.0 ** -103
+
+
+def _near_midpoint(kind, n, seed):
+    """n summands whose exact sum lies a drawn offset from a rounding midpoint.
+
+    n - 3 tent-like values in [0, 1) on a 2**-40 grid, whose sum is an exact
+    ratio, and three corrections that move the total to midpoint + offset *
+    unit, unit the certificate's bound rounded down to a power of two.  The
+    midpoint lies halfway between the two floats around the values' sum or,
+    around a power of two P, halfway between P and the float below it, where
+    the gap is half the gap above P.  Odd seeds negate every summand.
+    Returns the permuted summands and the signed offset.
+    """
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(0, 1 << 40, n - 3)
+    total = Fraction(int(ints.sum()), 1 << 40)
+    offset = float(rng.choice(MIDPOINT_OFFSETS))
+    if kind == "around a power of two":
+        power = 2.0 ** round(math.log2(total))
+        midpoint = Fraction(power) * (1 - Fraction(1, 1 << 54))
+        offset *= float(rng.choice([-1.0, 1.0]))
+    else:
+        near = float(total)
+        midpoint = Fraction(near) + Fraction(math.ulp(near)) / 2
+        offset *= {"below a midpoint": -1.0, "above a midpoint": 1.0, "a tie": 0.0}[kind]
+
+    def summands(target):
+        rest, corrections = target - total, []
+        while rest:
+            corrections.append(float(rest))
+            rest -= Fraction(corrections[-1])
+        assert len(corrections) <= 3
+        return np.concatenate([ints * 2.0 ** -40, corrections, [0.0] * (3 - len(corrections))])
+
+    bound = _certificate_bound(summands(midpoint))
+    values = summands(midpoint + Fraction(offset) * Fraction(2.0 ** math.floor(math.log2(bound))))
+    assert _certificate_bound(values) == bound
+    return (-1.0 if seed % 2 else 1.0) * rng.permutation(values), offset
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(["uniform", "tiled", "wide", "subnormal", "signed zeros",
-                        "cancel", "ill-conditioned"]),
+                        "cancel", "ill-conditioned", *MIDPOINT_KINDS]),
        st.one_of(st.integers(0, 200), st.integers(0, 10 ** 5),
                  st.sampled_from([0, 1, 63, 64, 65, 10 ** 5])),
        st.integers(0, 2 ** 32),
@@ -276,6 +334,44 @@ def test_exact_sum_matches_fsum_on_non_finite_and_overflow(specials, n):
         values = np.insert(rng.standard_normal(n), at, specials)
         assert _fsum_outcome(_exact_sum, values) == _fsum_outcome(
             lambda v: math.fsum(v.tolist()), values)
+
+
+def _fsum_calls(monkeypatch, values):
+    """_exact_sum(values) and how many times it called math.fsum."""
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(None) or fsum(xs))
+    try:
+        return _exact_sum(values), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def test_one_pass_certifies_tent_sums_and_falls_back_near_midpoints(monkeypatch):
+    """A tent sum over a whole path, like most probe sums of average_direct,
+    returns after one extraction pass without math.fsum, and so does a sum
+    more than twice the bound from a rounding midpoint; a sum within half a
+    bound of one, a tie included, cannot be certified and falls back."""
+    rng = np.random.default_rng(3)
+    walk = np.cumsum(rng.standard_normal(1 << 16)) * 2.0 ** -8
+    tent = np.maximum(0.0, 1.0 - np.abs(0.25 - walk) / 2.0)
+    for values in (tent, _summands("tent-like", 1 << 16, 4, ())):
+        assert _fsum_calls(monkeypatch, values) == (math.fsum(values.tolist()), 0)
+    seen = set()
+    for kind in MIDPOINT_KINDS:
+        for n in (_FSUM_TAIL + 4, 1000, 1 << 16):
+            for seed in range(6):
+                values, offset = _near_midpoint(kind, n, seed)
+                result, calls = _fsum_calls(monkeypatch, values)
+                assert result == math.fsum(values.tolist())
+                if abs(offset) <= 0.5:
+                    assert calls == 1, (kind, n, seed, offset)
+                    seen.add((kind, "fell back"))
+                elif abs(offset) == 4.0:
+                    assert calls == 0, (kind, n, seed, offset)
+                    seen.add((kind, "certified"))
+    assert seen == {(kind, way) for kind in MIDPOINT_KINDS for way in (
+        "fell back", "certified") if (kind, way) != ("a tie", "certified")}
 
 
 def test_multilinear_interpolation_reproduces_affine_fields():
