@@ -21,8 +21,7 @@ from .fields import (CLAMP_VALUE, MatrixField, MollifierSpec, ScalarField,
                      constant_field, hs_norm_sq, identity_field, lp_norm,
                      mollify, singular_example)
 from .occupation import (OccupationMeasure, SpatialGrid, local_time,
-                         multilinear_interpolate, occupation_formula_residual,
-                         occupation_measure)
+                         occupation_formula_residual, occupation_measure)
 from .paths import (FbmPath, TimeGrid, fbm_covariance, generate_bm_increments,
                     generate_fbm, generate_fbm_batch)
 from .sewing import Germ, SewingResult, sew
@@ -52,7 +51,7 @@ __all__ = [
     "hurst_admissible_main", "identity_field",
     "lebesgue_vs_sewing", "local_time", "lp_norm", "moment_ratio",
     "moment_ratio_trend", "mollified_family", "mollify",
-    "multilinear_interpolate", "occupation_formula_residual",
+    "occupation_formula_residual",
     "occupation_measure", "quantized_perturbation", "sew",
     "singular_example", "weight_dictionary",
 ]

@@ -7,8 +7,9 @@ The averaged field of f along a path w over a window [s, t] is
 discretized by the same left-endpoint rule as the occupation measure.  Two
 independent routes compute it: direct time quadrature at chosen probe
 points, and a spatial convolution of grid samples of f with a local-time
-field (zero-padded FFT, no wraparound).  The two agree up to the spatial
-quantization of the path, which is the content of the agreement budget in
+field (zero-padded FFT, no wraparound), which samples it at lattice nodes
+only.  There the two agree up to the spatial quantization of the path,
+which is the content of the agreement budget in
 `convolution_agreement_bound`.
 
 Regularity gains are quantified two ways: empirically, through a dyadic
@@ -26,8 +27,7 @@ import numpy as np
 from .errors import (CoverageError, HypothesisError, InsufficientDataError,
                      ParameterError)
 from .fields import _fftconvolve
-from .occupation import (OccupationMeasure, SpatialGrid, _exact_sum,
-                         multilinear_interpolate)
+from .occupation import OccupationMeasure, SpatialGrid, _exact_sum
 from .paths import _write_csv
 
 _NOISE_FLOOR_RTOL = 1e-12
@@ -35,16 +35,12 @@ _NOISE_FLOOR_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class AveragedField:
-    """Grid samples of (T f) over a window, with multilinear evaluation."""
+    """Samples of (T f) over a window at the bin centers of grid."""
 
     grid: SpatialGrid
     s: float
     t: float
     values: np.ndarray
-
-    def __call__(self, points) -> np.ndarray:
-        return multilinear_interpolate(np.asarray(self.grid.lower), self.grid.h,
-                                       self.values, points, clamp=True)
 
     @property
     def sup_norm(self) -> float:

@@ -121,8 +121,14 @@ def _json_default(obj):
 
 
 def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True,
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
                                default=_json_default) + "\n")
+
+
+def _require_finite_moments(values, m: float) -> None:
+    """Moment statistics overflow at a large enough m, depending on the data."""
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"m={m:g} overflows the moment statistics; lower m")
 
 
 def _write_rows(path_base: Path, rows: list[dict], fmt: str) -> Path:
@@ -337,6 +343,7 @@ def _cmd_solve(args) -> int:
     for ens in solve_scenario(scenario, fields):
         rows += [{"epsilon": ens.epsilon, **row} for row in ens.moment_table(cfg["m"])]
         _emit(f"eps={ens.epsilon:g}: {ens.blowup_count} of {ens.n_paths} paths flagged")
+    _require_finite_moments([(row["moment"], row["stderr"]) for row in rows], cfg["m"])
     if out_dir:
         written = _write_rows(out_dir / "moments", rows, args.format)
         _emit(f"wrote {written}")
@@ -360,6 +367,7 @@ def _cmd_verify(args) -> int:
     windows = [(half / 2.0, half), (half, cfg["horizon"])]
     scenario, fields = build_scenario(cfg, windows)
     res = verify_scenario(scenario, fields, cfg["m"], gamma0, windows)
+    _require_finite_moments(res.trend["ratios"] + [res.trend["spread"]], cfg["m"])
     reports = [r for pair in zip(res.iso_reports, res.cross_reports) for r in pair]
     reports += res.martingale_reports + [res.qv_report]
     rows = [r.to_dict() for r in reports]

@@ -10,11 +10,12 @@ Mollification convolves the field with the fixed bump (1 - |u|^2)**4 after
 a smooth cut-off: sigma_eps = rho_eps * (phi_eps * sigma), where rho_eps has
 support in the ball of radius eps and unit mass, and phi_eps equals 1 on
 the ball of radius 1/(2 eps) and 0 outside radius 1/eps.  The convolution
-runs entry by entry on a sampling grid via zero-padded FFT, and the result
-evaluates anywhere through multilinear interpolation (zero outside the
-sampled box, matching the compact support of the mollified field).
-Fields subtract pointwise, which is how the Cauchy gaps between radii are
-built.
+runs entry by entry on a sampling grid via zero-padded FFT into a
+LatticeStack member, the one lattice field type, whose layout only this
+module knows: it interpolates multilinearly between bin centers and is zero
+off the lattice and beyond its radius, as the mollified field's compact
+support is.  Fields subtract pointwise, which is how the Cauchy gaps
+between radii are built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import (ClampWarning, IntegrabilityWarning, ParameterError,
                      ResolutionError)
-from .occupation import SpatialGrid, _corner_sum, _lattice_corners
+from .occupation import SpatialGrid
 
 # Value returned when a singular field is evaluated exactly at its
 # singular point; large enough to poison any identity the evaluation
@@ -40,20 +41,19 @@ class MatrixField:
 
     oracle(points) must accept arrays of shape (..., d) and return
     (..., d, n).  Fields are immutable after construction and safe to
-    share between threads.
+    share between threads.  A LatticeStack member also carries lattice, its
+    (stack, index), and grid_values, its table.
     """
 
     def __init__(self, oracle, d: int, n: int, *,
                  support_radius: float | None = None,
-                 singular_points: tuple = (), label: str = "field",
-                 grid_values: np.ndarray | None = None):
+                 singular_points: tuple = (), label: str = "field"):
         self._oracle = oracle
         self.d = int(d)
         self.n = int(n)
         self.support_radius = support_radius
         self.singular_points = tuple(np.asarray(q, dtype=float) for q in singular_points)
         self.label = label
-        self.grid_values = grid_values
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -210,8 +210,8 @@ def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> Matri
 
     The grid must resolve the kernel: h <= eps / 4.  The discrete kernel is
     renormalized to unit sum, so constant fields pass through unchanged on
-    the deep interior.  Off the grid the result evaluates to 0, consistent
-    with support inside the ball of radius 1/eps + eps.
+    the deep interior.  The result, a one-member LatticeStack's member, is 0
+    off the grid, consistent with support inside the ball of radius 1/eps + eps.
     """
     eps = spec.epsilon
     if grid.h > eps / 4.0 + 1e-15:
@@ -241,9 +241,8 @@ def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> Matri
     radius = 1.0 / eps + eps
     if field.support_radius is not None:
         radius = min(radius, field.support_radius + eps)
-    return MatrixField(lambda pts: _lattice_values(grid, out, radius, pts, None),
-                       field.d, field.n, support_radius=radius,
-                       label=f"mollified({field.label},{eps})", grid_values=out)
+    return LatticeStack(grid, out[None], [radius]).member(
+        0, label=f"mollified({field.label},{eps})")
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray, *, same: bool = False) -> np.ndarray:
@@ -361,16 +360,79 @@ def _lattice_values(grid: SpatialGrid, table: np.ndarray, radius, pts,
 
     table has shape grid.shape + (d, n), or (k,) + that for k lattices,
     read through one flat view (in place when C-contiguous).  first and
-    radius broadcast against pts.shape[:-1]: the flat row of each point's
-    lattice's first node (None: the only lattice) and that lattice's
-    radius.
+    radius broadcast against pts.shape[:-1]: the flat row of the first node
+    of each point's lattice (None: the only lattice) and its radius.
     """
     flat = table.reshape((-1,) + table.shape[-2:])
-    corners, inside = _lattice_corners(grid.lower, grid.h, grid.shape, pts, first)
+    corners, inside = _lattice_corners(grid, pts, first)
     out = np.empty(corners[0][1].shape + flat.shape[1:])
     _corner_sum(flat, corners, out, np.empty_like(out))
     _zero_rows(out, ~inside | (_support_norm(pts) > radius))
     return out
+
+
+def _lattice_corners(grid: SpatialGrid, pts: np.ndarray, first):
+    """The cell corners of points (..., d) on grid's lattice of bin centers.
+
+    Returns [(weight, rows)] for the 2^d corners in order and the mask of
+    the points inside the center lattice.  rows is the corner's flat row
+    in a row-major node order: the point's lower corner raveled, plus
+    first (when not None, the row of the first node of each point's
+    lattice, so one flat table can hold several), plus a fixed row step
+    for each far axis, 0 on a size-1 axis, where the far corner has zero
+    weight.  weight is the product of the corner's per-axis factors, frac
+    or 1 - frac, from axis 0 on, with the points' shape.  Outside the
+    lattice the position is clipped onto it.
+    """
+    d, shape = grid.dimension, grid.shape
+    if pts.shape[-1] != d:
+        raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
+    # Position in center-lattice units, clipped onto the lattice.
+    u = (pts - np.asarray(grid.lower, dtype=float)) / grid.h - 0.5
+    clipped = np.clip(u, 0.0, np.subtract(shape, 1.0))
+    # Clamped as floats, so a NaN point is never cast to an integer: np.fmax
+    # sends it to corner 0, where its weights are NaN, and a size-1 axis too.
+    base = np.fmax(np.minimum(np.floor(clipped), np.subtract(shape, 2)),
+                   0).astype(np.int64)
+    frac = clipped - base
+    rest = 1.0 - frac
+    row = np.cumprod((1,) + shape[:0:-1])[::-1]
+    near = base[..., 0] * row[0]
+    for a in range(1, d):
+        near = near + base[..., a] * row[a]
+    if first is not None:
+        near = near + first
+    step = [int(row[a]) if shape[a] > 1 else 0 for a in range(d)]
+    corners = []
+    for corner in range(1 << d):
+        far = [(corner >> a) & 1 for a in range(d)]
+        weight = frac[..., 0] if far[0] else rest[..., 0]
+        for a in range(1, d):
+            weight = weight * (frac[..., a] if far[a] else rest[..., a])
+        offset = sum(s for s, f in zip(step, far) if f)
+        corners.append((weight, near + offset if offset else near))
+    return corners, np.all(clipped == u, axis=-1)
+
+
+def _corner_sum(flat: np.ndarray, corners, out: np.ndarray, term: np.ndarray) -> None:
+    """out = 0.0 + w_0 v_0 + w_1 v_1 + ... over the corners in order, v_c
+    the rows of flat at corner c, with the weight as the first factor.
+
+    flat is (rows,) + entry shape, out and term (scratch) have rows' shape
+    plus the entry shape, and every row is in range.  Each corner is one
+    np.take of rows into out or term, which reads a C-contiguous flat in
+    place and copies any other on every call.  Those are the operations,
+    in their order, of a plain loop over corners that indexes the lattice
+    directly, so every bit of that loop is kept, signed zeros and NaNs too.
+    """
+    entry = (...,) + (None,) * (flat.ndim - 1)
+    for corner, (weight, rows) in enumerate(corners):
+        dest = term if corner else out
+        np.take(flat, rows, axis=0, out=dest, mode="clip")  # unbuffered
+        np.multiply(weight[entry], dest, out=dest)
+        # As out += term adds: in a one-element sum of two NaNs, the output
+        # operand decides which stays.
+        np.add(out if corner else 0.0, dest, out=out)
 
 
 def _support_norm(pts: np.ndarray) -> np.ndarray:
@@ -408,8 +470,7 @@ class LatticeStack:
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        corners, inside = _lattice_corners(self.grid.lower, self.grid.h,
-                                           self.grid.shape, pts, None)
+        corners, inside = _lattice_corners(self.grid, pts, None)
         entry = self.table.shape[-2:]
         out = np.empty((len(self.radii),) + pts.shape[:-1] + entry)
         term = np.empty(out.shape[1:])
@@ -444,8 +505,8 @@ class LatticeStack:
         table, radius = self.table[e], self.radii[e]
         d, n = table.shape[-2:]
         fld = MatrixField(lambda pts: _lattice_values(self.grid, table, radius, pts, None),
-                          d, n, support_radius=radius, label=label, grid_values=table)
-        fld.lattice = (self, e)
+                          d, n, support_radius=radius, label=label)
+        fld.lattice, fld.grid_values = (self, e), table
         return fld
 
 
@@ -543,7 +604,7 @@ def lp_norm(field, p: float, grid: SpatialGrid) -> float:
     flags none, such as a mollified field or a difference of two, gets the
     plain midpoint rule.
     """
-    if p <= 0.0:
+    if not p > 0.0:  # NaN too
         raise ParameterError(f"p must be positive, got {p}")
     mesh = grid.centers_mesh()
     powers = _norm_power(field, mesh, p)

@@ -12,7 +12,7 @@ local-time fields holds exactly at bit level, not just approximately.
 Grids are half-offset: bin centers sit at lower + (i + 0.5) * h, and the
 constructor rejects grids that would place a center exactly at the
 coordinate origin, because singular coefficient fields are evaluated at
-bin centers downstream.
+bin centers downstream.  Interpolating between them is fields.py's work.
 """
 
 from __future__ import annotations
@@ -308,99 +308,3 @@ def occupation_formula_residual(f, path, grid: SpatialGrid, t: float) -> float:
     snapped, inside = grid.quantize(pts)
     right = _exact_sum(f(snapped[inside])) * path.grid.dt
     return abs(left - right)
-
-
-def multilinear_interpolate(lower, h: float, values: np.ndarray, points,
-                            clamp: bool = False) -> np.ndarray:
-    """Multilinear interpolation between lattice samples.
-
-    values[i_1, .., i_d] is the sample at lower + (i + 0.5) * h (bin
-    centers), with d = len(lower).  Further axes of values are entry axes:
-    one call interpolates a whole matrix per point from a single
-    base/fraction computation, each entry bit-equal to interpolating its
-    own scalar lattice.  Outside the center lattice the result is 0, or the
-    edge value when clamp is True.  Works for any dimension; points has
-    shape (..., d), the result (...,) + entry shape.  The lattice is read
-    through one flat view, values.reshape((-1,) + entry shape), one row
-    per node in row-major order (_lattice_corners, _corner_sum).
-    """
-    pts = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float)
-    d = len(lower)
-    if values.ndim < d:
-        raise ParameterError(f"values have {values.ndim} axes, the lattice {d}")
-    corners, inside = _lattice_corners(lower, h, values.shape[:d], pts, None)
-    flat = values.reshape((-1,) + values.shape[d:])
-    out = np.empty(pts.shape[:-1] + flat.shape[1:])
-    _corner_sum(flat, corners, out, np.empty_like(out))
-    if not clamp:
-        # By index: a masked copy costs three times the scatter.
-        out.reshape((inside.size,) + flat.shape[1:])[np.flatnonzero(~inside)] = 0.0
-    return out
-
-
-def _lattice_corners(lower, h: float, shape: tuple[int, ...], pts: np.ndarray,
-                     first):
-    """The cell corners of points (..., d) on a lattice of bin centers.
-
-    Returns [(weight, rows)] for the 2^d corners in order and the mask of
-    the points inside the center lattice.  rows is the corner's flat row
-    in a row-major node order: the point's lower corner raveled, plus
-    first (when not None, the row of the first node of each point's
-    lattice, so one flat table can hold several), plus a fixed row step
-    for each far axis, 0 on a size-1 axis, where the far corner has zero
-    weight.  weight is the product of the corner's per-axis factors, frac
-    or 1 - frac, from axis 0 on, with the points' shape.  Outside the
-    lattice the position is clipped onto it.
-    """
-    lo = np.asarray(lower, dtype=float)
-    d = lo.size
-    if d == 0 or pts.shape[-1] != d:
-        raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
-    # Position in center-lattice units, clipped onto the lattice.
-    u = (pts - lo) / h - 0.5
-    clipped = np.clip(u, 0.0, np.subtract(shape, 1.0))
-    # Clamped as floats, so a NaN point is never cast to an integer: np.fmax
-    # sends it to corner 0, where its weights are NaN, and a size-1 axis too.
-    base = np.fmax(np.minimum(np.floor(clipped), np.subtract(shape, 2)),
-                   0).astype(np.int64)
-    frac = clipped - base
-    rest = 1.0 - frac
-    row = np.cumprod((1,) + shape[:0:-1])[::-1]
-    near = base[..., 0] * row[0]
-    for a in range(1, d):
-        near = near + base[..., a] * row[a]
-    if first is not None:
-        near = near + first
-    step = [int(row[a]) if shape[a] > 1 else 0 for a in range(d)]
-    corners = []
-    for corner in range(1 << d):
-        far = [(corner >> a) & 1 for a in range(d)]
-        weight = frac[..., 0] if far[0] else rest[..., 0]
-        for a in range(1, d):
-            weight = weight * (frac[..., a] if far[a] else rest[..., a])
-        offset = sum(s for s, f in zip(step, far) if f)
-        corners.append((weight, near + offset if offset else near))
-    return corners, np.all(clipped == u, axis=-1)
-
-
-def _corner_sum(flat: np.ndarray, corners, out: np.ndarray, term: np.ndarray) -> None:
-    """out = 0.0 + w_0 v_0 + w_1 v_1 + ... over the corners in order, v_c
-    the rows of flat at corner c, with the weight as the first factor.
-
-    flat is (rows,) + entry shape, out and term (scratch) have rows' shape
-    plus the entry shape, and every row is in range.  Each corner is one
-    np.take of rows into out or term, which reads a C-contiguous flat in
-    place and copies any other on every call.  Those are the operations,
-    in their order, of a plain loop over corners that indexes the lattice
-    directly, so every bit of that loop is kept: signed zeros, and the NaN
-    a NaN point reads under clamp.
-    """
-    entry = (...,) + (None,) * (flat.ndim - 1)
-    for corner, (weight, rows) in enumerate(corners):
-        dest = term if corner else out
-        np.take(flat, rows, axis=0, out=dest, mode="clip")  # unbuffered
-        np.multiply(weight[entry], dest, out=dest)
-        # As out += term adds: in a one-element sum of two NaNs, the output
-        # operand decides which stays.
-        np.add(out if corner else 0.0, dest, out=out)

@@ -115,10 +115,10 @@ def test_convolution_route_point_mass_oracle():
     avg = average_via_local_time(fvals, fgrid, field)
     # z = 0.3 snaps to bin 4 of lgrid, center 0.28125.
     xs = avg.grid.centers(0)[4:36]  # where x - 0.28125 stays inside the f box
-    assert np.max(np.abs(avg(xs[:, None])
+    assert np.max(np.abs(avg.values[4:36]
                          - np.cos(3.0 * (xs - 0.28125)))) < 1e-12
     # Against the unsnapped argument the gap obeys the Lipschitz budget.
-    gap = np.max(np.abs(avg(xs[:, None]) - np.cos(3.0 * (xs - 0.3))))
+    gap = np.max(np.abs(avg.values[4:36] - np.cos(3.0 * (xs - 0.3))))
     assert gap <= convolution_agreement_bound(3.0, lgrid.h, field.covered_mass)
 
 
@@ -131,7 +131,7 @@ def test_dual_route_agreement_on_fbm_path():
     avg = average_via_local_time(hat(fgrid.centers(0)[:, None]), fgrid, field)
     probes = avg.grid.centers(0)[10:-10:7]
     direct = average_direct(hat, path, 0.0, 1.0, probes[:, None])
-    gap = np.max(np.abs(direct - avg(probes[:, None])))
+    gap = np.max(np.abs(direct - avg.values[10:-10:7]))
     assert gap <= convolution_agreement_bound(1.0, cover.h, field.covered_mass)
     assert avg.sup_norm <= 1.0 + 1e-12
 

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from fbmlab import ParameterError, experiments, paths, solver
-from fbmlab.cli import build_parser, main, parse_config_text, resolve_config
+from fbmlab.cli import (_dump_json, build_parser, main, parse_config_text,
+                        resolve_config)
 from fbmlab.experiments import ALL_CRITERIA, HEADLINE_CONFIG
 from fbmlab.fields import constant_field
 
@@ -203,6 +204,47 @@ def test_non_finite_config_numbers_exit_2_before_any_allocation(
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def _strict_json(path: Path):
+    """path's JSON, refusing NaN and Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_overflowing_moments_exit_2_before_their_artifacts(tmp_path, capsys, command):
+    """At m = 400 the moment statistics of this config overflow: verify
+    wrote Infinity ratios and spread into verify.json (exit 1), and solve
+    twelve non-finite values into moments.json (exit 0).  Both now refuse
+    the m, and write neither; at the default m every JSON file they write
+    is strict JSON."""
+    config = "paths = 64\nsteps = 64\n"
+    out_dir = tmp_path / "refused"
+    argv = [command, "--out", str(out_dir), "--format", "json", "--config"]
+    assert main(argv + [_write_config(tmp_path, config + "m = 400\n")]) == 2
+    assert "m=400 overflows the moment statistics" in capsys.readouterr().err
+    assert not (out_dir / "verify.json").exists()
+    assert not list(out_dir.glob("moments.*"))
+    out_dir = tmp_path / "written"
+    argv[2] = str(out_dir)
+    assert main(argv + [_write_config(tmp_path, config)]) in ((0,) if command == "solve"
+                                                              else (0, 1))
+    capsys.readouterr()
+    written = sorted(out_dir.glob("*.json"))
+    assert len(written) == 3 - (command == "solve")
+    for path in written:
+        _strict_json(path)
+
+
+def test_artifacts_refuse_nan_and_infinity(tmp_path):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _dump_json(tmp_path / "x.json", {"value": [1.0, value]})
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("sigma,gamma0,message", [

@@ -1,6 +1,7 @@
 """Coefficient fields, mollification and integral norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ from fbmlab import (CLAMP_VALUE, ClampWarning, MatrixField, MollifierSpec,
                     ParameterError, QuenchedScenario, ResolutionError,
                     ScalarField, SpatialGrid, TimeGrid, constant_field,
                     generate_fbm, hs_norm_sq, identity_field, lp_norm,
-                    mollified_family, mollify, multilinear_interpolate,
-                    singular_example)
-from fbmlab.fields import (_fftconvolve, _gamma, _next_fast_len, evaluate_members,
-                           evaluate_together)
+                    mollified_family, mollify, singular_example)
+from fbmlab.fields import (LatticeStack, _fftconvolve, _gamma, _next_fast_len,
+                           evaluate_members, evaluate_together)
 from fbmlab.solver import family_grid
 
 
@@ -231,8 +231,9 @@ def test_lp_norm_scales_homogeneously():
     tripled = lp_norm(MatrixField(lambda p: 3.0 * sigma(p), 1, 1,
                                   singular_points=sigma.singular_points), 2.0, grid)
     assert tripled == pytest.approx(3.0 * base, rel=1e-12)
-    with pytest.raises(ParameterError):
-        lp_norm(sigma, 0.0, grid)
+    for p in (0.0, -1.0, math.nan):  # NaN used to return a NaN norm
+        with pytest.raises(ParameterError, match="p must be positive"):
+            lp_norm(sigma, p, grid)
 
 
 # --- one interpolation for a whole mollified family ---------------------------
@@ -257,13 +258,14 @@ FAMILIES = {d: _family(d) for d in (1, 2)}
 
 
 def _per_entry_reference(grid, fld, pts):
-    """A mollified field on grid evaluated one matrix entry at a time."""
+    """A mollified field on grid evaluated one matrix entry at a time, by
+    the independent corner loop."""
     table = fld.grid_values
     out = np.empty(pts.shape[:-1] + table.shape[-2:])
     for a in range(table.shape[-2]):
         for b in range(table.shape[-1]):
-            out[..., a, b] = multilinear_interpolate(grid.lower, grid.h,
-                                                     table[..., a, b], pts)
+            out[..., a, b] = _corner_loop_interpolate(grid.lower, grid.h,
+                                                      table[..., a, b], pts)
     out[np.linalg.norm(pts, axis=-1) > fld.support_radius] = 0.0
     return out
 
@@ -324,6 +326,216 @@ def test_interpolation_is_exact_at_lattice_nodes(case):
         inside = np.linalg.norm(point) <= fld.support_radius
         want = fld.grid_values[tuple(index)] if inside else 0.0
         assert np.array_equal(together[e], np.broadcast_to(want, together[e].shape))
+
+
+def test_a_mollified_field_is_a_lattice_stack_member():
+    """A bare mollify field is member 0 of its own one-member stack, whose
+    table it reads in place, so evaluate_together and evaluate_members
+    take the stack's routes for it, bit for bit its own evaluation."""
+    mix = np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]])
+    sigma = MatrixField(lambda p: np.exp(-np.sum(p * p, axis=-1))[..., None, None] * mix,
+                        2, 3, support_radius=1.0)
+    fld = mollify(sigma, MollifierSpec(0.25), SpatialGrid.from_box(-2.0, 2.0, 64, 2))
+    stack, e = fld.lattice
+    assert e == 0 and stack.radii == (fld.support_radius,)
+    table = fld.grid_values
+    assert table.flags.c_contiguous and np.shares_memory(table, stack.table)
+    assert table.__array_interface__ == stack.table[0].__array_interface__
+    pts = np.random.default_rng(3).uniform(-2.5, 2.5, size=(40, 2))
+    own = fld(pts)
+
+    def not_called(_pts):
+        raise AssertionError("the field was evaluated on its own")
+
+    fld._oracle = not_called
+    _assert_same_bits(evaluate_together([fld], pts), own[None])
+    _assert_same_bits(evaluate_members([fld])(pts[None]), own[None])
+
+
+# --- the lattice kernel, bit for bit against the corner loop ------------------
+
+def test_lattice_fields_reproduce_affine_fields():
+    grid = SpatialGrid((-1.0, -1.0), 0.25, (8, 8))
+    centers = grid.centers_mesh()
+    values = 2.0 * centers[..., 0] - 3.0 * centers[..., 1] + 0.5
+    table = np.stack([values, -values], axis=-1)[None, ..., None]  # (1, 8, 8, 2, 1)
+    fld = LatticeStack(grid, table, [math.inf]).member(0, label="affine")
+    rng = np.random.Generator(np.random.Philox(key=1))
+    pts = rng.uniform(-0.7, 0.7, size=(50, 2))
+    want = 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.5
+    assert np.max(np.abs(fld(pts)[..., 0] - np.stack([want, -want], axis=-1))) < 1e-12
+    # Outside the center lattice a lattice field reads zero.
+    assert np.array_equal(fld(np.array([[5.0, 0.0]])), np.zeros((1, 2, 1)))
+
+
+def _corner_loop_interpolate(lower, h, values, points, members=None):
+    """The corner loop lattice fields ran before the flat-index gather,
+    verbatim but for the clamp rule they no longer have: the bit-for-bit
+    reference."""
+    pts = np.asarray(points, dtype=float)
+    lo = np.asarray(lower, dtype=float)
+    d = lo.size
+    if pts.shape[-1] != d or values.ndim < d:
+        raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
+    member = () if members is None else (np.asarray(members),)
+    # Position in center-lattice units.
+    u = (pts - lo) / h - 0.5
+    shape = np.asarray(values.shape[:d])
+    in_range = np.all((u >= 0.0) & (u <= shape - 1.0), axis=-1)
+    u = np.clip(u, 0.0, shape - 1.0)
+    with np.errstate(invalid="ignore"):  # a NaN point casts to int64
+        base = np.maximum(np.minimum(np.floor(u).astype(np.int64), shape - 2), 0)
+    frac = u - base
+    entry = (None,) * (values.ndim - d - len(member))
+    out = np.zeros(pts.shape[:-1] + values.shape[d + len(member):])
+    for corner in range(1 << d):
+        offs = [(corner >> a) & 1 for a in range(d)]
+        weight = np.ones(pts.shape[:-1])
+        for a in range(d):
+            weight = weight * (frac[..., a] if offs[a] else 1.0 - frac[..., a])
+        # Clamp covers size-1 axes, where the far corner has zero weight.
+        idx = tuple(np.minimum(base[..., a] + offs[a], shape[a] - 1) for a in range(d))
+        out += weight[(...,) + entry] * values[idx + member]
+    return np.where(in_range[(...,) + entry], out, 0.0)
+
+
+def _mask_clip_lattice_values(grid, table, radius, pts, members=None):
+    """The lattice evaluation with the norm and boolean-mask radius clip it
+    had before, verbatim but for the interpolation it calls."""
+    vals = _corner_loop_interpolate(grid.lower, grid.h, table, pts, members=members)
+    # The convolution support is a ball; clip FFT dust outside it.
+    r = np.linalg.norm(pts, axis=-1)
+    stacked = members is None and np.ndim(radius)
+    vals[r[..., None] > radius if stacked else r > radius] = 0.0
+    return vals
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+_TABLE_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _stacked_lattices(draw):
+    """A grid, a member-major (k,) + grid.shape + (d, n) table with signed
+    zeros and non-finite entries sprinkled in, radii, and points on, off
+    and at the edges of the lattice, NaN and +-inf among them."""
+    d = draw(st.integers(1, 3))
+    bins = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    h = draw(st.sampled_from([0.25, 0.375, 1.0]))
+    lower = tuple(draw(st.lists(st.sampled_from([-0.9, -0.4, 0.1]),
+                                min_size=d, max_size=d)))
+    grid = SpatialGrid(lower, h, bins)
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = rng.standard_normal((k,) + bins + (d, n))
+    table[rng.random(table.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, table.size - 1))
+        table.flat[at] = draw(st.sampled_from(_TABLE_SPECIALS))
+    radii = draw(st.lists(st.floats(0.05, 4.0), min_size=k, max_size=k))
+    upper = [lo + m * h for lo, m in zip(lower, bins)]
+    coordinate = [st.one_of(
+        st.floats(lo - 1.5 * h, up + 1.5 * h),
+        st.sampled_from([lo, lo + 0.5 * h, up - 0.5 * h, up, 0.0, -0.0,
+                         math.nan, math.inf, -math.inf]))
+        for lo, up in zip(lower, upper)]
+    rows = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=6))
+    return grid, table, radii, np.array(rows, dtype=float).reshape(-1, d)
+
+
+# The tables' infinities meet zero weights, and each other, in both routes.
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in (multiply|add):RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_stacked_lattices(), st.data())
+def test_flat_gather_is_bit_equal_to_the_corner_loop(case, data):
+    """The references read the stack's table as it was laid out before,
+    member axis after the lattice axes: np.moveaxis(table, 0, d)."""
+    grid, table, radii, pts = case
+    k, m, d = table.shape[0], pts.shape[0], grid.dimension
+    lattice_major = np.moveaxis(table, 0, d)
+    members = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+    e = data.draw(st.integers(0, k - 1))
+    stack = LatticeStack(grid, table, radii)
+    # The stack's routes: every member with stacked radii, one member
+    # field, and the member-axis gather of k point sets, here one set per
+    # point, each point with its own member, and three sets.
+    per_point = members[:, None]
+    _assert_same_bits(stack.gather(members)(pts[:, None, :]), _mask_clip_lattice_values(
+        grid, lattice_major, np.asarray(stack.radii)[per_point], pts[:, None, :],
+        members=per_point))
+    _assert_same_bits(stack(pts), np.moveaxis(_mask_clip_lattice_values(
+        grid, lattice_major, np.asarray(stack.radii), pts), -3, 0))
+    _assert_same_bits(stack.member(e, label="e")(pts),
+                      _mask_clip_lattice_values(grid, lattice_major[..., e, :, :],
+                                                stack.radii[e], pts))
+    sets = np.stack([pts, pts[::-1], -pts])
+    order = [e, (e + 1) % k, 0]
+    index = np.array(order)[:, None]
+    _assert_same_bits(stack.gather(order)(sets), _mask_clip_lattice_values(
+        grid, lattice_major, np.asarray(stack.radii)[index], sets, members=index))
+    # A member of a stack on a strided table, which every call reads
+    # through a copy: each lattice's last column, rows reversed.
+    strided = LatticeStack(grid, table[..., ::-1, -1:], radii)
+    _assert_same_bits(strided.member(e, label="e")(pts),
+                      _mask_clip_lattice_values(grid, lattice_major[..., e, ::-1, -1:],
+                                                radii[e], pts))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bins", [(4,), (3, 1), (1, 2, 3)])
+def test_nan_points_interpolate_without_a_cast_warning(bins):
+    """A NaN coordinate reads 0, as any point off the lattice does, through
+    every route of a stack, and casts no NaN to an integer on the way."""
+    d = len(bins)
+    grid = SpatialGrid((-0.5,) * d, 0.25, bins)
+    table = np.random.default_rng(1).standard_normal((2,) + bins + (d, 1))
+    pts = np.array([[math.nan] * d, [0.0] * (d - 1) + [math.nan], [0.0] * d])
+    stack = LatticeStack(grid, table, [math.inf] * 2)
+    for got in (stack(pts).swapaxes(0, 1), stack.gather([1, 0, 1])(pts[:, None, :]),
+                stack.member(1, label="1")(pts)):
+        assert np.array_equal(got[:2], np.zeros_like(got[:2]))
+        assert not np.signbit(got[:2]).any()
+
+
+@pytest.mark.parametrize("members", [[0, 3], [-1, 0], [[1], [3]]])
+def test_members_outside_the_stack_are_refused(members):
+    """A member index that names no lattice of a three-member stack is
+    refused when the gather is made, rather than read from another
+    member's rows."""
+    grid = SpatialGrid((-0.5,), 0.25, (4,))
+    stack = LatticeStack(grid, np.zeros((3,) + grid.shape + (1, 1)), [1.0] * 3)
+    with pytest.raises(ParameterError, match="members must lie in"):
+        stack.gather(members)
+
+
+def test_member_fields_read_the_stacked_table_in_place():
+    """A member's table is the contiguous view table[e] of the stack's, and
+    evaluating a member allocates in proportion to its points, not to its
+    lattice."""
+    grid = SpatialGrid((-8.1,), 2.0 ** -12, (1 << 16,))
+    table = np.random.default_rng(0).standard_normal((5,) + grid.shape + (1, 1))
+    stack = LatticeStack(grid, table, [1.0] * 5)
+    field = stack.member(3, label="member 3")
+    member = field.grid_values
+    assert member.flags.c_contiguous and np.shares_memory(member, table)
+    assert member.__array_interface__ == table[3].__array_interface__
+    pts = np.linspace(-2.0, 2.0, 16)[:, None]
+    field(pts)
+    tracemalloc.start()
+    try:
+        field(pts)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < member.size * member.itemsize // 8
 
 
 # --- the convolution, without scipy -------------------------------------------

@@ -1,7 +1,6 @@
 """Occupation measures, local times and the half-offset grid conventions."""
 
 import math
-import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -11,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmlab import (ParameterError, SpatialGrid, TimeGrid, generate_fbm,
-                    local_time, multilinear_interpolate,
-                    occupation_formula_residual, occupation_measure)
-from fbmlab.fields import LatticeStack
+                    local_time, occupation_formula_residual, occupation_measure)
 from fbmlab.occupation import _FSUM_TAIL, _exact_sum
 
 
@@ -372,207 +369,3 @@ def test_one_pass_certifies_tent_sums_and_falls_back_near_midpoints(monkeypatch)
                     seen.add((kind, "certified"))
     assert seen == {(kind, way) for kind in MIDPOINT_KINDS for way in (
         "fell back", "certified") if (kind, way) != ("a tie", "certified")}
-
-
-def test_multilinear_interpolation_reproduces_affine_fields():
-    lower, h = np.array([-1.0, -1.0]), 0.25
-    centers = np.stack(np.meshgrid(
-        lower[0] + (np.arange(8) + 0.5) * h,
-        lower[1] + (np.arange(8) + 0.5) * h, indexing="ij"), axis=-1)
-    values = 2.0 * centers[..., 0] - 3.0 * centers[..., 1] + 0.5
-    rng = np.random.Generator(np.random.Philox(key=1))
-    pts = rng.uniform(-0.7, 0.7, size=(50, 2))
-    got = multilinear_interpolate(lower, h, values, pts)
-    want = 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.5
-    assert np.max(np.abs(got - want)) < 1e-12
-    # Outside the center lattice the fill value applies.
-    assert multilinear_interpolate(lower, h, values, np.array([[5.0, 0.0]]))[0] == 0.0
-    edge = multilinear_interpolate(lower, h, values, np.array([[5.0, 0.0]]),
-                                   clamp=True)[0]
-    assert math.isfinite(edge) and edge != 0.0
-
-
-# --- the flat-index gather, bit for bit against the corner loop ---------------
-
-def _corner_loop_interpolate(lower, h, values, points, clamp=False, members=None):
-    """The corner loop multilinear_interpolate ran before the flat-index
-    gather, verbatim: the bit-for-bit reference."""
-    pts = np.asarray(points, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    d = lo.size
-    if pts.shape[-1] != d or values.ndim < d:
-        raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
-    member = () if members is None else (np.asarray(members),)
-    # Position in center-lattice units.
-    u = (pts - lo) / h - 0.5
-    shape = np.asarray(values.shape[:d])
-    if clamp:
-        u = np.clip(u, 0.0, shape - 1.0)
-        in_range = np.ones(pts.shape[:-1], dtype=bool)
-    else:
-        in_range = np.all((u >= 0.0) & (u <= shape - 1.0), axis=-1)
-        u = np.clip(u, 0.0, shape - 1.0)
-    with np.errstate(invalid="ignore"):  # a NaN point casts to int64
-        base = np.maximum(np.minimum(np.floor(u).astype(np.int64), shape - 2), 0)
-    frac = u - base
-    entry = (None,) * (values.ndim - d - len(member))
-    out = np.zeros(pts.shape[:-1] + values.shape[d + len(member):])
-    for corner in range(1 << d):
-        offs = [(corner >> a) & 1 for a in range(d)]
-        weight = np.ones(pts.shape[:-1])
-        for a in range(d):
-            weight = weight * (frac[..., a] if offs[a] else 1.0 - frac[..., a])
-        # Clamp covers size-1 axes, where the far corner has zero weight.
-        idx = tuple(np.minimum(base[..., a] + offs[a], shape[a] - 1) for a in range(d))
-        out += weight[(...,) + entry] * values[idx + member]
-    return np.where(in_range[(...,) + entry], out, 0.0)
-
-
-def _mask_clip_lattice_values(grid, table, radius, pts, members=None):
-    """The lattice evaluation with the norm and boolean-mask radius clip it
-    had before, verbatim but for the interpolation it calls."""
-    vals = _corner_loop_interpolate(grid.lower, grid.h, table, pts, members=members)
-    # The convolution support is a ball; clip FFT dust outside it.
-    r = np.linalg.norm(pts, axis=-1)
-    stacked = members is None and np.ndim(radius)
-    vals[r[..., None] > radius if stacked else r > radius] = 0.0
-    return vals
-
-
-def _assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
-                          np.ascontiguousarray(want).view(np.uint64))
-
-
-_TABLE_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
-
-
-@st.composite
-def _stacked_lattices(draw):
-    """A grid, a member-major (k,) + grid.shape + (d, n) table with signed
-    zeros and non-finite entries sprinkled in, radii, and points on, off
-    and at the edges of the lattice, NaN and +-inf among them."""
-    d = draw(st.integers(1, 3))
-    bins = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
-    h = draw(st.sampled_from([0.25, 0.375, 1.0]))
-    lower = tuple(draw(st.lists(st.sampled_from([-0.9, -0.4, 0.1]),
-                                min_size=d, max_size=d)))
-    grid = SpatialGrid(lower, h, bins)
-    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    table = rng.standard_normal((k,) + bins + (d, n))
-    table[rng.random(table.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, table.size - 1))
-        table.flat[at] = draw(st.sampled_from(_TABLE_SPECIALS))
-    radii = draw(st.lists(st.floats(0.05, 4.0), min_size=k, max_size=k))
-    upper = [lo + m * h for lo, m in zip(lower, bins)]
-    coordinate = [st.one_of(
-        st.floats(lo - 1.5 * h, up + 1.5 * h),
-        st.sampled_from([lo, lo + 0.5 * h, up - 0.5 * h, up, 0.0, -0.0,
-                         math.nan, math.inf, -math.inf]))
-        for lo, up in zip(lower, upper)]
-    rows = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=6))
-    return grid, table, radii, np.array(rows, dtype=float).reshape(-1, d)
-
-
-# The tables' infinities meet zero weights, and each other, in both routes.
-@pytest.mark.filterwarnings(
-    "ignore:invalid value encountered in (multiply|add):RuntimeWarning")
-@settings(max_examples=150, deadline=None)
-@given(_stacked_lattices(), st.booleans(), st.data())
-def test_flat_gather_is_bit_equal_to_the_corner_loop(case, clamp, data):
-    """The references read the stack's table as it was laid out before,
-    member axis after the lattice axes: np.moveaxis(table, 0, d)."""
-    grid, table, radii, pts = case
-    k, m, d = table.shape[0], pts.shape[0], grid.dimension
-    lattice_major = np.moveaxis(table, 0, d)
-    members = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
-    e = data.draw(st.integers(0, k - 1))
-    stack = LatticeStack(grid, table, radii)
-    # Whole entries of one member, every member's entries stacked after the
-    # lattice axes, and one scalar lattice cut from a stack (a
-    # non-contiguous table), each with and without clamp.
-    for values, want in ((table[e], lattice_major[..., e, :, :]),
-                         (lattice_major, lattice_major),
-                         (table[e, ..., -1, 0], lattice_major[..., e, -1, 0])):
-        _assert_same_bits(
-            multilinear_interpolate(grid.lower, grid.h, values, pts, clamp=clamp),
-            _corner_loop_interpolate(grid.lower, grid.h, want, pts, clamp=clamp))
-    # The stack's three routes: every member with stacked radii, one
-    # member field, and the member-axis gather of k point sets, here one
-    # set per point, each point with its own member, and three sets.
-    per_point = members[:, None]
-    _assert_same_bits(stack.gather(members)(pts[:, None, :]), _mask_clip_lattice_values(
-        grid, lattice_major, np.asarray(stack.radii)[per_point], pts[:, None, :],
-        members=per_point))
-    _assert_same_bits(stack(pts), np.moveaxis(_mask_clip_lattice_values(
-        grid, lattice_major, np.asarray(stack.radii), pts), -3, 0))
-    _assert_same_bits(stack.member(e, label="e")(pts),
-                      _mask_clip_lattice_values(grid, lattice_major[..., e, :, :],
-                                                stack.radii[e], pts))
-    sets = np.stack([pts, pts[::-1], -pts])
-    order = [e, (e + 1) % k, 0]
-    index = np.array(order)[:, None]
-    _assert_same_bits(stack.gather(order)(sets), _mask_clip_lattice_values(
-        grid, lattice_major, np.asarray(stack.radii)[index], sets, members=index))
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("clamp", [False, True], ids=["zero-off-lattice", "clamp"])
-@pytest.mark.parametrize("bins", [(4,), (3, 1), (1, 2, 3)])
-def test_nan_points_interpolate_without_a_cast_warning(bins, clamp):
-    """A NaN coordinate reads NaN, or 0 off the lattice without clamp, on
-    its own and through a stack's members (which zero off the lattice),
-    and casts no NaN to an integer on the way."""
-    d = len(bins)
-    grid = SpatialGrid((-0.5,) * d, 0.25, bins)
-    table = np.random.default_rng(1).standard_normal((2,) + bins + (1, 1))
-    pts = np.array([[math.nan] * d, [0.0] * (d - 1) + [math.nan], [0.0] * d])
-    stack = LatticeStack(grid, table, [math.inf] * 2)
-    reads = [multilinear_interpolate(grid.lower, grid.h, np.moveaxis(table, 0, d), pts,
-                                     clamp=clamp)]
-    if not clamp:
-        reads += [stack(pts).swapaxes(0, 1), stack.gather([1, 0, 1])(pts[:, None, :])]
-    for got in reads:
-        if clamp:
-            assert np.isnan(got[:2]).all()
-        else:
-            assert np.array_equal(got[:2], np.zeros_like(got[:2]))
-            assert not np.signbit(got[:2]).any()
-
-
-@pytest.mark.parametrize("members", [[0, 3], [-1, 0], [[1], [3]]])
-def test_members_outside_the_stack_are_refused(members):
-    """A member index that names no lattice of a three-member stack is
-    refused when the gather is made, rather than read from another
-    member's rows."""
-    grid = SpatialGrid((-0.5,), 0.25, (4,))
-    stack = LatticeStack(grid, np.zeros((3,) + grid.shape + (1, 1)), [1.0] * 3)
-    with pytest.raises(ParameterError, match="members must lie in"):
-        stack.gather(members)
-
-
-def test_member_fields_read_the_stacked_table_in_place():
-    """A member's table is the contiguous view table[e] of the stack's, and
-    evaluating a member allocates in proportion to its points, not to its
-    lattice."""
-    grid = SpatialGrid((-8.1,), 2.0 ** -12, (1 << 16,))
-    table = np.random.default_rng(0).standard_normal((5,) + grid.shape + (1, 1))
-    stack = LatticeStack(grid, table, [1.0] * 5)
-    field = stack.member(3, label="member 3")
-    member = field.grid_values
-    assert member.flags.c_contiguous and np.shares_memory(member, table)
-    assert member.__array_interface__ == table[3].__array_interface__
-    pts = np.linspace(-2.0, 2.0, 16)[:, None]
-    field(pts)
-    tracemalloc.start()
-    try:
-        field(pts)
-        _size, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < member.size * member.itemsize // 8
