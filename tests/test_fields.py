@@ -401,12 +401,10 @@ def _corner_loop_interpolate(lower, h, values, points, members=None):
 
 def _mask_clip_lattice_values(grid, table, radius, pts, members=None):
     """The lattice evaluation with the norm and boolean-mask radius clip it
-    had before, verbatim but for the interpolation it calls."""
+    had before, for one lattice or, by members, one per point."""
     vals = _corner_loop_interpolate(grid.lower, grid.h, table, pts, members=members)
     # The convolution support is a ball; clip FFT dust outside it.
-    r = np.linalg.norm(pts, axis=-1)
-    stacked = members is None and np.ndim(radius)
-    vals[r[..., None] > radius if stacked else r > radius] = 0.0
+    vals[np.linalg.norm(pts, axis=-1) > radius] = 0.0
     return vals
 
 
@@ -471,8 +469,13 @@ def test_flat_gather_is_bit_equal_to_the_corner_loop(case, data):
     _assert_same_bits(stack.gather(members)(pts[:, None, :]), _mask_clip_lattice_values(
         grid, lattice_major, np.asarray(stack.radii)[per_point], pts[:, None, :],
         members=per_point))
-    _assert_same_bits(stack(pts), np.moveaxis(_mask_clip_lattice_values(
-        grid, lattice_major, np.asarray(stack.radii), pts), -3, 0))
+    # Slice f of the all-member call against member f's own corner loop, in
+    # the layout the stack reads it in: which of two NaNs numpy's add keeps
+    # depends on the array's length and the element's place in it, so a
+    # reference that interleaves the members may keep the other one.
+    _assert_same_bits(stack(pts), np.stack([_mask_clip_lattice_values(
+        grid, lattice_major[..., f, :, :], radius, pts)
+        for f, radius in enumerate(stack.radii)]))
     _assert_same_bits(stack.member(e, label="e")(pts),
                       _mask_clip_lattice_values(grid, lattice_major[..., e, :, :],
                                                 stack.radii[e], pts))
@@ -487,6 +490,22 @@ def test_flat_gather_is_bit_equal_to_the_corner_loop(case, data):
     _assert_same_bits(strided.member(e, label="e")(pts),
                       _mask_clip_lattice_values(grid, lattice_major[..., e, ::-1, -1:],
                                                 radii[e], pts))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_a_stack_slice_keeps_its_members_nan_sign():
+    """A point on member 0's first node adds 1 * NaN and 0 * inf, two NaNs
+    of opposite sign.  Slice 0 of the all-member call keeps the one member
+    0's own evaluation and its own corner loop keep, where a corner loop
+    over the interleaved members may keep the other."""
+    grid = SpatialGrid((-0.9,), 0.25, (2,))
+    table = np.array([[math.nan, math.inf], [0.64, 0.1]]).reshape(2, 2, 1, 1)
+    pts = np.array([[-1.0]] * 4 + [[-0.775]])
+    stack = LatticeStack(grid, table, [1.0, 1.0])
+    got = stack(pts)
+    assert math.isnan(got[0, 4, 0, 0])
+    _assert_same_bits(got[0], stack.member(0, label="0")(pts))
+    _assert_same_bits(got[0], _mask_clip_lattice_values(grid, table[0], 1.0, pts))
 
 
 @pytest.mark.filterwarnings("error")
