@@ -21,9 +21,8 @@ from .fields import (CLAMP_VALUE, MatrixField, MollifierSpec, ScalarField,
                      constant_field, hs_norm_sq, identity_field, lp_norm,
                      mollify, singular_example)
 from .occupation import (OccupationMeasure, SpatialGrid, local_time,
-                         occupation_formula_residual, occupation_measure)
-from .paths import (FbmPath, TimeGrid, fbm_covariance, generate_bm_increments,
-                    generate_fbm, generate_fbm_batch)
+                         occupation_formula_residual)
+from .paths import FbmPath, TimeGrid, fbm_covariance, generate_fbm
 from .sewing import Germ, SewingResult, sew
 from .solver import (Ensemble, MollifiedCauchyReport, QuenchedScenario,
                      mollified_family)
@@ -46,12 +45,11 @@ __all__ = [
     "WEIGHT_DICTIONARY_VERSION",
     "admissible_regularity", "average_direct", "average_via_local_time",
     "constant_field", "convolution_agreement_bound",
-    "fbm_covariance", "generate_bm_increments", "generate_fbm", "generate_fbm_batch",
+    "fbm_covariance", "generate_fbm",
     "hs_norm_sq", "holder_exponent", "hurst_admissible_fbm_driver",
     "hurst_admissible_main", "identity_field",
     "lebesgue_vs_sewing", "local_time", "lp_norm", "moment_ratio",
     "moment_ratio_trend", "mollified_family", "mollify",
-    "occupation_formula_residual",
-    "occupation_measure", "quantized_perturbation", "sew",
+    "occupation_formula_residual", "quantized_perturbation", "sew",
     "singular_example", "weight_dictionary",
 ]

@@ -252,8 +252,8 @@ def _cmd_local_time(args) -> int:
         rows.append({**{f"x_{j + 1}": float(c[j]) for j in range(c.size)},
                      "local_time": float(v)})
     if args.out:
-        _write_rows(Path(args.out), rows, "csv")
-        _emit(f"wrote {args.out}")
+        written = _write_rows(Path(args.out), rows, "csv")
+        _emit(f"wrote {written}")
     _emit(json.dumps({"covered_mass": field.covered_mass,
                       "escaped_mass": field.escaped_mass,
                       "bins": field.grid.bins, "h": field.grid.h},

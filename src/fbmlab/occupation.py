@@ -4,7 +4,8 @@ The occupation measure of a path over a window [s, t) assigns to each bin
 the amount of time the path spends there, estimated by left-endpoint
 quadrature: every sample t_k in [s, t) deposits dt into the bin holding
 w(t_k).  Dividing bin mass by the bin volume h**d gives the local-time
-density estimator.
+density estimator.  `local_time` is the one function that bins a path; its
+OccupationMeasure carries both the mass and the density view.
 
 Bins store integer visit counts, so window additivity of measures and
 local-time fields holds exactly at bit level, not just approximately.
@@ -203,8 +204,20 @@ class OccupationMeasure:
                                  self.escaped_count + other.escaped_count)
 
 
-def _occupy(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
-    """Bin the path samples t_k in [s, t); samples outside the box are escaped."""
+def local_time(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
+    """Occupation measure of the path over [s, t), read through its density view.
+
+    Bins the path samples t_k in [s, t); samples outside the box are
+    escaped.  The density interpretation requires the occupation measure
+    to be absolutely continuous; for fBm that holds when hurst * dimension
+    < 1, which is checked here and warned about, not enforced.
+    """
+    hurst = getattr(path, "hurst", None)
+    if hurst is not None and hurst * grid.dimension >= 1.0:
+        warnings.warn(
+            f"hurst*dimension = {hurst * grid.dimension:.3f} >= 1: the occupation "
+            "measure may have no density; treat this field as a histogram only",
+            RuntimeWarning, stacklevel=2)
     if path.dimension != grid.dimension:
         raise ParameterError(
             f"path dimension {path.dimension} != grid dimension {grid.dimension}")
@@ -216,27 +229,6 @@ def _occupy(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
     counts = np.bincount(flat, minlength=n_bins)
     return OccupationMeasure(grid, s, t, path.grid.dt, counts.reshape(grid.shape),
                              int((~inside).sum()))
-
-
-def occupation_measure(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
-    """Histogram occupation measure of the path over [s, t)."""
-    return _occupy(path, grid, s, t)
-
-
-def local_time(path, grid: SpatialGrid, s: float, t: float) -> OccupationMeasure:
-    """Occupation measure of the path over [s, t), read through its density view.
-
-    The density interpretation requires the occupation measure to be
-    absolutely continuous; for fBm that holds when hurst * dimension < 1,
-    which is checked here and warned about, not enforced.
-    """
-    hurst = getattr(path, "hurst", None)
-    if hurst is not None and hurst * grid.dimension >= 1.0:
-        warnings.warn(
-            f"hurst*dimension = {hurst * grid.dimension:.3f} >= 1: the occupation "
-            "measure may have no density; treat this field as a histogram only",
-            RuntimeWarning, stacklevel=2)
-    return _occupy(path, grid, s, t)
 
 
 def _exact_sum(values) -> float:

@@ -342,18 +342,3 @@ def generate_fbm(hurst: float, dimension: int, grid: TimeGrid, seed: int,
     values = _fbm_rows((hurst,), dimension, grid, seed, path_index, 1)[0, 0]
     return FbmPath(hurst, dimension, grid, values, seed, path_index)
 
-
-def generate_fbm_batch(hurst: float, dimension: int, grid: TimeGrid, seed: int,
-                       count: int) -> np.ndarray:
-    """Values array of shape (count, dimension, steps + 1).
-
-    Path i equals generate_fbm(..., path_index=i).values bit for bit: a
-    single path is this batch with one row.
-    """
-    return _fbm_rows((hurst,), dimension, grid, seed, 0, count)[0]
-
-
-def generate_bm_increments(dimension: int, grid: TimeGrid, seed: int,
-                           count: int) -> np.ndarray:
-    """Increment array of shape (count, dimension, steps) for a driver ensemble."""
-    return _bm_rows(dimension, grid, seed, 0, count)

@@ -423,17 +423,23 @@ def test_admissibility_refuses_non_finite_numbers(capsys, extra):
     assert captured.out == "" and "must be finite, got" in captured.err
 
 
-def test_local_time_subcommand_smoke(tmp_path, capsys):
-    out_csv = tmp_path / "lt.csv"
+@pytest.mark.parametrize("out, written", [("lt.csv", "lt.csv"), ("lt.txt", "lt.csv"),
+                                          ("table", "table.csv")])
+def test_local_time_subcommand_smoke(tmp_path, capsys, out, written):
+    """--out names the table; it is written with the suffix .csv, and the
+    'wrote' line names that file."""
     assert main(["local-time", "--hurst", "0.3", "--steps", "512",
-                 "--seed", "9", "--width", "0.05", "--out", str(out_csv)]) == 0
+                 "--seed", "9", "--width", "0.05", "--out", str(tmp_path / out)]) == 0
     captured = capsys.readouterr().out.splitlines()
+    assert captured[0] == f"wrote {tmp_path / written}"
     stats = json.loads(captured[-1])
     assert stats["covered_mass"] == 1.0  # cover box loses nothing
     assert stats["escaped_mass"] == 0.0
-    assert out_csv.exists()
-    header = out_csv.read_text().splitlines()[0]
-    assert header == "local_time,x_1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [written]
+    table = (tmp_path / written).read_bytes()
+    assert table.splitlines()[0] == b"local_time,x_1"
+    assert hashlib.sha256(table).hexdigest() == \
+        "84e4550de29769f46ef33c6d324136077ec337da0e6d2e119dec7f3ca01269bc"
 
 
 def test_average_subcommand_smoke(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmlab import (ParameterError, SpatialGrid, TimeGrid, generate_fbm,
-                    local_time, occupation_formula_residual, occupation_measure)
+                    local_time, occupation_formula_residual)
 from fbmlab.occupation import _FSUM_TAIL, _exact_sum
 
 
@@ -94,7 +94,7 @@ def test_occupation_counts_and_masses():
     vals = np.array([[0.1, 0.1, 0.6, 0.6, 0.6, -0.3, 0.1, 0.9, 0.9]])
     path = RawPath(1, grid_t, vals)
     box = SpatialGrid((-1.0,), 0.5, (4,))
-    occ = occupation_measure(path, box, 0.0, 1.0)
+    occ = local_time(path, box, 0.0, 1.0)
     # Left endpoints 0.1 x3, 0.6 x3, -0.3, 0.9, each worth dt = 1/8.
     assert occ.counts.dtype.kind == "i"
     assert occ.counts.tolist() == [0, 1, 3, 4]
@@ -107,7 +107,7 @@ def test_escaped_mass_is_tracked():
     grid_t = TimeGrid(1.0, 4)
     path = RawPath(1, grid_t, np.array([[0.1, 9.0, 0.1, 0.1, 0.2]]))
     box = SpatialGrid((-1.0,), 0.5, (4,))
-    occ = occupation_measure(path, box, 0.0, 1.0)
+    occ = local_time(path, box, 0.0, 1.0)
     assert occ.escaped_count == 1
     assert occ.escaped_mass == pytest.approx(0.25, abs=1e-15)
     assert occ.escaped_fraction == pytest.approx(0.25, abs=1e-15)
@@ -117,14 +117,10 @@ def test_window_additivity_is_bit_exact():
     grid_t = TimeGrid(1.0, 512)
     path = generate_fbm(0.3, 1, grid_t, 21)
     box = SpatialGrid.cover(path.values.T, 0.05)
-    whole = occupation_measure(path, box, 0.0, 1.0)
-    first = occupation_measure(path, box, 0.0, 0.375)
-    second = occupation_measure(path, box, 0.375, 1.0)
-    merged = first + second
+    whole = local_time(path, box, 0.0, 1.0)
+    merged = local_time(path, box, 0.0, 0.375) + local_time(path, box, 0.375, 1.0)
     assert np.array_equal(merged.counts, whole.counts)
     assert merged.escaped_count == whole.escaped_count
-    lt = local_time(path, box, 0.0, 0.375) + local_time(path, box, 0.375, 1.0)
-    assert np.array_equal(lt.counts, local_time(path, box, 0.0, 1.0).counts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,7 +133,7 @@ def test_occupation_counts_are_additive_over_window_splits(seed, d, cuts, h, tig
     # A tight box lets some samples escape, so escaped counts add up too.
     box = SpatialGrid.cover(path.values.T[:40] if tight else path.values.T, h)
     nodes = [0, *sorted(cuts), 128]
-    pieces = [occupation_measure(path, box, k0 * grid_t.dt, k1 * grid_t.dt)
+    pieces = [local_time(path, box, k0 * grid_t.dt, k1 * grid_t.dt)
               for k0, k1 in zip(nodes[:-1], nodes[1:])]
     merged = sum(pieces[1:], pieces[0])
     whole = local_time(path, box, 0.0, 1.0)
@@ -152,15 +148,15 @@ def test_incompatible_windows_do_not_merge():
     grid_t = TimeGrid(1.0, 16)
     path = RawPath(1, grid_t, np.zeros((1, 17)) + 0.3)
     box = SpatialGrid((-1.0,), 0.5, (4,))
-    a = occupation_measure(path, box, 0.0, 0.5)
-    b = occupation_measure(path, box, 0.5, 1.0)
-    c = occupation_measure(path, SpatialGrid((-1.0,), 0.25, (8,)), 0.5, 1.0)
+    a = local_time(path, box, 0.0, 0.5)
+    b = local_time(path, box, 0.5, 1.0)
+    c = local_time(path, SpatialGrid((-1.0,), 0.25, (8,)), 0.5, 1.0)
     with pytest.raises(ParameterError):
         _ = b + a  # not contiguous in that order
     with pytest.raises(ParameterError):
         _ = a + c  # different grids
     with pytest.raises(ParameterError):
-        occupation_measure(path, box, 0.5, 0.5)
+        local_time(path, box, 0.5, 0.5)
 
 
 def test_local_time_density_scaling():

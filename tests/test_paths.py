@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from fbmlab import (ParameterError, TimeGrid, experiments, fbm_covariance,
-                    generate_bm_increments, generate_fbm, generate_fbm_batch,
-                    paths)
+                    generate_fbm, paths)
 from fbmlab.paths import (_circulant_amplitudes, _circulant_eigenvalues,
                           _fgn_autocov, _fgn_from_normals)
 
@@ -106,7 +105,7 @@ def test_generation_is_deterministic():
 
 def test_batch_matches_per_path_bitwise():
     grid = TimeGrid(1.0, 64)
-    batch = generate_fbm_batch(0.25, 2, grid, 7, 4)
+    batch = paths._fbm_rows((0.25,), 2, grid, 7, 0, 4)[0]
     for i in (0, 3):
         single = generate_fbm(0.25, 2, grid, 7, path_index=i)
         assert np.array_equal(batch[i], single.values)
@@ -114,7 +113,7 @@ def test_batch_matches_per_path_bitwise():
 
 def test_bm_increment_ensemble_matches_paths():
     grid = TimeGrid(2.0, 32)
-    db = generate_bm_increments(3, grid, 9, 3)
+    db = paths._bm_rows(3, grid, 9, 0, 3)
     for i in range(3):
         assert np.array_equal(db[i], paths._bm_rows(3, grid, 9, i, 1)[0])
 
@@ -202,10 +201,10 @@ _batches = st.integers(1, 6).flatmap(lambda count: st.tuples(
 
 def _assert_batch_rows_are_single_paths(seed, count, index, d, steps, hurst):
     grid = TimeGrid(1.0, steps)
-    fbm = generate_fbm_batch(hurst, d, grid, seed, count)
+    fbm = paths._fbm_rows((hurst,), d, grid, seed, 0, count)[0]
     assert fbm.shape == (count, d, steps + 1)
     assert np.array_equal(fbm[index], generate_fbm(hurst, d, grid, seed, index).values)
-    db = generate_bm_increments(d, grid, seed, count)
+    db = paths._bm_rows(d, grid, seed, 0, count)
     assert db.shape == (count, d, steps)
     assert np.array_equal(db[index], paths._bm_rows(d, grid, seed, index, 1)[0])
 
@@ -271,7 +270,7 @@ def test_refused_embedding_fails_before_the_output_is_allocated(hurst, steps):
     message = rf"embedding of fBm increments at H={hurst} and {steps} steps"
     with pytest.raises(ParameterError, match=message):
         generate_fbm(hurst, 1, grid, 1)
-    for sample in (lambda: generate_fbm_batch(hurst, 2, grid, 1, 64),
+    for sample in (lambda: paths._fbm_rows((hurst,), 2, grid, 1, 0, 64),
                    lambda: paths._fbm_rows((0.3, hurst, 0.7), 2, grid, 1, 0, 64)):
         tracemalloc.start()
         try:
@@ -293,7 +292,7 @@ def test_components_and_paths_are_independent_streams():
 
 def test_empirical_covariance_tracks_formula():
     grid = TimeGrid(1.0, 64)
-    batch = generate_fbm_batch(0.25, 1, grid, 17, 4000)[:, 0, :]
+    batch = paths._fbm_rows((0.25,), 1, grid, 17, 0, 4000)[0, :, 0, :]
     s, t = 0.25, 0.75
     ks, kt = grid.node_index(s), grid.node_index(t)
     prods = batch[:, ks] * batch[:, kt]
@@ -316,7 +315,7 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         TimeGrid(1.0, 0)
     with pytest.raises(ParameterError):
-        generate_fbm_batch(0.5, 1, grid, 1, 0)
+        paths._fbm_rows((0.5,), 1, grid, 1, 0, 0)
 
 
 def test_stream_keys_out_of_range_are_rejected():
@@ -343,9 +342,9 @@ def test_stream_keys_out_of_range_are_rejected():
 def test_batch_generators_reject_nonpositive_dimension(dimension):
     grid = TimeGrid(1.0, 16)
     with pytest.raises(ParameterError, match="dimension"):
-        generate_fbm_batch(0.5, dimension, grid, 1, 4)
+        paths._fbm_rows((0.5,), dimension, grid, 1, 0, 4)
     with pytest.raises(ParameterError, match="dimension"):
-        generate_bm_increments(dimension, grid, 1, 4)
+        paths._bm_rows(dimension, grid, 1, 0, 4)
 
 
 def test_time_grid_node_lookup_and_subsample():
@@ -423,7 +422,7 @@ def test_covariance_audit_rows_are_the_per_hurst_batch_formula(monkeypatch):
     grid = TimeGrid(1.0, steps)
     want = []
     for hurst in (0.1, 0.25, 0.5):
-        batch = generate_fbm_batch(hurst, 1, grid, seed, n_paths)[:, 0, :]
+        batch = paths._fbm_rows((hurst,), 1, grid, seed, 0, n_paths)[0, :, 0, :]
         for s, t in [(0.25, 0.5), (0.5, 1.0), (0.25, 0.75), (0.125, 1.0), (0.5, 0.75)]:
             prods = batch[:, grid.node_index(s)] * batch[:, grid.node_index(t)]
             est = float(prods.mean())

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, SpatialGrid,
-                    TimeGrid, constant_field, generate_bm_increments,
-                    generate_fbm, identity_field, mollified_family,
-                    quantized_perturbation, singular_example, solver)
+                    TimeGrid, constant_field, generate_fbm, identity_field,
+                    mollified_family, quantized_perturbation, singular_example,
+                    solver)
+from fbmlab.paths import _bm_rows
 from fbmlab.solver import (BLOWUP_BOUND, _abort_on_blowups, _euler_batch,
                            cauchy_report, family_grid, solve_fields, walk_ensemble)
 
@@ -125,7 +126,7 @@ STACKS = {d: _stack_members(d) for d in (1, 2)}
 # The stack members' perturbation paths and drivers on grids whose step
 # count a staging block of _euler_batch divides (64) or does not.
 DRIVEN = {(d, steps): (generate_fbm(0.2, d, TimeGrid(1.0, steps), seed=5).values,
-                       generate_bm_increments(d, TimeGrid(1.0, steps), BASE_SEED, 32))
+                       _bm_rows(d, TimeGrid(1.0, steps), BASE_SEED, 0, 32))
           for d in (1, 2) for steps in (64, 37, 100)}
 
 
@@ -190,7 +191,7 @@ def test_blowups_at_block_edges_match_the_reference(d, steps, block, monkeypatch
     edges = sorted({k for k0 in range(0, steps, size)
                     for k in (k0, min(k0 + size, steps) - 1)})
     grid = TimeGrid(1.0, steps)
-    db = generate_bm_increments(d, grid, BASE_SEED, len(edges) + 3)
+    db = _bm_rows(d, grid, BASE_SEED, 0, len(edges) + 3)
     for path, k in enumerate(edges):
         db[path, 0, k] = 100.0
     db[len(edges), -1, steps // 2] = np.nan
@@ -241,7 +242,7 @@ def test_euler_scheme_is_adapted(d, order, n_fields, k, seed, bound, value):
     together."""
     fbm, fields = ADAPTED[d]
     chosen = [fields[e] for e in order[:n_fields]]
-    db = generate_bm_increments(d, GRID, seed, 8)
+    db = _bm_rows(d, GRID, seed, 0, 8)
     changed = db.copy()
     changed[:, :, k] = value
     x0 = np.full(d, 0.5)
