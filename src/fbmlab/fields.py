@@ -14,8 +14,12 @@ runs entry by entry on a sampling grid via zero-padded FFT into a
 LatticeStack member, the one lattice field type, whose layout only this
 module knows: it interpolates multilinearly between bin centers and is zero
 off the lattice and beyond its radius, as the mollified field's compact
-support is.  Fields subtract pointwise, which is how the Cauchy gaps
-between radii are built.
+support is.  Each read interpolates its live points alone, those inside
+the lattice and within the radius, and writes +0.0 at the rest, so a
+table must be finite: which of two NaNs numpy's add keeps depends on the
+array's length, and a sum over fewer rows could flip a NaN's sign.
+Fields subtract pointwise, which is how the Cauchy gaps between radii are
+built.
 """
 
 from __future__ import annotations
@@ -354,66 +358,6 @@ def _gamma(x: float) -> float:
     return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
-def _lattice_values(grid: SpatialGrid, table: np.ndarray, radius, pts,
-                    first) -> np.ndarray:
-    """Interpolated table at pts, zero off the lattice and beyond radius.
-
-    table has shape grid.shape + (d, n), or (k,) + that for k lattices,
-    read through one flat view (in place when C-contiguous).  first and
-    radius broadcast against pts.shape[:-1]: the flat row of the first node
-    of each point's lattice (None: the only lattice) and its radius.
-    """
-    flat = table.reshape((-1,) + table.shape[-2:])
-    corners, inside = _lattice_corners(grid, pts, first)
-    out = np.empty(corners[0][1].shape + flat.shape[1:])
-    _corner_sum(flat, corners, out, np.empty_like(out))
-    _zero_rows(out, ~inside | (_support_norm(pts) > radius))
-    return out
-
-
-def _lattice_corners(grid: SpatialGrid, pts: np.ndarray, first):
-    """The cell corners of points (..., d) on grid's lattice of bin centers.
-
-    Returns [(weight, rows)] for the 2^d corners in order and the mask of
-    the points inside the center lattice.  rows is the corner's flat row
-    in a row-major node order: the point's lower corner raveled, plus
-    first (when not None, the row of the first node of each point's
-    lattice, so one flat table can hold several), plus a fixed row step
-    for each far axis, 0 on a size-1 axis, where the far corner has zero
-    weight.  weight is the product of the corner's per-axis factors, frac
-    or 1 - frac, from axis 0 on, with the points' shape.  Outside the
-    lattice the position is clipped onto it.
-    """
-    d, shape = grid.dimension, grid.shape
-    if pts.shape[-1] != d:
-        raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
-    # Position in center-lattice units, clipped onto the lattice.
-    u = (pts - np.asarray(grid.lower, dtype=float)) / grid.h - 0.5
-    clipped = np.clip(u, 0.0, np.subtract(shape, 1.0))
-    # Clamped as floats, so a NaN point is never cast to an integer: np.fmax
-    # sends it to corner 0, where its weights are NaN, and a size-1 axis too.
-    base = np.fmax(np.minimum(np.floor(clipped), np.subtract(shape, 2)),
-                   0).astype(np.int64)
-    frac = clipped - base
-    rest = 1.0 - frac
-    row = np.cumprod((1,) + shape[:0:-1])[::-1]
-    near = base[..., 0] * row[0]
-    for a in range(1, d):
-        near = near + base[..., a] * row[a]
-    if first is not None:
-        near = near + first
-    step = [int(row[a]) if shape[a] > 1 else 0 for a in range(d)]
-    corners = []
-    for corner in range(1 << d):
-        far = [(corner >> a) & 1 for a in range(d)]
-        weight = frac[..., 0] if far[0] else rest[..., 0]
-        for a in range(1, d):
-            weight = weight * (frac[..., a] if far[a] else rest[..., a])
-        offset = sum(s for s, f in zip(step, far) if f)
-        corners.append((weight, near + offset if offset else near))
-    return corners, np.all(clipped == u, axis=-1)
-
-
 def _corner_sum(flat: np.ndarray, corners, out: np.ndarray, term: np.ndarray) -> None:
     """out = 0.0 + w_0 v_0 + w_1 v_1 + ... over the corners in order, v_c
     the rows of flat at corner c, with the weight as the first factor.
@@ -423,15 +367,15 @@ def _corner_sum(flat: np.ndarray, corners, out: np.ndarray, term: np.ndarray) ->
     np.take of rows into out or term, which reads a C-contiguous flat in
     place and copies any other on every call.  Those are the operations,
     in their order, of a plain loop over corners that indexes the lattice
-    directly, so every bit of that loop is kept, signed zeros and NaNs too.
+    directly.  Lattice reads pass only their live rows (LatticeStack): with
+    finite tables every product and sum is the same IEEE operation at any
+    place in the array, so every bit of that loop is kept, signed zeros too.
     """
     entry = (...,) + (None,) * (flat.ndim - 1)
     for corner, (weight, rows) in enumerate(corners):
         dest = term if corner else out
         np.take(flat, rows, axis=0, out=dest, mode="clip")  # unbuffered
         np.multiply(weight[entry], dest, out=dest)
-        # As out += term adds: in a one-element sum of two NaNs, the output
-        # operand decides which stays.
         np.add(out if corner else 0.0, dest, out=out)
 
 
@@ -440,44 +384,147 @@ def _support_norm(pts: np.ndarray) -> np.ndarray:
 
     The convolution support is a ball, so a lattice field is zero beyond it
     (FFT dust is clipped).  In d = 1 the norm is |x|: sqrt(fl(x^2)) = |x|,
-    and where x^2 under- or overflows both compare with radius alike.
+    and where x^2 under- or overflows both compare alike with a radius
+    from 2^-511 to 2^512.
     """
     return np.abs(pts[..., 0]) if pts.shape[-1] == 1 else np.linalg.norm(pts, axis=-1)
 
 
-def _zero_rows(vals: np.ndarray, drop: np.ndarray) -> None:
-    """vals (...) + (d, n) set to 0.0 where drop (...) holds, by index: a
-    masked copy costs three times the scatter."""
-    vals.reshape((-1,) + vals.shape[-2:])[np.flatnonzero(drop)] = 0.0
+def _rows(vals: np.ndarray) -> np.ndarray:
+    """vals (..., d, n), contiguous, viewed as one row per point, (points,
+    d n), or (points,) when d n = 1: numpy's indexed set into a 1-D view
+    runs about twice as fast."""
+    width = math.prod(vals.shape[-2:])
+    return vals.reshape((-1, width) if width > 1 else -1)
 
 
 class LatticeStack:
     """Lattice fields on one grid, interpolated together.
 
-    table is member-major, (k,) + grid.shape + (d, n): member e
-    interpolates the contiguous table[e] between bin centers and vanishes
-    off the lattice and beyond radii[e], as a mollified field does.
+    table is member-major, (k,) + grid.shape + (d, n), and finite: member
+    e interpolates the contiguous table[e] between bin centers and vanishes
+    off the lattice and beyond radii[e], as a mollified field does.  A
+    point is live for a radius when it lies inside the center lattice and
+    not beyond that radius; every read interpolates its live points only
+    and writes +0.0 at the others without arithmetic on them.  A table with
+    NaN or +-inf is refused: numpy's add keeps one of two NaNs or the other
+    by the array's length and the element's place in it, so a sum over the
+    live rows alone could flip a NaN's sign that the full-length sum keeps.
+    Mollified tables are finite (the singular field clamps at CLAMP_VALUE);
+    NaN and +-inf points are dead and read 0.0.
+
     Calling the stack at points (..., d) returns every member, (k, ...,
-    d, n): the points' cells and weights are found once, then each
-    member's table is read on its own into its slice.  Member e's own
-    evaluation is bit-equal to slice e of that call.
+    d, n): the points live for the largest radius and their cells and
+    weights are found once, then each member's table is read on its own
+    into its slice, with the rows beyond its own radius set to 0.0.
+    Member e's own evaluation is bit-equal to slice e of that call.
     """
 
     def __init__(self, grid: SpatialGrid, table: np.ndarray, radii):
+        radii = tuple(float(r) for r in radii)
+        if not radii:
+            raise ParameterError("a LatticeStack needs at least one member")
+        lattice = (len(radii),) + grid.shape + (grid.dimension,)
+        if table.ndim != len(lattice) + 1 or table.shape[:-1] != lattice:
+            raise ParameterError(f"table has shape {table.shape}; {len(radii)} radii on "
+                                 f"a {grid.shape} grid need {lattice} + (n,)")
+        if not np.isfinite(table).all():
+            raise ParameterError("table holds NaN or infinite entries; a lattice "
+                                 "field's table must be finite")
         self.grid = grid
         self.table = table
-        self.radii = tuple(float(r) for r in radii)
+        self.radii = radii
+        # The constants of every read: lower corner, last node and last cell
+        # base per axis, row strides and the far corner's row step (0 on a
+        # size-1 axis, where its weight is zero), nodes per member.
+        self._lower = np.asarray(grid.lower, dtype=float)
+        self._top = np.subtract(grid.shape, 1.0)
+        self._last = np.subtract(grid.shape, 2)
+        self._row = np.cumprod((1,) + grid.shape[:0:-1])[::-1]
+        self._step = [int(self._row[a]) if grid.shape[a] > 1 else 0
+                      for a in range(grid.dimension)]
+        self._nodes = math.prod(grid.shape)
+        self._reach = float(np.max(radii))  # NaN if any radius is
+
+    def _live(self, pts: np.ndarray, radius):
+        """Lattice positions u (points, d) of pts (..., d), the norms (...)
+        and the flat indices of the live points: inside the center lattice
+        and not beyond radius, which broadcasts against pts.shape[:-1]."""
+        d = self.grid.dimension
+        if pts.shape[-1] != d:
+            raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
+        u = (pts - self._lower) / self.grid.h - 0.5
+        r = _support_norm(pts)
+        live = ~(r > radius)
+        for a in range(d):
+            live &= (u[..., a] >= 0.0) & (u[..., a] <= self._top[a])
+        return u.reshape(-1, d), r, np.flatnonzero(live)
+
+    def _corners(self, u: np.ndarray, first):
+        """The cell corners of live positions u (points, d).
+
+        Returns [(weight, rows)] for the 2^d corners in order.  rows is the
+        corner's flat row in a row-major node order: the point's lower
+        corner raveled, plus first (when not None, the row of the first
+        node of each point's lattice, so one flat table can hold several),
+        plus a fixed row step for each far axis.  weight is the product of
+        the corner's per-axis factors, frac or 1 - frac, from axis 0 on.
+        """
+        # Live positions lie on the lattice, so the clip keeps them; np.fmax
+        # sends a size-1 axis, whose last cell base is -1, to 0.
+        clipped = np.clip(u, 0.0, self._top)
+        base = np.fmax(np.minimum(np.floor(clipped), self._last), 0).astype(np.int64)
+        frac = clipped - base
+        rest = 1.0 - frac
+        d = u.shape[1]
+        near = base[:, d - 1]  # the last axis's row stride is 1
+        for a in range(d - 1):
+            near = near + base[:, a] * self._row[a]
+        if first is not None:
+            near = near + first
+        corners = []
+        for corner in range(1 << d):
+            far = [(corner >> a) & 1 for a in range(d)]
+            weight = frac[:, 0] if far[0] else rest[:, 0]
+            for a in range(1, d):
+                weight = weight * (frac[:, a] if far[a] else rest[:, a])
+            offset = sum(s for s, f in zip(self._step, far) if f)
+            corners.append((weight, near + offset if offset else near))
+        return corners
+
+    def _lattice_values(self, flat: np.ndarray, radius, pts: np.ndarray,
+                        first) -> np.ndarray:
+        """flat (rows, d, n) interpolated at pts (..., d), +0.0 at dead points.
+
+        radius broadcasts against pts.shape[:-1].  first is None (flat is
+        one lattice) or, for points (k, ..., d), the flat row of the first
+        node of each point set's lattice, (k,).  Only the live points get
+        corners and a corner sum; their values are scattered into zeros.
+        """
+        u, _r, idx = self._live(pts, radius)
+        if first is not None:
+            first = first[idx // math.prod(pts.shape[1:-1])]
+        entry = flat.shape[1:]
+        vals = np.empty((idx.size,) + entry)
+        _corner_sum(flat, self._corners(u.take(idx, axis=0), first), vals, np.empty_like(vals))
+        out = np.zeros(pts.shape[:-1] + entry)
+        _rows(out)[idx] = _rows(vals)
+        return out
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        corners, inside = _lattice_corners(self.grid, pts, None)
+        u, r, idx = self._live(pts, self._reach)
+        corners = self._corners(u.take(idx, axis=0), None)
+        r = r.reshape(-1).take(idx)
         entry = self.table.shape[-2:]
-        out = np.empty((len(self.radii),) + pts.shape[:-1] + entry)
-        term = np.empty(out.shape[1:])
-        r = _support_norm(pts)
-        for vals, table, radius in zip(out, self.table, self.radii):
+        out = np.zeros((len(self.radii),) + pts.shape[:-1] + entry)
+        vals = np.empty((idx.size,) + entry)
+        term = np.empty_like(vals)
+        for dest, table, radius in zip(out, self.table, self.radii):
             _corner_sum(table.reshape((-1,) + entry), corners, vals, term)
-            _zero_rows(vals, ~inside | (r > radius))
+            # The shell beyond this member's radius, inside the largest.
+            _rows(vals)[np.flatnonzero(r > radius)] = 0.0
+            _rows(dest)[idx] = _rows(vals)
         return out
 
     def gather(self, members):
@@ -486,26 +533,31 @@ class LatticeStack:
         Each call is one interpolation for all k point sets, which reads
         row member * nodes + node of the flat table; slice j is bit-equal
         to member members[j]'s own evaluation at points[j].  The members
-        are checked, and their first rows and radii taken, here, once.
+        are checked, and their first rows and radii taken, here, once; a
+        call takes each live point's first row from its point set.
         """
-        index = np.asarray(members)
+        index = np.asarray(members).reshape(-1)
         if not np.all((index >= 0) & (index < len(self.radii))):
             raise ParameterError(f"members must lie in [0, {len(self.radii)})")
-        first = index * math.prod(self.grid.shape)
+        first = index * self._nodes
         radius = np.asarray(self.radii)[index]
 
         def evaluate(points) -> np.ndarray:
             pts = np.asarray(points, dtype=float)
+            if pts.shape[:1] != index.shape or pts.ndim < 2:
+                raise ParameterError(f"{index.size} members need {index.size} point "
+                                     f"sets (k, ..., d), got shape {pts.shape}")
             per_set = (-1,) + (1,) * (pts.ndim - 2)
-            return _lattice_values(self.grid, self.table, radius.reshape(per_set), pts,
-                                   first.reshape(per_set))
+            return self._lattice_values(self.table.reshape((-1,) + self.table.shape[-2:]),
+                                        radius.reshape(per_set), pts, first)
         return evaluate
 
     def member(self, e: int, *, label: str) -> MatrixField:
         table, radius = self.table[e], self.radii[e]
         d, n = table.shape[-2:]
-        fld = MatrixField(lambda pts: _lattice_values(self.grid, table, radius, pts, None),
-                          d, n, support_radius=radius, label=label)
+        fld = MatrixField(
+            lambda pts: self._lattice_values(table.reshape((-1, d, n)), radius, pts, None),
+            d, n, support_radius=radius, label=label)
         fld.lattice, fld.grid_values = (self, e), table
         return fld
 

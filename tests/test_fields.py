@@ -1,6 +1,7 @@
 """Coefficient fields, mollification and integral norms."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,8 @@ from fbmlab import (CLAMP_VALUE, ClampWarning, MatrixField, MollifierSpec,
                     ScalarField, SpatialGrid, TimeGrid, constant_field,
                     generate_fbm, hs_norm_sq, identity_field, lp_norm,
                     mollified_family, mollify, singular_example)
-from fbmlab.fields import (LatticeStack, _fftconvolve, _gamma, _next_fast_len,
-                           evaluate_members, evaluate_together)
+from fbmlab.fields import (LatticeStack, _corner_sum, _fftconvolve, _gamma,
+                           _next_fast_len, evaluate_members, evaluate_together)
 from fbmlab.solver import family_grid
 
 
@@ -416,14 +417,18 @@ def _assert_same_bits(got, want):
                           np.ascontiguousarray(want).view(np.uint64))
 
 
-_TABLE_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+# Finite tables only (LatticeStack refuses NaN and +-inf entries); the
+# largest finite magnitude makes corner sums overflow to +-inf.
+_TABLE_SPECIALS = (0.0, -0.0, sys.float_info.max, -sys.float_info.max, 5e-324)
 
 
 @st.composite
 def _stacked_lattices(draw):
-    """A grid, a member-major (k,) + grid.shape + (d, n) table with signed
-    zeros and non-finite entries sprinkled in, radii, and points on, off
-    and at the edges of the lattice, NaN and +-inf among them."""
+    """A grid, a member-major (k,) + grid.shape + (d, n) finite table with
+    signed zeros and extreme values sprinkled in, points on, off and at
+    the edges of the lattice, NaN and +-inf among them, and radii, some at,
+    just inside or just outside a point's norm, so points lie on a
+    member's radius and in the shells between the members' radii."""
     d = draw(st.integers(1, 3))
     bins = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
     h = draw(st.sampled_from([0.25, 0.375, 1.0]))
@@ -437,20 +442,31 @@ def _stacked_lattices(draw):
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, table.size - 1))
         table.flat[at] = draw(st.sampled_from(_TABLE_SPECIALS))
-    radii = draw(st.lists(st.floats(0.05, 4.0), min_size=k, max_size=k))
     upper = [lo + m * h for lo, m in zip(lower, bins)]
     coordinate = [st.one_of(
         st.floats(lo - 1.5 * h, up + 1.5 * h),
+        st.floats(*sorted((lo + 0.5 * h, up - 0.5 * h))),  # on the center lattice
         st.sampled_from([lo, lo + 0.5 * h, up - 0.5 * h, up, 0.0, -0.0,
                          math.nan, math.inf, -math.inf]))
         for lo, up in zip(lower, upper)]
     rows = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=6))
-    return grid, table, radii, np.array(rows, dtype=float).reshape(-1, d)
+    pts = np.array(rows, dtype=float).reshape(-1, d)
+    centered = np.abs(pts - (np.add(lower, upper) / 2)) <= (np.array(bins) - 1) * h / 2
+    on = pts[centered.all(axis=-1)]
+    # The stack compares |x| in d = 1, the reference sqrt(fl(x^2)): they
+    # compare alike with radii from 2^-511 on (fields._support_norm).
+    norms = sorted({float(r) for r in np.linalg.norm(on if on.size else pts, axis=-1)
+                    if 2.0 ** -511 <= r < math.inf})
+    radius = st.floats(0.05, 4.0)
+    if norms:
+        radius = st.one_of(radius, st.sampled_from(norms).flatmap(
+            lambda r: st.sampled_from([r, np.nextafter(r, -1.0), np.nextafter(r, 9.0)])))
+    radii = [float(r) for r in draw(st.lists(radius, min_size=k, max_size=k))]
+    return grid, table, radii, pts
 
 
-# The tables' infinities meet zero weights, and each other, in both routes.
-@pytest.mark.filterwarnings(
-    "ignore:invalid value encountered in (multiply|add):RuntimeWarning")
+# Sums of the largest finite entries overflow, in both routes.
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(_stacked_lattices(), st.data())
 def test_flat_gather_is_bit_equal_to_the_corner_loop(case, data):
@@ -469,10 +485,7 @@ def test_flat_gather_is_bit_equal_to_the_corner_loop(case, data):
     _assert_same_bits(stack.gather(members)(pts[:, None, :]), _mask_clip_lattice_values(
         grid, lattice_major, np.asarray(stack.radii)[per_point], pts[:, None, :],
         members=per_point))
-    # Slice f of the all-member call against member f's own corner loop, in
-    # the layout the stack reads it in: which of two NaNs numpy's add keeps
-    # depends on the array's length and the element's place in it, so a
-    # reference that interleaves the members may keep the other one.
+    # Slice f of the all-member call against member f's own corner loop.
     _assert_same_bits(stack(pts), np.stack([_mask_clip_lattice_values(
         grid, lattice_major[..., f, :, :], radius, pts)
         for f, radius in enumerate(stack.radii)]))
@@ -492,20 +505,119 @@ def test_flat_gather_is_bit_equal_to_the_corner_loop(case, data):
                                                 radii[e], pts))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
-def test_a_stack_slice_keeps_its_members_nan_sign():
-    """A point on member 0's first node adds 1 * NaN and 0 * inf, two NaNs
-    of opposite sign.  Slice 0 of the all-member call keeps the one member
-    0's own evaluation and its own corner loop keep, where a corner loop
-    over the interleaved members may keep the other."""
+@pytest.mark.parametrize("special", [math.nan, -math.nan, math.inf, -math.inf])
+def test_a_table_with_nan_or_inf_is_refused(special):
+    """Every read sums the live points alone, fewer than the full-length
+    loop, and which of two NaNs numpy's add keeps depends on the array's
+    length and the element's place in it: on member 0 = [nan, inf] a point
+    on the first node (-0.775) adds 1 * NaN and 0 * inf, two NaNs of
+    opposite sign, and a shorter sum could keep the other one.  So a table
+    holding NaN or +-inf anywhere, in any member, is refused."""
     grid = SpatialGrid((-0.9,), 0.25, (2,))
-    table = np.array([[math.nan, math.inf], [0.64, 0.1]]).reshape(2, 2, 1, 1)
-    pts = np.array([[-1.0]] * 4 + [[-0.775]])
-    stack = LatticeStack(grid, table, [1.0, 1.0])
-    got = stack(pts)
-    assert math.isnan(got[0, 4, 0, 0])
-    _assert_same_bits(got[0], stack.member(0, label="0")(pts))
-    _assert_same_bits(got[0], _mask_clip_lattice_values(grid, table[0], 1.0, pts))
+    with pytest.raises(ParameterError, match="NaN or infinite"):
+        LatticeStack(grid, np.array([[math.nan, math.inf], [0.64, 0.1]]).reshape(2, 2, 1, 1),
+                     [1.0, 1.0])
+    table = np.ones((3,) + grid.shape + (1, 2))
+    table[2, 1, 0, 1] = special
+    with pytest.raises(ParameterError, match="NaN or infinite"):
+        LatticeStack(grid, table, [1.0] * 3)
+
+
+@pytest.mark.parametrize("bins, shape, radii", [
+    ((4,), (1, 4, 1, 1), [1.0, 1.0, 1.0]),   # one member for three radii
+    ((4,), (3, 4, 1, 1), [1.0]),             # three members for one radius
+    ((4,), (2, 5, 1, 1), [1.0, 1.0]),        # five nodes on a 4-bin grid
+    ((4,), (2, 4, 2, 1), [1.0, 1.0]),        # 2-row entries on a 1-D grid
+    ((4,), (2, 4, 1), [1.0, 1.0]),           # no n axis
+    ((4,), (2, 4, 1, 1, 1), [1.0, 1.0]),     # an extra axis
+    ((3, 4), (1, 4, 3, 2, 1), [1.0]),        # the grid's axes swapped
+    ((4,), (0, 4, 1, 1), []),                # no member
+])
+def test_a_table_that_does_not_match_its_radii_or_grid_is_refused(bins, shape, radii):
+    """A (1, 4, 1, 1) table with three radii read uninitialized memory for
+    members 1 and 2, and a (2, 5, 1, 1) table on a 4-bin grid was read on
+    the grid's 4 nodes; both are refused, as is every other shape that is
+    not (len(radii),) + grid.shape + (d, n), and a stack of no member."""
+    grid = SpatialGrid((-0.5,) * len(bins), 0.25, bins)
+    with pytest.raises(ParameterError, match="table has shape|at least one member"):
+        LatticeStack(grid, np.ones(shape), radii)
+    LatticeStack(grid, np.ones((2,) + bins + (len(bins), 5)), [1.0, 2.0])
+
+
+# Points of a (8, 6)-bin grid whose center lattice is [-0.875, 0.875] x
+# [-0.625, 0.625], radii 0.5 and 0.75: two live for both radii, two in the
+# shell between them, and dead ones: beyond both radii, off the lattice
+# (one of them within the larger radius), NaN and +-inf.
+_PLANE = SpatialGrid((-1.0, -0.75), 0.25, (8, 6))
+_PLANE_POINTS = np.array([[0.1, 0.1], [0.2, -0.2], [0.5, 0.3], [-0.6, 0.1],
+                          [0.8, 0.5], [0.9, 0.0], [0.0, -0.7], [math.nan, 0.0],
+                          [math.inf, 0.0], [0.0, -math.inf]])
+_PLANE_LIVE = {0.5: [0, 1], 0.75: [0, 1, 2, 3]}
+
+
+def _spy_corner_sums(monkeypatch):
+    """The corner-0 rows of every fields._corner_sum call, which still runs."""
+    seen = []
+
+    def spy(flat, corners, out, term):
+        assert out.shape[0] == corners[0][1].shape[0]
+        seen.append(corners[0][1].copy())
+        _corner_sum(flat, corners, out, term)
+    monkeypatch.setattr("fbmlab.fields._corner_sum", spy)
+    return seen
+
+
+def _lower_rows(pts):
+    """Raveled lower-corner node of each point of _PLANE's center lattice."""
+    base = np.floor((pts - np.asarray(_PLANE.lower)) / _PLANE.h - 0.5).astype(int)
+    return np.ravel_multi_index(tuple(base.T), _PLANE.shape)
+
+
+def test_only_live_points_reach_the_corner_sum(monkeypatch):
+    """Each route interpolates exactly its live points, in order: a member
+    those inside the lattice and within its radius, the stacked call those
+    within the largest radius (the shell is zeroed afterwards), and the
+    gather each set's points within its own member's radius, at that
+    member's rows."""
+    table = np.random.default_rng(5).standard_normal((2,) + _PLANE.shape + (2, 1))
+    stack = LatticeStack(_PLANE, table, [0.5, 0.75])
+    nodes = math.prod(_PLANE.shape)
+    seen = _spy_corner_sums(monkeypatch)
+    pts = _PLANE_POINTS
+    for e, radius in enumerate(stack.radii):
+        got = stack.member(e, label="e")(pts)
+        live = _PLANE_LIVE[radius]
+        assert len(seen) == 1 and np.array_equal(seen.pop(), _lower_rows(pts[live]))
+        dead = np.setdiff1d(np.arange(len(pts)), live)
+        assert not got[dead].any() and not np.signbit(got[dead]).any()
+    stack(pts)
+    assert len(seen) == 2
+    for rows in seen:
+        assert np.array_equal(rows, _lower_rows(pts[_PLANE_LIVE[0.75]]))
+    seen.clear()
+    stack.gather([1, 0])(np.stack([pts, pts[::-1]]))
+    backwards = len(pts) - 1 - np.array(_PLANE_LIVE[0.5])[::-1]
+    want = np.concatenate([nodes + _lower_rows(pts[_PLANE_LIVE[0.75]]),
+                           _lower_rows(pts[::-1][backwards])])
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_all_dead_call_reads_positive_zeros(monkeypatch):
+    """Points all off the lattice, beyond every radius, NaN or +-inf get
+    +0.0 of the right shape on every route, with no warning, and no
+    interpolated row."""
+    table = np.random.default_rng(6).standard_normal((2,) + _PLANE.shape + (2, 3))
+    stack = LatticeStack(_PLANE, table, [0.5, 0.75])
+    seen = _spy_corner_sums(monkeypatch)
+    pts = _PLANE_POINTS[4:].reshape(2, 3, 2)
+    for got, shape in ((stack(pts), (2, 2, 3, 2, 3)),
+                       (stack.member(1, label="1")(pts), (2, 3, 2, 3)),
+                       (stack.member(0, label="0")(pts[0, 0]), (2, 3)),
+                       (stack.gather([1, 0])(pts), (2, 3, 2, 3))):
+        assert got.shape == shape
+        assert not got.any() and not np.signbit(got).any()
+    assert all(rows.size == 0 for rows in seen)
 
 
 @pytest.mark.filterwarnings("error")
@@ -533,6 +645,17 @@ def test_members_outside_the_stack_are_refused(members):
     stack = LatticeStack(grid, np.zeros((3,) + grid.shape + (1, 1)), [1.0] * 3)
     with pytest.raises(ParameterError, match="members must lie in"):
         stack.gather(members)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 1), (3, 3, 1), (2,), (1,)])
+def test_a_gather_takes_one_point_set_per_member(shape):
+    """Two members take two point sets, (2, ..., d); one set, which the
+    live points' rows would index past, or three sets are refused."""
+    grid = SpatialGrid((-0.5,), 0.25, (4,))
+    evaluate = LatticeStack(grid, np.ones((2,) + grid.shape + (1, 1)), [1.0] * 2).gather([0, 1])
+    assert evaluate(np.zeros((2, 3, 1))).shape == (2, 3, 1, 1)
+    with pytest.raises(ParameterError, match="2 members need 2 point sets"):
+        evaluate(np.zeros(shape))
 
 
 def test_member_fields_read_the_stacked_table_in_place():
