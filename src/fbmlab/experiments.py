@@ -488,9 +488,7 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     ratio_reports, iso_reports, cross_reports = [], [], []
     for e, (eps, s) in enumerate(zip(eps_seq, slot)):
         ratio_reports.append(replace(ratios[s], epsilon=eps))
-        # The reference walk holds every field's row, another walk its own.
-        iso_reports.append(isometry_report(radii[e], field_sums[s],
-                                           s if s == ref else 0))
+        iso_reports.append(isometry_report(radii[e], field_sums[s]))
         cross_reports.append(cross_term_report(reference, ref_sums, s, epsilon=eps))
     mart_reports = martingale_reports(reference, ref_sums, martingale_windows)
     qv_report = lebesgue_vs_sewing(path0, scenario.fbm,
@@ -565,7 +563,7 @@ def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
     sums = walk_ensemble(ens, [sigma], quantized_perturbation(fbm.values, qgrid),
                          (0, [grid_t.window(s, t) for s, t in pairs]))
     exact = tuple(replace(report, margin=0.0) for report in (
-        isometry_report(ens, sums, 0), cross_term_report(ens, sums, 0),
+        isometry_report(ens, sums), cross_term_report(ens, sums, 0),
         lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma), qgrid,
                            (0.25, 0.75))))
     return exact, tuple(martingale_reports(ens, sums, pairs))

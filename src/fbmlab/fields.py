@@ -405,13 +405,22 @@ class LatticeStack:
     e interpolates the contiguous table[e] between bin centers and vanishes
     off the lattice and beyond radii[e], as a mollified field does.  A
     point is live for a radius when it lies inside the center lattice and
-    not beyond that radius; every read interpolates its live points only
-    and writes +0.0 at the others without arithmetic on them.  A table with
+    within that radius; every read interpolates its live points only and
+    writes +0.0 at the others without arithmetic on them.  A table with
     NaN or +-inf is refused: numpy's add keeps one of two NaNs or the other
     by the array's length and the element's place in it, so a sum over the
     live rows alone could flip a NaN's sign that the full-length sum keeps.
     Mollified tables are finite (the singular field clamps at CLAMP_VALUE);
-    NaN and +-inf points are dead and read 0.0.
+    NaN and +-inf points are dead and read 0.0.  Radii must be positive.
+
+    Once per stack it tests whether every point within the largest radius
+    R lies inside the center lattice: whether the positions of -b and +b,
+    b = max(R, 2^-511), do on every axis.  A point with fl(|x|) <= R has
+    |x_a| <= b on each axis (sqrt(fl(x_a^2)) rounds to |x_a| and the sum of
+    squares only grows, unless x_a^2 underflows, which takes |x_a| <
+    2^-511, or the sum overflows to inf), and rounding is monotone, so its
+    position lies between theirs.  mollified_family stacks pass, as
+    family_grid pads LATTICE_PAD beyond the largest radius.
 
     Calling the stack at points (..., d) returns every member, (k, ...,
     d, n): the points live for the largest radius and their cells and
@@ -424,6 +433,8 @@ class LatticeStack:
         radii = tuple(float(r) for r in radii)
         if not radii:
             raise ParameterError("a LatticeStack needs at least one member")
+        if not all(r > 0.0 for r in radii):  # NaN too
+            raise ParameterError(f"radii must be positive, got {radii}")
         lattice = (len(radii),) + grid.shape + (grid.dimension,)
         if table.ndim != len(lattice) + 1 or table.shape[:-1] != lattice:
             raise ParameterError(f"table has shape {table.shape}; {len(radii)} radii on "
@@ -436,29 +447,46 @@ class LatticeStack:
         self.radii = radii
         # The constants of every read: lower corner, last node and last cell
         # base per axis, row strides and the far corner's row step (0 on a
-        # size-1 axis, where its weight is zero), nodes per member.
+        # size-1 axis, where its weight is zero, as is its last cell base),
+        # nodes per member, and whether the largest radius fits the lattice.
         self._lower = np.asarray(grid.lower, dtype=float)
         self._top = np.subtract(grid.shape, 1.0)
-        self._last = np.subtract(grid.shape, 2)
+        self._last = np.maximum(np.subtract(grid.shape, 2), 0)
         self._row = np.cumprod((1,) + grid.shape[:0:-1])[::-1]
         self._step = [int(self._row[a]) if grid.shape[a] > 1 else 0
                       for a in range(grid.dimension)]
         self._nodes = math.prod(grid.shape)
-        self._reach = float(np.max(radii))  # NaN if any radius is
+        self._reach = max(radii)
+        box = max(self._reach, 2.0 ** -511)
+        ends = self._position(np.array([[-box], [box]]))
+        self._inside = bool((ends[0] >= 0.0).all() and (ends[1] <= self._top).all())
+
+    def _position(self, pts: np.ndarray) -> np.ndarray:
+        """Lattice positions of pts (..., d): bin center i of axis a is at i."""
+        return (pts - self._lower) / self.grid.h - 0.5
 
     def _live(self, pts: np.ndarray, radius):
-        """Lattice positions u (points, d) of pts (..., d), the norms (...)
-        and the flat indices of the live points: inside the center lattice
-        and not beyond radius, which broadcasts against pts.shape[:-1]."""
+        """The live points of pts (..., d) for radius, which broadcasts
+        against pts.shape[:-1]: their lattice positions u (live, d), the
+        norms (...) of every point and the flat indices of the live ones.
+
+        When every point within the largest radius lies inside the center
+        lattice (see LatticeStack), the norm alone decides and only the live
+        points get positions; otherwise each axis is tested as well.
+        """
         d = self.grid.dimension
         if pts.shape[-1] != d:
             raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
-        u = (pts - self._lower) / self.grid.h - 0.5
         r = _support_norm(pts)
-        live = ~(r > radius)
+        live = r <= radius
+        if self._inside:
+            idx = np.flatnonzero(live)
+            return self._position(pts.reshape(-1, d).take(idx, axis=0)), r, idx
+        u = self._position(pts)
         for a in range(d):
             live &= (u[..., a] >= 0.0) & (u[..., a] <= self._top[a])
-        return u.reshape(-1, d), r, np.flatnonzero(live)
+        idx = np.flatnonzero(live)
+        return u.reshape(-1, d).take(idx, axis=0), r, idx
 
     def _corners(self, u: np.ndarray, first):
         """The cell corners of live positions u (points, d).
@@ -469,12 +497,11 @@ class LatticeStack:
         node of each point's lattice, so one flat table can hold several),
         plus a fixed row step for each far axis.  weight is the product of
         the corner's per-axis factors, frac or 1 - frac, from axis 0 on.
+        Live positions lie in [0, top] and are never -0.0 (fl(a - 0.5) = 0
+        is +0.0), so the lower corner is floor(u), capped at the last cell.
         """
-        # Live positions lie on the lattice, so the clip keeps them; np.fmax
-        # sends a size-1 axis, whose last cell base is -1, to 0.
-        clipped = np.clip(u, 0.0, self._top)
-        base = np.fmax(np.minimum(np.floor(clipped), self._last), 0).astype(np.int64)
-        frac = clipped - base
+        base = np.minimum(np.floor(u), self._last).astype(np.int64)
+        frac = u - base
         rest = 1.0 - frac
         d = u.shape[1]
         near = base[:, d - 1]  # the last axis's row stride is 1
@@ -506,7 +533,7 @@ class LatticeStack:
             first = first[idx // math.prod(pts.shape[1:-1])]
         entry = flat.shape[1:]
         vals = np.empty((idx.size,) + entry)
-        _corner_sum(flat, self._corners(u.take(idx, axis=0), first), vals, np.empty_like(vals))
+        _corner_sum(flat, self._corners(u, first), vals, np.empty_like(vals))
         out = np.zeros(pts.shape[:-1] + entry)
         _rows(out)[idx] = _rows(vals)
         return out
@@ -514,7 +541,7 @@ class LatticeStack:
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         u, r, idx = self._live(pts, self._reach)
-        corners = self._corners(u.take(idx, axis=0), None)
+        corners = self._corners(u, None)
         r = r.reshape(-1).take(idx)
         entry = self.table.shape[-2:]
         out = np.zeros((len(self.radii),) + pts.shape[:-1] + entry)

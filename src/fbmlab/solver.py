@@ -295,25 +295,25 @@ class PathSums:
     summed over the steps k of the whole horizon:
 
       ito[e]         sum_k f[e](X_k - w_k) dB_k, (paths, d)
-      row_sq[e]      dt sum_k |row_0 f[e](X_k - z_k)|^2
+      row_sq         dt sum_k |row_0 f[own](X_k - z_k)|^2
       mixed[e]       dt sum_k (sigma f[e]^T)_00 (X_k - z_k)
       quad_comp[w]   dt sum_{k in window w} |row_0 f[own](X_k - w_k)|^2
       cross_comp[w]  dt sum_{k in window w} f[own]_00 (X_k - w_k)
       driver_nodes   B(t_k) at the window end points, (paths, n, nodes)
 
-    An isometry walk fills row_sq alone, the others have no fields or
-    windows.  ito and the compensators add one step at a time
-    from 0.0 (_carry: windows that share a start read one running sum),
-    row_sq and mixed are numpy row sums of a contiguous (paths,
-    steps) buffer of whole rows: the summation orders of the per-check
-    loops they replace, so results match those bit for bit whatever the
-    walk's block of paths.
+    An isometry walk walks one field, its own, and fills row_sq alone; the
+    others have no fields or windows.  ito and the compensators add one
+    step at a time from 0.0 (_carry: windows that share a start read one
+    running sum), row_sq and mixed are numpy row sums of a contiguous
+    (paths, steps) buffer of whole rows: the summation orders of the
+    per-check loops they replace, so results match those bit for bit
+    whatever the walk's block of paths.
     """
 
     windows: tuple[tuple[int, int], ...]
     nodes: tuple[int, ...]
     ito: np.ndarray = field(repr=False)           # (fields, paths, d)
-    row_sq: np.ndarray = field(repr=False)        # (fields, paths)
+    row_sq: np.ndarray = field(repr=False)        # (paths,)
     mixed: np.ndarray = field(repr=False)         # (fields, paths)
     quad_comp: np.ndarray = field(repr=False)     # (windows, paths)
     cross_comp: np.ndarray = field(repr=False)    # (windows, paths)
@@ -325,7 +325,7 @@ class PathSums:
         def rows(name, axis):
             return np.concatenate([getattr(p, name) for p in parts], axis=axis)
 
-        return replace(parts[0], ito=rows("ito", 1), row_sq=rows("row_sq", 1),
+        return replace(parts[0], ito=rows("ito", 1), row_sq=rows("row_sq", 0),
                        mixed=rows("mixed", 1), quad_comp=rows("quad_comp", 1),
                        cross_comp=rows("cross_comp", 1),
                        driver_nodes=rows("driver_nodes", 0))
@@ -353,9 +353,10 @@ def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
     The walk covers the whole horizon on coordinate 0, with snapped the
     quantized perturbation z (PathSums).  Given martingale = (own,
     windows), fields[own] the field that solved the ensemble and windows
-    node pairs, it is the reference walk: Ito sums, squared rows and mixed
-    sums of every field, the compensators of fields[own] and driver
-    nodes.  Without it it is an isometry walk, squared rows only.
+    node pairs, it is the reference walk: Ito sums and mixed sums of every
+    field, the squared row and compensators of fields[own] and driver
+    nodes.  Without it it is an isometry walk of one field, its squared
+    row only.
     Nothing here is recursive, so fields are evaluated on blocks of whole
     rows, max(1, WALK_POINTS // steps) paths each, every field list in one
     evaluate_together call per block.  Its (fields, paths, steps, ...)
@@ -375,6 +376,8 @@ def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
             f"windows must be node pairs 0 <= k0 < k1 <= {steps}, got {windows}")
     if reference and own not in range(len(fields)):
         raise ParameterError(f"own field {own} is not one of the {len(fields)} walked")
+    if not reference and len(fields) != 1:
+        raise ParameterError(f"an isometry walk walks one field, got {len(fields)}")
     nodes = tuple(sorted({k for pair in windows for k in pair}))
     starts: dict[int, list[tuple[int, int]]] = {}  # (window, steps) by start node
     for wi, (ks, kt) in enumerate(windows):
@@ -382,7 +385,7 @@ def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
     rows = np.flatnonzero(ensemble.ok_mask)
     n_ref = len(fields) if reference else 0
     ito = np.empty((n_ref, rows.size, scen.dimension))
-    row_sq = np.empty((len(fields), rows.size))
+    row_sq = np.empty(rows.size)
     mixed = np.empty((n_ref, rows.size))
     quad_comp = np.empty((len(windows), rows.size))
     cross_comp = np.empty((len(windows), rows.size))
@@ -407,7 +410,7 @@ def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
                     cross_comp[wi, part] = cross * dt
         pts = x - snapped
         vals = evaluate_together(fields, pts)
-        row_sq[:, part] = np.sum(vals[..., 0, :] ** 2, axis=-1).sum(axis=2) * dt
+        row_sq[part] = np.sum(vals[own, ..., 0, :] ** 2, axis=-1).sum(axis=1) * dt
         if reference:
             raw = scen.sigma(pts)[..., 0, :]
             mixed[:, part] = np.sum(raw * vals[..., 0, :], axis=-1).sum(axis=2) * dt

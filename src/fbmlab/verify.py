@@ -263,19 +263,19 @@ def _end_increments(ensemble: Ensemble) -> np.ndarray:
     return x_t - ensemble.scenario.x0[0]
 
 
-def isometry_report(ensemble: Ensemble, sums: PathSums, e: int) -> IdentityReport:
+def isometry_report(ensemble: Ensemble, sums: PathSums) -> IdentityReport:
     """E[(X_0(T) - x0_0)^2] at the horizon T against the averaged squared
     row of a field.
 
     sums is a walk_ensemble pass over ensemble.  The right estimator is
-    its row_sq[e]: the germ of |row_0 sigma_eps|^2, sigma_eps the walk's
-    field e, accumulated against the quantized perturbation along each
+    its row_sq: the germ of |row_0 sigma_eps|^2, sigma_eps the walk's own
+    field, accumulated against the quantized perturbation along each
     path (finest dyadic partition sum).  stderr is the paired standard
     error of the per-path difference, since both estimators ride on the
     same paths.
     """
     return _paired_report("ito_isometry", ensemble,
-                          _end_increments(ensemble) ** 2, sums.row_sq[e],
+                          _end_increments(ensemble) ** 2, sums.row_sq,
                           ISOMETRY_MARGIN.gate, {"epsilon": ensemble.epsilon})
 
 

@@ -426,14 +426,24 @@ _TABLE_SPECIALS = (0.0, -0.0, sys.float_info.max, -sys.float_info.max, 5e-324)
 def _stacked_lattices(draw):
     """A grid, a member-major (k,) + grid.shape + (d, n) finite table with
     signed zeros and extreme values sprinkled in, points on, off and at
-    the edges of the lattice, NaN and +-inf among them, and radii, some at,
-    just inside or just outside a point's norm, so points lie on a
-    member's radius and in the shells between the members' radii."""
+    the edges of the lattice, NaN, +-inf and tiny coordinates among them,
+    and radii, some at, just inside or just outside a point's norm, so
+    points lie on a member's radius and in the shells between the members'
+    radii.  Half the grids are small and away from the origin; the others
+    are centred on it with every radius on the center lattice, as
+    family_grid builds them, so the stack tests the norm alone (fits)."""
     d = draw(st.integers(1, 3))
-    bins = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
     h = draw(st.sampled_from([0.25, 0.375, 1.0]))
-    lower = tuple(draw(st.lists(st.sampled_from([-0.9, -0.4, 0.1]),
-                                min_size=d, max_size=d)))
+    fits = draw(st.booleans())
+    if fits:
+        half = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+        bins, lower = tuple(2 * m for m in half), tuple(-m * h for m in half)
+        reach = (min(half) - 0.5) * h  # the center lattice's nearest edge
+    else:
+        bins = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+        lower = tuple(draw(st.lists(st.sampled_from([-0.9, -0.4, 0.1]),
+                                    min_size=d, max_size=d)))
+        reach = math.inf
     grid = SpatialGrid(lower, h, bins)
     k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -446,8 +456,8 @@ def _stacked_lattices(draw):
     coordinate = [st.one_of(
         st.floats(lo - 1.5 * h, up + 1.5 * h),
         st.floats(*sorted((lo + 0.5 * h, up - 0.5 * h))),  # on the center lattice
-        st.sampled_from([lo, lo + 0.5 * h, up - 0.5 * h, up, 0.0, -0.0,
-                         math.nan, math.inf, -math.inf]))
+        st.sampled_from([lo, lo + 0.5 * h, up - 0.5 * h, up, 0.0, -0.0, 5e-324,
+                         -2.0 ** -600, 2.0 ** -511, math.nan, math.inf, -math.inf]))
         for lo, up in zip(lower, upper)]
     rows = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=6))
     pts = np.array(rows, dtype=float).reshape(-1, d)
@@ -456,13 +466,13 @@ def _stacked_lattices(draw):
     # The stack compares |x| in d = 1, the reference sqrt(fl(x^2)): they
     # compare alike with radii from 2^-511 on (fields._support_norm).
     norms = sorted({float(r) for r in np.linalg.norm(on if on.size else pts, axis=-1)
-                    if 2.0 ** -511 <= r < math.inf})
-    radius = st.floats(0.05, 4.0)
+                    if 2.0 ** -511 <= r < reach})
+    radius = st.floats(0.05, min(reach, 4.0))
     if norms:
         radius = st.one_of(radius, st.sampled_from(norms).flatmap(
             lambda r: st.sampled_from([r, np.nextafter(r, -1.0), np.nextafter(r, 9.0)])))
-    radii = [float(r) for r in draw(st.lists(radius, min_size=k, max_size=k))]
-    return grid, table, radii, pts
+    radii = [min(float(r), reach) for r in draw(st.lists(radius, min_size=k, max_size=k))]
+    return grid, table, radii, pts, fits
 
 
 # Sums of the largest finite entries overflow, in both routes.
@@ -471,13 +481,15 @@ def _stacked_lattices(draw):
 @given(_stacked_lattices(), st.data())
 def test_flat_gather_is_bit_equal_to_the_corner_loop(case, data):
     """The references read the stack's table as it was laid out before,
-    member axis after the lattice axes: np.moveaxis(table, 0, d)."""
-    grid, table, radii, pts = case
+    member axis after the lattice axes: np.moveaxis(table, 0, d).  A stack
+    whose largest radius lies on its center lattice tests the norm alone."""
+    grid, table, radii, pts, fits = case
     k, m, d = table.shape[0], pts.shape[0], grid.dimension
     lattice_major = np.moveaxis(table, 0, d)
     members = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
     e = data.draw(st.integers(0, k - 1))
     stack = LatticeStack(grid, table, radii)
+    assert stack._inside or not fits
     # The stack's routes: every member with stacked radii, one member
     # field, and the member-axis gather of k point sets, here one set per
     # point, each point with its own member, and three sets.
@@ -542,6 +554,67 @@ def test_a_table_that_does_not_match_its_radii_or_grid_is_refused(bins, shape, r
     with pytest.raises(ParameterError, match="table has shape|at least one member"):
         LatticeStack(grid, np.ones(shape), radii)
     LatticeStack(grid, np.ones((2,) + bins + (len(bins), 5)), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.0, -1.0, math.nan, -math.inf])
+def test_a_radius_that_is_not_positive_is_refused(radius):
+    """A member vanishes beyond its radius; a radius that is zero,
+    negative or NaN bounds no point, and is refused."""
+    grid = SpatialGrid((-0.5,), 0.25, (4,))
+    with pytest.raises(ParameterError, match="radii must be positive"):
+        LatticeStack(grid, np.ones((2,) + grid.shape + (1, 1)), [1.0, radius])
+
+
+def _spy_positions(monkeypatch):
+    """The shape of the points of every LatticeStack._position call."""
+    seen = []
+    position = LatticeStack._position
+
+    def spy(self, pts):
+        seen.append(pts.shape)
+        return position(self, pts)
+    monkeypatch.setattr(LatticeStack, "_position", spy)
+    return seen
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 2])
+def test_both_live_point_routes_match_the_corner_loop(d, monkeypatch):
+    """On a 12-bin-per-axis grid centred on the origin, whose center
+    lattice ends at +-1.375, radii (0.75, 1.375) lie on it: the stack
+    tests the norm alone and computes positions for the live points only.
+    Radii (0.75, 1.5) reach beyond it: every point gets a position and a
+    per-axis test.  Both match the corner loop bit for bit at +-R, one ulp
+    inside and outside each radius, on and beside the lattice's edge, at
+    tiny coordinates, NaN and +-inf, on every route."""
+    grid = SpatialGrid((-1.5,) * d, 0.25, (12,) * d)
+    table = np.random.default_rng(7).standard_normal((2,) + grid.shape + (d, 2))
+    table[:, ::3] = -0.0
+    lattice_major = np.moveaxis(table, 0, d)
+    scales = [s for r in (0.75, 1.375, 1.5)
+              for s in (r, np.nextafter(r, 0.0), np.nextafter(r, 9.0))]
+    scales += [0.0, 5e-324, 2.0 ** -600, 2.0 ** -511]
+    directions = np.eye(d) if d == 1 else np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    pts = np.concatenate([np.outer(scales, directions).reshape(-1, d),
+                          -np.outer(scales, directions).reshape(-1, d),
+                          np.array([[math.nan] * d, [math.inf] * d, [-math.inf] * d])])
+    norms = np.linalg.norm(pts, axis=-1)
+    for radii, fits in (((0.75, 1.375), True), ((0.75, 1.5), False)):
+        stack = LatticeStack(grid, table, radii)
+        seen = _spy_positions(monkeypatch)
+        want = [_mask_clip_lattice_values(grid, lattice_major[..., e, :, :], r, pts)
+                for e, r in enumerate(radii)]
+        for e in range(2):
+            _assert_same_bits(stack.member(e, label="e")(pts), want[e])
+        _assert_same_bits(stack(pts), np.stack(want))
+        _assert_same_bits(stack.gather([1, 0])(np.stack([pts, pts])), np.stack(want[::-1]))
+        # Members 0 and 1, the stacked call, the gather of members 1 and 0.
+        small, large = (int(np.sum(norms <= r)) for r in radii)
+        if fits:
+            assert seen == [(small, d), (large, d), (large, d), (large + small, d)]
+        else:
+            assert seen == [pts.shape] * 3 + [(2,) + pts.shape]
+        monkeypatch.undo()
 
 
 # Points of a (8, 6)-bin grid whose center lattice is [-0.875, 0.875] x

@@ -176,14 +176,14 @@ def _walk(ens, fields, windows=None):
 
 def test_ito_isometry_identity_coefficient():
     ens = _identity_ensemble(13)
-    report = replace(isometry_report(ens, _walk(ens, [identity_field(1)]), 0),
+    report = replace(isometry_report(ens, _walk(ens, [identity_field(1)])),
                      margin=0.0)
     assert report.right == 1.0  # sum of |row|^2 dt is exactly the horizon
     assert report.label == "coordinate 0, t=1.0"
     assert report.passed
     assert report.stderr > 0.0
     # The averaged square is quadratic in the field scale.
-    doubled = isometry_report(ens, _walk(ens, [constant_field(2.0 * np.eye(1))]), 0)
+    doubled = isometry_report(ens, _walk(ens, [constant_field(2.0 * np.eye(1))]))
     assert doubled.right == 4.0
 
 

@@ -236,7 +236,7 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "identity"])
 def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular,
                                                              monkeypatch):
-    """A reference walk and an isometry walk over both radii, each with
+    """A reference walk over both radii and an isometry walk of each, with
     blocks of 12 paths of 160 steps, which the 50 or 57 surviving singular
     paths do not fill, and with 50 points, below the step count, so one
     path per block.  Each radius in turn is the compensated one."""
@@ -259,13 +259,15 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
     radii = [fields[eps] for eps in scen.eps_seq]
     for points in (40 * 48, 50):
         monkeypatch.setattr(solver, "WALK_POINTS", points)
-        isometry = solver.walk_ensemble(ens, radii, snapped)
+        for fld in radii:
+            isometry = solver.walk_ensemble(ens, [fld], snapped)
+            assert _report_dict(isometry_report(ens, isometry)) == (
+                ref_isometry(ens, fld, qgrid))
         for own, own_field in enumerate(radii):
             sums = solver.walk_ensemble(ens, radii, snapped, (own, windows))
+            assert _report_dict(isometry_report(ens, sums)) == (
+                ref_isometry(ens, own_field, qgrid))
             for e, fld in enumerate(radii):
-                for walked in (sums, isometry):
-                    assert _report_dict(isometry_report(ens, walked, e)) == (
-                        ref_isometry(ens, fld, qgrid))
                 assert _report_dict(cross_term_report(ens, sums, e)) == ref_cross(
                     ens, fld, qgrid)
             assert _martingale_rows(martingale_reports(ens, sums, pairs)) == (
@@ -280,10 +282,11 @@ def _bits(a):
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeypatch):
-    """The reference walk's compensators are those of the field that solved
-    the ensemble, byte for byte the per-step loops', on windows that share
-    a start node.  An isometry walk, and a single-field walk of one radius
-    and of the identity field, keep the bytes of the per-step loops too,
+    """The reference walk's compensators and squared row are those of the
+    field that solved the ensemble, byte for byte the per-step loops', on
+    windows that share a start node.  An isometry walk of each radius, and
+    a single-field walk of one radius and of the identity field, keep the
+    bytes of the per-step loops too,
     with frozen paths and blocks of 20 paths that the survivors do not
     fill."""
     grid = TimeGrid(1.0, 96)
@@ -307,15 +310,15 @@ def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeyp
         assert _bits(sums.quad_comp[wi]) == _bits(quad)
         assert _bits(sums.cross_comp[wi]) == _bits(cross)
     assert _bits(sums.ito) == _bits(ref_terminals(ens, fields))
-    isometry = solver.walk_ensemble(ens, radii, snapped)
+    assert _bits(sums.row_sq) == _bits(ref_row_sq(ens, radii[1], snapped))
     for e, fld in enumerate(radii):
-        assert _bits(isometry.row_sq[e]) == _bits(sums.row_sq[e]) == _bits(
+        assert _bits(solver.walk_ensemble(ens, [fld], snapped).row_sq) == _bits(
             ref_row_sq(ens, fld, snapped))
         assert _bits(sums.mixed[e]) == _bits(ref_mixed(ens, fld, snapped))
     alone = solver.walk_ensemble(ens, radii[1:], snapped, (0, windows))
-    for name in ("ito", "row_sq", "mixed"):
+    for name in ("ito", "mixed"):
         assert _bits(getattr(alone, name)[0]) == _bits(getattr(sums, name)[1])
-    for name in ("quad_comp", "cross_comp", "driver_nodes"):
+    for name in ("row_sq", "quad_comp", "cross_comp", "driver_nodes"):
         assert _bits(getattr(alone, name)) == _bits(getattr(sums, name))
 
     ident = identity_field(dimension)
@@ -327,7 +330,7 @@ def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeyp
         assert _bits(id_sums.quad_comp[wi]) == _bits(quad)
         assert _bits(id_sums.cross_comp[wi]) == _bits(cross)
     assert _bits(id_sums.ito) == _bits(ref_terminals(id_ens, {0.25: ident}))
-    assert _bits(id_sums.row_sq[0]) == _bits(ref_row_sq(id_ens, ident, snapped))
+    assert _bits(id_sums.row_sq) == _bits(ref_row_sq(id_ens, ident, snapped))
     assert _bits(id_sums.mixed[0]) == _bits(ref_mixed(id_ens, ident, snapped))
     assert _bits(solver.walk_ensemble(id_ens, [ident], snapped).row_sq) == _bits(
         id_sums.row_sq)
@@ -385,6 +388,10 @@ def test_walk_rejects_too_few_snapped_positions():
         with pytest.raises(ParameterError, match="own field"):
             solver.walk_ensemble(ens, [identity_field(1)], np.zeros((16, 1)),
                                  (own, [(0, 4)]))
+    # An isometry walk squares its one field's row; it walks no other.
+    for fields in ([], [identity_field(1)] * 2):
+        with pytest.raises(ParameterError, match="walks one field"):
+            solver.walk_ensemble(ens, fields, np.zeros((16, 1)))
 
 
 def _carry_from_zero(terms):
