@@ -141,13 +141,17 @@ def singular_example(gamma: float, radius: float, d: int) -> MatrixField:
 
     def oracle(pts):
         r = np.linalg.norm(pts, axis=-1)
+        # |x|**-gamma at the points within the radius only; NaN and +-inf
+        # points fail r <= radius and read 0.0, as the rest outside do.
+        amp = np.zeros(r.shape)
+        inside = r <= radius
         at_origin = r == 0.0
         if np.any(at_origin):
             warnings.warn("singular field evaluated exactly at the origin; "
                           f"clamped to {CLAMP_VALUE:.1e}", ClampWarning, stacklevel=3)
-        safe = np.where(at_origin, 1.0, r)
-        amp = np.where(at_origin, CLAMP_VALUE, safe ** (-gamma))
-        amp = np.where(r <= radius, amp, 0.0)
+            inside &= ~at_origin
+            amp[at_origin] = CLAMP_VALUE
+        np.power(r, -gamma, out=amp, where=inside)
         return amp[..., None, None] * eye
 
     return MatrixField(oracle, d, d, support_radius=radius,

@@ -18,6 +18,12 @@ is refused with ParameterError before anything is drawn; that depends on
 fails from 2**16 steps at H = 0.9999, 2**15 at 0.99999 and 2**14 at
 0.999999.
 
+Each (H, N, dt) route, the embedding's N + 1 circulant amplitudes, is
+computed once per process: `_sampling_route` keeps the ROUTE_CACHE_SIZE
+routes used last, at most ROUTE_CACHE_SIZE * 8 (N + 1) bytes (4 MiB at
+N = 2**16), as read-only arrays.  A refused embedding is not kept; it is
+refused again on every call.
+
 Randomness is counter-based: each (seed, path_index, component) triple keys
 an independent Philox stream, so ensembles can be generated in any order,
 or in parallel, without coupling between paths.  The key holds the seed in
@@ -30,6 +36,7 @@ about 1 us instead of 7.6 us (2-core x86-64 host, numpy 2.4).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -54,6 +61,9 @@ _EIG_CLIP_RTOL = 1e-12
 # against 1,606 and peaks at 38.1 MB against 41.9 MB (medians of 5); in a
 # warm process the two times agree within 2.5%.
 BLOCK_NORMALS = 1 << 15
+# Routes _sampling_route keeps; the pathwise benchmark job draws its eight
+# paths on four (H, N, dt).
+ROUTE_CACHE_SIZE = 8
 # One Philox generator per thread, re-keyed by _component_rng.
 _STREAMS = threading.local()
 
@@ -141,6 +151,12 @@ class FbmPath:
                    np.column_stack([self.times, self.values.T]))
 
 
+def _check_hurst(hurst: float) -> None:
+    """ParameterError unless 0 < hurst < 1 (NaN too)."""
+    if not 0.0 < hurst < 1.0:
+        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
+
+
 def _write_csv(fh, comment: str, columns: list[str], rows) -> None:
     """A '# comment' line, a header line, then each row's floats by repr."""
     fh.write(f"# {comment}\n{','.join(columns)}\n")
@@ -149,7 +165,8 @@ def _write_csv(fh, comment: str, columns: list[str], rows) -> None:
 
 
 def fbm_covariance(s, t, hurst: float):
-    """Exact covariance R(s, t) of scalar fBm."""
+    """Exact covariance R(s, t) of scalar fBm; ParameterError unless 0 < H < 1."""
+    _check_hurst(hurst)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     h2 = 2.0 * hurst
@@ -178,10 +195,15 @@ def _component_rng(seed: int, path_index: int, component: int) -> np.random.Gene
 
 
 def _fgn_autocov(hurst: float, n_steps: int, dt: float) -> np.ndarray:
-    """gamma(0..n_steps) for fractional Gaussian noise with spacing dt."""
-    k = np.arange(n_steps + 1, dtype=float)
+    """gamma(0..n_steps) for fractional Gaussian noise with spacing dt.
+
+    One power table p[j] = j**2H, j = 0 .. n_steps + 1, read three ways:
+    (k + 1)**2H, k**2H and |k - 1|**2H, summed in that order.
+    """
     h2 = 2.0 * hurst
-    g = 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2)
+    p = np.arange(n_steps + 2, dtype=float) ** h2
+    below = np.concatenate([p[1:2], p[:n_steps]])
+    g = 0.5 * (p[1:] - 2.0 * p[:-1] + below)
     return g * dt ** h2
 
 
@@ -235,17 +257,24 @@ def _fgn_from_normals(amp: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.nda
     return np.fft.fft(out, axis=-1, out=out).real[..., :n]
 
 
+@functools.lru_cache(maxsize=ROUTE_CACHE_SIZE)
 def _sampling_route(hurst: float, n: int, dt: float) -> np.ndarray:
     """The circulant amplitudes for n increments of spacing dt, or
-    ParameterError when the embedding is not nonnegative definite.  Only
-    the amplitudes outlive the call, not gamma or the eigenvalues."""
+    ParameterError when the embedding is not nonnegative definite.
+
+    The last ROUTE_CACHE_SIZE routes are kept for the life of the process,
+    read-only, at 8 (n + 1) bytes each; gamma and the eigenvalues are not.
+    A refusal raises and is not kept, so it is raised again on every call.
+    """
     gamma = _fgn_autocov(hurst, n, dt)
     lam = _circulant_eigenvalues(gamma)
     if lam is None:
         raise ParameterError(
             f"the circulant embedding of fBm increments at H={hurst} and {n} steps "
             f"is not nonnegative definite, so they cannot be sampled exactly")
-    return _circulant_amplitudes(lam)
+    amp = _circulant_amplitudes(lam)
+    amp.flags.writeable = False
+    return amp
 
 
 def _validate_rows(dimension: int, seed: int, first: int, count: int) -> None:
@@ -271,8 +300,9 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
 
     Each (row, component) Philox stream is keyed once and draws 2N normals
     once; every Hurst value maps that same draw through its embedding's
-    amplitudes, computed once per Hurst value before the output and the
-    scratch are allocated, so a refused embedding fails first.  The
+    amplitudes, taken from _sampling_route once per Hurst value before the
+    output and the scratch are allocated, so a refused embedding fails
+    first.  The
     (row, component) lines go in blocks of about BLOCK_NORMALS normals, one
     batched FFT per block and Hurst value, cumsummed straight into the
     output (or into one block of scratch when only `nodes` are kept).  Row i
@@ -280,8 +310,7 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
     the other Hurst values or the block.
     """
     for hurst in hursts:
-        if not (0.0 < hurst < 1.0):
-            raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
+        _check_hurst(hurst)
     _validate_rows(dimension, seed, first, count)
     n = grid.steps
     lines = count * dimension
@@ -292,10 +321,10 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
     per_block = min(lines, max(1, BLOCK_NORMALS // (2 * n)))
     walk_bytes = 0 if nodes is None else 8 * len(hursts) * (n + 1)
     # The output, the scratch, and the circulant embedding's 2N complex
-    # eigenvalue FFT.
+    # eigenvalue FFT, which a kept route does not allocate.
     require_memory(8 * len(hursts) * lines * width + per_block * (48 * n + walk_bytes)
                    + 32 * n, f"sampling {count} path(s) of {n} steps")
-    amps = [_sampling_route(hurst, n, grid.dt) for hurst in hursts]
+    amps = [_sampling_route(float(hurst), n, grid.dt) for hurst in hursts]
     out = np.empty((len(amps), lines, width))
     normals = np.empty((per_block, 2 * n))
     spectrum = np.empty(normals.shape, dtype=complex)

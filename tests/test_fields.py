@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,46 @@ def test_singular_example_clamps_at_origin():
     with pytest.warns(ClampWarning):
         out = fld(np.zeros((1, 1)))
     assert out[0, 0, 0] == CLAMP_VALUE
+
+
+def _where_chain(pts, gamma, radius):
+    """The singular field's values raised at every point, then masked."""
+    r = np.linalg.norm(pts, axis=-1)
+    at_origin = r == 0.0
+    safe = np.where(at_origin, 1.0, r)
+    amp = np.where(at_origin, CLAMP_VALUE, safe ** (-gamma))
+    amp = np.where(r <= radius, amp, 0.0)
+    return amp[..., None, None] * np.eye(pts.shape[-1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1.0, 0.7])
+def test_singular_example_matches_the_where_chain(d, radius):
+    """The oracle raises |x|**-gamma only within the radius; its values are
+    the bits of raising it everywhere and masking: at the origin, at
+    |x| = radius and one ulp either side, at NaN and +-inf, and at spread
+    points, with one ClampWarning per call that meets the origin."""
+    gamma = 0.4
+    fld = singular_example(gamma, radius, d)
+    axis = np.eye(d)[0]
+    fence = [np.nextafter(radius, 0.0), radius, np.nextafter(radius, np.inf)]
+    special = [np.zeros(d), -np.zeros(d)]
+    special += [s * r * axis for r in fence for s in (1.0, -1.0)]
+    special += [np.full(d, v) for v in (np.nan, np.inf, -np.inf)]
+    special += [np.r_[v, np.zeros(d - 1)] for v in (np.nan, np.inf, -np.inf)]
+    rng = np.random.default_rng(d)
+    spread = rng.normal(scale=radius, size=(256, d))
+    pts = np.concatenate([np.array(special), spread]).reshape(-1, 2, d)
+    assert [np.linalg.norm(s * r * axis) for r in fence for s in (1.0, -1.0)] == [
+        r for r in fence for _ in (1, -1)]
+    with pytest.warns(ClampWarning) as caught:
+        got = fld(pts)
+    assert len(caught) == 1
+    assert got.tobytes() == _where_chain(pts, gamma, radius).tobytes()
+    clear = pts[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fld(clear).tobytes() == _where_chain(clear, gamma, radius).tobytes()
 
 
 def test_singular_example_hypotheses():

@@ -92,6 +92,91 @@ def test_brownian_autocovariance_is_diagonal():
     assert np.max(np.abs(g[1:])) < 1e-15
 
 
+def _three_power_autocov(hurst, n, dt):
+    """gamma(0..n) with (k + 1)**2H, k**2H and |k - 1|**2H each raised on its own."""
+    k = np.arange(n + 1, dtype=float)
+    h2 = 2.0 * hurst
+    return 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2) * dt ** h2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(1, 2 ** 16), st.floats(2.0 ** -10, 2.0 ** 10))
+def test_power_table_autocovariance_is_the_three_power_formula(hurst, n, horizon):
+    """_fgn_autocov reads one table j**2H three ways; every entry has the
+    bits, sign bit included, of raising the three powers one by one."""
+    got = _fgn_autocov(hurst, n, horizon / n)
+    want = _three_power_autocov(hurst, n, horizon / n)
+    assert got.shape == (n + 1,)
+    assert got.tobytes() == want.tobytes()
+
+
+def _uncached_route(hurst, n, dt):
+    return _circulant_amplitudes(_circulant_eigenvalues(_fgn_autocov(hurst, n, dt)))
+
+
+def test_cold_and_warm_routes_give_the_same_bits():
+    """A path drawn with the route just computed and one drawn with the
+    kept route are the same bits, for one path and for a batch."""
+    grid = TimeGrid(1.0, 512)
+    route = paths._sampling_route
+    draws = (lambda: generate_fbm(0.3, 2, grid, 4, path_index=3).values,
+             lambda: paths._fbm_rows((0.3, 0.7), 2, grid, 4, 0, 5))
+    for draw in draws:
+        route.cache_clear()
+        cold = draw()
+        misses = route.cache_info().misses
+        warm = draw()
+        assert route.cache_info().misses == misses
+        assert route.cache_info().hits >= 1
+        assert cold.tobytes() == warm.tobytes()
+    assert np.array_equal(route(0.7, 512, grid.dt), _uncached_route(0.7, 512, grid.dt))
+
+
+def test_route_key_separates_hurst_steps_and_spacing():
+    """Same N at two horizons, another H and another N are four routes,
+    each that of its own (H, N, dt)."""
+    route = paths._sampling_route
+    route.cache_clear()
+    keys = [(0.3, 256, 1.0 / 256), (0.3, 256, 2.0 / 256), (0.7, 256, 1.0 / 256),
+            (0.3, 128, 1.0 / 256)]
+    for key in keys:
+        assert np.array_equal(route(*key), _uncached_route(*key))
+    assert route.cache_info().currsize == len(keys)
+    assert not np.array_equal(route(*keys[0]), route(*keys[1]))
+    for horizon in (1.0, 2.0):
+        grid = TimeGrid(horizon, 256)
+        kept = generate_fbm(0.3, 1, grid, 9).values
+        route.cache_clear()
+        assert np.array_equal(generate_fbm(0.3, 1, grid, 9).values, kept)
+
+
+def test_kept_amplitudes_refuse_writes():
+    amp = paths._sampling_route(0.3, 64, 1.0 / 64)
+    assert not amp.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        amp[0] = 1.0
+    assert np.array_equal(paths._sampling_route(0.3, 64, 1.0 / 64),
+                          _uncached_route(0.3, 64, 1.0 / 64))
+
+
+def test_refused_embedding_is_refused_on_every_call_and_not_kept():
+    route = paths._sampling_route
+    route.cache_clear()
+    grid = TimeGrid(1.0, 2 ** 14)
+    for calls in (1, 2, 3):
+        with pytest.raises(ParameterError, match="not nonnegative definite"):
+            generate_fbm(0.999999, 1, grid, 1)
+        info = route.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (calls, 0, 0)
+
+
+@pytest.mark.parametrize("hurst", [0.0, 1.0, -0.2, 1.5, math.nan, math.inf])
+def test_covariance_refuses_hurst_outside_the_open_unit_interval(hurst):
+    with pytest.raises(ParameterError, match="hurst must lie in"):
+        fbm_covariance(0.25, 0.5, hurst)
+
+
 def test_generation_is_deterministic():
     grid = TimeGrid(1.0, 128)
     a = generate_fbm(0.3, 2, grid, 42)
@@ -191,6 +276,29 @@ def test_rows_drawn_on_two_threads_at_once_are_the_serial_rows():
                 assert [rows.tobytes() for rows in drawn] == serial
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_routes_asked_for_on_four_threads_at_once_are_the_serial_routes():
+    """Four threads ask for more routes than are kept, so routes are added
+    and evicted while other threads read them; each read has the bits of
+    the route computed alone, and no more than ROUTE_CACHE_SIZE are kept."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    keys = [(hurst, n, 1.0 / n) for hurst in (0.2, 0.4, 0.6) for n in (16, 64, 256, 1024)]
+    assert len(keys) > paths.ROUTE_CACHE_SIZE
+    want = [_uncached_route(*key).tobytes() for key in keys] * 4
+    paths._sampling_route.cache_clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                got = pool.map(lambda key: paths._sampling_route(*key).tobytes(),
+                               keys * 4, timeout=60)
+                assert list(got) == want
+    finally:
+        sys.setswitchinterval(switch)
+    assert paths._sampling_route.cache_info().currsize == paths.ROUTE_CACHE_SIZE
 
 
 # (seed, count, index < count, dimension, steps)
