@@ -34,8 +34,7 @@ from .averaging import (admissible_regularity, average_via_local_time,
 from .errors import (BlowUpError, FbmLabError, HypothesisError,
                      ParameterError)
 from .experiments import (ALL_CRITERIA, HEADLINE_CONFIG, build_scenario,
-                          solve_scenario, verify_scenario,
-                          _identity_field_reports)
+                          solve_scenario, verify_scenario)
 from .occupation import SpatialGrid, local_time
 from .paths import TimeGrid, generate_fbm
 from .sewing import Germ, sew
@@ -154,15 +153,6 @@ def _emit(text: str) -> None:
 # --- experiments -------------------------------------------------------------
 
 
-def _constant_field_identities() -> dict:
-    """E0's identity-field smoke test: the exact identities."""
-    reports = _identity_field_reports()[0]
-    return {"id": "constant-field-identities",
-            "passed": all(r.passed for r in reports),
-            "summary": f"{len(reports)} identities on an identity field",
-            "details": {"reports": [r.to_dict() for r in reports]}}
-
-
 _EXPERIMENTS = {
     "E0": ("identity-field smoke test and admissibility table",
            ["constant-field-identities", "admissibility-thresholds"]),
@@ -186,11 +176,10 @@ def run_experiment(name: str, out_dir: Path, fmt: str) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     description, criteria = _EXPERIMENTS[name]
-    run = {**ALL_CRITERIA, "constant-field-identities": _constant_field_identities}
     results, seconds = [], {}
     for cid in criteria:
         start = time.perf_counter()
-        results.append(run[cid]())
+        results.append(ALL_CRITERIA[cid]())
         seconds[cid] = round(time.perf_counter() - start, 3)
     if name == "E0":  # the identity reports themselves
         rows = results[0]["details"]["reports"]

@@ -569,6 +569,14 @@ def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
     return exact, tuple(martingale_reports(ens, sums, pairs))
 
 
+def criterion_constant_field_identities() -> dict:
+    """E0's identity-field smoke test: the exact identities."""
+    reports = _identity_field_reports()[0]
+    return _result("constant-field-identities", all(r.passed for r in reports),
+                   f"{len(reports)} identities on an identity field",
+                   {"reports": [r.to_dict() for r in reports]})
+
+
 def criterion_martingale_residuals() -> dict:
     res, _ = run_headline()
     bad = [r for r in res.martingale_reports if not r.passed]
@@ -639,6 +647,7 @@ ALL_CRITERIA = {
     "sewing-engine": criterion_sewing_engine,
     "moment-bound-uniformity": criterion_moment_bound,
     "ito-isometry": criterion_ito_isometry,
+    "constant-field-identities": criterion_constant_field_identities,
     "martingale-residuals": criterion_martingale_residuals,
     "mollified-cauchy": criterion_mollified_cauchy,
     "admissibility-thresholds": criterion_admissibility,

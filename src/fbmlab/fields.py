@@ -25,6 +25,7 @@ built.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -186,7 +187,10 @@ class MollifierSpec:
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
 
     def bump_mass(self, d: int) -> float:
-        """integral over the unit ball of (1 - |u|^2)**4, exactly."""
+        """integral over the unit ball of (1 - |u|^2)**4, exactly, for a
+        positive integer dimension d."""
+        if not (isinstance(d, numbers.Integral) and d >= 1):
+            raise ParameterError(f"dimension must be a positive integer, got {d!r}")
         return math.pi ** (d / 2.0) * _gamma(5) / _gamma(d / 2.0 + 5)
 
     def rho(self, points) -> np.ndarray:
@@ -310,56 +314,14 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-# Cephes Gamma (S. L. Moshier, Methods and Programs for Mathematical
-# Functions, 1989), which scipy.special.gamma evaluates: a rational
-# approximation on [2, 3), reached by recurrence, and Stirling's series
-# above 33.  math.gamma rounds differently at most half-integers.
-_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
-            1.04213797561761569935e-2, 4.76367800457137231464e-2,
-            2.07448227648435975150e-1, 4.94214826801497100753e-1,
-            9.99999999999999996796e-1)
-_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
-            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
-            3.58236398605498653373e-2, -2.34591795718243348568e-1,
-            7.14304917030273074085e-2, 1.00000000000000000320e0)
-_STIRLING = (7.87311395793093628397e-4, -2.29549961613378126380e-4,
-             -2.68132617805781232825e-3, 3.47222221605458667310e-3,
-             8.33333333333482257126e-2)
-
-
-def _polevl(x: float, coefs: tuple) -> float:
-    acc = coefs[0]
-    for c in coefs[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def _gamma(x: float) -> float:
-    """Gamma(x) for x >= 1, bit-equal to scipy.special.gamma there."""
-    x = float(x)
-    if x >= 171.624376956302725:
-        return math.inf
-    if x > 33.0:
-        w = 1.0 / x
-        w = 1.0 + w * _polevl(w, _STIRLING)
-        y = math.exp(x)
-        if x > 143.01608:
-            v = x ** (0.5 * x - 0.25)
-            y = v * (v / y)
-        else:
-            y = x ** (x - 0.5) / y
-        return 2.50662827463100050242 * y * w
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+    """Gamma(x) at a positive integer or half-integer x, in closed form:
+    (n - 1)! at n and (2n)! / (4**n n!) sqrt(pi) at n + 1/2, whose integer
+    quotient is rounded once (int / int is correctly rounded)."""
+    n = int(x)
+    if x == n:
+        return float(math.factorial(n - 1))
+    return math.factorial(2 * n) / (4 ** n * math.factorial(n)) * math.sqrt(math.pi)
 
 
 def _corner_sum(flat: np.ndarray, corners, out: np.ndarray, term: np.ndarray) -> None:
@@ -687,8 +649,8 @@ def lp_norm(field, p: float, grid: SpatialGrid) -> float:
     flags none, such as a mollified field or a difference of two, gets the
     plain midpoint rule.
     """
-    if not p > 0.0:  # NaN too
-        raise ParameterError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:  # NaN too
+        raise ParameterError(f"p must be positive and finite, got {p}")
     mesh = grid.centers_mesh()
     powers = _norm_power(field, mesh, p)
     vol = grid.cell_volume

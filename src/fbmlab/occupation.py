@@ -127,6 +127,8 @@ class SpatialGrid:
         """Same interval [a, b] with the same bin count on every axis."""
         if not b > a:
             raise ParameterError(f"need b > a, got a={a}, b={b}")
+        if bins < 1:
+            raise ParameterError(f"bins must be >= 1, got {bins}")
         h = (b - a) / bins
         return cls((a,) * dimension, h, (bins,) * dimension)
 

@@ -21,8 +21,10 @@ fails from 2**16 steps at H = 0.9999, 2**15 at 0.99999 and 2**14 at
 Each (H, N, dt) route, the embedding's N + 1 circulant amplitudes, is
 computed once per process: `_sampling_route` keeps the ROUTE_CACHE_SIZE
 routes used last, at most ROUTE_CACHE_SIZE * 8 (N + 1) bytes (4 MiB at
-N = 2**16), as read-only arrays.  A refused embedding is not kept; it is
-refused again on every call.
+N = 2**16), as read-only arrays.  It guards the memory of the embedding's
+eigenvalue FFT on a miss only, where it computes one; a kept route
+allocates nothing.  A refused embedding is not kept; it is refused again
+on every call.
 
 Randomness is counter-based: each (seed, path_index, component) triple keys
 an independent Philox stream, so ensembles can be generated in any order,
@@ -266,6 +268,8 @@ def _sampling_route(hurst: float, n: int, dt: float) -> np.ndarray:
     read-only, at 8 (n + 1) bytes each; gamma and the eigenvalues are not.
     A refusal raises and is not kept, so it is raised again on every call.
     """
+    # The embedding's 2N complex eigenvalues.
+    require_memory(32 * n, f"the circulant embedding of {n} steps")
     gamma = _fgn_autocov(hurst, n, dt)
     lam = _circulant_eigenvalues(gamma)
     if lam is None:
@@ -302,12 +306,14 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
     once; every Hurst value maps that same draw through its embedding's
     amplitudes, taken from _sampling_route once per Hurst value before the
     output and the scratch are allocated, so a refused embedding fails
-    first.  The
-    (row, component) lines go in blocks of about BLOCK_NORMALS normals, one
-    batched FFT per block and Hurst value, cumsummed straight into the
-    output (or into one block of scratch when only `nodes` are kept).  Row i
-    therefore depends on (seed, first + i) and its Hurst value only, not on
-    the other Hurst values or the block.
+    first.  The memory guard here counts the output and the scratch alone:
+    _sampling_route guards a route's eigenvalue FFT when it computes one,
+    and a kept route allocates nothing.  The (row, component) lines go in
+    blocks of about BLOCK_NORMALS normals, one batched FFT per block and
+    Hurst value, cumsummed straight into the output (or into one block of
+    scratch when only `nodes` are kept).  Row i therefore depends on
+    (seed, first + i) and its Hurst value only, not on the other Hurst
+    values or the block.
     """
     for hurst in hursts:
         _check_hurst(hurst)
@@ -320,10 +326,8 @@ def _fbm_rows(hursts: tuple[float, ...], dimension: int, grid: TimeGrid, seed: i
     # kept, its paths.
     per_block = min(lines, max(1, BLOCK_NORMALS // (2 * n)))
     walk_bytes = 0 if nodes is None else 8 * len(hursts) * (n + 1)
-    # The output, the scratch, and the circulant embedding's 2N complex
-    # eigenvalue FFT, which a kept route does not allocate.
-    require_memory(8 * len(hursts) * lines * width + per_block * (48 * n + walk_bytes)
-                   + 32 * n, f"sampling {count} path(s) of {n} steps")
+    require_memory(8 * len(hursts) * lines * width + per_block * (48 * n + walk_bytes),
+                   f"sampling {count} path(s) of {n} steps")
     amps = [_sampling_route(float(hurst), n, grid.dt) for hurst in hursts]
     out = np.empty((len(amps), lines, width))
     normals = np.empty((per_block, 2 * n))

@@ -71,8 +71,8 @@ class QuenchedScenario:
             raise ParameterError("perturbation path and field dimensions differ")
         if self.ensemble_size < 1:
             raise ParameterError("ensemble_size must be >= 1")
-        if not self.p > 0.0:  # NaN too
-            raise ParameterError(f"p must be positive, got {self.p}")
+        if not 0.0 < self.p < math.inf:  # NaN too
+            raise ParameterError(f"p must be positive and finite, got {self.p}")
         # Driver stream keys fail here, before a sweep mollifies anything.
         _validate_rows(self.driver_dimension, self.base_seed, self.first_path,
                        self.ensemble_size)

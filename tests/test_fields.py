@@ -1,9 +1,11 @@
 """Coefficient fields, mollification and integral norms."""
 
+import hashlib
 import math
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -128,23 +130,82 @@ def test_bump_mass_closed_form():
     assert spec.bump_mass(2) == pytest.approx(math.pi / 5.0, rel=1e-15)
 
 
-def test_gamma_is_scipy_special_gamma_bit_for_bit():
-    """The in-package Gamma at the integers and half-integers bump_mass
-    passes, and bump_mass itself against the scipy closed form."""
-    from scipy.special import gamma
-    for x in [n / 2.0 for n in range(2, 67)]:  # 1, 1.5, ..., 33
-        assert _gamma(x).hex() == float(gamma(x)).hex(), x
-    k = 4  # the bump is (1 - |u|^2)**4
-    for d in range(1, 9):
-        want = math.pi ** (d / 2) * gamma(k + 1) / gamma(d / 2 + k + 1)
-        assert MollifierSpec(0.5).bump_mass(d).hex() == float(want).hex(), d
+# sqrt(pi) to 60 significant digits.
+SQRT_PI = Decimal("1.77245385090551602729816748334114518279754945612238712821381")
+
+# bump_mass(d).hex() as the Cephes Gamma this closed form replaced gave it,
+# in every dimension the two agree to the bit.
+BUMP_MASS_HEX = {
+    1: "0x1.a01a01a01a01ap-1", 2: "0x1.41b2f769cf0e0p-1",
+    3: "0x1.db5a749ade770p-2", 4: "0x1.50e1eb50f3975p-2",
+    6: "0x1.2e6290cef4eecp-3", 8: "0x1.dafc3b70d72c3p-5",
+    10: "0x1.4b9a2f342b5b8p-6", 12: "0x1.a0b426e00ea05p-8",
+    14: "0x1.dc0a8d0805f73p-10", 16: "0x1.f2825a8ab6bccp-12",
+    18: "0x1.e1e18094d8edbp-14", 20: "0x1.b089068790256p-16",
+    22: "0x1.6a5c21a900e55p-18", 24: "0x1.1c98c74b9cdc7p-20",
+    26: "0x1.a4bf359ed8b4ap-23", 28: "0x1.25bc9c1f4005dp-25",
+    30: "0x1.848c4283eb580p-28", 32: "0x1.e843807195ca2p-31",
+    34: "0x1.242d2221d7adcp-33", 36: "0x1.4dc80b98cbc12p-36",
+    38: "0x1.6cbb761afa60ap-39", 40: "0x1.7df25d9cf94a3p-42",
+}
 
 
-def test_gamma_above_33_is_scipy_special_gamma_bit_for_bit():
-    """Stirling's branch, up to where Gamma overflows."""
+def _reference_gamma(twice_x: int) -> Decimal:
+    """Gamma(twice_x / 2) to 60 digits: (n - 1)! at n, and
+    (2n)! sqrt(pi) / (4**n n!) at n + 1/2."""
+    n, half = divmod(twice_x, 2)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if not half:
+            return Decimal(math.factorial(n - 1))
+        return Decimal(math.factorial(2 * n)) * SQRT_PI / (4 ** n * math.factorial(n))
+
+
+def test_gamma_is_scipy_special_gamma_bit_for_bit_where_bump_mass_reads_it():
+    """Gamma(5) and Gamma(d/2 + 5) for d <= 4, and every integer to 25."""
     from scipy.special import gamma
-    for x in [n / 2.0 for n in range(67, 346)]:  # 33.5, ..., 172.5
+    for x in [5.5, 6.5] + [float(n) for n in range(1, 26)]:
         assert _gamma(x).hex() == float(gamma(x)).hex(), x
+
+
+def test_gamma_is_within_one_and_a_half_ulp_of_a_60_digit_reference():
+    for twice_x in range(2, 67):  # 1, 1.5, ..., 33
+        got = _gamma(twice_x / 2.0)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            err = abs(Decimal(got) - _reference_gamma(twice_x)) / Decimal(math.ulp(got))
+        assert err <= Decimal("1.5"), (twice_x / 2.0, err)
+
+
+def test_bump_mass_keeps_its_bits_in_dimensions_up_to_4_and_even_ones_to_40():
+    spec = MollifierSpec(0.5)
+    for d, want in BUMP_MASS_HEX.items():
+        assert spec.bump_mass(d).hex() == want, d
+    assert spec.bump_mass(np.int64(3)).hex() == BUMP_MASS_HEX[3]
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.5])
+def test_bump_mass_refuses_a_dimension_that_is_not_a_positive_integer(d):
+    with pytest.raises(ParameterError, match="dimension must be a positive integer"):
+        MollifierSpec(0.5).bump_mass(d)
+
+
+# SHA-256 of mollified_family's member-major table for the singular
+# example (gamma 0.4, radius 1) in d = 1, 2, 3, on numpy 2.4 (x86-64).
+FAMILY_TABLE_SHA256 = {
+    1: "d2c9c31a0420552938294be405d3af31ad1ec982807427364a054ff01f80e4c6",
+    2: "8f2e3f76fdeaa98bf5ca9b0947987a3b30e9c8be47b5c673c342cb1e0126c029",
+    3: "d06abac27ae98825163a40b0019df5448237a32984c0e2e066287dd57352878f",
+}
+
+
+@pytest.mark.parametrize("d", sorted(FAMILY_TABLE_SHA256))
+def test_mollified_family_tables_keep_their_bits(d):
+    eps_seq = (0.5,) if d == 3 else (0.5, 0.25)
+    scen = QuenchedScenario(generate_fbm(0.2, d, TimeGrid(1.0, 16), 1),
+                            singular_example(0.4, 1.0, d), np.zeros(d), eps_seq, 4, 1)
+    table = next(iter(mollified_family(scen).values())).lattice[0].table
+    assert hashlib.sha256(table.tobytes()).hexdigest() == FAMILY_TABLE_SHA256[d]
 
 
 def test_mollifier_kernel_properties():
@@ -273,8 +334,9 @@ def test_lp_norm_scales_homogeneously():
     tripled = lp_norm(MatrixField(lambda p: 3.0 * sigma(p), 1, 1,
                                   singular_points=sigma.singular_points), 2.0, grid)
     assert tripled == pytest.approx(3.0 * base, rel=1e-12)
-    for p in (0.0, -1.0, math.nan):  # NaN used to return a NaN norm
-        with pytest.raises(ParameterError, match="p must be positive"):
+    # NaN used to return a NaN norm, and inf 1.0 for any field.
+    for p in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="p must be positive and finite"):
             lp_norm(sigma, p, grid)
 
 

@@ -43,6 +43,9 @@ def test_grid_parameter_validation():
         SpatialGrid((0.0,), 1.0, (0,))
     with pytest.raises(ParameterError):
         SpatialGrid((0.0, 0.0), 1.0, (4,))
+    for bins in (0, -3):  # 0 used to divide by zero
+        with pytest.raises(ParameterError, match="bins must be >= 1"):
+            SpatialGrid.from_box(-1.0, 1.0, bins)
 
 
 def test_cover_snaps_to_integer_multiples():

@@ -54,16 +54,16 @@ def test_scenario_validation():
         solve_fields(_identity_scenario(), [identity_field(1), identity_field(2)])
 
 
-@pytest.mark.parametrize("p", [np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("p", [np.nan, 0.0, -1.0, np.inf])
 def test_scenario_refuses_a_non_positive_p_before_any_driver(monkeypatch, p):
     """These used to construct: a sweep at p = nan returned NaN Cauchy gaps
-    without an error, and one at p = 0 solved and walked every path before
-    lp_norm refused it."""
+    without an error, one at p = 0 solved and walked every path before
+    lp_norm refused it, and one at p = inf read 1.0 for every Cauchy gap."""
     def no_draw(*_args):
         raise AssertionError("the scenario drew drivers")
 
     monkeypatch.setattr(solver, "_bm_rows", no_draw)
-    with pytest.raises(ParameterError, match=f"p must be positive, got {p}"):
+    with pytest.raises(ParameterError, match=f"p must be positive and finite, got {p}"):
         QuenchedScenario(FBM, identity_field(1), [0.0], (0.5, 0.25), 8, 1, p=p)
 
 
