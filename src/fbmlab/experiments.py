@@ -370,9 +370,9 @@ def _kept_nodes(grid: TimeGrid, windows: list[tuple[int, int]] | None
 @dataclass(frozen=True, eq=False)
 class _KeptNodes(Ensemble):
     """An ensemble reduced to the grid nodes `nodes`: values (paths, d,
-    len(nodes)).  It has no drivers of its own, so only what reads nodes
-    and blow-ups (moment_table, moment_ratio, isometry_report,
-    cross_term_report, martingale_reports) takes it, never walk_ensemble.
+    len(nodes)), rows as in the sweep's PathSums.  It has no drivers, so
+    only what reads nodes and blow-ups (moment_table, moment_ratio, the
+    report builders) takes it, never walk_ensemble.
     """
 
     nodes: tuple[int, ...]
@@ -447,11 +447,10 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     The smallest radius gives the reference ensemble, which carries the
     cross pairings, the martingale residuals over martingale_windows, the
     quadratic-variation check on its first path and the mollified Cauchy
-    sequence.  Each distinct field (_distinct_fields) is solved and walked
-    once per chunk of paths (_solve_in_chunks): the reference paths first,
-    once for every sum those checks need with each distinct field, then
-    each other field's paths for its isometry.  Every radius reads its
-    field's solve and sums through its slot.
+    sequence.  Each distinct field (_distinct_fields) is solved once per
+    chunk of paths (_solve_in_chunks), and one walk_ensemble pass per chunk
+    takes every sum of every field; they join into one PathSums for the
+    sweep.  Every radius reads its field's solve and sums through its slot.
     """
     tg = scenario.grid
     horizon = tg.horizon
@@ -468,33 +467,25 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
         nonlocal path0
         if path0 is None:
             path0 = part[ref].values[0].copy()
-        # The cross pairings always ride on the reference ensemble; the
-        # sweep shows the mollified integrals closing on the martingale.
-        # Walked first: it has the largest temporaries, so the walks after
-        # it find warm heap pages.  On the 1000-path headline it takes about
-        # 1,060 minor page faults and the four walks after it none; walked
-        # last, it takes about 1,030 and the first walk 103.
-        ref_sums = walk_ensemble(part[ref], distinct, snapped, (ref, windows))
-        return [ref_sums if s == ref else walk_ensemble(ens, [distinct[s]], snapped)
-                for s, ens in enumerate(part)]
+        return walk_ensemble(part, distinct, snapped, ref, windows)
 
     ensembles, walked = _solve_in_chunks(scenario, distinct, _kept_nodes(tg, windows), walk)
     radii = [replace(ensembles[s], epsilon=eps) for eps, s in zip(eps_seq, slot)]
     for ens in (radii[e_min], *radii):  # the reference first
         _abort_on_blowups(ens)
-    field_sums = [PathSums.join(sums) for sums in zip(*walked)]
-    reference, ref_sums = radii[e_min], field_sums[ref]
+    sums = PathSums.join(walked)
+    reference = radii[e_min]
     ratios = moment_ratio(ensembles, m, gamma0)
     ratio_reports, iso_reports, cross_reports = [], [], []
     for e, (eps, s) in enumerate(zip(eps_seq, slot)):
         ratio_reports.append(replace(ratios[s], epsilon=eps))
-        iso_reports.append(isometry_report(radii[e], field_sums[s]))
-        cross_reports.append(cross_term_report(reference, ref_sums, s, epsilon=eps))
-    mart_reports = martingale_reports(reference, ref_sums, martingale_windows)
+        iso_reports.append(isometry_report(radii[e], sums, s))
+        cross_reports.append(cross_term_report(reference, sums, s, epsilon=eps))
+    mart_reports = martingale_reports(reference, sums, martingale_windows)
     qv_report = lebesgue_vs_sewing(path0, scenario.fbm,
                                    hs_norm_sq(distinct[ref]), quant_grid,
                                    (horizon * 0.25, horizon * 0.75))
-    cauchy = cauchy_report(scenario, ref_sums.ito[slot], fields, m)
+    cauchy = cauchy_report(scenario, sums.ito[:, reference.ok_mask][slot], fields, m)
     return SweepResults(ratio_reports, moment_ratio_trend(ratio_reports),
                         iso_reports, cross_reports, mart_reports,
                         qv_report, cauchy)
@@ -560,10 +551,10 @@ def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
     _abort_on_blowups(ens)
     qgrid = scenario.quant_grid
     pairs = [(0.25, 0.5), (0.5, 1.0)]
-    sums = walk_ensemble(ens, [sigma], quantized_perturbation(fbm.values, qgrid),
-                         (0, [grid_t.window(s, t) for s, t in pairs]))
+    sums = walk_ensemble([ens], [sigma], quantized_perturbation(fbm.values, qgrid),
+                         0, [grid_t.window(s, t) for s, t in pairs])
     exact = tuple(replace(report, margin=0.0) for report in (
-        isometry_report(ens, sums), cross_term_report(ens, sums, 0),
+        isometry_report(ens, sums, 0), cross_term_report(ens, sums, 0),
         lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma), qgrid,
                            (0.25, 0.75))))
     return exact, tuple(martingale_reports(ens, sums, pairs))

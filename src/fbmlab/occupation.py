@@ -19,6 +19,7 @@ bin centers downstream.  Interpolating between them is fields.py's work.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,6 +55,8 @@ class SpatialGrid:
             raise ParameterError("lower and bins must have equal positive length")
         if not all(math.isfinite(lo) for lo in self.lower):
             raise ParameterError(f"the box's lower corner must be finite, got {self.lower}")
+        if not all(isinstance(m, numbers.Integral) for m in self.bins):
+            raise ParameterError(f"bin counts must be integers, got {self.bins}")
         if any(m < 1 for m in self.bins):
             raise ParameterError(f"bins must all be >= 1, got {self.bins}")
         if not self.allow_origin_center and self._has_origin_center():
@@ -86,7 +89,7 @@ class SpatialGrid:
     def cell_volume(self) -> float:
         return self.h ** self.dimension
 
-    def centers(self, axis: int = 0) -> np.ndarray:
+    def centers(self, axis: int) -> np.ndarray:
         return self.lower[axis] + (np.arange(self.bins[axis]) + 0.5) * self.h
 
     def centers_mesh(self) -> np.ndarray:
@@ -170,7 +173,7 @@ class OccupationMeasure:
     t: float
     dt: float
     counts: np.ndarray = field(repr=False)
-    escaped_count: int = 0
+    escaped_count: int
 
     @property
     def masses(self) -> np.ndarray:

@@ -287,33 +287,33 @@ def mollified_family(scenario: QuenchedScenario) -> dict[float, MatrixField]:
 
 @dataclass(frozen=True, eq=False)
 class PathSums:
-    """Per-path sums of one walk_ensemble pass over the surviving paths.
+    """Per-path sums of one walk_ensemble pass over a chunk's paths.
 
-    Rows follow the ensemble's ok_mask.  With X the solution, w the frozen
-    path, z its quantization, sigma the scenario's unmollified field, f
-    the walk's fields and f[own] the field that solved the ensemble,
-    summed over the steps k of the whole horizon:
+    Rows are the chunk's paths, blown-up ones included (frozen at finite
+    states); the report builders select each ensemble's survivors by its
+    ok_mask.  With f the walk's fields, X^e the paths f[e] solved, X those
+    of the reference f[own], w the frozen path, z its quantization and
+    sigma the scenario's unmollified field, summed over the steps k of
+    the whole horizon:
 
       ito[e]         sum_k f[e](X_k - w_k) dB_k, (paths, d)
-      row_sq         dt sum_k |row_0 f[own](X_k - z_k)|^2
+      row_sq[e]      dt sum_k |row_0 f[e](X^e_k - z_k)|^2
       mixed[e]       dt sum_k (sigma f[e]^T)_00 (X_k - z_k)
       quad_comp[w]   dt sum_{k in window w} |row_0 f[own](X_k - w_k)|^2
       cross_comp[w]  dt sum_{k in window w} f[own]_00 (X_k - w_k)
       driver_nodes   B(t_k) at the window end points, (paths, n, nodes)
 
-    An isometry walk walks one field, its own, and fills row_sq alone; the
-    others have no fields or windows.  ito and the compensators add one
-    step at a time from 0.0 (_carry: windows that share a start read one
-    running sum), row_sq and mixed are numpy row sums of a contiguous
-    (paths, steps) buffer of whole rows: the summation orders of the
-    per-check loops they replace, so results match those bit for bit
-    whatever the walk's block of paths.
+    ito and the compensators add one step at a time from 0.0 (_carry:
+    windows that share a start read one running sum), row_sq and mixed are
+    numpy row sums of a contiguous (paths, steps) buffer of whole rows: the
+    summation orders of the per-check loops they replace, so each row
+    matches those bit for bit whatever the walk's block of paths.
     """
 
     windows: tuple[tuple[int, int], ...]
     nodes: tuple[int, ...]
     ito: np.ndarray = field(repr=False)           # (fields, paths, d)
-    row_sq: np.ndarray = field(repr=False)        # (paths,)
+    row_sq: np.ndarray = field(repr=False)        # (fields, paths)
     mixed: np.ndarray = field(repr=False)         # (fields, paths)
     quad_comp: np.ndarray = field(repr=False)     # (windows, paths)
     cross_comp: np.ndarray = field(repr=False)    # (windows, paths)
@@ -325,7 +325,7 @@ class PathSums:
         def rows(name, axis):
             return np.concatenate([getattr(p, name) for p in parts], axis=axis)
 
-        return replace(parts[0], ito=rows("ito", 1), row_sq=rows("row_sq", 0),
+        return replace(parts[0], ito=rows("ito", 1), row_sq=rows("row_sq", 1),
                        mixed=rows("mixed", 1), quad_comp=rows("quad_comp", 1),
                        cross_comp=rows("cross_comp", 1),
                        driver_nodes=rows("driver_nodes", 0))
@@ -344,79 +344,78 @@ def _carry(terms: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
     return [run[..., c - 1] + 0.0 for c in counts]
 
 
-def walk_ensemble(ensemble: Ensemble, fields: Sequence[MatrixField],
-                  snapped: np.ndarray,
-                  martingale: tuple[int, Sequence[tuple[int, int]]] | None = None
-                  ) -> PathSums:
-    """Every per-path sum of the identity checks in one pass over the paths.
+def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
+                  snapped: np.ndarray, own: int,
+                  windows: Sequence[tuple[int, int]]) -> PathSums:
+    """Every per-path sum of the identity checks in one pass over a chunk.
 
-    The walk covers the whole horizon on coordinate 0, with snapped the
-    quantized perturbation z (PathSums).  Given martingale = (own,
-    windows), fields[own] the field that solved the ensemble and windows
-    node pairs, it is the reference walk: Ito sums and mixed sums of every
-    field, the squared row and compensators of fields[own] and driver
-    nodes.  Without it it is an isometry walk of one field, its squared
-    row only.
-    Nothing here is recursive, so fields are evaluated on blocks of whole
-    rows, max(1, WALK_POINTS // steps) paths each, every field list in one
-    evaluate_together call per block.  Its (fields, paths, steps, ...)
+    ensembles[e] holds the paths fields[e] solved over one scenario's
+    drivers, and ensembles[own] is the reference; windows are node pairs
+    and snapped the quantized perturbation z (PathSums).  The walk covers
+    the whole horizon on coordinate 0.  Nothing here is recursive, so it
+    goes through every row in blocks of max(1, WALK_POINTS // steps) whole
+    rows.  Each block first reads every other field along its own paths,
+    one call each, then every field along the reference paths, in one
+    evaluate_together call per point set; the (fields, paths, steps, ...)
     values are summed as they come, over contiguous rows of steps.
     """
-    scen = ensemble.scenario
+    if len(ensembles) != len(fields):
+        raise ParameterError(f"{len(ensembles)} ensembles for {len(fields)} fields")
+    if own not in range(len(fields)):
+        raise ParameterError(f"own field {own} is not one of the {len(fields)} walked")
+    reference = ensembles[own]
+    n_paths = reference.n_paths
+    if any(ens.n_paths != n_paths for ens in ensembles):
+        raise ParameterError("the ensembles hold different numbers of paths")
+    scen = reference.scenario
     steps, dt = scen.grid.steps, scen.grid.dt
     if snapped.shape[0] < steps:
         raise ParameterError(f"need {steps} snapped positions, got {snapped.shape[0]}")
     snapped = snapped[:steps]
     w = scen.fbm.values[:, :steps].T
-    reference = martingale is not None
-    own, windows = martingale if reference else (0, ())
     windows = tuple((int(a), int(b)) for a, b in windows)
     if not all(0 <= a < b <= steps for a, b in windows):
         raise ParameterError(
             f"windows must be node pairs 0 <= k0 < k1 <= {steps}, got {windows}")
-    if reference and own not in range(len(fields)):
-        raise ParameterError(f"own field {own} is not one of the {len(fields)} walked")
-    if not reference and len(fields) != 1:
-        raise ParameterError(f"an isometry walk walks one field, got {len(fields)}")
     nodes = tuple(sorted({k for pair in windows for k in pair}))
     starts: dict[int, list[tuple[int, int]]] = {}  # (window, steps) by start node
     for wi, (ks, kt) in enumerate(windows):
         starts.setdefault(ks, []).append((wi, kt - ks))
-    rows = np.flatnonzero(ensemble.ok_mask)
-    n_ref = len(fields) if reference else 0
-    ito = np.empty((n_ref, rows.size, scen.dimension))
-    row_sq = np.empty(rows.size)
-    mixed = np.empty((n_ref, rows.size))
-    quad_comp = np.empty((len(windows), rows.size))
-    cross_comp = np.empty((len(windows), rows.size))
-    driver_nodes = np.empty((rows.size, scen.driver_dimension, len(nodes)))
+    ito = np.empty((len(fields), n_paths, scen.dimension))
+    row_sq = np.empty((len(fields), n_paths))
+    mixed = np.empty((len(fields), n_paths))
+    quad_comp = np.empty((len(windows), n_paths))
+    cross_comp = np.empty((len(windows), n_paths))
+    driver_nodes = np.empty((n_paths, scen.driver_dimension, len(nodes)))
+    paths = [ens.values[:, :, :steps].transpose(0, 2, 1) for ens in ensembles]
     block = max(1, WALK_POINTS // steps)
-    for r0 in range(0, rows.size, block):
-        chunk = rows[r0:r0 + block]
-        part = slice(r0, r0 + chunk.size)
-        x = ensemble.values[chunk][:, :, :steps].transpose(0, 2, 1)
-        db = ensemble.driver_increments[chunk]
-        if reference:
-            vals = evaluate_together(fields, x - w)
-            inc = np.einsum("epkij,pjk->epik", vals, db)
-            ito[:, part] = _carry(inc, [steps])[0]
-            row0 = vals[own, ..., 0, :]
-            sq, entry = np.sum(row0 ** 2, axis=-1), row0[..., 0]
-            for ks, group in starts.items():
-                wis, counts = zip(*group)
-                for wi, quad, cross in zip(wis, _carry(sq[:, ks:], counts),
-                                           _carry(entry[:, ks:], counts)):
-                    quad_comp[wi, part] = quad * dt
-                    cross_comp[wi, part] = cross * dt
+    for r0 in range(0, n_paths, block):
+        part = slice(r0, r0 + block)
+        for e, fld in enumerate(fields):
+            if e != own:
+                row = fld(paths[e][part] - snapped)[..., 0, :]
+                row_sq[e, part] = np.sum(row ** 2, axis=-1).sum(axis=1) * dt
+        x = paths[own][part]
+        db = reference.driver_increments[part]
+        vals = evaluate_together(fields, x - w)
+        inc = np.einsum("epkij,pjk->epik", vals, db)
+        ito[:, part] = _carry(inc, [steps])[0]
+        row0 = vals[own, ..., 0, :]
+        sq, entry = np.sum(row0 ** 2, axis=-1), row0[..., 0]
+        for ks, group in starts.items():
+            wis, counts = zip(*group)
+            for wi, quad, cross in zip(wis, _carry(sq[:, ks:], counts),
+                                       _carry(entry[:, ks:], counts)):
+                quad_comp[wi, part] = quad * dt
+                cross_comp[wi, part] = cross * dt
         pts = x - snapped
         vals = evaluate_together(fields, pts)
-        row_sq[part] = np.sum(vals[own, ..., 0, :] ** 2, axis=-1).sum(axis=1) * dt
-        if reference:
-            raw = scen.sigma(pts)[..., 0, :]
-            mixed[:, part] = np.sum(raw * vals[..., 0, :], axis=-1).sum(axis=2) * dt
-            b_run = np.cumsum(db, axis=2)
-            for col, k in enumerate(nodes):
-                driver_nodes[part, :, col] = b_run[:, :, k - 1] if k else 0.0
+        row_sq[own, part] = np.sum(vals[own, ..., 0, :] ** 2, axis=-1).sum(axis=1) * dt
+        raw = scen.sigma(pts)[..., 0, :]
+        mixed[:, part] = np.sum(raw * vals[..., 0, :], axis=-1).sum(axis=2) * dt
+        b_run = np.cumsum(db, axis=2)
+        for col, k in enumerate(nodes):
+            driver_nodes[part, :, col] = b_run[:, :, k - 1] if k else 0.0
     return PathSums(windows, nodes, ito, row_sq, mixed, quad_comp, cross_comp,
                     driver_nodes)
 

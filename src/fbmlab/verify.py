@@ -263,19 +263,19 @@ def _end_increments(ensemble: Ensemble) -> np.ndarray:
     return x_t - ensemble.scenario.x0[0]
 
 
-def isometry_report(ensemble: Ensemble, sums: PathSums) -> IdentityReport:
+def isometry_report(ensemble: Ensemble, sums: PathSums, e: int) -> IdentityReport:
     """E[(X_0(T) - x0_0)^2] at the horizon T against the averaged squared
-    row of a field.
+    row of a field, over the ensemble's surviving paths.
 
-    sums is a walk_ensemble pass over ensemble.  The right estimator is
-    its row_sq: the germ of |row_0 sigma_eps|^2, sigma_eps the walk's own
-    field, accumulated against the quantized perturbation along each
-    path (finest dyadic partition sum).  stderr is the paired standard
-    error of the per-path difference, since both estimators ride on the
-    same paths.
+    sums is a walk_ensemble pass whose field e, sigma_eps, solved
+    ensemble.  The right estimator is its row_sq[e]: the germ of
+    |row_0 sigma_eps|^2 accumulated against the quantized perturbation
+    along each path (finest dyadic partition sum).  stderr is the paired
+    standard error of the per-path difference, since both estimators ride
+    on the same paths.
     """
-    return _paired_report("ito_isometry", ensemble,
-                          _end_increments(ensemble) ** 2, sums.row_sq,
+    return _paired_report("ito_isometry", ensemble, _end_increments(ensemble) ** 2,
+                          sums.row_sq[e][ensemble.ok_mask],
                           ISOMETRY_MARGIN.gate, {"epsilon": ensemble.epsilon})
 
 
@@ -283,11 +283,11 @@ def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, *,
                       epsilon: float | None = None) -> IdentityReport:
     """Pairing of the martingale with the mollified integral vs the mixed germ.
 
-    sums is a reference walk_ensemble pass over ensemble (windows given),
-    whose field e is sigma_eps.  Left: E[(X_0(T) - x0_0) * I_0(T)] at the
-    horizon T, where I_0, its ito[e], is the Ito sum of row 0 of sigma_eps
-    along the ensemble paths against the shared driver.  Right: its
-    mixed[e], the mixed germ (sigma sigma_eps^T)_00 of the scenario's
+    sums is a walk_ensemble pass with reference ensemble, read at its
+    survivors, whose field e is sigma_eps.  Left: E[(X_0(T) - x0_0) * I_0(T)]
+    at the horizon T, where I_0, its ito[e], is the Ito sum of row 0 of
+    sigma_eps along the ensemble paths against the shared driver.  Right:
+    its mixed[e], the mixed germ (sigma sigma_eps^T)_00 of the scenario's
     unmollified sigma, accumulated at quantized perturbation positions.
     The ensemble should be the reference (smallest radius) solve; at that
     radius the Ito sum equals the martingale increment up to rounding (the
@@ -297,10 +297,10 @@ def cross_term_report(ensemble: Ensemble, sums: PathSums, e: int, *,
     d/p < 1 to mean anything, reported in extras.
     """
     scen = ensemble.scenario
-    left_samples = _end_increments(ensemble) * sums.ito[e][:, 0]
+    left_samples = _end_increments(ensemble) * sums.ito[e][ensemble.ok_mask, 0]
     d_over_p = scen.dimension / scen.p
     return _paired_report("cross_term", ensemble, left_samples,
-                          sums.mixed[e], CROSS_TERM_MARGIN.gate,
+                          sums.mixed[e][ensemble.ok_mask], CROSS_TERM_MARGIN.gate,
                           {"epsilon": epsilon, "d_over_p": d_over_p,
                            "hypothesis_d_over_p_lt_1": d_over_p < 1.0})
 
@@ -349,8 +349,9 @@ def martingale_reports(ensemble: Ensemble, sums: PathSums,
                        pairs: list[tuple[float, float]]) -> list[IdentityReport]:
     """Residuals E[weight * increment] for the three martingale families.
 
-    sums is a reference walk_ensemble pass whose windows are the node
-    pairs of `pairs`.  Families, for M = X_0 - x0_0 and the discrete
+    sums is a walk_ensemble pass with reference ensemble, read at its
+    survivors, whose windows are the node pairs of `pairs`.  Families, for
+    M = X_0 - x0_0 and the discrete
     compensators of the field that solved the ensemble, sigma_eps,
     evaluated along the exact (unquantized) perturbation positions:
 
@@ -364,16 +365,17 @@ def martingale_reports(ensemble: Ensemble, sums: PathSums,
     errors with no discretization margin.
     """
     scen = ensemble.scenario
+    ok = ensemble.ok_mask
     reports = []
     for w_idx, ((s, t), (k_s, k_t)) in enumerate(zip(pairs, sums.windows)):
         # Columns k_s, k_s // 2, k_t of the solution and k_s, k_t of the
         # driver: the weights read columns 0 and 1 of x_w and 0 of b_w.
-        x_w = ensemble.at_nodes(_weight_nodes(k_s, k_t))[ensemble.ok_mask]
-        b_w = sums.driver_nodes[:, :, [sums.nodes.index(k_s), sums.nodes.index(k_t)]]
+        x_w = ensemble.at_nodes(_weight_nodes(k_s, k_t))[ok]
+        b_w = sums.driver_nodes[:, :, [sums.nodes.index(k_s), sums.nodes.index(k_t)]][ok]
         mart_s = x_w[:, 0, 0] - scen.x0[0]
         mart_t = x_w[:, 0, 2] - scen.x0[0]
-        quad_comp = sums.quad_comp[w_idx]
-        cross_comp = sums.cross_comp[w_idx]
+        quad_comp = sums.quad_comp[w_idx][ok]
+        cross_comp = sums.cross_comp[w_idx][ok]
         z_level = mart_t - mart_s
         z_quad = mart_t ** 2 - mart_s ** 2 - quad_comp
         z_cross = mart_t * b_w[:, 0, 1] - mart_s * b_w[:, 0, 0] - cross_comp

@@ -712,7 +712,7 @@ def test_identity_control_is_solved_and_walked_once(tmp_path, monkeypatch, capsy
     assert all(r["passed"] for r in iso)
     assert mart["identity_passed"] and mart["identity_compensators_exact"]
     assert [s.ensemble_size for s in solved] == [4000]
-    assert [ens.n_paths for ens in walked] == [4000]
+    assert [[ens.n_paths for ens in part] for part in walked] == [[4000]]
 
 
 def test_run_calls_each_criterion_once_and_propagates_type_errors(

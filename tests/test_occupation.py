@@ -46,6 +46,16 @@ def test_grid_parameter_validation():
     for bins in (0, -3):  # 0 used to divide by zero
         with pytest.raises(ParameterError, match="bins must be >= 1"):
             SpatialGrid.from_box(-1.0, 1.0, bins)
+    # A count that is not an integer would build a grid whose mesh cannot
+    # be made; numpy integers are integers.
+    for bins in (2.5, 3.0, np.float64(3.0)):
+        with pytest.raises(ParameterError, match="bin counts must be integers"):
+            SpatialGrid.from_box(-1.0, 1.0, bins)
+        with pytest.raises(ParameterError, match="bin counts must be integers"):
+            SpatialGrid((0.1,), 0.1, (bins,))
+    grid = SpatialGrid.from_box(-1.0, 1.0, np.int64(4))
+    assert grid.centers_mesh().shape == (4, 1)
+    assert SpatialGrid((0.1, 0.1), 0.1, (np.int64(3), 2)).shape == (3, 2)
 
 
 def test_cover_snaps_to_integer_multiples():

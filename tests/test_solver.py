@@ -316,10 +316,9 @@ def test_constant_field_sweep_has_no_gap():
     scenario = QuenchedScenario(FBM, constant_field(np.array([[2.0]])), [0.0],
                                 (0.0625, 0.05), 16, BASE_SEED)
     fields = mollified_family(scenario)
-    reference = _solve(scenario, fields[0.05], 0.05)
+    radii = [fields[eps] for eps in scenario.eps_seq]
     snapped = quantized_perturbation(FBM.values, SpatialGrid.cover(FBM.values.T, GRID.dt))
-    sums = walk_ensemble(reference, [fields[eps] for eps in scenario.eps_seq],
-                         snapped, martingale=(1, []))
+    sums = walk_ensemble(solve_fields(scenario, radii), radii, snapped, 1, [])
     report = cauchy_report(scenario, sums.ito, fields, 4.0)
     assert report.eps_seq == (0.0625, 0.05)
     assert len(report.consecutive_diffs) == 1

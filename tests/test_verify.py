@@ -168,33 +168,33 @@ def test_moment_ratio_trend_verdicts():
         moment_ratio_trend(_synthetic_reports([1.0]))
 
 
-def _walk(ens, fields, windows=None):
-    """walk_ensemble over ens, quantized on SGRID."""
-    return walk_ensemble(ens, fields, quantized_perturbation(FBM.values, SGRID),
-                         None if windows is None else (0, windows))
+def _walk(ens, fields, windows=()):
+    """walk_ensemble of every field along ens, quantized on SGRID."""
+    return walk_ensemble([ens] * len(fields), fields,
+                         quantized_perturbation(FBM.values, SGRID), 0, windows)
 
 
 def test_ito_isometry_identity_coefficient():
     ens = _identity_ensemble(13)
-    report = replace(isometry_report(ens, _walk(ens, [identity_field(1)])),
+    report = replace(isometry_report(ens, _walk(ens, [identity_field(1)]), 0),
                      margin=0.0)
     assert report.right == 1.0  # sum of |row|^2 dt is exactly the horizon
     assert report.label == "coordinate 0, t=1.0"
     assert report.passed
     assert report.stderr > 0.0
     # The averaged square is quadratic in the field scale.
-    doubled = isometry_report(ens, _walk(ens, [constant_field(2.0 * np.eye(1))]))
+    doubled = isometry_report(ens, _walk(ens, [constant_field(2.0 * np.eye(1))]), 0)
     assert doubled.right == 4.0
 
 
 def test_cross_term_identity_and_zero_coefficient():
     ens = _identity_ensemble(13)
-    report = cross_term_report(ens, _walk(ens, [identity_field(1)], []), 0)
+    report = cross_term_report(ens, _walk(ens, [identity_field(1)]), 0)
     assert report.right == 1.0
     assert report.passed
     assert report.extras["hypothesis_d_over_p_lt_1"]
     assert report.extras["d_over_p"] == 0.5
-    trivial = cross_term_report(ens, _walk(ens, [constant_field(0.0 * np.eye(1))], []), 0)
+    trivial = cross_term_report(ens, _walk(ens, [constant_field(0.0 * np.eye(1))]), 0)
     assert trivial.left == 0.0 and trivial.right == 0.0
     assert trivial.stderr == 0.0 and trivial.passed
 

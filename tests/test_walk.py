@@ -182,17 +182,25 @@ def _small_config(sigma, dimension):
     return dict(cfg, paths=70, steps=32, x0=[0.5, -0.2], eps=[0.25, 0.125])
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["bounded", "frozen-paths"])
 @pytest.mark.parametrize("points", [None, 1300, 24],
                          ids=["default-blocks", "small-blocks", "one-path-blocks"])
 @pytest.mark.parametrize("sigma,dimension", [("singular", 1), ("identity", 1),
                                              ("singular", 2), ("identity", 2)])
 def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
-                                                    monkeypatch):
+                                                    frozen, monkeypatch):
     """The walk's blocks of whole rows never divide the paths: the small
     blocks hold 20 paths of 64 steps or 40 of 32 and leave a partial last
-    block, and a budget below the step count walks one path per block."""
+    block, and a budget below the step count walks one path per block.
+    With frozen paths, a low blow-up bound freezes a different set of
+    paths at each singular radius (one set for the identity field's one
+    solve), an abort fraction of 1 keeps the sweep going, and every report
+    reads its own radius's survivors."""
     if points is not None:
         monkeypatch.setattr(solver, "WALK_POINTS", points)
+    if frozen:
+        monkeypatch.setattr(solver, "BLOWUP_BOUND", 1.5)
+        monkeypatch.setattr(solver, "BLOWUP_ABORT_FRACTION", 1.0)
     cfg = _small_config(sigma, dimension)
     scenario, fields = build_scenario(cfg, WINDOWS)
     res = verify_scenario(scenario, fields, cfg["m"], cfg["gamma0"], WINDOWS)
@@ -201,9 +209,15 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
     eps_seq = scenario.eps_seq
     eps_min = min(eps_seq)
     reference = _solve(scenario, fields[eps_min], eps_min)
-    for e, eps in enumerate(eps_seq):
-        ens = (reference if eps == eps_min
-               else _solve(scenario, fields[eps], eps))
+    solved = [reference if eps == eps_min else _solve(scenario, fields[eps], eps)
+              for eps in eps_seq]
+    if frozen:
+        assert all(0 < ens.blowup_count < ens.n_paths for ens in solved)
+        masks = {ens.ok_mask.tobytes() for ens in solved}
+        assert len(masks) == (len(eps_seq) if sigma == "singular" else 1)
+    else:
+        assert all(ens.blowup_count == 0 for ens in solved)
+    for e, (eps, ens) in enumerate(zip(eps_seq, solved)):
         alone, = moment_ratio([ens], cfg["m"], cfg["gamma0"])
         assert res.ratio_reports[e].to_dict() == alone.to_dict()
         assert _report_dict(res.iso_reports[e]) == ref_isometry(
@@ -236,10 +250,11 @@ def test_verify_scenario_matches_per_step_reference(sigma, dimension, points,
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "identity"])
 def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular,
                                                              monkeypatch):
-    """A reference walk over both radii and an isometry walk of each, with
-    blocks of 12 paths of 160 steps, which the 50 or 57 surviving singular
-    paths do not fill, and with 50 points, below the step count, so one
-    path per block.  Each radius in turn is the compensated one."""
+    """One walk of both radii, each along the paths it solved, with blocks
+    of 12 paths of 160 steps, which the 97 paths do not fill, and with 50
+    points, below the step count, so one path per block.  Each radius in
+    turn is the reference, and each report reads its own ensemble's
+    survivors."""
     grid = TimeGrid(1.0, 160)
     fbm = generate_fbm(0.2, dimension, grid, 7)
     sigma = (singular_example(0.4, 1.0, dimension) if singular
@@ -248,32 +263,28 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
                             97, 5)
     fields = (mollified_family(scen) if singular
               else {eps: sigma for eps in scen.eps_seq})
-    # A low blow-up bound freezes part of the ensemble, which the sums mask.
+    # A low blow-up bound freezes part of each ensemble, which the reports mask.
     monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
-    ens = _solve(scen, fields[0.125], 0.125)
-    assert 0 < ens.blowup_count < ens.n_paths
+    solved = [_solve(scen, fields[eps], eps) for eps in scen.eps_seq]
+    assert all(0 < ens.blowup_count < ens.n_paths for ens in solved)
     qgrid = SpatialGrid.cover(fbm.values.T, grid.dt)
     snapped = quantized_perturbation(fbm.values, qgrid)
     pairs = [(0.0, 0.5), (0.25, 0.75), (0.3, 1.0)]
     windows = [grid.window(s, t) for s, t in pairs]
     radii = [fields[eps] for eps in scen.eps_seq]
-    for points in (40 * 48, 50):
+    for points in (12 * 160, 50):
         monkeypatch.setattr(solver, "WALK_POINTS", points)
-        for fld in radii:
-            isometry = solver.walk_ensemble(ens, [fld], snapped)
-            assert _report_dict(isometry_report(ens, isometry)) == (
-                ref_isometry(ens, fld, qgrid))
-        for own, own_field in enumerate(radii):
-            sums = solver.walk_ensemble(ens, radii, snapped, (own, windows))
-            assert _report_dict(isometry_report(ens, sums)) == (
-                ref_isometry(ens, own_field, qgrid))
-            for e, fld in enumerate(radii):
-                assert _report_dict(cross_term_report(ens, sums, e)) == ref_cross(
-                    ens, fld, qgrid)
-            assert _martingale_rows(martingale_reports(ens, sums, pairs)) == (
-                ref_martingale(ens, own_field, pairs))
-            report = solver.cauchy_report(scen, sums.ito, fields, 4.0)
-            assert np.array_equal(report.terminal_integrals, ref_terminals(ens, fields))
+        for own, ref in enumerate(solved):
+            sums = solver.walk_ensemble(solved, radii, snapped, own, windows)
+            for e, (ens, fld) in enumerate(zip(solved, radii)):
+                assert _report_dict(isometry_report(ens, sums, e)) == (
+                    ref_isometry(ens, fld, qgrid))
+                assert _report_dict(cross_term_report(ref, sums, e)) == ref_cross(
+                    ref, fld, qgrid)
+            assert _martingale_rows(martingale_reports(ref, sums, pairs)) == (
+                ref_martingale(ref, radii[own], pairs))
+            report = solver.cauchy_report(scen, sums.ito[:, ref.ok_mask], fields, 4.0)
+            assert np.array_equal(report.terminal_integrals, ref_terminals(ref, fields))
 
 
 def _bits(a):
@@ -282,13 +293,13 @@ def _bits(a):
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeypatch):
-    """The reference walk's compensators and squared row are those of the
-    field that solved the ensemble, byte for byte the per-step loops', on
-    windows that share a start node.  An isometry walk of each radius, and
-    a single-field walk of one radius and of the identity field, keep the
-    bytes of the per-step loops too,
-    with frozen paths and blocks of 20 paths that the survivors do not
-    fill."""
+    """The walk's compensators are those of the reference field, and each
+    field's squared row is that of the field itself, byte for byte the
+    per-step loops' on the survivors, on windows that share a start node.
+    Every row is walked, blown-up ones too, which stay finite; a row's
+    bytes do not depend on which field is the reference, nor on the other
+    fields walked, with frozen paths and blocks of 20 paths that the 61
+    paths do not fill."""
     grid = TimeGrid(1.0, 96)
     fbm = generate_fbm(0.2, dimension, grid, 7)
     scen = QuenchedScenario(fbm, singular_example(0.4, 1.0, dimension),
@@ -298,42 +309,49 @@ def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeyp
     monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.9)
     monkeypatch.setattr(solver, "WALK_POINTS", 20 * grid.steps)
     ens = _solve(scen, radii[1], 0.125)
+    ok = ens.ok_mask
     assert 0 < ens.blowup_count < ens.n_paths
     snapped = quantized_perturbation(fbm.values, SpatialGrid.cover(fbm.values.T, grid.dt))
     windows = [(0, 48), (24, 72), (24, 96), (30, 96)]
 
-    sums = solver.walk_ensemble(ens, radii, snapped, (1, windows))
-    survivors = ens.n_paths - ens.blowup_count
-    assert sums.quad_comp.shape == sums.cross_comp.shape == (len(windows), survivors)
+    sums = solver.walk_ensemble([ens, ens], radii, snapped, 1, windows)
+    assert sums.quad_comp.shape == sums.cross_comp.shape == (len(windows), ens.n_paths)
+    assert sums.row_sq.shape == sums.mixed.shape == (len(radii), ens.n_paths)
+    for name in ("ito", "row_sq", "mixed", "quad_comp", "cross_comp", "driver_nodes"):
+        assert np.isfinite(getattr(sums, name)).all(), name
     for wi, (k0, k1) in enumerate(windows):
         quad, cross = ref_compensators(ens, radii[1], k0, k1)
-        assert _bits(sums.quad_comp[wi]) == _bits(quad)
-        assert _bits(sums.cross_comp[wi]) == _bits(cross)
-    assert _bits(sums.ito) == _bits(ref_terminals(ens, fields))
-    assert _bits(sums.row_sq) == _bits(ref_row_sq(ens, radii[1], snapped))
+        assert _bits(sums.quad_comp[wi][ok]) == _bits(quad)
+        assert _bits(sums.cross_comp[wi][ok]) == _bits(cross)
+    assert _bits(sums.ito[:, ok]) == _bits(ref_terminals(ens, fields))
     for e, fld in enumerate(radii):
-        assert _bits(solver.walk_ensemble(ens, [fld], snapped).row_sq) == _bits(
-            ref_row_sq(ens, fld, snapped))
-        assert _bits(sums.mixed[e]) == _bits(ref_mixed(ens, fld, snapped))
-    alone = solver.walk_ensemble(ens, radii[1:], snapped, (0, windows))
-    for name in ("ito", "mixed"):
+        assert _bits(sums.row_sq[e][ok]) == _bits(ref_row_sq(ens, fld, snapped))
+        assert _bits(sums.mixed[e][ok]) == _bits(ref_mixed(ens, fld, snapped))
+    # Field 0 squared alone along the paths and field 1 read with the
+    # stacked reference reads give the rows they give the other way round.
+    flipped = solver.walk_ensemble([ens, ens], radii, snapped, 0, windows)
+    for name in ("ito", "row_sq", "mixed", "driver_nodes"):
+        assert _bits(getattr(flipped, name)) == _bits(getattr(sums, name))
+    alone = solver.walk_ensemble([ens], radii[1:], snapped, 0, windows)
+    for name in ("ito", "row_sq", "mixed"):
         assert _bits(getattr(alone, name)[0]) == _bits(getattr(sums, name)[1])
-    for name in ("row_sq", "quad_comp", "cross_comp", "driver_nodes"):
+    for name in ("quad_comp", "cross_comp", "driver_nodes"):
         assert _bits(getattr(alone, name)) == _bits(getattr(sums, name))
 
     ident = identity_field(dimension)
     id_scen = QuenchedScenario(fbm, ident, np.full(dimension, 0.3), (0.25,), 61, 5)
     id_ens = _solve(id_scen, ident)
-    id_sums = solver.walk_ensemble(id_ens, [ident], snapped, (0, windows))
+    id_ok = id_ens.ok_mask
+    id_sums = solver.walk_ensemble([id_ens], [ident], snapped, 0, windows)
     for wi, (k0, k1) in enumerate(windows):
         quad, cross = ref_compensators(id_ens, ident, k0, k1)
-        assert _bits(id_sums.quad_comp[wi]) == _bits(quad)
-        assert _bits(id_sums.cross_comp[wi]) == _bits(cross)
-    assert _bits(id_sums.ito) == _bits(ref_terminals(id_ens, {0.25: ident}))
-    assert _bits(id_sums.row_sq) == _bits(ref_row_sq(id_ens, ident, snapped))
-    assert _bits(id_sums.mixed[0]) == _bits(ref_mixed(id_ens, ident, snapped))
-    assert _bits(solver.walk_ensemble(id_ens, [ident], snapped).row_sq) == _bits(
-        id_sums.row_sq)
+        assert _bits(id_sums.quad_comp[wi][id_ok]) == _bits(quad)
+        assert _bits(id_sums.cross_comp[wi][id_ok]) == _bits(cross)
+    assert _bits(id_sums.ito[:, id_ok]) == _bits(ref_terminals(id_ens, {0.25: ident}))
+    assert _bits(id_sums.row_sq[0][id_ok]) == _bits(ref_row_sq(id_ens, ident, snapped))
+    assert _bits(id_sums.mixed[0][id_ok]) == _bits(ref_mixed(id_ens, ident, snapped))
+    twice = solver.walk_ensemble([id_ens] * 2, [ident] * 2, snapped, 0, windows)
+    assert _bits(twice.row_sq[1]) == _bits(id_sums.row_sq[0])
 
 
 # --- drivers ---------------------------------------------------------------------
@@ -375,23 +393,26 @@ def test_walk_rejects_too_few_snapped_positions():
     scen = QuenchedScenario(generate_fbm(0.2, 1, TimeGrid(1.0, 16), 3),
                             identity_field(1), [0.0], (0.5,), 4, 1)
     ens = _solve(scen, scen.sigma)
+    ident = identity_field(1)
     with pytest.raises(ParameterError):
-        solver.walk_ensemble(ens, [identity_field(1)], np.zeros((15, 1)))
+        solver.walk_ensemble([ens], [ident], np.zeros((15, 1)), 0, [])
     # Every window must be a node pair of the grid: the sums of an empty
     # window, or one past the horizon, are not a window's sums.
     for windows in ([(4, 4)], [(8, 4)], [(0, 17)], [(-1, 4)]):
         with pytest.raises(ParameterError, match="node pairs"):
-            solver.walk_ensemble(ens, [identity_field(1)], np.zeros((16, 1)),
-                                 (0, windows))
-    # The compensated field must be one of the walked fields.
+            solver.walk_ensemble([ens], [ident], np.zeros((16, 1)), 0, windows)
+    # The reference must be one of the walked fields.
     for own in (1, -1):
         with pytest.raises(ParameterError, match="own field"):
-            solver.walk_ensemble(ens, [identity_field(1)], np.zeros((16, 1)),
-                                 (own, [(0, 4)]))
-    # An isometry walk squares its one field's row; it walks no other.
-    for fields in ([], [identity_field(1)] * 2):
-        with pytest.raises(ParameterError, match="walks one field"):
-            solver.walk_ensemble(ens, fields, np.zeros((16, 1)))
+            solver.walk_ensemble([ens], [ident], np.zeros((16, 1)), own, [(0, 4)])
+    # Each field walks the paths of its own ensemble: one ensemble per
+    # field, all with the same rows.
+    for ensembles, fields in (([ens], [ident] * 2), ([ens] * 2, [ident])):
+        with pytest.raises(ParameterError, match="ensembles for"):
+            solver.walk_ensemble(ensembles, fields, np.zeros((16, 1)), 0, [])
+    fewer = _solve(replace(scen, ensemble_size=3), scen.sigma)
+    with pytest.raises(ParameterError, match="different numbers of paths"):
+        solver.walk_ensemble([ens, fewer], [ident] * 2, np.zeros((16, 1)), 0, [])
 
 
 def _carry_from_zero(terms):
@@ -504,8 +525,8 @@ def test_sweep_blowup_names_the_radius_and_whole_ensemble_count(case, monkeypatc
 
 def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
     """Every radius of the identity sweep shares one field, so one recursion
-    and one reference walk of that one field serve them all; each report
-    keeps its own radius."""
+    and one walk of that one field serve them all; each report keeps its
+    own radius."""
     calls = {"recursions": 0, "walks": 0}
     walk_fields = []
 
@@ -514,8 +535,8 @@ def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
             calls[name] += 1
             if name == "walks":
                 walk = inspect.signature(fn).bind(*args, **kwargs).arguments
-                walk_fields.append((len(walk["fields"]),
-                                    walk.get("martingale") is not None))
+                walk_fields.append((len(walk["ensembles"]), len(walk["fields"]),
+                                    walk["own"]))
             return fn(*args, **kwargs)
         return call
 
@@ -526,7 +547,7 @@ def test_identity_sweep_solves_and_walks_its_field_once(monkeypatch):
     cfg = _small_config("identity", 1)
     res = verify_scenario(*build_scenario(cfg, WINDOWS), cfg["m"], cfg["gamma0"], WINDOWS)
     assert calls == {"recursions": 1, "walks": 1}
-    assert walk_fields == [(1, True)]
+    assert walk_fields == [(1, 1, 0)]
     eps_seq = tuple(cfg["eps"])
     assert tuple(r.epsilon for r in res.ratio_reports) == eps_seq
     assert tuple(r.extras["epsilon"] for r in res.iso_reports) == eps_seq
