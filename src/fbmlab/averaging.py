@@ -28,7 +28,7 @@ from .errors import (CoverageError, HypothesisError, InsufficientDataError,
                      ParameterError)
 from .fields import _fftconvolve
 from .occupation import OccupationMeasure, SpatialGrid, _exact_sum
-from .paths import _write_csv
+from .paths import _check_hurst, _write_csv
 
 _NOISE_FLOOR_RTOL = 1e-12
 
@@ -206,8 +206,7 @@ class RegularityBudget:
 def admissible_regularity(hurst: float, dimension: int, p: float,
                           variant: str = "moment") -> RegularityBudget:
     """Closed-form regularity budget for the averaging operator."""
-    if not (0.0 < hurst < 1.0):
-        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
+    _check_hurst(hurst)
     if dimension < 1:
         raise ParameterError("dimension must be >= 1")
     if p < 1.0:

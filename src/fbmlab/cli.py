@@ -6,7 +6,8 @@ experiments E0 to E6 and writes a reproducible artifact directory:
 
     config.json    the experiment and the table format; experiments take no config
     summary.json   results without wall times, byte-stable across reruns
-    run_meta.json  timestamps, versions, wall time, each criterion's seconds
+    run_meta.json  timestamps, versions, numpy's SIMD extensions, wall time,
+                   each criterion's seconds
     results.csv/.json   flat tables for the experiment
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid configuration
@@ -201,6 +202,7 @@ def run_experiment(name: str, out_dir: Path, fmt: str) -> int:
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "numpy_simd": np.show_config(mode="dicts")["SIMD Extensions"],
     })
     if rows:
         _write_rows(out_dir / "results", rows, fmt)

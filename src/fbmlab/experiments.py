@@ -334,8 +334,8 @@ def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None,
     A run holds one chunk of paths (_chunk_paths) of every distinct field:
     one per radius for a mollified field, one in all otherwise.  Per path
     it keeps each field's blow-up flag and the nodes of _kept_nodes, and a
-    verify run (martingale_windows given) each radius's Ito, squared-row
-    and mixed sums.  A mollified field adds one lattice table per radius.
+    verify run (martingale_windows given) the sums of _walk_floats.  A
+    mollified field adds one lattice table per radius.
     """
     d, n_eps = scenario.dimension, len(scenario.eps_seq)
     n_fields = n_eps if lattice is not None else 1
@@ -344,7 +344,7 @@ def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None,
     windows = (None if martingale_windows is None
                else [grid.window(s, t) for s, t in martingale_windows])
     nodes = len(_kept_nodes(grid, windows))
-    sums = 0 if windows is None else n_eps * (d + 2)
+    sums = 0 if windows is None else _walk_floats(scenario, n_fields, windows)
     kept = 8 * scenario.ensemble_size * (n_fields * (d * nodes + 1) + sums)
     lattice_bytes = (0 if lattice is None else 8 * n_eps * math.prod(lattice.bins)
                      * d * scenario.driver_dimension)
@@ -352,6 +352,16 @@ def _check_memory(scenario: QuenchedScenario, lattice: SpatialGrid | None,
                    f"the run ({lattice_bytes / 1e9:.3g} GB of mollified lattices, "
                    f"{rows * per_path / 1e9:.3g} GB of solution paths and drivers, "
                    f"{kept / 1e9:.3g} GB of kept nodes and sums)")
+
+
+def _walk_floats(scenario: QuenchedScenario, n_fields: int,
+                 windows: list[tuple[int, int]]) -> int:
+    """Floats per path in the PathSums of a walk of n_fields fields: Ito,
+    squared-row and mixed sums per field, two compensators per window and
+    the driver at each window end point."""
+    ends = {k for pair in windows for k in pair}
+    return (n_fields * (scenario.dimension + 2) + 2 * len(windows)
+            + scenario.driver_dimension * len(ends))
 
 
 def _kept_nodes(grid: TimeGrid, windows: list[tuple[int, int]] | None
@@ -365,20 +375,6 @@ def _kept_nodes(grid: TimeGrid, windows: list[tuple[int, int]] | None
                              for k in pair}))
     return tuple(sorted({k for pair in grid.dyadic_windows(verify.MOMENT_MAX_LEVEL)
                          for k in pair} | martingale_nodes(windows)))
-
-
-@dataclass(frozen=True, eq=False)
-class _KeptNodes(Ensemble):
-    """An ensemble reduced to the grid nodes `nodes`: values (paths, d,
-    len(nodes)), rows as in the sweep's PathSums.  It has no drivers, so
-    only what reads nodes and blow-ups (moment_table, moment_ratio, the
-    report builders) takes it, never walk_ensemble.
-    """
-
-    nodes: tuple[int, ...]
-
-    def at_nodes(self, ks) -> np.ndarray:
-        return self.values[:, :, [self.nodes.index(k) for k in ks]]
 
 
 def _distinct_fields(scenario: QuenchedScenario, fields: dict[float, MatrixField]
@@ -398,8 +394,8 @@ def _solve_in_chunks(scenario: QuenchedScenario, fields: list[MatrixField],
     (CHUNK_BYTES) and reduced to the grid nodes keep.  Each chunk draws its
     drivers, solves every field in one recursion and is read by walk(part),
     when given, before it is dropped.  Rows depend on their own drivers
-    alone, so no result depends on the chunk size.  Returns one _KeptNodes
-    per field, with no radius, and the walks."""
+    alone, so no result depends on the chunk size.  Returns one Ensemble
+    per field, with no radius and only the nodes keep, and the walks."""
     size, _ = _chunk_paths(scenario, len(fields))
     chunks, walked = [], []
     for first in range(0, scenario.ensemble_size, size):
@@ -410,7 +406,7 @@ def _solve_in_chunks(scenario: QuenchedScenario, fields: list[MatrixField],
             walked.append(walk(part))
         chunks.append([(ens.at_nodes(keep), ens.blowup_steps) for ens in part])
         del part, rows  # so the next chunk does not run beside this one
-    return [_KeptNodes(scenario, None, *map(np.concatenate, zip(*parts)), keep)
+    return [Ensemble(scenario, None, *map(np.concatenate, zip(*parts)), keep)
             for parts in zip(*chunks)], walked
 
 

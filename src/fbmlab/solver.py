@@ -166,17 +166,15 @@ def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Solution paths, their drivers and blow-up bookkeeping."""
+    """Solution paths at the grid nodes `nodes`, one per column of values
+    (range(steps + 1) for a whole solve; a sweep keeps those its reports
+    read), and blow-up bookkeeping.  The drivers stay on the scenario."""
 
     scenario: QuenchedScenario
     epsilon: float | None
-    values: np.ndarray = field(repr=False)       # (paths, d, steps + 1)
+    values: np.ndarray = field(repr=False)       # (paths, d, len(nodes))
     blowup_steps: np.ndarray = field(repr=False)  # (paths,), -1 = none
-
-    @property
-    def driver_increments(self) -> np.ndarray:
-        """The scenario's drivers (paths, n, steps), shared by all its solves."""
-        return self.scenario.driver_increments
+    nodes: Sequence[int] = field(repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -192,7 +190,7 @@ class Ensemble:
 
     def at_nodes(self, ks) -> np.ndarray:
         """X(t_k) of every path for k in ks, (paths, d, len(ks))."""
-        return self.values[:, :, list(ks)]
+        return self.values[:, :, [self.nodes.index(k) for k in ks]]
 
     def window_increments(self, windows: list[tuple[int, int]]):
         """Yield X(t_k1) - X(t_k0) of the surviving paths, (ok_paths, d), per window.
@@ -233,7 +231,8 @@ def solve_fields(scenario: QuenchedScenario,
         raise ParameterError("field shape differs from the scenario's")
     values, blowup = _euler_batch(fields, scenario.fbm.values,
                                   scenario.driver_increments, scenario.x0)
-    return [Ensemble(scenario, None, v, b) for v, b in zip(values, blowup)]
+    nodes = range(scenario.grid.steps + 1)
+    return [Ensemble(scenario, None, v, b, nodes) for v, b in zip(values, blowup)]
 
 
 def _abort_on_blowups(ens: Ensemble) -> None:
@@ -350,7 +349,8 @@ def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
     """Every per-path sum of the identity checks in one pass over a chunk.
 
     ensembles[e] holds the paths fields[e] solved over one scenario's
-    drivers, and ensembles[own] is the reference; windows are node pairs
+    drivers, at every grid node, and ensembles[own] is the reference,
+    whose scenario gives the drivers; windows are node pairs
     and snapped the quantized perturbation z (PathSums).  The walk covers
     the whole horizon on coordinate 0.  Nothing here is recursive, so it
     goes through every row in blocks of max(1, WALK_POINTS // steps) whole
@@ -369,6 +369,8 @@ def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
         raise ParameterError("the ensembles hold different numbers of paths")
     scen = reference.scenario
     steps, dt = scen.grid.steps, scen.grid.dt
+    if any(list(ens.nodes) != list(range(steps + 1)) for ens in ensembles):
+        raise ParameterError("the walk needs ensembles that hold every grid node")
     if snapped.shape[0] < steps:
         raise ParameterError(f"need {steps} snapped positions, got {snapped.shape[0]}")
     snapped = snapped[:steps]
@@ -396,7 +398,7 @@ def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
                 row = fld(paths[e][part] - snapped)[..., 0, :]
                 row_sq[e, part] = np.sum(row ** 2, axis=-1).sum(axis=1) * dt
         x = paths[own][part]
-        db = reference.driver_increments[part]
+        db = scen.driver_increments[part]
         vals = evaluate_together(fields, x - w)
         inc = np.einsum("epkij,pjk->epik", vals, db)
         ito[:, part] = _carry(inc, [steps])[0]

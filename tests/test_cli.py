@@ -621,6 +621,19 @@ def test_run_e1_summary_holds_no_wall_time(tmp_path, monkeypatch, capsys):
         assert meta["criterion_s"]["fbm-covariance"] > 0
 
 
+def test_run_meta_records_the_simd_extensions_numpy_found(tmp_path, capsys):
+    """The pinned digests hold only where numpy finds the SIMD extensions
+    they were recorded with, so run_meta.json records numpy's list, read
+    without printing it; summary.json does not."""
+    assert main(["run", "--experiment", "E4", "--out", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out
+    simd = json.loads((tmp_path / "run_meta.json").read_text())["numpy_simd"]
+    assert simd == np.show_config(mode="dicts")["SIMD Extensions"]
+    assert "found" in simd
+    assert "SIMD" not in stdout
+    assert "numpy_simd" not in (tmp_path / "summary.json").read_text()
+
+
 # sha256 of fbmlab run --experiment E0's summary.json, pinned with numpy 2.4
 # on Python 3.11 (x86-64).  Any change to the identity-field control's
 # solve, walk or reports that moves a bit of it fails here.
@@ -806,9 +819,10 @@ def test_pre_flight_counts_the_nodes_each_command_keeps(tmp_path, monkeypatch,
     """At the headline settings fbmlab verify keeps 17 nodes of each path,
     the level-4 dyadic end points (which hold the martingale nodes), and
     fbmlab solve the moment table's 65.  At 1000 paths the pre-flight
-    estimates 50,067,840 bytes for verify and 51,867,840 for solve; with
+    estimates 50,123,840 bytes for verify and 51,867,840 for solve; with
     51,000,000 bytes of physical memory verify passes it and solve does
-    not.  It used to count 65 nodes for verify too, and refuse it."""
+    not.  It used to count 65 nodes for verify too, and refuse it.
+    Verify's count holds the walk's 22 sums per path (_walk_floats)."""
     def passed(*_args):
         raise _PassedPreFlight
 
@@ -819,6 +833,9 @@ def test_pre_flight_counts_the_nodes_each_command_keeps(tmp_path, monkeypatch,
         main(["verify", "--config", path])
     assert main(["solve", "--config", path]) == 2
     assert "needs at least 51,867,840 bytes" in capsys.readouterr().err
+    _physical_memory(monkeypatch, 50_000_000)
+    assert main(["verify", "--config", path]) == 2
+    assert "needs at least 50,123,840 bytes" in capsys.readouterr().err
 
     grid = paths.TimeGrid(1.0, 1024)
     halves = [grid.window(0.25, 0.5), grid.window(0.5, 1.0)]

@@ -72,7 +72,7 @@ def test_identity_field_reduces_to_the_driver():
     bit-identical rounding to a running cumulative sum."""
     ens = _solve(_identity_scenario())
     expected = np.zeros_like(ens.values)
-    expected[:, :, 1:] = np.cumsum(ens.driver_increments, axis=2)
+    expected[:, :, 1:] = np.cumsum(ens.scenario.driver_increments, axis=2)
     assert np.array_equal(ens.values, expected)
     assert ens.blowup_count == 0
     assert ens.epsilon is None
@@ -86,8 +86,8 @@ def test_scenario_rows_are_a_window_of_the_ensemble():
     for first, size in ((0, 5), (5, 27), (31, 1)):
         rows = replace(_identity_scenario(), first_path=first, ensemble_size=size)
         part = _solve(rows)
-        assert np.array_equal(part.driver_increments,
-                              whole.driver_increments[first:first + size])
+        assert np.array_equal(part.scenario.driver_increments,
+                              whole.scenario.driver_increments[first:first + size])
         assert np.array_equal(part.values, whole.values[first:first + size])
     with pytest.raises(ParameterError):
         replace(_identity_scenario(), first_path=(1 << 32) - 2, ensemble_size=3)
@@ -146,7 +146,7 @@ def test_solves_are_deterministic_and_split_independent(d, order, k, bound, spli
     a = _solve(scenario)
     b = _solve(scenario)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.driver_increments, b.driver_increments)
+    assert np.array_equal(a.scenario.driver_increments, b.scenario.driver_increments)
 
     _fbm, members = STACKS[d]
     chosen = [members[e] for e in order[:k]]
@@ -216,7 +216,8 @@ def test_radius_sweep_shares_drivers():
     coarse = _solve(scenario, fields[0.5], 0.5)
     fine = _solve(scenario, fields[0.25], 0.25)
     assert coarse.epsilon == 0.5 and fine.epsilon == 0.25
-    assert np.array_equal(coarse.driver_increments, fine.driver_increments)
+    assert np.array_equal(coarse.scenario.driver_increments,
+                          fine.scenario.driver_increments)
 
 
 def _adapted_fields(d: int):

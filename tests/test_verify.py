@@ -104,7 +104,7 @@ def test_stacked_bootstrap_equals_each_ensemble_alone(blown, d, seed, m):
         steps = np.full(12, -1)
         steps[rng.choice(12, size=count, replace=False)] = 5
         values = np.cumsum(rng.normal(scale=0.125, size=(12, d, 65)), axis=2)
-        ensembles.append(Ensemble(scenario, 0.5 ** e, values, steps))
+        ensembles.append(Ensemble(scenario, 0.5 ** e, values, steps, range(65)))
     together = moment_ratio(ensembles, m, 0.5)
     for ens, report in zip(ensembles, together):
         alone, = moment_ratio([ens], m, 0.5)
@@ -135,8 +135,8 @@ def test_moment_ratio_refuses_an_ensemble_of_too_few_paths(survivors, monkeypatc
                        axis=2)
     steps = np.full(12, 5)
     steps[:survivors] = -1
-    ensembles = [Ensemble(scenario, 0.5, values, np.full(12, -1)),
-                 Ensemble(scenario, 0.25, values, steps)]
+    ensembles = [Ensemble(scenario, 0.5, values, np.full(12, -1), range(65)),
+                 Ensemble(scenario, 0.25, values, steps, range(65))]
     streams = []
     philox = np.random.Philox
 

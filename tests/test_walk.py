@@ -88,7 +88,7 @@ def ref_cross(ens, sigma_eps, grid, epsilon=None, margin_fraction=0.05):
     scen = ens.scenario
     k_t = scen.grid.steps
     ok = ens.ok_mask
-    x_nodes, db, w = ens.values[ok], ens.driver_increments[ok], scen.fbm.values
+    x_nodes, db, w = ens.values[ok], scen.driver_increments[ok], scen.fbm.values
     ito = np.zeros(x_nodes.shape[0])
     for k in range(k_t):
         mats = sigma_eps(x_nodes[:, :, k] - w[:, k])
@@ -121,7 +121,7 @@ def ref_martingale(ens, sigma_eps, pairs):
     tg = scen.grid
     j = i = 0
     ok = ens.ok_mask
-    x_nodes, db = ens.values[ok], ens.driver_increments[ok]
+    x_nodes, db = ens.values[ok], scen.driver_increments[ok]
     b_nodes = np.concatenate([np.zeros((db.shape[0], db.shape[1], 1)),
                               np.cumsum(db, axis=2)], axis=2)
     mart = x_nodes[:, j, :] - scen.x0[j]
@@ -149,7 +149,7 @@ def ref_martingale(ens, sigma_eps, pairs):
 def ref_terminals(ens, fields):
     scen = ens.scenario
     ok = ens.ok_mask
-    x_nodes, db, w = ens.values[ok], ens.driver_increments[ok], scen.fbm.values
+    x_nodes, db, w = ens.values[ok], scen.driver_increments[ok], scen.fbm.values
     out = np.zeros((len(scen.eps_seq), x_nodes.shape[0], scen.dimension))
     for e, eps in enumerate(scen.eps_seq):
         for k in range(scen.grid.steps):
@@ -383,8 +383,8 @@ def test_sweep_draws_each_driver_stream_once(monkeypatch):
     with pytest.raises(ValueError):
         db[0, 0, 0] = 1.0
     ens = _solve(scenario, fields[0.25], 0.25)
-    assert ens.driver_increments is db
-    assert _solve(scenario, fields[0.125]).driver_increments is db
+    assert ens.scenario.driver_increments is db
+    assert _solve(scenario, fields[0.125]).scenario.driver_increments is db
     assert len(streams) == cfg["paths"] * n
     assert set(streams) == sweep_streams
 
@@ -488,6 +488,84 @@ def test_sweep_does_not_depend_on_the_chunk_size(sigma, dimension, monkeypatch):
         assert sweep() == whole
         assert len(drawn) == math.ceil(cfg["paths"] / budget)
         assert sum(drawn) == cfg["paths"] and max(drawn) - min(drawn) <= 1
+
+
+def _chunks_of_37(scenario, n_fields, monkeypatch):
+    monkeypatch.setattr(experiments, "CHUNK_BYTES",
+                        37 * experiments._chunk_paths(scenario, n_fields)[1])
+
+
+@pytest.mark.parametrize("sigma,dimension", [("singular", 1), ("identity", 1),
+                                             ("singular", 2), ("identity", 2)])
+def test_kept_ensembles_read_the_whole_solve_at_their_nodes(sigma, dimension,
+                                                            monkeypatch):
+    """A sweep's kept ensembles, solved in chunks of 37 paths, name the
+    nodes they keep and read the whole solve's values there bit for bit,
+    in any order, with its blow-up steps.  The walk refuses them, alone or
+    beside whole ones: it reads every node."""
+    cfg = _small_config(sigma, dimension)
+    scenario, fields = build_scenario(cfg, WINDOWS)
+    distinct, _slot = experiments._distinct_fields(scenario, fields)
+    grid = scenario.grid
+    keep = experiments._kept_nodes(grid, [grid.window(s, t) for s, t in WINDOWS])
+    whole = solver.solve_fields(scenario, distinct)
+    _chunks_of_37(scenario, len(distinct), monkeypatch)
+    kept, _ = experiments._solve_in_chunks(scenario, distinct, keep)
+    assert len(kept) == len(whole) == (1 if sigma == "identity" else len(cfg["eps"]))
+    for ens, full in zip(kept, whole):
+        assert ens.nodes == keep and full.nodes == range(grid.steps + 1)
+        assert ens.values.shape == (cfg["paths"], dimension, len(keep))
+        for ks in (keep, keep[::-3]):
+            assert ens.at_nodes(ks).tobytes() == full.values[:, :, list(ks)].tobytes()
+            assert ens.at_nodes(ks).tobytes() == full.at_nodes(ks).tobytes()
+        assert np.array_equal(ens.blowup_steps, full.blowup_steps)
+    snapped = quantized_perturbation(scenario.fbm.values, scenario.quant_grid)
+    for ensembles in (kept, whole[:-1] + kept[-1:]):
+        with pytest.raises(ParameterError, match="every grid node"):
+            solver.walk_ensemble(ensembles, distinct, snapped, 0, [])
+
+
+@pytest.mark.parametrize("sigma", ["singular", "identity"])
+def test_sweeps_draw_no_drivers_on_the_whole_scenario(sigma):
+    """solve_scenario and verify_scenario draw each chunk's drivers on that
+    chunk's scenario; the sweep's own scenario, which its kept ensembles
+    name, never caches drivers for every path, and reading a kept
+    ensemble's moment table draws none."""
+    cfg = _small_config(sigma, 1)
+    scenario, fields = build_scenario(cfg, WINDOWS)
+    for ens in experiments.solve_scenario(scenario, fields):
+        assert ens.scenario is scenario
+        ens.moment_table(cfg["m"])
+    assert "driver_increments" not in vars(scenario)
+    verify_scenario(scenario, fields, cfg["m"], cfg["gamma0"], WINDOWS)
+    assert "driver_increments" not in vars(scenario)
+
+
+@pytest.mark.parametrize("sigma,dimension", [("singular", 1), ("identity", 1),
+                                             ("singular", 2), ("identity", 2)])
+def test_pre_flight_counts_the_sums_the_walk_holds(sigma, dimension, monkeypatch):
+    """The pre-flight's sums per path, _walk_floats, are the bytes of every
+    array of the sweep's joined PathSums, walked in chunks of 37 paths."""
+    cfg = _small_config(sigma, dimension)
+    scenario, fields = build_scenario(cfg, WINDOWS)
+    n_fields = len(experiments._distinct_fields(scenario, fields)[0])
+    walked = []
+    walk = experiments.walk_ensemble
+
+    def kept(*args):
+        walked.append(walk(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(experiments, "walk_ensemble", kept)
+    _chunks_of_37(scenario, n_fields, monkeypatch)
+    verify_scenario(scenario, fields, cfg["m"], cfg["gamma0"], WINDOWS)
+    assert len(walked) == math.ceil(cfg["paths"] / 37)
+    sums = solver.PathSums.join(walked)
+    held = sum(value.nbytes for value in vars(sums).values()
+               if isinstance(value, np.ndarray))
+    windows = [scenario.grid.window(s, t) for s, t in WINDOWS]
+    assert held == 8 * cfg["paths"] * experiments._walk_floats(scenario, n_fields,
+                                                               windows)
 
 
 def _first_failing_radius(scenario, fields):
