@@ -19,7 +19,7 @@ from .errors import (BlowUpError, ClampWarning, CoverageError, FbmLabError,
                      IntegrabilityWarning, ParameterError, ResolutionError)
 from .fields import (CLAMP_VALUE, MatrixField, MollifierSpec, ScalarField,
                      constant_field, hs_norm_sq, identity_field, lp_norm,
-                     mollify, singular_example)
+                     singular_example)
 from .occupation import (OccupationMeasure, SpatialGrid, local_time,
                          occupation_formula_residual)
 from .paths import FbmPath, TimeGrid, fbm_covariance, generate_fbm
@@ -49,7 +49,7 @@ __all__ = [
     "hs_norm_sq", "holder_exponent", "hurst_admissible_fbm_driver",
     "hurst_admissible_main", "identity_field",
     "lebesgue_vs_sewing", "local_time", "lp_norm", "moment_ratio",
-    "moment_ratio_trend", "mollified_family", "mollify",
+    "moment_ratio_trend", "mollified_family",
     "occupation_formula_residual", "quantized_perturbation", "sew",
     "singular_example", "weight_dictionary",
 ]

@@ -9,17 +9,17 @@ points, and lp_norm refines the bins at exactly those.
 Mollification convolves the field with the fixed bump (1 - |u|^2)**4 after
 a smooth cut-off: sigma_eps = rho_eps * (phi_eps * sigma), where rho_eps has
 support in the ball of radius eps and unit mass, and phi_eps equals 1 on
-the ball of radius 1/(2 eps) and 0 outside radius 1/eps.  The convolution
-runs entry by entry on a sampling grid via zero-padded FFT into a
-LatticeStack member, the one lattice field type, whose layout only this
-module knows: it interpolates multilinearly between bin centers and is zero
-off the lattice and beyond its radius, as the mollified field's compact
-support is.  Each read interpolates its live points alone, those inside
-the lattice and within the radius, and writes +0.0 at the rest, so a
-table must be finite: which of two NaNs numpy's add keeps depends on the
-array's length, and a sum over fewer rows could flip a NaN's sign.
-Fields subtract pointwise, which is how the Cauchy gaps between radii are
-built.
+the ball of radius 1/(2 eps) and 0 outside radius 1/eps.  The field is
+sampled once for all radii, and each convolution runs entry by entry via
+zero-padded FFT into a member of one LatticeStack, the one lattice field
+type, whose layout only this module knows: it interpolates multilinearly
+between bin centers and is zero off the lattice and beyond its radius, as
+the mollified field's compact support is.  Each read interpolates its
+live points alone, those inside the lattice and within the radius, and
+writes +0.0 at the rest, so a table must be finite: which of two NaNs
+numpy's add keeps depends on the array's length, and a sum over fewer
+rows could flip a NaN's sign.  Fields subtract pointwise, which is how
+the Cauchy gaps between radii are built.
 """
 
 from __future__ import annotations
@@ -222,39 +222,47 @@ def mollify(field: MatrixField, spec: MollifierSpec, grid: SpatialGrid) -> Matri
 
     The grid must resolve the kernel: h <= eps / 4.  The discrete kernel is
     renormalized to unit sum, so constant fields pass through unchanged on
-    the deep interior.  The result, a one-member LatticeStack's member, is 0
-    off the grid, consistent with support inside the ball of radius 1/eps + eps.
+    the deep interior.  The result, the member of a one-member LatticeStack
+    built as mollified_family builds its stack, is 0 off the grid,
+    consistent with support inside the ball of radius 1/eps + eps.
     """
-    eps = spec.epsilon
-    if grid.h > eps / 4.0 + 1e-15:
-        raise ResolutionError(
-            f"grid h={grid.h} too coarse for eps={eps}; need h <= eps/4")
+    return _mollified_members(field, [spec], grid)[0]
+
+
+def _mollified_members(field: MatrixField, specs, grid: SpatialGrid) -> list[MatrixField]:
+    """mollify(field, spec, grid) for every spec, the members of one LatticeStack.
+
+    field is sampled on the bin centers once; each spec's cut-off then
+    multiplies it entry by entry, and each entry's convolution goes straight
+    into that member's slice of the member-major table.
+    """
+    eps_min = min(spec.epsilon for spec in specs)
+    if grid.h > eps_min / 4.0 + 1e-15:
+        raise ResolutionError(f"grid h={grid.h} too coarse for eps={eps_min}; need h <= eps/4")
     if grid.dimension != field.d:
         raise ParameterError("grid and field dimensions differ")
     mesh = grid.centers_mesh()
-    cut = spec.cutoff(mesh)
-    samples = field(mesh) * cut[..., None, None]
-
-    reach = int(math.ceil(eps / grid.h))
-    axes = np.meshgrid(*([np.arange(-reach, reach + 1) * grid.h] * grid.dimension),
-                       indexing="ij")
-    offsets = np.stack(axes, axis=-1)
-    kernel = spec.rho_scaled(offsets) * grid.cell_volume
-    total = kernel.sum()
-    if total <= 0.0:
-        raise ResolutionError("mollifier kernel vanished on the grid")
-    kernel = kernel / total
-
-    out = np.empty_like(samples)
-    for i in range(field.d):
-        for j in range(field.n):
-            out[..., i, j] = _fftconvolve(samples[..., i, j], kernel, same=True)
-
-    radius = 1.0 / eps + eps
-    if field.support_radius is not None:
-        radius = min(radius, field.support_radius + eps)
-    return LatticeStack(grid, out[None], [radius]).member(
-        0, label=f"mollified({field.label},{eps})")
+    sigma = field(mesh)
+    table = np.empty((len(specs),) + sigma.shape)
+    for dest, spec in zip(table, specs):
+        reach = int(math.ceil(spec.epsilon / grid.h))
+        axes = np.meshgrid(*([np.arange(-reach, reach + 1) * grid.h] * grid.dimension),
+                           indexing="ij")
+        kernel = spec.rho_scaled(np.stack(axes, axis=-1)) * grid.cell_volume
+        total = kernel.sum()
+        if total <= 0.0:
+            raise ResolutionError("mollifier kernel vanished on the grid")
+        kernel = kernel / total
+        cut = spec.cutoff(mesh)
+        for i, j in np.ndindex(sigma.shape[-2:]):
+            dest[..., i, j] = _fftconvolve(sigma[..., i, j] * cut, kernel, same=True)
+    # Zero beyond 1/eps + eps and beyond the field's support + eps; rounding
+    # is monotone, so adding eps after the min gives the min of the two sums.
+    support = math.inf if field.support_radius is None else field.support_radius
+    stack = LatticeStack(grid, table, [min(1.0 / spec.epsilon, support) + spec.epsilon
+                                       for spec in specs])
+    return [stack.member(e, label=f"mollified({field.label},{spec.epsilon})")
+            for e, spec in enumerate(specs)]
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray, *, same: bool = False) -> np.ndarray:
@@ -436,23 +444,20 @@ class LatticeStack:
         against pts.shape[:-1]: their lattice positions u (live, d), the
         norms (...) of every point and the flat indices of the live ones.
 
-        When every point within the largest radius lies inside the center
-        lattice (see LatticeStack), the norm alone decides and only the live
-        points get positions; otherwise each axis is tested as well.
+        The norm test comes first and only the points it keeps get
+        positions; those are tested against the center lattice on every
+        axis only when the largest radius leaves it (see LatticeStack).
         """
         d = self.grid.dimension
         if pts.shape[-1] != d:
             raise ParameterError(f"points dimension {pts.shape[-1]} != field dimension {d}")
         r = _support_norm(pts)
-        live = r <= radius
-        if self._inside:
-            idx = np.flatnonzero(live)
-            return self._position(pts.reshape(-1, d).take(idx, axis=0)), r, idx
-        u = self._position(pts)
-        for a in range(d):
-            live &= (u[..., a] >= 0.0) & (u[..., a] <= self._top[a])
-        idx = np.flatnonzero(live)
-        return u.reshape(-1, d).take(idx, axis=0), r, idx
+        idx = np.flatnonzero(r <= radius)
+        u = self._position(pts.reshape(-1, d).take(idx, axis=0))
+        if not self._inside:
+            box = ((u >= 0.0) & (u <= self._top)).all(axis=1)
+            idx, u = idx[box], u[box]
+        return u, r, idx
 
     def _corners(self, u: np.ndarray, first):
         """The cell corners of live positions u (points, d).

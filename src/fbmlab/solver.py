@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BlowUpError, ParameterError
-from .fields import (LatticeStack, MatrixField, MollifierSpec,
-                     evaluate_members, evaluate_together, lp_norm, mollify)
+from .fields import (MatrixField, MollifierSpec, _mollified_members,
+                     evaluate_members, evaluate_together, lp_norm)
 from .occupation import SpatialGrid
 from .paths import FbmPath, TimeGrid, _bm_rows, _validate_rows
 
@@ -189,7 +189,11 @@ class Ensemble:
         return int((~self.ok_mask).sum())
 
     def at_nodes(self, ks) -> np.ndarray:
-        """X(t_k) of every path for k in ks, (paths, d, len(ks))."""
+        """X(t_k) of every path for k in ks, (paths, d, len(ks)); a node
+        the ensemble does not keep is a ParameterError."""
+        missing = [k for k in ks if k not in self.nodes]
+        if missing:
+            raise ParameterError(f"nodes {missing} are not kept; it keeps {self.nodes}")
         return self.values[:, :, [self.nodes.index(k) for k in ks]]
 
     def window_increments(self, windows: list[tuple[int, int]]):
@@ -266,22 +270,13 @@ def family_grid(scenario: QuenchedScenario) -> SpatialGrid:
 def mollified_family(scenario: QuenchedScenario) -> dict[float, MatrixField]:
     """Mollified fields for every radius in the scenario, on family_grid.
 
-    The fields are the members of one LatticeStack, so evaluate_together
-    interpolates all radii with one call.  Each radius's samples go
-    straight into its own contiguous slice of the member-major table.
+    The fields are the members of one LatticeStack, built with the field
+    sampled once, so evaluate_together interpolates all radii with one call.
     """
-    grid = family_grid(scenario)
-    sigma = scenario.sigma
-    table = np.empty((len(scenario.eps_seq),) + grid.shape + (sigma.d, sigma.n))
-    radii, labels = [], []
-    for e, eps in enumerate(scenario.eps_seq):
-        fld = mollify(sigma, MollifierSpec(eps), grid)
-        table[e] = fld.grid_values
-        radii.append(fld.support_radius)
-        labels.append(fld.label)
-    stack = LatticeStack(grid, table, radii)
-    return {eps: stack.member(e, label=labels[e])
-            for e, eps in enumerate(scenario.eps_seq)}
+    members = _mollified_members(scenario.sigma,
+                                 [MollifierSpec(eps) for eps in scenario.eps_seq],
+                                 family_grid(scenario))
+    return dict(zip(scenario.eps_seq, members))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,9 +16,10 @@ from fbmlab import (CLAMP_VALUE, ClampWarning, MatrixField, MollifierSpec,
                     ParameterError, QuenchedScenario, ResolutionError,
                     ScalarField, SpatialGrid, TimeGrid, constant_field,
                     generate_fbm, hs_norm_sq, identity_field, lp_norm,
-                    mollified_family, mollify, singular_example)
+                    mollified_family, singular_example)
 from fbmlab.fields import (LatticeStack, _corner_sum, _fftconvolve, _gamma,
-                           _next_fast_len, evaluate_members, evaluate_together)
+                           _next_fast_len, evaluate_members, evaluate_together,
+                           mollify)
 from fbmlab.solver import family_grid
 
 
@@ -206,6 +207,40 @@ def test_mollified_family_tables_keep_their_bits(d):
                             singular_example(0.4, 1.0, d), np.zeros(d), eps_seq, 4, 1)
     table = next(iter(mollified_family(scen).values())).lattice[0].table
     assert hashlib.sha256(table.tobytes()).hexdigest() == FAMILY_TABLE_SHA256[d]
+
+
+_MIX = np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]])
+
+
+@pytest.mark.parametrize("base", [
+    singular_example(0.4, 1.0, 1), singular_example(0.4, 1.0, 2),
+    MatrixField(lambda p: np.exp(-np.sum(p * p, axis=-1))[..., None, None] * _MIX,
+                2, 3, support_radius=1.0, label="mix")], ids=["d1", "d2", "d2-mix"])
+def test_the_family_samples_sigma_once_and_each_member_is_mollify(base):
+    """mollified_family evaluates sigma once, on family_grid's bin centers,
+    for all three radii, and its member at eps is bit for bit
+    mollify(sigma, MollifierSpec(eps), family_grid): table, radius, label
+    and reads."""
+    calls = []
+
+    def oracle(pts):
+        calls.append(pts.shape)
+        return base(pts)
+
+    d = base.d
+    sigma = MatrixField(oracle, d, base.n, support_radius=1.0, label=base.label)
+    scen = QuenchedScenario(generate_fbm(0.2, d, TimeGrid(1.0, 16), 1), sigma,
+                            np.zeros(d), (0.5, 0.25, 0.125), 4, 1)
+    grid = family_grid(scen)
+    family = mollified_family(scen)
+    assert calls == [grid.shape + (d,)]
+    pts = np.random.default_rng(11).uniform(-2.5, 2.5, size=(300, d))
+    for eps, fld in family.items():
+        own = mollify(sigma, MollifierSpec(eps), grid)
+        _assert_same_bits(fld.grid_values, own.grid_values)
+        assert (fld.support_radius, fld.label) == (own.support_radius, own.label)
+        _assert_same_bits(fld(pts), own(pts))
+    assert len(calls) == 1 + len(family)
 
 
 def test_mollifier_kernel_properties():
@@ -532,9 +567,11 @@ def _stacked_lattices(draw):
     the edges of the lattice, NaN, +-inf and tiny coordinates among them,
     and radii, some at, just inside or just outside a point's norm, so
     points lie on a member's radius and in the shells between the members'
-    radii.  Half the grids are small and away from the origin; the others
-    are centred on it with every radius on the center lattice, as
-    family_grid builds them, so the stack tests the norm alone (fits)."""
+    radii.  Half the grids are small and away from the origin, with radii
+    up to 4 or infinite, so the stack tests each axis of the points within
+    the radius too; the others are centred on the origin with every radius
+    on the center lattice, as family_grid builds them, so the stack tests
+    the norm alone (fits)."""
     d = draw(st.integers(1, 3))
     h = draw(st.sampled_from([0.25, 0.375, 1.0]))
     fits = draw(st.booleans())
@@ -574,6 +611,8 @@ def _stacked_lattices(draw):
     if norms:
         radius = st.one_of(radius, st.sampled_from(norms).flatmap(
             lambda r: st.sampled_from([r, np.nextafter(r, -1.0), np.nextafter(r, 9.0)])))
+    if not fits:  # a radius that leaves the lattice on every side
+        radius = st.one_of(radius, st.just(math.inf))
     radii = [min(float(r), reach) for r in draw(st.lists(radius, min_size=k, max_size=k))]
     return grid, table, radii, pts, fits
 
@@ -685,11 +724,12 @@ def _spy_positions(monkeypatch):
 def test_both_live_point_routes_match_the_corner_loop(d, monkeypatch):
     """On a 12-bin-per-axis grid centred on the origin, whose center
     lattice ends at +-1.375, radii (0.75, 1.375) lie on it: the stack
-    tests the norm alone and computes positions for the live points only.
-    Radii (0.75, 1.5) reach beyond it: every point gets a position and a
-    per-axis test.  Both match the corner loop bit for bit at +-R, one ulp
-    inside and outside each radius, on and beside the lattice's edge, at
-    tiny coordinates, NaN and +-inf, on every route."""
+    tests the norm alone.  Radii (0.75, 1.5) and (0.75, inf) reach beyond
+    it: the points within the radius get a per-axis test as well.  Either
+    way only the points within the radius get positions, and every read
+    matches the corner loop bit for bit at +-R, one ulp inside and outside
+    each radius, on and beside the lattice's edge, at tiny coordinates,
+    NaN and +-inf, on every route."""
     grid = SpatialGrid((-1.5,) * d, 0.25, (12,) * d)
     table = np.random.default_rng(7).standard_normal((2,) + grid.shape + (d, 2))
     table[:, ::3] = -0.0
@@ -702,8 +742,10 @@ def test_both_live_point_routes_match_the_corner_loop(d, monkeypatch):
                           -np.outer(scales, directions).reshape(-1, d),
                           np.array([[math.nan] * d, [math.inf] * d, [-math.inf] * d])])
     norms = np.linalg.norm(pts, axis=-1)
-    for radii, fits in (((0.75, 1.375), True), ((0.75, 1.5), False)):
+    for radii, fits in (((0.75, 1.375), True), ((0.75, 1.5), False),
+                        ((0.75, math.inf), False)):
         stack = LatticeStack(grid, table, radii)
+        assert stack._inside == fits
         seen = _spy_positions(monkeypatch)
         want = [_mask_clip_lattice_values(grid, lattice_major[..., e, :, :], r, pts)
                 for e, r in enumerate(radii)]
@@ -713,10 +755,7 @@ def test_both_live_point_routes_match_the_corner_loop(d, monkeypatch):
         _assert_same_bits(stack.gather([1, 0])(np.stack([pts, pts])), np.stack(want[::-1]))
         # Members 0 and 1, the stacked call, the gather of members 1 and 0.
         small, large = (int(np.sum(norms <= r)) for r in radii)
-        if fits:
-            assert seen == [(small, d), (large, d), (large, d), (large + small, d)]
-        else:
-            assert seen == [pts.shape] * 3 + [(2,) + pts.shape]
+        assert seen == [(small, d), (large, d), (large, d), (large + small, d)]
         monkeypatch.undo()
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from fbmlab import (Germ, MollifierSpec, ParameterError, SpatialGrid,
                     TimeGrid, generate_fbm, hs_norm_sq, lebesgue_vs_sewing,
-                    mollify, quantized_perturbation, sew, singular_example)
+                    quantized_perturbation, sew, singular_example)
 from fbmlab import sewing, verify
+from fbmlab.fields import mollify
 
 LEFT_LINEAR = Germ(lambda s, t: s * (t - s))
 

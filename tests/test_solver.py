@@ -259,6 +259,57 @@ def test_euler_scheme_is_adapted(d, order, n_fields, k, seed, bound, value):
     assert np.array_equal(by_step_k(blowup), by_step_k(blowup_c))
 
 
+# Values whose sums change with their order: signed zeros, subnormals,
+# +-inf, NaN and magnitudes that overflow or absorb one another.
+_CONTRACTION_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1070, np.inf, -np.inf,
+                         np.nan, 1.7e308, -1.7e308, 2.0 ** 53, -(2.0 ** 53), 1.0, 3.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, overflow
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 300), st.integers(1, 3),
+       st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_the_contractions_sum_in_their_pinned_orders(n, k, paths, d, steps, seed):
+    """The recursion's np.einsum("epij,pj->epi", f, db) over the driver
+    axis j sums its products t_j = f[..., j] db[:, j] from 0.0 as 0.0 + t0
+    at n = 1, (0.0 + t0) + t1 at n = 2 and ((0.0 + t0) + t2) + t1 at
+    n = 3.  The walk's "epkij,pjk->epik" sums as ((0.0 + t0) + t1) + t2
+    at n = 3 over two steps or more, and as the recursion does over one,
+    where its driver axis is contiguous.  An explicit product-sum that
+    replaces either must keep its order.  Every
+    bit is pinned but a NaN's sign: which operand's NaN a product or a sum
+    keeps follows numpy's loop for the array's size, not the summation
+    order, and the solver never keeps a NaN state."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        special = rng.random(shape) < 0.3
+        x[special] = rng.choice(_CONTRACTION_SPECIALS, size=int(special.sum()))
+        return x
+
+    def from_zero(terms, order):
+        total = 0.0
+        for j in order:
+            total = total + terms[j]
+        return total
+
+    def assert_same_bits_but_nan_signs(got, want):
+        nan = np.isnan(got)
+        assert got.shape == want.shape and np.array_equal(nan, np.isnan(want))
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    recursion = [[0], [0, 1], [0, 2, 1]][n - 1]
+    f, db = draw((k, paths, d, n)), draw((paths, n))
+    products = [f[..., j] * db[:, None, j] for j in range(n)]
+    assert_same_bits_but_nan_signs(np.einsum("epij,pj->epi", f, db),
+                                   from_zero(products, recursion))
+    vals, db = draw((k, paths, steps, d, n)), draw((paths, n, steps))
+    products = [np.swapaxes(vals[..., j] * db[:, j, :, None], -1, -2) for j in range(n)]
+    assert_same_bits_but_nan_signs(np.einsum("epkij,pjk->epik", vals, db),
+                                   from_zero(products, recursion if steps == 1 else range(n)))
+
+
 def test_blown_up_path_freezes_at_last_finite_state(monkeypatch):
     monkeypatch.setattr(solver, "BLOWUP_BOUND", 0.05)
     monkeypatch.setattr(solver, "BLOWUP_ABORT_FRACTION", 1.0)

@@ -525,6 +525,28 @@ def test_kept_ensembles_read_the_whole_solve_at_their_nodes(sigma, dimension,
             solver.walk_ensemble(ensembles, distinct, snapped, 0, [])
 
 
+def test_a_kept_ensemble_refuses_a_node_it_does_not_keep():
+    """A verify sweep's kept ensemble holds the level-4 dyadic and the
+    martingale nodes; asked for any other, such as the level-6 nodes its
+    moment table reads, it raises ParameterError naming the nodes it lacks
+    and those it keeps, not tuple.index's bare ValueError."""
+    cfg = dict(_small_config("singular", 1), paths=50)
+    scenario, fields = build_scenario(cfg, WINDOWS)
+    distinct, _slot = experiments._distinct_fields(scenario, fields)
+    grid = scenario.grid
+    keep = experiments._kept_nodes(grid, [grid.window(s, t) for s, t in WINDOWS])
+    ens = experiments._solve_in_chunks(scenario, distinct, keep)[0][0]
+    missing = [k for k in range(grid.steps + 1) if k not in keep]
+    assert ens.nodes == keep and missing
+    with pytest.raises(ParameterError) as refused:
+        ens.at_nodes([keep[1], missing[0], keep[0], missing[-1]])
+    assert str(refused.value) == (f"nodes {[missing[0], missing[-1]]} are not kept; "
+                                  f"it keeps {keep}")
+    with pytest.raises(ParameterError, match="are not kept"):
+        ens.moment_table(4.0)
+    assert ens.at_nodes(keep[::-1]).shape == (50, 1, len(keep))
+
+
 @pytest.mark.parametrize("sigma", ["singular", "identity"])
 def test_sweeps_draw_no_drivers_on_the_whole_scenario(sigma):
     """solve_scenario and verify_scenario draw each chunk's drivers on that
