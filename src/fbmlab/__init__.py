@@ -21,15 +21,14 @@ from .fields import (CLAMP_VALUE, MatrixField, MollifierSpec, ScalarField,
                      constant_field, hs_norm_sq, identity_field, lp_norm,
                      singular_example)
 from .occupation import (OccupationMeasure, SpatialGrid, local_time,
-                         occupation_formula_residual)
+                         occupation_formula_residual, quantized_perturbation)
 from .paths import FbmPath, TimeGrid, fbm_covariance, generate_fbm
 from .sewing import Germ, SewingResult, sew
 from .solver import (Ensemble, MollifiedCauchyReport, QuenchedScenario,
                      mollified_family)
 from .verify import (WEIGHT_DICTIONARY_VERSION, IdentityReport,
                      MomentRatioReport, lebesgue_vs_sewing, moment_ratio,
-                     moment_ratio_trend, quantized_perturbation,
-                     weight_dictionary)
+                     moment_ratio_trend, weight_dictionary)
 
 __version__ = "0.1.0"
 

@@ -44,8 +44,7 @@ from .verdicts import (AVERAGED_EXPONENT, AVERAGING_EXACT_GAP,
                        STABILITY_SLOPE, SWEEP_SECONDS, TREND_SPREAD)
 from .verify import (IdentityReport, MomentRatioReport, cross_term_report,
                      isometry_report, lebesgue_vs_sewing, martingale_nodes,
-                     martingale_reports, moment_ratio, moment_ratio_trend,
-                     quantized_perturbation)
+                     martingale_reports, moment_ratio, moment_ratio_trend)
 
 HEADLINE = {
     "hurst": 0.2, "gamma": 0.4, "radius": 1.0, "p": 2.0, "m": 4.0,
@@ -389,25 +388,29 @@ def _distinct_fields(scenario: QuenchedScenario, fields: dict[float, MatrixField
 
 
 def _solve_in_chunks(scenario: QuenchedScenario, fields: list[MatrixField],
-                     keep: tuple[int, ...], walk=None):
+                     keep: tuple[int, ...], windows, own: int):
     """Each of the distinct `fields` solved over chunks of paths
     (CHUNK_BYTES) and reduced to the grid nodes keep.  Each chunk draws its
-    drivers, solves every field in one recursion and is read by walk(part),
-    when given, before it is dropped.  Rows depend on their own drivers
-    alone, so no result depends on the chunk size.  Returns one Ensemble
-    per field, with no radius and only the nodes keep, and the walks."""
+    drivers, solves every field in one recursion and, given node-pair
+    windows, is walked (walk_ensemble, reference fields[own]) before it is
+    dropped.  Rows depend on their own drivers alone, so no result depends
+    on the chunk size.  Returns one Ensemble per field, with no radius and
+    only the nodes keep, the walks joined into one PathSums (None without
+    windows), and path 0 of fields[own]'s solve at every node."""
     size, _ = _chunk_paths(scenario, len(fields))
-    chunks, walked = [], []
+    chunks, walked, path0 = [], [], None
     for first in range(0, scenario.ensemble_size, size):
         rows = replace(scenario, first_path=first,
                        ensemble_size=min(size, scenario.ensemble_size - first))
         part = solve_fields(rows, fields)
-        if walk is not None:
-            walked.append(walk(part))
+        if windows is not None:
+            walked.append(walk_ensemble(part, fields, own, windows))
+        if path0 is None:
+            path0 = part[own].values[0].copy()
         chunks.append([(ens.at_nodes(keep), ens.blowup_steps) for ens in part])
         del part, rows  # so the next chunk does not run beside this one
-    return [Ensemble(scenario, None, *map(np.concatenate, zip(*parts)), keep)
-            for parts in zip(*chunks)], walked
+    return ([Ensemble(scenario, None, *map(np.concatenate, zip(*parts)), keep)
+             for parts in zip(*chunks)], PathSums.join(walked) if walked else None, path0)
 
 
 def solve_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]):
@@ -415,7 +418,8 @@ def solve_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField])
     its moment table reads.  BlowUpError names the first radius on which
     more than BLOWUP_ABORT_FRACTION of the paths blew up."""
     distinct, slot = _distinct_fields(scenario, fields)
-    ensembles, _ = _solve_in_chunks(scenario, distinct, _kept_nodes(scenario.grid, None))
+    ensembles, _, _ = _solve_in_chunks(scenario, distinct,
+                                       _kept_nodes(scenario.grid, None), None, 0)
     for eps, s in zip(scenario.eps_seq, slot):
         ens = replace(ensembles[s], epsilon=eps)
         _abort_on_blowups(ens)
@@ -444,43 +448,31 @@ def verify_scenario(scenario: QuenchedScenario, fields: dict[float, MatrixField]
     cross pairings, the martingale residuals over martingale_windows, the
     quadratic-variation check on its first path and the mollified Cauchy
     sequence.  Each distinct field (_distinct_fields) is solved once per
-    chunk of paths (_solve_in_chunks), and one walk_ensemble pass per chunk
-    takes every sum of every field; they join into one PathSums for the
-    sweep.  Every radius reads its field's solve and sums through its slot.
+    chunk of paths (_solve_in_chunks), which walks each chunk for every
+    sum of every field and joins the sums into one PathSums for the sweep.
+    Every radius reads its field's solve and sums through its slot.
     """
     tg = scenario.grid
-    horizon = tg.horizon
     eps_seq = scenario.eps_seq
     e_min = eps_seq.index(min(eps_seq))
     distinct, slot = _distinct_fields(scenario, fields)
     ref = slot[e_min]
-    quant_grid = scenario.quant_grid
-    snapped = quantized_perturbation(scenario.fbm.values, quant_grid)
+    quant_grid = scenario.quant_grid  # refused here, before anything is solved
     windows = [tg.window(s, t) for s, t in martingale_windows]
-    path0 = None
-
-    def walk(part):
-        nonlocal path0
-        if path0 is None:
-            path0 = part[ref].values[0].copy()
-        return walk_ensemble(part, distinct, snapped, ref, windows)
-
-    ensembles, walked = _solve_in_chunks(scenario, distinct, _kept_nodes(tg, windows), walk)
+    ensembles, sums, path0 = _solve_in_chunks(scenario, distinct, _kept_nodes(tg, windows),
+                                              windows, ref)
     radii = [replace(ensembles[s], epsilon=eps) for eps, s in zip(eps_seq, slot)]
     for ens in (radii[e_min], *radii):  # the reference first
         _abort_on_blowups(ens)
-    sums = PathSums.join(walked)
     reference = radii[e_min]
     ratios = moment_ratio(ensembles, m, gamma0)
-    ratio_reports, iso_reports, cross_reports = [], [], []
-    for e, (eps, s) in enumerate(zip(eps_seq, slot)):
-        ratio_reports.append(replace(ratios[s], epsilon=eps))
-        iso_reports.append(isometry_report(radii[e], sums, s))
-        cross_reports.append(cross_term_report(reference, sums, s, epsilon=eps))
+    ratio_reports = [replace(ratios[s], epsilon=eps) for eps, s in zip(eps_seq, slot)]
+    iso_reports = [isometry_report(ens, sums, s) for ens, s in zip(radii, slot)]
+    cross_reports = [cross_term_report(reference, sums, s, epsilon=eps)
+                     for eps, s in zip(eps_seq, slot)]
     mart_reports = martingale_reports(reference, sums, martingale_windows)
-    qv_report = lebesgue_vs_sewing(path0, scenario.fbm,
-                                   hs_norm_sq(distinct[ref]), quant_grid,
-                                   (horizon * 0.25, horizon * 0.75))
+    qv_report = lebesgue_vs_sewing(path0, scenario.fbm, hs_norm_sq(distinct[ref]), quant_grid,
+                                   (tg.horizon * 0.25, tg.horizon * 0.75))
     cauchy = cauchy_report(scenario, sums.ito[:, reference.ok_mask][slot], fields, m)
     return SweepResults(ratio_reports, moment_ratio_trend(ratio_reports),
                         iso_reports, cross_reports, mart_reports,
@@ -535,23 +527,23 @@ def criterion_ito_isometry() -> dict:
 def _identity_field_reports() -> tuple[tuple[IdentityReport, ...],
                                       tuple[IdentityReport, ...]]:
     """The identity-field control: 4000 paths along one H=0.2 path, solved
-    and walked once per process.  Returns the constant-field reports
-    (isometry, cross term, quadratic variation; their right sides are
-    deterministic time integrals, so zero margin) and the martingale
-    residuals.  Only the reports are cached; the ensemble is freed."""
+    and walked once per process by the sweep's chunk loop, which keeps the
+    nodes a sweep keeps.  Returns the constant-field reports (isometry,
+    cross term, quadratic variation; their right sides are deterministic
+    time integrals, so zero margin) and the martingale residuals.  Only the
+    reports are cached; the ensemble is freed."""
     grid_t = TimeGrid(1.0, 256)
     fbm = generate_fbm(0.2, 1, grid_t, 3)
     sigma = identity_field(1)
     scenario = QuenchedScenario(fbm, sigma, np.zeros(1), (0.25,), 4000, 13, p=2.0)
-    ens, = solve_fields(scenario, [sigma])
-    _abort_on_blowups(ens)
-    qgrid = scenario.quant_grid
     pairs = [(0.25, 0.5), (0.5, 1.0)]
-    sums = walk_ensemble([ens], [sigma], quantized_perturbation(fbm.values, qgrid),
-                         0, [grid_t.window(s, t) for s, t in pairs])
+    windows = [grid_t.window(s, t) for s, t in pairs]
+    (ens,), sums, path0 = _solve_in_chunks(scenario, [sigma],
+                                           _kept_nodes(grid_t, windows), windows, 0)
+    _abort_on_blowups(ens)
     exact = tuple(replace(report, margin=0.0) for report in (
         isometry_report(ens, sums, 0), cross_term_report(ens, sums, 0),
-        lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma), qgrid,
+        lebesgue_vs_sewing(path0, fbm, hs_norm_sq(sigma), scenario.quant_grid,
                            (0.25, 0.75))))
     return exact, tuple(martingale_reports(ens, sums, pairs))
 

@@ -28,6 +28,8 @@ import numpy as np
 from .errors import ParameterError, require_memory
 
 _ORIGIN_RTOL = 1e-9
+# Bin widths from the origin at which -lower/h - 0.5 rounds to an integer.
+_FAR_BINS = 2.0 ** 52
 # Unless one pass certifies its result, _exact_sum hands math.fsum the last
 # _FSUM_TAIL nonzero remainders, and the whole input when a pass would need
 # sigma above 2**_EXTRACT_MAX_EXPONENT, where a partial sum could overflow.
@@ -59,6 +61,15 @@ class SpatialGrid:
             raise ParameterError(f"bin counts must be integers, got {self.bins}")
         if any(m < 1 for m in self.bins):
             raise ParameterError(f"bins must all be >= 1, got {self.bins}")
+        if any(m >= _FAR_BINS or max(abs(lo), abs(lo + m * self.h)) >= _FAR_BINS * self.h
+               for lo, m in zip(self.lower, self.bins)):
+            counts = " x ".join(str(m) if m < 10**6
+                                else f"about 10^{math.floor(math.log10(m))}"
+                                for m in self.bins)
+            raise ParameterError(
+                f"bin width {self.h:.3g} and {counts} bins put the box 2**52 or more bin "
+                "widths from the origin, where floating point cannot tell neighbouring "
+                "bin centers apart")
         if not self.allow_origin_center and self._has_origin_center():
             raise ParameterError(
                 "a bin center coincides with the coordinate origin; "
@@ -158,6 +169,18 @@ class SpatialGrid:
             raise ParameterError(f"bin width {h} gives a box with infinitely many bins")
         return cls(tuple(float(v) for v in lower), h,
                    tuple(max(int(m), 1) for m in bins))
+
+
+def quantized_perturbation(fbm_values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Perturbation samples snapped to bin centers, shape (steps, d).
+
+    This is the local-time discretization: averaging a field against the
+    histogram local time equals summing the field over these snapped
+    positions.  Samples outside the box pass through unchanged (no mass is
+    silently dropped); size the box to cover the path.
+    """
+    snapped, _inside = grid.quantize(fbm_values[:, :-1].T)  # left endpoints
+    return snapped
 
 
 @dataclass(frozen=True, eq=False)

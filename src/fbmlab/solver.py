@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BlowUpError, ParameterError
 from .fields import (MatrixField, MollifierSpec, _mollified_members,
                      evaluate_members, evaluate_together, lp_norm)
-from .occupation import SpatialGrid
+from .occupation import SpatialGrid, quantized_perturbation
 from .paths import FbmPath, TimeGrid, _bm_rows, _validate_rows
 
 BLOWUP_BOUND = 1.0e6
@@ -196,8 +196,8 @@ class Ensemble:
             raise ParameterError(f"nodes {missing} are not kept; it keeps {self.nodes}")
         return self.values[:, :, [self.nodes.index(k) for k in ks]]
 
-    def window_increments(self, windows: list[tuple[int, int]]):
-        """Yield X(t_k1) - X(t_k0) of the surviving paths, (ok_paths, d), per window.
+    def window_moments(self, windows: Sequence[tuple[int, int]], m: float) -> np.ndarray:
+        """|X(t_k1) - X(t_k0)|^m of the surviving paths, (ok_paths, windows).
 
         Only the windows' end-point columns of the surviving paths are
         gathered, once for all windows.
@@ -205,20 +205,17 @@ class Ensemble:
         nodes = sorted({k for window in windows for k in window})
         column = {k: j for j, k in enumerate(nodes)}
         ends = self.at_nodes(nodes)[self.ok_mask]
-        for k0, k1 in windows:
-            yield ends[:, :, column[k1]] - ends[:, :, column[k0]]
+        return np.stack([np.linalg.norm(ends[:, :, column[k1]] - ends[:, :, column[k0]],
+                                        axis=1) ** m for k0, k1 in windows], axis=1)
 
     def moment_table(self, m: float) -> list[dict]:
         """Empirical E|X(t)-X(s)|^m with stderr over the dyadic windows down
         to level MOMENT_TABLE_LEVEL, read at call time."""
-        rows = []
         grid = self.scenario.grid
         windows = grid.dyadic_windows(MOMENT_TABLE_LEVEL)
-        for (k0, k1), inc in zip(windows, self.window_increments(windows)):
-            mags = np.linalg.norm(inc, axis=1) ** m
-            rows.append({"s": k0 * grid.dt, "t": k1 * grid.dt, "m": m,
-                         "moment": float(mags.mean()), "stderr": _stderr(mags)})
-        return rows
+        return [{"s": k0 * grid.dt, "t": k1 * grid.dt, "m": m,
+                 "moment": float(mags.mean()), "stderr": _stderr(mags)}
+                for (k0, k1), mags in zip(windows, self.window_moments(windows, m).T)]
 
 
 def solve_fields(scenario: QuenchedScenario,
@@ -339,14 +336,13 @@ def _carry(terms: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
 
 
 def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
-                  snapped: np.ndarray, own: int,
-                  windows: Sequence[tuple[int, int]]) -> PathSums:
+                  own: int, windows: Sequence[tuple[int, int]]) -> PathSums:
     """Every per-path sum of the identity checks in one pass over a chunk.
 
     ensembles[e] holds the paths fields[e] solved over one scenario's
     drivers, at every grid node, and ensembles[own] is the reference,
-    whose scenario gives the drivers; windows are node pairs
-    and snapped the quantized perturbation z (PathSums).  The walk covers
+    whose scenario gives the drivers and the quantized perturbation z, its
+    frozen path on its quant_grid; windows are node pairs.  The walk covers
     the whole horizon on coordinate 0.  Nothing here is recursive, so it
     goes through every row in blocks of max(1, WALK_POINTS // steps) whole
     rows.  Each block first reads every other field along its own paths,
@@ -366,9 +362,7 @@ def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
     steps, dt = scen.grid.steps, scen.grid.dt
     if any(list(ens.nodes) != list(range(steps + 1)) for ens in ensembles):
         raise ParameterError("the walk needs ensembles that hold every grid node")
-    if snapped.shape[0] < steps:
-        raise ParameterError(f"need {steps} snapped positions, got {snapped.shape[0]}")
-    snapped = snapped[:steps]
+    snapped = quantized_perturbation(scen.fbm.values, scen.quant_grid)
     w = scen.fbm.values[:, :steps].T
     windows = tuple((int(a), int(b)) for a, b in windows)
     if not all(0 <= a < b <= steps for a, b in windows):

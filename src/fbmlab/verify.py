@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .occupation import SpatialGrid
+from .occupation import SpatialGrid, quantized_perturbation
 from .sewing import Germ, sew
 from .solver import Ensemble, PathSums, _stderr
 from .verdicts import (CROSS_TERM_MARGIN, IDENTITY_STDERRS, ISOMETRY_MARGIN,
@@ -132,9 +132,7 @@ def moment_ratio(ensembles: Sequence[Ensemble], m: float,
     for n, members in groups.items():
         mags = np.empty((n, len(members), len(windows)))
         for g, i in enumerate(members):
-            increments = ensembles[i].window_increments(windows)
-            for col, inc in enumerate(increments):
-                mags[:, g, col] = np.linalg.norm(inc, axis=1) ** m
+            mags[:, g] = ensembles[i].window_moments(windows, m)
         ratios = (mags.mean(axis=0) / weights).max(axis=1)
         rng = np.random.Generator(np.random.Philox(key=_BOOTSTRAP_SEED))
         stats = np.empty((len(members), _BOOTSTRAP))
@@ -151,9 +149,14 @@ def moment_ratio(ensembles: Sequence[Ensemble], m: float,
 
 
 def moment_ratio_trend(reports: list[MomentRatioReport]) -> dict:
-    """Uniformity verdict across a mollification sweep."""
+    """Uniformity verdict across a mollification sweep; a zero ratio leaves
+    the spread undefined and is refused (ParameterError) by its radius."""
     if len(reports) < 2:
         raise ParameterError("need at least two radii for a trend")
+    zero = [r.epsilon for r in reports if r.ratio == 0.0]
+    if zero:
+        raise ParameterError(f"the moment ratio at epsilon={zero[0]} is 0: the solution does "
+                             "not move along any surviving path, so the trend has no spread")
     ratios = [r.ratio for r in reports]
     spread = max(ratios) / min(ratios)
     run = TREND_RISING_TAIL.gate
@@ -162,19 +165,6 @@ def moment_ratio_trend(reports: list[MomentRatioReport]) -> dict:
     return {"ratios": ratios, "spread": spread,
             "increasing_tail": increasing_tail,
             "uniform": spread <= TREND_SPREAD.gate and not increasing_tail}
-
-
-def quantized_perturbation(fbm_values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Perturbation samples snapped to bin centers, shape (steps, d).
-
-    This is the local-time discretization: averaging a field against the
-    histogram local time equals summing the field over these snapped
-    positions.  Samples outside the box pass through unchanged (no mass is
-    silently dropped); size the box to cover the path.
-    """
-    pts = fbm_values[:, :-1].T  # left endpoints
-    snapped, _inside = grid.quantize(pts)
-    return snapped
 
 
 class _QuantizedAverageGerm(Germ):

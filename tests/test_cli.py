@@ -240,6 +240,46 @@ def test_overflowing_moments_exit_2_before_their_artifacts(tmp_path, capsys, com
         _strict_json(path)
 
 
+# The eps = 1e300 lattice reaches points whose norm overflows to inf.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("setting,radius", [("radius = 1e-300", 0.25),
+                                            ("eps = 1e300, 1e299", 1e300)],
+                         ids=["tiny-support", "huge-radii"])
+def test_a_field_that_vanishes_on_every_path_exits_2(tmp_path, capsys, setting, radius):
+    """A singular field supported on radius 1e-300, or mollified at radii
+    far beyond its support, is 0 along every path, so every moment ratio
+    is 0.0; the trend's spread max/min raised ZeroDivisionError, whose
+    traceback exited 1 as a failed check does.  The run exits 2 with one
+    error line naming the first radius and writes no verify.json."""
+    out_dir = tmp_path / "out"
+    path = _write_config(tmp_path, f"paths = 8\nsteps = 64\n{setting}\n")
+    assert main(["verify", "--config", path, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "rror" in line] == [
+        f"error: the moment ratio at epsilon={radius} is 0: the solution does not "
+        "move along any surviving path, so the trend has no spread"]
+    assert not (out_dir / "verify.json").exists()
+
+
+@pytest.mark.parametrize("setting,h", [("eps = 1e-300, 1e-301", "2.5e-302"),
+                                       ("horizon = 1e-300", "1.56e-302")],
+                         ids=["family-lattice", "quantization-grid"])
+def test_a_grid_too_fine_for_its_box_exits_2_naming_its_bins(tmp_path, capsys,
+                                                             setting, h):
+    """At eps = 1e-301 family_grid asks for 1.2e302 bins, and at horizon
+    1e-300 the quantization grid's bins are that fine: both were refused
+    with advice to shift the box by half a bin, which no config can do.
+    The refusal names the bin width and the bin count."""
+    path = _write_config(tmp_path, f"paths = 8\nsteps = 64\n{setting}\n")
+    assert main(["verify", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bin width {h} and ")
+    assert "2**52 or more bin widths from the origin" in captured.err
+    assert "half a bin" not in captured.err and captured.err.count("\n") == 1
+
+
 def test_artifacts_refuse_nan_and_infinity(tmp_path):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):

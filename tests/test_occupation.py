@@ -82,6 +82,23 @@ def test_cover_refuses_non_finite_input_before_dividing():
         SpatialGrid.cover(np.array([[-1e308], [1e308]]), 1e-10)
 
 
+def test_a_box_far_from_the_origin_in_bin_widths_is_refused():
+    """A box reaching 2**52 bin widths from the origin, where -lower/h - 0.5
+    rounds to an integer, was refused as one with a bin center on the
+    origin; it is refused for what it is, naming h and the bin counts."""
+    for lower, h, bins, named in (
+            ((-1.5,), 2.5e-302, (int(1.2e302),), "2.5e-302 and about 10^302 bins"),
+            ((-3.0,), 1.0, (2**52,), "1 and about 10^15 bins"),
+            ((-(2.0 ** 52),), 1.0, (3,), "1 and 3 bins"),
+            ((1.0,), 2.0 ** -52, (1,), "2.22e-16 and 1 bins"),
+            ((-0.5, 0.0), 1.0, (4, 2 * 10**400), "1 and 4 x about 10^400 bins")):
+        with pytest.raises(ParameterError, match="2\\*\\*52 or more bin widths") as refused:
+            SpatialGrid(lower, h, bins)
+        assert f"bin width {named} put the box" in str(refused.value)
+    # Just inside the bound the box stands.
+    assert SpatialGrid((-3.0,), 1.0, (2**52 - 4,)).upper == (2.0 ** 52 - 7,)
+
+
 def test_cover_handles_2d():
     pts = np.array([[0.1, -0.2], [1.4, 0.7]])
     grid = SpatialGrid.cover(pts, 0.5)

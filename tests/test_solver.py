@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, SpatialGrid,
-                    TimeGrid, constant_field, generate_fbm, identity_field,
-                    mollified_family, quantized_perturbation, singular_example,
-                    solver)
+from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, TimeGrid,
+                    constant_field, generate_fbm, identity_field,
+                    mollified_family, singular_example, solver)
 from fbmlab.paths import _bm_rows
 from fbmlab.solver import (BLOWUP_BOUND, _abort_on_blowups, _euler_batch,
                            cauchy_report, family_grid, solve_fields, walk_ensemble)
@@ -369,8 +368,7 @@ def test_constant_field_sweep_has_no_gap():
                                 (0.0625, 0.05), 16, BASE_SEED)
     fields = mollified_family(scenario)
     radii = [fields[eps] for eps in scenario.eps_seq]
-    snapped = quantized_perturbation(FBM.values, SpatialGrid.cover(FBM.values.T, GRID.dt))
-    sums = walk_ensemble(solve_fields(scenario, radii), radii, snapped, 1, [])
+    sums = walk_ensemble(solve_fields(scenario, radii), radii, 1, [])
     report = cauchy_report(scenario, sums.ito, fields, 4.0)
     assert report.eps_seq == (0.0625, 0.05)
     assert len(report.consecutive_diffs) == 1

@@ -1,6 +1,7 @@
 """Dual-estimator identity checks on identity-coefficient ensembles."""
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,8 @@ from fbmlab import (InsufficientDataError, MomentRatioReport, ParameterError,
                     identity_field, lebesgue_vs_sewing,
                     moment_ratio, moment_ratio_trend, quantized_perturbation,
                     weight_dictionary)
-from fbmlab.solver import Ensemble, solve_fields, walk_ensemble
+from fbmlab.solver import (MOMENT_TABLE_LEVEL, Ensemble, _stderr, solve_fields,
+                           walk_ensemble)
 from fbmlab.verify import (cross_term_report, isometry_report,
                            martingale_reports)
 
@@ -66,6 +68,13 @@ def test_moment_ratio_gamma_range_flag(monkeypatch):
         moment_ratio([ens], 1.5, 0.5)
 
 
+def _window_moment(ens, k0, k1, m):
+    """|X(t_k1) - X(t_k0)|^m of the surviving paths of one window, read
+    from the window's own two nodes."""
+    ends = ens.at_nodes([k0, k1])[ens.ok_mask]
+    return np.linalg.norm(ends[:, :, 1] - ends[:, :, 0], axis=1) ** m
+
+
 def _moment_ratio_alone(ens, m, gamma0):
     """(ratio, stderr, n_paths) of one ensemble, by the per-ensemble
     bootstrap loop moment_ratio first ran: a fresh stream, one resample of
@@ -74,8 +83,8 @@ def _moment_ratio_alone(ens, m, gamma0):
     windows = grid.dyadic_windows(verify.MOMENT_MAX_LEVEL)
     mags = np.empty((int(ens.ok_mask.sum()), len(windows)))
     weights = np.empty(len(windows))
-    for col, ((k0, k1), inc) in enumerate(zip(windows, ens.window_increments(windows))):
-        mags[:, col] = np.linalg.norm(inc, axis=1) ** m
+    for col, (k0, k1) in enumerate(windows):
+        mags[:, col] = _window_moment(ens, k0, k1, m)
         weights[col] = ((k1 - k0) * grid.dt) ** (m * gamma0 / 2.0)
     rng = np.random.Generator(np.random.Philox(key=verify._BOOTSTRAP_SEED))
     n = mags.shape[0]
@@ -112,6 +121,37 @@ def test_stacked_bootstrap_equals_each_ensemble_alone(blown, d, seed, m):
         assert (report.ratio, report.stderr, report.n_paths) == _moment_ratio_alone(
             ens, m, 0.5)
         assert report.epsilon == ens.epsilon
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_window_moments_are_the_per_window_norms(d):
+    """window_moments is bit-equal to each window's norm read from its own
+    two nodes, on a whole ensemble and on one that keeps only the windows'
+    end points, with the blown-up paths left out; a moment table is each
+    column's mean and stderr, as from a contiguous copy."""
+    scenario = QuenchedScenario(generate_fbm(0.2, d, TimeGrid(1.0, 64), seed=3),
+                                identity_field(d), np.zeros(d), (0.25,), 12, 1)
+    values = np.cumsum(np.random.default_rng(7).normal(scale=0.125, size=(12, d, 65)),
+                       axis=2)
+    steps = np.full(12, -1)
+    steps[[2, 5, 11]] = 9
+    values[[2, 5, 11], :, 10:] = 1e300  # what a survivor never reads
+    windows = scenario.grid.dyadic_windows(3)
+    keep = tuple(sorted({k for window in windows for k in window}))
+    whole = Ensemble(scenario, 0.5, values, steps, range(65))
+    kept = Ensemble(scenario, 0.5, values[:, :, list(keep)], steps, keep)
+    for ens in (whole, kept):
+        for m in (2.0, 3.5, 4.0):
+            mags = ens.window_moments(windows, m)
+            assert mags.shape == (9, len(windows))
+            for col, (k0, k1) in enumerate(windows):
+                assert mags[:, col].tobytes() == _window_moment(ens, k0, k1, m).tobytes()
+    rows = whole.moment_table(4.0)
+    for row, (k0, k1) in zip(rows, scenario.grid.dyadic_windows(MOMENT_TABLE_LEVEL),
+                             strict=True):
+        column = _window_moment(whole, k0, k1, 4.0)
+        assert (row["moment"], row["stderr"]) == (float(column.mean()), _stderr(column))
+    assert math.isfinite(rows[0]["moment"])
 
 
 def test_moment_ratio_needs_one_time_grid():
@@ -166,12 +206,16 @@ def test_moment_ratio_trend_verdicts():
     assert growing["increasing_tail"] and not growing["uniform"]
     with pytest.raises(ParameterError):
         moment_ratio_trend(_synthetic_reports([1.0]))
+    # A field that vanishes along every path leaves a ratio of 0.0, where
+    # the spread max/min raised ZeroDivisionError; the first is refused.
+    for ratios, eps in (([1.0, 0.0, 0.0], 0.5), ([0.0, 0.0], 1.0)):
+        with pytest.raises(ParameterError, match=rf"epsilon={eps} is 0:"):
+            moment_ratio_trend(_synthetic_reports(ratios))
 
 
 def _walk(ens, fields, windows=()):
-    """walk_ensemble of every field along ens, quantized on SGRID."""
-    return walk_ensemble([ens] * len(fields), fields,
-                         quantized_perturbation(FBM.values, SGRID), 0, windows)
+    """walk_ensemble of every field along ens."""
+    return walk_ensemble([ens] * len(fields), fields, 0, windows)
 
 
 def test_ito_isometry_identity_coefficient():

@@ -275,7 +275,7 @@ def test_standalone_checks_match_reference_with_frozen_paths(dimension, singular
     for points in (12 * 160, 50):
         monkeypatch.setattr(solver, "WALK_POINTS", points)
         for own, ref in enumerate(solved):
-            sums = solver.walk_ensemble(solved, radii, snapped, own, windows)
+            sums = solver.walk_ensemble(solved, radii, own, windows)
             for e, (ens, fld) in enumerate(zip(solved, radii)):
                 assert _report_dict(isometry_report(ens, sums, e)) == (
                     ref_isometry(ens, fld, qgrid))
@@ -314,7 +314,7 @@ def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeyp
     snapped = quantized_perturbation(fbm.values, SpatialGrid.cover(fbm.values.T, grid.dt))
     windows = [(0, 48), (24, 72), (24, 96), (30, 96)]
 
-    sums = solver.walk_ensemble([ens, ens], radii, snapped, 1, windows)
+    sums = solver.walk_ensemble([ens, ens], radii, 1, windows)
     assert sums.quad_comp.shape == sums.cross_comp.shape == (len(windows), ens.n_paths)
     assert sums.row_sq.shape == sums.mixed.shape == (len(radii), ens.n_paths)
     for name in ("ito", "row_sq", "mixed", "quad_comp", "cross_comp", "driver_nodes"):
@@ -329,10 +329,10 @@ def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeyp
         assert _bits(sums.mixed[e][ok]) == _bits(ref_mixed(ens, fld, snapped))
     # Field 0 squared alone along the paths and field 1 read with the
     # stacked reference reads give the rows they give the other way round.
-    flipped = solver.walk_ensemble([ens, ens], radii, snapped, 0, windows)
+    flipped = solver.walk_ensemble([ens, ens], radii, 0, windows)
     for name in ("ito", "row_sq", "mixed", "driver_nodes"):
         assert _bits(getattr(flipped, name)) == _bits(getattr(sums, name))
-    alone = solver.walk_ensemble([ens], radii[1:], snapped, 0, windows)
+    alone = solver.walk_ensemble([ens], radii[1:], 0, windows)
     for name in ("ito", "row_sq", "mixed"):
         assert _bits(getattr(alone, name)[0]) == _bits(getattr(sums, name)[1])
     for name in ("quad_comp", "cross_comp", "driver_nodes"):
@@ -342,7 +342,7 @@ def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeyp
     id_scen = QuenchedScenario(fbm, ident, np.full(dimension, 0.3), (0.25,), 61, 5)
     id_ens = _solve(id_scen, ident)
     id_ok = id_ens.ok_mask
-    id_sums = solver.walk_ensemble([id_ens], [ident], snapped, 0, windows)
+    id_sums = solver.walk_ensemble([id_ens], [ident], 0, windows)
     for wi, (k0, k1) in enumerate(windows):
         quad, cross = ref_compensators(id_ens, ident, k0, k1)
         assert _bits(id_sums.quad_comp[wi][id_ok]) == _bits(quad)
@@ -350,7 +350,7 @@ def test_reference_walk_compensates_its_own_field_bit_for_bit(dimension, monkeyp
     assert _bits(id_sums.ito[:, id_ok]) == _bits(ref_terminals(id_ens, {0.25: ident}))
     assert _bits(id_sums.row_sq[0][id_ok]) == _bits(ref_row_sq(id_ens, ident, snapped))
     assert _bits(id_sums.mixed[0][id_ok]) == _bits(ref_mixed(id_ens, ident, snapped))
-    twice = solver.walk_ensemble([id_ens] * 2, [ident] * 2, snapped, 0, windows)
+    twice = solver.walk_ensemble([id_ens] * 2, [ident] * 2, 0, windows)
     assert _bits(twice.row_sq[1]) == _bits(id_sums.row_sq[0])
 
 
@@ -389,30 +389,28 @@ def test_sweep_draws_each_driver_stream_once(monkeypatch):
     assert set(streams) == sweep_streams
 
 
-def test_walk_rejects_too_few_snapped_positions():
+def test_walk_rejects_bad_windows_references_and_ensembles():
     scen = QuenchedScenario(generate_fbm(0.2, 1, TimeGrid(1.0, 16), 3),
                             identity_field(1), [0.0], (0.5,), 4, 1)
     ens = _solve(scen, scen.sigma)
     ident = identity_field(1)
-    with pytest.raises(ParameterError):
-        solver.walk_ensemble([ens], [ident], np.zeros((15, 1)), 0, [])
     # Every window must be a node pair of the grid: the sums of an empty
     # window, or one past the horizon, are not a window's sums.
     for windows in ([(4, 4)], [(8, 4)], [(0, 17)], [(-1, 4)]):
         with pytest.raises(ParameterError, match="node pairs"):
-            solver.walk_ensemble([ens], [ident], np.zeros((16, 1)), 0, windows)
+            solver.walk_ensemble([ens], [ident], 0, windows)
     # The reference must be one of the walked fields.
     for own in (1, -1):
         with pytest.raises(ParameterError, match="own field"):
-            solver.walk_ensemble([ens], [ident], np.zeros((16, 1)), own, [(0, 4)])
+            solver.walk_ensemble([ens], [ident], own, [(0, 4)])
     # Each field walks the paths of its own ensemble: one ensemble per
     # field, all with the same rows.
     for ensembles, fields in (([ens], [ident] * 2), ([ens] * 2, [ident])):
         with pytest.raises(ParameterError, match="ensembles for"):
-            solver.walk_ensemble(ensembles, fields, np.zeros((16, 1)), 0, [])
+            solver.walk_ensemble(ensembles, fields, 0, [])
     fewer = _solve(replace(scen, ensemble_size=3), scen.sigma)
     with pytest.raises(ParameterError, match="different numbers of paths"):
-        solver.walk_ensemble([ens, fewer], [ident] * 2, np.zeros((16, 1)), 0, [])
+        solver.walk_ensemble([ens, fewer], [ident] * 2, 0, [])
 
 
 def _carry_from_zero(terms):
@@ -495,6 +493,37 @@ def _chunks_of_37(scenario, n_fields, monkeypatch):
                         37 * experiments._chunk_paths(scenario, n_fields)[1])
 
 
+def _report_bits(report):
+    """A report's to_dict with every float as its hex string: equal bit for bit."""
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in report.to_dict().items()}
+
+
+def test_identity_control_equals_its_whole_solve_bit_for_bit():
+    """The identity-field control goes through the sweep's chunk loop and
+    keeps only the nodes a sweep keeps; its exact and its martingale
+    reports equal, report by report and bit for bit, those of the whole
+    solve walked as one ensemble."""
+    grid = TimeGrid(1.0, 256)
+    fbm = generate_fbm(0.2, 1, grid, 3)
+    sigma = identity_field(1)
+    scen = QuenchedScenario(fbm, sigma, np.zeros(1), (0.25,), 4000, 13, p=2.0)
+    pairs = [(0.25, 0.5), (0.5, 1.0)]
+    ens, = solver.solve_fields(scen, [sigma])
+    assert ens.nodes == range(grid.steps + 1)
+    sums = solver.walk_ensemble([ens], [sigma], 0, [grid.window(s, t) for s, t in pairs])
+    exact = [isometry_report(ens, sums, 0), cross_term_report(ens, sums, 0),
+             lebesgue_vs_sewing(ens.values[0], fbm, hs_norm_sq(sigma),
+                                SpatialGrid.cover(fbm.values.T, grid.dt), (0.25, 0.75))]
+    experiments._identity_field_reports.cache_clear()
+    got_exact, got_martingale = experiments._identity_field_reports()
+    assert [_report_bits(r) for r in got_exact] == [
+        _report_bits(replace(r, margin=0.0)) for r in exact]
+    assert [_report_bits(r) for r in got_martingale] == [
+        _report_bits(r) for r in martingale_reports(ens, sums, pairs)]
+    assert len(got_martingale) == 36
+
+
 @pytest.mark.parametrize("sigma,dimension", [("singular", 1), ("identity", 1),
                                              ("singular", 2), ("identity", 2)])
 def test_kept_ensembles_read_the_whole_solve_at_their_nodes(sigma, dimension,
@@ -510,7 +539,7 @@ def test_kept_ensembles_read_the_whole_solve_at_their_nodes(sigma, dimension,
     keep = experiments._kept_nodes(grid, [grid.window(s, t) for s, t in WINDOWS])
     whole = solver.solve_fields(scenario, distinct)
     _chunks_of_37(scenario, len(distinct), monkeypatch)
-    kept, _ = experiments._solve_in_chunks(scenario, distinct, keep)
+    kept, _, _ = experiments._solve_in_chunks(scenario, distinct, keep, None, 0)
     assert len(kept) == len(whole) == (1 if sigma == "identity" else len(cfg["eps"]))
     for ens, full in zip(kept, whole):
         assert ens.nodes == keep and full.nodes == range(grid.steps + 1)
@@ -519,10 +548,9 @@ def test_kept_ensembles_read_the_whole_solve_at_their_nodes(sigma, dimension,
             assert ens.at_nodes(ks).tobytes() == full.values[:, :, list(ks)].tobytes()
             assert ens.at_nodes(ks).tobytes() == full.at_nodes(ks).tobytes()
         assert np.array_equal(ens.blowup_steps, full.blowup_steps)
-    snapped = quantized_perturbation(scenario.fbm.values, scenario.quant_grid)
     for ensembles in (kept, whole[:-1] + kept[-1:]):
         with pytest.raises(ParameterError, match="every grid node"):
-            solver.walk_ensemble(ensembles, distinct, snapped, 0, [])
+            solver.walk_ensemble(ensembles, distinct, 0, [])
 
 
 def test_a_kept_ensemble_refuses_a_node_it_does_not_keep():
@@ -535,7 +563,7 @@ def test_a_kept_ensemble_refuses_a_node_it_does_not_keep():
     distinct, _slot = experiments._distinct_fields(scenario, fields)
     grid = scenario.grid
     keep = experiments._kept_nodes(grid, [grid.window(s, t) for s, t in WINDOWS])
-    ens = experiments._solve_in_chunks(scenario, distinct, keep)[0][0]
+    ens = experiments._solve_in_chunks(scenario, distinct, keep, None, 0)[0][0]
     missing = [k for k in range(grid.steps + 1) if k not in keep]
     assert ens.nodes == keep and missing
     with pytest.raises(ParameterError) as refused:
