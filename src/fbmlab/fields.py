@@ -111,7 +111,9 @@ def constant_field(matrix: np.ndarray) -> MatrixField:
     d, n = mat.shape
 
     def oracle(pts):
-        return np.broadcast_to(mat, pts.shape[:-1] + (d, n)).copy()
+        out = np.empty(pts.shape[:-1] + (d, n))
+        out[...] = mat
+        return out
 
     return MatrixField(oracle, d, n, label="const")
 
@@ -141,7 +143,7 @@ def singular_example(gamma: float, radius: float, d: int) -> MatrixField:
     eye = np.eye(d)
 
     def oracle(pts):
-        r = np.linalg.norm(pts, axis=-1)
+        r = _support_norm(pts)
         # |x|**-gamma at the points within the radius only; NaN and +-inf
         # points fail r <= radius and read 0.0, as the rest outside do.
         amp = np.zeros(r.shape)
@@ -354,14 +356,27 @@ def _corner_sum(flat: np.ndarray, corners, out: np.ndarray, term: np.ndarray) ->
 
 
 def _support_norm(pts: np.ndarray) -> np.ndarray:
-    """|x| of points (..., d), which lattice fields compare with their radius.
+    """|x| of points (..., d), which a field with a ball support compares
+    with its radius.
 
-    The convolution support is a ball, so a lattice field is zero beyond it
-    (FFT dust is clipped).  In d = 1 the norm is |x|: sqrt(fl(x^2)) = |x|,
-    and where x^2 under- or overflows both compare alike with a radius
-    from 2^-511 to 2^512.
+    In d = 1 the norm is |x|, the bits of sqrt(fl(x^2)) wherever x^2 is a
+    normal float.  Above that, np.linalg.norm's bits wherever its sum of
+    squares is a normal float; where that sum overflows (from about |x| =
+    1.3e154) or is subnormal or 0.0 (below about 1.5e-154), which shows as
+    a norm of inf or below 2^-511, the norm is taken again of the finite
+    nonzero points scaled by their largest coordinate.
     """
-    return np.abs(pts[..., 0]) if pts.shape[-1] == 1 else np.linalg.norm(pts, axis=-1)
+    if pts.shape[-1] == 1:
+        return np.abs(pts[..., 0])
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(pts, axis=-1)
+    redo = (r == math.inf) | (r < 2.0 ** -511)
+    if not np.any(redo):
+        return r
+    scale = np.abs(pts).max(axis=-1)
+    scale = np.where(redo & (0.0 < scale) & (scale < math.inf), scale, 1.0)
+    with np.errstate(over="ignore"):
+        return np.where(redo, scale * np.linalg.norm(pts / scale[..., None], axis=-1), r)
 
 
 def _rows(vals: np.ndarray) -> np.ndarray:
@@ -572,7 +587,7 @@ def evaluate_together(fields, points) -> np.ndarray:
     stack = lattice[0][0] if lattice[0] is not None else None
     if stack is not None and lattice == [(stack, e) for e in range(len(stack.radii))]:
         return stack(points)
-    return np.stack([f(points) for f in fields])
+    return _filled(fields, [np.asarray(points, dtype=float)] * len(fields))
 
 
 def evaluate_members(fields):
@@ -586,7 +601,16 @@ def evaluate_members(fields):
     stack = lattice[0][0] if lattice[0] is not None else None
     if stack is not None and all(lat is not None and lat[0] is stack for lat in lattice):
         return stack.gather([e for _stack, e in lattice])
-    return lambda points: np.stack([f(pts) for f, pts in zip(fields, points)])
+    return lambda points: _filled(fields, points)
+
+
+def _filled(fields, point_sets) -> np.ndarray:
+    """fields[j] at point_sets[j] (..., d), each written as it comes into
+    one (k, ..., d, n) array: np.stack of the evaluations without a list."""
+    out = np.empty((len(fields),) + point_sets[0].shape[:-1] + (fields[0].d, fields[0].n))
+    for j, (f, pts) in enumerate(zip(fields, point_sets)):
+        out[j] = f(pts)
+    return out
 
 
 def _norm_power(field, pts: np.ndarray, p: float) -> np.ndarray:

@@ -39,6 +39,20 @@ WALK_POINTS = 64 * 256
 # _euler_batch stages its drivers, perturbation and states in blocks of
 # this many steps: a block of the 1000-path five-radius sweep is 2.6 MB.
 _EULER_BLOCK = 64
+# ... and copies a block of drivers time-major in tiles of paths whose rows
+# of the block take _STAGE_BYTES, so they stay in L1 while every step of
+# them is read.  On a 2-core x86-64 host with a 48 KB L1, at 1000 paths,
+# in ns per element (one strided copy of the block / tiles of 64 paths /
+# these tiles): n = 1 6.3-7.0 / 1.9 / 1.9; n = 2 8.0-8.1 / 2.1-2.4 / 2.0;
+# n = 3 10.2-10.4 / 3.9-4.1 / 2.1-2.6.  The states are copied back whole:
+# the 64 cache lines a row of values is read from serve the next paths
+# too, and in tiles of 64 paths that copy ran up to 1.45x slower (one field).
+_STAGE_BYTES = 32 * 1024
+
+
+def _stage_tile(n: int) -> int:
+    """Paths per tile of _euler_batch's driver staging for n drivers."""
+    return max(1, _STAGE_BYTES // (8 * n * _EULER_BLOCK))
 
 
 def _stderr(samples: np.ndarray) -> float:
@@ -131,9 +145,10 @@ def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
     Every state is X_k + step, one add per step, so staging changes no
     bit.  Drivers, w and states are staged time-major in blocks of
     _EULER_BLOCK steps, so each step reads and writes contiguous rows and
-    values and db are copied once per block.  One scalar test per step
-    shows that no path left the box; the per-path flags are built only
-    when it fails, and frozen paths are masked only once one exists.
+    values and db are copied once per block, db in tiles of
+    _stage_tile(n) paths.  One scalar test per step shows that no path
+    left the box; the per-path flags are built only when it fails, and
+    frozen paths are masked only once one exists.
     """
     n_paths, _, steps = db.shape
     shape = (len(fields), n_paths, x0.size)
@@ -144,9 +159,13 @@ def _euler_batch(fields: Sequence[MatrixField], w_values: np.ndarray,
     alive = None  # every path, until one blows up
     evaluate = evaluate_members(fields)
     states = np.empty((min(_EULER_BLOCK, steps),) + shape)
+    db_block = np.empty((len(states),) + db.shape[:2])
+    width = _stage_tile(db.shape[1])
+    tiles = [slice(p0, p0 + width) for p0 in range(0, n_paths, width)]
     for k0 in range(0, steps, _EULER_BLOCK):
         k1 = min(k0 + _EULER_BLOCK, steps)
-        db_block = np.ascontiguousarray(db[:, :, k0:k1].transpose(2, 0, 1))
+        for tile in tiles:
+            db_block[:k1 - k0, tile] = db[tile, :, k0:k1].transpose(2, 0, 1)
         w_block = np.ascontiguousarray(w_values[:, k0:k1].T)
         for j in range(k1 - k0):
             step = np.einsum("epij,pj->epi", evaluate(x - w_block[j]), db_block[j])
@@ -294,9 +313,9 @@ class PathSums:
       cross_comp[w]  dt sum_{k in window w} f[own]_00 (X_k - w_k)
       driver_nodes   B(t_k) at the window end points, (paths, n, nodes)
 
-    ito and the compensators add one step at a time from 0.0 (_carry:
-    windows that share a start read one running sum), row_sq and mixed are
-    numpy row sums of a contiguous (paths, steps) buffer of whole rows: the
+    ito and the compensators add one step at a time from 0.0 (_step_sum
+    over each window of a time-major buffer), row_sq and mixed are numpy
+    row sums of a contiguous (paths, steps) buffer of whole rows: the
     summation orders of the per-check loops they replace, so each row
     matches those bit for bit whatever the walk's block of paths.
     """
@@ -322,17 +341,23 @@ class PathSums:
                        driver_nodes=rows("driver_nodes", 0))
 
 
-def _carry(terms: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
-    """0.0 + terms[..., 0] + ... + terms[..., c - 1] for each c >= 1 in
-    counts, added one step at a time along the last axis.
+def _step_sum(terms: np.ndarray) -> np.ndarray:
+    """0.0 + terms[0] + terms[1] + ..., added one step at a time, of a
+    C-contiguous time-major (steps, ...) array.
 
-    One running sum over the longest count serves them all.  It starts
-    at terms[..., 0], not at 0.0, which changes only the sign of a zero:
-    a sum from +0.0 never ends at -0.0, so adding 0.0 to the read-out
-    gives the sum from 0.0 bit for bit, NaN and inf included.
+    np.add.reduce over axis 0 starts at 0.0 and adds row by row when a row
+    holds two elements or more; over rows of one element it sums pairwise,
+    so those take cumsum's sequential route.  That starts at terms[0], not
+    at 0.0, which changes only the sign of a zero: a sum from +0.0 never
+    ends at -0.0, so adding 0.0 gives the sum from 0.0 bit for bit.  The
+    reduce's order is numpy's loop, not its documented contract, and
+    tests/test_walk.py::test_step_sum_equals_the_sum_from_zero pins it.
+    It stays because cumsum alone, which writes every partial sum, made
+    the 1000-path identity and headline jobs 5% and 4% slower.
     """
-    run = np.cumsum(terms[..., :max(counts)], axis=-1)
-    return [run[..., c - 1] + 0.0 for c in counts]
+    if terms[0].size < 2:
+        return np.cumsum(terms, axis=0)[-1] + 0.0
+    return np.add.reduce(terms, axis=0)
 
 
 def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
@@ -347,8 +372,11 @@ def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
     goes through every row in blocks of max(1, WALK_POINTS // steps) whole
     rows.  Each block first reads every other field along its own paths,
     one call each, then every field along the reference paths, in one
-    evaluate_together call per point set; the (fields, paths, steps, ...)
-    values are summed as they come, over contiguous rows of steps.
+    evaluate_together call per point set.  At X_k - w_k the points are
+    time-major, so the Ito terms and the compensators' terms are
+    C-contiguous (steps, ...) arrays, each window summed by _step_sum; at
+    X_k - z_k they are path-major, and the (fields, paths, steps) values
+    are summed over contiguous rows of steps.
     """
     if len(ensembles) != len(fields):
         raise ParameterError(f"{len(ensembles)} ensembles for {len(fields)} fields")
@@ -369,9 +397,6 @@ def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
         raise ParameterError(
             f"windows must be node pairs 0 <= k0 < k1 <= {steps}, got {windows}")
     nodes = tuple(sorted({k for pair in windows for k in pair}))
-    starts: dict[int, list[tuple[int, int]]] = {}  # (window, steps) by start node
-    for wi, (ks, kt) in enumerate(windows):
-        starts.setdefault(ks, []).append((wi, kt - ks))
     ito = np.empty((len(fields), n_paths, scen.dimension))
     row_sq = np.empty((len(fields), n_paths))
     mixed = np.empty((len(fields), n_paths))
@@ -386,20 +411,17 @@ def walk_ensemble(ensembles: Sequence[Ensemble], fields: Sequence[MatrixField],
             if e != own:
                 row = fld(paths[e][part] - snapped)[..., 0, :]
                 row_sq[e, part] = np.sum(row ** 2, axis=-1).sum(axis=1) * dt
-        x = paths[own][part]
         db = scen.driver_increments[part]
-        vals = evaluate_together(fields, x - w)
-        inc = np.einsum("epkij,pjk->epik", vals, db)
-        ito[:, part] = _carry(inc, [steps])[0]
+        vals = evaluate_together(fields, reference.values[part, :, :steps].transpose(2, 0, 1)
+                                 - w[:, None])
+        inc = np.einsum("ekpij,pjk->kepi", vals, db, order="C")
+        ito[:, part] = _step_sum(inc)
         row0 = vals[own, ..., 0, :]
-        sq, entry = np.sum(row0 ** 2, axis=-1), row0[..., 0]
-        for ks, group in starts.items():
-            wis, counts = zip(*group)
-            for wi, quad, cross in zip(wis, _carry(sq[:, ks:], counts),
-                                       _carry(entry[:, ks:], counts)):
-                quad_comp[wi, part] = quad * dt
-                cross_comp[wi, part] = cross * dt
-        pts = x - snapped
+        sq, entry = np.sum(row0 ** 2, axis=-1), np.ascontiguousarray(row0[..., 0])
+        for wi, (ks, kt) in enumerate(windows):
+            quad_comp[wi, part] = _step_sum(sq[ks:kt]) * dt
+            cross_comp[wi, part] = _step_sum(entry[ks:kt]) * dt
+        pts = paths[own][part] - snapped
         vals = evaluate_together(fields, pts)
         row_sq[own, part] = np.sum(vals[own, ..., 0, :] ** 2, axis=-1).sum(axis=1) * dt
         raw = scen.sigma(pts)[..., 0, :]

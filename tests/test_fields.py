@@ -107,6 +107,27 @@ def test_singular_example_matches_the_where_chain(d, radius):
         assert fld(clear).tobytes() == _where_chain(clear, gamma, radius).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_singular_example_reads_beyond_the_range_of_squares(d):
+    """|x| survives coordinates whose squares over- or underflow: with
+    radius 1e200 the field reads 1e160**-0.4 at 1e160 on an axis (it read
+    0.0 after numpy's overflow warning) and 1e-160**-0.4 at 1e-160 (it read
+    1.0000022e64), (1e-170, 0, ...) is not the origin, and an infinite
+    point still reads 0.0, all without a RuntimeWarning.  Points whose
+    squared norm is a normal float keep the where chain's bits."""
+    fld = singular_example(0.4, 1e200, d)
+    axis = np.eye(d)[0]
+    far = np.array([1e160 * axis, -1e160 * axis, 1e-160 * axis, 1e-170 * axis,
+                    np.r_[np.inf, np.zeros(d - 1)], np.full(d, 1e160)])
+    spread = np.random.default_rng(d).normal(scale=10.0, size=(64, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fld(far)[:, 0, 0]
+        assert fld(spread).tobytes() == _where_chain(spread, 0.4, 1e200).tobytes()
+    want = [1e-64, 1e-64, 1e64, 1e68, 0.0, (math.sqrt(d) * 1e160) ** -0.4]
+    assert got.tolist() == pytest.approx(want, rel=1e-14)
+
+
 def test_singular_example_hypotheses():
     with pytest.raises(ParameterError):
         singular_example(0.0, 1.0, 1)

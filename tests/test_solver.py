@@ -208,6 +208,37 @@ def test_blowups_at_block_edges_match_the_reference(d, steps, block, monkeypatch
     assert np.all(blowup[1] >= 1)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_staging_tiles_keep_every_path_bits(d, monkeypatch):
+    """_euler_batch stages its drivers in tiles of _stage_tile(n) paths.  At
+    1, tile - 1, tile + 1 and 2 tile + 1 paths, over 70 steps (a staging
+    block and a part), with paths that blow up in the middle and at the
+    ends of a tile (on a NaN driver, or on a large one where the field
+    does not vanish), each path of the batch equals its one-path solve bit
+    for bit in values and blow-up steps, for fields evaluated one by one
+    and for stack members gathered together."""
+    monkeypatch.setattr(solver, "BLOWUP_BOUND", 5.0)
+    tile = solver._stage_tile(d)
+    grid = TimeGrid(1.0, 70)
+    w_values = generate_fbm(0.2, d, grid, seed=5).values
+    x0 = np.full(d, 0.3)
+    _fbm, members = STACKS[d]
+    for fields in ([identity_field(d), constant_field(2.0 * np.eye(d))], members[:2]):
+        for n_paths in (1, tile - 1, tile + 1, 2 * tile + 1):
+            db = _bm_rows(d, grid, BASE_SEED, 0, n_paths)
+            for path in (tile - 1, tile):
+                if path < n_paths:
+                    db[path, 0, (7 * path) % 70] = 100.0
+            nan_paths = [n_paths // 2, n_paths - 1]
+            db[nan_paths, 0, [31, 69]] = np.nan
+            values, blowup = _euler_batch(fields, w_values, db, x0)
+            assert np.all(blowup[:, nan_paths] >= 0) and (n_paths == 1 or np.any(blowup < 0))
+            for path in range(n_paths):
+                one_values, one_blowup = _euler_batch(fields, w_values, db[path:path + 1], x0)
+                assert np.array_equal(values[:, path:path + 1], one_values)
+                assert np.array_equal(blowup[:, path:path + 1], one_blowup)
+
+
 def test_radius_sweep_shares_drivers():
     scenario = QuenchedScenario(FBM, singular_example(0.4, 1.0, 1), [0.5],
                                 (0.5, 0.25), 16, BASE_SEED)
@@ -272,10 +303,12 @@ def test_the_contractions_sum_in_their_pinned_orders(n, k, paths, d, steps, seed
     """The recursion's np.einsum("epij,pj->epi", f, db) over the driver
     axis j sums its products t_j = f[..., j] db[:, j] from 0.0 as 0.0 + t0
     at n = 1, (0.0 + t0) + t1 at n = 2 and ((0.0 + t0) + t2) + t1 at
-    n = 3.  The walk's "epkij,pjk->epik" sums as ((0.0 + t0) + t1) + t2
-    at n = 3 over two steps or more, and as the recursion does over one,
-    where its driver axis is contiguous.  An explicit product-sum that
-    replaces either must keep its order.  Every
+    n = 3.  The walk's call, "ekpij,pjk->kepi" with order="C" on values
+    evaluated at time-major points (fields, steps, paths, d, n), sums as
+    ((0.0 + t0) + t1) + t2 at n = 3 over two steps or more, and as the
+    recursion does over one, where its driver axis is contiguous; its
+    result is C-contiguous, as the walk's step sums need.  An explicit
+    product-sum that replaces either must keep its order.  Every
     bit is pinned but a NaN's sign: which operand's NaN a product or a sum
     keeps follows numpy's loop for the array's size, not the summation
     order, and the solver never keeps a NaN state."""
@@ -303,10 +336,12 @@ def test_the_contractions_sum_in_their_pinned_orders(n, k, paths, d, steps, seed
     products = [f[..., j] * db[:, None, j] for j in range(n)]
     assert_same_bits_but_nan_signs(np.einsum("epij,pj->epi", f, db),
                                    from_zero(products, recursion))
-    vals, db = draw((k, paths, steps, d, n)), draw((paths, n, steps))
-    products = [np.swapaxes(vals[..., j] * db[:, j, :, None], -1, -2) for j in range(n)]
-    assert_same_bits_but_nan_signs(np.einsum("epkij,pjk->epik", vals, db),
-                                   from_zero(products, recursion if steps == 1 else range(n)))
+    vals, db = draw((k, steps, paths, d, n)), draw((paths, n, steps))
+    products = [np.moveaxis(vals[..., j] * db[:, j].T[:, :, None], 1, 0) for j in range(n)]
+    inc = np.einsum("ekpij,pjk->kepi", vals, db, order="C")
+    assert inc.flags.c_contiguous
+    assert_same_bits_but_nan_signs(inc, from_zero(products,
+                                                  recursion if steps == 1 else range(n)))
 
 
 def test_blown_up_path_freezes_at_last_finite_state(monkeypatch):

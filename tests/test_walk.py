@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fbmlab import (BlowUpError, ParameterError, QuenchedScenario, SpatialGrid,
                     TimeGrid, constant_field, generate_fbm, hs_norm_sq,
@@ -414,35 +416,54 @@ def test_walk_rejects_bad_windows_references_and_ensembles():
 
 
 def _carry_from_zero(terms):
-    """The running sum from a zero row, as the walk first took it."""
+    """The running sum from a zero row along axis 1, as the walk first took it."""
     start = np.zeros((terms.shape[0], 1) + terms.shape[2:])
     return np.cumsum(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
 
 
-@pytest.mark.parametrize("shape", [(3, 9, 4, 2), (1, 9, 4, 2), (3, 9, 1, 1),
-                                   (1, 9, 1), (2, 1, 3)],
-                         ids=["paths-fields-d", "one-path", "one-field",
-                              "one-path-one-field", "one-step"])
-def test_carry_equals_the_sum_from_zero(shape):
-    """_carry's read-outs of one running sum equal, bit for bit, a sum from
-    a zero row over each count of steps: on runs of -0.0 (which alone end
-    at -0.0 without the zero row), mixed zeros, NaN and infinities.  _carry
-    sums along the last axis, so axis 1 of `shape` is moved there."""
-    rng = np.random.default_rng(3)
-    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324])
+with np.errstate(invalid="ignore"):
+    _DEFAULT_NAN = np.subtract(np.inf, np.inf)  # the walk's only NaN: its terms are finite
+_STEP_SUM_SPECIALS = np.array([-0.0, 0.0, _DEFAULT_NAN, np.inf, -np.inf, 1e308, -1e308, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+@example(300, [1], 0, False)        # a block of one path: one compensator per step
+@example(300, [1, 1, 1], 0, False)  # one field, one path, d = 1: one Ito sum per step
+@example(300, [1, 2, 1], 0, False)  # one field, two paths
+@example(300, [3, 1, 2], 0, False)  # one path, three fields, d = 2
+@example(1, [3, 4, 2], 0, False)    # one step
+@example(300, [1, 2, 1], 0, True)
+@example(300, [1, 1, 1], 0, True)
+def test_step_sum_equals_the_sum_from_zero(steps, rest, seed, both_nan_signs):
+    """_step_sum of a time-major (steps, *rest) array equals, bit for bit,
+    a running sum from a zero row: on runs of -0.0 (which alone end at
+    -0.0 without the zero row), a column of -0.0, NaN, infinities and
+    1e308 (whose sums overflow).  Over rows of one element, where numpy's
+    axis-0 reduce sums pairwise, too.  The NaN drawn is the one inf - inf
+    gives, the only NaN the walk's finite terms can make, and every bit
+    of it is pinned.  With NaNs of both signs drawn, every bit is pinned
+    but a NaN's sign: of two NaNs numpy's add keeps one or the other by
+    its loop for the row's length."""
+    rng = np.random.default_rng(seed)
+    shape = (steps, *rest)
+    specials = _STEP_SUM_SPECIALS
+    if both_nan_signs:
+        specials = np.append(specials, -_DEFAULT_NAN)
     terms = np.where(rng.random(shape) < 0.5, rng.normal(size=shape),
-                     rng.choice(special, size=shape))
-    terms[0] = -0.0                     # a whole run of -0.0
-    terms[-1, :, ...] = rng.choice([-0.0, 0.0], size=terms[-1].shape)
-    steps = shape[1]
-    counts = sorted({1, (steps + 1) // 2, steps})
+                     rng.choice(specials, size=shape))
+    terms[:rng.integers(1, steps + 1)] = -0.0   # a run of -0.0 from the first step
+    terms.reshape(steps, -1)[:, -1] = -0.0      # a column of -0.0 only
     with np.errstate(over="ignore", invalid="ignore"):
-        carried = solver._carry(np.moveaxis(terms, 1, -1), counts)
-        wants = [_carry_from_zero(terms[:, :count]) for count in counts]
-    for got, want in zip(carried, wants):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert not np.any(np.signbit(carried[-1][0]))
+        got = solver._step_sum(terms)
+        want = _carry_from_zero(np.moveaxis(terms, 0, 1))
+    assert got.shape == want.shape == tuple(rest)
+    if both_nan_signs:
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        got, want = (np.where(np.isnan(a), np.nan, a) for a in (got, want))
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got.reshape(-1)[-1])
 
 
 # --- chunks of paths ----------------------------------------------------------------
